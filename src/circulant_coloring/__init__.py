@@ -15,7 +15,6 @@ from .graphs import (
 from .latin import (
     LatinSquare,
     build_commutative_idempotent,
-    excise_block,
     is_anticirculant,
     is_commutative,
     is_idempotent,

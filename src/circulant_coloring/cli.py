@@ -2,15 +2,26 @@
 colorings, query the brute-force oracles, convert matrix files, and
 reproduce the shipped fixtures.
 
-Exit codes for `color`: 0 success, 2 precondition failed, 3 verification
-failed, 4 search budget exceeded.  All runs are deterministic.
+Every subcommand exits with one of:
+
+    0  success
+    1  any other toolkit error (a missing fixture) or a fixture mismatch
+    2  precondition failed: a bad or missing argument, a malformed or
+       unreadable file, an instance too large for the oracle
+    3  verification failed
+    4  search budget exceeded
+
+``--budget N`` bounds every exact search in a run: each search a builder
+makes (the pooled 1-factorization, the fallback completion, the thm31
+power-part search) and the oracle.  Without it, builder searches get
+2,000,000 nodes each and the oracle 20,000,000.  All runs are
+deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import golden
@@ -36,15 +47,25 @@ from .constructions import (
 )
 from .errors import (
     CirculantColoringError,
-    FixtureMissing,
     MismatchFound,
     PreconditionFailed,
-    RainbowPropertyFailed,
     SearchBudgetExceeded,
     VerificationFailed,
 )
-from .graphs import GeneratorSet, build_circulant, normalize_half_set
-from .oracle import Mode, exact_chromatic_index, exact_feasible, exact_total_chromatic
+from .factorization import DEFAULT_SEARCH_BUDGET
+from .graphs import (
+    CirculantGraph,
+    GeneratorSet,
+    build_circulant,
+    normalize_half_set,
+)
+from .oracle import (
+    DEFAULT_NODE_BUDGET,
+    Mode,
+    exact_chromatic_index,
+    exact_feasible,
+    exact_total_chromatic,
+)
 from .verifiers import verify_nsd, verify_total_coloring
 
 EXIT_OK = 0
@@ -63,6 +84,10 @@ def _parse_gens(text: str) -> list[int]:
 
 def _half_set(n: int, text: str) -> GeneratorSet:
     return GeneratorSet(n, normalize_half_set(n, _parse_gens(text)))
+
+
+def _graph(args) -> CirculantGraph:
+    return build_circulant(args.n, _parse_gens(args.gens))
 
 
 def _report_dict(rep) -> dict:
@@ -99,57 +124,78 @@ def _emit(tc: TotalColoring, fmt: str, out: str | None, suffix: str = "",
 
 
 def cmd_build(args) -> int:
-    g = build_circulant(args.n, _parse_gens(args.gens))
+    g = _graph(args)
     json.dump(g.to_json_dict(), sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
     return EXIT_OK
 
 
+def _one(rep) -> list:
+    return [("", rep.coloring, _report_dict(rep))]
+
+
+def _pair(reps) -> list:
+    eq, nsd = reps
+    return [("-equitable", eq.coloring, _report_dict(eq)),
+            ("-nsd", nsd.coloring, _report_dict(nsd))]
+
+
+def _canonical(result) -> list:
+    return [("", result.coloring, result.report.to_json_dict())]
+
+
+def _first_quarter(n: int) -> str:
+    return ",".join(str(d) for d in range(1, n // 4 + 1))
+
+
+# Registries: name -> (options the entry requires, call(args, budget)).
+# The calls look each builder up through this module's globals when they
+# run, so a wrapper installed on the module attribute sees every call.
+# A color call returns [(file suffix, coloring, report dict)].
+COLOR_METHODS = {
+    "thm21-even": (("k", "i"), lambda a, budget: _one(
+        color_power_cycle_even(a.n, a.k, a.i, budget))),
+    "thm21-odd": (("k", "i"), lambda a, budget: _one(
+        color_power_cycle_odd(a.n, a.k, a.i))),
+    "thm22": (("k",), lambda a, budget: _pair(
+        equitable_nsd_power_cycle(a.n, a.k))),
+    "thm31": (("gens",), lambda a, budget: _one(color_thm31(
+        _graph(a), _half_set(a.n, a.s1_gens or _first_quarter(a.n)),
+        budget))),
+    "thm32": (("gens",), lambda a, budget: _one(color_thm32(_graph(a)))),
+    "thm33": (("gens", "m_gens"), lambda a, budget: _one(color_thm33(
+        _graph(a), _half_set(a.n, a.m_gens), budget))),
+    "thm34": (("gens", "s1_gens"), lambda a, budget: _pair(color_thm34(
+        _graph(a), _half_set(a.n, a.s1_gens), budget))),
+    "canonical": ((), lambda a, budget: _canonical(
+        canonical_complete_coloring(a.n))),
+}
+
+ORACLE_QUANTITIES = {
+    "total-chromatic": ((), lambda a, budget: exact_total_chromatic(
+        _graph(a), budget=budget)),
+    "chromatic-index": ((), lambda a, budget: exact_chromatic_index(
+        _graph(a), budget=budget)),
+    "equitable-feasible": (("k",), lambda a, budget: exact_feasible(
+        _graph(a), a.k, Mode.EQUITABLE, budget=budget)),
+    "nsd-feasible": (("k",), lambda a, budget: exact_feasible(
+        _graph(a), a.k, Mode.NSD, budget=budget)),
+}
+
+
+def _call(registry: dict, name: str, args, default_budget: int):
+    requires, call = registry[name]
+    missing = ["--" + opt.replace("_", "-") for opt in requires
+               if getattr(args, opt) is None]
+    if missing:
+        raise PreconditionFailed("%s requires %s" % (name, ", ".join(missing)))
+    return call(args, default_budget if args.budget is None else args.budget)
+
+
 def cmd_color(args) -> int:
-    method = args.method
-    fmt, out = args.format, args.out
-    if method == "thm21-even":
-        rep = color_power_cycle_even(args.n, args.k, args.i)
-        _emit(rep.coloring, fmt, out, extra=_report_dict(rep))
-    elif method == "thm21-odd":
-        rep = color_power_cycle_odd(args.n, args.k, args.i)
-        _emit(rep.coloring, fmt, out, extra=_report_dict(rep))
-    elif method == "thm22":
-        eq, nsd = equitable_nsd_power_cycle(args.n, args.k)
-        _emit(eq.coloring, fmt, out, "-equitable", _report_dict(eq))
-        _emit(nsd.coloring, fmt, out, "-nsd", _report_dict(nsd))
-    elif method == "thm31":
-        if not args.gens:
-            raise PreconditionFailed("--gens is required for thm31")
-        g = build_circulant(args.n, _parse_gens(args.gens))
-        s1_text = args.s1_gens or ",".join(
-            str(d) for d in range(1, args.n // 4 + 1))
-        rep = color_thm31(g, _half_set(args.n, s1_text))
-        _emit(rep.coloring, fmt, out, extra=_report_dict(rep))
-    elif method == "thm32":
-        if not args.gens:
-            raise PreconditionFailed("--gens is required for thm32")
-        rep = color_thm32(build_circulant(args.n, _parse_gens(args.gens)))
-        _emit(rep.coloring, fmt, out, extra=_report_dict(rep))
-    elif method == "thm33":
-        if not (args.gens and args.m_gens):
-            raise PreconditionFailed("--gens and --m-gens are required for thm33")
-        g = build_circulant(args.n, _parse_gens(args.gens))
-        rep = color_thm33(g, _half_set(args.n, args.m_gens))
-        _emit(rep.coloring, fmt, out, extra=_report_dict(rep))
-    elif method == "thm34":
-        if not (args.gens and args.s1_gens):
-            raise PreconditionFailed("--gens and --s1-gens are required for thm34")
-        g = build_circulant(args.n, _parse_gens(args.gens))
-        eq, nsd = color_thm34(g, _half_set(args.n, args.s1_gens))
-        _emit(eq.coloring, fmt, out, "-equitable", _report_dict(eq))
-        _emit(nsd.coloring, fmt, out, "-nsd", _report_dict(nsd))
-    elif method == "canonical":
-        result = canonical_complete_coloring(args.n)
-        _emit(result.coloring, fmt, out,
-              extra=result.report.to_json_dict())
-    else:
-        raise PreconditionFailed("unknown method %r" % method)
+    for suffix, tc, report in _call(COLOR_METHODS, args.method, args,
+                                    DEFAULT_SEARCH_BUDGET):
+        _emit(tc, args.format, args.out, suffix, report)
     return EXIT_OK
 
 
@@ -165,7 +211,7 @@ def _load_coloring(path: str) -> TotalColoring:
 
 
 def cmd_verify(args) -> int:
-    g = build_circulant(args.n, _parse_gens(args.gens))
+    g = _graph(args)
     tc = _load_coloring(args.infile)
     if args.nsd:
         report = verify_nsd(g, tc)
@@ -179,18 +225,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    g = build_circulant(args.n, _parse_gens(args.gens))
-    q = args.quantity
-    if q == "total-chromatic":
-        res = exact_total_chromatic(g)
-    elif q == "chromatic-index":
-        res = exact_chromatic_index(g)
-    elif q == "equitable-feasible":
-        res = exact_feasible(g, args.k, Mode.EQUITABLE)
-    elif q == "nsd-feasible":
-        res = exact_feasible(g, args.k, Mode.NSD)
-    else:
-        raise PreconditionFailed("unknown quantity %r" % q)
+    res = _call(ORACLE_QUANTITIES, args.quantity, args, DEFAULT_NODE_BUDGET)
     print(json.dumps({
         "quantity": res.quantity.value,
         "value": res.value,
@@ -227,7 +262,9 @@ def make_parser() -> argparse.ArgumentParser:
         description="Total, equitable, and NSD total colorings of "
                     "circulant graphs, with verification and oracles.")
     p.add_argument("--budget", type=int, default=None,
-                   help="search node budget (overrides TC_BUDGET)")
+                   help="node budget of each exact search, the oracle's "
+                        "included (default: 2,000,000 per builder search, "
+                        "20,000,000 for the oracle)")
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="print a circulant graph as JSON")
@@ -236,9 +273,7 @@ def make_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_build)
 
     c = sub.add_parser("color", help="run a theorem builder")
-    c.add_argument("--method", required=True,
-                   choices=["thm21-even", "thm21-odd", "thm22", "thm31",
-                            "thm32", "thm33", "thm34", "canonical"])
+    c.add_argument("--method", required=True, choices=list(COLOR_METHODS))
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--k", type=int, default=None)
     c.add_argument("--i", type=int, default=None)
@@ -260,8 +295,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle", help="exact brute force on a tiny instance")
     o.add_argument("--quantity", required=True,
-                   choices=["total-chromatic", "chromatic-index",
-                            "equitable-feasible", "nsd-feasible"])
+                   choices=list(ORACLE_QUANTITIES))
     o.add_argument("--n", type=int, required=True)
     o.add_argument("--gens", required=True)
     o.add_argument("--k", type=int, default=None,
@@ -276,29 +310,25 @@ def make_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("reproduce", help="rebuild and diff a shipped fixture")
     r.add_argument("--table", default="all",
-                   help="fixture number 1..6, or 'all'")
+                   choices=["all"] + [str(t) for t in golden.TABLE_IDS],
+                   help="fixture number, or 'all'")
     r.set_defaults(func=cmd_reproduce)
     return p
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    if args.budget is not None:
-        os.environ["TC_BUDGET"] = str(args.budget)
     try:
         return args.func(args)
     except PreconditionFailed as exc:
         print("precondition failed: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION
-    except (VerificationFailed, RainbowPropertyFailed) as exc:
+    except VerificationFailed as exc:
         print("verification failed: %s" % exc, file=sys.stderr)
         return EXIT_VERIFICATION
     except SearchBudgetExceeded as exc:
         print("search budget exceeded: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
-    except FixtureMissing as exc:
-        print("fixture missing: %s" % exc, file=sys.stderr)
-        return EXIT_FAIL
     except CirculantColoringError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_FAIL

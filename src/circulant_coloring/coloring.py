@@ -12,7 +12,7 @@ import csv
 import json
 from dataclasses import dataclass, field, replace
 
-from .errors import IoFailure
+from .errors import PreconditionFailed
 from .graphs import CirculantGraph, Edge
 
 
@@ -43,15 +43,9 @@ class TotalColoring:
         merged.update(updates)
         return TotalColoring(self.vertex_colors, merged)
 
-    def vertex_sum(self, u: int) -> int:
-        """Sigma_c(u): vertex color plus the colors of incident edges."""
-        total = self.vertex_colors[u]
-        for e, c in self.edge_colors.items():
-            if e.u == u or e.v == u:
-                total += c
-        return total
-
     def all_vertex_sums(self) -> list[int]:
+        """Sigma_c(u) for every vertex u: its color plus the colors of its
+        incident edges."""
         sums = list(self.vertex_colors)
         for e, c in self.edge_colors.items():
             sums[e.u] += c
@@ -110,7 +104,7 @@ def write_matrix_csv(tc: TotalColoring, path) -> None:
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(matrix_csv_rows(tc))
     except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+        raise PreconditionFailed(str(exc)) from exc
 
 
 def parse_matrix_csv_text(text: str):
@@ -133,13 +127,19 @@ def parse_matrix_csv_text(text: str):
     return matrix, wildcards
 
 
+def _malformed(path, exc) -> PreconditionFailed:
+    return PreconditionFailed("malformed coloring file %s: %s: %s"
+                              % (path, type(exc).__name__, exc))
+
+
 def read_matrix_csv(path):
     try:
         with open(path) as fh:
-            text = fh.read()
+            return parse_matrix_csv_text(fh.read())
     except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    return parse_matrix_csv_text(text)
+        raise PreconditionFailed(str(exc)) from exc
+    except (ValueError, csv.Error) as exc:
+        raise _malformed(path, exc) from exc
 
 
 def coloring_to_json_dict(tc: TotalColoring) -> dict:
@@ -166,7 +166,7 @@ def write_coloring_json(tc: TotalColoring, path) -> None:
             json.dump(coloring_to_json_dict(tc), fh, indent=1, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+        raise PreconditionFailed(str(exc)) from exc
 
 
 def read_coloring_json(path) -> TotalColoring:
@@ -174,4 +174,6 @@ def read_coloring_json(path) -> TotalColoring:
         with open(path) as fh:
             return coloring_from_json_dict(json.load(fh))
     except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+        raise PreconditionFailed(str(exc)) from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _malformed(path, exc) from exc

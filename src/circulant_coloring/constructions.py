@@ -21,16 +21,16 @@ from .coloring import BuildReport, TotalColoring
 from .errors import (
     FactorizationImpossible,
     PreconditionFailed,
-    RainbowPropertyFailed,
     SearchBudgetExceeded,
     VerificationFailed,
 )
 from .factorization import (
+    DEFAULT_SEARCH_BUDGET,
     Factorization,
+    _exact_edge_coloring,
     edge_color_delta_plus_one,
     hamiltonian_cycle,
     one_factorize,
-    search_budget,
     split_rainbow_matchings,
 )
 from .graphs import (
@@ -101,7 +101,7 @@ def _choose_tiling_split(n: int, k: int, q: int):
 
 
 def _verified(g: CirculantGraph, tc: TotalColoring, bound: int,
-              fallback_used: bool = False, notes: str = "") -> BuildReport:
+              notes: str = "") -> BuildReport:
     report = verify_total_coloring(g, tc)
     if not report.proper:
         raise VerificationFailed(
@@ -110,12 +110,12 @@ def _verified(g: CirculantGraph, tc: TotalColoring, bound: int,
             coloring=tc, report=report,
         )
     used = report.colors_used
-    if not fallback_used and used > bound:
+    if used > bound:
         raise VerificationFailed(
             "used %d colors, claimed bound %d" % (used, bound),
             coloring=tc, report=report,
         )
-    return BuildReport(tc, used, bound, fallback_used, notes)
+    return BuildReport(tc, used, bound, notes=notes)
 
 
 # -- powers of cycles --------------------------------------------------------
@@ -133,11 +133,14 @@ def _check_power_even_pre(n: int, k: int, i: int):
         raise PreconditionFailed("k+i = %d must divide n = %d" % (k + i, n))
 
 
-def color_power_cycle_even(n: int, k: int, i: int) -> BuildReport:
+def color_power_cycle_even(n: int, k: int, i: int,
+                           budget: int = DEFAULT_SEARCH_BUDGET) -> BuildReport:
     """Type-I total coloring of C_n^k, n even, (k+i) | n, k+i odd.
 
     Exactly 2k+1 colors: the order-(k+i) square tiles the inner distances;
-    the leftover distances are 1-factorized onto fresh colors.
+    the leftover distances are 1-factorized onto fresh colors.  When that
+    fails, an exact search completes them within the 2k+1 colors.  Each
+    search gets ``budget`` nodes.
     """
     _check_power_even_pre(n, k, i)
     g = power_of_cycle(n, k)
@@ -149,14 +152,21 @@ def color_power_cycle_even(n: int, k: int, i: int) -> BuildReport:
     if residual:
         sub = build_circulant(n, residual)
         try:
-            fac = one_factorize(sub)
+            fac = one_factorize(sub, budget)
             tc = tc.with_edge_colors(_factor_edge_colors(fac, q + 1))
             notes += "; residual %r one-factorized" % (residual,)
         except (FactorizationImpossible, SearchBudgetExceeded):
-            tc = _complete_within_palette(g, tc, sub.edges, 2 * k + 1)
+            done = _exact_edge_coloring(sub.edges, 2 * k + 1, budget, start=tc)
+            if done is None:
+                raise VerificationFailed(
+                    "no completion of the residual distances within %d "
+                    "colors" % (2 * k + 1), coloring=tc)
+            tc = tc.with_edge_colors(done)
             fallback = True
             notes += "; residual %r completed by constrained search" % (residual,)
-    return _verified(g, tc, 2 * k + 1, fallback, notes)
+    report = _verified(g, tc, 2 * k + 1, notes)
+    report.fallback_used = fallback
+    return report
 
 
 def color_power_cycle_odd(n: int, k: int, i: int) -> BuildReport:
@@ -189,55 +199,6 @@ def color_power_cycle_odd(n: int, k: int, i: int) -> BuildReport:
     return _verified(g, tc, 2 * k + 2, notes=notes)
 
 
-def _complete_within_palette(g: CirculantGraph, tc: TotalColoring,
-                             edges, num_colors: int,
-                             budget: int = 500_000) -> TotalColoring:
-    """Color the given leftover edges inside the existing palette by exact
-    backtracking; conflicts with the partial coloring are respected."""
-    used = {u: {tc.vertex_colors[u]} for u in range(g.n)}
-    for e, c in tc.edge_colors.items():
-        used[e.u].add(c)
-        used[e.v].add(c)
-    palette = set(range(1, num_colors + 1))
-    todo = sorted(e for e in edges if e not in tc.edge_colors)
-    assignment = {}
-    nodes = 0
-
-    def solve() -> bool:
-        nonlocal nodes
-        best, best_av = None, None
-        for e in todo:
-            if e in assignment:
-                continue
-            av = palette - used[e.u] - used[e.v]
-            if best is None or len(av) < len(best_av):
-                best, best_av = e, av
-                if not av:
-                    break
-        if best is None:
-            return True
-        for c in sorted(best_av):
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded("completion search exceeded budget")
-            assignment[best] = c
-            used[best.u].add(c)
-            used[best.v].add(c)
-            if solve():
-                return True
-            del assignment[best]
-            used[best.u].discard(c)
-            used[best.v].discard(c)
-        return False
-
-    if not solve():
-        raise VerificationFailed(
-            "no completion of the residual distances within %d colors"
-            % num_colors, coloring=tc,
-        )
-    return tc.with_edge_colors(assignment)
-
-
 # -- equitable and NSD for powers of cycles ----------------------------------
 
 def equitable_nsd_power_cycle(n: int, k: int) -> tuple[BuildReport, BuildReport]:
@@ -268,7 +229,7 @@ def equitable_nsd_power_cycle(n: int, k: int) -> tuple[BuildReport, BuildReport]
     nsd_report = verify_nsd(g, recolored)
     if not nsd_report.nsd:
         if not all(flags):
-            raise RainbowPropertyFailed(
+            raise VerificationFailed(
                 "matchings not rainbow under the base coloring and the "
                 "recoloring is not sum-distinguishing"
             )
@@ -348,8 +309,7 @@ def _require(cond: bool, msg: str):
 
 
 def _constrained_total_search(power: CirculantGraph, full: CirculantGraph,
-                              num_colors: int,
-                              budget: int | None = None) -> TotalColoring:
+                              num_colors: int, budget: int) -> TotalColoring:
     """Exact total coloring of the power subgraph whose vertex colors are
     additionally proper for the full graph.
 
@@ -357,8 +317,6 @@ def _constrained_total_search(power: CirculantGraph, full: CirculantGraph,
     SearchBudgetExceeded on an exhausted node budget and
     VerificationFailed when no coloring exists within the palette.
     """
-    if budget is None:
-        budget = search_budget()
     n = power.n
     elements = [("v", u) for u in range(n)] + [("e", e) for e in power.edges]
     conf = {el: set() for el in elements}
@@ -421,7 +379,8 @@ def _constrained_total_search(power: CirculantGraph, full: CirculantGraph,
     return TotalColoring(vertex_colors, edge_colors)
 
 
-def _power_cycle_part(g: CirculantGraph, kk: int) -> tuple[TotalColoring, int, str, bool]:
+def _power_cycle_part(g: CirculantGraph, kk: int,
+                     budget: int) -> tuple[TotalColoring, int, str, bool]:
     """Total coloring of the inner C_n^kk with at most n/2 + 2 colors whose
     vertex colors are also proper for the full graph g.
 
@@ -437,18 +396,21 @@ def _power_cycle_part(g: CirculantGraph, kk: int) -> tuple[TotalColoring, int, s
             continue
         if any(d % q == 0 for d in g.gens):
             continue
-        rep = color_power_cycle_even(n, kk, i)
+        rep = color_power_cycle_even(n, kk, i, budget)
         notes = "power part: structured (i=%d); %s" % (i, rep.notes)
         return rep.coloring, rep.colors_used, notes, rep.fallback_used
-    tc = _constrained_total_search(power_of_cycle(n, kk), g, n // 2 + 2)
+    tc = _constrained_total_search(power_of_cycle(n, kk), g, n // 2 + 2,
+                                   budget)
     notes = ("power part: exact bounded search within %d colors"
              % (n // 2 + 2))
     return tc, tc.palette_size, notes, True
 
 
-def color_thm31(g: CirculantGraph, s1: GeneratorSet) -> BuildReport:
+def color_thm31(g: CirculantGraph, s1: GeneratorSet,
+                budget: int = DEFAULT_SEARCH_BUDGET) -> BuildReport:
     """TCC witness for dense even circulants: the power-of-cycle part on
-    at most n/2 + 2 colors, the generating complement 1-factorized."""
+    at most n/2 + 2 colors, the generating complement 1-factorized.  Each
+    search gets ``budget`` nodes."""
     n = g.n
     _require(n % 2 == 0, "n must be even")
     _require(n % 4 == 0, "the inner power of cycle needs 4 | n")
@@ -463,12 +425,14 @@ def color_thm31(g: CirculantGraph, s1: GeneratorSet) -> BuildReport:
     _require(generates_group(GeneratorSet(n, complement)),
              "the complement must generate the whole group")
 
-    tc, colors, notes, fallback = _power_cycle_part(g, kk)
-    fac = one_factorize(build_circulant(n, list(complement)))
+    tc, colors, notes, fallback = _power_cycle_part(g, kk, budget)
+    fac = one_factorize(build_circulant(n, list(complement)), budget)
     tc = tc.with_edge_colors(_factor_edge_colors(fac, colors + 1))
     notes += "; complement %r one-factorized on %d colors" % (
         complement, len(fac.factors))
-    return _verified(g, tc, g.degree + 2, fallback_used=fallback, notes=notes)
+    report = _verified(g, tc, g.degree + 2, notes)
+    report.fallback_used = fallback
+    return report
 
 
 def color_thm32(g: CirculantGraph) -> BuildReport:
@@ -498,9 +462,11 @@ def color_thm32(g: CirculantGraph) -> BuildReport:
                      % (h, h))
 
 
-def color_thm33(g: CirculantGraph, m_set: GeneratorSet) -> BuildReport:
+def color_thm33(g: CirculantGraph, m_set: GeneratorSet,
+                budget: int = DEFAULT_SEARCH_BUDGET) -> BuildReport:
     """Degree + 3 total coloring: the sum-free near-complete part via the
-    folded complete-graph pattern, the generating complement 1-factorized."""
+    folded complete-graph pattern, the generating complement 1-factorized
+    with a ``budget``-node search."""
     n = g.n
     _require(n % 2 == 0, "n must be even")
     _require(n // 2 not in g.gens, "the involution n/2 must be absent")
@@ -515,7 +481,7 @@ def color_thm33(g: CirculantGraph, m_set: GeneratorSet) -> BuildReport:
              "the complement of M must generate the whole group")
 
     inner = color_thm32(sub)
-    fac = one_factorize(build_circulant(n, list(complement)))
+    fac = one_factorize(build_circulant(n, list(complement)), budget)
     tc = inner.coloring.with_edge_colors(
         _factor_edge_colors(fac, inner.colors_used + 1))
     notes = inner.notes + "; complement %r one-factorized on %d colors" % (
@@ -523,7 +489,9 @@ def color_thm33(g: CirculantGraph, m_set: GeneratorSet) -> BuildReport:
     return _verified(g, tc, g.degree + 3, notes=notes)
 
 
-def color_thm34(g: CirculantGraph, s1: GeneratorSet) -> tuple[BuildReport, BuildReport]:
+def color_thm34(g: CirculantGraph, s1: GeneratorSet,
+                budget: int = DEFAULT_SEARCH_BUDGET,
+                ) -> tuple[BuildReport, BuildReport]:
     """Equitable degree+1 coloring and NSD degree+3 coloring for n = 2m,
     m odd, from a subset whose distances are pairwise distinct mod m.
 
@@ -531,7 +499,8 @@ def color_thm34(g: CirculantGraph, s1: GeneratorSet) -> tuple[BuildReport, Build
     and runs each distance's subdiagonal through the same cyclic pattern,
     started at the canonical complete-graph row entry for that distance's
     residue; the complement is 1-factorized; the NSD step recolors the two
-    matchings of a unit generator's Hamiltonian cycle.
+    matchings of a unit generator's Hamiltonian cycle.  The complement's
+    1-factorization searches at most ``budget`` nodes.
     """
     n = g.n
     m = n // 2
@@ -560,7 +529,7 @@ def color_thm34(g: CirculantGraph, s1: GeneratorSet) -> tuple[BuildReport, Build
         edge_colors[e] = (row[s % m] - 1 + e.u) % m + 1
     tc = TotalColoring(vertex_colors, edge_colors)
 
-    fac = one_factorize(build_circulant(n, list(complement)))
+    fac = one_factorize(build_circulant(n, list(complement)), budget)
     tc = tc.with_edge_colors(_factor_edge_colors(fac, m + 1))
     eq_report = verify_equitable(g, tc)
     if not eq_report.equitable:
@@ -579,7 +548,7 @@ def color_thm34(g: CirculantGraph, s1: GeneratorSet) -> tuple[BuildReport, Build
     cycle = hamiltonian_cycle(g, u0)
     m1, m2, flags = split_rainbow_matchings(cycle, tc)
     if not all(flags):
-        raise RainbowPropertyFailed(
+        raise VerificationFailed(
             "matchings of the distance-%d cycle are not rainbow" % u0)
     recolored = tc.with_edge_colors(
         {**{e: g.degree + 2 for e in m1.edges},

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit: one class per CLI exit
+code, so the CLI needs one handler per code.
 
 Builder errors carry enough context to be reported by the CLI without
 re-deriving anything; search budget exhaustion is deliberately distinct
@@ -7,81 +8,27 @@ from nonexistence.
 
 
 class CirculantColoringError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors (exit 1), e.g. a missing
+    fixture."""
 
 
-# -- graph construction ------------------------------------------------------
-
-class EmptyGeneratorSet(CirculantColoringError):
-    pass
-
-
-class GeneratorOutOfRange(CirculantColoringError):
-    pass
+class PreconditionFailed(CirculantColoringError):
+    """An input violates a documented requirement (exit 2): a malformed
+    generator set, an out-of-range parameter, an instance too large for
+    the oracle, an unreadable or malformed file."""
 
 
-class DuplicateGenerator(CirculantColoringError):
-    pass
-
-
-class KOutOfRange(CirculantColoringError):
-    pass
-
-
-class NotASubset(CirculantColoringError):
-    pass
-
-
-class OddOrder(CirculantColoringError):
-    pass
-
-
-# -- latin squares -----------------------------------------------------------
-
-class EvenOrder(CirculantColoringError):
-    pass
-
-
-class IOutOfRange(CirculantColoringError):
-    pass
-
-
-# -- factorization / cycles --------------------------------------------------
-
-class SearchBudgetExceeded(CirculantColoringError):
-    """The configured node budget ran out before the search finished.
-
-    This is an operational failure, never a claim of nonexistence.
-    """
-
-
-class FactorizationImpossible(CirculantColoringError):
+class FactorizationImpossible(PreconditionFailed):
     """The requested edge set provably has no 1-factorization
     (e.g. a component of odd order)."""
 
 
-class NotAUnit(CirculantColoringError):
-    pass
-
-
-class NotAGenerator(CirculantColoringError):
-    pass
-
-
-class OddCycleLength(CirculantColoringError):
-    pass
-
-
-# -- builders ----------------------------------------------------------------
-
-class PreconditionFailed(CirculantColoringError):
-    pass
-
-
 class VerificationFailed(CirculantColoringError):
-    """A construction was emitted but the independent checker rejected it.
+    """A coloring was rejected by the independent checker, or cannot be
+    checked because it is improper or incomplete (exit 3).
 
-    The offending coloring and its report are attached for diagnostics.
+    The offending coloring and its report are attached for diagnostics
+    when the caller has them.
     """
 
     def __init__(self, message, coloring=None, report=None):
@@ -90,41 +37,20 @@ class VerificationFailed(CirculantColoringError):
         self.report = report
 
 
-class RainbowPropertyFailed(CirculantColoringError):
-    pass
+# The former name of an improper-coloring failure; perfbench/harness.py
+# still catches it under this name.
+ImproperColoring = VerificationFailed
 
 
-# -- verification ------------------------------------------------------------
+class SearchBudgetExceeded(CirculantColoringError):
+    """The configured node budget ran out before the search finished
+    (exit 4).
 
-class MissingAssignment(CirculantColoringError):
-    pass
-
-
-class ImproperColoring(CirculantColoringError):
-    pass
-
-
-# -- oracle ------------------------------------------------------------------
-
-class InstanceTooLarge(CirculantColoringError):
-    pass
-
-
-class BudgetExceeded(CirculantColoringError):
-    pass
-
-
-# -- cli / io ----------------------------------------------------------------
-
-class FixtureMissing(CirculantColoringError):
-    pass
+    This is an operational failure, never a claim of nonexistence.
+    """
 
 
 class MismatchFound(CirculantColoringError):
     def __init__(self, message, mismatches=None):
         super().__init__(message)
         self.mismatches = mismatches or []
-
-
-class IoFailure(CirculantColoringError):
-    pass

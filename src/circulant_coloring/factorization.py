@@ -13,24 +13,17 @@ budget only bounds time, never feasibility.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from .errors import (
     FactorizationImpossible,
-    NotAGenerator,
-    NotAUnit,
-    OddCycleLength,
-    OddOrder,
+    PreconditionFailed,
     SearchBudgetExceeded,
 )
 from .graphs import CirculantGraph, Edge, GeneratorSet, build_circulant
 
+# Node budget of each exact search in a build, unless the caller passes one.
 DEFAULT_SEARCH_BUDGET = 2_000_000
-
-
-def search_budget() -> int:
-    return int(os.environ.get("TC_BUDGET", DEFAULT_SEARCH_BUDGET))
 
 
 @dataclass(frozen=True)
@@ -63,12 +56,6 @@ class Factorization:
     """Ordered perfect matchings partitioning the target edge set."""
 
     factors: tuple
-
-    def all_edges(self) -> set:
-        out = set()
-        for f in self.factors:
-            out |= f.edges
-        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -112,15 +99,25 @@ def _alternate_cycle(cyc: list[int]) -> tuple[set, set]:
     return a, b
 
 
-def _exact_edge_coloring(edges, num_colors: int, budget: int) -> dict:
-    """Backtracking proper edge coloring with exactly num_colors colors.
+def _exact_edge_coloring(edges, num_colors: int, budget: int,
+                         start=None) -> dict | None:
+    """Backtracking proper edge coloring with colors 1..num_colors.
 
-    MRV edge selection with deterministic tie-breaks.  Returns
-    Edge -> color in 1..num_colors or None if the search space is
-    exhausted; raises SearchBudgetExceeded when the node budget runs out.
+    MRV edge selection with deterministic tie-breaks.  With a partial
+    total coloring ``start``, its edges are skipped and every other edge
+    also avoids the colors already present at its endpoints.  Returns
+    Edge -> color for the edges colored here, or None if the search space
+    is exhausted; raises SearchBudgetExceeded when the node budget runs
+    out.
     """
-    edges = sorted(edges)
     used = {}  # vertex -> set of colors
+    if start is not None:
+        used = {u: {c} for u, c in enumerate(start.vertex_colors)}
+        for e, c in start.edge_colors.items():
+            used[e.u].add(c)
+            used[e.v].add(c)
+        edges = [e for e in edges if e not in start.edge_colors]
+    edges = sorted(edges)
     for e in edges:
         used.setdefault(e.u, set())
         used.setdefault(e.v, set())
@@ -167,18 +164,19 @@ def _exact_edge_coloring(edges, num_colors: int, budget: int) -> dict:
     return assignment if solve() else None
 
 
-def one_factorize(g: CirculantGraph, budget: int | None = None) -> Factorization:
+def one_factorize(g: CirculantGraph,
+                  budget: int = DEFAULT_SEARCH_BUDGET) -> Factorization:
     """Partition g's edges into deg(g) perfect matchings.
 
     Requires even n.  Components of odd order make a perfect matching
     impossible and raise FactorizationImpossible; connected circulants of
-    even order always succeed.
+    even order always succeed.  ``budget`` bounds the nodes of the exact
+    search on pooled distances.
     """
     n = g.n
     if n % 2:
-        raise OddOrder("1-factorization needs even order, got n=%d" % n)
-    if budget is None:
-        budget = search_budget()
+        raise PreconditionFailed(
+            "1-factorization needs even order, got n=%d" % n)
 
     factors: list[frozenset] = []
     involution, peelable, pooled = None, [], []
@@ -393,12 +391,12 @@ def hamiltonian_cycle(g: CirculantGraph, gen: int) -> list[int]:
     """The cycle 0, gen, 2*gen, ... for a unit distance gen."""
     n = g.n
     if math.gcd(gen % n, n) != 1:
-        raise NotAUnit("gcd(%d, %d) != 1" % (gen, n))
+        raise PreconditionFailed("gcd(%d, %d) != 1" % (gen, n))
     folded = gen % n
     if folded > n // 2:
         folded = n - folded
     if folded not in g.gens:
-        raise NotAGenerator("%d is not a distance of the graph" % gen)
+        raise PreconditionFailed("%d is not a distance of the graph" % gen)
     return [(gen * t) % n for t in range(n)]
 
 
@@ -407,7 +405,7 @@ def split_rainbow_matchings(cycle: list[int], tc) -> tuple[Matching, Matching, t
     that matching is rainbow (pairwise distinct edge colors) under tc."""
     ln = len(cycle)
     if ln % 2:
-        raise OddCycleLength("cycle length %d is odd" % ln)
+        raise PreconditionFailed("cycle length %d is odd" % ln)
     first, second = set(), set()
     for t in range(ln):
         e = Edge.of(cycle[t], cycle[(t + 1) % ln])

@@ -23,7 +23,7 @@ from .constructions import (
     color_thm34,
     equitable_nsd_power_cycle,
 )
-from .errors import FixtureMissing, MismatchFound
+from .errors import CirculantColoringError, MismatchFound
 from .graphs import GeneratorSet, build_circulant, normalize_half_set
 
 TABLE_IDS = (1, 2, 3, 4, 5, 6)
@@ -43,7 +43,7 @@ def load_table(table_id: int):
     name = "table%d.csv" % table_id
     ref = resources.files(__package__).joinpath("golden").joinpath(name)
     if not ref.is_file():
-        raise FixtureMissing("fixture %s is not shipped" % name)
+        raise CirculantColoringError("fixture %s is not shipped" % name)
     return parse_matrix_csv_text(ref.read_text())
 
 
@@ -62,7 +62,7 @@ def rebuild_table(table_id: int) -> TotalColoring:
         s1 = GeneratorSet(18, normalize_half_set(18, [1, 2, 4, 6]))
         equitable, nsd = color_thm34(g, s1)
         return (equitable if table_id == 5 else nsd).coloring
-    raise FixtureMissing("no table %r" % (table_id,))
+    raise CirculantColoringError("no table %r" % (table_id,))
 
 
 def compare_table(table_id: int) -> list[CellMismatch]:

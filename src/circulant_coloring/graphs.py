@@ -12,14 +12,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import (
-    DuplicateGenerator,
-    EmptyGeneratorSet,
-    GeneratorOutOfRange,
-    KOutOfRange,
-    NotASubset,
-    OddOrder,
-)
+from .errors import PreconditionFailed
 
 
 @dataclass(frozen=True, order=True)
@@ -51,9 +44,9 @@ def normalize_half_set(n: int, ds) -> tuple[int, ...]:
     for d in ds:
         d = d % n
         if d == 0:
-            raise GeneratorOutOfRange("generator 0 (mod %d) would be a self-loop" % n)
+            raise PreconditionFailed("generator 0 (mod %d) would be a self-loop" % n)
         if d in seen_residues:
-            raise DuplicateGenerator("generator %d listed twice" % d)
+            raise PreconditionFailed("generator %d listed twice" % d)
         seen_residues.add(d)
         folded.add(min(d, n - d))
     return tuple(sorted(folded))
@@ -68,14 +61,14 @@ class GeneratorSet:
 
     def __post_init__(self):
         if not self.gens:
-            raise EmptyGeneratorSet("generator set must be non-empty")
+            raise PreconditionFailed("generator set must be non-empty")
         for d in self.gens:
             if not 1 <= d <= self.n // 2:
-                raise GeneratorOutOfRange(
+                raise PreconditionFailed(
                     "generator %d outside [1, %d]" % (d, self.n // 2)
                 )
         if len(set(self.gens)) != len(self.gens):
-            raise DuplicateGenerator("duplicate generators: %r" % (self.gens,))
+            raise PreconditionFailed("duplicate generators: %r" % (self.gens,))
         object.__setattr__(self, "gens", tuple(sorted(self.gens)))
 
     @property
@@ -143,9 +136,6 @@ class CirculantGraph:
             out.add((u + d) % self.n)
         return sorted(out)
 
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "generators": list(self.gens)}
 
@@ -153,10 +143,10 @@ class CirculantGraph:
 def build_circulant(n: int, ds) -> CirculantGraph:
     """Circulant graph on Z_n; distances above n/2 are folded to n - d."""
     if n < 3:
-        raise GeneratorOutOfRange("need n >= 3, got %d" % n)
+        raise PreconditionFailed("need n >= 3, got %d" % n)
     ds = list(ds)
     if not ds:
-        raise EmptyGeneratorSet("generator set must be non-empty")
+        raise PreconditionFailed("generator set must be non-empty")
     gens = normalize_half_set(n, ds)
     return CirculantGraph(n, GeneratorSet(n, gens))
 
@@ -164,14 +154,14 @@ def build_circulant(n: int, ds) -> CirculantGraph:
 def power_of_cycle(n: int, k: int) -> CirculantGraph:
     """C_n^k: the circulant with distances {1, ..., k}; degree 2k."""
     if not 1 <= k < n / 2:
-        raise KOutOfRange("need 1 <= k < n/2, got k=%d n=%d" % (k, n))
+        raise PreconditionFailed("need 1 <= k < n/2, got k=%d n=%d" % (k, n))
     return build_circulant(n, range(1, k + 1))
 
 
 def induced_by_generators(g: CirculantGraph, sub: GeneratorSet) -> CirculantGraph:
     """Spanning subgraph of g keeping only the edges of the sub-distances."""
     if not sub.issubset(g.generators):
-        raise NotASubset("%r is not a subset of %r" % (sub.gens, g.gens))
+        raise PreconditionFailed("%r is not a subset of %r" % (sub.gens, g.gens))
     return CirculantGraph(g.n, sub)
 
 
@@ -186,7 +176,7 @@ def classify_sum_free_half(sub: GeneratorSet) -> bool:
     even n."""
     n = sub.n
     if n % 2:
-        raise OddOrder("sum-free classification needs even n, got %d" % n)
+        raise PreconditionFailed("sum-free classification needs even n, got %d" % n)
     half = n // 2
     if half in sub.gens:
         return False

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EvenOrder, IOutOfRange
+from .errors import PreconditionFailed
 
 
 def _reduce(x: int, q: int) -> int:
@@ -36,13 +36,14 @@ class LatinSquare:
 
 
 def build_commutative_idempotent(q: int) -> LatinSquare:
-    """The closed-form square of odd order q; raises EvenOrder otherwise.
+    """The closed-form square of odd order q; raises PreconditionFailed
+    otherwise.
 
     No idempotent commutative Latin square of even order exists, so even q
     is rejected rather than approximated.
     """
     if q < 1 or q % 2 == 0:
-        raise EvenOrder("order must be odd and positive, got %d" % q)
+        raise PreconditionFailed("order must be odd and positive, got %d" % q)
     k = (q - 1) // 2
     rows = []
     for i in range(1, q + 1):
@@ -61,7 +62,7 @@ def build_commutative_idempotent(q: int) -> LatinSquare:
 def closed_form_entry(q: int, i: int, j: int) -> int:
     """Single cell of the order-q square without building the whole array."""
     if q % 2 == 0:
-        raise EvenOrder("order must be odd, got %d" % q)
+        raise PreconditionFailed("order must be odd, got %d" % q)
     k = (q - 1) // 2
     s = (i + j - 2) % (2 * q) + 2  # closed form depends on (i+j) mod 2q
     if s % 2 == 0:
@@ -98,42 +99,3 @@ def is_anticirculant(sq: LatinSquare) -> bool:
         if sq.entries[i] != sq.entries[i - 1][1:] + sq.entries[i - 1][:1]:
             return False
     return True
-
-
-def excise_block(sq: LatinSquare, k: int, i: int):
-    """Cut the triangular tableau D out of an order-(k+i) square.
-
-    D holds the cells whose column exceeds the row by at least k+1
-    (1-indexed), i.e. the top-right triangle starting at column k+2 of row
-    1.  Returns (core, d) where core is the square with D and its
-    transpose blanked to None, and d maps (row, col) -> entry.  For i = 1
-    the square is used whole and D is empty.
-    """
-    q = sq.order
-    if q != k + i:
-        raise IOutOfRange("square order %d != k+i = %d" % (q, k + i))
-    if not 1 <= i <= k + 1:
-        raise IOutOfRange("need 1 <= i <= k+1, got i=%d k=%d" % (i, k))
-    d = {}
-    core = [list(row) for row in sq.entries]
-    for r in range(1, q + 1):
-        for c in range(r + k + 1, q + 1):
-            d[(r, c)] = sq.cell(r, c)
-            core[r - 1][c - 1] = None
-            core[c - 1][r - 1] = None
-    return core, d
-
-
-def reconstruct_from_excision(core, d, q: int) -> LatinSquare:
-    """Inverse of excise_block: core plus D plus its transpose."""
-    rows = [list(r) for r in core]
-    for (r, c), val in d.items():
-        rows[r - 1][c - 1] = val
-        rows[c - 1][r - 1] = val
-    return LatinSquare(q, tuple(tuple(r) for r in rows))
-
-
-def to_csv_rows(sq_or_core) -> list[list[str]]:
-    """Plain integer grid; None cells (excised) render blank."""
-    rows = sq_or_core.rows() if isinstance(sq_or_core, LatinSquare) else sq_or_core
-    return [["" if v is None else str(v) for v in row] for row in rows]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .coloring import TotalColoring
-from .errors import BudgetExceeded, InstanceTooLarge
+from .errors import PreconditionFailed, SearchBudgetExceeded
 from .graphs import CirculantGraph, Edge
 from .verifiers import verify_total_coloring
 
@@ -48,7 +48,7 @@ class OracleResult:
 
 def _check_size(g: CirculantGraph, limit: int):
     if g.n > limit:
-        raise InstanceTooLarge(
+        raise PreconditionFailed(
             "n = %d exceeds the oracle limit %d" % (g.n, limit))
 
 
@@ -107,15 +107,12 @@ class _Searcher:
                 continue
             self.nodes += 1
             if self.nodes > self.budget:
-                raise BudgetExceeded("oracle search exceeded %d nodes" % self.budget)
-            if not self._prune(pos, c):
-                self.assignment[pos] = c
-                if self._dfs(pos + 1, max(max_used, c), leaf_check):
-                    return True
-                self.assignment[pos] = 0
-        return False
-
-    def _prune(self, pos: int, c: int) -> bool:
+                raise SearchBudgetExceeded(
+                    "oracle search exceeded %d nodes" % self.budget)
+            self.assignment[pos] = c
+            if self._dfs(pos + 1, max(max_used, c), leaf_check):
+                return True
+            self.assignment[pos] = 0
         return False
 
 
@@ -137,7 +134,8 @@ class _EquitableSearcher(_Searcher):
                 continue
             self.nodes += 1
             if self.nodes > self.budget:
-                raise BudgetExceeded("oracle search exceeded %d nodes" % self.budget)
+                raise SearchBudgetExceeded(
+                    "oracle search exceeded %d nodes" % self.budget)
             self.assignment[pos] = c
             self.counts[c] += 1
             if self._dfs(pos + 1, max(max_used, c), leaf_check):
@@ -179,7 +177,8 @@ def exact_total_chromatic(g: CirculantGraph, max_colors: int | None = None,
             assert k >= g.degree + 1
             return OracleResult(Quantity.TOTAL_CHROMATIC, k, nodes, witness)
         nodes += searcher.nodes
-    raise BudgetExceeded("no total coloring found up to %d colors" % max_colors)
+    raise SearchBudgetExceeded(
+        "no total coloring found up to %d colors" % max_colors)
 
 
 def exact_chromatic_index(g: CirculantGraph, max_colors: int | None = None,
@@ -200,7 +199,8 @@ def exact_chromatic_index(g: CirculantGraph, max_colors: int | None = None,
             assert k in (g.degree, g.degree + 1)  # Vizing's bound
             return OracleResult(Quantity.CHROMATIC_INDEX, k, nodes, witness)
         nodes += searcher.nodes
-    raise BudgetExceeded("no edge coloring found up to %d colors" % max_colors)
+    raise SearchBudgetExceeded(
+        "no edge coloring found up to %d colors" % max_colors)
 
 
 def exact_feasible(g: CirculantGraph, k: int, mode: Mode,
@@ -208,6 +208,8 @@ def exact_feasible(g: CirculantGraph, k: int, mode: Mode,
                    budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Feasibility of a proper total k-coloring with the extra constraint."""
     _check_size(g, size_limit)
+    if k < 1:
+        raise PreconditionFailed("palette size must be positive, got %d" % k)
     elements = _total_elements(g)
     if mode is Mode.EQUITABLE:
         searcher = _EquitableSearcher(g, elements, k, budget)

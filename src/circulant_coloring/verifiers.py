@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import ImproperColoring, MissingAssignment
+from .errors import VerificationFailed
 from .graphs import CirculantGraph, Edge
 from .coloring import TotalColoring
 
@@ -62,13 +62,13 @@ def _class_sizes(tc: TotalColoring) -> dict:
 
 def _check_assignments(g: CirculantGraph, tc: TotalColoring) -> None:
     if tc.n != g.n:
-        raise MissingAssignment("coloring covers %d vertices, graph has %d" % (tc.n, g.n))
+        raise VerificationFailed("coloring covers %d vertices, graph has %d" % (tc.n, g.n))
     missing = [e for e in g.edges if e not in tc.edge_colors]
     if missing:
-        raise MissingAssignment("uncolored edges: %s" % (missing[:5],))
+        raise VerificationFailed("uncolored edges: %s" % (missing[:5],))
     for u, c in enumerate(tc.vertex_colors):
         if c is None or c < 1:
-            raise MissingAssignment("vertex %d has no valid color" % u)
+            raise VerificationFailed("vertex %d has no valid color" % u)
 
 
 def find_violations(g: CirculantGraph, tc: TotalColoring) -> list:
@@ -119,7 +119,7 @@ def verify_total_coloring(g: CirculantGraph, tc: TotalColoring) -> VerificationR
 def verify_equitable(g: CirculantGraph, tc: TotalColoring) -> VerificationReport:
     report = verify_total_coloring(g, tc)
     if not report.proper:
-        raise ImproperColoring("equitability is only defined for proper colorings")
+        raise VerificationFailed("equitability is only defined for proper colorings")
     return report
 
 
@@ -127,7 +127,7 @@ def verify_nsd(g: CirculantGraph, tc: TotalColoring) -> VerificationReport:
     """NSD verdict; sums are recomputed from scratch."""
     report = verify_total_coloring(g, tc)
     if not report.proper:
-        raise ImproperColoring("NSD is only defined for proper colorings")
+        raise VerificationFailed("NSD is only defined for proper colorings")
     sums = tc.all_vertex_sums()
     bad = []
     for e in g.edges:

@@ -1,17 +1,32 @@
+import contextlib
+import io
 import json
-import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circulant_coloring.cli import (
+    COLOR_METHODS,
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_VERIFICATION,
+    ORACLE_QUANTITIES,
     main,
 )
-from circulant_coloring.coloring import read_coloring_json, write_matrix_csv
-from circulant_coloring.constructions import color_power_cycle_even
+from circulant_coloring.coloring import (
+    TotalColoring,
+    read_coloring_json,
+    write_coloring_json,
+    write_matrix_csv,
+)
+from circulant_coloring.constructions import (
+    color_power_cycle_even,
+    equitable_nsd_power_cycle,
+)
 
 
 class TestBuild:
@@ -71,10 +86,8 @@ class TestColor:
                      "--n", "24"]) == EXIT_PRECONDITION
 
     def test_budget_exit(self, capsys):
-        code = main(["--budget", "10", "color", "--method", "thm31",
-                     "--n", "20", "--gens", "1,2,3,4,5,7,8"])
-        os.environ.pop("TC_BUDGET", None)
-        assert code == EXIT_BUDGET
+        assert main(["--budget", "10", "color", "--method", "thm31",
+                     "--n", "20", "--gens", "1,2,3,4,5,7,8"]) == EXIT_BUDGET
 
     def test_thm34(self, capsys):
         assert main(["color", "--method", "thm34", "--format", "json",
@@ -172,3 +185,214 @@ class TestDeterminism:
         main(["color", "--method", "thm34", "--format", "json",
               "--n", "18", "--gens", "1,2,4,6,7,8", "--s1-gens", "1,2,4,6"])
         assert capsys.readouterr().out == first
+
+
+def exit_code(argv) -> int:
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("argv", [
+        ["color", "--method", "thm21-even", "--n", "18"],
+        ["color", "--method", "thm22", "--n", "18", "--k", "0"],
+        ["build", "--n", "2", "--gens", "1"],
+        ["oracle", "--quantity", "total-chromatic", "--n", "13", "--gens", "1"],
+        ["oracle", "--quantity", "equitable-feasible", "--n", "8",
+         "--gens", "1,2"],
+        ["oracle", "--quantity", "equitable-feasible", "--n", "8",
+         "--gens", "1,2", "--k", "0"],
+    ])
+    def test_precondition(self, argv, capsys):
+        assert exit_code(argv) == EXIT_PRECONDITION
+        assert "precondition failed" in capsys.readouterr().err
+
+    def test_missing_option_named(self, capsys):
+        main(["color", "--method", "thm33", "--n", "24", "--gens", "1"])
+        assert "thm33 requires --m-gens" in capsys.readouterr().err
+
+    def test_nsd_of_improper_coloring(self, tmp_path, capsys):
+        tc = color_power_cycle_even(18, 4, 5).coloring
+        e = next(iter(tc.edge_colors))
+        path = tmp_path / "bad.csv"
+        write_matrix_csv(tc.with_edge_colors({e: tc.vertex_colors[e.u]}), path)
+        assert main(["verify", "--n", "18", "--gens", "1,2,3,4",
+                     "--in", str(path), "--nsd"]) == EXIT_VERIFICATION
+        assert "only defined for proper" in capsys.readouterr().err
+
+    def test_missing_edge_color(self, tmp_path, capsys):
+        tc = color_power_cycle_even(18, 4, 5).coloring
+        edges = dict(tc.edge_colors)
+        del edges[min(edges)]
+        path = tmp_path / "partial.json"
+        write_coloring_json(TotalColoring(tc.vertex_colors, edges), path)
+        assert main(["verify", "--n", "18", "--gens", "1,2,3,4",
+                     "--in", str(path)]) == EXIT_VERIFICATION
+        assert "uncolored edges" in capsys.readouterr().err
+
+    def test_oracle_honours_budget(self, capsys):
+        assert main(["--budget", "100", "oracle", "--quantity",
+                     "total-chromatic", "--n", "9",
+                     "--gens", "1,2,3"]) == EXIT_BUDGET
+        assert "exceeded 100 nodes" in capsys.readouterr().err
+
+    def test_budget_does_not_leak(self, capsys):
+        # a small budget in one call must not reach the next one
+        assert main(["--budget", "10", "color", "--method", "thm21-even",
+                     "--n", "22", "--k", "10", "--i", "1"]) == EXIT_BUDGET
+        assert main(["color", "--method", "thm21-even", "--n", "22",
+                     "--k", "10", "--i", "1"]) == EXIT_OK
+
+    def test_entry_point_prints_no_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "circulant_coloring.cli", "color",
+             "--method", "thm21-even", "--n", "18"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_PRECONDITION
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.xfail(raises=RecursionError, strict=True,
+                       reason="the pooled 1-factorization search recurses "
+                              "once per edge (ROADMAP item 3)")
+    def test_pooled_search_depth(self, capsys):
+        main(["color", "--method", "thm21-even", "--n", "330",
+              "--k", "10", "--i", "1", "--format", "json"])
+
+
+class TestMalformedInput:
+    def verify(self, path):
+        return main(["verify", "--n", "3", "--gens", "1", "--in", str(path)])
+
+    def test_json_self_loop_edge(self, tmp_path, capsys):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps({"n": 3, "vertex_colors": [1, 2, 3],
+                                    "edges": [{"u": 1, "v": 1, "c": 2}]}))
+        assert self.verify(path) == EXIT_PRECONDITION
+        assert "self-loop" in capsys.readouterr().err
+
+    def test_json_reversed_edge(self, tmp_path, capsys):
+        path = tmp_path / "reversed.json"
+        path.write_text(json.dumps({"n": 3, "vertex_colors": [1, 2, 3],
+                                    "edges": [{"u": 2, "v": 1, "c": 3}]}))
+        assert main(["export", "--in", str(path), "--format", "csv",
+                     "--out", str(tmp_path / "out.csv")]) == EXIT_PRECONDITION
+        assert "u < v" in capsys.readouterr().err
+
+    def test_json_without_vertex_colors(self, tmp_path, capsys):
+        path = tmp_path / "no_vertices.json"
+        path.write_text(json.dumps({"n": 3, "edges": []}))
+        assert self.verify(path) == EXIT_PRECONDITION
+        assert "KeyError: 'vertex_colors'" in capsys.readouterr().err
+
+    def test_csv_text_cell(self, tmp_path, capsys):
+        path = tmp_path / "text.csv"
+        path.write_text(",0,1,2\n0,1,x,3\n1,x,2,1\n2,3,1,3\n")
+        assert self.verify(path) == EXIT_PRECONDITION
+        assert "invalid literal for int()" in capsys.readouterr().err
+
+    def test_reproduce_table_not_a_number(self, capsys):
+        assert exit_code(["reproduce", "--table", "x"]) == EXIT_PRECONDITION
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_reproduce_table_out_of_range(self, capsys):
+        assert exit_code(["reproduce", "--table", "7"]) == EXIT_PRECONDITION
+        assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    work = tmp_path_factory.mktemp("fuzz")
+    equitable, nsd = equitable_nsd_power_cycle(18, 4)
+    write_matrix_csv(equitable.coloring, work / "equitable.csv")
+    write_coloring_json(nsd.coloring, work / "nsd.json")
+    tc = equitable.coloring
+    e = min(tc.edge_colors)
+    write_matrix_csv(tc.with_edge_colors({e: tc.vertex_colors[e.u]}),
+                     work / "improper.csv")
+    edges = dict(tc.edge_colors)
+    del edges[e]
+    write_coloring_json(TotalColoring(tc.vertex_colors, edges),
+                        work / "partial.json")
+    (work / "loop.json").write_text(json.dumps(
+        {"n": 3, "vertex_colors": [1, 2, 3],
+         "edges": [{"u": 1, "v": 1, "c": 2}]}))
+    (work / "no_vertices.json").write_text('{"n": 3, "edges": []}')
+    (work / "text.csv").write_text(",0,1\n0,1,x\n1,x,2\n")
+    (work / "wildcard.csv").write_text(",0,1\n0,1,*\n1,*,2\n")
+    (work / "broken.json").write_text('{"n": ')
+    return work
+
+
+# Input files the fuzz test names as "@<file>": colorings of C_18^4, good
+# and bad, malformed files, and one that does not exist.
+FUZZ_FILES = ("equitable.csv", "nsd.json", "improper.csv", "partial.json",
+              "loop.json", "no_vertices.json", "text.csv", "wildcard.csv",
+              "broken.json", "absent.json")
+
+_gens_text = st.one_of(
+    st.lists(st.integers(0, 45), max_size=8).map(
+        lambda ds: ",".join(map(str, ds))),
+    st.integers(1, 19).map(lambda k: ",".join(map(str, range(1, k + 1)))),
+    st.just("1,x"))
+_small = st.integers(-1, 12)
+
+
+def _option(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+@st.composite
+def cli_argv(draw):
+    argv = ["--budget", str(draw(st.integers(0, 2000)))]
+    command = draw(st.sampled_from(
+        ["build", "color", "verify", "oracle", "export", "reproduce"]))
+    n = str(draw(st.integers(3, 40)))
+    if command == "build":
+        argv += ["build", "--n", n, "--gens", draw(_gens_text)]
+    elif command == "color":
+        argv += ["color", "--method", draw(st.sampled_from(list(COLOR_METHODS))),
+                 "--n", n, "--format", draw(st.sampled_from(["csv", "json"]))]
+        for flag in ("--k", "--i"):
+            argv += draw(_option(flag, _small))
+        for flag in ("--gens", "--s1-gens", "--m-gens"):
+            argv += draw(_option(flag, _gens_text))
+    elif command == "verify":
+        n, gens = draw(st.one_of(st.just(("18", "1,2,3,4")),
+                                 st.tuples(st.just(n), _gens_text)))
+        argv += ["verify", "--n", n, "--gens", gens,
+                 "--in", "@" + draw(st.sampled_from(FUZZ_FILES))]
+        argv += draw(st.sampled_from([[], ["--equitable"], ["--nsd"]]))
+    elif command == "oracle":
+        argv += ["oracle", "--quantity",
+                 draw(st.sampled_from(list(ORACLE_QUANTITIES))),
+                 "--n", n, "--gens", draw(_gens_text)]
+        argv += draw(_option("--k", _small))
+    elif command == "export":
+        fmt = draw(st.sampled_from(["csv", "json"]))
+        argv += ["export", "--in", "@" + draw(st.sampled_from(FUZZ_FILES)),
+                 "--format", fmt, "--out", "@out." + fmt]
+    else:
+        argv += ["reproduce", "--table", draw(st.sampled_from(
+            ["all", "1", "2", "3", "4", "5", "6", "0", "7", "x"]))]
+    return argv
+
+
+class TestFuzz:
+    """Every subcommand, method and quantity, with n <= 40 and a budget of
+    at most 2000 nodes, so that each example is short and the pooled
+    search's recursion stays below Python's limit; the limit itself is
+    TestExitContract.test_pooled_search_depth."""
+
+    @given(argv=cli_argv())
+    @settings(max_examples=120, deadline=None)
+    def test_exit_code_without_traceback(self, fuzz_files, argv):
+        argv = [str(fuzz_files / a[1:]) if a.startswith("@") else a
+                for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = exit_code(argv)
+        assert code in {0, 1, 2, 3, 4}
+        assert "Traceback" not in err.getvalue()

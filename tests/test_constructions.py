@@ -3,6 +3,8 @@ import math
 import pytest
 
 from circulant_coloring.constructions import (
+    _tiling,
+    _verified,
     canonical_complete_coloring,
     canonical_first_row,
     color_power_cycle_even,
@@ -13,7 +15,15 @@ from circulant_coloring.constructions import (
     color_thm34,
     equitable_nsd_power_cycle,
 )
-from circulant_coloring.errors import PreconditionFailed
+from circulant_coloring.errors import (
+    PreconditionFailed,
+    SearchBudgetExceeded,
+    VerificationFailed,
+)
+from circulant_coloring.factorization import (
+    DEFAULT_SEARCH_BUDGET,
+    _exact_edge_coloring,
+)
 from circulant_coloring.graphs import (
     GeneratorSet,
     build_circulant,
@@ -76,6 +86,44 @@ class TestPowerCycleEven:
                         continue
                     report = color_power_cycle_even(n, k, i)
                     assert report.colors_used == 2 * k + 1, (n, k, i)
+
+
+class TestFallbackCompletion:
+    """The exact search that colors the residual distances inside the
+    2k+1 colors when their 1-factorization fails or runs out of budget."""
+
+    @staticmethod
+    def order7_tiling_of_c28_6():
+        return _tiling(28, 7, [1, 2, 3]), build_circulant(28, [4, 5, 6])
+
+    def test_completes_within_palette(self):
+        tc, residual = self.order7_tiling_of_c28_6()
+        done = _exact_edge_coloring(residual.edges, 13, DEFAULT_SEARCH_BUDGET,
+                                    start=tc)
+        assert set(done) == set(residual.edges)
+        report = verify_total_coloring(power_of_cycle(28, 6),
+                                       tc.with_edge_colors(done))
+        assert report.proper
+        assert report.colors_used <= 13
+
+    def test_budget_exhausted(self):
+        tc, residual = self.order7_tiling_of_c28_6()
+        with pytest.raises(SearchBudgetExceeded, match="exceeded 10 nodes"):
+            _exact_edge_coloring(residual.edges, 13, 10, start=tc)
+
+    def test_builder_falls_back(self):
+        # the pooled 1-factorization of distances 6..10 needs 191 nodes,
+        # the completion 117
+        report = color_power_cycle_even(22, 10, 1, budget=150)
+        assert report.fallback_used
+        check_built(power_of_cycle(22, 10), report)
+        assert report.colors_used == report.bound_claimed == 21
+
+    def test_claimed_bound_always_checked(self):
+        tc = color_power_cycle_even(18, 4, 5).coloring
+        with pytest.raises(VerificationFailed,
+                           match="used 9 colors, claimed bound 8"):
+            _verified(power_of_cycle(18, 4), tc, 8)
 
 
 class TestPowerCycleOdd:

@@ -1,7 +1,7 @@
 import pytest
 
 from circulant_coloring.coloring import to_matrix
-from circulant_coloring.errors import FixtureMissing, MismatchFound
+from circulant_coloring.errors import CirculantColoringError, MismatchFound
 from circulant_coloring.golden import (
     TABLE_IDS,
     CellMismatch,
@@ -23,7 +23,8 @@ class TestLoad:
         assert len(wildcards) == EXPECTED_WILDCARDS[tid]
 
     def test_missing_fixture(self):
-        with pytest.raises(FixtureMissing):
+        with pytest.raises(CirculantColoringError,
+                           match="table7.csv is not shipped"):
             load_table(7)
 
     def test_fixtures_consistent_where_both_sides_printed(self):
@@ -48,7 +49,8 @@ class TestReproduce:
         assert compare_table(tid) == []
 
     def test_unknown_table(self):
-        with pytest.raises(FixtureMissing):
+        with pytest.raises(CirculantColoringError,
+                           match="table0.csv is not shipped"):
             reproduce_table(0)
 
     def test_wildcard_cells_disagree_with_rule(self):

@@ -2,18 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circulant_coloring.errors import EvenOrder, IOutOfRange
+from circulant_coloring.errors import PreconditionFailed
 from circulant_coloring.latin import (
     LatinSquare,
     build_commutative_idempotent,
     closed_form_entry,
-    excise_block,
     is_anticirculant,
     is_commutative,
     is_idempotent,
     is_latin,
-    reconstruct_from_excision,
-    to_csv_rows,
 )
 
 odd_orders = st.integers(0, 49).map(lambda t: 2 * t + 1)
@@ -36,9 +33,9 @@ class TestBuild:
         assert sq.rows()[0] == [1, 6, 2, 7, 3, 8, 4, 9, 5]
 
     def test_even_rejected(self):
-        with pytest.raises(EvenOrder):
+        with pytest.raises(PreconditionFailed, match="must be odd"):
             build_commutative_idempotent(4)
-        with pytest.raises(EvenOrder):
+        with pytest.raises(PreconditionFailed, match="must be odd"):
             build_commutative_idempotent(0)
 
     def test_all_predicates_through_99(self):
@@ -69,7 +66,7 @@ class TestClosedForm:
             q, i + 2 * q * shift, j)
 
     def test_even_rejected(self):
-        with pytest.raises(EvenOrder):
+        with pytest.raises(PreconditionFailed, match="must be odd"):
             closed_form_entry(4, 1, 1)
 
 
@@ -87,52 +84,3 @@ class TestPredicatesOnCounterexamples:
         sq = build_commutative_idempotent(11)
         transposed = LatinSquare(11, tuple(zip(*sq.entries)))
         assert transposed.entries == sq.entries
-
-
-class TestExcision:
-    def test_i_equals_one_empty(self):
-        sq = build_commutative_idempotent(5)
-        core, d = excise_block(sq, 4, 1)
-        assert d == {}
-        assert core == sq.rows()
-
-    def test_k1_i2_single_cell(self):
-        sq = build_commutative_idempotent(3)
-        core, d = excise_block(sq, 1, 2)
-        assert d == {(1, 3): sq.cell(1, 3)}
-        assert sq.cell(1, 3) == 2
-        assert core[0][2] is None and core[2][0] is None
-
-    def test_k3_i2_band(self):
-        sq = build_commutative_idempotent(5)
-        core, d = excise_block(sq, 3, 2)
-        assert sorted(d) == [(1, 5)]
-
-    def test_order_mismatch(self):
-        sq = build_commutative_idempotent(5)
-        with pytest.raises(IOutOfRange):
-            excise_block(sq, 3, 1)
-
-    @given(st.integers(1, 12), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_reconstruction_round_trip(self, k, data):
-        i = data.draw(st.integers(1, k + 1))
-        if (k + i) % 2 == 0:
-            i = i + 1 if i < k + 1 else i - 1
-        q = k + i
-        sq = build_commutative_idempotent(q)
-        core, d = excise_block(sq, k, i)
-        assert reconstruct_from_excision(core, d, q) == sq
-
-
-class TestCsv:
-    def test_blank_for_excised(self):
-        sq = build_commutative_idempotent(3)
-        core, _ = excise_block(sq, 1, 2)
-        rows = to_csv_rows(core)
-        assert rows[0][2] == ""
-        assert rows[0][0] == "1"
-
-    def test_full_square(self):
-        sq = build_commutative_idempotent(3)
-        assert to_csv_rows(sq) == [["1", "3", "2"], ["3", "2", "1"], ["2", "1", "3"]]

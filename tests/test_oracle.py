@@ -1,6 +1,6 @@
 import pytest
 
-from circulant_coloring.errors import BudgetExceeded, InstanceTooLarge
+from circulant_coloring.errors import PreconditionFailed, SearchBudgetExceeded
 from circulant_coloring.graphs import build_circulant, power_of_cycle
 from circulant_coloring.oracle import (
     Mode,
@@ -44,7 +44,8 @@ class TestTotalChromatic:
             assert exact_total_chromatic(g).value >= g.degree + 1
 
     def test_size_limit(self):
-        with pytest.raises(InstanceTooLarge):
+        with pytest.raises(PreconditionFailed,
+                           match="n = 13 exceeds the oracle limit 12"):
             exact_total_chromatic(build_circulant(13, [1]))
 
     def test_size_limit_override(self):
@@ -53,7 +54,8 @@ class TestTotalChromatic:
 
     def test_budget(self):
         g = build_circulant(10, [1, 2, 3, 4, 5])
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(SearchBudgetExceeded,
+                           match="oracle search exceeded"):
             exact_total_chromatic(g, budget=50)
 
     def test_max_colors_too_low(self):

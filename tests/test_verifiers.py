@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circulant_coloring.coloring import TotalColoring
-from circulant_coloring.errors import ImproperColoring, MissingAssignment
+from circulant_coloring.errors import ImproperColoring, VerificationFailed
 from circulant_coloring.golden import rebuild_table
 from circulant_coloring.graphs import Edge, build_circulant, power_of_cycle
 from circulant_coloring.verifiers import (
@@ -54,12 +54,13 @@ class TestProperness:
     def test_missing_edge_assignment(self):
         g, tc = k2_coloring()
         partial = TotalColoring(tc.vertex_colors, {Edge(0, 1): 3})
-        with pytest.raises(MissingAssignment):
+        with pytest.raises(VerificationFailed, match="uncolored edges"):
             verify_total_coloring(g, partial)
 
     def test_vertex_count_mismatch(self):
         g, _ = k2_coloring()
-        with pytest.raises(MissingAssignment):
+        with pytest.raises(VerificationFailed,
+                           match="covers 2 vertices, graph has 3"):
             verify_total_coloring(g, TotalColoring((1, 2), {}))
 
     def test_find_violations_reports_all(self):
