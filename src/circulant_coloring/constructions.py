@@ -120,9 +120,11 @@ def _verified(g: CirculantGraph, tc: TotalColoring, bound: int,
 
 # -- powers of cycles --------------------------------------------------------
 
-def _check_power_even_pre(n: int, k: int, i: int):
-    if n % 2:
-        raise PreconditionFailed("n must be even, got %d" % n)
+def _check_power_pre(n: int, k: int, i: int, parity: int):
+    """Hypotheses of Theorem 2.1 for C_n^k with n % 2 == parity."""
+    if n % 2 != parity:
+        raise PreconditionFailed("n must be %s, got %d"
+                                 % ("odd" if parity else "even", n))
     if not 1 <= k < n / 2:
         raise PreconditionFailed("need 1 <= k < n/2, got k=%d n=%d" % (k, n))
     if not 1 <= i <= k + 1:
@@ -142,7 +144,7 @@ def color_power_cycle_even(n: int, k: int, i: int,
     fails, an exact search completes them within the 2k+1 colors.  Each
     search gets ``budget`` nodes.
     """
-    _check_power_even_pre(n, k, i)
+    _check_power_pre(n, k, i, 0)
     g = power_of_cycle(n, k)
     q = k + i
     tiled, residual = _choose_tiling_split(n, k, q)
@@ -176,16 +178,7 @@ def color_power_cycle_odd(n: int, k: int, i: int) -> BuildReport:
     sub-power; the remaining distances take a Vizing edge coloring on at
     most k-i+2 fresh colors.
     """
-    if n % 2 == 0:
-        raise PreconditionFailed("n must be odd, got %d" % n)
-    if not 1 <= k < n / 2:
-        raise PreconditionFailed("need 1 <= k < n/2, got k=%d n=%d" % (k, n))
-    if not 1 <= i <= k + 1:
-        raise PreconditionFailed("need 1 <= i <= k+1, got i=%d" % i)
-    if (k + i) % 2 == 0:
-        raise PreconditionFailed("k+i = %d must be odd" % (k + i))
-    if n % (k + i):
-        raise PreconditionFailed("k+i = %d must divide n = %d" % (k + i, n))
+    _check_power_pre(n, k, i, 1)
     g = power_of_cycle(n, k)
     q = k + i
     m = (q - 1) // 2

@@ -8,6 +8,9 @@ are pooled (topping the pool up with further distances until its
 components have even order) and handled by an exact edge-coloring search;
 existence is guaranteed for connected even-order circulants, so the node
 budget only bounds time, never feasibility.
+
+The Delta+1 edge coloring is Misra-Gries fan rotation: one maximal fan,
+one c/d path inversion and one rotation per edge, with no search.
 """
 
 from __future__ import annotations
@@ -40,16 +43,6 @@ class Matching:
             seen.add(e.u)
             seen.add(e.v)
 
-    def covered(self) -> set:
-        out = set()
-        for e in self.edges:
-            out.add(e.u)
-            out.add(e.v)
-        return out
-
-    def is_perfect(self, n: int) -> bool:
-        return len(self.covered()) == n
-
 
 @dataclass(frozen=True)
 class Factorization:
@@ -68,9 +61,6 @@ class Factorization:
 @dataclass(frozen=True)
 class EdgeColoring:
     colors: dict  # Edge -> int
-
-    def max_color(self) -> int:
-        return max(self.colors.values()) if self.colors else 0
 
 
 def _orbit_cycles(n: int, g: int) -> list[list[int]]:
@@ -263,126 +253,87 @@ def _factorize_pool(n: int, pool: list[int], budget: int) -> list[frozenset]:
 # -- constructive Vizing -----------------------------------------------------
 
 def edge_color_delta_plus_one(edges) -> EdgeColoring:
-    """Proper edge coloring with at most Delta+1 colors (fan rotation plus
-    alternating-path recoloring).  Deterministic for a fixed edge order."""
-    edges = sorted(Edge.of(*e) if not isinstance(e, Edge) else e for e in edges)
-    adj = {}
-    for e in edges:
-        adj.setdefault(e.u, set()).add(e.v)
-        adj.setdefault(e.v, set()).add(e.u)
-    if not edges:
-        return EdgeColoring({})
-    delta = max(len(v) for v in adj.values())
-    palette = list(range(1, delta + 2))
-    color = {}
-    used = {v: {} for v in adj}  # vertex -> color -> neighbor
+    """Proper edge coloring with at most Delta+1 colors by Misra-Gries fan
+    rotation (Misra & Gries, "A constructive proof of Vizing's theorem",
+    IPL 41, 1992).
 
-    def set_color(a, b, c):
-        e = Edge.of(a, b)
-        old = color.get(e)
-        if old is not None:
-            del used[a][old]
-            del used[b][old]
-        color[e] = c
+    Deterministic: edges are colored in sorted order, fans scan sorted
+    neighbors, c and d are the smallest free colors, and the c/d path is
+    inverted starting with d.  Each edge costs O(Delta^2) for its fan plus
+    the length of its alternating path.
+    """
+    pairs = sorted({(e.u, e.v) for e in
+                    (e if isinstance(e, Edge) else Edge.of(*e) for e in edges)})
+    if not pairs:
+        return EdgeColoring({})
+    nbrs = {}
+    for u, v in pairs:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    for ws in nbrs.values():
+        ws.sort()
+    palette = range(1, max(len(ws) for ws in nbrs.values()) + 2)
+    color = {x: {} for x in nbrs}  # vertex -> neighbor -> color
+    used = {x: {} for x in nbrs}  # vertex -> color -> neighbor
+
+    def paint(a, b, c):
+        color[a][b] = color[b][a] = c
         used[a][c] = b
         used[b][c] = a
 
-    def unset_color(a, b):
-        e = Edge.of(a, b)
-        old = color.pop(e, None)
-        if old is not None:
-            del used[a][old]
-            del used[b][old]
+    def wipe(a, b):
+        c = color[a].pop(b)
+        del color[b][a], used[a][c], used[b][c]
 
     def free_color(x):
+        at = used[x]
         for c in palette:
-            if c not in used[x]:
+            if c not in at:
                 return c
-        raise AssertionError("no free color at %d" % x)
 
-    def build_fan(u, v):
-        fan = [v]
-        in_fan = {v}
+    for u, v in pairs:
+        at_u = color[u]
+        # maximal fan: each next neighbor's edge color is free at the last
+        fan, in_fan = [v], {v}
         while True:
-            last = fan[-1]
-            for w in sorted(adj[u]):
-                if w in in_fan:
-                    continue
-                cw = color.get(Edge.of(u, w))
-                if cw is not None and cw not in used[last]:
+            at_last = used[fan[-1]]
+            for w in nbrs[u]:
+                cw = at_u.get(w)
+                if cw is not None and cw not in at_last and w not in in_fan:
                     fan.append(w)
                     in_fan.add(w)
                     break
             else:
-                return fan
-
-    def invert_path(u, c, d):
-        # alternating path starting at u with color d, then c, ...
-        flips = []
-        x, cur = u, d
-        visited = {u}
-        while cur in used[x]:
-            y = used[x][cur]
-            flips.append((x, y, cur))
-            if y in visited:
                 break
-            visited.add(y)
-            x, cur = y, (c if cur == d else d)
-        for a, b, col in flips:
-            unset_color(a, b)
-        for a, b, col in flips:
-            set_color(a, b, c if col == d else d)
-
-    def rotate_and_finish(u, fan, j, d):
-        # unset first: shifting colors one step down the fan must not
-        # transiently duplicate a color at u
-        shifted = [color[Edge.of(u, fan[i + 1])] for i in range(j)]
-        for i in range(j + 1):
-            unset_color(u, fan[i])
-        for i in range(j):
-            set_color(u, fan[i], shifted[i])
-        set_color(u, fan[j], d)
-
-    def locally_proper(u, members):
-        for x in [u] + members:
-            cols = [color[Edge.of(x, w)] for w in adj[x] if Edge.of(x, w) in color]
-            if len(cols) != len(set(cols)):
-                return False
-        return True
-
-    for e in edges:
-        u, v = e.u, e.v
-        fan = build_fan(u, v)
         c = free_color(u)
         d = free_color(fan[-1])
         if c != d:
-            invert_path(u, c, d)
-        # choose the longest fan prefix that is still a fan after the
-        # inversion and ends at a vertex where d is free
-        snapshot = dict(color)
-        done = False
-        candidates = []
-        for j in range(len(fan)):
-            if j > 0:
-                cw = color.get(Edge.of(u, fan[j]))
-                if cw is None or cw in used[fan[j - 1]]:
-                    break
-            if d not in used[fan[j]]:
-                candidates.append(j)
-        for j in reversed(candidates):
-            rotate_and_finish(u, fan, j, d)
-            if locally_proper(u, fan):
-                done = True
+            # c is free at u, so the d/c path from u is a path, not a cycle
+            path, x, cur = [], u, d
+            while cur in used[x]:
+                y = used[x][cur]
+                path.append((x, y))
+                x, cur = y, c + d - cur
+            for a, b in path:
+                wipe(a, b)
+            for t, (a, b) in enumerate(path):
+                paint(a, b, d if t % 2 else c)
+        # d is now free at u; the longest prefix that is still a fan and
+        # ends where d is free exists and rotates properly (Misra-Gries)
+        j = None
+        for t, w in enumerate(fan):
+            if t and at_u[w] in used[fan[t - 1]]:
                 break
-            # undo and retry with a shorter prefix
-            for ee, cc in list(color.items()):
-                unset_color(ee.u, ee.v)
-            for ee, cc in snapshot.items():
-                set_color(ee.u, ee.v, cc)
-        if not done:
-            raise AssertionError("fan rotation failed at edge %s" % (e,))
+            if d not in used[w]:
+                j = t
+        shifted = [at_u[w] for w in fan[1:j + 1]]
+        for w in fan[1:j + 1]:
+            wipe(u, w)
+        for w, cw in zip(fan, shifted):
+            paint(u, w, cw)
+        paint(u, fan[j], d)
 
-    return EdgeColoring(dict(color))
+    return EdgeColoring({Edge(u, v): color[u][v] for u, v in pairs})
 
 
 # -- Hamiltonian cycles and rainbow matchings --------------------------------

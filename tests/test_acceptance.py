@@ -45,6 +45,10 @@ def gs(n, ds):
     return GeneratorSet(n, normalize_half_set(n, ds))
 
 
+def is_perfect(matching, n):
+    return len({x for e in matching.edges for x in (e.u, e.v)}) == n
+
+
 class _Timer:
     def __init__(self, number, limit, label):
         self.number, self.limit, self.label = number, limit, label
@@ -202,7 +206,7 @@ def test_criterion_10_factorization_suite():
                 assert len(fac.factors) == g.degree
                 seen = set()
                 for f in fac.factors:
-                    assert f.is_perfect(n)
+                    assert is_perfect(f, n)
                     assert not f.edges & seen
                     seen |= f.edges
                 assert seen == set(g.edges)

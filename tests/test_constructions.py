@@ -146,6 +146,13 @@ class TestPowerCycleOdd:
         with pytest.raises(PreconditionFailed):
             color_power_cycle_odd(n, k, i)
 
+    def test_vizing_residual_beyond_benchmark_size(self):
+        # the residual C_2321(6..10) has 11,605 edges, more than any
+        # benchmark instance; no timing assert, only properness and bound
+        report = color_power_cycle_odd(2321, 10, 1)
+        out = check_built(power_of_cycle(2321, 10), report)
+        assert out.colors_used <= 22
+
     def test_sweep_all_admissible(self):
         for n in range(5, 30, 2):
             for k in range(1, (n - 1) // 2 + 1):
