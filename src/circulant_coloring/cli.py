@@ -27,7 +27,7 @@ import sys
 from . import golden
 from .coloring import (
     TotalColoring,
-    coloring_to_json_dict,
+    coloring_json_text,
     from_matrix,
     matrix_csv_rows,
     read_coloring_json,
@@ -111,10 +111,7 @@ def _emit(tc: TotalColoring, fmt: str, out: str | None, suffix: str = "",
                 fh.write("\n")
         return
     if fmt == "json":
-        payload = coloring_to_json_dict(tc)
-        if extra is not None:
-            payload["report"] = extra
-        json.dump(payload, sys.stdout, indent=1, sort_keys=True)
+        sys.stdout.write(coloring_json_text(tc, extra))
         sys.stdout.write("\n")
     else:
         for row in matrix_csv_rows(tc):

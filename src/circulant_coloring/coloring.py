@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from .errors import PreconditionFailed
-from .graphs import CirculantGraph, Edge
+from .graphs import Edge, ordered_edge
 
 
 @dataclass(frozen=True)
@@ -47,9 +49,9 @@ class TotalColoring:
         """Sigma_c(u) for every vertex u: its color plus the colors of its
         incident edges."""
         sums = list(self.vertex_colors)
-        for e, c in self.edge_colors.items():
-            sums[e.u] += c
-            sums[e.v] += c
+        for (u, v), c in self.edge_colors.items():
+            sums[u] += c
+            sums[v] += c
         return sums
 
 
@@ -71,9 +73,9 @@ def to_matrix(tc: TotalColoring) -> list[list]:
     m = [[None] * n for _ in range(n)]
     for u in range(n):
         m[u][u] = tc.vertex_colors[u]
-    for e, c in tc.edge_colors.items():
-        m[e.u][e.v] = c
-        m[e.v][e.u] = c
+    for (u, v), c in tc.edge_colors.items():
+        m[u][v] = c
+        m[v][u] = c
     return m
 
 
@@ -84,19 +86,26 @@ def from_matrix(matrix) -> TotalColoring:
     for u in range(n):
         for v in range(u + 1, n):
             if matrix[u][v] is not None:
-                edge_colors[Edge(u, v)] = matrix[u][v]
+                edge_colors[ordered_edge((u, v))] = matrix[u][v]
     return TotalColoring(vertex_colors, edge_colors)
 
 
-def matrix_csv_rows(tc: TotalColoring) -> list[list[str]]:
-    """CSV layout of the published tables: header row/column of vertex
-    indices, blank cells for non-edges."""
-    m = to_matrix(tc)
+def matrix_csv_rows(tc: TotalColoring):
+    """CSV layout of the published tables, one row at a time: header
+    row/column of vertex indices, blank cells for non-edges.  Each row is
+    filled from its vertex's incident edges, so no n x n grid is held."""
     n = tc.n
-    rows = [[""] + [str(v) for v in range(n)]]
+    incident = [[] for _ in range(n)]
+    for (u, v), c in tc.edge_colors.items():
+        incident[u].append((v, str(c)))
+        incident[v].append((u, str(c)))
+    yield [""] + [str(v) for v in range(n)]
     for u in range(n):
-        rows.append([str(u)] + ["" if x is None else str(x) for x in m[u]])
-    return rows
+        row = [""] * n
+        row[u] = str(tc.vertex_colors[u])
+        for v, c in incident[u]:
+            row[v] = c
+        yield [str(u)] + row
 
 
 def write_matrix_csv(tc: TotalColoring, path) -> None:
@@ -142,28 +151,53 @@ def read_matrix_csv(path):
         raise _malformed(path, exc) from exc
 
 
-def coloring_to_json_dict(tc: TotalColoring) -> dict:
-    return {
-        "n": tc.n,
-        "vertex_colors": list(tc.vertex_colors),
-        "edges": [
-            {"u": e.u, "v": e.v, "c": c}
-            for e, c in sorted(tc.edge_colors.items())
-        ],
-    }
-
-
 def coloring_from_json_dict(d: dict) -> TotalColoring:
-    return TotalColoring(
-        tuple(d["vertex_colors"]),
-        {Edge(e["u"], e["v"]): e["c"] for e in d["edges"]},
-    )
+    """Raises KeyError, TypeError or ValueError on a malformed document:
+    a colour or endpoint that is not an int (bools included), an edge
+    with u >= v, or an endpoint outside 0..n-1."""
+    vertex_colors = tuple(d["vertex_colors"])
+    edge_colors = {Edge(e["u"], e["v"]): e["c"] for e in d["edges"]}
+    kinds = set(map(type, chain(vertex_colors, edge_colors.values(),
+                                chain.from_iterable(edge_colors))))
+    if not kinds <= {int}:
+        raise TypeError("colours and endpoints must be integers, not %s"
+                        % ", ".join(sorted(k.__name__ for k in kinds - {int})))
+    if edge_colors:
+        lo = min(map(itemgetter(0), edge_colors))
+        hi = max(map(itemgetter(1), edge_colors))
+        if lo < 0 or hi >= len(vertex_colors):
+            raise ValueError("edge endpoint %d outside 0..%d"
+                             % (lo if lo < 0 else hi, len(vertex_colors) - 1))
+    return TotalColoring(vertex_colors, edge_colors)
+
+
+# One edge of the JSON document, as json.dumps(indent=1, sort_keys=True)
+# lays it out inside the top-level "edges" list.
+_EDGE_JSON = '  {\n   "c": %d,\n   "u": %d,\n   "v": %d\n  }'
+
+
+def coloring_json_text(tc: TotalColoring, report: dict | None = None) -> str:
+    """The JSON document of tc: "n", "vertex_colors", the edges sorted
+    as {"u", "v", "c"} objects, and ``report`` under "report" when given;
+    laid out as json.dumps(indent=1, sort_keys=True) would, byte for byte.
+
+    The edge list goes through a fixed per-edge template; the rest of the
+    document through json.dumps.  "edges" sorts before every other key,
+    so the edge list opens the document.
+    """
+    rest = {"n": tc.n, "vertex_colors": list(tc.vertex_colors)}
+    if report is not None:
+        rest["report"] = report
+    edges = ",\n".join([_EDGE_JSON % (c, u, v) for (u, v), c
+                        in sorted(tc.edge_colors.items())])
+    head = '{\n "edges": [\n%s\n ],' % edges if edges else '{\n "edges": [],'
+    return head + json.dumps(rest, indent=1, sort_keys=True)[1:]
 
 
 def write_coloring_json(tc: TotalColoring, path) -> None:
     try:
         with open(path, "w") as fh:
-            json.dump(coloring_to_json_dict(tc), fh, indent=1, sort_keys=True)
+            fh.write(coloring_json_text(tc))
             fh.write("\n")
     except OSError as exc:
         raise PreconditionFailed(str(exc)) from exc

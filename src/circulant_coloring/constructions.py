@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, cycle, islice
 
 from .coloring import BuildReport, TotalColoring
 from .errors import (
@@ -35,11 +36,11 @@ from .factorization import (
 )
 from .graphs import (
     CirculantGraph,
-    Edge,
     GeneratorSet,
     build_circulant,
     classify_sum_free_half,
     generates_group,
+    ordered_edge,
     power_of_cycle,
 )
 from .latin import closed_form_entry
@@ -48,22 +49,26 @@ from .verifiers import verify_equitable, verify_nsd, verify_total_coloring
 
 # -- tiling helpers ----------------------------------------------------------
 
-def _tile_color(q: int, u: int, v: int) -> int:
-    return closed_form_entry(q, u % q + 1, v % q + 1)
-
-
 def _tiling(n: int, q: int, distances) -> TotalColoring:
     """Vertex and edge colors from the order-q closed-form square.
 
-    Proper as long as q | n and the distances hit pairwise distinct
-    nonzero residue classes +-d mod q.
+    Requires q | n.  Proper as long as the distances hit pairwise
+    distinct nonzero residue classes +-d mod q.  Element (u, v) takes the
+    square's entry at (u mod q + 1, v mod q + 1), which depends on the
+    residue sum u mod q + v mod q only: the square is tabulated once per
+    sum, and the color of the edge from u to u + d repeats with period q.
     """
-    vertex_colors = tuple(_tile_color(q, u, u) for u in range(n))
+    by_sum = [closed_form_entry(q, 1, r + 1) for r in range(2 * q - 1)]
+    vertex_colors = tuple(by_sum[2 * (u % q)] for u in range(n))
     edge_colors = {}
     for d in distances:
-        for u in range(n):
-            e = Edge.of(u, (u + d) % n)
-            edge_colors[e] = _tile_color(q, e.u, e.v)
+        # the edges u -> u + d for u = 0..n-1: first those with u + d < n,
+        # then the ones that wrap around to v = u + d - n
+        edges = chain(zip(range(n - d), range(d, n)),
+                      zip(range(d), range(n - d, n)))
+        period = [by_sum[r + (r + d) % q] for r in range(q)]
+        edge_colors.update(zip(map(ordered_edge, edges),
+                               islice(cycle(period), n)))
     return TotalColoring(vertex_colors, edge_colors)
 
 
@@ -275,23 +280,23 @@ def canonical_complete_coloring(m: int) -> CanonicalResult:
     edge_colors = {}
     for u in range(m):
         for v in range(u + 1, m):
-            edge_colors[Edge(u, v)] = row[(u + v) % m]
+            edge_colors[ordered_edge((u, v))] = row[(u + v) % m]
     tc = TotalColoring(vertex_colors, edge_colors)
     g = build_circulant(m, range(1, m // 2 + 1))
     report = verify_total_coloring(g, tc)
     return CanonicalResult(tc, report)
 
 
-def _complete_pattern_cell(h: int, a: int, b: int) -> int:
-    """Complete-graph pattern of order h on at most h+1 colors.
+def _complete_pattern_row(h: int) -> list[int]:
+    """Complete-graph pattern of order h on at most h+1 colors: cell
+    (a, b) of the pattern is ``row[(a + b) % len(row)]``.
 
     Odd h uses the canonical K_h matrix directly; even h borrows the
     canonical K_{h+1} matrix restricted to its first h vertices (dropping
     one vertex of an odd complete graph keeps the coloring proper).
     Diagonal cells equal a + 1 either way.
     """
-    q = h if h % 2 else h + 1
-    return canonical_first_row(q)[(a + b) % q]
+    return canonical_first_row(h if h % 2 else h + 1)
 
 
 # -- circulant graph theorems ------------------------------------------------
@@ -444,11 +449,10 @@ def color_thm32(g: CirculantGraph) -> BuildReport:
     _require(h not in g.gens, "the involution n/2 must be absent")
     _require(classify_sum_free_half(g.generators),
              "distances must be sum-free with respect to n/2")
-    vertex_colors = tuple(_complete_pattern_cell(h, u % h, u % h)
-                          for u in range(n))
-    edge_colors = {
-        e: _complete_pattern_cell(h, e.u % h, e.v % h) for e in g.edges
-    }
+    row = _complete_pattern_row(h)
+    q = len(row)
+    vertex_colors = tuple(row[2 * (u % h) % q] for u in range(n))
+    edge_colors = {e: row[(e[0] % h + e[1] % h) % q] for e in g.edges}
     tc = TotalColoring(vertex_colors, edge_colors)
     return _verified(g, tc, h + 1,
                      notes="complete-graph pattern of order %d folded mod %d"
@@ -518,8 +522,8 @@ def color_thm34(g: CirculantGraph, s1: GeneratorSet,
     sub = CirculantGraph(n, s1)
     edge_colors = {}
     for e in sub.edges:
-        s = (e.v - e.u) % n
-        edge_colors[e] = (row[s % m] - 1 + e.u) % m + 1
+        u, v = e
+        edge_colors[e] = (row[(v - u) % n % m] - 1 + u) % m + 1
     tc = TotalColoring(vertex_colors, edge_colors)
 
     fac = one_factorize(build_circulant(n, list(complement)), budget)

@@ -38,10 +38,11 @@ class Matching:
     def __post_init__(self):
         seen = set()
         for e in self.edges:
-            if e.u in seen or e.v in seen:
+            u, v = e
+            if u in seen or v in seen:
                 raise ValueError("matching shares a vertex at %s" % (e,))
-            seen.add(e.u)
-            seen.add(e.v)
+            seen.add(u)
+            seen.add(v)
 
 
 @dataclass(frozen=True)
@@ -103,20 +104,21 @@ def _exact_edge_coloring(edges, num_colors: int, budget: int,
     used = {}  # vertex -> set of colors
     if start is not None:
         used = {u: {c} for u, c in enumerate(start.vertex_colors)}
-        for e, c in start.edge_colors.items():
-            used[e.u].add(c)
-            used[e.v].add(c)
+        for (u, v), c in start.edge_colors.items():
+            used[u].add(c)
+            used[v].add(c)
         edges = [e for e in edges if e not in start.edge_colors]
     edges = sorted(edges)
-    for e in edges:
-        used.setdefault(e.u, set())
-        used.setdefault(e.v, set())
+    for u, v in edges:
+        used.setdefault(u, set())
+        used.setdefault(v, set())
     assignment = {}
     palette = set(range(1, num_colors + 1))
     nodes = 0
 
     def available(e: Edge):
-        return palette - used[e.u] - used[e.v]
+        u, v = e
+        return palette - used[u] - used[v]
 
     def pick() -> Edge | None:
         best, best_n = None, num_colors + 1
@@ -135,6 +137,7 @@ def _exact_edge_coloring(edges, num_colors: int, budget: int,
         e = pick()
         if e is None:
             return True
+        at_u, at_v = used[e[0]], used[e[1]]
         for c in sorted(available(e)):
             nodes += 1
             if nodes > budget:
@@ -142,13 +145,13 @@ def _exact_edge_coloring(edges, num_colors: int, budget: int,
                     "edge-coloring search exceeded %d nodes" % budget
                 )
             assignment[e] = c
-            used[e.u].add(c)
-            used[e.v].add(c)
+            at_u.add(c)
+            at_v.add(c)
             if solve():
                 return True
             del assignment[e]
-            used[e.u].discard(c)
-            used[e.v].discard(c)
+            at_u.discard(c)
+            at_v.discard(c)
         return False
 
     return assignment if solve() else None
@@ -241,11 +244,11 @@ def _factorize_pool(n: int, pool: list[int], budget: int) -> list[frozenset]:
     factors = []
     for c in range(1, num_colors + 1):
         fac = set()
-        for e, col in solution.items():
+        for (u, v), col in solution.items():
             if col != c:
                 continue
             for coset in range(d0):
-                fac.add(Edge.of((coset + e.u * d0) % n, (coset + e.v * d0) % n))
+                fac.add(Edge.of((coset + u * d0) % n, (coset + v * d0) % n))
         factors.append(frozenset(fac))
     return factors
 
@@ -262,8 +265,7 @@ def edge_color_delta_plus_one(edges) -> EdgeColoring:
     inverted starting with d.  Each edge costs O(Delta^2) for its fan plus
     the length of its alternating path.
     """
-    pairs = sorted({(e.u, e.v) for e in
-                    (e if isinstance(e, Edge) else Edge.of(*e) for e in edges)})
+    pairs = sorted({e if isinstance(e, Edge) else Edge.of(*e) for e in edges})
     if not pairs:
         return EdgeColoring({})
     nbrs = {}
@@ -333,7 +335,7 @@ def edge_color_delta_plus_one(edges) -> EdgeColoring:
             paint(u, w, cw)
         paint(u, fan[j], d)
 
-    return EdgeColoring({Edge(u, v): color[u][v] for u, v in pairs})
+    return EdgeColoring({e: color[e[0]][e[1]] for e in pairs})
 
 
 # -- Hamiltonian cycles and rainbow matchings --------------------------------

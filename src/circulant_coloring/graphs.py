@@ -4,33 +4,51 @@ Generators are stored as a canonical half-set: a sorted tuple of distances
 d with 1 <= d <= n//2.  A distance d > n/2 given by the caller is folded to
 n - d on construction, so d and its negation are stored once.  Adjacency is
 answered arithmetically; the edge list is materialized lazily for iteration.
+
+An ``Edge`` is an ordered int pair: a tuple ``(u, v)`` with u < v that
+compares, hashes and sorts exactly as the plain tuple ``(u, v)`` does, so
+``Edge(2, 5) == (2, 5)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
+from operator import itemgetter
 
 from .errors import PreconditionFailed
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
-    """Undirected edge with endpoints ordered u < v."""
+class Edge(tuple):
+    """Undirected edge with endpoints ordered u < v: the pair (u, v)."""
 
-    u: int
-    v: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.u == self.v:
-            raise ValueError("self-loop edge (%d, %d)" % (self.u, self.v))
-        if self.u > self.v:
+    def __new__(cls, u: int, v: int) -> "Edge":
+        if u == v:
+            raise ValueError("self-loop edge (%d, %d)" % (u, v))
+        if u > v:
             raise ValueError("edge endpoints must satisfy u < v")
+        return tuple.__new__(cls, (u, v))
+
+    u = property(itemgetter(0))
+    v = property(itemgetter(1))
+
+    def __repr__(self) -> str:
+        return "Edge(u=%r, v=%r)" % self
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     @staticmethod
     def of(a: int, b: int) -> "Edge":
         return Edge(a, b) if a < b else Edge(b, a)
+
+
+# Edge from a pair the caller already knows to be ordered, without the
+# checks: a C-level call, for the loops that build every edge of a graph.
+ordered_edge = partial(tuple.__new__, Edge)
 
 
 def normalize_half_set(n: int, ds) -> tuple[int, ...]:
@@ -119,16 +137,11 @@ class CirculantGraph:
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        out = []
-        for d in self.gens:
-            if 2 * d == self.n:
-                # involution: each edge seen once from the smaller endpoint
-                for u in range(self.n // 2):
-                    out.append(Edge.of(u, u + d))
-            else:
-                for u in range(self.n):
-                    out.append(Edge.of(u, (u + d) % self.n))
-        return tuple(sorted(set(out)))
+        """Every edge once, sorted: from each u, the offsets s of the full
+        symmetric set in increasing order while u + s < n."""
+        n, full = self.n, self.generators.full
+        return tuple([ordered_edge((u, u + s))
+                      for u in range(n) for s in full if u + s < n])
 
     def neighbors(self, u: int) -> list[int]:
         out = set()

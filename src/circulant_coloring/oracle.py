@@ -222,7 +222,7 @@ def exact_feasible(g: CirculantGraph, k: int, mode: Mode,
         def nsd_leaf(assignment):
             tc = _to_coloring(g, elements, assignment)
             sums = tc.all_vertex_sums()
-            return all(sums[e.u] != sums[e.v] for e in g.edges)
+            return all(sums[u] != sums[v] for u, v in g.edges)
 
         ok = searcher.run(leaf_check=nsd_leaf)
     witness = _to_coloring(g, elements, searcher.assignment) if ok else None

@@ -9,9 +9,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import filterfalse
 
 from .errors import VerificationFailed
-from .graphs import CirculantGraph, Edge
+from .graphs import CirculantGraph
 from .coloring import TotalColoring
 
 
@@ -63,7 +64,7 @@ def _class_sizes(tc: TotalColoring) -> dict:
 def _check_assignments(g: CirculantGraph, tc: TotalColoring) -> None:
     if tc.n != g.n:
         raise VerificationFailed("coloring covers %d vertices, graph has %d" % (tc.n, g.n))
-    missing = [e for e in g.edges if e not in tc.edge_colors]
+    missing = list(filterfalse(tc.edge_colors.__contains__, g.edges))
     if missing:
         raise VerificationFailed("uncolored edges: %s" % (missing[:5],))
     for u, c in enumerate(tc.vertex_colors):
@@ -74,20 +75,21 @@ def _check_assignments(g: CirculantGraph, tc: TotalColoring) -> None:
 def find_violations(g: CirculantGraph, tc: TotalColoring) -> list:
     """Every total-coloring violation, each with a concrete witness."""
     violations = []
-    for e in g.edges:
-        cu, cv = tc.vertex_colors[e.u], tc.vertex_colors[e.v]
-        ce = tc.edge_colors[e]
+    vertex_colors, edges = tc.vertex_colors, g.edges
+    edge_colors = list(map(tc.edge_colors.__getitem__, edges))
+    for e, ce in zip(edges, edge_colors):
+        u, v = e
+        cu, cv = vertex_colors[u], vertex_colors[v]
         if cu == cv:
-            violations.append(Violation("vertex-vertex", (e.u, e.v, cu)))
+            violations.append(Violation("vertex-vertex", (u, v, cu)))
         if ce == cu:
-            violations.append(Violation("vertex-edge", (e.u, e, ce)))
+            violations.append(Violation("vertex-edge", (u, e, ce)))
         if ce == cv:
-            violations.append(Violation("vertex-edge", (e.v, e, ce)))
+            violations.append(Violation("vertex-edge", (v, e, ce)))
     # edge-edge clashes at a shared endpoint
     at_vertex = {}
-    for e in g.edges:
-        ce = tc.edge_colors[e]
-        for end in (e.u, e.v):
+    for e, ce in zip(edges, edge_colors):
+        for end in e:
             key = (end, ce)
             if key in at_vertex:
                 violations.append(Violation("edge-edge", (end, at_vertex[key], e, ce)))
@@ -129,10 +131,8 @@ def verify_nsd(g: CirculantGraph, tc: TotalColoring) -> VerificationReport:
     if not report.proper:
         raise VerificationFailed("NSD is only defined for proper colorings")
     sums = tc.all_vertex_sums()
-    bad = []
-    for e in g.edges:
-        if sums[e.u] == sums[e.v]:
-            bad.append(Violation("nsd-equal-sums", (e.u, e.v, sums[e.u])))
+    bad = [Violation("nsd-equal-sums", (u, v, sums[u]))
+           for u, v in g.edges if sums[u] == sums[v]]
     report.nsd = not bad
     report.nsd_violations = bad
     return report

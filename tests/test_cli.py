@@ -287,6 +287,40 @@ class TestMalformedInput:
         assert self.verify(path) == EXIT_PRECONDITION
         assert "KeyError: 'vertex_colors'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where,value", [
+        ("vertex", "x"), ("edge", "x"), ("vertex", True), ("edge", False),
+        ("edge", 2.0), ("edge", None)])
+    def test_json_non_integer_color(self, where, value, tmp_path, capsys):
+        doc = {"n": 3, "vertex_colors": [1, 2, 3],
+               "edges": [{"u": 0, "v": 1, "c": 3}]}
+        if where == "vertex":
+            doc["vertex_colors"][1] = value
+        else:
+            doc["edges"][0]["c"] = value
+        path = tmp_path / "text_color.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--n", "3", "--gens", "1", "--in", str(path),
+                     "--nsd"]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "malformed coloring file" in err
+        assert "must be integers" in err
+
+    @pytest.mark.parametrize("command", ["verify", "export"])
+    def test_json_endpoint_out_of_range(self, command, tmp_path, capsys):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"n": 3, "vertex_colors": [1, 2, 3],
+                                    "edges": [{"u": 1, "v": 7, "c": 3}]}))
+        if command == "verify":
+            argv = ["verify", "--n", "3", "--gens", "1", "--in", str(path),
+                    "--nsd"]
+        else:
+            argv = ["export", "--in", str(path), "--format", "csv",
+                    "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "malformed coloring file" in err
+        assert "endpoint 7 outside 0..2" in err
+
     def test_csv_text_cell(self, tmp_path, capsys):
         path = tmp_path / "text.csv"
         path.write_text(",0,1,2\n0,1,x,3\n1,x,2,1\n2,3,1,3\n")
@@ -320,6 +354,12 @@ def fuzz_files(tmp_path_factory):
         {"n": 3, "vertex_colors": [1, 2, 3],
          "edges": [{"u": 1, "v": 1, "c": 2}]}))
     (work / "no_vertices.json").write_text('{"n": 3, "edges": []}')
+    (work / "text_color.json").write_text(json.dumps(
+        {"n": 3, "vertex_colors": [1, 2, 3],
+         "edges": [{"u": 0, "v": 1, "c": "x"}]}))
+    (work / "far.json").write_text(json.dumps(
+        {"n": 3, "vertex_colors": [1, 2, 3],
+         "edges": [{"u": 1, "v": 7, "c": 3}]}))
     (work / "text.csv").write_text(",0,1\n0,1,x\n1,x,2\n")
     (work / "wildcard.csv").write_text(",0,1\n0,1,*\n1,*,2\n")
     (work / "broken.json").write_text('{"n": ')
@@ -329,8 +369,8 @@ def fuzz_files(tmp_path_factory):
 # Input files the fuzz test names as "@<file>": colorings of C_18^4, good
 # and bad, malformed files, and one that does not exist.
 FUZZ_FILES = ("equitable.csv", "nsd.json", "improper.csv", "partial.json",
-              "loop.json", "no_vertices.json", "text.csv", "wildcard.csv",
-              "broken.json", "absent.json")
+              "loop.json", "no_vertices.json", "text_color.json", "far.json",
+              "text.csv", "wildcard.csv", "broken.json", "absent.json")
 
 _gens_text = st.one_of(
     st.lists(st.integers(0, 45), max_size=8).map(

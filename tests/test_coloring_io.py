@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from circulant_coloring.coloring import (
     TotalColoring,
     coloring_from_json_dict,
-    coloring_to_json_dict,
+    coloring_json_text,
     from_matrix,
     matrix_csv_rows,
     parse_matrix_csv_text,
@@ -20,6 +22,17 @@ from circulant_coloring.coloring import (
 from circulant_coloring.constructions import color_power_cycle_odd
 from circulant_coloring.errors import PreconditionFailed
 from circulant_coloring.graphs import Edge, build_circulant
+
+
+def json_dict(tc) -> dict:
+    """The document the JSON writer lays out, built as plain objects: the
+    reference json.dumps output is compared against."""
+    return {
+        "n": tc.n,
+        "vertex_colors": list(tc.vertex_colors),
+        "edges": [{"u": u, "v": v, "c": c}
+                  for (u, v), c in sorted(tc.edge_colors.items())],
+    }
 
 
 def sample_coloring():
@@ -63,7 +76,7 @@ class TestMatrix:
         assert [m[i][i] for i in range(4)] == [1, 2, 1, 2]
 
     def test_header_layout(self):
-        rows = matrix_csv_rows(sample_coloring())
+        rows = list(matrix_csv_rows(sample_coloring()))
         assert rows[0] == ["", "0", "1", "2", "3"]
         assert rows[1][0] == "0"
         assert rows[1][3] == ""  # blank non-edge cell
@@ -127,13 +140,56 @@ class TestFiles:
 
 class TestJsonDict:
     def test_shape(self):
-        d = coloring_to_json_dict(sample_coloring())
+        d = json.loads(coloring_json_text(sample_coloring()))
         assert d["n"] == 4
         assert {"u": 0, "v": 1, "c": 3} in d["edges"]
 
     def test_round_trip(self):
         tc = sample_coloring()
-        assert coloring_from_json_dict(coloring_to_json_dict(tc)) == tc
+        assert coloring_from_json_dict(
+            json.loads(coloring_json_text(tc))) == tc
+
+
+def matrix_csv_reference(tc) -> str:
+    """The CSV layout written straight from the n x n matrix."""
+    m = to_matrix(tc)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow([""] + [str(v) for v in range(tc.n)])
+    for u, row in enumerate(m):
+        writer.writerow([str(u)] + ["" if x is None else str(x) for x in row])
+    return out.getvalue()
+
+
+class TestWriters:
+    """The templated JSON and the streamed CSV against the generic
+    encoders they replace."""
+
+    REPORT = {"colors_used": 5, "bound_claimed": 5, "fallback_used": False,
+              "notes": 'quote " and \u00e9'}
+
+    @pytest.mark.parametrize("report", [None, REPORT, {}])
+    def test_json_text_is_json_dumps(self, report):
+        for tc in (sample_coloring(), TotalColoring((1, 2), {}),
+                   TotalColoring((), {})):
+            doc = json_dict(tc)
+            if report is not None:
+                doc["report"] = report
+            assert coloring_json_text(tc, report) == json.dumps(
+                doc, indent=1, sort_keys=True)
+
+    def test_json_file_is_json_dump(self, tmp_path):
+        tc = color_power_cycle_odd(21, 6, 1).coloring
+        write_coloring_json(tc, tmp_path / "t.json")
+        assert (tmp_path / "t.json").read_text() == json.dumps(
+            json_dict(tc), indent=1, sort_keys=True) + "\n"
+
+    def test_csv_file_is_matrix_csv(self, tmp_path):
+        for tc in (sample_coloring(), color_power_cycle_odd(21, 6, 1).coloring,
+                   TotalColoring((1, 2, 3), {})):
+            write_matrix_csv(tc, tmp_path / "t.csv")
+            with open(tmp_path / "t.csv", newline="") as fh:
+                assert fh.read() == matrix_csv_reference(tc)
 
 
 class TestBuilderColoringsRoundTrip:
@@ -158,4 +214,8 @@ def test_random_colorings_round_trip(n, data):
     text = "\n".join(",".join(r) for r in matrix_csv_rows(tc))
     matrix, _ = parse_matrix_csv_text(text)
     assert from_matrix(matrix) == tc
-    assert coloring_from_json_dict(coloring_to_json_dict(tc)) == tc
+    assert coloring_from_json_dict(json.loads(coloring_json_text(tc))) == tc
+    with_report = json_dict(tc)
+    with_report["report"] = {"n": n}
+    assert coloring_json_text(tc, {"n": n}) == json.dumps(
+        with_report, indent=1, sort_keys=True)

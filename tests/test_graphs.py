@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -188,6 +190,50 @@ class TestEdge:
     def test_no_self_loop(self):
         with pytest.raises(ValueError):
             Edge(3, 3)
+
+    def test_equals_its_pair(self):
+        e = Edge(2, 5)
+        assert e == (2, 5)
+        assert hash(e) == hash((2, 5))
+        assert (e.u, e.v) == (2, 5)
+        assert {(2, 5): "x"}[e] == "x"
+
+    def test_repr(self):
+        assert repr(Edge(0, 1)) == "Edge(u=0, v=1)"
+        assert str(Edge(3, 14)) == "Edge(u=3, v=14)"
+
+    @pytest.mark.parametrize("make", [lambda: Edge(3, 3), lambda: Edge(5, 2),
+                                      lambda: Edge.of(4, 4)])
+    def test_invalid(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_immutable(self):
+        e = Edge(1, 2)
+        with pytest.raises(AttributeError):
+            e.u = 1
+        with pytest.raises(AttributeError):
+            e.w = 1
+
+    def test_pickle_and_copy(self):
+        e = Edge(4, 9)
+        for twin in (pickle.loads(pickle.dumps(e)), copy.copy(e),
+                     copy.deepcopy(e)):
+            assert type(twin) is Edge
+            assert twin == e and (twin.u, twin.v) == (4, 9)
+
+    def test_sorts_as_pairs(self):
+        edges = [Edge(3, 4), Edge(0, 9), Edge.of(7, 2), Edge(0, 1), Edge(2, 3)]
+        assert sorted(edges) == sorted((e.u, e.v) for e in edges)
+        assert sorted(edges) == [(0, 1), (0, 9), (2, 3), (2, 7), (3, 4)]
+
+    def test_graph_edges_ordered_and_complete(self):
+        g = build_circulant(12, [1, 5, 6])
+        assert all(type(e) is Edge for e in g.edges)
+        assert list(g.edges) == sorted(set(g.edges))
+        assert set(g.edges) == {Edge.of(u, (u + d) % 12)
+                                for u in range(12) for d in (1, 5, 6)}
+        assert len(g.edges) == 12 * g.degree // 2
 
 
 class TestJson:
