@@ -29,6 +29,7 @@ from .coloring import (
     TotalColoring,
     coloring_json_text,
     from_matrix,
+    malformed_file,
     matrix_csv_rows,
     read_coloring_json,
     read_matrix_csv,
@@ -204,7 +205,10 @@ def _load_coloring(path: str) -> TotalColoring:
         raise PreconditionFailed(
             "input matrix has wildcard cells; cannot verify: %s"
             % sorted(wildcards)[:5])
-    return from_matrix(matrix)
+    try:
+        return from_matrix(matrix)
+    except ValueError as exc:
+        raise malformed_file(path, exc) from exc
 
 
 def cmd_verify(args) -> int:

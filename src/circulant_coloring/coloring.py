@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -80,14 +81,31 @@ def to_matrix(tc: TotalColoring) -> list[list]:
 
 
 def from_matrix(matrix) -> TotalColoring:
+    """Raises ValueError when the matrix is not symmetric: every filled
+    cell must equal its mirror across the diagonal."""
     n = len(matrix)
     vertex_colors = tuple(matrix[u][u] for u in range(n))
     edge_colors = {}
-    for u in range(n):
+    for u, row in enumerate(matrix):
         for v in range(u + 1, n):
-            if matrix[u][v] is not None:
-                edge_colors[ordered_edge((u, v))] = matrix[u][v]
+            c = row[v]
+            if c is not None:
+                if matrix[v][u] != c:
+                    raise _asymmetric(matrix, u, v)
+                edge_colors[ordered_edge((u, v))] = c
+    # every upper cell has its mirror, so a count above one filled lower
+    # cell per edge means a lower cell whose mirror is blank
+    filled = sum(len(row) - row.count(None) for row in matrix)
+    if filled > n - vertex_colors.count(None) + 2 * len(edge_colors):
+        raise _asymmetric(matrix, *next(
+            (u, v) for u in range(n) for v in range(u)
+            if matrix[u][v] is not None and matrix[v][u] is None))
     return TotalColoring(vertex_colors, edge_colors)
+
+
+def _asymmetric(matrix, u, v) -> ValueError:
+    return ValueError("cell (%d, %d) = %s differs from cell (%d, %d) = %s"
+                     % (u, v, matrix[u][v], v, u, matrix[v][u]))
 
 
 def matrix_csv_rows(tc: TotalColoring):
@@ -136,7 +154,7 @@ def parse_matrix_csv_text(text: str):
     return matrix, wildcards
 
 
-def _malformed(path, exc) -> PreconditionFailed:
+def malformed_file(path, exc) -> PreconditionFailed:
     return PreconditionFailed("malformed coloring file %s: %s: %s"
                               % (path, type(exc).__name__, exc))
 
@@ -148,15 +166,18 @@ def read_matrix_csv(path):
     except OSError as exc:
         raise PreconditionFailed(str(exc)) from exc
     except (ValueError, csv.Error) as exc:
-        raise _malformed(path, exc) from exc
+        raise malformed_file(path, exc) from exc
 
 
 def coloring_from_json_dict(d: dict) -> TotalColoring:
     """Raises KeyError, TypeError or ValueError on a malformed document:
     a colour or endpoint that is not an int (bools included), an edge
-    with u >= v, or an endpoint outside 0..n-1."""
+    with u >= v, an edge listed twice, or an endpoint outside 0..n-1."""
     vertex_colors = tuple(d["vertex_colors"])
     edge_colors = {Edge(e["u"], e["v"]): e["c"] for e in d["edges"]}
+    if len(edge_colors) != len(d["edges"]):
+        twice = Counter((e["u"], e["v"]) for e in d["edges"]).most_common(1)
+        raise ValueError("edge %s listed twice" % (twice[0][0],))
     kinds = set(map(type, chain(vertex_colors, edge_colors.values(),
                                 chain.from_iterable(edge_colors))))
     if not kinds <= {int}:
@@ -210,4 +231,4 @@ def read_coloring_json(path) -> TotalColoring:
     except OSError as exc:
         raise PreconditionFailed(str(exc)) from exc
     except (KeyError, TypeError, ValueError) as exc:
-        raise _malformed(path, exc) from exc
+        raise malformed_file(path, exc) from exc

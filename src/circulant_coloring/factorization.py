@@ -7,7 +7,9 @@ into two factors by alternation.  Distances whose orbits are odd cycles
 are pooled (topping the pool up with further distances until its
 components have even order) and handled by an exact edge-coloring search;
 existence is guaranteed for connected even-order circulants, so the node
-budget only bounds time, never feasibility.
+budget only bounds time, never feasibility.  The search is iterative, on
+an explicit stack with bitmask color domains, so its depth is not bound
+by Python's recursion limit.
 
 The Delta+1 edge coloring is Misra-Gries fan rotation: one maximal fan,
 one c/d path inversion and one rotation per edge, with no search.
@@ -94,67 +96,99 @@ def _exact_edge_coloring(edges, num_colors: int, budget: int,
                          start=None) -> dict | None:
     """Backtracking proper edge coloring with colors 1..num_colors.
 
-    MRV edge selection with deterministic tie-breaks.  With a partial
-    total coloring ``start``, its edges are skipped and every other edge
-    also avoids the colors already present at its endpoints.  Returns
-    Edge -> color for the edges colored here, or None if the search space
-    is exhausted; raises SearchBudgetExceeded when the node budget runs
-    out.
+    Iterative, on an explicit stack of [edge index, colors not yet tried
+    as a bitmask], with one used-color bitmask per vertex and a count of
+    free colors per uncolored edge.  The next edge is the first in sorted
+    order with the fewest free colors (MRV); its colors are tried in
+    ascending order, one search node each.  Placing or undoing a color
+    updates the counts of the edges at its two endpoints only.
+
+    With a partial total coloring ``start``, its edges are skipped and
+    every other edge also avoids the colors already present at its
+    endpoints.  Returns Edge -> color for the edges colored here, in the
+    order they were colored, or None if the search space is exhausted;
+    raises SearchBudgetExceeded when the node budget runs out.
     """
-    used = {}  # vertex -> set of colors
+    edges = sorted(edges if start is None
+                   else [e for e in edges if e not in start.edge_colors])
+    n = max((v for _, v in edges), default=-1) + 1
     if start is not None:
-        used = {u: {c} for u, c in enumerate(start.vertex_colors)}
+        n = max(n, start.n)
+    full = (1 << (num_colors + 1)) - 2  # bit c stands for color c
+    used = [0] * n
+    if start is not None:
+        for u, c in enumerate(start.vertex_colors):
+            used[u] |= 1 << c
         for (u, v), c in start.edge_colors.items():
-            used[u].add(c)
-            used[v].add(c)
-        edges = [e for e in edges if e not in start.edge_colors]
-    edges = sorted(edges)
-    for u, v in edges:
-        used.setdefault(u, set())
-        used.setdefault(v, set())
-    assignment = {}
-    palette = set(range(1, num_colors + 1))
+            used[u] |= 1 << c
+            used[v] |= 1 << c
+        used = [m & full for m in used]
+    incident = [[] for _ in range(n)]  # vertex -> [(edge index, other end)]
+    for j, (u, v) in enumerate(edges):
+        incident[u].append((j, v))
+        incident[v].append((j, u))
+    # edge -> [(edge sharing an endpoint, that edge's far end)]
+    near = [[kw for kw in incident[u] + incident[v] if kw[0] != j]
+            for j, (u, v) in enumerate(edges)]
+    color = [0] * len(edges)  # edge index -> bit of its color, 0 if none
+    free = [bin(full & ~(used[u] | used[v])).count("1") for u, v in edges]
+    # Colored edges hold a count above every real one, so the first
+    # uncolored edge with the fewest free colors is the first index of the
+    # least count: memchr over a bytearray when counts fit a byte.
+    done = num_colors + 1
+    narrow = done < 256
+    cnt = bytearray(free) if narrow else free
+
+    def pick() -> int:
+        if narrow:
+            for c in range(done):
+                j = cnt.find(c)
+                if j >= 0:
+                    return j
+            return -1
+        least = min(cnt, default=done)
+        return cnt.index(least) if least < done else -1
+
+    stack = []
     nodes = 0
-
-    def available(e: Edge):
-        u, v = e
-        return palette - used[u] - used[v]
-
-    def pick() -> Edge | None:
-        best, best_n = None, num_colors + 1
-        for e in edges:
-            if e in assignment:
+    while True:
+        j = pick()
+        if j < 0:
+            return {edges[i]: color[i].bit_length() - 1 for i, _ in stack}
+        u, v = edges[j]
+        stack.append([j, full & ~(used[u] | used[v])])
+        while True:
+            frame = stack[-1]
+            j, untried = frame
+            u, v = edges[j]
+            bit = color[j]
+            if bit:  # undo the color tried last
+                used[u] ^= bit
+                used[v] ^= bit
+                color[j] = 0
+                for k, w in near[j]:
+                    if not color[k] and not used[w] & bit:
+                        cnt[k] += 1
+            if not untried:
+                stack.pop()
+                cnt[j] = bin(full & ~(used[u] | used[v])).count("1")
+                if not stack:
+                    return None
                 continue
-            a = len(available(e))
-            if a < best_n:
-                best, best_n = e, a
-                if a == 0:
-                    break
-        return best
-
-    def solve() -> bool:
-        nonlocal nodes
-        e = pick()
-        if e is None:
-            return True
-        at_u, at_v = used[e[0]], used[e[1]]
-        for c in sorted(available(e)):
+            bit = untried & -untried
+            frame[1] = untried ^ bit
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(
-                    "edge-coloring search exceeded %d nodes" % budget
-                )
-            assignment[e] = c
-            at_u.add(c)
-            at_v.add(c)
-            if solve():
-                return True
-            del assignment[e]
-            at_u.discard(c)
-            at_v.discard(c)
-        return False
-
-    return assignment if solve() else None
+                    "edge-coloring search exceeded %d nodes" % budget)
+            color[j] = bit
+            cnt[j] = done
+            used[u] |= bit
+            used[v] |= bit
+            for k, w in near[j]:
+                if not color[k] and not used[w] & bit:
+                    cnt[k] -= 1
+            break
 
 
 def one_factorize(g: CirculantGraph,

@@ -8,7 +8,16 @@ colorings at a given palette size.
 Search order is deliberately simple and deterministic: vertices in index
 order, then edges sorted by endpoints.  Symmetry is broken by fixing the
 first element's color and only introducing new colors in increasing
-order.
+order.  Two sound rules cut the search:
+
+- Counting.  A total coloring of a Delta-regular graph with Delta+1
+  colors puts every color at every vertex, so the vertices outside a
+  color's vertex class are perfectly matched by its edges: each class
+  has |V_c| = n (mod 2) and |V_c| <= alpha(g).  When the largest such
+  size times Delta+1 is below n, that palette is refuted with no search.
+- NSD at closed-star completion.  A vertex's sum is compared with its
+  finished neighbors' as soon as its last element is colored, not only
+  once the whole coloring is complete.
 """
 
 from __future__ import annotations
@@ -94,12 +103,12 @@ class _Searcher:
         self.assignment = [0] * len(elements)
         self.nodes = 0
 
-    def run(self, leaf_check=None):
-        return self._dfs(0, 0, leaf_check)
+    def run(self):
+        return self._dfs(0, 0)
 
-    def _dfs(self, pos: int, max_used: int, leaf_check) -> bool:
+    def _dfs(self, pos: int, max_used: int) -> bool:
         if pos == len(self.elements):
-            return leaf_check is None or leaf_check(self.assignment)
+            return True
         forbidden = {self.assignment[j] for j in self.conflicts[pos]}
         top = min(self.num_colors, max_used + 1)
         for c in range(1, top + 1):
@@ -110,7 +119,7 @@ class _Searcher:
                 raise SearchBudgetExceeded(
                     "oracle search exceeded %d nodes" % self.budget)
             self.assignment[pos] = c
-            if self._dfs(pos + 1, max(max_used, c), leaf_check):
+            if self._dfs(pos + 1, max(max_used, c)):
                 return True
             self.assignment[pos] = 0
         return False
@@ -123,7 +132,7 @@ class _EquitableSearcher(_Searcher):
         self.cap = -(-total // num_colors)  # ceil: no class may exceed this
         self.counts = [0] * (num_colors + 1)
 
-    def _dfs(self, pos, max_used, leaf_check):
+    def _dfs(self, pos, max_used):
         if pos == len(self.elements):
             sizes = self.counts[1:]
             return max(sizes) - min(sizes) <= 1
@@ -138,11 +147,75 @@ class _EquitableSearcher(_Searcher):
                     "oracle search exceeded %d nodes" % self.budget)
             self.assignment[pos] = c
             self.counts[c] += 1
-            if self._dfs(pos + 1, max(max_used, c), leaf_check):
+            if self._dfs(pos + 1, max(max_used, c)):
                 return True
             self.counts[c] -= 1
             self.assignment[pos] = 0
         return False
+
+
+class _NsdSearcher(_Searcher):
+    """Rejects the color just placed when it completes the closed star of
+    a vertex whose sum equals that of a neighbor finished earlier."""
+
+    def __init__(self, g, elements, num_colors, budget):
+        super().__init__(g, elements, num_colors, budget)
+        star = [[u] for u in range(g.n)]  # vertex -> positions of its star
+        for pos, (kind, e) in enumerate(elements):
+            if kind == "e":
+                star[e[0]].append(pos)
+                star[e[1]].append(pos)
+        last = [max(s) for s in star]
+        # position -> [(vertex, its star, neighbors finished before it)]
+        self.closing = [[] for _ in elements]
+        for u in range(g.n):
+            earlier = [w for w in g.neighbors(u)
+                       if (last[w], w) < (last[u], u)]
+            self.closing[last[u]].append((u, star[u], earlier))
+        self.sums = [0] * g.n
+
+    def _dfs(self, pos, max_used):
+        if pos:
+            sums, assignment = self.sums, self.assignment
+            for u, star, earlier in self.closing[pos - 1]:
+                s = sums[u] = sum(assignment[p] for p in star)
+                for w in earlier:
+                    if sums[w] == s:
+                        return False
+        return super()._dfs(pos, max_used)
+
+
+def _independence_number(g: CirculantGraph) -> int:
+    """alpha(g) by branch and bound over vertex bitmasks: branch on the
+    lowest candidate vertex (take it, or drop it), prune when the set so
+    far plus every candidate left cannot beat the best."""
+    nbrs = [sum(1 << w for w in g.neighbors(u)) for u in range(g.n)]
+    best = 0
+    stack = [((1 << g.n) - 1, 0)]  # (candidate vertices, size so far)
+    while stack:
+        cand, size = stack.pop()
+        if not cand:
+            best = max(best, size)
+            continue
+        if size + bin(cand).count("1") <= best:
+            continue
+        low = cand & -cand
+        u = low.bit_length() - 1
+        stack.append((cand ^ low, size))
+        stack.append((cand & ~nbrs[u] & ~low, size + 1))
+    return best
+
+
+def _counting_refutes(g: CirculantGraph, k: int) -> bool:
+    """True when the counting rule proves there is no total coloring of
+    the regular graph g with k = Delta+1 colors: no vertex class can
+    exceed the largest size s <= alpha(g) with s = n (mod 2), and k such
+    classes must cover all n vertices."""
+    if k != g.degree + 1:
+        return False
+    alpha = _independence_number(g)
+    largest = alpha - (alpha - g.n) % 2
+    return largest * k < g.n
 
 
 def _to_coloring(g: CirculantGraph, elements, assignment) -> TotalColoring:
@@ -169,6 +242,8 @@ def exact_total_chromatic(g: CirculantGraph, max_colors: int | None = None,
     elements = _total_elements(g)
     nodes = 0
     for k in range(lo, max_colors + 1):
+        if _counting_refutes(g, k):
+            continue
         searcher = _Searcher(g, elements, k, budget - nodes)
         if searcher.run():
             nodes += searcher.nodes
@@ -210,21 +285,15 @@ def exact_feasible(g: CirculantGraph, k: int, mode: Mode,
     _check_size(g, size_limit)
     if k < 1:
         raise PreconditionFailed("palette size must be positive, got %d" % k)
-    elements = _total_elements(g)
     if mode is Mode.EQUITABLE:
-        searcher = _EquitableSearcher(g, elements, k, budget)
-        ok = searcher.run()
-        quantity = Quantity.EQUITABLE_TOTAL_FEASIBLE
+        quantity, kind = Quantity.EQUITABLE_TOTAL_FEASIBLE, _EquitableSearcher
     else:
-        quantity = Quantity.NSD_TOTAL_FEASIBLE
-        searcher = _Searcher(g, elements, k, budget)
-
-        def nsd_leaf(assignment):
-            tc = _to_coloring(g, elements, assignment)
-            sums = tc.all_vertex_sums()
-            return all(sums[u] != sums[v] for u, v in g.edges)
-
-        ok = searcher.run(leaf_check=nsd_leaf)
+        quantity, kind = Quantity.NSD_TOTAL_FEASIBLE, _NsdSearcher
+    if _counting_refutes(g, k):
+        return OracleResult(quantity, False, 0)
+    elements = _total_elements(g)
+    searcher = kind(g, elements, k, budget)
+    ok = searcher.run()
     witness = _to_coloring(g, elements, searcher.assignment) if ok else None
     if witness is not None:
         assert verify_total_coloring(g, witness).proper

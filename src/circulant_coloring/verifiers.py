@@ -86,7 +86,37 @@ def find_violations(g: CirculantGraph, tc: TotalColoring) -> list:
             violations.append(Violation("vertex-edge", (u, e, ce)))
         if ce == cv:
             violations.append(Violation("vertex-edge", (v, e, ce)))
-    # edge-edge clashes at a shared endpoint
+    if _edge_clash(g.n, edges, edge_colors):
+        violations += _edge_edge_violations(edges, edge_colors)
+    return violations
+
+
+# Above this many distinct edge colors the per-vertex masks would grow
+# into long ints, and the clash test defers to the exact pass.
+_MASK_COLORS = 512
+
+
+def _edge_clash(n: int, edges, edge_colors) -> bool:
+    """Whether two edges of one color may share an endpoint: exact, from
+    one color bitmask per vertex over the ranked distinct colors, unless
+    there are more than _MASK_COLORS of them (then True)."""
+    palette = set(edge_colors)
+    if len(palette) > _MASK_COLORS:
+        return True
+    rank = {c: 1 << r for r, c in enumerate(palette)}
+    at = [0] * n
+    for (u, v), bit in zip(edges, map(rank.__getitem__, edge_colors)):
+        if (at[u] | at[v]) & bit:
+            return True
+        at[u] |= bit
+        at[v] |= bit
+    return False
+
+
+def _edge_edge_violations(edges, edge_colors) -> list:
+    """Edge-edge clashes at a shared endpoint, each against the first
+    edge of that color seen there."""
+    violations = []
     at_vertex = {}
     for e, ce in zip(edges, edge_colors):
         for end in e:

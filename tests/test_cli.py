@@ -19,6 +19,7 @@ from circulant_coloring.cli import (
 )
 from circulant_coloring.coloring import (
     TotalColoring,
+    coloring_from_json_dict,
     read_coloring_json,
     write_coloring_json,
     write_matrix_csv,
@@ -27,6 +28,8 @@ from circulant_coloring.constructions import (
     color_power_cycle_even,
     equitable_nsd_power_cycle,
 )
+from circulant_coloring.graphs import power_of_cycle
+from circulant_coloring.verifiers import verify_total_coloring
 
 
 class TestBuild:
@@ -235,7 +238,7 @@ class TestExitContract:
 
     def test_oracle_honours_budget(self, capsys):
         assert main(["--budget", "100", "oracle", "--quantity",
-                     "total-chromatic", "--n", "9",
+                     "total-chromatic", "--n", "10",
                      "--gens", "1,2,3"]) == EXIT_BUDGET
         assert "exceeded 100 nodes" in capsys.readouterr().err
 
@@ -254,12 +257,26 @@ class TestExitContract:
         assert proc.returncode == EXIT_PRECONDITION
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.xfail(raises=RecursionError, strict=True,
-                       reason="the pooled 1-factorization search recurses "
-                              "once per edge (ROADMAP item 3)")
-    def test_pooled_search_depth(self, capsys):
-        main(["color", "--method", "thm21-even", "--n", "330",
-              "--k", "10", "--i", "1", "--format", "json"])
+    @pytest.mark.parametrize("n", [330, 1100])
+    def test_pooled_search_without_recursion(self, n, capsys):
+        # the pooled residual has 1,320 (n=330) and 1,100 (n=1100) edges
+        # in one component, more than Python's default recursion depth
+        assert main(["color", "--method", "thm21-even", "--n", str(n),
+                     "--k", "10", "--i", "1", "--format", "json"]) == EXIT_OK
+        tc = coloring_from_json_dict(json.loads(capsys.readouterr().out))
+        report = verify_total_coloring(power_of_cycle(n, 10), tc)
+        assert report.proper and report.colors_used <= 21
+
+    def test_pooled_search_under_low_recursion_limit(self):
+        script = ("import sys; sys.setrecursionlimit(200); "
+                  "from circulant_coloring.cli import main; "
+                  "sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "color", "--method", "thm21-even",
+             "--n", "1100", "--k", "10", "--i", "1", "--format", "json"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["report"]["colors_used"] == 21
 
 
 class TestMalformedInput:
@@ -321,6 +338,30 @@ class TestMalformedInput:
         assert "malformed coloring file" in err
         assert "endpoint 7 outside 0..2" in err
 
+    @pytest.mark.parametrize("command", ["verify", "export"])
+    def test_json_edge_listed_twice(self, command, tmp_path, capsys):
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(
+            {"n": 3, "vertex_colors": [1, 2, 3],
+             "edges": [{"u": 0, "v": 1, "c": 3}, {"u": 0, "v": 1, "c": 9},
+                       {"u": 0, "v": 2, "c": 2}, {"u": 1, "v": 2, "c": 1}]}))
+        argv = (["verify", "--n", "3", "--gens", "1", "--in", str(path)]
+                if command == "verify" else
+                ["export", "--in", str(path), "--format", "csv",
+                 "--out", str(tmp_path / "out.csv")])
+        assert main(argv) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "malformed coloring file" in err
+        assert "edge (0, 1) listed twice" in err
+
+    def test_csv_asymmetric(self, tmp_path, capsys):
+        path = tmp_path / "asymmetric.csv"
+        path.write_text(",0,1,2\n0,1,3,2\n1,9,2,1\n2,2,1,3\n")
+        assert self.verify(path) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "malformed coloring file" in err
+        assert "cell (0, 1) = 3 differs from cell (1, 0) = 9" in err
+
     def test_csv_text_cell(self, tmp_path, capsys):
         path = tmp_path / "text.csv"
         path.write_text(",0,1,2\n0,1,x,3\n1,x,2,1\n2,3,1,3\n")
@@ -360,7 +401,11 @@ def fuzz_files(tmp_path_factory):
     (work / "far.json").write_text(json.dumps(
         {"n": 3, "vertex_colors": [1, 2, 3],
          "edges": [{"u": 1, "v": 7, "c": 3}]}))
+    (work / "twice.json").write_text(json.dumps(
+        {"n": 3, "vertex_colors": [1, 2, 3],
+         "edges": [{"u": 0, "v": 1, "c": 3}, {"u": 0, "v": 1, "c": 9}]}))
     (work / "text.csv").write_text(",0,1\n0,1,x\n1,x,2\n")
+    (work / "asymmetric.csv").write_text(",0,1\n0,1,3\n1,9,2\n")
     (work / "wildcard.csv").write_text(",0,1\n0,1,*\n1,*,2\n")
     (work / "broken.json").write_text('{"n": ')
     return work
@@ -370,7 +415,8 @@ def fuzz_files(tmp_path_factory):
 # and bad, malformed files, and one that does not exist.
 FUZZ_FILES = ("equitable.csv", "nsd.json", "improper.csv", "partial.json",
               "loop.json", "no_vertices.json", "text_color.json", "far.json",
-              "text.csv", "wildcard.csv", "broken.json", "absent.json")
+              "twice.json", "text.csv", "asymmetric.csv", "wildcard.csv",
+              "broken.json", "absent.json")
 
 _gens_text = st.one_of(
     st.lists(st.integers(0, 45), max_size=8).map(
@@ -422,9 +468,7 @@ def cli_argv(draw):
 
 class TestFuzz:
     """Every subcommand, method and quantity, with n <= 40 and a budget of
-    at most 2000 nodes, so that each example is short and the pooled
-    search's recursion stays below Python's limit; the limit itself is
-    TestExitContract.test_pooled_search_depth."""
+    at most 2000 nodes, so that each example is short."""
 
     @given(argv=cli_argv())
     @settings(max_examples=120, deadline=None)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +75,38 @@ class TestMatrix:
         assert m[0][1] == m[1][0] == 3
         assert m[0][2] is None  # non-edge
         assert [m[i][i] for i in range(4)] == [1, 2, 1, 2]
+
+    def test_asymmetric_rejected(self):
+        # a value below the diagonal with a blank mirror above it
+        m = to_matrix(sample_coloring())
+        m[2][0] = 4
+        with pytest.raises(ValueError,
+                           match=r"cell \(2, 0\) = 4 differs from "
+                                 r"cell \(0, 2\) = None"):
+            from_matrix(m)
+
+    def test_rejects_exactly_the_asymmetric(self):
+        rng = random.Random(1)
+        for _ in range(2000):
+            n = rng.randint(1, 6)
+            m = [[None] * n for _ in range(n)]
+            for u in range(n):
+                m[u][u] = rng.choice([None, 1, 2])
+                for v in range(u + 1, n):
+                    if rng.random() < 0.5:
+                        m[u][v] = m[v][u] = rng.randint(0, 3)
+            for _ in range(rng.randint(0, 2)):
+                u, v = rng.randrange(n), rng.randrange(n)
+                if u != v:
+                    m[u][v] = rng.choice([None, 0, 1, 5])
+            symmetric = all(m[u][v] == m[v][u]
+                            for u in range(n) for v in range(n))
+            try:
+                from_matrix(m)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted is symmetric, m
 
     def test_header_layout(self):
         rows = list(matrix_csv_rows(sample_coloring()))

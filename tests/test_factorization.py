@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circulant_coloring import constructions, factorization
 from circulant_coloring.errors import (
     FactorizationImpossible,
     PreconditionFailed,
+    SearchBudgetExceeded,
 )
 from circulant_coloring.factorization import (
     Matching,
+    _exact_edge_coloring,
     edge_color_delta_plus_one,
     hamiltonian_cycle,
     one_factorize,
@@ -98,6 +101,142 @@ class TestOneFactorize:
                     assert not generates_group(GeneratorSet(n, tuple(ds)))
                     continue
                 check_factorization(g, fac)
+
+
+def reference_edge_coloring(edges, num_colors, budget, start=None):
+    """The recursive search the iterative kernel replaced, kept as its
+    reference: (Edge -> color in the order colored, or None; nodes)."""
+    used = {}  # vertex -> set of colors
+    if start is not None:
+        used = {u: {c} for u, c in enumerate(start.vertex_colors)}
+        for (u, v), c in start.edge_colors.items():
+            used[u].add(c)
+            used[v].add(c)
+        edges = [e for e in edges if e not in start.edge_colors]
+    edges = sorted(edges)
+    for u, v in edges:
+        used.setdefault(u, set())
+        used.setdefault(v, set())
+    assignment = {}
+    palette = set(range(1, num_colors + 1))
+    nodes = 0
+
+    def available(e):
+        u, v = e
+        return palette - used[u] - used[v]
+
+    def pick():
+        best, best_n = None, num_colors + 1
+        for e in edges:
+            if e in assignment:
+                continue
+            a = len(available(e))
+            if a < best_n:
+                best, best_n = e, a
+                if a == 0:
+                    break
+        return best
+
+    def solve():
+        nonlocal nodes
+        e = pick()
+        if e is None:
+            return True
+        at_u, at_v = used[e[0]], used[e[1]]
+        for c in sorted(available(e)):
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(
+                    "edge-coloring search exceeded %d nodes" % budget)
+            assignment[e] = c
+            at_u.add(c)
+            at_v.add(c)
+            if solve():
+                return True
+            del assignment[e]
+            at_u.discard(c)
+            at_v.discard(c)
+        return False
+
+    return (assignment if solve() else None), nodes
+
+
+def searches_of(build):
+    """The (edges, num_colors, budget, start) of every exact edge-coloring
+    search that ``build()`` runs, pooled 1-factorization and fallback
+    completion alike."""
+    calls = []
+
+    def record(edges, num_colors, budget, start=None):
+        calls.append((list(edges), num_colors, budget, start))
+        return _exact_edge_coloring(edges, num_colors, budget, start=start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factorization, "_exact_edge_coloring", record)
+        mp.setattr(constructions, "_exact_edge_coloring", record)
+        build()
+    return calls
+
+
+def assert_same_search(edges, num_colors, budget, start=None):
+    """The kernel colors like the reference, in the same order, and runs
+    out of budget exactly where the reference does.  Returns the
+    reference's node count, or None when it ran out of budget."""
+    try:
+        want, nodes = reference_edge_coloring(edges, num_colors, budget,
+                                              start)
+    except SearchBudgetExceeded as exc:
+        with pytest.raises(SearchBudgetExceeded, match=str(exc)):
+            _exact_edge_coloring(edges, num_colors, budget, start=start)
+        return None
+    got = _exact_edge_coloring(edges, num_colors, nodes, start=start)
+    assert got == want
+    if got is not None:
+        assert list(got.items()) == list(want.items())
+    if nodes:
+        with pytest.raises(SearchBudgetExceeded,
+                           match="exceeded %d nodes" % (nodes - 1)):
+            _exact_edge_coloring(edges, num_colors, nodes - 1, start=start)
+    return nodes
+
+
+class TestExactEdgeColoring:
+    """The iterative kernel against the recursive reference: same
+    colorings, same node counts, same budget errors."""
+
+    @pytest.mark.parametrize("n,k,i,budget,nodes", [
+        (66, 10, 1, None, [2412]), (42, 13, 8, None, [13097]),
+        (76, 17, 2, None, [4513]), (28, 5, 2, None, [236]),
+        (28, 6, 1, None, [236]),
+        # the pooled search runs out at 150 nodes (None), the completion
+        # from the tiling finishes in 117
+        (22, 10, 1, 150, [None, 117])])
+    def test_builder_searches(self, n, k, i, budget, nodes):
+        kw = {} if budget is None else {"budget": budget}
+        calls = searches_of(
+            lambda: constructions.color_power_cycle_even(n, k, i, **kw))
+        assert [assert_same_search(*call) for call in calls] == nodes
+
+    def test_random_graphs(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(2, 9)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = [Edge(u, v) for u, v in rng.sample(
+                pairs, rng.randint(0, len(pairs)))]
+            num_colors = rng.randint(1, 6)
+            assert_same_search(edges, num_colors, 2000)
+
+    def test_palette_wider_than_a_byte(self):
+        # free-color counts above 255 take the list path of the pick
+        g = build_circulant(12, [1, 2, 3])
+        assert_same_search(g.edges, 300, 10_000)
+        assert _exact_edge_coloring(g.edges, 300, 10_000) is not None
+
+    def test_infeasible_exhausts(self):
+        g = build_circulant(5, [1])  # an odd cycle needs 3 colors
+        assert_same_search(g.edges, 2, 1000)
+        assert _exact_edge_coloring(g.edges, 2, 1000) is None
 
 
 class TestMatching:

@@ -8,6 +8,8 @@ from circulant_coloring.golden import rebuild_table
 from circulant_coloring.graphs import Edge, build_circulant, power_of_cycle
 from circulant_coloring.verifiers import (
     TypeLabel,
+    Violation,
+    _edge_clash,
     classify_type,
     find_violations,
     verify_equitable,
@@ -70,6 +72,70 @@ class TestProperness:
         assert len([v for v in violations if v.kind == "vertex-vertex"]) == 4
         assert len([v for v in violations if v.kind == "vertex-edge"]) == 8
         assert len([v for v in violations if v.kind == "edge-edge"]) == 4
+
+
+def reference_violations(g, tc):
+    """find_violations as one pass with a (vertex, color) dict for the
+    edge-edge clashes, before the bitmask test was put in front of it."""
+    violations, at_vertex = [], {}
+    for e in g.edges:
+        u, v = e
+        ce, cu, cv = tc.edge_colors[e], tc.vertex_colors[u], tc.vertex_colors[v]
+        if cu == cv:
+            violations.append(Violation("vertex-vertex", (u, v, cu)))
+        if ce == cu:
+            violations.append(Violation("vertex-edge", (u, e, ce)))
+        if ce == cv:
+            violations.append(Violation("vertex-edge", (v, e, ce)))
+    for e in g.edges:
+        ce = tc.edge_colors[e]
+        for end in e:
+            if (end, ce) in at_vertex:
+                violations.append(Violation(
+                    "edge-edge", (end, at_vertex[(end, ce)], e, ce)))
+            else:
+                at_vertex[(end, ce)] = e
+    return violations
+
+
+@st.composite
+def colored_circulants(draw):
+    """A circulant with vertex and edge colors drawn from a palette that
+    is small (clashes likely), or holds 0, negatives and 10**12."""
+    n = draw(st.integers(3, 16))
+    gens = draw(st.lists(st.integers(1, n // 2), min_size=1, max_size=4,
+                         unique=True))
+    g = build_circulant(n, gens)
+    palette = draw(st.one_of(
+        st.lists(st.integers(1, 2 * g.degree + 2), min_size=1, max_size=8),
+        st.lists(st.sampled_from([0, -1, -7, 10**12, 10**12 + 1, 3]),
+                 min_size=1)))
+    colors = st.sampled_from(palette)
+    tc = TotalColoring(tuple(draw(colors) for _ in range(n)),
+                       {e: draw(colors) for e in g.edges})
+    return g, tc
+
+
+class TestEdgeClashPass:
+    @given(colored_circulants())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_dict_pass(self, case):
+        g, tc = case
+        want = reference_violations(g, tc)
+        assert find_violations(g, tc) == want
+        edge_colors = [tc.edge_colors[e] for e in g.edges]
+        assert _edge_clash(g.n, g.edges, edge_colors) == any(
+            v.kind == "edge-edge" for v in want)
+
+    def test_more_colors_than_masks_hold(self):
+        # 1,200 distinct edge colors take the dict pass directly
+        g = power_of_cycle(200, 6)
+        colors = {e: 10**12 + t for t, e in enumerate(g.edges)}
+        tc = TotalColoring(tuple([1] * 200), colors)
+        assert find_violations(g, tc) == reference_violations(g, tc)
+        clash = tc.with_edge_colors({g.edges[1]: colors[g.edges[0]]})
+        assert find_violations(g, clash) == reference_violations(g, clash)
+        assert any(v.kind == "edge-edge" for v in find_violations(g, clash))
 
 
 class TestEquitable:
