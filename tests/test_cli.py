@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -257,13 +258,21 @@ class TestExitContract:
         assert proc.returncode == EXIT_PRECONDITION
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("n", [330, 1100])
-    def test_pooled_search_without_recursion(self, n, capsys):
+    # sha256 of the JSON stdout printed by the recursive edge-coloring
+    # search this kernel replaced, run under a raised recursion limit
+    @pytest.mark.parametrize("n,digest", [
+        (330, "4c7d6972bb420819f6a697b2b1a6f6c0"
+              "af1c20b202dbb1b96efa0b5b4255812c"),
+        (1100, "8ecd38c991af0b1239366ec2417cfa83"
+               "d90a0d42a68ed3494b6fcf8e9d15df3e")])
+    def test_pooled_search_without_recursion(self, n, digest, capsys):
         # the pooled residual has 1,320 (n=330) and 1,100 (n=1100) edges
         # in one component, more than Python's default recursion depth
         assert main(["color", "--method", "thm21-even", "--n", str(n),
                      "--k", "10", "--i", "1", "--format", "json"]) == EXIT_OK
-        tc = coloring_from_json_dict(json.loads(capsys.readouterr().out))
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        tc = coloring_from_json_dict(json.loads(out))
         report = verify_total_coloring(power_of_cycle(n, 10), tc)
         assert report.proper and report.colors_used <= 21
 
