@@ -27,10 +27,9 @@ import sys
 from . import golden
 from .coloring import (
     TotalColoring,
+    coloring_from_csv_text,
     coloring_json_text,
-    from_matrix,
-    malformed_file,
-    matrix_csv_rows,
+    matrix_csv_lines,
     read_coloring_json,
     read_matrix_csv,
     write_coloring_json,
@@ -115,8 +114,7 @@ def _emit(tc: TotalColoring, fmt: str, out: str | None, suffix: str = "",
         sys.stdout.write(coloring_json_text(tc, extra))
         sys.stdout.write("\n")
     else:
-        for row in matrix_csv_rows(tc):
-            print(",".join(row))
+        sys.stdout.writelines(map("%s\n".__mod__, matrix_csv_lines(tc)))
         if extra is not None:
             print("# " + json.dumps(extra, sort_keys=True))
 
@@ -200,15 +198,7 @@ def cmd_color(args) -> int:
 def _load_coloring(path: str) -> TotalColoring:
     if path.endswith(".json"):
         return read_coloring_json(path)
-    matrix, wildcards = read_matrix_csv(path)
-    if wildcards:
-        raise PreconditionFailed(
-            "input matrix has wildcard cells; cannot verify: %s"
-            % sorted(wildcards)[:5])
-    try:
-        return from_matrix(matrix)
-    except ValueError as exc:
-        raise malformed_file(path, exc) from exc
+    return read_matrix_csv(path, coloring_from_csv_text)
 
 
 def cmd_verify(args) -> int:

@@ -3,17 +3,19 @@
 A total coloring is a vertex color vector plus an edge color map.  The
 color matrix view is the n x n symmetric array with vertex colors on the
 diagonal and edge colors off it, mirroring the published tables; blank
-cells are non-edges.
+cells are non-edges.  Reading or writing a coloring never holds that grid.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from bisect import bisect_left
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import itemgetter, lt
 
 from .errors import PreconditionFailed
 from .graphs import Edge, ordered_edge
@@ -80,93 +82,114 @@ def to_matrix(tc: TotalColoring) -> list[list]:
     return m
 
 
-def from_matrix(matrix) -> TotalColoring:
-    """Raises ValueError when the matrix is not symmetric: every filled
-    cell must equal its mirror across the diagonal."""
-    n = len(matrix)
-    vertex_colors = tuple(matrix[u][u] for u in range(n))
-    edge_colors = {}
-    for u, row in enumerate(matrix):
-        for v in range(u + 1, n):
-            c = row[v]
-            if c is not None:
-                if matrix[v][u] != c:
-                    raise _asymmetric(matrix, u, v)
-                edge_colors[ordered_edge((u, v))] = c
-    # every upper cell has its mirror, so a count above one filled lower
-    # cell per edge means a lower cell whose mirror is blank
-    filled = sum(len(row) - row.count(None) for row in matrix)
-    if filled > n - vertex_colors.count(None) + 2 * len(edge_colors):
-        raise _asymmetric(matrix, *next(
-            (u, v) for u in range(n) for v in range(u)
-            if matrix[u][v] is not None and matrix[v][u] is None))
-    return TotalColoring(vertex_colors, edge_colors)
-
-
-def _asymmetric(matrix, u, v) -> ValueError:
-    return ValueError("cell (%d, %d) = %s differs from cell (%d, %d) = %s"
-                     % (u, v, matrix[u][v], v, u, matrix[v][u]))
-
-
-def matrix_csv_rows(tc: TotalColoring):
-    """CSV layout of the published tables, one row at a time: header
-    row/column of vertex indices, blank cells for non-edges.  Each row is
-    filled from its vertex's incident edges, so no n x n grid is held."""
+def matrix_csv_lines(tc: TotalColoring):
+    """CSV layout of the published tables, one line at a time: header
+    row/column of vertex indices, blank cells for non-edges.  A line is its
+    vertex's sorted filled cells, each after a run of commas for the gap."""
     n = tc.n
-    incident = [[] for _ in range(n)]
+    rows = [[(u, c)] for u, c in enumerate(tc.vertex_colors)]
     for (u, v), c in tc.edge_colors.items():
-        incident[u].append((v, str(c)))
-        incident[v].append((u, str(c)))
-    yield [""] + [str(v) for v in range(n)]
-    for u in range(n):
-        row = [""] * n
-        row[u] = str(tc.vertex_colors[u])
-        for v, c in incident[u]:
-            row[v] = c
-        yield [str(u)] + row
+        rows[u].append((v, c))
+        rows[v].append((u, c))
+    # csv quotes a lone empty field, so the header of n = 0 is ""
+    yield ",".join(["", *map(str, range(n))]) or '""'
+    for u, cells in enumerate(rows):
+        cells.sort()
+        last = [-1] + [v for v, _ in cells]  # the previous filled column
+        line = ["," * (v - w) + str(c) for (v, c), w in zip(cells, last)]
+        yield "".join([str(u), *line, "," * (n - 1 - last[-1])])
+
+
+@contextmanager
+def _opened(path, *mode, malformed=(), **kwargs):
+    """open(path, ...), where an OSError is a PreconditionFailed and an
+    exception of a class in ``malformed`` a malformed coloring file."""
+    try:
+        with open(path, *mode, **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise PreconditionFailed(str(exc)) from exc
+    except malformed as exc:
+        raise PreconditionFailed("malformed coloring file %s: %s: %s"
+                                 % (path, type(exc).__name__, exc)) from exc
 
 
 def write_matrix_csv(tc: TotalColoring, path) -> None:
-    try:
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows(matrix_csv_rows(tc))
-    except OSError as exc:
-        raise PreconditionFailed(str(exc)) from exc
+    with _opened(path, "w", newline="") as fh:
+        fh.writelines(map("%s\r\n".__mod__, matrix_csv_lines(tc)))
+
+
+def _filled_cells(text: str):
+    """(n, rows, wildcards) of a colour-matrix CSV: rows[u] is the columns
+    of row u's integer cells and their colours, wildcards the '*' cells.
+    Raises ValueError on a non-integer cell or a frame other than header
+    ,0,1,...,n-1, row labels 0..n-1 and no filled cell past column n-1."""
+    lines = filter(None, csv.reader(text.splitlines()))
+    header = [cell.strip() for cell in next(lines, ["?"])]
+    n = len(header) - 1
+    if header != ["", *map(str, range(n))]:
+        raise ValueError("header row is not ,0,1,...,n-1")
+    rows, labels, wildcards = [], [], set()
+    for u, line in enumerate(lines):
+        labels.append(line[0].strip())
+        if any(map(str.strip, line[n + 1:])):
+            raise ValueError("row %d has a cell past column %d" % (u, n - 1))
+        line = line[1:n + 1]
+        cols = list(compress(range(n), line))
+        cells = list(map(str.strip, map(line.__getitem__, cols)))
+        if "*" in cells or "" in cells:  # a wildcard or whitespace cell
+            wildcards.update((u, v) for v, c in zip(cols, cells) if c == "*")
+            keep = [c not in ("", "*") for c in cells]
+            cols, cells = [*compress(cols, keep)], [*compress(cells, keep)]
+        rows.append((cols, list(map(int, cells))))
+    if labels != header[1:]:
+        raise ValueError("row labels are not 0,1,...,n-1")
+    return n, rows, wildcards
 
 
 def parse_matrix_csv_text(text: str):
     """Returns (matrix, wildcards): matrix entries are int/None; cells
     marked '*' are wildcards (legible-in-principle but not trusted)."""
-    rows = [r for r in csv.reader(text.splitlines()) if r]
-    body = rows[1:]
-    n = len(body)
+    n, rows, wildcards = _filled_cells(text)
     matrix = [[None] * n for _ in range(n)]
-    wildcards = set()
-    for u, row in enumerate(body):
-        for v, cell in enumerate(row[1 : n + 1]):
-            cell = cell.strip()
-            if not cell:
-                continue
-            if cell == "*":
-                wildcards.add((u, v))
-            else:
-                matrix[u][v] = int(cell)
+    for row, (cols, colours) in zip(matrix, rows):
+        for v, c in zip(cols, colours):
+            row[v] = c
     return matrix, wildcards
 
 
-def malformed_file(path, exc) -> PreconditionFailed:
-    return PreconditionFailed("malformed coloring file %s: %s: %s"
-                              % (path, type(exc).__name__, exc))
+def coloring_from_csv_text(text: str) -> TotalColoring:
+    """Raises PreconditionFailed on wildcard cells, and ValueError unless
+    every filled cell equals its mirror across the diagonal."""
+    n, rows, wildcards = _filled_cells(text)
+    if wildcards:
+        raise PreconditionFailed("input matrix has wildcard cells; cannot "
+                                 "verify: %s" % sorted(wildcards)[:5])
+    vertex_colors, upper, lower = [], {}, {}  # keyed by (min, max)
+    for u, (cols, colours) in enumerate(rows):
+        i = bisect_left(cols, u)  # cols[:i] lie below the diagonal
+        j = i + (cols[i:i + 1] == [u])  # cols[j:] above it
+        vertex_colors.append(colours[i] if j > i else None)
+        lower.update(zip(zip(cols[:i], repeat(u)), colours[:i]))
+        upper.update(zip(map(ordered_edge, zip(repeat(u), cols[j:])),
+                         colours[j:]))
+    if upper != lower:
+        # the first upper cell in row-major order whose mirror differs,
+        # else the first lower cell whose mirror is blank
+        bad = ([(e, c, lower.get(e)) for e, c in upper.items()
+                if lower.get(e) != c]
+               or [((u, v), c, None) for (v, u), c in lower.items()
+                   if (v, u) not in upper])
+        (u, v), c, mirror = bad[0]
+        raise ValueError("cell (%d, %d) = %s differs from cell (%d, %d) = %s"
+                         % (u, v, c, v, u, mirror))
+    return TotalColoring(tuple(vertex_colors), upper)
 
 
-def read_matrix_csv(path):
-    try:
-        with open(path) as fh:
-            return parse_matrix_csv_text(fh.read())
-    except OSError as exc:
-        raise PreconditionFailed(str(exc)) from exc
-    except (ValueError, csv.Error) as exc:
-        raise malformed_file(path, exc) from exc
+def read_matrix_csv(path, parse=parse_matrix_csv_text):
+    """parse(text) of the file: the dense (matrix, wildcards) by default."""
+    with _opened(path, malformed=(ValueError, csv.Error)) as fh:
+        return parse(fh.read())
 
 
 def coloring_from_json_dict(d: dict) -> TotalColoring:
@@ -174,21 +197,20 @@ def coloring_from_json_dict(d: dict) -> TotalColoring:
     a colour or endpoint that is not an int (bools included), an edge
     with u >= v, an edge listed twice, or an endpoint outside 0..n-1."""
     vertex_colors = tuple(d["vertex_colors"])
-    edge_colors = {Edge(e["u"], e["v"]): e["c"] for e in d["edges"]}
-    if len(edge_colors) != len(d["edges"]):
-        twice = Counter((e["u"], e["v"]) for e in d["edges"]).most_common(1)
-        raise ValueError("edge %s listed twice" % (twice[0][0],))
-    kinds = set(map(type, chain(vertex_colors, edge_colors.values(),
-                                chain.from_iterable(edge_colors))))
+    us, vs, cs = (list(map(itemgetter(key), d["edges"])) for key in "uvc")
+    kinds = set(map(type, chain(vertex_colors, cs, us, vs)))
     if not kinds <= {int}:
         raise TypeError("colours and endpoints must be integers, not %s"
                         % ", ".join(sorted(k.__name__ for k in kinds - {int})))
-    if edge_colors:
-        lo = min(map(itemgetter(0), edge_colors))
-        hi = max(map(itemgetter(1), edge_colors))
-        if lo < 0 or hi >= len(vertex_colors):
-            raise ValueError("edge endpoint %d outside 0..%d"
-                             % (lo if lo < 0 else hi, len(vertex_colors) - 1))
+    if not all(map(lt, us, vs)):  # Edge raises on the first bad pair
+        Edge(*next((u, v) for u, v in zip(us, vs) if u >= v))
+    edge_colors = dict(zip(map(ordered_edge, zip(us, vs)), cs))
+    if len(edge_colors) != len(cs):
+        twice = Counter(zip(us, vs)).most_common(1)
+        raise ValueError("edge %s listed twice" % (twice[0][0],))
+    if us and (min(us) < 0 or max(vs) >= len(vertex_colors)):
+        raise ValueError("edge endpoint %d outside 0..%d" % (
+            min(us) if min(us) < 0 else max(vs), len(vertex_colors) - 1))
     return TotalColoring(vertex_colors, edge_colors)
 
 
@@ -216,19 +238,11 @@ def coloring_json_text(tc: TotalColoring, report: dict | None = None) -> str:
 
 
 def write_coloring_json(tc: TotalColoring, path) -> None:
-    try:
-        with open(path, "w") as fh:
-            fh.write(coloring_json_text(tc))
-            fh.write("\n")
-    except OSError as exc:
-        raise PreconditionFailed(str(exc)) from exc
+    with _opened(path, "w") as fh:
+        fh.write(coloring_json_text(tc))
+        fh.write("\n")
 
 
 def read_coloring_json(path) -> TotalColoring:
-    try:
-        with open(path) as fh:
-            return coloring_from_json_dict(json.load(fh))
-    except OSError as exc:
-        raise PreconditionFailed(str(exc)) from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise malformed_file(path, exc) from exc
+    with _opened(path, malformed=(KeyError, TypeError, ValueError)) as fh:
+        return coloring_from_json_dict(json.load(fh))

@@ -69,15 +69,9 @@ def compare_table(table_id: int) -> list[CellMismatch]:
     """Diff the rebuilt coloring against the fixture's trusted cells."""
     fixture, _wild = load_table(table_id)
     ours = to_matrix(rebuild_table(table_id))
-    out = []
-    for i, row in enumerate(fixture):
-        for j, want in enumerate(row):
-            if want is None:
-                continue
-            got = ours[i][j]
-            if got != want:
-                out.append(CellMismatch(i, j, want, got))
-    return out
+    return [CellMismatch(i, j, want, ours[i][j])
+            for i, row in enumerate(fixture) for j, want in enumerate(row)
+            if want is not None and ours[i][j] != want]
 
 
 def reproduce_table(table_id: int) -> int:
@@ -89,5 +83,4 @@ def reproduce_table(table_id: int) -> int:
             % (table_id, len(mismatches), mismatches[0]),
             mismatches=mismatches,
         )
-    fixture, _wild = load_table(table_id)
-    return sum(1 for row in fixture for cell in row if cell is not None)
+    return sum(len(row) - row.count(None) for row in load_table(table_id)[0])

@@ -70,6 +70,9 @@ def _check_assignments(g: CirculantGraph, tc: TotalColoring) -> None:
     for u, c in enumerate(tc.vertex_colors):
         if c is None or c < 1:
             raise VerificationFailed("vertex %d has no valid color" % u)
+    if min(tc.edge_colors.values(), default=1) < 1:
+        e = next(e for e, c in tc.edge_colors.items() if c < 1)
+        raise VerificationFailed("edge (%d, %d) has no valid color" % e)
 
 
 def find_violations(g: CirculantGraph, tc: TotalColoring) -> list:

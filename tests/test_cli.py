@@ -371,6 +371,30 @@ class TestMalformedInput:
         assert "malformed coloring file" in err
         assert "cell (0, 1) = 3 differs from cell (1, 0) = 9" in err
 
+    def test_json_edge_colors_below_one(self, tmp_path, capsys):
+        path = tmp_path / "nonpositive.json"
+        path.write_text(json.dumps(
+            {"n": 3, "vertex_colors": [1, 2, 3],
+             "edges": [{"u": 0, "v": 1, "c": 0}, {"u": 0, "v": 2, "c": -1},
+                       {"u": 1, "v": 2, "c": -2}]}))
+        assert self.verify(path) == EXIT_VERIFICATION
+        assert "edge (0, 1) has no valid color" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        (",0,1,2\n0,1,3,2,7\n1,3,2,1\n2,2,1,3\n",
+         "row 0 has a cell past column 2"),
+        (",5,6,7\n9,1,3,2\n8,3,2,1\n7,2,1,3\n", "header row"),
+        (",0,1,2\n9,1,3,2\n1,3,2,1\n2,2,1,3\n",
+         "row labels are not 0,1,...,n-1"),
+    ])
+    def test_csv_frame(self, text, message, tmp_path, capsys):
+        path = tmp_path / "frame.csv"
+        path.write_text(text)
+        assert self.verify(path) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "malformed coloring file" in err
+        assert message in err
+
     def test_csv_text_cell(self, tmp_path, capsys):
         path = tmp_path / "text.csv"
         path.write_text(",0,1,2\n0,1,x,3\n1,x,2,1\n2,3,1,3\n")

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 
 from circulant_coloring.coloring import (
     TotalColoring,
+    coloring_from_csv_text,
     coloring_from_json_dict,
     coloring_json_text,
-    from_matrix,
-    matrix_csv_rows,
+    matrix_csv_lines,
     parse_matrix_csv_text,
     read_coloring_json,
     read_matrix_csv,
@@ -22,7 +23,82 @@ from circulant_coloring.coloring import (
 )
 from circulant_coloring.constructions import color_power_cycle_odd
 from circulant_coloring.errors import PreconditionFailed
-from circulant_coloring.graphs import Edge, build_circulant
+from circulant_coloring.graphs import Edge, build_circulant, ordered_edge
+
+
+# Reference reader: it walks every cell of the n x n grid and ignores the
+# header row and column.  On a text with the frame in place the sparse
+# reader must return what it returns, or raise what it raises.
+
+
+def reference_matrix(text: str):
+    """(matrix, wildcards) of a colour-matrix CSV text."""
+    rows = [r for r in csv.reader(text.splitlines()) if r]
+    body = rows[1:]
+    n = len(body)
+    matrix = [[None] * n for _ in range(n)]
+    wildcards = set()
+    for u, row in enumerate(body):
+        for v, cell in enumerate(row[1 : n + 1]):
+            cell = cell.strip()
+            if not cell:
+                continue
+            if cell == "*":
+                wildcards.add((u, v))
+            else:
+                matrix[u][v] = int(cell)
+    return matrix, wildcards
+
+
+def from_matrix(matrix) -> TotalColoring:
+    """Raises ValueError when the matrix is not symmetric: every filled
+    cell must equal its mirror across the diagonal."""
+    n = len(matrix)
+    vertex_colors = tuple(matrix[u][u] for u in range(n))
+    edge_colors = {}
+    for u, row in enumerate(matrix):
+        for v in range(u + 1, n):
+            c = row[v]
+            if c is not None:
+                if matrix[v][u] != c:
+                    raise _asymmetric(matrix, u, v)
+                edge_colors[ordered_edge((u, v))] = c
+    # every upper cell has its mirror, so a count above one filled lower
+    # cell per edge means a lower cell whose mirror is blank
+    filled = sum(len(row) - row.count(None) for row in matrix)
+    if filled > n - vertex_colors.count(None) + 2 * len(edge_colors):
+        raise _asymmetric(matrix, *next(
+            (u, v) for u in range(n) for v in range(u)
+            if matrix[u][v] is not None and matrix[v][u] is None))
+    return TotalColoring(vertex_colors, edge_colors)
+
+
+def _asymmetric(matrix, u, v) -> ValueError:
+    return ValueError("cell (%d, %d) = %s differs from cell (%d, %d) = %s"
+                      % (u, v, matrix[u][v], v, u, matrix[v][u]))
+
+
+def reference_coloring(text: str) -> TotalColoring:
+    """What reading a CSV coloring file did with the dense reader."""
+    matrix, wildcards = reference_matrix(text)
+    if wildcards:
+        raise PreconditionFailed(
+            "input matrix has wildcard cells; cannot verify: %s"
+            % sorted(wildcards)[:5])
+    return from_matrix(matrix)
+
+
+def csv_text(tc) -> str:
+    return "\n".join(matrix_csv_lines(tc))
+
+
+def matrix_text(matrix) -> str:
+    """A dense matrix of ints and None as CSV text, with its frame."""
+    n = len(matrix)
+    lines = [",".join(["", *map(str, range(n))])]
+    lines += [",".join([str(u)] + ["" if c is None else str(c) for c in row])
+              for u, row in enumerate(matrix)]
+    return "\n".join(lines)
 
 
 def json_dict(tc) -> dict:
@@ -69,6 +145,7 @@ class TestMatrix:
     def test_round_trip(self):
         tc = sample_coloring()
         assert from_matrix(to_matrix(tc)) == tc
+        assert coloring_from_csv_text(csv_text(tc)) == tc
 
     def test_symmetry_and_blanks(self):
         m = to_matrix(sample_coloring())
@@ -83,7 +160,7 @@ class TestMatrix:
         with pytest.raises(ValueError,
                            match=r"cell \(2, 0\) = 4 differs from "
                                  r"cell \(0, 2\) = None"):
-            from_matrix(m)
+            coloring_from_csv_text(matrix_text(m))
 
     def test_rejects_exactly_the_asymmetric(self):
         rng = random.Random(1)
@@ -102,26 +179,31 @@ class TestMatrix:
             symmetric = all(m[u][v] == m[v][u]
                             for u in range(n) for v in range(n))
             try:
-                from_matrix(m)
+                coloring_from_csv_text(matrix_text(m))
                 accepted = True
             except ValueError:
                 accepted = False
             assert accepted is symmetric, m
 
     def test_header_layout(self):
-        rows = list(matrix_csv_rows(sample_coloring()))
-        assert rows[0] == ["", "0", "1", "2", "3"]
-        assert rows[1][0] == "0"
-        assert rows[1][3] == ""  # blank non-edge cell
+        lines = list(matrix_csv_lines(sample_coloring()))
+        assert lines[0] == ",0,1,2,3"
+        assert lines[1].split(",")[0] == "0"
+        assert lines[1].split(",")[3] == ""  # blank non-edge cell
+        assert [len(line.split(",")) for line in lines] == [5] * 5
+        # the reader takes the frame the writer lays out, and no other
+        assert coloring_from_csv_text("\n".join(lines)) == sample_coloring()
+        with pytest.raises(ValueError, match="header row"):
+            coloring_from_csv_text("\n".join([",1,2,3,4"] + lines[1:]))
 
 
 class TestCsvParsing:
     def test_round_trip_text(self):
         tc = sample_coloring()
-        text = "\n".join(",".join(r) for r in matrix_csv_rows(tc))
-        matrix, wildcards = parse_matrix_csv_text(text)
+        matrix, wildcards = parse_matrix_csv_text(csv_text(tc))
         assert not wildcards
         assert from_matrix(matrix) == tc
+        assert (matrix, wildcards) == reference_matrix(csv_text(tc))
 
     def test_wildcards(self):
         text = ",0,1\n0,1,*\n1,*,2\n"
@@ -136,6 +218,55 @@ class TestCsvParsing:
         assert matrix[0][0] == 1
 
 
+class TestCsvFrame:
+    """The header row must be ,0,1,...,n-1, row u must be labelled u, and
+    no filled cell may lie past column n-1."""
+
+    GOOD = ",0,1,2\n0,1,3,2\n1,3,2,1\n2,2,1,3\n"
+
+    def test_good_frame(self):
+        tc = coloring_from_csv_text(self.GOOD)
+        assert tc.vertex_colors == (1, 2, 3)
+        assert tc.edge_colors == {(0, 1): 3, (0, 2): 2, (1, 2): 1}
+        # frame cells are stripped as colour cells are
+        padded = ', 0,1 ,"2"\n 0,1,3,2\n1 ,3,2,1\n"2",2,1,3\n'
+        assert coloring_from_csv_text(padded) == tc
+
+    @pytest.mark.parametrize("text,message", [
+        # a filled cell past the last column is not dropped
+        (",0,1,2\n0,1,3,2,7\n1,3,2,1\n2,2,1,3\n",
+         r"row 0 has a cell past column 2"),
+        (",5,6,7\n9,1,3,2\n8,3,2,1\n7,2,1,3\n", "header row"),
+        (",0,1,2\n0,1,3,2\n2,3,2,1\n1,2,1,3\n", "row labels"),
+        (",0,1\n0,1,3\n1,3,2\n2,,\n", "row labels"),  # a row too many
+        (",0,1,2\n0,1,3,2\n1,3,2,1\n", "row labels"),  # a row too few
+        (",0,1,2,3\n0,1,3,2\n1,3,2,1\n2,2,1,3\n", "row labels"),
+        ("", "header row"),
+    ])
+    def test_bad_frame(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            coloring_from_csv_text(text)
+        with pytest.raises(ValueError, match=message):
+            parse_matrix_csv_text(text)
+
+    def test_short_rows_end_in_blanks(self):
+        text = ",0,1,2\n0,1,3\n1,3,2,1\n2,,1,3\n"
+        tc = coloring_from_csv_text(text + "\n\n")
+        assert tc.edge_colors == {(0, 1): 3, (1, 2): 1}
+        assert tc == reference_coloring(text)
+
+    def test_blank_cells_past_the_last_column(self):
+        text = ",0,1,2\n0,1,3,2, ,\n1,3,2,1\n2,2,1,3,\n"
+        assert coloring_from_csv_text(text) == reference_coloring(text)
+
+    def test_shipped_tables_have_the_frame(self):
+        for tid in range(1, 7):
+            path = (resources.files("circulant_coloring") / "golden"
+                    / ("table%d.csv" % tid))
+            text = path.read_text()
+            assert parse_matrix_csv_text(text) == reference_matrix(text)
+
+
 class TestFiles:
     def test_csv_round_trip(self, tmp_path):
         tc = sample_coloring()
@@ -144,6 +275,7 @@ class TestFiles:
         matrix, wildcards = read_matrix_csv(path)
         assert not wildcards
         assert from_matrix(matrix) == tc
+        assert read_matrix_csv(path, coloring_from_csv_text) == tc
 
     def test_json_round_trip(self, tmp_path):
         tc = sample_coloring()
@@ -219,7 +351,7 @@ class TestWriters:
 
     def test_csv_file_is_matrix_csv(self, tmp_path):
         for tc in (sample_coloring(), color_power_cycle_odd(21, 6, 1).coloring,
-                   TotalColoring((1, 2, 3), {})):
+                   TotalColoring((1, 2, 3), {}), TotalColoring((), {})):
             write_matrix_csv(tc, tmp_path / "t.csv")
             with open(tmp_path / "t.csv", newline="") as fh:
                 assert fh.read() == matrix_csv_reference(tc)
@@ -232,6 +364,8 @@ class TestBuilderColoringsRoundTrip:
         write_matrix_csv(tc, tmp_path / "t.csv")
         matrix, _ = read_matrix_csv(tmp_path / "t.csv")
         assert from_matrix(matrix) == tc
+        path = tmp_path / "t.csv"
+        assert read_matrix_csv(path, coloring_from_csv_text) == tc
         write_coloring_json(tc, tmp_path / "t.json")
         assert read_coloring_json(tmp_path / "t.json") == tc
 
@@ -244,11 +378,57 @@ def test_random_colorings_round_trip(n, data):
     ec = {e: data.draw(st.integers(1, 9)) for e in g.edges}
     tc = TotalColoring(vc, ec)
     assert from_matrix(to_matrix(tc)) == tc
-    text = "\n".join(",".join(r) for r in matrix_csv_rows(tc))
+    text = csv_text(tc)
     matrix, _ = parse_matrix_csv_text(text)
     assert from_matrix(matrix) == tc
+    assert coloring_from_csv_text(text) == tc
     assert coloring_from_json_dict(json.loads(coloring_json_text(tc))) == tc
     with_report = json_dict(tc)
     with_report["report"] = {"n": n}
     assert coloring_json_text(tc, {"n": n}) == json.dumps(
         with_report, indent=1, sort_keys=True)
+
+
+@st.composite
+def matrix_texts(draw):
+    """Colour-matrix CSV texts with the frame in place: blank, padded and
+    quoted cells, '*', 0 and negative colours, text cells, asymmetric
+    cells, short rows and blank lines."""
+    n = draw(st.integers(1, 5))
+    cell = st.one_of(st.none(), st.integers(-2, 6))
+    grid = [[None] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(u, n):
+            grid[u][v] = grid[v][u] = draw(cell)
+    changed = st.one_of(cell, st.sampled_from(["*", "x", "3 4"]))
+    for _ in range(draw(st.integers(0, 2))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        grid[u][v] = draw(changed)
+    pad = st.sampled_from(["", "", " ", "\t"])
+    lines = [",".join(["", *map(str, range(n))])]
+    for u, row in enumerate(grid):
+        cells = []
+        for c in row:
+            text = draw(pad) + ("" if c is None else str(c)) + draw(pad)
+            cells.append('"%s"' % text if draw(st.booleans()) else text)
+        if draw(st.booleans()):  # a short row
+            cells = cells[:draw(st.integers(0, n))]
+        lines.append(",".join([str(u)] + cells))
+        lines += [""] * draw(st.integers(0, 1))
+    return "\n".join(lines)
+
+
+def outcome(read, text):
+    try:
+        return read(text)
+    except (ValueError, PreconditionFailed) as exc:
+        return type(exc), str(exc)
+
+
+@given(matrix_texts())
+@settings(max_examples=300, deadline=None)
+def test_sparse_reader_matches_dense_reference(text):
+    assert (outcome(coloring_from_csv_text, text)
+            == outcome(reference_coloring, text))
+    assert outcome(parse_matrix_csv_text, text) == outcome(reference_matrix,
+                                                           text)

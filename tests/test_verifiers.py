@@ -59,6 +59,15 @@ class TestProperness:
         with pytest.raises(VerificationFailed, match="uncolored edges"):
             verify_total_coloring(g, partial)
 
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_edge_color_below_one(self, bad):
+        # colours are 1-based: 0 and -1 are no colour, on edges as on
+        # vertices, even where no two elements clash
+        g, tc = k2_coloring()
+        with pytest.raises(VerificationFailed,
+                           match=r"edge \(1, 2\) has no valid color"):
+            verify_total_coloring(g, tc.with_edge_colors({Edge(1, 2): bad}))
+
     def test_vertex_count_mismatch(self):
         g, _ = k2_coloring()
         with pytest.raises(VerificationFailed,
