@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Survey builders against the exact oracle on every admissible
-power-of-cycle instance with n <= 12.
+"""Survey builders against the exact oracle on every power-of-cycle
+instance C_n^k with n <= 12.
 
-For each instance the table lists the exact total chromatic number, the
-builder's color count, and the gap.  The builder should always land
-within one color of the optimum (and exactly at Delta+1 on even n).
+For each instance the table lists the exact total chromatic number and
+its Type (I: Delta+1 colors, II: Delta+2).  Where Theorem 2.1 admits a
+builder (some odd k+i dividing n), it also lists i, the builder's color
+count and the gap; elsewhere those columns read ``-``.  The builder
+should always land within one color of the optimum (and exactly at
+Delta+1 on even n).
 
 Usage:
     python3 scripts/small_instance_survey.py [--max-n 12]
@@ -33,20 +36,23 @@ def main():
     ap.add_argument("--max-n", type=int, default=12)
     args = ap.parse_args()
 
-    print("%4s %3s %3s %8s %8s %4s" % ("n", "k", "i", "oracle", "builder", "gap"))
-    for n in range(4, args.max_n + 1):
+    row = "%4s %3s %3s %8s %4s %8s %4s"
+    print(row % ("n", "k", "i", "oracle", "type", "builder", "gap"))
+    for n in range(3, args.max_n + 1):
         for k in range(1, (n - 1) // 2 + 1):
-            i = admissible(n, k)
-            if i is None:
-                continue
             g = power_of_cycle(n, k)
             exact = exact_total_chromatic(g).value
+            kind = "I" if exact == g.degree + 1 else "II"
+            i = admissible(n, k)
+            if i is None:
+                print(row % (n, k, "-", exact, kind, "-", "-"))
+                continue
             if n % 2 == 0:
                 rep = color_power_cycle_even(n, k, i)
             else:
                 rep = color_power_cycle_odd(n, k, i)
-            print("%4d %3d %3d %8d %8d %4d"
-                  % (n, k, i, exact, rep.colors_used, rep.colors_used - exact))
+            print(row % (n, k, i, exact, kind, rep.colors_used,
+                         rep.colors_used - exact))
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ reproduce the shipped fixtures.
 Every subcommand exits with one of:
 
     0  success
-    1  any other toolkit error (a missing fixture) or a fixture mismatch
+    1  any other toolkit error (a missing fixture), a fixture mismatch,
+       or stdout closed before the output was written (a broken pipe)
     2  precondition failed: a bad or missing argument, a malformed or
        unreadable file, an instance too large for the oracle
     3  verification failed
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import golden
@@ -310,7 +312,15 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): what is left of the
+        # output, the interpreter's final flush included, goes to the null
+        # device, so nothing raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except PreconditionFailed as exc:
         print("precondition failed: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION

@@ -44,6 +44,7 @@ from .graphs import (
     power_of_cycle,
 )
 from .latin import closed_form_entry
+from .oracle import _total_search
 from .verifiers import verify_equitable, verify_nsd, verify_total_coloring
 
 
@@ -311,70 +312,21 @@ def _constrained_total_search(power: CirculantGraph, full: CirculantGraph,
     """Exact total coloring of the power subgraph whose vertex colors are
     additionally proper for the full graph.
 
-    MRV backtracking; new colors only enter in increasing order.  Raises
-    SearchBudgetExceeded on an exhausted node budget and
-    VerificationFailed when no coloring exists within the palette.
+    The oracle's kernel with its first-fewest pick: the first element,
+    vertices then edges, with the fewest free colors; new colors only
+    enter in increasing order.  Raises SearchBudgetExceeded on an
+    exhausted node budget and VerificationFailed when no coloring exists
+    within the palette.
     """
     n = power.n
-    elements = [("v", u) for u in range(n)] + [("e", e) for e in power.edges]
-    conf = {el: set() for el in elements}
-
-    def link(a, b):
-        conf[a].add(b)
-        conf[b].add(a)
-
-    for u in range(n):
-        for w in full.neighbors(u):
-            if u < w:
-                link(("v", u), ("v", w))
-    at_vertex = {u: [] for u in range(n)}
-    for e in power.edges:
-        link(("v", e.u), ("e", e))
-        link(("v", e.v), ("e", e))
-        for end in (e.u, e.v):
-            for other in at_vertex[end]:
-                link(("e", other), ("e", e))
-            at_vertex[end].append(e)
-
-    assignment = {}
-    nodes = 0
-
-    def available(el, max_used):
-        forbidden = {assignment[x] for x in conf[el] if x in assignment}
-        top = min(num_colors, max_used + 1)
-        return [c for c in range(1, top + 1) if c not in forbidden]
-
-    def solve(max_used) -> bool:
-        nonlocal nodes
-        best, best_av = None, None
-        for el in elements:
-            if el in assignment:
-                continue
-            av = available(el, max_used)
-            if best_av is None or len(av) < len(best_av):
-                best, best_av = el, av
-                if len(av) <= 1:
-                    break
-        if best is None:
-            return True
-        for c in best_av:
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(
-                    "power-part search exceeded %d nodes" % budget)
-            assignment[best] = c
-            if solve(max(max_used, c)):
-                return True
-            del assignment[best]
-        return False
-
-    if not solve(0):
+    colors, _, _ = _total_search(
+        n, power.edges, [full.neighbors(u) for u in range(n)], num_colors,
+        budget, "power-part", dsatur=False)
+    if colors is None:
         raise VerificationFailed(
             "no total coloring of the power part within %d colors"
             % num_colors)
-    vertex_colors = tuple(assignment[("v", u)] for u in range(n))
-    edge_colors = {e: assignment[("e", e)] for e in power.edges}
-    return TotalColoring(vertex_colors, edge_colors)
+    return TotalColoring(tuple(colors[:n]), dict(zip(power.edges, colors[n:])))
 
 
 def _power_cycle_part(g: CirculantGraph, kk: int,

@@ -1,20 +1,29 @@
-"""Exact brute-force solvers for tiny instances.
+"""Exact solvers for tiny instances.
 
 These are the independent ground truth the rest of the toolkit is checked
 against: exact total chromatic number, exact chromatic index, and
 feasibility of equitable / neighborhood-sum-distinguishing total
 colorings at a given palette size.
 
-Search order is deliberately simple and deterministic: vertices in index
-order, then edges sorted by endpoints.  Symmetry is broken by fixing the
-first element's color and only introducing new colors in increasing
-order.  Two sound rules cut the search:
+All of them run one iterative backtracking kernel (thm31's power-part
+search too, with its own pick).  The next element is the one with the
+fewest free colors, then the most uncolored conflicting elements (DSATUR,
+Brelaz 1979); new colors enter only in increasing order.  Sound rules
+cut the search:
 
 - Counting.  A total coloring of a Delta-regular graph with Delta+1
   colors puts every color at every vertex, so the vertices outside a
   color's vertex class are perfectly matched by its edges: each class
   has |V_c| = n (mod 2) and |V_c| <= alpha(g).  When the largest such
   size times Delta+1 is below n, that palette is refuted with no search.
+- Closed stars.  When the palette equals the closed-star size (Delta+1
+  total colors, Delta edge colors), every star holds every color.  A
+  color missing from a star that none of its uncolored elements can take
+  ends the branch; when a missing color has fewer candidate elements
+  than the DSATUR element has colors, the search branches on where that
+  color goes instead.
+- Equitable classes are closed as soon as they reach the size a
+  balanced coloring allows them.
 - NSD at closed-star completion.  A vertex's sum is compared with its
   finished neighbors' as soon as its last element is colored, not only
   once the whole coloring is complete.
@@ -22,13 +31,12 @@ order.  Two sound rules cut the search:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .coloring import TotalColoring
 from .errors import PreconditionFailed, SearchBudgetExceeded
-from .graphs import CirculantGraph, Edge
+from .graphs import CirculantGraph
 from .verifiers import verify_total_coloring
 
 DEFAULT_SIZE_LIMIT = 12
@@ -61,128 +69,164 @@ def _check_size(g: CirculantGraph, limit: int):
             "n = %d exceeds the oracle limit %d" % (g.n, limit))
 
 
-def _total_elements(g: CirculantGraph):
-    return [("v", u) for u in range(g.n)] + [("e", e) for e in sorted(g.edges)]
+def _total_search(n: int, edges, vertex_nbrs, num_colors: int, budget: int,
+                  what: str, dsatur: bool = True, mode: Mode | None = None):
+    """Backtracking total coloring with colors 1..num_colors on an explicit
+    stack of [choices, next choice, max_used] frames; a choice is an
+    (element, color bit) pair, and each color placed is one node.
 
+    The elements are the vertices 0..n-1 (none when ``vertex_nbrs`` is
+    None: an edge coloring), then ``edges``; ``vertex_nbrs[u]`` lists the
+    vertices whose colors must differ from u's.  No color above
+    max_used + 1 is tried.  The pick is the first element with the fewest
+    free colors, stopping at one, or with ``dsatur`` the DSATUR element
+    and the closed-star rule of the module docstring.  ``mode`` adds the
+    equitable class limits or the NSD sum check.  Returns (colors, order,
+    nodes), colors None when the palette is exhausted; raises
+    SearchBudgetExceeded past ``budget`` nodes.
+    """
+    k = num_colors
+    nv = 0 if vertex_nbrs is None else n
+    total = nv + len(edges)
+    # Element x is free of the colors in mask[pa[x]] | mask[pb[x]]: a
+    # vertex u reads its closed star's colors (slot u, all distinct) and
+    # its neighbors' vertex colors (slot n + u, counted in vcount), an edge
+    # the stars of its ends.  live[a] + live[b] - 2 are x's uncolored
+    # conflicting elements.
+    pa = list(range(nv)) + [u for u, _ in edges]
+    pb = [n + u for u in range(nv)] + [v for _, v in edges]
+    stars = [[u] if nv else [] for u in range(n)]
+    for x, (u, v) in enumerate(edges, nv):
+        stars[u].append(x)
+        stars[v].append(x)
+    vadj = vertex_nbrs or [()] * n
+    mask = [0] * (2 * n)
+    live = [len(s) for s in stars] + [len(a) + 1 for a in vadj]
+    vcount = [[0] * (k + 1) for _ in range(nv)]
+    color = [0] * total  # element -> bit of its color, 0 if none
+    free = [0] * total
+    full = (2 << k) - 2  # bit c stands for color c
+    star_rule = dsatur and all(len(s) == k for s in stars)
+    equitable, nsd = mode is Mode.EQUITABLE, mode is Mode.NSD
+    # equitable: classes end with lo or lo + 1 elements, ``extra`` of them
+    # with lo + 1
+    lo, extra = divmod(total, k)
+    counts = [0] * (k + 1)
+    sums = [0] * n
 
-def _conflict_lists(elements):
-    """For each element, the indices of earlier conflicting elements."""
-    idx = {el: i for i, el in enumerate(elements)}
-    out = [[] for _ in elements]
+    def toggle(x, bit, c, d):
+        """Place (d = 1) or undo (d = -1) color c on element x."""
+        color[x] = bit if d > 0 else 0
+        a, b = pa[x], pb[x]
+        mask[a] ^= bit
+        live[a] -= d
+        sums[a] += d * c
+        counts[c] += d
+        if x >= nv:
+            mask[b] ^= bit
+            live[b] -= d
+            sums[b] += d * c
+            return
+        for w in vadj[a]:
+            cw = vcount[w]
+            cw[c] += d
+            if cw[c] == (d > 0):  # the count went 0 -> 1 or 1 -> 0
+                mask[n + w] ^= bit
+            live[n + w] -= d
 
-    def link(a, b):
-        ia, ib = idx[a], idx[b]
-        if ia < ib:
-            out[ib].append(ia)
-        else:
-            out[ia].append(ib)
+    def clash(x):
+        """A star x completed has a complete neighbor of the same sum."""
+        return any(not live[u] and any(not live[w] and sums[w] == sums[u]
+                                       for w in vadj[u])
+                   for u in ({pa[x], pb[x]} if x >= nv else (x,)))
 
-    edges = [el[1] for el in elements if el[0] == "e"]
-    has_vertices = any(el[0] == "v" for el in elements)
-    if has_vertices:
-        for e in edges:
-            link(("v", e.u), ("e", e))
-            link(("v", e.v), ("e", e))
-            link(("v", e.u), ("v", e.v))
-    at_vertex = {}
-    for e in edges:
-        for end in (e.u, e.v):
-            for other in at_vertex.get(end, ()):
-                link(("e", other), ("e", e))
-            at_vertex.setdefault(end, []).append(e)
-    return [sorted(set(c)) for c in out]
-
-
-class _Searcher:
-    def __init__(self, g: CirculantGraph, elements, num_colors: int, budget: int):
-        self.g = g
-        self.elements = elements
-        self.num_colors = num_colors
-        self.budget = budget
-        self.conflicts = _conflict_lists(elements)
-        self.assignment = [0] * len(elements)
-        self.nodes = 0
-
-    def run(self):
-        return self._dfs(0, 0)
-
-    def _dfs(self, pos: int, max_used: int) -> bool:
-        if pos == len(self.elements):
-            return True
-        forbidden = {self.assignment[j] for j in self.conflicts[pos]}
-        top = min(self.num_colors, max_used + 1)
-        for c in range(1, top + 1):
-            if c in forbidden:
+    def pick(max_used):
+        """The choices to branch on: None when every element is colored,
+        empty at a dead end."""
+        top = (2 << min(k, max_used + 1)) - 2
+        allowed = full if dsatur else top
+        if equitable:
+            # a class closes at lo + 1, or at lo once ``extra`` classes
+            # have lo + 1: then every complete coloring is balanced
+            limit = lo + (sum(s > lo for s in counts) < extra)
+            allowed &= ~sum(1 << c for c in range(1, k + 1)
+                            if counts[c] >= limit)
+        best, least, most = -1, k + 1, -1
+        for x in range(total):
+            if color[x]:
                 continue
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise SearchBudgetExceeded(
-                    "oracle search exceeded %d nodes" % self.budget)
-            self.assignment[pos] = c
-            if self._dfs(pos + 1, max(max_used, c)):
-                return True
-            self.assignment[pos] = 0
-        return False
+            a, b = pa[x], pb[x]
+            f = free[x] = allowed & ~(mask[a] | mask[b])
+            c = f.bit_count()
+            if not dsatur:
+                if c < least:
+                    best, least = x, c
+                    if c <= 1:
+                        break
+            elif c < least or c == least and live[a] + live[b] > most:
+                if not c:
+                    return ()
+                best, least, most = x, c, live[a] + live[b]
+        if best < 0:
+            return None
+        if star_rule:
+            # the colors missing from a star, up to max_used + 1 (which
+            # stands for every unused color), and where each can still go
+            fewest, hub, want = least, -1, 0
+            for u in range(n):
+                if not live[u]:
+                    continue
+                level = [0] * least  # level[j]: free at more than j elements
+                for x in stars[u]:
+                    if not color[x]:
+                        f = free[x]
+                        for j in range(least - 1, 0, -1):
+                            level[j] |= level[j - 1] & f
+                        level[0] |= f
+                missing = top & ~mask[u]
+                if missing & ~level[0]:
+                    return ()
+                for j in range(1, fewest):
+                    few = missing & ~level[j]
+                    if few:
+                        fewest, hub, want = j, u, few & -few
+                        break
+            if hub >= 0:
+                return [(x, want) for x in stars[hub]
+                        if not color[x] and free[x] & want]
+        f = free[best] & top
+        return [(best, 1 << c) for c in range(1, k + 1) if f >> c & 1]
 
-
-class _EquitableSearcher(_Searcher):
-    def __init__(self, g, elements, num_colors, budget):
-        super().__init__(g, elements, num_colors, budget)
-        total = len(elements)
-        self.cap = -(-total // num_colors)  # ceil: no class may exceed this
-        self.counts = [0] * (num_colors + 1)
-
-    def _dfs(self, pos, max_used):
-        if pos == len(self.elements):
-            sizes = self.counts[1:]
-            return max(sizes) - min(sizes) <= 1
-        forbidden = {self.assignment[j] for j in self.conflicts[pos]}
-        top = min(self.num_colors, max_used + 1)
-        for c in range(1, top + 1):
-            if c in forbidden or self.counts[c] >= self.cap:
+    stack = []
+    nodes = max_used = 0
+    while True:
+        choices = pick(max_used)
+        if choices is None:
+            order = [ch[i - 1][0] for ch, i, _ in stack]
+            return [bit.bit_length() - 1 for bit in color], order, nodes
+        stack.append([choices, 0, max_used])
+        while True:
+            frame = stack[-1]
+            choices, i, used = frame
+            if i:
+                x, bit = choices[i - 1]
+                toggle(x, bit, bit.bit_length() - 1, -1)
+            if i == len(choices):
+                stack.pop()
+                if not stack:
+                    return None, [], nodes
                 continue
-            self.nodes += 1
-            if self.nodes > self.budget:
+            x, bit = choices[i]
+            frame[1] = i + 1
+            nodes += 1
+            if nodes > budget:
                 raise SearchBudgetExceeded(
-                    "oracle search exceeded %d nodes" % self.budget)
-            self.assignment[pos] = c
-            self.counts[c] += 1
-            if self._dfs(pos + 1, max(max_used, c)):
-                return True
-            self.counts[c] -= 1
-            self.assignment[pos] = 0
-        return False
-
-
-class _NsdSearcher(_Searcher):
-    """Rejects the color just placed when it completes the closed star of
-    a vertex whose sum equals that of a neighbor finished earlier."""
-
-    def __init__(self, g, elements, num_colors, budget):
-        super().__init__(g, elements, num_colors, budget)
-        star = [[u] for u in range(g.n)]  # vertex -> positions of its star
-        for pos, (kind, e) in enumerate(elements):
-            if kind == "e":
-                star[e[0]].append(pos)
-                star[e[1]].append(pos)
-        last = [max(s) for s in star]
-        # position -> [(vertex, its star, neighbors finished before it)]
-        self.closing = [[] for _ in elements]
-        for u in range(g.n):
-            earlier = [w for w in g.neighbors(u)
-                       if (last[w], w) < (last[u], u)]
-            self.closing[last[u]].append((u, star[u], earlier))
-        self.sums = [0] * g.n
-
-    def _dfs(self, pos, max_used):
-        if pos:
-            sums, assignment = self.sums, self.assignment
-            for u, star, earlier in self.closing[pos - 1]:
-                s = sums[u] = sum(assignment[p] for p in star)
-                for w in earlier:
-                    if sums[w] == s:
-                        return False
-        return super()._dfs(pos, max_used)
+                    "%s search exceeded %d nodes" % (what, budget))
+            c = bit.bit_length() - 1
+            toggle(x, bit, c, 1)
+            if not (nsd and clash(x)):
+                max_used = max(used, c)
+                break
 
 
 def _independence_number(g: CirculantGraph) -> int:
@@ -218,15 +262,18 @@ def _counting_refutes(g: CirculantGraph, k: int) -> bool:
     return largest * k < g.n
 
 
-def _to_coloring(g: CirculantGraph, elements, assignment) -> TotalColoring:
-    vertex_colors = [0] * g.n
-    edge_colors = {}
-    for el, c in zip(elements, assignment):
-        if el[0] == "v":
-            vertex_colors[el[1]] = c
-        else:
-            edge_colors[el[1]] = c
-    return TotalColoring(tuple(vertex_colors), edge_colors)
+def _search(g: CirculantGraph, k: int, budget: int, vertices: bool = True,
+            mode: Mode | None = None):
+    """The kernel on g's total (or, without ``vertices``, edge) coloring
+    with k colors: (witness or None, nodes)."""
+    nbrs = [g.neighbors(u) for u in range(g.n)] if vertices else None
+    colors, _, nodes = _total_search(g.n, g.edges, nbrs, k, budget, "oracle",
+                                     mode=mode)
+    if colors is None:
+        return None, nodes
+    nv = g.n if vertices else 0
+    return TotalColoring(tuple(colors[:nv]) or (0,) * g.n,
+                         dict(zip(g.edges, colors[nv:]))), nodes
 
 
 def exact_total_chromatic(g: CirculantGraph, max_colors: int | None = None,
@@ -239,19 +286,15 @@ def exact_total_chromatic(g: CirculantGraph, max_colors: int | None = None,
         max_colors = g.degree + 3
     if max_colors < lo:
         raise ValueError("max_colors below the trivial lower bound %d" % lo)
-    elements = _total_elements(g)
     nodes = 0
     for k in range(lo, max_colors + 1):
         if _counting_refutes(g, k):
             continue
-        searcher = _Searcher(g, elements, k, budget - nodes)
-        if searcher.run():
-            nodes += searcher.nodes
-            witness = _to_coloring(g, elements, searcher.assignment)
+        witness, used = _search(g, k, budget - nodes)
+        nodes += used
+        if witness is not None:
             assert verify_total_coloring(g, witness).proper
-            assert k >= g.degree + 1
             return OracleResult(Quantity.TOTAL_CHROMATIC, k, nodes, witness)
-        nodes += searcher.nodes
     raise SearchBudgetExceeded(
         "no total coloring found up to %d colors" % max_colors)
 
@@ -261,19 +304,15 @@ def exact_chromatic_index(g: CirculantGraph, max_colors: int | None = None,
                           budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Exact chromatic index with a witness edge coloring."""
     _check_size(g, size_limit)
-    lo = g.degree
     if max_colors is None:
         max_colors = g.degree + 1
-    elements = [("e", e) for e in sorted(g.edges)]
     nodes = 0
-    for k in range(lo, max_colors + 1):
-        searcher = _Searcher(g, elements, k, budget - nodes)
-        if searcher.run():
-            nodes += searcher.nodes
-            witness = _to_coloring(g, elements, searcher.assignment)
+    for k in range(g.degree, max_colors + 1):
+        witness, used = _search(g, k, budget - nodes, vertices=False)
+        nodes += used
+        if witness is not None:
             assert k in (g.degree, g.degree + 1)  # Vizing's bound
             return OracleResult(Quantity.CHROMATIC_INDEX, k, nodes, witness)
-        nodes += searcher.nodes
     raise SearchBudgetExceeded(
         "no edge coloring found up to %d colors" % max_colors)
 
@@ -285,16 +324,11 @@ def exact_feasible(g: CirculantGraph, k: int, mode: Mode,
     _check_size(g, size_limit)
     if k < 1:
         raise PreconditionFailed("palette size must be positive, got %d" % k)
-    if mode is Mode.EQUITABLE:
-        quantity, kind = Quantity.EQUITABLE_TOTAL_FEASIBLE, _EquitableSearcher
-    else:
-        quantity, kind = Quantity.NSD_TOTAL_FEASIBLE, _NsdSearcher
+    quantity = (Quantity.EQUITABLE_TOTAL_FEASIBLE if mode is Mode.EQUITABLE
+                else Quantity.NSD_TOTAL_FEASIBLE)
     if _counting_refutes(g, k):
         return OracleResult(quantity, False, 0)
-    elements = _total_elements(g)
-    searcher = kind(g, elements, k, budget)
-    ok = searcher.run()
-    witness = _to_coloring(g, elements, searcher.assignment) if ok else None
+    witness, nodes = _search(g, k, budget, mode=mode)
     if witness is not None:
         assert verify_total_coloring(g, witness).proper
-    return OracleResult(quantity, ok, searcher.nodes, witness)
+    return OracleResult(quantity, witness is not None, nodes, witness)

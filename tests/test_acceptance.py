@@ -144,7 +144,7 @@ def test_criterion_07_z18_equitable_and_nsd():
 
 
 def test_criterion_08_oracle_cross_checks():
-    with _Timer(8, 60.0, "oracle values; builders near-optimal for n <= 12"):
+    with _Timer(8, 5.0, "oracle values; builders near-optimal for n <= 12"):
         known = [(6, 3), (5, 4), (7, 4), (9, 3)]
         for n, want in known:
             assert exact_total_chromatic(build_circulant(n, [1])).value == want

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from circulant_coloring.cli import (
     COLOR_METHODS,
     EXIT_BUDGET,
+    EXIT_FAIL,
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_VERIFICATION,
@@ -238,10 +239,11 @@ class TestExitContract:
         assert "uncolored edges" in capsys.readouterr().err
 
     def test_oracle_honours_budget(self, capsys):
-        assert main(["--budget", "100", "oracle", "--quantity",
+        # C_10^3 has 40 elements, so 20 nodes cannot color it
+        assert main(["--budget", "20", "oracle", "--quantity",
                      "total-chromatic", "--n", "10",
                      "--gens", "1,2,3"]) == EXIT_BUDGET
-        assert "exceeded 100 nodes" in capsys.readouterr().err
+        assert "exceeded 20 nodes" in capsys.readouterr().err
 
     def test_budget_does_not_leak(self, capsys):
         # a small budget in one call must not reach the next one
@@ -257,6 +259,26 @@ class TestExitContract:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == EXIT_PRECONDITION
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv,lines", [
+        # like ``| head -1``: the 1050 x 1050 matrix is far larger than
+        # the pipe buffer, so the writer is still writing when it closes
+        (["color", "--method", "thm22", "--n", "1050", "--k", "10",
+          "--format", "csv"], 1),
+        # one short line, still in the buffer when the command returns
+        (["oracle", "--quantity", "total-chromatic", "--n", "5",
+          "--gens", "1"], 0)])
+    def test_stdout_closed_early(self, argv, lines):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "circulant_coloring.cli"] + argv,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for _ in range(lines):
+            proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_FAIL
+        assert err == ""
 
     # sha256 of the JSON stdout printed by the recursive edge-coloring
     # search this kernel replaced, run under a raised recursion limit

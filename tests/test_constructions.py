@@ -1,8 +1,15 @@
+import json
 import math
+import random
+import subprocess
+import sys
 
 import pytest
 
+from circulant_coloring.cli import EXIT_OK, main
+from circulant_coloring.coloring import TotalColoring, coloring_from_json_dict
 from circulant_coloring.constructions import (
+    _constrained_total_search,
     _tiling,
     _verified,
     canonical_complete_coloring,
@@ -30,6 +37,7 @@ from circulant_coloring.graphs import (
     normalize_half_set,
     power_of_cycle,
 )
+from circulant_coloring.oracle import _total_search
 from circulant_coloring.verifiers import (
     TypeLabel,
     verify_nsd,
@@ -265,6 +273,149 @@ class TestThm31:
         g = build_circulant(12, [1, 2, 3, 4])
         with pytest.raises(PreconditionFailed):
             color_thm31(g, gs(12, [1, 2, 3]))
+
+
+def reference_constrained_search(power, full, num_colors, budget):
+    """The recursive search the kernel replaced in thm31's power part,
+    kept as its reference: (coloring or None, elements in the order
+    colored, nodes)."""
+    n = power.n
+    elements = [("v", u) for u in range(n)] + [("e", e) for e in power.edges]
+    conf = {el: set() for el in elements}
+
+    def link(a, b):
+        conf[a].add(b)
+        conf[b].add(a)
+
+    for u in range(n):
+        for w in full.neighbors(u):
+            if u < w:
+                link(("v", u), ("v", w))
+    at_vertex = {u: [] for u in range(n)}
+    for e in power.edges:
+        link(("v", e.u), ("e", e))
+        link(("v", e.v), ("e", e))
+        for end in (e.u, e.v):
+            for other in at_vertex[end]:
+                link(("e", other), ("e", e))
+            at_vertex[end].append(e)
+
+    assignment = {}
+    nodes = 0
+
+    def available(el, max_used):
+        forbidden = {assignment[x] for x in conf[el] if x in assignment}
+        top = min(num_colors, max_used + 1)
+        return [c for c in range(1, top + 1) if c not in forbidden]
+
+    def solve(max_used) -> bool:
+        nonlocal nodes
+        best, best_av = None, None
+        for el in elements:
+            if el in assignment:
+                continue
+            av = available(el, max_used)
+            if best_av is None or len(av) < len(best_av):
+                best, best_av = el, av
+                if len(av) <= 1:
+                    break
+        if best is None:
+            return True
+        for c in best_av:
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(
+                    "power-part search exceeded %d nodes" % budget)
+            assignment[best] = c
+            if solve(max(max_used, c)):
+                return True
+            del assignment[best]
+        return False
+
+    if not solve(0):
+        return None, [], nodes
+    tc = TotalColoring(tuple(assignment[("v", u)] for u in range(n)),
+                       {e: assignment[("e", e)] for e in power.edges})
+    return tc, list(assignment), nodes
+
+
+def kernel_constrained_search(power, full, num_colors, budget):
+    """The kernel with thm31's pick, in the reference's terms."""
+    n = power.n
+    colors, order, nodes = _total_search(
+        n, power.edges, [full.neighbors(u) for u in range(n)], num_colors,
+        budget, "power-part", dsatur=False)
+    if colors is None:
+        return None, [], nodes
+    tc = TotalColoring(tuple(colors[:n]), dict(zip(power.edges, colors[n:])))
+    elements = [("v", u) for u in range(n)] + [("e", e) for e in power.edges]
+    return tc, [elements[x] for x in order], nodes
+
+
+class TestConstrainedSearch:
+    """thm31's power-part search on the kernel against the recursive
+    reference: same colorings, colouring order and node counts."""
+
+    @pytest.mark.parametrize("n,nodes", [(20, 120), (24, 168)])
+    def test_thm31_power_parts(self, n, nodes):
+        # the benchmark's thm31 instances: distances 1..n/2-1, no tiling
+        # order fits, so the power part C_n^{n/4} is searched
+        full = build_circulant(n, range(1, n // 2))
+        power = power_of_cycle(n, n // 4)
+        want = reference_constrained_search(power, full, n // 2 + 2, 10**6)
+        assert want[2] == nodes
+        assert kernel_constrained_search(power, full, n // 2 + 2,
+                                         nodes) == want
+        assert _constrained_total_search(power, full, n // 2 + 2,
+                                         nodes) == want[0]
+        with pytest.raises(SearchBudgetExceeded,
+                           match="power-part search exceeded %d nodes"
+                           % (nodes - 1)):
+            _constrained_total_search(power, full, n // 2 + 2, nodes - 1)
+
+    def test_random_instances(self):
+        # small palettes too, where both exhaust the search or run out
+        rng = random.Random(7)
+        for _ in range(60):
+            n = rng.randint(4, 10)
+            kk = rng.randint(1, (n - 1) // 2)
+            extra = rng.sample(range(kk + 1, n // 2 + 1),
+                               rng.randint(0, n // 2 - kk))
+            full = build_circulant(n, list(range(1, kk + 1)) + extra)
+            power = power_of_cycle(n, kk)
+            palette = rng.randint(2 * kk, 2 * kk + 3)
+            try:
+                want = reference_constrained_search(power, full, palette, 3000)
+            except SearchBudgetExceeded:
+                with pytest.raises(SearchBudgetExceeded):
+                    kernel_constrained_search(power, full, palette, 3000)
+                continue
+            assert kernel_constrained_search(power, full, palette,
+                                             3000) == want
+            if want[0] is None:
+                with pytest.raises(VerificationFailed):
+                    _constrained_total_search(power, full, palette, 3000)
+
+    GENS_64 = ",".join(map(str, range(1, 31)))
+
+    def test_thm31_n64(self, capsys):
+        # 1,088 elements: the recursive search ended in a RecursionError
+        assert main(["color", "--method", "thm31", "--n", "64", "--gens",
+                     self.GENS_64, "--format", "json"]) == EXIT_OK
+        tc = coloring_from_json_dict(json.loads(capsys.readouterr().out))
+        report = verify_total_coloring(build_circulant(64, range(1, 31)), tc)
+        assert report.proper and report.colors_used <= 62
+
+    def test_thm31_n64_under_low_recursion_limit(self):
+        script = ("import sys; sys.setrecursionlimit(200); "
+                  "from circulant_coloring.cli import main; "
+                  "sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "color", "--method", "thm31",
+             "--n", "64", "--gens", self.GENS_64, "--format", "json"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["report"]["colors_used"] <= 62
 
 
 class TestThm32:

@@ -5,20 +5,190 @@ import pytest
 
 from circulant_coloring.errors import PreconditionFailed, SearchBudgetExceeded
 from circulant_coloring.graphs import build_circulant, power_of_cycle
+from circulant_coloring.coloring import TotalColoring
 from circulant_coloring.oracle import (
     Mode,
     Quantity,
     _counting_refutes,
     _independence_number,
-    _NsdSearcher,
-    _Searcher,
-    _to_coloring,
-    _total_elements,
+    _search,
     exact_chromatic_index,
     exact_feasible,
     exact_total_chromatic,
 )
-from circulant_coloring.verifiers import verify_nsd, verify_total_coloring
+from circulant_coloring.verifiers import (
+    TypeLabel,
+    verify_nsd,
+    verify_total_coloring,
+)
+
+# -- the static-order searchers the kernel replaced, kept as its reference --
+
+
+def _total_elements(g):
+    return [("v", u) for u in range(g.n)] + [("e", e) for e in sorted(g.edges)]
+
+
+def _conflict_lists(elements):
+    """For each element, the indices of earlier conflicting elements."""
+    idx = {el: i for i, el in enumerate(elements)}
+    out = [[] for _ in elements]
+
+    def link(a, b):
+        ia, ib = idx[a], idx[b]
+        if ia < ib:
+            out[ib].append(ia)
+        else:
+            out[ia].append(ib)
+
+    edges = [el[1] for el in elements if el[0] == "e"]
+    has_vertices = any(el[0] == "v" for el in elements)
+    if has_vertices:
+        for e in edges:
+            link(("v", e.u), ("e", e))
+            link(("v", e.v), ("e", e))
+            link(("v", e.u), ("v", e.v))
+    at_vertex = {}
+    for e in edges:
+        for end in (e.u, e.v):
+            for other in at_vertex.get(end, ()):
+                link(("e", other), ("e", e))
+            at_vertex.setdefault(end, []).append(e)
+    return [sorted(set(c)) for c in out]
+
+
+class _Searcher:
+    """Elements in a fixed order (vertices, then sorted edges), colors in
+    ascending order, new colors only as max_used + 1."""
+
+    def __init__(self, g, elements, num_colors, budget):
+        self.g = g
+        self.elements = elements
+        self.num_colors = num_colors
+        self.budget = budget
+        self.conflicts = _conflict_lists(elements)
+        self.assignment = [0] * len(elements)
+        self.nodes = 0
+
+    def run(self):
+        return self._dfs(0, 0)
+
+    def _dfs(self, pos, max_used):
+        if pos == len(self.elements):
+            return True
+        forbidden = {self.assignment[j] for j in self.conflicts[pos]}
+        top = min(self.num_colors, max_used + 1)
+        for c in range(1, top + 1):
+            if c in forbidden:
+                continue
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise SearchBudgetExceeded(
+                    "oracle search exceeded %d nodes" % self.budget)
+            self.assignment[pos] = c
+            if self._dfs(pos + 1, max(max_used, c)):
+                return True
+            self.assignment[pos] = 0
+        return False
+
+
+class _EquitableSearcher(_Searcher):
+    def __init__(self, g, elements, num_colors, budget):
+        super().__init__(g, elements, num_colors, budget)
+        self.cap = -(-len(elements) // num_colors)
+        self.counts = [0] * (num_colors + 1)
+
+    def _dfs(self, pos, max_used):
+        if pos == len(self.elements):
+            sizes = self.counts[1:]
+            return max(sizes) - min(sizes) <= 1
+        forbidden = {self.assignment[j] for j in self.conflicts[pos]}
+        top = min(self.num_colors, max_used + 1)
+        for c in range(1, top + 1):
+            if c in forbidden or self.counts[c] >= self.cap:
+                continue
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise SearchBudgetExceeded(
+                    "oracle search exceeded %d nodes" % self.budget)
+            self.assignment[pos] = c
+            self.counts[c] += 1
+            if self._dfs(pos + 1, max(max_used, c)):
+                return True
+            self.counts[c] -= 1
+            self.assignment[pos] = 0
+        return False
+
+
+class _NsdSearcher(_Searcher):
+    """Rejects the color just placed when it completes the closed star of
+    a vertex whose sum equals that of a neighbor finished earlier."""
+
+    def __init__(self, g, elements, num_colors, budget):
+        super().__init__(g, elements, num_colors, budget)
+        star = [[u] for u in range(g.n)]
+        for pos, (kind, e) in enumerate(elements):
+            if kind == "e":
+                star[e[0]].append(pos)
+                star[e[1]].append(pos)
+        last = [max(s) for s in star]
+        self.closing = [[] for _ in elements]
+        for u in range(g.n):
+            earlier = [w for w in g.neighbors(u)
+                       if (last[w], w) < (last[u], u)]
+            self.closing[last[u]].append((u, star[u], earlier))
+        self.sums = [0] * g.n
+
+    def _dfs(self, pos, max_used):
+        if pos:
+            sums, assignment = self.sums, self.assignment
+            for u, star, earlier in self.closing[pos - 1]:
+                s = sums[u] = sum(assignment[p] for p in star)
+                for w in earlier:
+                    if sums[w] == s:
+                        return False
+        return super()._dfs(pos, max_used)
+
+
+def _to_coloring(g, elements, assignment):
+    vertex_colors = [0] * g.n
+    edge_colors = {}
+    for el, c in zip(elements, assignment):
+        if el[0] == "v":
+            vertex_colors[el[1]] = c
+        else:
+            edge_colors[el[1]] = c
+    return TotalColoring(tuple(vertex_colors), edge_colors)
+
+
+def reference_total_chromatic(g, budget):
+    """The oracle before the kernel: counting rule, then the static
+    search per palette; None when a palette runs out of budget."""
+    for k in range(g.degree + 1, g.degree + 4):
+        if _counting_refutes(g, k):
+            continue
+        try:
+            if _Searcher(g, _total_elements(g), k, budget).run():
+                return k
+        except SearchBudgetExceeded:
+            return None
+    return None
+
+
+def reference_value(g, quantity, k, budget):
+    """One palette of the static search: True/False, None out of budget."""
+    if quantity == "index":
+        elements = [("e", e) for e in sorted(g.edges)]
+        kind = _Searcher
+    else:
+        elements = _total_elements(g)
+        kind = {"equitable": _EquitableSearcher, "nsd": _NsdSearcher}[quantity]
+        if _counting_refutes(g, k):
+            return False
+    try:
+        return kind(g, elements, k, budget).run()
+    except SearchBudgetExceeded:
+        return None
 
 
 class TestTotalChromatic:
@@ -202,7 +372,16 @@ class TestNsdFeasible:
     @pytest.mark.parametrize("n,nodes", [(10, 45), (12, 38)])
     def test_square_of_cycle_with_seven_colors(self, n, nodes):
         # sums are checked as each closed star completes, so a clash is
-        # cut off where it arises, not after the last edge
+        # cut off where it arises, not after the last edge (in the static
+        # order of the reference)
+        g = power_of_cycle(n, 2)
+        ref = _NsdSearcher(g, _total_elements(g), 7, 1000)
+        assert ref.run() is True and ref.nodes == nodes
+        witness = _to_coloring(g, ref.elements, ref.assignment)
+        assert verify_nsd(g, witness).nsd is True
+
+    @pytest.mark.parametrize("n,nodes", [(10, 39), (12, 48)])
+    def test_square_of_cycle_with_seven_colors_kernel(self, n, nodes):
         g = power_of_cycle(n, 2)
         result = exact_feasible(g, 7, Mode.NSD, budget=1000)
         assert result.value is True and result.nodes_explored == nodes
@@ -244,6 +423,89 @@ class TestNsdFeasible:
         g = build_circulant(5, [1])
         got = [exact_feasible(g, k, Mode.NSD).value for k in range(4, 8)]
         assert got == sorted(got)  # once feasible, stays feasible
+
+
+# chi'' and Type of every C_n^k with 3 <= n <= 12 (k < n/2; larger k
+# give K_n).  The Delta+1 palettes of C_9^3, C_11^3 and C_11^4 fall to the
+# counting rule; C_10^3, C_12^3 and C_12^4 were out of the static search's
+# reach.
+RANGE = [
+    (3, 1, 3, "I"), (4, 1, 4, "II"), (5, 1, 4, "II"), (5, 2, 5, "I"),
+    (6, 1, 3, "I"), (6, 2, 5, "I"), (7, 1, 4, "II"), (7, 2, 6, "II"),
+    (7, 3, 7, "I"), (8, 1, 4, "II"), (8, 2, 5, "I"), (8, 3, 7, "I"),
+    (9, 1, 3, "I"), (9, 2, 5, "I"), (9, 3, 8, "II"), (9, 4, 9, "I"),
+    (10, 1, 4, "II"), (10, 2, 5, "I"), (10, 3, 7, "I"), (10, 4, 9, "I"),
+    (11, 1, 4, "II"), (11, 2, 5, "I"), (11, 3, 8, "II"), (11, 4, 10, "II"),
+    (11, 5, 11, "I"), (12, 1, 3, "I"), (12, 2, 5, "I"), (12, 3, 7, "I"),
+    (12, 4, 9, "I"), (12, 5, 11, "I"),
+]
+TYPES = {"I": TypeLabel.TYPE_I, "II": TypeLabel.TYPE_II_BOUND}
+
+
+class TestRange:
+    """The oracle decides every C_n^k of its advertised range n <= 12."""
+
+    def test_table_covers_the_range(self):
+        assert [(n, k) for n, k, _, _ in RANGE] == [
+            (n, k) for n in range(3, 13) for k in range(1, (n + 1) // 2)]
+
+    @pytest.mark.parametrize("n,k,value,kind", RANGE)
+    def test_value_type_and_witness(self, n, k, value, kind):
+        g = power_of_cycle(n, k)
+        result = exact_total_chromatic(g, budget=1000)
+        assert result.value == value
+        report = verify_total_coloring(g, result.witness)
+        assert report.proper and report.colors_used == value
+        assert report.type_label is TYPES[kind]
+        ref = reference_total_chromatic(g, 20_000)
+        assert ref in (None, value)
+
+    @pytest.mark.parametrize("n,k,nodes", [(10, 3, 42), (12, 3, 515),
+                                           (12, 4, 71)])
+    def test_formerly_undecided(self, n, k, nodes):
+        g = power_of_cycle(n, k)
+        assert reference_total_chromatic(g, 20_000) is None
+        assert exact_total_chromatic(g).nodes_explored == nodes
+
+
+class TestAgainstReference:
+    """Every quantity the static search decides within its budget, the
+    kernel decides with the same value and a verified witness."""
+
+    GRAPHS = [(n, ds) for n in range(3, 9)
+              for r in (1, 2) for ds in itertools.combinations(
+                  range(1, n // 2 + 1), r)]
+
+    @staticmethod
+    def kernel_value(g, quantity, k):
+        """Feasibility of palette k by the kernel, its witness checked."""
+        if quantity == "index":
+            witness, _ = _search(g, k, 100_000, vertices=False)
+            if witness is not None:
+                assert set(witness.edge_colors) == set(g.edges)
+                at = {(u, c) for e, c in witness.edge_colors.items() for u in e}
+                assert len(at) == 2 * len(g.edges)
+            return witness is not None
+        mode = Mode.EQUITABLE if quantity == "equitable" else Mode.NSD
+        result = exact_feasible(g, k, mode, budget=100_000)
+        if result.value:
+            report = verify_nsd(g, result.witness)  # raises if improper
+            assert report.colors_used <= k
+            assert report.nsd if mode is Mode.NSD else report.equitable
+        return result.value
+
+    @pytest.mark.parametrize("quantity", ["index", "equitable", "nsd"])
+    def test_values(self, quantity):
+        decided = 0
+        for n, ds in self.GRAPHS:
+            g = build_circulant(n, list(ds))
+            lo = g.degree if quantity == "index" else g.degree + 1
+            for k in range(lo, lo + 3):
+                want = reference_value(g, quantity, k, 5000)
+                if want is not None:
+                    decided += 1
+                    assert self.kernel_value(g, quantity, k) is want, (n, ds, k)
+        assert decided >= 80
 
 
 class TestDeterminism:
