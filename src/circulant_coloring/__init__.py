@@ -4,12 +4,10 @@ and small-instance brute-force oracles."""
 
 from .graphs import (
     CirculantGraph,
-    Edge,
     GeneratorSet,
     build_circulant,
     classify_sum_free_half,
     generates_group,
-    induced_by_generators,
     power_of_cycle,
 )
 from .latin import (
@@ -24,7 +22,6 @@ from .coloring import BuildReport, TotalColoring
 from .factorization import (
     EdgeColoring,
     Factorization,
-    Matching,
     edge_color_delta_plus_one,
     hamiltonian_cycle,
     one_factorize,
@@ -44,7 +41,6 @@ from .constructions import (
 from .verifiers import (
     TypeLabel,
     VerificationReport,
-    classify_type,
     verify_equitable,
     verify_nsd,
     verify_total_coloring,

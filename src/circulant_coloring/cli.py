@@ -7,8 +7,9 @@ Every subcommand exits with one of:
     0  success
     1  any other toolkit error (a missing fixture), a fixture mismatch,
        or stdout closed before the output was written (a broken pipe)
-    2  precondition failed: a bad or missing argument, a malformed or
-       unreadable file, an instance too large for the oracle
+    2  precondition failed: a bad or missing argument (a --budget below
+       0 included), a malformed or unreadable file, an instance too
+       large for the oracle
     3  verification failed
     4  search budget exceeded
 
@@ -206,12 +207,10 @@ def _load_coloring(path: str) -> TotalColoring:
 def cmd_verify(args) -> int:
     g = _graph(args)
     tc = _load_coloring(args.infile)
-    if args.nsd:
-        report = verify_nsd(g, tc)
-        ok = report.proper and report.nsd
-    else:
-        report = verify_total_coloring(g, tc)
-        ok = report.proper and (report.equitable or not args.equitable)
+    report = (verify_nsd if args.nsd else verify_total_coloring)(g, tc)
+    # every check a flag asks for must pass
+    ok = (report.proper and (report.equitable or not args.equitable)
+          and (report.nsd or not args.nsd))
     json.dump(report.to_json_dict(), sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return EXIT_OK if ok else EXIT_VERIFICATION
@@ -312,6 +311,9 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        if args.budget is not None and args.budget < 0:
+            raise PreconditionFailed("--budget must be at least 0, got %d"
+                                     % args.budget)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -18,7 +18,6 @@ from itertools import chain, compress, repeat
 from operator import itemgetter, lt
 
 from .errors import PreconditionFailed
-from .graphs import Edge, ordered_edge
 
 
 @dataclass(frozen=True)
@@ -26,7 +25,7 @@ class TotalColoring:
     """Immutable coloring; colors are 1-based positive integers."""
 
     vertex_colors: tuple[int, ...]
-    edge_colors: dict  # Edge -> int
+    edge_colors: dict  # (u, v) with u < v -> int
 
     @property
     def n(self) -> int:
@@ -36,12 +35,6 @@ class TotalColoring:
     def palette_size(self) -> int:
         cols = set(self.vertex_colors) | set(self.edge_colors.values())
         return max(cols) if cols else 0
-
-    def colors_used(self) -> int:
-        return len(set(self.vertex_colors) | set(self.edge_colors.values()))
-
-    def edge_color(self, u: int, v: int) -> int:
-        return self.edge_colors[Edge.of(u, v)]
 
     def with_edge_colors(self, updates: dict) -> "TotalColoring":
         merged = dict(self.edge_colors)
@@ -171,8 +164,7 @@ def coloring_from_csv_text(text: str) -> TotalColoring:
         j = i + (cols[i:i + 1] == [u])  # cols[j:] above it
         vertex_colors.append(colours[i] if j > i else None)
         lower.update(zip(zip(cols[:i], repeat(u)), colours[:i]))
-        upper.update(zip(map(ordered_edge, zip(repeat(u), cols[j:])),
-                         colours[j:]))
+        upper.update(zip(zip(repeat(u), cols[j:]), colours[j:]))
     if upper != lower:
         # the first upper cell in row-major order whose mirror differs,
         # else the first lower cell whose mirror is blank
@@ -202,9 +194,11 @@ def coloring_from_json_dict(d: dict) -> TotalColoring:
     if not kinds <= {int}:
         raise TypeError("colours and endpoints must be integers, not %s"
                         % ", ".join(sorted(k.__name__ for k in kinds - {int})))
-    if not all(map(lt, us, vs)):  # Edge raises on the first bad pair
-        Edge(*next((u, v) for u, v in zip(us, vs) if u >= v))
-    edge_colors = dict(zip(map(ordered_edge, zip(us, vs)), cs))
+    if not all(map(lt, us, vs)):
+        u, v = next((u, v) for u, v in zip(us, vs) if u >= v)
+        raise ValueError("self-loop edge (%d, %d)" % (u, v) if u == v
+                         else "edge endpoints must satisfy u < v")
+    edge_colors = dict(zip(zip(us, vs), cs))
     if len(edge_colors) != len(cs):
         twice = Counter(zip(us, vs)).most_common(1)
         raise ValueError("edge %s listed twice" % (twice[0][0],))

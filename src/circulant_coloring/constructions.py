@@ -40,7 +40,6 @@ from .graphs import (
     build_circulant,
     classify_sum_free_half,
     generates_group,
-    ordered_edge,
     power_of_cycle,
 )
 from .latin import closed_form_entry
@@ -68,8 +67,7 @@ def _tiling(n: int, q: int, distances) -> TotalColoring:
         edges = chain(zip(range(n - d), range(d, n)),
                       zip(range(d), range(n - d, n)))
         period = [by_sum[r + (r + d) % q] for r in range(q)]
-        edge_colors.update(zip(map(ordered_edge, edges),
-                               islice(cycle(period), n)))
+        edge_colors.update(zip(edges, islice(cycle(period), n)))
     return TotalColoring(vertex_colors, edge_colors)
 
 
@@ -77,7 +75,7 @@ def _factor_edge_colors(fac: Factorization, first_color: int) -> dict:
     out = {}
     c = first_color
     for f in fac.factors:
-        for e in f.edges:
+        for e in f:
             out[e] = c
         c += 1
     return out
@@ -223,7 +221,7 @@ def equitable_nsd_power_cycle(n: int, k: int) -> tuple[BuildReport, BuildReport]
     cycle = hamiltonian_cycle(g, 1)
     m1, m2, flags = split_rainbow_matchings(cycle, base.coloring)
     recolored = base.coloring.with_edge_colors(
-        {**{e: 2 * k + 2 for e in m1.edges}, **{e: 2 * k + 3 for e in m2.edges}}
+        {**{e: 2 * k + 2 for e in m1}, **{e: 2 * k + 3 for e in m2}}
     )
     nsd_report = verify_nsd(g, recolored)
     if not nsd_report.nsd:
@@ -281,7 +279,7 @@ def canonical_complete_coloring(m: int) -> CanonicalResult:
     edge_colors = {}
     for u in range(m):
         for v in range(u + 1, m):
-            edge_colors[ordered_edge((u, v))] = row[(u + v) % m]
+            edge_colors[u, v] = row[(u + v) % m]
     tc = TotalColoring(vertex_colors, edge_colors)
     g = build_circulant(m, range(1, m // 2 + 1))
     report = verify_total_coloring(g, tc)
@@ -500,8 +498,8 @@ def color_thm34(g: CirculantGraph, s1: GeneratorSet,
         raise VerificationFailed(
             "matchings of the distance-%d cycle are not rainbow" % u0)
     recolored = tc.with_edge_colors(
-        {**{e: g.degree + 2 for e in m1.edges},
-         **{e: g.degree + 3 for e in m2.edges}})
+        {**{e: g.degree + 2 for e in m1},
+         **{e: g.degree + 3 for e in m2}})
     nsd_report = verify_nsd(g, recolored)
     if not nsd_report.nsd:
         raise VerificationFailed("recoloring failed the NSD check",

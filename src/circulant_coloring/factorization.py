@@ -13,6 +13,9 @@ by Python's recursion limit.
 
 The Delta+1 edge coloring is Misra-Gries fan rotation: one maximal fan,
 one c/d path inversion and one rotation per edge, with no search.
+
+An edge is the pair (u, v) with u < v, and a matching is a frozenset of
+them.
 """
 
 from __future__ import annotations
@@ -25,45 +28,23 @@ from .errors import (
     PreconditionFailed,
     SearchBudgetExceeded,
 )
-from .graphs import CirculantGraph, Edge, GeneratorSet, build_circulant
+from .graphs import CirculantGraph, build_circulant
 
 # Node budget of each exact search in a build, unless the caller passes one.
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
-class Matching:
-    """Set of pairwise vertex-disjoint edges."""
-
-    edges: frozenset
-
-    def __post_init__(self):
-        seen = set()
-        for e in self.edges:
-            u, v = e
-            if u in seen or v in seen:
-                raise ValueError("matching shares a vertex at %s" % (e,))
-            seen.add(u)
-            seen.add(v)
-
-
-@dataclass(frozen=True)
 class Factorization:
-    """Ordered perfect matchings partitioning the target edge set."""
+    """Ordered perfect matchings partitioning the target edge set, each a
+    frozenset of (u, v) pairs."""
 
     factors: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "factors": [
-                sorted([e.u, e.v] for e in f.edges) for f in self.factors
-            ]
-        }
 
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    colors: dict  # Edge -> int
+    colors: dict  # (u, v) -> int
 
 
 def _orbit_cycles(n: int, g: int) -> list[list[int]]:
@@ -87,8 +68,8 @@ def _alternate_cycle(cyc: list[int]) -> tuple[set, set]:
     a, b = set(), set()
     ln = len(cyc)
     for t in range(ln):
-        e = Edge.of(cyc[t], cyc[(t + 1) % ln])
-        (a if t % 2 == 0 else b).add(e)
+        u, v = cyc[t], cyc[(t + 1) % ln]
+        (a if t % 2 == 0 else b).add((u, v) if u < v else (v, u))
     return a, b
 
 
@@ -105,7 +86,7 @@ def _exact_edge_coloring(edges, num_colors: int, budget: int,
 
     With a partial total coloring ``start``, its edges are skipped and
     every other edge also avoids the colors already present at its
-    endpoints.  Returns Edge -> color for the edges colored here, in the
+    endpoints.  Returns (u, v) -> color for the edges colored here, in the
     order they were colored, or None if the search space is exhausted;
     raises SearchBudgetExceeded when the node budget runs out.
     """
@@ -240,7 +221,7 @@ def one_factorize(g: CirculantGraph,
 
     if involution is not None:
         factors.append(
-            frozenset(Edge.of(u, u + involution) for u in range(n // 2)))
+            frozenset((u, u + involution) for u in range(n // 2)))
 
     for d in peelable:
         fac_a, fac_b = set(), set()
@@ -254,8 +235,7 @@ def one_factorize(g: CirculantGraph,
     if pooled:
         factors.extend(_factorize_pool(n, sorted(pooled), budget))
 
-    fac = Factorization(tuple(Matching(f) for f in factors))
-    return fac
+    return Factorization(tuple(factors))
 
 
 def _factorize_pool(n: int, pool: list[int], budget: int) -> list[frozenset]:
@@ -281,8 +261,9 @@ def _factorize_pool(n: int, pool: list[int], budget: int) -> list[frozenset]:
         for (u, v), col in solution.items():
             if col != c:
                 continue
+            # u < v < m, so the translate stays ordered and below n
             for coset in range(d0):
-                fac.add(Edge.of((coset + u * d0) % n, (coset + v * d0) % n))
+                fac.add((coset + u * d0, coset + v * d0))
         factors.append(frozenset(fac))
     return factors
 
@@ -299,7 +280,10 @@ def edge_color_delta_plus_one(edges) -> EdgeColoring:
     inverted starting with d.  Each edge costs O(Delta^2) for its fan plus
     the length of its alternating path.
     """
-    pairs = sorted({e if isinstance(e, Edge) else Edge.of(*e) for e in edges})
+    pairs = sorted({(u, v) if u < v else (v, u) for u, v in edges})
+    loop = next((e for e in pairs if e[0] == e[1]), None)
+    if loop is not None:
+        raise ValueError("self-loop edge (%d, %d)" % loop)
     if not pairs:
         return EdgeColoring({})
     nbrs = {}
@@ -387,20 +371,15 @@ def hamiltonian_cycle(g: CirculantGraph, gen: int) -> list[int]:
     return [(gen * t) % n for t in range(n)]
 
 
-def split_rainbow_matchings(cycle: list[int], tc) -> tuple[Matching, Matching, tuple[bool, bool]]:
+def split_rainbow_matchings(cycle: list[int], tc) -> tuple[frozenset, frozenset, tuple[bool, bool]]:
     """Alternate cycle edges into two matchings; each flag reports whether
     that matching is rainbow (pairwise distinct edge colors) under tc."""
-    ln = len(cycle)
-    if ln % 2:
-        raise PreconditionFailed("cycle length %d is odd" % ln)
-    first, second = set(), set()
-    for t in range(ln):
-        e = Edge.of(cycle[t], cycle[(t + 1) % ln])
-        (first if t % 2 == 0 else second).add(e)
+    if len(cycle) % 2:
+        raise PreconditionFailed("cycle length %d is odd" % len(cycle))
+    first, second = map(frozenset, _alternate_cycle(cycle))
 
     def rainbow(edges):
         cols = [tc.edge_colors[e] for e in edges]
         return len(cols) == len(set(cols))
 
-    m1, m2 = Matching(frozenset(first)), Matching(frozenset(second))
-    return m1, m2, (rainbow(first), rainbow(second))
+    return first, second, (rainbow(first), rainbow(second))

@@ -3,52 +3,17 @@
 Generators are stored as a canonical half-set: a sorted tuple of distances
 d with 1 <= d <= n//2.  A distance d > n/2 given by the caller is folded to
 n - d on construction, so d and its negation are stored once.  Adjacency is
-answered arithmetically; the edge list is materialized lazily for iteration.
-
-An ``Edge`` is an ordered int pair: a tuple ``(u, v)`` with u < v that
-compares, hashes and sorts exactly as the plain tuple ``(u, v)`` does, so
-``Edge(2, 5) == (2, 5)``.
+listed by ``neighbors``; the edge list is materialized lazily for
+iteration.  An edge is the plain int pair ``(u, v)`` with u < v.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
-from operator import itemgetter
+from functools import cached_property
 
 from .errors import PreconditionFailed
-
-
-class Edge(tuple):
-    """Undirected edge with endpoints ordered u < v: the pair (u, v)."""
-
-    __slots__ = ()
-
-    def __new__(cls, u: int, v: int) -> "Edge":
-        if u == v:
-            raise ValueError("self-loop edge (%d, %d)" % (u, v))
-        if u > v:
-            raise ValueError("edge endpoints must satisfy u < v")
-        return tuple.__new__(cls, (u, v))
-
-    u = property(itemgetter(0))
-    v = property(itemgetter(1))
-
-    def __repr__(self) -> str:
-        return "Edge(u=%r, v=%r)" % self
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    @staticmethod
-    def of(a: int, b: int) -> "Edge":
-        return Edge(a, b) if a < b else Edge(b, a)
-
-
-# Edge from a pair the caller already knows to be ordered, without the
-# checks: a C-level call, for the loops that build every edge of a graph.
-ordered_edge = partial(tuple.__new__, Edge)
 
 
 def normalize_half_set(n: int, ds) -> tuple[int, ...]:
@@ -125,22 +90,12 @@ class CirculantGraph:
     def degree(self) -> int:
         return self.generators.degree_contribution()
 
-    def adjacent(self, x: int, y: int) -> bool:
-        d = (x - y) % self.n
-        if d > self.n // 2:
-            d = self.n - d
-        return d in self._gen_lookup
-
     @cached_property
-    def _gen_lookup(self) -> frozenset:
-        return frozenset(self.gens)
-
-    @cached_property
-    def edges(self) -> tuple[Edge, ...]:
+    def edges(self) -> tuple[tuple[int, int], ...]:
         """Every edge once, sorted: from each u, the offsets s of the full
         symmetric set in increasing order while u + s < n."""
         n, full = self.n, self.generators.full
-        return tuple([ordered_edge((u, u + s))
+        return tuple([(u, u + s)
                       for u in range(n) for s in full if u + s < n])
 
     def neighbors(self, u: int) -> list[int]:
@@ -169,13 +124,6 @@ def power_of_cycle(n: int, k: int) -> CirculantGraph:
     if not 1 <= k < n / 2:
         raise PreconditionFailed("need 1 <= k < n/2, got k=%d n=%d" % (k, n))
     return build_circulant(n, range(1, k + 1))
-
-
-def induced_by_generators(g: CirculantGraph, sub: GeneratorSet) -> CirculantGraph:
-    """Spanning subgraph of g keeping only the edges of the sub-distances."""
-    if not sub.issubset(g.generators):
-        raise PreconditionFailed("%r is not a subset of %r" % (sub.gens, g.gens))
-    return CirculantGraph(g.n, sub)
 
 
 def generates_group(sub: GeneratorSet) -> bool:

@@ -28,7 +28,10 @@ class Violation:
     witness: tuple
 
     def to_json_dict(self):
-        return {"kind": self.kind, "witness": list(map(str, self.witness))}
+        # an edge (u, v) of the witness prints as Edge(u=.., v=..)
+        return {"kind": self.kind, "witness": [
+            "Edge(u=%d, v=%d)" % x if type(x) is tuple else str(x)
+            for x in self.witness]}
 
 
 @dataclass
@@ -169,27 +172,3 @@ def verify_nsd(g: CirculantGraph, tc: TotalColoring) -> VerificationReport:
     report.nsd = not bad
     report.nsd_violations = bad
     return report
-
-
-def classify_type(g: CirculantGraph, tc: TotalColoring | None = None,
-                  oracle_value: int | None = None) -> TypeLabel:
-    """Best classification from the evidence at hand.
-
-    A verified coloring or an exact oracle value can witness TypeI /
-    TypeII-bound; with neither, the answer is Unbounded.
-    """
-    best = None
-    if oracle_value is not None:
-        best = oracle_value
-    if tc is not None:
-        report = verify_total_coloring(g, tc)
-        if report.proper:
-            used = report.colors_used
-            best = used if best is None else min(best, used)
-    if best is None:
-        return TypeLabel.UNBOUNDED
-    if best == g.degree + 1:
-        return TypeLabel.TYPE_I
-    if best == g.degree + 2:
-        return TypeLabel.TYPE_II_BOUND
-    return TypeLabel.UNBOUNDED

@@ -122,7 +122,7 @@ class TestVerify:
     def test_corrupted_rejected(self, tmp_path, capsys):
         tc, _ = self._write_good(tmp_path)
         e = next(iter(tc.edge_colors))
-        bad = tc.with_edge_colors({e: tc.vertex_colors[e.u]})
+        bad = tc.with_edge_colors({e: tc.vertex_colors[e[0]]})
         path = tmp_path / "bad.csv"
         write_matrix_csv(bad, path)
         assert main(["verify", "--n", "18", "--gens", "1,2,3,4",
@@ -135,6 +135,22 @@ class TestVerify:
         # the plain equitable coloring is not sum-distinguishing
         assert main(["verify", "--n", "18", "--gens", "1,2,3,4",
                      "--in", path, "--nsd"]) == EXIT_VERIFICATION
+
+    def test_every_flag_required(self, tmp_path, capsys):
+        # C_6 with distinct sums but four vertices of colour 1 against one
+        # cell each of 2, 3, 4 and the edge colours: NSD, not equitable
+        path = tmp_path / "c6.json"
+        write_coloring_json(TotalColoring(
+            (1, 2, 1, 3, 1, 4),
+            dict(zip(power_of_cycle(6, 1).edges,
+                     [10, 20, 40, 80, 160, 320]))), path)
+        argv = ["verify", "--n", "6", "--gens", "1", "--in", str(path)]
+        assert main(argv + ["--nsd"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["nsd"] is True and report["equitable"] is False
+        assert main(argv + ["--equitable"]) == EXIT_VERIFICATION
+        assert main(argv + ["--nsd", "--equitable"]) == EXIT_VERIFICATION
+        assert main(argv + ["--equitable", "--nsd"]) == EXIT_VERIFICATION
 
 
 class TestOracle:
@@ -210,6 +226,10 @@ class TestExitContract:
          "--gens", "1,2"],
         ["oracle", "--quantity", "equitable-feasible", "--n", "8",
          "--gens", "1,2", "--k", "0"],
+        ["--budget", "-1", "oracle", "--quantity", "total-chromatic",
+         "--n", "6", "--gens", "1"],
+        ["--budget", "-5", "color", "--method", "thm21-even", "--n", "12",
+         "--k", "2", "--i", "1"],
     ])
     def test_precondition(self, argv, capsys):
         assert exit_code(argv) == EXIT_PRECONDITION
@@ -223,7 +243,7 @@ class TestExitContract:
         tc = color_power_cycle_even(18, 4, 5).coloring
         e = next(iter(tc.edge_colors))
         path = tmp_path / "bad.csv"
-        write_matrix_csv(tc.with_edge_colors({e: tc.vertex_colors[e.u]}), path)
+        write_matrix_csv(tc.with_edge_colors({e: tc.vertex_colors[e[0]]}), path)
         assert main(["verify", "--n", "18", "--gens", "1,2,3,4",
                      "--in", str(path), "--nsd"]) == EXIT_VERIFICATION
         assert "only defined for proper" in capsys.readouterr().err
@@ -244,6 +264,15 @@ class TestExitContract:
                      "total-chromatic", "--n", "10",
                      "--gens", "1,2,3"]) == EXIT_BUDGET
         assert "exceeded 20 nodes" in capsys.readouterr().err
+
+    def test_zero_budget_is_valid(self, capsys):
+        # thm21-even n=12 k=2 i=1 needs no search; C_6 does
+        assert main(["--budget", "0", "color", "--method", "thm21-even",
+                     "--n", "12", "--k", "2", "--i", "1"]) == EXIT_OK
+        assert main(["--budget", "0", "oracle", "--quantity",
+                     "total-chromatic", "--n", "6",
+                     "--gens", "1"]) == EXIT_BUDGET
+        assert "exceeded 0 nodes" in capsys.readouterr().err
 
     def test_budget_does_not_leak(self, capsys):
         # a small budget in one call must not reach the next one
@@ -440,7 +469,7 @@ def fuzz_files(tmp_path_factory):
     write_coloring_json(nsd.coloring, work / "nsd.json")
     tc = equitable.coloring
     e = min(tc.edge_colors)
-    write_matrix_csv(tc.with_edge_colors({e: tc.vertex_colors[e.u]}),
+    write_matrix_csv(tc.with_edge_colors({e: tc.vertex_colors[e[0]]}),
                      work / "improper.csv")
     edges = dict(tc.edge_colors)
     del edges[e]

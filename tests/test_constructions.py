@@ -190,7 +190,7 @@ class TestEquitableNsdPowerCycle:
     def test_nsd_only_touches_distance_one_edges(self):
         eq, nsd = equitable_nsd_power_cycle(18, 4)
         for e, c in nsd.coloring.edge_colors.items():
-            if (e.v - e.u) % 18 not in (1, 17):
+            if (e[1] - e[0]) % 18 not in (1, 17):
                 assert c == eq.coloring.edge_colors[e]
 
     def test_preconditions(self):
@@ -293,9 +293,9 @@ def reference_constrained_search(power, full, num_colors, budget):
                 link(("v", u), ("v", w))
     at_vertex = {u: [] for u in range(n)}
     for e in power.edges:
-        link(("v", e.u), ("e", e))
-        link(("v", e.v), ("e", e))
-        for end in (e.u, e.v):
+        link(("v", e[0]), ("e", e))
+        link(("v", e[1]), ("e", e))
+        for end in e:
             for other in at_vertex[end]:
                 link(("e", other), ("e", e))
             at_vertex[end].append(e)

@@ -45,12 +45,12 @@ def _conflict_lists(elements):
     has_vertices = any(el[0] == "v" for el in elements)
     if has_vertices:
         for e in edges:
-            link(("v", e.u), ("e", e))
-            link(("v", e.v), ("e", e))
-            link(("v", e.u), ("v", e.v))
+            link(("v", e[0]), ("e", e))
+            link(("v", e[1]), ("e", e))
+            link(("v", e[0]), ("v", e[1]))
     at_vertex = {}
     for e in edges:
-        for end in (e.u, e.v):
+        for end in e:
             for other in at_vertex.get(end, ()):
                 link(("e", other), ("e", e))
             at_vertex.setdefault(end, []).append(e)
@@ -323,7 +323,7 @@ class TestChromaticIndex:
         result = exact_chromatic_index(g)
         at = {}
         for e, c in result.witness.edge_colors.items():
-            for end in (e.u, e.v):
+            for end in e:
                 assert (end, c) not in at
                 at[(end, c)] = e
         assert set(result.witness.edge_colors) == set(g.edges)

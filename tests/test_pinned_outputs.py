@@ -110,7 +110,7 @@ def test_improper_verify_report(tmp_path, capsys):
     tc = color_power_cycle_even(18, 4, 5).coloring
     e = min(tc.edge_colors)
     path = tmp_path / "improper.json"
-    write_coloring_json(tc.with_edge_colors({e: tc.vertex_colors[e.u]}), path)
+    write_coloring_json(tc.with_edge_colors({e: tc.vertex_colors[e[0]]}), path)
     assert main(["verify", "--n", "18", "--gens", "1,2,3,4",
                  "--in", str(path)]) == EXIT_VERIFICATION
     out = capsys.readouterr().out

@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 from circulant_coloring.coloring import TotalColoring
 from circulant_coloring.errors import ImproperColoring, VerificationFailed
 from circulant_coloring.golden import rebuild_table
-from circulant_coloring.graphs import Edge, build_circulant, power_of_cycle
+from circulant_coloring.graphs import build_circulant, power_of_cycle
 from circulant_coloring.verifiers import (
     TypeLabel,
     Violation,
     _edge_clash,
-    classify_type,
     find_violations,
     verify_equitable,
     verify_nsd,
@@ -20,7 +19,7 @@ from circulant_coloring.verifiers import (
 
 def k2_coloring():
     return build_circulant(3, [1]), TotalColoring(
-        (1, 2, 3), {Edge(0, 1): 3, Edge(1, 2): 1, Edge(0, 2): 2})
+        (1, 2, 3), {(0, 1): 3, (1, 2): 1, (0, 2): 2})
 
 
 class TestProperness:
@@ -42,20 +41,20 @@ class TestProperness:
 
     def test_vertex_edge_clash(self):
         g, tc = k2_coloring()
-        bad = tc.with_edge_colors({Edge(0, 1): 1})
+        bad = tc.with_edge_colors({(0, 1): 1})
         report = verify_total_coloring(g, bad)
         assert any(v.kind == "vertex-edge" for v in report.violations)
 
     def test_edge_edge_clash(self):
         g, tc = k2_coloring()
-        bad = tc.with_edge_colors({Edge(1, 2): 3})
+        bad = tc.with_edge_colors({(1, 2): 3})
         report = verify_total_coloring(g, bad)
         hits = [v for v in report.violations if v.kind == "edge-edge"]
         assert hits and hits[0].witness[0] == 1  # shared endpoint
 
     def test_missing_edge_assignment(self):
         g, tc = k2_coloring()
-        partial = TotalColoring(tc.vertex_colors, {Edge(0, 1): 3})
+        partial = TotalColoring(tc.vertex_colors, {(0, 1): 3})
         with pytest.raises(VerificationFailed, match="uncolored edges"):
             verify_total_coloring(g, partial)
 
@@ -66,7 +65,7 @@ class TestProperness:
         g, tc = k2_coloring()
         with pytest.raises(VerificationFailed,
                            match=r"edge \(1, 2\) has no valid color"):
-            verify_total_coloring(g, tc.with_edge_colors({Edge(1, 2): bad}))
+            verify_total_coloring(g, tc.with_edge_colors({(1, 2): bad}))
 
     def test_vertex_count_mismatch(self):
         g, _ = k2_coloring()
@@ -157,8 +156,7 @@ class TestEquitable:
 
     def test_unbalanced_rejected(self):
         g = build_circulant(6, [1])
-        edges = [Edge(0, 1), Edge(1, 2), Edge(2, 3), Edge(3, 4), Edge(4, 5),
-                 Edge.of(5, 0)]
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]
         balanced = TotalColoring(
             (1, 2, 1, 2, 1, 2), dict(zip(edges, [3, 4, 3, 4, 3, 4])))
         # recoloring one edge leaves color 5 with a single cell: spread 2
@@ -211,50 +209,37 @@ class TestNsd:
         for v in report.nsd_violations:
             u, w, s = v.witness
             assert sums[u] == sums[w] == s
-            assert g.adjacent(u, w)
+            assert w in g.neighbors(u)
 
     def test_symmetric_triangle_fails(self):
         g = build_circulant(3, [1])
-        tc = TotalColoring((1, 2, 3), {Edge(0, 1): 3, Edge(1, 2): 1, Edge(0, 2): 2})
+        tc = TotalColoring((1, 2, 3), {(0, 1): 3, (1, 2): 1, (0, 2): 2})
         report = verify_nsd(g, tc)
         # K_3 with this symmetric coloring has all sums equal
         assert report.nsd is False
 
     def test_improper_raises(self):
         g, tc = k2_coloring()
-        bad = tc.with_edge_colors({Edge(0, 1): 1})
+        bad = tc.with_edge_colors({(0, 1): 1})
         with pytest.raises(ImproperColoring):
             verify_nsd(g, bad)
 
 
 class TestClassify:
+    # the Type label a verification report gives the coloring it checked
     def test_from_coloring(self):
         g, tc = k2_coloring()
-        assert classify_type(g, tc) is TypeLabel.TYPE_I
-
-    def test_from_oracle_value(self):
-        g = build_circulant(5, [1])
-        assert classify_type(g, oracle_value=4) is TypeLabel.TYPE_II_BOUND
-
-    def test_no_evidence(self):
-        g = build_circulant(5, [1])
-        assert classify_type(g) is TypeLabel.UNBOUNDED
-
-    def test_oracle_beats_weak_coloring(self):
-        g = build_circulant(6, [1])
-        tc = TotalColoring(
-            (1, 2, 1, 2, 1, 2),
-            {Edge(0, 1): 3, Edge(1, 2): 4, Edge(2, 3): 3,
-             Edge(3, 4): 4, Edge(4, 5): 3, Edge.of(5, 0): 5})
-        assert classify_type(g, tc, oracle_value=3) is TypeLabel.TYPE_I
+        assert verify_total_coloring(g, tc).type_label is TypeLabel.TYPE_I
 
     def test_wasteful_coloring_unbounded(self):
         g = build_circulant(6, [1])
         tc = TotalColoring(
             (1, 2, 1, 2, 1, 2),
-            {Edge(0, 1): 3, Edge(1, 2): 4, Edge(2, 3): 5,
-             Edge(3, 4): 6, Edge(4, 5): 7, Edge.of(5, 0): 8})
-        assert classify_type(g, tc) is TypeLabel.UNBOUNDED
+            {(0, 1): 3, (1, 2): 4, (2, 3): 5,
+             (3, 4): 6, (4, 5): 7, (0, 5): 8})
+        report = verify_total_coloring(g, tc)
+        assert report.proper
+        assert report.type_label is TypeLabel.UNBOUNDED
 
 
 class TestReportJson:
