@@ -30,6 +30,7 @@ import sys
 from . import golden
 from .coloring import (
     TotalColoring,
+    _opened,
     coloring_from_csv_text,
     coloring_json_text,
     matrix_csv_lines,
@@ -109,7 +110,7 @@ def _emit(tc: TotalColoring, fmt: str, out: str | None, suffix: str = "",
         write_matrix_csv(tc, base + ".csv")
         write_coloring_json(tc, base + ".json")
         if extra is not None:
-            with open(base + ".report.json", "w") as fh:
+            with _opened(base + ".report.json", "w") as fh:
                 json.dump(extra, fh, indent=1, sort_keys=True)
                 fh.write("\n")
         return

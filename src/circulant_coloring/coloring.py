@@ -4,17 +4,20 @@ A total coloring is a vertex color vector plus an edge color map.  The
 color matrix view is the n x n symmetric array with vertex colors on the
 diagonal and edge colors off it, mirroring the published tables; blank
 cells are non-edges.  Reading or writing a coloring never holds that grid.
+Files are read as UTF-8, a leading byte-order mark allowed; a CSV text is
+split on comma runs unless a '"' or a NUL sends it to csv.reader.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 from bisect import bisect_left
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import itemgetter, lt
 
 from .errors import PreconditionFailed
@@ -112,24 +115,54 @@ def write_matrix_csv(tc: TotalColoring, path) -> None:
         fh.writelines(map("%s\r\n".__mod__, matrix_csv_lines(tc)))
 
 
+_split_commas = re.compile(r"(,+)").split
+
+
+def _csv_lines(text: str):
+    """The non-blank lines of a CSV text: the first as its fields, each
+    later one as (first field, columns, fields) of its other non-empty
+    fields, columns counted from 0 (see _filled_cells)."""
+    if '"' in text or "\0" in text:
+        lines = filter(None, csv.reader(text.splitlines()))
+        yield from islice(lines, 1)
+        for label, *line in lines:
+            yield label, [*compress(count(), line)], [*filter(None, line)]
+        return
+    limit = csv.field_size_limit()
+    for i, line in enumerate(filter(None, text.splitlines())):
+        if len(line) > limit and max(map(len, line.split(","))) > limit:
+            raise csv.Error("field larger than field limit (%d)" % limit)
+        parts = _split_commas(line)  # field, comma run, field, ...
+        if not parts[-1]:  # the line ends in a comma
+            del parts[-2:]
+        cols = [*accumulate(map(len, parts[1::2]), initial=-1)][1:]
+        # blank header fields count toward n
+        yield (parts[0], cols, parts[2::2]) if i else line.split(",")
+
+
 def _filled_cells(text: str):
     """(n, rows, wildcards) of a colour-matrix CSV: rows[u] is the columns
     of row u's integer cells and their colours, wildcards the '*' cells.
-    Raises ValueError on a non-integer cell or a frame other than header
-    ,0,1,...,n-1, row labels 0..n-1 and no filled cell past column n-1."""
-    lines = filter(None, csv.reader(text.splitlines()))
+    A text with no '"' and no NUL is split on comma runs, one regex call a
+    line, so a blank cell costs nothing; csv.reader tokenizes any other,
+    as a quoted field may hold commas or span lines and csv rejects NUL
+    before Python 3.11.  Raises csv.Error, line by line as csv.reader
+    does, on a field longer than csv.field_size_limit(), and ValueError
+    on a non-integer cell or a frame other than header ,0,1,...,n-1, row
+    labels 0..n-1 and no filled cell past column n-1."""
+    lines = _csv_lines(text)
     header = [cell.strip() for cell in next(lines, ["?"])]
     n = len(header) - 1
     if header != ["", *map(str, range(n))]:
         raise ValueError("header row is not ,0,1,...,n-1")
     rows, labels, wildcards = [], [], set()
-    for u, line in enumerate(lines):
-        labels.append(line[0].strip())
-        if any(map(str.strip, line[n + 1:])):
+    for u, (label, cols, cells) in enumerate(lines):
+        labels.append(label.strip())
+        cells = list(map(str.strip, cells))
+        k = bisect_left(cols, n)  # cols[k:] lie past column n-1
+        if any(cells[k:]):
             raise ValueError("row %d has a cell past column %d" % (u, n - 1))
-        line = line[1:n + 1]
-        cols = list(compress(range(n), line))
-        cells = list(map(str.strip, map(line.__getitem__, cols)))
+        del cols[k:], cells[k:]
         if "*" in cells or "" in cells:  # a wildcard or whitespace cell
             wildcards.update((u, v) for v, c in zip(cols, cells) if c == "*")
             keep = [c not in ("", "*") for c in cells]
@@ -180,7 +213,8 @@ def coloring_from_csv_text(text: str) -> TotalColoring:
 
 def read_matrix_csv(path, parse=parse_matrix_csv_text):
     """parse(text) of the file: the dense (matrix, wildcards) by default."""
-    with _opened(path, malformed=(ValueError, csv.Error)) as fh:
+    with _opened(path, malformed=(ValueError, csv.Error),
+                 encoding="utf-8-sig") as fh:
         return parse(fh.read())
 
 
@@ -238,5 +272,6 @@ def write_coloring_json(tc: TotalColoring, path) -> None:
 
 
 def read_coloring_json(path) -> TotalColoring:
-    with _opened(path, malformed=(KeyError, TypeError, ValueError)) as fh:
+    with _opened(path, malformed=(KeyError, TypeError, ValueError),
+                 encoding="utf-8-sig") as fh:
         return coloring_from_json_dict(json.load(fh))

@@ -44,7 +44,7 @@ def load_table(table_id: int):
     ref = resources.files(__package__).joinpath("golden").joinpath(name)
     if not ref.is_file():
         raise CirculantColoringError("fixture %s is not shipped" % name)
-    return parse_matrix_csv_text(ref.read_text())
+    return parse_matrix_csv_text(ref.read_text(encoding="utf-8-sig"))
 
 
 @lru_cache(maxsize=None)

@@ -281,6 +281,14 @@ class TestExitContract:
         assert main(["color", "--method", "thm21-even", "--n", "22",
                      "--k", "10", "--i", "1"]) == EXIT_OK
 
+    def test_report_path_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "d.report.json").mkdir()
+        assert main(["color", "--method", "thm21-even", "--n", "18",
+                     "--k", "4", "--i", "5", "--out",
+                     str(tmp_path / "d")]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "precondition failed" in err and "d.report.json" in err
+
     def test_entry_point_prints_no_traceback(self):
         proc = subprocess.run(
             [sys.executable, "-m", "circulant_coloring.cli", "color",
@@ -459,6 +467,43 @@ class TestMalformedInput:
     def test_reproduce_table_out_of_range(self, capsys):
         assert exit_code(["reproduce", "--table", "7"]) == EXIT_PRECONDITION
         assert "invalid choice" in capsys.readouterr().err
+
+
+class TestFileEncoding:
+    """Coloring files are read as UTF-8; a leading byte-order mark, as
+    spreadsheet tools write it, is allowed."""
+
+    CSV = ",0,1,2\n0,1,3,2\n1,3,2,1\n2,2,1,3\n"
+    JSON = json.dumps({"n": 3, "vertex_colors": [1, 2, 3],
+                       "edges": [{"u": 0, "v": 1, "c": 3},
+                                 {"u": 0, "v": 2, "c": 2},
+                                 {"u": 1, "v": 2, "c": 1}]})
+
+    def verify(self, path):
+        return main(["verify", "--n", "3", "--gens", "1", "--in", str(path),
+                     "--equitable"])
+
+    @pytest.mark.parametrize("name", ["c.csv", "c.json"])
+    def test_byte_order_mark(self, name, tmp_path, capsys):
+        text = self.CSV if name.endswith(".csv") else self.JSON
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert self.verify(path) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["proper"]
+        out = tmp_path / "out.csv"
+        assert main(["export", "--in", str(path), "--format", "csv",
+                     "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == self.CSV
+
+    @pytest.mark.parametrize("name", ["c.csv", "c.json"])
+    def test_not_utf8(self, name, tmp_path, capsys):
+        text = self.CSV if name.endswith(".csv") else self.JSON
+        path = tmp_path / name
+        path.write_bytes(text.encode().replace(b"3", b"\xff", 1))
+        assert self.verify(path) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "malformed coloring file" in err
+        assert "UnicodeDecodeError" in err
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@ import io
 import json
 import random
 from importlib import resources
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from circulant_coloring.coloring import (
     TotalColoring,
+    _filled_cells,
     coloring_from_csv_text,
     coloring_from_json_dict,
     coloring_json_text,
@@ -386,10 +388,10 @@ def test_random_colorings_round_trip(n, data):
 
 
 @st.composite
-def matrix_texts(draw):
+def matrix_texts(draw, quoted=True):
     """Colour-matrix CSV texts with the frame in place: blank, padded and
-    quoted cells, '*', 0 and negative colours, text cells, asymmetric
-    cells, short rows and blank lines."""
+    (when ``quoted``) quoted cells, '*', 0 and negative colours, text
+    cells, asymmetric cells, short rows and blank lines."""
     n = draw(st.integers(1, 5))
     cell = st.one_of(st.none(), st.integers(-2, 6))
     grid = [[None] * n for _ in range(n)]
@@ -406,7 +408,8 @@ def matrix_texts(draw):
         cells = []
         for c in row:
             text = draw(pad) + ("" if c is None else str(c)) + draw(pad)
-            cells.append('"%s"' % text if draw(st.booleans()) else text)
+            quote = quoted and draw(st.booleans())
+            cells.append('"%s"' % text if quote else text)
         if draw(st.booleans()):  # a short row
             cells = cells[:draw(st.integers(0, n))]
         lines.append(",".join([str(u)] + cells))
@@ -417,7 +420,7 @@ def matrix_texts(draw):
 def outcome(read, text):
     try:
         return read(text)
-    except (ValueError, PreconditionFailed) as exc:
+    except (ValueError, PreconditionFailed, csv.Error) as exc:
         return type(exc), str(exc)
 
 
@@ -428,3 +431,130 @@ def test_sparse_reader_matches_dense_reference(text):
             == outcome(reference_coloring, text))
     assert outcome(parse_matrix_csv_text, text) == outcome(reference_matrix,
                                                            text)
+
+
+# Reference tokenizer: the reader as it was before comma runs, with
+# csv.reader making one string per cell of every line.  On any text the
+# reader must return what it returns, or raise what it raises.
+
+
+def reference_filled_cells(text: str):
+    lines = filter(None, csv.reader(text.splitlines()))
+    header = [cell.strip() for cell in next(lines, ["?"])]
+    n = len(header) - 1
+    if header != ["", *map(str, range(n))]:
+        raise ValueError("header row is not ,0,1,...,n-1")
+    rows, labels, wildcards = [], [], set()
+    for u, line in enumerate(lines):
+        labels.append(line[0].strip())
+        if any(map(str.strip, line[n + 1:])):
+            raise ValueError("row %d has a cell past column %d" % (u, n - 1))
+        line = line[1:n + 1]
+        cols = list(compress(range(n), line))
+        cells = list(map(str.strip, map(line.__getitem__, cols)))
+        if "*" in cells or "" in cells:  # a wildcard or whitespace cell
+            wildcards.update((u, v) for v, c in zip(cols, cells) if c == "*")
+            keep = [c not in ("", "*") for c in cells]
+            cols, cells = [*compress(cols, keep)], [*compress(cells, keep)]
+        rows.append((cols, list(map(int, cells))))
+    if labels != header[1:]:
+        raise ValueError("row labels are not 0,1,...,n-1")
+    return n, rows, wildcards
+
+
+def rarely(k):
+    """True in one draw of k."""
+    return st.sampled_from([False] * (k - 1) + [True])
+
+
+@st.composite
+def plain_texts(draw):
+    """Quote-free texts, which the reader splits on comma runs: those of
+    matrix_texts, then cells past the last column, a trailing header
+    comma, blank or padded labels, lines of commas only, CRLF ends."""
+    lines = draw(matrix_texts(quoted=False)).split("\n")
+    rows = st.integers(1, len(lines) - 1)
+    cell = st.sampled_from(["", " ", "*", "4", "x"])
+    for i in draw(st.lists(rows, max_size=2)):
+        lines[i] += "," * draw(st.integers(1, 3)) + draw(cell)
+    if draw(rarely(10)):
+        lines[0] += ","
+    if draw(rarely(5)):
+        i = draw(rows)
+        head, _, tail = lines[i].partition(",")
+        lines[i] = draw(st.sampled_from(["", " ", " " + head])) + "," + tail
+    if draw(rarely(5)):
+        lines.insert(draw(rows), "," * draw(st.integers(1, 3)))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+@given(plain_texts())
+@settings(max_examples=300, deadline=None)
+def test_comma_runs_match_csv_reader(text):
+    assert '"' not in text
+    assert (outcome(_filled_cells, text)
+            == outcome(reference_filled_cells, text))
+
+
+LIMIT = csv.field_size_limit()
+ROWS = "0,1,3\n1,3,2\n"
+
+
+@pytest.mark.parametrize("text", [
+    # a blank header field still counts toward n
+    pytest.param(",0,1,\n" + ROWS, id="header-trailing-comma"),
+    pytest.param(",0,1,,\n" + ROWS, id="header-trailing-commas"),
+    pytest.param(",0,1\n0,1,3,,5\n1,3,2\n", id="filled-past-last-column"),
+    pytest.param(",0,1\n0,1,3,, ,\n1,3,2,,,\n", id="blank-past-last-column"),
+    pytest.param(",0,1\n0, ,*\n1,*,2\n", id="whitespace-and-wildcards"),
+    pytest.param(",0,1\n0,1,3\n,,\n1,3,2\n", id="commas-only-line"),
+    pytest.param(",0,1\n" + ROWS + ",,,\n", id="commas-only-last-line"),
+    pytest.param(",0,1\n,1,3\n1,3,2\n", id="empty-label"),
+    pytest.param(" ,0 , 1\n 0 ,1,3\n1 ,3,2\n", id="padded-frame"),
+    pytest.param(",0,1\r\n\r\n0,1,3\r\n1,3,2\r\n\r\n",
+                 id="crlf-blank-lines"),
+    pytest.param(",0,1\n0,1,3\x00\n1,3,2\n", id="nul-in-cell"),
+    pytest.param(",0,1\n0\x00,1,3\n1,3,2\n", id="nul-in-label"),
+    # a field of the size limit is read; one longer raises csv.Error,
+    # but only when its line is reached
+    pytest.param(",0,1\n0,1," + " " * (LIMIT - 1) + "3\n1,3,2\n",
+                 id="field-at-limit"),
+    pytest.param(",0,1\n0,1," + " " * LIMIT + "3\n1,3,2\n",
+                 id="field-over-limit"),
+    pytest.param(",0,1\n0,1,x\n1,3," + " " * LIMIT + "2\n",
+                 id="text-cell-then-field-over-limit"),
+    pytest.param(",0,1\n0,1," + " " * LIMIT + "3\n1,3,x\n",
+                 id="field-over-limit-then-text-cell"),
+    pytest.param("," + " " * LIMIT + "0,1\n" + ROWS,
+                 id="header-field-over-limit"),
+    pytest.param(" " * LIMIT + ",0,1\n" + ROWS,
+                 id="header-label-over-limit"),
+    pytest.param(",0,1\n0,1,3\n" + "1" * (LIMIT + 1) + ",3,2\n",
+                 id="label-over-limit"),
+    pytest.param(',0,1\n0,1,"3\n"\n1,3,2\n', id="quoted-field-two-lines"),
+    pytest.param(',0,1\n0,1,"3,4"\n1,3,2\n', id="quoted-comma"),
+    pytest.param("", id="empty"),
+    pytest.param("\n\n", id="blank-lines-only"),
+    pytest.param(",", id="header-only"),
+    pytest.param("0", id="label-only"),
+    pytest.param(",0\n0", id="row-without-cells"),
+])
+def test_comma_run_edge_cases(text):
+    assert (outcome(_filled_cells, text)
+            == outcome(reference_filled_cells, text))
+
+
+@pytest.mark.parametrize("text,uses_csv", [
+    pytest.param(",0,1\n" + ROWS, False, id="plain"),
+    pytest.param(',0,1\n0,1,"3"\n1,3,2\n', True, id="quote"),
+    pytest.param(",0,1\n0,1,3\x00\n1,3,2\n", True, id="nul"),
+])
+def test_csv_reader_only_for_quotes_and_nul(text, uses_csv, monkeypatch):
+    # csv rejects NUL before Python 3.11 and accepts it from 3.11 on, so
+    # a NUL text goes through csv.reader whichever runs
+    calls = []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader",
+                        lambda lines: calls.append(1) or reader(lines))
+    outcome(_filled_cells, text)
+    assert bool(calls) is uses_csv
