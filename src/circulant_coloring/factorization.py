@@ -9,7 +9,11 @@ components have even order) and handled by an exact edge-coloring search;
 existence is guaranteed for connected even-order circulants, so the node
 budget only bounds time, never feasibility.  The search is iterative, on
 an explicit stack with bitmask color domains, so its depth is not bound
-by Python's recursion limit.
+by Python's recursion limit.  It cuts a placement at once when it leaves
+a tight vertex (as many free colors as uncolored edges, as at every
+vertex of the pooled search) a free color that none of its uncolored
+edges can take.  Only subtrees without a solution are cut, so it finds
+the same coloring as the plain backtracking search, never in more nodes.
 
 The Delta+1 edge coloring is Misra-Gries fan rotation: one maximal fan,
 one c/d path inversion and one rotation per edge, with no search.
@@ -84,6 +88,16 @@ def _exact_edge_coloring(edges, num_colors: int, budget: int,
     ascending order, one search node each.  Placing or undoing a color
     updates the counts of the edges at its two endpoints only.
 
+    A vertex is tight when it has as many free colors as uncolored
+    edges, so each free color must go on one of those edges; placing a
+    color keeps a vertex tight or not.  A placement of color b on (u, v)
+    is a dead end, counted as a node and undone at once, when u or v is
+    tight and has a free color that none of its uncolored edges can
+    take, or when the far end of an uncolored edge at u or v is tight,
+    lacks b and has no uncolored edge left that can take b.  Such a
+    subtree holds no coloring, so the first coloring found and its order
+    are those of the plain search, in at most its nodes.
+
     With a partial total coloring ``start``, its edges are skipped and
     every other edge also avoids the colors already present at its
     endpoints.  Returns (u, v) -> color for the edges colored here, in the
@@ -113,6 +127,31 @@ def _exact_edge_coloring(edges, num_colors: int, budget: int,
             for j, (u, v) in enumerate(edges)]
     color = [0] * len(edges)  # edge index -> bit of its color, 0 if none
     free = [bin(full & ~(used[u] | used[v])).count("1") for u, v in edges]
+    tight = [bin(full & ~used[x]).count("1") == len(incident[x])
+             for x in range(n)]
+
+    def dead(j, bit) -> bool:
+        """After bit went on edge j: a tight vertex has a free color that
+        none of its uncolored edges can take."""
+        for x in edges[j]:
+            if tight[x]:
+                need = full & ~used[x]
+                for k, w in incident[x]:
+                    if not color[k]:
+                        need &= used[w]
+                        if not need:
+                            break
+                if need:
+                    return True
+        for k, w in near[j]:
+            if not color[k] and tight[w] and not used[w] & bit:
+                for i, y in incident[w]:
+                    if not color[i] and not used[y] & bit:
+                        break
+                else:
+                    return True
+        return False
+
     # Colored edges hold a count above every real one, so the first
     # uncolored edge with the fewest free colors is the first index of the
     # least count: memchr over a bytearray when counts fit a byte.
@@ -169,7 +208,8 @@ def _exact_edge_coloring(edges, num_colors: int, budget: int,
             for k, w in near[j]:
                 if not color[k] and not used[w] & bit:
                     cnt[k] -= 1
-            break
+            if not dead(j, bit):
+                break
 
 
 def one_factorize(g: CirculantGraph,

@@ -65,22 +65,25 @@ def rebuild_table(table_id: int) -> TotalColoring:
     raise CirculantColoringError("no table %r" % (table_id,))
 
 
-def compare_table(table_id: int) -> list[CellMismatch]:
-    """Diff the rebuilt coloring against the fixture's trusted cells."""
+def compare_table(table_id: int) -> tuple[int, list[CellMismatch]]:
+    """Diff the rebuilt coloring against the fixture's trusted cells:
+    (number of trusted cells, the cells that differ)."""
     fixture, _wild = load_table(table_id)
     ours = to_matrix(rebuild_table(table_id))
-    return [CellMismatch(i, j, want, ours[i][j])
-            for i, row in enumerate(fixture) for j, want in enumerate(row)
-            if want is not None and ours[i][j] != want]
+    checked = sum(len(row) - row.count(None) for row in fixture)
+    return checked, [CellMismatch(i, j, want, ours[i][j])
+                     for i, row in enumerate(fixture)
+                     for j, want in enumerate(row)
+                     if want is not None and ours[i][j] != want]
 
 
 def reproduce_table(table_id: int) -> int:
     """Number of cells checked; raises MismatchFound on any difference."""
-    mismatches = compare_table(table_id)
+    checked, mismatches = compare_table(table_id)
     if mismatches:
         raise MismatchFound(
             "table %d: %d cells differ, first %s"
             % (table_id, len(mismatches), mismatches[0]),
             mismatches=mismatches,
         )
-    return sum(len(row) - row.count(None) for row in load_table(table_id)[0])
+    return checked

@@ -281,6 +281,16 @@ class TestExitContract:
         assert main(["color", "--method", "thm21-even", "--n", "22",
                      "--k", "10", "--i", "1"]) == EXIT_OK
 
+    def test_pooled_search_within_budget(self, capsys):
+        # the pooled 1-factorization needs 13,566 nodes; without the
+        # dead-end rule at tight vertices it needed 136,332 and the run
+        # exited 4
+        assert main(["--budget", "20000", "color", "--method", "thm21-even",
+                     "--n", "42", "--k", "20", "--i", "1",
+                     "--format", "json"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["colors_used"] == 41
+
     def test_report_path_is_a_directory(self, tmp_path, capsys):
         (tmp_path / "d.report.json").mkdir()
         assert main(["color", "--method", "thm21-even", "--n", "18",

@@ -120,12 +120,12 @@ class TestFallbackCompletion:
             _exact_edge_coloring(residual.edges, 13, 10, start=tc)
 
     def test_builder_falls_back(self):
-        # the pooled 1-factorization of distances 6..10 needs 191 nodes,
-        # the completion 117
-        report = color_power_cycle_even(22, 10, 1, budget=150)
+        # the pooled 1-factorization of the residual distances needs 428
+        # nodes, the completion 120
+        report = color_power_cycle_even(30, 11, 4, budget=150)
         assert report.fallback_used
-        check_built(power_of_cycle(22, 10), report)
-        assert report.colors_used == report.bound_claimed == 21
+        check_built(power_of_cycle(30, 11), report)
+        assert report.colors_used == report.bound_claimed == 23
 
     def test_claimed_bound_always_checked(self):
         tc = color_power_cycle_even(18, 4, 5).coloring

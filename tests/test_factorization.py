@@ -178,17 +178,34 @@ def searches_of(build):
     return calls
 
 
+def kernel_nodes(edges, num_colors, most, start=None):
+    """The fewest nodes with which the kernel finishes, found by bisecting
+    its budget over 0..most (most if it needs more)."""
+    lo, hi = 0, most
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            _exact_edge_coloring(edges, num_colors, mid, start=start)
+            hi = mid
+        except SearchBudgetExceeded:
+            lo = mid + 1
+    return lo
+
+
 def assert_same_search(edges, num_colors, budget, start=None):
-    """The kernel colors like the reference, in the same order, and runs
-    out of budget exactly where the reference does.  Returns the
-    reference's node count, or None when it ran out of budget."""
+    """The kernel colors like the reference, in the same order, with at
+    most the reference's nodes; it finishes at exactly its own node count
+    and raises one node below it.  Where the reference runs out of
+    ``budget``, its answer under a large budget is the one to match.
+    Returns the kernel's node count, or None when it ran out of
+    ``budget``."""
     try:
-        want, nodes = reference_edge_coloring(edges, num_colors, budget,
-                                              start)
-    except SearchBudgetExceeded as exc:
-        with pytest.raises(SearchBudgetExceeded, match=str(exc)):
-            _exact_edge_coloring(edges, num_colors, budget, start=start)
-        return None
+        want, most = reference_edge_coloring(edges, num_colors, budget,
+                                             start)
+    except SearchBudgetExceeded:
+        want, most = reference_edge_coloring(edges, num_colors, 10**6,
+                                             start)
+    nodes = kernel_nodes(edges, num_colors, most, start)
     got = _exact_edge_coloring(edges, num_colors, nodes, start=start)
     assert got == want
     if got is not None:
@@ -197,20 +214,30 @@ def assert_same_search(edges, num_colors, budget, start=None):
         with pytest.raises(SearchBudgetExceeded,
                            match="exceeded %d nodes" % (nodes - 1)):
             _exact_edge_coloring(edges, num_colors, nodes - 1, start=start)
+    if nodes > budget:
+        with pytest.raises(SearchBudgetExceeded,
+                           match="exceeded %d nodes" % budget):
+            _exact_edge_coloring(edges, num_colors, budget, start=start)
+        return None
     return nodes
 
 
 class TestExactEdgeColoring:
     """The iterative kernel against the recursive reference: same
-    colorings, same node counts, same budget errors."""
+    colorings in the same order, never more nodes, and a budget error
+    exactly one node short of the kernel's own count."""
 
     @pytest.mark.parametrize("n,k,i,budget,nodes", [
-        (66, 10, 1, None, [2412]), (42, 13, 8, None, [13097]),
-        (76, 17, 2, None, [4513]), (28, 5, 2, None, [236]),
-        (28, 6, 1, None, [236]),
-        # the pooled search runs out at 150 nodes (None), the completion
-        # from the tiling finishes in 117
-        (22, 10, 1, 150, [None, 117])])
+        # reference: 2412, 13097, 4513, 236 and 236 nodes
+        (66, 10, 1, None, [1023]), (42, 13, 8, None, [8369]),
+        (76, 17, 2, None, [1539]), (28, 5, 2, None, [162]),
+        (28, 6, 1, None, [162]),
+        # the pooled search finishes within 150 nodes (the reference's
+        # ran out), so no completion runs
+        (22, 10, 1, 150, [91]),
+        # the pooled search runs out at 150 nodes (it needs 428, the
+        # reference 1096), the completion from the tiling finishes in 120
+        (30, 11, 4, 150, [None, 120])])
     def test_builder_searches(self, n, k, i, budget, nodes):
         kw = {} if budget is None else {"budget": budget}
         calls = searches_of(
@@ -225,6 +252,24 @@ class TestExactEdgeColoring:
             edges = rng.sample(pairs, rng.randint(0, len(pairs)))
             num_colors = rng.randint(1, 6)
             assert_same_search(edges, num_colors, 2000)
+
+    def test_random_circulant_subgraphs(self):
+        # Delta colors: every vertex of full degree is tight, and the
+        # dead-end rule prunes at it.  Even orders up to 12 keep the
+        # reference's search short (odd ones such as K_7 less three edges
+        # take it over 300,000 nodes); components of odd order still make
+        # some of them infeasible.
+        rng = random.Random(6)
+        for _ in range(150):
+            n = rng.randrange(4, 13, 2)
+            half = n // 2
+            ds = rng.sample(range(1, half + 1), rng.randint(1, half))
+            edges = build_circulant(n, ds).edges
+            edges = rng.sample(
+                edges, len(edges) - rng.randint(0, min(3, len(edges))))
+            num_colors = max(
+                (sum(x in e for e in edges) for x in range(n)), default=0)
+            assert_same_search(edges, num_colors, 20_000)
 
     def test_palette_wider_than_a_byte(self):
         # free-color counts above 255 take the list path of the pick

@@ -19,10 +19,11 @@ from circulant_coloring.constructions import color_power_cycle_even
 # admissible n.
 COLOR_RUNS = {
     "thm21-even": "color --method thm21-even --n 18 --k 4 --i 5",
-    # a budget of 150 nodes makes the pooled 1-factorization give up, so
-    # the residual distances are completed by the fallback search
+    # a budget of 150 nodes makes the pooled 1-factorization give up (it
+    # needs 428), so the residual distances are completed by the fallback
+    # search (120 nodes)
     "thm21-even-fallback":
-        "--budget 150 color --method thm21-even --n 22 --k 10 --i 1",
+        "--budget 150 color --method thm21-even --n 30 --k 11 --i 4",
     "thm21-odd": "color --method thm21-odd --n 21 --k 6 --i 1",
     "thm22": "color --method thm22 --n 18 --k 4",
     "thm31": "color --method thm31 --n 20 --gens 1,2,3,4,5,7,8",
@@ -42,9 +43,9 @@ COLOR_DIGESTS = {
     ("thm21-even", "csv"):
         "16933b45b26299210420b3685517bb24d6da545de4b40f9282ac60dc3ee5949d",
     ("thm21-even-fallback", "json"):
-        "ddcf8837678e394481a158335d95ac15bb10e086f1f40d207e9be3274ec77946",
+        "5cf6929470e9ec2f1dd1c5853c16139476b0b2e6577dd104b82cd8878d6dbf93",
     ("thm21-even-fallback", "csv"):
-        "3566be53b1d169ac9dfbbb0dedec9401e791e1d1809563a6937f92e77573171f",
+        "9dc87f2be662549b2da35bb39c00065107b3df51f8a3a7fe711fa6b31745bc87",
     ("thm21-odd", "json"):
         "57352883c070bff0ce1a7da104844728a6e89ec53813236e039e4fc2a5bd32ab",
     ("thm21-odd", "csv"):
@@ -104,6 +105,16 @@ def test_every_method_pinned():
 def test_color_stdout(run, fmt, capsys):
     assert main(color_argv(run, fmt)) == EXIT_OK
     assert sha256(capsys.readouterr().out) == COLOR_DIGESTS[run, fmt]
+
+
+def test_budget_that_suffices_changes_nothing(capsys):
+    # the pooled search at n=22 finishes in 91 of the 150 nodes, so no
+    # fallback runs and the output is the unbudgeted one
+    argv = "color --method thm21-even --n 22 --k 10 --i 1 --format json"
+    assert main(argv.split()) == EXIT_OK
+    unbudgeted = capsys.readouterr().out
+    assert main(["--budget", "150"] + argv.split()) == EXIT_OK
+    assert capsys.readouterr().out == unbudgeted
 
 
 def test_improper_verify_report(tmp_path, capsys):
