@@ -44,15 +44,6 @@ class TotalColoring:
         merged.update(updates)
         return TotalColoring(self.vertex_colors, merged)
 
-    def all_vertex_sums(self) -> list[int]:
-        """Sigma_c(u) for every vertex u: its color plus the colors of its
-        incident edges."""
-        sums = list(self.vertex_colors)
-        for (u, v), c in self.edge_colors.items():
-            sums[u] += c
-            sums[v] += c
-        return sums
-
 
 @dataclass
 class BuildReport:
@@ -63,6 +54,7 @@ class BuildReport:
     bound_claimed: int
     fallback_used: bool = False
     notes: str = ""
+    verification: object = None  # the VerificationReport that accepted it
 
 
 def to_matrix(tc: TotalColoring) -> list[list]:
@@ -191,16 +183,22 @@ def coloring_from_csv_text(text: str) -> TotalColoring:
     if wildcards:
         raise PreconditionFailed("input matrix has wildcard cells; cannot "
                                  "verify: %s" % sorted(wildcards)[:5])
-    vertex_colors, upper, lower = [], {}, {}  # keyed by (min, max)
+    vertex_colors, upper = [], {}  # keyed by (min, max)
+    symmetric, lower_cells = True, 0
     for u, (cols, colours) in enumerate(rows):
         i = bisect_left(cols, u)  # cols[:i] lie below the diagonal
         j = i + (cols[i:i + 1] == [u])  # cols[j:] above it
         vertex_colors.append(colours[i] if j > i else None)
-        lower.update(zip(zip(cols[:i], repeat(u)), colours[:i]))
         upper.update(zip(zip(repeat(u), cols[j:]), colours[j:]))
-    if upper != lower:
+        # the mirrors of row u's lower cells lie in the rows read before
+        symmetric = symmetric and list(map(
+            upper.get, zip(cols[:i], repeat(u)))) == colours[:i]
+        lower_cells += i
+    if not symmetric or lower_cells != len(upper):
         # the first upper cell in row-major order whose mirror differs,
         # else the first lower cell whose mirror is blank
+        lower = {(v, u): c for u, (cols, colours) in enumerate(rows)
+                 for v, c in zip(cols, colours) if v < u}
         bad = ([(e, c, lower.get(e)) for e, c in upper.items()
                 if lower.get(e) != c]
                or [((u, v), c, None) for (v, u), c in lower.items()
@@ -242,26 +240,40 @@ def coloring_from_json_dict(d: dict) -> TotalColoring:
     return TotalColoring(vertex_colors, edge_colors)
 
 
-# One edge of the JSON document, as json.dumps(indent=1, sort_keys=True)
-# lays it out inside the top-level "edges" list.
-_EDGE_JSON = '  {\n   "c": %d,\n   "u": %d,\n   "v": %d\n  }'
+# The "edges" list as json.dumps(indent=1, sort_keys=True) lays it out:
+# its opening, the text after a colour (holding u), the text after u
+# (holding v, then opening the next edge), the part of that opening the
+# last edge drops, and the list's close.
+_EDGE_JSON = ('{\n "edges": [\n  {\n   "c": ', ',\n   "u": %d,\n   "v": ',
+              '%d\n  },\n  {\n   "c": ', ',\n  {\n   "c": ', '\n ],')
 
 
 def coloring_json_text(tc: TotalColoring, report: dict | None = None) -> str:
     """The JSON document of tc: "n", "vertex_colors", the edges sorted
     as {"u", "v", "c"} objects, and ``report`` under "report" when given;
-    laid out as json.dumps(indent=1, sort_keys=True) would, byte for byte.
+    laid out as json.dumps(indent=1, sort_keys=True) would, byte for byte,
+    for int colours.
 
-    The edge list goes through a fixed per-edge template; the rest of the
-    document through json.dumps.  "edges" sorts before every other key,
-    so the edge list opens the document.
+    The edge list is one str.join over three pieces of text per edge,
+    each formatted once per distinct colour or endpoint; the rest goes
+    through json.dumps.  "edges" sorts before every other key, so the
+    edge list opens the document.
     """
     rest = {"n": tc.n, "vertex_colors": list(tc.vertex_colors)}
     if report is not None:
         rest["report"] = report
-    edges = ",\n".join([_EDGE_JSON % (c, u, v) for (u, v), c
-                        in sorted(tc.edge_colors.items())])
-    head = '{\n "edges": [\n%s\n ],' % edges if edges else '{\n "edges": [],'
+    head = '{\n "edges": [],'
+    if tc.edge_colors:
+        keys = sorted(tc.edge_colors)
+        us, vs = zip(*keys)
+        ends, colours = {*us, *vs}, set(tc.edge_colors.values())
+        opening, with_u, with_v, next_edge, closing = _EDGE_JSON
+        parts = [None] * (3 * len(keys))  # parts[3i:3i + 3] is edge i
+        parts[0::3] = map(dict(zip(colours, map("%d".__mod__, colours))).get,
+                          map(tc.edge_colors.__getitem__, keys))
+        parts[1::3] = map(dict(zip(ends, map(with_u.__mod__, ends))).get, us)
+        parts[2::3] = map(dict(zip(ends, map(with_v.__mod__, ends))).get, vs)
+        head = opening + "".join(parts)[:-len(next_edge)] + closing
     return head + json.dumps(rest, indent=1, sort_keys=True)[1:]
 
 

@@ -119,7 +119,7 @@ def _verified(g: CirculantGraph, tc: TotalColoring, bound: int,
             "used %d colors, claimed bound %d" % (used, bound),
             coloring=tc, report=report,
         )
-    return BuildReport(tc, used, bound, notes=notes)
+    return BuildReport(tc, used, bound, notes=notes, verification=report)
 
 
 # -- powers of cycles --------------------------------------------------------
@@ -211,7 +211,7 @@ def equitable_nsd_power_cycle(n: int, k: int) -> tuple[BuildReport, BuildReport]
         raise PreconditionFailed("2k+1 = %d must divide n = %d" % (2 * k + 1, n))
     g = power_of_cycle(n, k)
     base = color_power_cycle_even(n, k, k + 1)
-    eq_report = verify_equitable(g, base.coloring)
+    eq_report = base.verification  # proper, or _verified would have raised
     if not eq_report.equitable:
         raise VerificationFailed("base coloring is not equitable",
                                  coloring=base.coloring, report=eq_report)

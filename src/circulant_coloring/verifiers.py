@@ -2,6 +2,10 @@
 
 Everything here recomputes from raw data and never trusts builder caches;
 the builders in turn refuse to return anything these checkers reject.
+
+A coloring is read one distance d at a time, as a column of the colours
+of the edges {u, u + d mod n}, and accepted by whole-column passes alone;
+only when a pass finds a fault does a pass over the edges list witnesses.
 """
 
 from __future__ import annotations
@@ -9,7 +13,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import filterfalse
+from itertools import chain, filterfalse
+from operator import eq
 
 from .errors import VerificationFailed
 from .graphs import CirculantGraph
@@ -64,11 +69,37 @@ def _class_sizes(tc: TotalColoring) -> dict:
     return dict(counts)
 
 
-def _check_assignments(g: CirculantGraph, tc: TotalColoring) -> None:
+def _columns(g: CirculantGraph, edge_colors: dict) -> list:
+    """Per distance d of g, col[u] = the colour of edge {u, u + d mod n}
+    or None, for u < n (u < n/2 at the involution d = n/2)."""
+    n, cols = g.n, []
+    for d in g.gens:
+        keys = zip(range(n - d), range(d, n))
+        if 2 * d < n:  # from u >= n - d the edge wraps to (u + d - n, u)
+            keys = chain(keys, zip(range(d), range(n - d, n)))
+        cols.append(list(map(edge_colors.get, keys)))
+    return cols
+
+
+def _stars(g: CirculantGraph, values, cols):
+    """Per vertex u: values[u] and the colours of u's edges, from cols."""
+    around = []
+    for d, col in zip(g.gens, cols):
+        # the edge from u - d, and at the involution the one from u - n/2
+        around += [col + col] if 2 * d == g.n else [col, col[-d:] + col[:-d]]
+    return zip(values, *around)
+
+
+def _equal_across(g: CirculantGraph, values) -> bool:
+    """Whether values[u] == values[u + d mod n] for some u and distance d."""
+    return any(any(map(eq, values, values[d:] + values[:d])) for d in g.gens)
+
+
+def _check_assignments(g: CirculantGraph, tc: TotalColoring, cols) -> None:
     if tc.n != g.n:
         raise VerificationFailed("coloring covers %d vertices, graph has %d" % (tc.n, g.n))
-    missing = list(filterfalse(tc.edge_colors.__contains__, g.edges))
-    if missing:
+    if any(None in col for col in cols):
+        missing = list(filterfalse(tc.edge_colors.__contains__, g.edges))
         raise VerificationFailed("uncolored edges: %s" % (missing[:5],))
     for u, c in enumerate(tc.vertex_colors):
         if c is None or c < 1:
@@ -76,12 +107,26 @@ def _check_assignments(g: CirculantGraph, tc: TotalColoring) -> None:
     if min(tc.edge_colors.values(), default=1) < 1:
         e = next(e for e, c in tc.edge_colors.items() if c < 1)
         raise VerificationFailed("edge (%d, %d) has no valid color" % e)
+    if sum(map(len, cols)) < len(tc.edge_colors):
+        extra = sorted(set(tc.edge_colors).difference(g.edges))
+        raise VerificationFailed("non-edge (%d, %d) has a color" % extra[0])
 
 
 def find_violations(g: CirculantGraph, tc: TotalColoring) -> list:
     """Every total-coloring violation, each with a concrete witness."""
+    return _violations(g, tc, _columns(g, tc.edge_colors))
+
+
+def _violations(g: CirculantGraph, tc: TotalColoring, cols) -> list:
+    """[] if no two neighbours share a colour and every vertex sees
+    degree + 1 distinct colours on itself and its edges, else every
+    violation from one pass over the edges."""
+    vertex_colors = tc.vertex_colors
+    if (not _equal_across(g, vertex_colors) and g.n * (g.degree + 1)
+            == sum(map(len, map(set, _stars(g, vertex_colors, cols))))):
+        return []
     violations = []
-    vertex_colors, edges = tc.vertex_colors, g.edges
+    edges = g.edges
     edge_colors = list(map(tc.edge_colors.__getitem__, edges))
     for e, ce in zip(edges, edge_colors):
         u, v = e
@@ -92,31 +137,7 @@ def find_violations(g: CirculantGraph, tc: TotalColoring) -> list:
             violations.append(Violation("vertex-edge", (u, e, ce)))
         if ce == cv:
             violations.append(Violation("vertex-edge", (v, e, ce)))
-    if _edge_clash(g.n, edges, edge_colors):
-        violations += _edge_edge_violations(edges, edge_colors)
-    return violations
-
-
-# Above this many distinct edge colors the per-vertex masks would grow
-# into long ints, and the clash test defers to the exact pass.
-_MASK_COLORS = 512
-
-
-def _edge_clash(n: int, edges, edge_colors) -> bool:
-    """Whether two edges of one color may share an endpoint: exact, from
-    one color bitmask per vertex over the ranked distinct colors, unless
-    there are more than _MASK_COLORS of them (then True)."""
-    palette = set(edge_colors)
-    if len(palette) > _MASK_COLORS:
-        return True
-    rank = {c: 1 << r for r, c in enumerate(palette)}
-    at = [0] * n
-    for (u, v), bit in zip(edges, map(rank.__getitem__, edge_colors)):
-        if (at[u] | at[v]) & bit:
-            return True
-        at[u] |= bit
-        at[v] |= bit
-    return False
+    return violations + _edge_edge_violations(edges, edge_colors)
 
 
 def _edge_edge_violations(edges, edge_colors) -> list:
@@ -135,8 +156,14 @@ def _edge_edge_violations(edges, edge_colors) -> list:
 
 
 def verify_total_coloring(g: CirculantGraph, tc: TotalColoring) -> VerificationReport:
-    _check_assignments(g, tc)
-    violations = find_violations(g, tc)
+    return _verify(g, tc)[0]
+
+
+def _verify(g: CirculantGraph, tc: TotalColoring) -> tuple:
+    """(verify_total_coloring's report, the columns of tc)."""
+    cols = _columns(g, tc.edge_colors)
+    _check_assignments(g, tc, cols)
+    violations = _violations(g, tc, cols)
     sizes = _class_sizes(tc)
     report = VerificationReport(
         proper=not violations,
@@ -151,7 +178,7 @@ def verify_total_coloring(g: CirculantGraph, tc: TotalColoring) -> VerificationR
             report.type_label = TypeLabel.TYPE_I
         elif report.colors_used == g.degree + 2:
             report.type_label = TypeLabel.TYPE_II_BOUND
-    return report
+    return report, cols
 
 
 def verify_equitable(g: CirculantGraph, tc: TotalColoring) -> VerificationReport:
@@ -163,12 +190,14 @@ def verify_equitable(g: CirculantGraph, tc: TotalColoring) -> VerificationReport
 
 def verify_nsd(g: CirculantGraph, tc: TotalColoring) -> VerificationReport:
     """NSD verdict; sums are recomputed from scratch."""
-    report = verify_total_coloring(g, tc)
+    report, cols = _verify(g, tc)
     if not report.proper:
         raise VerificationFailed("NSD is only defined for proper colorings")
-    sums = tc.all_vertex_sums()
-    bad = [Violation("nsd-equal-sums", (u, v, sums[u]))
-           for u, v in g.edges if sums[u] == sums[v]]
+    sums = list(map(sum, _stars(g, tc.vertex_colors, cols)))
+    bad = []
+    if _equal_across(g, sums):
+        bad = [Violation("nsd-equal-sums", (u, v, sums[u]))
+               for u, v in g.edges if sums[u] == sums[v]]
     report.nsd = not bad
     report.nsd_violations = bad
     return report

@@ -258,6 +258,20 @@ class TestExitContract:
                      "--in", str(path)]) == EXIT_VERIFICATION
         assert "uncolored edges" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    def test_non_edge_color(self, suffix, tmp_path, capsys):
+        # a proper total coloring of C_5 plus the chord (0, 2)
+        tc = TotalColoring((1, 2, 3, 1, 3), {
+            (0, 1): 3, (0, 4): 2, (1, 2): 1, (2, 3): 2, (3, 4): 4})
+        argv = ["verify", "--n", "5", "--gens", "1", "--in"]
+        path = tmp_path / ("extra" + suffix)
+        (write_coloring_json if suffix == ".json" else write_matrix_csv)(
+            tc.with_edge_colors({(0, 2): 9}), path)
+        assert main(argv + [str(path)]) == EXIT_VERIFICATION
+        assert "non-edge (0, 2) has a color" in capsys.readouterr().err
+        write_coloring_json(tc, tmp_path / "ok.json")
+        assert main(argv + [str(tmp_path / "ok.json")]) == EXIT_OK
+
     def test_oracle_honours_budget(self, capsys):
         # C_10^3 has 40 elements, so 20 nodes cannot color it
         assert main(["--budget", "20", "oracle", "--quantity",

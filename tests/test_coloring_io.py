@@ -26,6 +26,7 @@ from circulant_coloring.coloring import (
 from circulant_coloring.constructions import color_power_cycle_odd
 from circulant_coloring.errors import PreconditionFailed
 from circulant_coloring.graphs import build_circulant
+from circulant_coloring.verifiers import verify_nsd
 
 
 # Reference reader: it walks every cell of the n x n grid and ignores the
@@ -129,8 +130,14 @@ class TestTotalColoring:
         assert len(set(tc.vertex_colors) | set(tc.edge_colors.values())) == 3
 
     def test_vertex_sum(self):
+        # sums 8, 9, 8, 9 around the 4-cycle; with colour 5 on (0, 3)
+        # they are 9, 9, 8, 10
+        g = build_circulant(4, [1])
         tc = sample_coloring()
-        assert tc.all_vertex_sums() == [8, 9, 8, 9]
+        assert verify_nsd(g, tc).nsd is True
+        report = verify_nsd(g, tc.with_edge_colors({(0, 3): 5}))
+        assert report.proper and report.nsd is False
+        assert [v.witness for v in report.nsd_violations] == [(0, 1, 9)]
 
     def test_with_edge_colors_is_functional(self):
         tc = sample_coloring()
@@ -331,10 +338,16 @@ class TestWriters:
     REPORT = {"colors_used": 5, "bound_claimed": 5, "fallback_used": False,
               "notes": 'quote " and \u00e9'}
 
+    # export writes a colouring without verifying it, so any int colour
+    # may reach the writer; C_6(1, 3) has the involution 3
+    C6 = build_circulant(6, [1, 3])
+    ODD = TotalColoring((0, -7, 10**12, 5, 0, 1), dict(zip(
+        C6.edges, [10**12, 0, -7, 3, 10**12 + 1, -7, 0, 2, 10**12])))
+
     @pytest.mark.parametrize("report", [None, REPORT, {}])
     def test_json_text_is_json_dumps(self, report):
         for tc in (sample_coloring(), TotalColoring((1, 2), {}),
-                   TotalColoring((), {})):
+                   TotalColoring((), {}), self.ODD):
             doc = json_dict(tc)
             if report is not None:
                 doc["report"] = report

@@ -193,6 +193,20 @@ class TestEquitableNsdPowerCycle:
             if (e[1] - e[0]) % 18 not in (1, 17):
                 assert c == eq.coloring.edge_colors[e]
 
+    def test_each_coloring_verified_once(self, monkeypatch):
+        # the base colouring's report from color_power_cycle_even is
+        # reused for equitability; the recoloured one goes through NSD
+        from circulant_coloring import constructions
+        seen = []
+        for name in ("verify_total_coloring", "verify_equitable", "verify_nsd"):
+            def spy(g, tc, check=getattr(constructions, name), name=name):
+                seen.append((name, tc))
+                return check(g, tc)
+            monkeypatch.setattr(constructions, name, spy)
+        eq, nsd = equitable_nsd_power_cycle(18, 4)
+        assert seen == [("verify_total_coloring", eq.coloring),
+                        ("verify_nsd", nsd.coloring)]
+
     def test_preconditions(self):
         with pytest.raises(PreconditionFailed):
             equitable_nsd_power_cycle(9, 1)

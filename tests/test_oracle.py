@@ -161,6 +161,15 @@ def _to_coloring(g, elements, assignment):
     return TotalColoring(tuple(vertex_colors), edge_colors)
 
 
+def _vertex_sums(tc):
+    """Each vertex's color plus the colors of its incident edges."""
+    sums = list(tc.vertex_colors)
+    for (u, v), c in tc.edge_colors.items():
+        sums[u] += c
+        sums[v] += c
+    return sums
+
+
 def reference_total_chromatic(g, budget):
     """The oracle before the kernel: counting rule, then the static
     search per palette; None when a palette runs out of budget."""
@@ -394,8 +403,8 @@ class TestNsdFeasible:
         class LeafChecked(_Searcher):
             def _dfs(self, pos, max_used):
                 if pos == len(self.elements):
-                    sums = _to_coloring(self.g, self.elements,
-                                        self.assignment).all_vertex_sums()
+                    sums = _vertex_sums(_to_coloring(self.g, self.elements,
+                                                     self.assignment))
                     return all(sums[u] != sums[v] for u, v in self.g.edges)
                 return super()._dfs(pos, max_used)
 

@@ -9,7 +9,6 @@ from circulant_coloring.graphs import build_circulant, power_of_cycle
 from circulant_coloring.verifiers import (
     TypeLabel,
     Violation,
-    _edge_clash,
     find_violations,
     verify_equitable,
     verify_nsd,
@@ -83,8 +82,8 @@ class TestProperness:
 
 
 def reference_violations(g, tc):
-    """find_violations as one pass with a (vertex, color) dict for the
-    edge-edge clashes, before the bitmask test was put in front of it."""
+    """find_violations as one pass over the edges, with a (vertex, color)
+    dict for the edge-edge clashes."""
     violations, at_vertex = [], {}
     for e in g.edges:
         u, v = e
@@ -106,6 +105,22 @@ def reference_violations(g, tc):
     return violations
 
 
+def vertex_sums(tc):
+    """Sigma_c(u) for every vertex u: its color plus the colors of its
+    incident edges."""
+    sums = list(tc.vertex_colors)
+    for (u, v), c in tc.edge_colors.items():
+        sums[u] += c
+        sums[v] += c
+    return sums
+
+
+def reference_nsd_violations(g, tc):
+    sums = vertex_sums(tc)
+    return [Violation("nsd-equal-sums", (u, v, sums[u]))
+            for u, v in g.edges if sums[u] == sums[v]]
+
+
 @st.composite
 def colored_circulants(draw):
     """A circulant with vertex and edge colors drawn from a palette that
@@ -124,19 +139,63 @@ def colored_circulants(draw):
     return g, tc
 
 
-class TestEdgeClashPass:
+@st.composite
+def proper_colorings(draw):
+    """A circulant, n/2 among its distances half the time, and a proper
+    total coloring of it: each element, in a drawn order, takes the
+    smallest color from a drawn floor of 1-3 up that no element it
+    touches holds, so equal neighbor sums are common."""
+    n = draw(st.integers(3, 14))
+    gens = draw(st.lists(st.integers(1, n // 2), min_size=1, max_size=4,
+                         unique=True))
+    if n % 2 == 0 and draw(st.booleans()):
+        gens.append(n // 2)
+    g = build_circulant(n, set(gens))
+
+    def touching(x):  # the elements that may not share x's colour
+        if type(x) is int:
+            return [*g.neighbors(x), *(e for e in g.edges if x in e)]
+        return [*x, *(e for e in g.edges if e != x and set(e) & set(x))]
+
+    color = {}
+    for x in draw(st.permutations([*range(n), *g.edges])):
+        taken = {color.get(y) for y in touching(x)}
+        c = draw(st.integers(1, 3))
+        while c in taken:
+            c += 1
+        color[x] = c
+    return g, TotalColoring(tuple(color[u] for u in range(n)),
+                            {e: color[e] for e in g.edges})
+
+
+class TestColumnPasses:
+    # the per-distance passes against the per-edge references, with and
+    # without a fault, the involution's half-length column included
     @given(colored_circulants())
     @settings(max_examples=300, deadline=None)
-    def test_agrees_with_dict_pass(self, case):
+    def test_agrees_with_reference(self, case):
         g, tc = case
         want = reference_violations(g, tc)
         assert find_violations(g, tc) == want
-        edge_colors = [tc.edge_colors[e] for e in g.edges]
-        assert _edge_clash(g.n, g.edges, edge_colors) == any(
-            v.kind == "edge-edge" for v in want)
+        if want or min([*tc.vertex_colors, *tc.edge_colors.values()]) < 1:
+            with pytest.raises(VerificationFailed):
+                verify_nsd(g, tc)
+        else:
+            assert verify_nsd(g, tc).nsd_violations == (
+                reference_nsd_violations(g, tc))
 
-    def test_more_colors_than_masks_hold(self):
-        # 1,200 distinct edge colors take the dict pass directly
+    @given(proper_colorings())
+    @settings(max_examples=300, deadline=None)
+    def test_nsd_agrees_with_reference(self, case):
+        g, tc = case
+        assert find_violations(g, tc) == []
+        report = verify_nsd(g, tc)
+        want = reference_nsd_violations(g, tc)
+        assert report.nsd_violations == want
+        assert report.nsd is not want
+
+    def test_no_palette_limit(self):
+        # 1,200 distinct edge colors, every one a distinct element
         g = power_of_cycle(200, 6)
         colors = {e: 10**12 + t for t, e in enumerate(g.edges)}
         tc = TotalColoring(tuple([1] * 200), colors)
@@ -144,6 +203,41 @@ class TestEdgeClashPass:
         clash = tc.with_edge_colors({g.edges[1]: colors[g.edges[0]]})
         assert find_violations(g, clash) == reference_violations(g, clash)
         assert any(v.kind == "edge-edge" for v in find_violations(g, clash))
+
+    def test_missing_edge(self):
+        # only the involution's column lacks an edge
+        g = build_circulant(6, [1, 3])
+        tc = TotalColoring((1, 2, 1, 2, 1, 2),
+                           {e: 3 for e in g.edges if e != (1, 4)})
+        with pytest.raises(VerificationFailed,
+                           match=r"uncolored edges: \[\(1, 4\)\]"):
+            verify_total_coloring(g, tc)
+
+    def test_extra_edge(self):
+        # a proper coloring of C_5 plus the non-edge (0, 2), the first in
+        # sorted order of the two
+        g = build_circulant(5, [1])
+        tc = TotalColoring((1, 2, 3, 1, 3), {
+            (0, 1): 3, (0, 4): 2, (1, 2): 1, (2, 3): 2, (3, 4): 4})
+        assert verify_total_coloring(g, tc).proper
+        extra = tc.with_edge_colors({(1, 3): 9, (0, 2): 9})
+        with pytest.raises(VerificationFailed,
+                           match=r"non-edge \(0, 2\) has a color"):
+            verify_total_coloring(g, extra)
+        with pytest.raises(VerificationFailed, match="non-edge"):
+            verify_nsd(g, extra)
+
+    def test_equal_sums_across_the_involution(self):
+        # sums 13, 18, 15, 13, 12, 18: only the distance-3 edge (0, 3)
+        # joins equal sums
+        g = build_circulant(6, [1, 3])
+        tc = TotalColoring((1, 5, 3, 6, 2, 4), {
+            (0, 1): 3, (0, 3): 4, (0, 5): 5, (1, 2): 4, (1, 4): 6,
+            (2, 3): 2, (2, 5): 6, (3, 4): 1, (4, 5): 3})
+        report = verify_nsd(g, tc)
+        assert report.proper and report.nsd is False
+        assert report.nsd_violations == [
+            Violation("nsd-equal-sums", (0, 3, 13))]
 
 
 class TestEquitable:
@@ -205,7 +299,7 @@ class TestNsd:
         report = verify_nsd(g, rebuild_table(2))
         assert report.nsd is False
         assert report.nsd_violations
-        sums = rebuild_table(2).all_vertex_sums()
+        sums = vertex_sums(rebuild_table(2))
         for v in report.nsd_violations:
             u, w, s = v.witness
             assert sums[u] == sums[w] == s
