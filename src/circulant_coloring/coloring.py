@@ -1,8 +1,13 @@
 """Total coloring values and the color-matrix / file representations.
 
-A total coloring is a vertex color vector plus an edge color map.  The
-color matrix view is the n x n symmetric array with vertex colors on the
-diagonal and edge colors off it, mirroring the published tables; blank
+A total coloring on Z_n is a vertex color vector plus one column per
+distance d, 1 <= d <= n/2: columns[d][u] is the color of the pair
+{u, u + d mod n}, None if it has none.  The involution's column has n/2
+entries, and a distance with no colored pair has no column.  Every pair
+has a slot, so colored non-edges read from a file reach the verifier.
+
+The color matrix view is the n x n symmetric array with vertex colors on
+the diagonal and edge colors off it, mirroring the published tables; blank
 cells are non-edges.  Reading or writing a coloring never holds that grid.
 Files are read as UTF-8, a leading byte-order mark allowed; a CSV text is
 split on comma runs unless a '"' or a NUL sends it to csv.reader.
@@ -14,21 +19,41 @@ import csv
 import json
 import re
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import itemgetter, lt
+from operator import itemgetter, lt, setitem, sub
 
 from .errors import PreconditionFailed
 
 
+def _filled(columns: dict, n: int, us, vs, cs) -> dict:
+    """A copy of columns with color cs[i] at the slot of pair (us[i], vs[i]),
+    (v - u, u) or, past n/2, (n - v + u, v); new lists for those written."""
+    ds, at = list(map(sub, vs, us)), list(us)
+    for i in [*compress(count(), map(lt, repeat(n // 2), ds))]:
+        ds[i], at[i] = n - ds[i], vs[i]
+    columns = dict(columns)
+    for d in set(ds):
+        columns[d] = (columns[d][:] if d in columns
+                      else [None] * (n // 2 if 2 * d == n else n))
+    deque(map(setitem, map(columns.__getitem__, ds), at, cs), 0)
+    return columns
+
+
 @dataclass(frozen=True)
 class TotalColoring:
-    """Immutable coloring; colors are 1-based positive integers."""
+    """Immutable coloring; colors are 1-based positive integers.  Colorings
+    made by with_edge_colors share the columns they leave unchanged."""
 
     vertex_colors: tuple[int, ...]
-    edge_colors: dict  # (u, v) with u < v -> int
+    columns: dict  # distance d -> [color of {u, u + d mod n} or None]
+
+    @classmethod
+    def from_pairs(cls, vertex_colors, pairs: dict) -> "TotalColoring":
+        """The coloring with color pairs[(u, v)] on each pair u < v."""
+        return cls(tuple(vertex_colors), {}).with_edge_colors(pairs)
 
     @property
     def n(self) -> int:
@@ -36,13 +61,29 @@ class TotalColoring:
 
     @property
     def palette_size(self) -> int:
-        cols = set(self.vertex_colors) | set(self.edge_colors.values())
-        return max(cols) if cols else 0
+        return max({*self.vertex_colors, *chain.from_iterable(
+            self.columns.values())} - {None}, default=0)
+
+    def column(self, d: int) -> list:
+        """The column of distance d, all None if no pair there is colored."""
+        n = self.n
+        return self.columns.get(d) or [None] * (n // 2 if 2 * d == n else n)
+
+    def edge_color(self, u: int, v: int):
+        """The color of pair (u, v), u < v, or None."""
+        n, d = self.n, v - u
+        col = self.columns.get(min(d, n - d))
+        return None if col is None else col[u if 2 * d <= n else v]
+
+    def edge_items(self):
+        """((u, v), color) of every colored pair u < v, in sorted order."""
+        flat = _sorted_pairs(self, range(self.n), range(self.n))
+        return zip(zip(flat[1::3], flat[2::3]), flat[0::3])
 
     def with_edge_colors(self, updates: dict) -> "TotalColoring":
-        merged = dict(self.edge_colors)
-        merged.update(updates)
-        return TotalColoring(self.vertex_colors, merged)
+        us, vs = zip(*updates) if updates else ((), ())
+        return TotalColoring(self.vertex_colors, _filled(
+            self.columns, self.n, us, vs, updates.values()))
 
 
 @dataclass
@@ -57,6 +98,44 @@ class BuildReport:
     verification: object = None  # the VerificationReport that accepted it
 
 
+def _blocks(tc: TotalColoring):
+    """(a, b, cells) for each run a <= u < b of color-matrix rows whose
+    edge cells lie at the same offsets: cells is the sorted (offset,
+    column, shift) of a row u, its cell at u + offset holding color
+    column[u + shift].  A run ends where u + d or u - d wraps around."""
+    n, cols = tc.n, tc.columns
+    cuts = sorted({0, n, *cols, *(n - d for d in cols)})
+    for a, b in zip(cuts, cuts[1:]):
+        cells = []
+        for d, col in cols.items():
+            up = d if a + d < n else d - n  # pair {u, u + d}
+            cells.append((up, col, up if up < 0 and 2 * d == n else 0))
+            if 2 * d < n:  # pair {u - d, u}
+                down = -d if a >= d else n - d
+                cells.append((down, col, down))
+        yield a, b, sorted(cells, key=itemgetter(0))
+
+
+def _sorted_pairs(tc: TotalColoring, lefts, rights) -> list:
+    """[color, lefts[u], rights[v]] for each of tc's colored pairs (u, v),
+    u < v, in sorted order, flattened: the cells right of the diagonal,
+    laid out by slice assignment one run of rows and one offset at a time."""
+    flat = []
+    for a, b, cells in _blocks(tc):
+        cells = [cell for cell in cells if cell[0] > 0]
+        width = 3 * len(cells)
+        block = [None] * (width * (b - a))
+        for j, (offset, col, shift) in enumerate(cells):
+            block[3 * j::width] = col[a + shift:b + shift]
+            block[3 * j + 1::width] = lefts[a:b]
+            block[3 * j + 2::width] = rights[a + offset:b + offset]
+        flat += block
+    if None in flat[0::3]:  # drop the uncolored pairs
+        flat = [*compress(flat, [c is not None for c in flat[0::3]
+                                 for _ in range(3)])]
+    return flat
+
+
 def to_matrix(tc: TotalColoring) -> list[list]:
     """n x n array: diagonal = vertex colors, off-diagonal = edge colors,
     None = non-edge."""
@@ -64,28 +143,33 @@ def to_matrix(tc: TotalColoring) -> list[list]:
     m = [[None] * n for _ in range(n)]
     for u in range(n):
         m[u][u] = tc.vertex_colors[u]
-    for (u, v), c in tc.edge_colors.items():
-        m[u][v] = c
-        m[v][u] = c
+    for (u, v), c in tc.edge_items():
+        m[u][v] = m[v][u] = c
     return m
 
 
 def matrix_csv_lines(tc: TotalColoring):
     """CSV layout of the published tables, one line at a time: header
-    row/column of vertex indices, blank cells for non-edges.  A line is its
-    vertex's sorted filled cells, each after a run of commas for the gap."""
+    row/column of vertex indices, blank cells for non-edges and uncolored
+    vertices.  A line is its vertex's cells, each after a run of commas
+    for the gap; the rows of a run from _blocks share one gap pattern and
+    are laid out by slice assignment, one offset at a time."""
     n = tc.n
-    rows = [[(u, c)] for u, c in enumerate(tc.vertex_colors)]
-    for (u, v), c in tc.edge_colors.items():
-        rows[u].append((v, c))
-        rows[v].append((u, c))
     # csv quotes a lone empty field, so the header of n = 0 is ""
     yield ",".join(["", *map(str, range(n))]) or '""'
-    for u, cells in enumerate(rows):
-        cells.sort()
-        last = [-1] + [v for v, _ in cells]  # the previous filled column
-        line = ["," * (v - w) + str(c) for (v, c), w in zip(cells, last)]
-        yield "".join([str(u), *line, "," * (n - 1 - last[-1])])
+    for a, b, cells in _blocks(tc):
+        cells = sorted([*cells, (0, tc.vertex_colors, 0)], key=itemgetter(0))
+        first, width = cells[0][0], len(cells)
+        parts = [None] * (width * (b - a))
+        for j, (offset, col, shift) in enumerate(cells):
+            colors = col[a + shift:b + shift]
+            gap = "," * (offset - cells[j - 1][0] if j else 0)
+            text = {c: gap if c is None else gap + str(c) for c in set(colors)}
+            parts[j::width] = map(text.__getitem__, colors)
+        for i, u in enumerate(range(a, b)):
+            yield "%d%s%s%s" % (u, "," * (u + first + 1),
+                                "".join(parts[i * width:i * width + width]),
+                                "," * (n - 1 - u - cells[-1][0]))
 
 
 @contextmanager
@@ -183,22 +267,25 @@ def coloring_from_csv_text(text: str) -> TotalColoring:
     if wildcards:
         raise PreconditionFailed("input matrix has wildcard cells; cannot "
                                  "verify: %s" % sorted(wildcards)[:5])
-    vertex_colors, upper = [], {}  # keyed by (min, max)
-    symmetric, lower_cells = True, 0
+    vertex_colors = []
+    us, vs, cs = [], [], []  # the cells above the diagonal, row by row
+    mirror_us, mirror_vs, lower = [], [], []  # below it, as (column, row)
     for u, (cols, colours) in enumerate(rows):
         i = bisect_left(cols, u)  # cols[:i] lie below the diagonal
         j = i + (cols[i:i + 1] == [u])  # cols[j:] above it
         vertex_colors.append(colours[i] if j > i else None)
-        upper.update(zip(zip(repeat(u), cols[j:]), colours[j:]))
-        # the mirrors of row u's lower cells lie in the rows read before
-        symmetric = symmetric and list(map(
-            upper.get, zip(cols[:i], repeat(u)))) == colours[:i]
-        lower_cells += i
-    if not symmetric or lower_cells != len(upper):
+        us += repeat(u, len(cols) - j)
+        vs += cols[j:]
+        cs += colours[j:]
+        mirror_us += cols[:i]
+        mirror_vs += repeat(u, i)
+        lower += colours[:i]
+    columns = _filled({}, n, us, vs, cs)
+    if _filled({}, n, mirror_us, mirror_vs, lower) != columns:
         # the first upper cell in row-major order whose mirror differs,
         # else the first lower cell whose mirror is blank
-        lower = {(v, u): c for u, (cols, colours) in enumerate(rows)
-                 for v, c in zip(cols, colours) if v < u}
+        upper = dict(zip(zip(us, vs), cs))
+        lower = dict(zip(zip(mirror_us, mirror_vs), lower))
         bad = ([(e, c, lower.get(e)) for e, c in upper.items()
                 if lower.get(e) != c]
                or [((u, v), c, None) for (v, u), c in lower.items()
@@ -206,7 +293,7 @@ def coloring_from_csv_text(text: str) -> TotalColoring:
         (u, v), c, mirror = bad[0]
         raise ValueError("cell (%d, %d) = %s differs from cell (%d, %d) = %s"
                          % (u, v, c, v, u, mirror))
-    return TotalColoring(tuple(vertex_colors), upper)
+    return TotalColoring(tuple(vertex_colors), columns)
 
 
 def read_matrix_csv(path, parse=parse_matrix_csv_text):
@@ -218,11 +305,13 @@ def read_matrix_csv(path, parse=parse_matrix_csv_text):
 
 def coloring_from_json_dict(d: dict) -> TotalColoring:
     """Raises KeyError, TypeError or ValueError on a malformed document:
-    a colour or endpoint that is not an int (bools included), an edge
-    with u >= v, an edge listed twice, or an endpoint outside 0..n-1."""
+    an edge colour or endpoint that is not an int (bools included), a
+    vertex colour that is neither an int nor null, an edge with u >= v,
+    an edge listed twice, or an endpoint outside 0..n-1."""
     vertex_colors = tuple(d["vertex_colors"])
     us, vs, cs = (list(map(itemgetter(key), d["edges"])) for key in "uvc")
-    kinds = set(map(type, chain(vertex_colors, cs, us, vs)))
+    kinds = ({*map(type, vertex_colors)} - {type(None)}).union(
+        map(type, chain(cs, us, vs)))
     if not kinds <= {int}:
         raise TypeError("colours and endpoints must be integers, not %s"
                         % ", ".join(sorted(k.__name__ for k in kinds - {int})))
@@ -230,51 +319,51 @@ def coloring_from_json_dict(d: dict) -> TotalColoring:
         u, v = next((u, v) for u, v in zip(us, vs) if u >= v)
         raise ValueError("self-loop edge (%d, %d)" % (u, v) if u == v
                          else "edge endpoints must satisfy u < v")
-    edge_colors = dict(zip(zip(us, vs), cs))
-    if len(edge_colors) != len(cs):
-        twice = Counter(zip(us, vs)).most_common(1)
-        raise ValueError("edge %s listed twice" % (twice[0][0],))
-    if us and (min(us) < 0 or max(vs) >= len(vertex_colors)):
+    n = len(vertex_colors)
+    outside = us and (min(us) < 0 or max(vs) >= n)
+    columns = {} if outside else _filled({}, n, us, vs, cs)
+    filled = sum(len(col) - col.count(None) for col in columns.values())
+    if outside or filled < len(cs):  # an endpoint out of range, or a repeat
+        (e, times), = Counter(zip(us, vs)).most_common(1)
+        if times > 1:
+            raise ValueError("edge %s listed twice" % (e,))
         raise ValueError("edge endpoint %d outside 0..%d" % (
-            min(us) if min(us) < 0 else max(vs), len(vertex_colors) - 1))
-    return TotalColoring(vertex_colors, edge_colors)
+            min(us) if min(us) < 0 else max(vs), n - 1))
+    return TotalColoring(vertex_colors, columns)
 
 
-# The "edges" list as json.dumps(indent=1, sort_keys=True) lays it out:
-# its opening, the text after a colour (holding u), the text after u
-# (holding v, then opening the next edge), the part of that opening the
-# last edge drops, and the list's close.
+# The "edges" list as json.dumps(indent=1, sort_keys=True) lays it out: its
+# opening, the text after a colour (holding u), the text after u (holding
+# v, then opening the next edge), what the last edge drops, and the close.
 _EDGE_JSON = ('{\n "edges": [\n  {\n   "c": ', ',\n   "u": %d,\n   "v": ',
               '%d\n  },\n  {\n   "c": ', ',\n  {\n   "c": ', '\n ],')
 
 
 def coloring_json_text(tc: TotalColoring, report: dict | None = None) -> str:
-    """The JSON document of tc: "n", "vertex_colors", the edges sorted
-    as {"u", "v", "c"} objects, and ``report`` under "report" when given;
-    laid out as json.dumps(indent=1, sort_keys=True) would, byte for byte,
-    for int colours.
-
-    The edge list is one str.join over three pieces of text per edge,
-    each formatted once per distinct colour or endpoint; the rest goes
-    through json.dumps.  "edges" sorts before every other key, so the
-    edge list opens the document.
-    """
-    rest = {"n": tc.n, "vertex_colors": list(tc.vertex_colors)}
-    if report is not None:
-        rest["report"] = report
-    head = '{\n "edges": [],'
-    if tc.edge_colors:
-        keys = sorted(tc.edge_colors)
-        us, vs = zip(*keys)
-        ends, colours = {*us, *vs}, set(tc.edge_colors.values())
-        opening, with_u, with_v, next_edge, closing = _EDGE_JSON
-        parts = [None] * (3 * len(keys))  # parts[3i:3i + 3] is edge i
+    """The JSON document of tc as json.dumps(indent=1, sort_keys=True) lays
+    it out, byte for byte for int and None colours: "edges" as sorted
+    {"u", "v", "c"} objects, "n", ``report`` when given, "vertex_colors".
+    Each edge is three pieces of text, each formatted once per distinct
+    colour or endpoint; only ``report`` goes through json.dumps."""
+    n = tc.n
+    opening, with_u, with_v, next_edge, closing = _EDGE_JSON
+    parts = _sorted_pairs(tc, [*map(with_u.__mod__, range(n))],
+                          [*map(with_v.__mod__, range(n))])
+    text = ['{\n "edges": [],']
+    if parts:  # parts[3i:3i + 3] is edge i
+        colours = set(parts[0::3])
         parts[0::3] = map(dict(zip(colours, map("%d".__mod__, colours))).get,
-                          map(tc.edge_colors.__getitem__, keys))
-        parts[1::3] = map(dict(zip(ends, map(with_u.__mod__, ends))).get, us)
-        parts[2::3] = map(dict(zip(ends, map(with_v.__mod__, ends))).get, vs)
-        head = opening + "".join(parts)[:-len(next_edge)] + closing
-    return head + json.dumps(rest, indent=1, sort_keys=True)[1:]
+                          parts[0::3])
+        text = [opening, "".join(parts)[:-len(next_edge)], closing]
+    text.append('\n "n": %d,' % n)
+    if report is not None:
+        text += ['\n "report": ', json.dumps(report, indent=1, sort_keys=True)
+                 .replace("\n", "\n "), ","]
+    values = {c: "null" if c is None else "%d" % c for c in tc.vertex_colors}
+    listed = ",\n  ".join(map(values.__getitem__, tc.vertex_colors))
+    text.append('\n "vertex_colors": %s\n}'
+                % ("[\n  %s\n ]" % listed if n else "[]"))
+    return "".join(text)
 
 
 def write_coloring_json(tc: TotalColoring, path) -> None:

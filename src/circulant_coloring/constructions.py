@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, cycle, islice
 
 from .coloring import BuildReport, TotalColoring
 from .errors import (
@@ -56,34 +55,16 @@ def _tiling(n: int, q: int, distances) -> TotalColoring:
     distinct nonzero residue classes +-d mod q.  Element (u, v) takes the
     square's entry at (u mod q + 1, v mod q + 1), which depends on the
     residue sum u mod q + v mod q only: the square is tabulated once per
-    sum, and the color of the edge from u to u + d repeats with period q.
+    sum, and each distance's column is one period of q colors repeated.
     """
     by_sum = [closed_form_entry(q, 1, r + 1) for r in range(2 * q - 1)]
-    vertex_colors = tuple(by_sum[2 * (u % q)] for u in range(n))
-    edge_colors = {}
-    for d in distances:
-        # the edges u -> u + d for u = 0..n-1: first those with u + d < n,
-        # then the ones that wrap around to v = u + d - n
-        edges = chain(zip(range(n - d), range(d, n)),
-                      zip(range(d), range(n - d, n)))
-        period = [by_sum[r + (r + d) % q] for r in range(q)]
-        edge_colors.update(zip(edges, islice(cycle(period), n)))
-    return TotalColoring(vertex_colors, edge_colors)
+    return TotalColoring(tuple(by_sum[0:2 * q:2] * (n // q)), {
+        d: [by_sum[r + (r + d) % q] for r in range(q)] * (n // q)
+        for d in distances})
 
 
 def _factor_edge_colors(fac: Factorization, first_color: int) -> dict:
-    out = {}
-    c = first_color
-    for f in fac.factors:
-        for e in f:
-            out[e] = c
-        c += 1
-    return out
-
-
-def _offset_vizing(edges, first_color: int) -> dict:
-    ec = edge_color_delta_plus_one(edges)
-    return {e: c + first_color - 1 for e, c in ec.colors.items()}
+    return {e: c for c, f in enumerate(fac.factors, first_color) for e in f}
 
 
 def _choose_tiling_split(n: int, k: int, q: int):
@@ -191,7 +172,8 @@ def color_power_cycle_odd(n: int, k: int, i: int) -> BuildReport:
     notes = "tiled distances 1..%d with order-%d square" % (m, q)
     if residual:
         sub = build_circulant(n, residual)
-        tc = tc.with_edge_colors(_offset_vizing(sub.edges, q + 1))
+        ec = edge_color_delta_plus_one(sub.edges)
+        tc = tc.with_edge_colors({e: c + q for e, c in ec.colors.items()})
         notes += "; residual %r edge-colored (Vizing)" % (residual,)
     return _verified(g, tc, 2 * k + 2, notes=notes)
 
@@ -276,11 +258,10 @@ def canonical_complete_coloring(m: int) -> CanonicalResult:
     """
     row = canonical_first_row(m)
     vertex_colors = tuple(row[(2 * u) % m] for u in range(m))
-    edge_colors = {}
-    for u in range(m):
-        for v in range(u + 1, m):
-            edge_colors[u, v] = row[(u + v) % m]
-    tc = TotalColoring(vertex_colors, edge_colors)
+    # pair {u, u + d mod m} takes row[(2u + d) mod m]
+    tc = TotalColoring(vertex_colors, {
+        d: [row[(2 * u + d) % m] for u in range(m // 2 if 2 * d == m else m)]
+        for d in range(1, m // 2 + 1)})
     g = build_circulant(m, range(1, m // 2 + 1))
     report = verify_total_coloring(g, tc)
     return CanonicalResult(tc, report)
@@ -324,34 +305,8 @@ def _constrained_total_search(power: CirculantGraph, full: CirculantGraph,
         raise VerificationFailed(
             "no total coloring of the power part within %d colors"
             % num_colors)
-    return TotalColoring(tuple(colors[:n]), dict(zip(power.edges, colors[n:])))
-
-
-def _power_cycle_part(g: CirculantGraph, kk: int,
-                     budget: int) -> tuple[TotalColoring, int, str, bool]:
-    """Total coloring of the inner C_n^kk with at most n/2 + 2 colors whose
-    vertex colors are also proper for the full graph g.
-
-    Prefers the structured power-of-cycle builder when some tiling order
-    q = kk + i divides n and divides no distance of g (a distance that is
-    a multiple of q would make two like-colored vertices adjacent).
-    Otherwise an exact bounded search finishes the job.
-    """
-    n = g.n
-    for i in range(1, kk + 2):
-        q = kk + i
-        if q % 2 == 0 or n % q:
-            continue
-        if any(d % q == 0 for d in g.gens):
-            continue
-        rep = color_power_cycle_even(n, kk, i, budget)
-        notes = "power part: structured (i=%d); %s" % (i, rep.notes)
-        return rep.coloring, rep.colors_used, notes, rep.fallback_used
-    tc = _constrained_total_search(power_of_cycle(n, kk), g, n // 2 + 2,
-                                   budget)
-    notes = ("power part: exact bounded search within %d colors"
-             % (n // 2 + 2))
-    return tc, tc.palette_size, notes, True
+    return TotalColoring.from_pairs(colors[:n],
+                                    dict(zip(power.edges, colors[n:])))
 
 
 def color_thm31(g: CirculantGraph, s1: GeneratorSet,
@@ -373,13 +328,16 @@ def color_thm31(g: CirculantGraph, s1: GeneratorSet,
     _require(generates_group(GeneratorSet(n, complement)),
              "the complement must generate the whole group")
 
-    tc, colors, notes, fallback = _power_cycle_part(g, kk, budget)
+    # searched: no odd tiling order q = kk + i divides n = 4kk
+    tc = _constrained_total_search(power_of_cycle(n, kk), g, n // 2 + 2,
+                                   budget)
+    notes = "power part: exact bounded search within %d colors" % (n // 2 + 2)
     fac = one_factorize(build_circulant(n, list(complement)), budget)
-    tc = tc.with_edge_colors(_factor_edge_colors(fac, colors + 1))
+    tc = tc.with_edge_colors(_factor_edge_colors(fac, tc.palette_size + 1))
     notes += "; complement %r one-factorized on %d colors" % (
         complement, len(fac.factors))
     report = _verified(g, tc, g.degree + 2, notes)
-    report.fallback_used = fallback
+    report.fallback_used = True
     return report
 
 
@@ -388,9 +346,10 @@ def color_thm32(g: CirculantGraph) -> BuildReport:
     both halves and the cross edges reuse the complete-graph pattern of
     order n/2, for at most n/2 + 1 = degree + 3 colors.
 
-    Element (u, v) takes the pattern cell at (u mod n/2, v mod n/2); the
-    sum-free condition guarantees at most one neighbor per residue class,
-    so the pattern row at each vertex is never reused.
+    Element (u, v) takes the pattern cell at (u mod n/2, v mod n/2), so
+    each distance's column repeats with period n/2; the sum-free
+    condition guarantees at most one neighbor per residue class, so the
+    pattern row at each vertex is never reused.
     """
     n = g.n
     _require(n % 2 == 0, "n must be even")
@@ -402,8 +361,8 @@ def color_thm32(g: CirculantGraph) -> BuildReport:
     row = _complete_pattern_row(h)
     q = len(row)
     vertex_colors = tuple(row[2 * (u % h) % q] for u in range(n))
-    edge_colors = {e: row[(e[0] % h + e[1] % h) % q] for e in g.edges}
-    tc = TotalColoring(vertex_colors, edge_colors)
+    tc = TotalColoring(vertex_colors, {
+        d: [row[(r + (r + d) % h) % q] for r in range(h)] * 2 for d in g.gens})
     return _verified(g, tc, h + 1,
                      notes="complete-graph pattern of order %d folded mod %d"
                      % (h, h))
@@ -469,12 +428,11 @@ def color_thm34(g: CirculantGraph, s1: GeneratorSet,
 
     row = canonical_first_row(m)
     vertex_colors = tuple(u % m + 1 for u in range(n))
-    sub = CirculantGraph(n, s1)
-    edge_colors = {}
-    for e in sub.edges:
-        u, v = e
-        edge_colors[e] = (row[(v - u) % n % m] - 1 + u) % m + 1
-    tc = TotalColoring(vertex_colors, edge_colors)
+    # pair (u, v) takes (row[(v - u) mod n mod m] - 1 + u) mod m + 1, so
+    # pair {u, u + d} takes (row[d] - 1 + u) mod m + 1 (when u + d wraps,
+    # row[m - d] = row[d] - d mod m): period m
+    tc = TotalColoring(vertex_colors, {
+        d: [(row[d] - 1 + r) % m + 1 for r in range(m)] * 2 for d in s1.gens})
 
     fac = one_factorize(build_circulant(n, list(complement)), budget)
     tc = tc.with_edge_colors(_factor_edge_colors(fac, m + 1))

@@ -55,17 +55,7 @@ def _orbit_cycles(n: int, g: int) -> list[list[int]]:
     """Vertex cycles of the single distance g: gcd(n, g) cycles of length
     n // gcd(n, g)."""
     d = math.gcd(n, g)
-    cycles = []
-    for start in range(d):
-        cyc = []
-        x = start
-        while True:
-            cyc.append(x)
-            x = (x + g) % n
-            if x == start:
-                break
-        cycles.append(cyc)
-    return cycles
+    return [[(start + t * g) % n for t in range(n // d)] for start in range(d)]
 
 
 def _alternate_cycle(cyc: list[int]) -> tuple[set, set]:
@@ -105,7 +95,7 @@ def _exact_edge_coloring(edges, num_colors: int, budget: int,
     raises SearchBudgetExceeded when the node budget runs out.
     """
     edges = sorted(edges if start is None
-                   else [e for e in edges if e not in start.edge_colors])
+                   else [e for e in edges if start.edge_color(*e) is None])
     n = max((v for _, v in edges), default=-1) + 1
     if start is not None:
         n = max(n, start.n)
@@ -114,7 +104,7 @@ def _exact_edge_coloring(edges, num_colors: int, budget: int,
     if start is not None:
         for u, c in enumerate(start.vertex_colors):
             used[u] |= 1 << c
-        for (u, v), c in start.edge_colors.items():
+        for (u, v), c in start.edge_items():
             used[u] |= 1 << c
             used[v] |= 1 << c
         used = [m & full for m in used]
@@ -419,7 +409,7 @@ def split_rainbow_matchings(cycle: list[int], tc) -> tuple[frozenset, frozenset,
     first, second = map(frozenset, _alternate_cycle(cycle))
 
     def rainbow(edges):
-        cols = [tc.edge_colors[e] for e in edges]
+        cols = [tc.edge_color(u, v) for u, v in edges]
         return len(cols) == len(set(cols))
 
     return first, second, (rainbow(first), rainbow(second))

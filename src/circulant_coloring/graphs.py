@@ -57,11 +57,7 @@ class GeneratorSet:
     @property
     def full(self) -> tuple[int, ...]:
         """Full symmetric set {d, n-d} as residues in (0, n)."""
-        out = set()
-        for d in self.gens:
-            out.add(d)
-            out.add(self.n - d)
-        return tuple(sorted(out))
+        return tuple(sorted({*self.gens, *(self.n - d for d in self.gens)}))
 
     def degree_contribution(self) -> int:
         # the involution n/2 contributes a single edge per vertex
@@ -99,10 +95,7 @@ class CirculantGraph:
                       for u in range(n) for s in full if u + s < n])
 
     def neighbors(self, u: int) -> list[int]:
-        out = set()
-        for d in self.generators.full:
-            out.add((u + d) % self.n)
-        return sorted(out)
+        return sorted({(u + d) % self.n for d in self.generators.full})
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "generators": list(self.gens)}

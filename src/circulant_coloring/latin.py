@@ -44,19 +44,9 @@ def build_commutative_idempotent(q: int) -> LatinSquare:
     """
     if q < 1 or q % 2 == 0:
         raise PreconditionFailed("order must be odd and positive, got %d" % q)
-    k = (q - 1) // 2
-    rows = []
-    for i in range(1, q + 1):
-        row = []
-        for j in range(1, q + 1):
-            s = i + j
-            if s % 2 == 0:
-                val = s // 2
-            else:
-                val = k + 1 + (s - 1) // 2
-            row.append(_reduce(val, q))
-        rows.append(tuple(row))
-    return LatinSquare(q, tuple(rows))
+    return LatinSquare(q, tuple(
+        tuple(closed_form_entry(q, i, j) for j in range(1, q + 1))
+        for i in range(1, q + 1)))
 
 
 def closed_form_entry(q: int, i: int, j: int) -> int:

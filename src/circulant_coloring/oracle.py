@@ -272,8 +272,8 @@ def _search(g: CirculantGraph, k: int, budget: int, vertices: bool = True,
     if colors is None:
         return None, nodes
     nv = g.n if vertices else 0
-    return TotalColoring(tuple(colors[:nv]) or (0,) * g.n,
-                         dict(zip(g.edges, colors[nv:]))), nodes
+    return TotalColoring.from_pairs(colors[:nv] or (0,) * g.n,
+                                    dict(zip(g.edges, colors[nv:]))), nodes
 
 
 def exact_total_chromatic(g: CirculantGraph, max_colors: int | None = None,

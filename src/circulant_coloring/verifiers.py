@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, filterfalse
+from itertools import chain
 from operator import eq
 
 from .errors import VerificationFailed
@@ -63,24 +63,6 @@ class VerificationReport:
         }
 
 
-def _class_sizes(tc: TotalColoring) -> dict:
-    counts = Counter(tc.vertex_colors)
-    counts.update(tc.edge_colors.values())
-    return dict(counts)
-
-
-def _columns(g: CirculantGraph, edge_colors: dict) -> list:
-    """Per distance d of g, col[u] = the colour of edge {u, u + d mod n}
-    or None, for u < n (u < n/2 at the involution d = n/2)."""
-    n, cols = g.n, []
-    for d in g.gens:
-        keys = zip(range(n - d), range(d, n))
-        if 2 * d < n:  # from u >= n - d the edge wraps to (u + d - n, u)
-            keys = chain(keys, zip(range(d), range(n - d, n)))
-        cols.append(list(map(edge_colors.get, keys)))
-    return cols
-
-
 def _stars(g: CirculantGraph, values, cols):
     """Per vertex u: values[u] and the colours of u's edges, from cols."""
     around = []
@@ -95,39 +77,43 @@ def _equal_across(g: CirculantGraph, values) -> bool:
     return any(any(map(eq, values, values[d:] + values[:d])) for d in g.gens)
 
 
-def _check_assignments(g: CirculantGraph, tc: TotalColoring, cols) -> None:
+def _check_assignments(g: CirculantGraph, tc: TotalColoring) -> list:
+    """tc's column of each distance of g, once every edge and vertex has
+    a colour of at least 1 and no non-edge has one."""
     if tc.n != g.n:
         raise VerificationFailed("coloring covers %d vertices, graph has %d" % (tc.n, g.n))
+    cols = list(map(tc.column, g.gens))
     if any(None in col for col in cols):
-        missing = list(filterfalse(tc.edge_colors.__contains__, g.edges))
+        missing = [e for e in g.edges if tc.edge_color(*e) is None]
         raise VerificationFailed("uncolored edges: %s" % (missing[:5],))
     for u, c in enumerate(tc.vertex_colors):
         if c is None or c < 1:
             raise VerificationFailed("vertex %d has no valid color" % u)
-    if min(tc.edge_colors.values(), default=1) < 1:
-        e = next(e for e, c in tc.edge_colors.items() if c < 1)
+    extra = [c for d, col in tc.columns.items() if d not in g.gens
+             for c in col if c is not None]  # on non-edges
+    if min(chain(map(min, cols), extra), default=1) < 1:
+        e = next(e for e, c in tc.edge_items() if c < 1)
         raise VerificationFailed("edge (%d, %d) has no valid color" % e)
-    if sum(map(len, cols)) < len(tc.edge_colors):
-        extra = sorted(set(tc.edge_colors).difference(g.edges))
-        raise VerificationFailed("non-edge (%d, %d) has a color" % extra[0])
+    if extra:
+        e = next(e for e, c in tc.edge_items()
+                 if min(e[1] - e[0], g.n - e[1] + e[0]) not in g.gens)
+        raise VerificationFailed("non-edge (%d, %d) has a color" % e)
+    return cols
 
 
-def find_violations(g: CirculantGraph, tc: TotalColoring) -> list:
-    """Every total-coloring violation, each with a concrete witness."""
-    return _violations(g, tc, _columns(g, tc.edge_colors))
-
-
-def _violations(g: CirculantGraph, tc: TotalColoring, cols) -> list:
-    """[] if no two neighbours share a colour and every vertex sees
-    degree + 1 distinct colours on itself and its edges, else every
-    violation from one pass over the edges."""
+def find_violations(g: CirculantGraph, tc: TotalColoring, cols=None) -> list:
+    """Every total-coloring violation, each with a concrete witness: []
+    if no two neighbours share a colour and every vertex sees degree + 1
+    distinct colours on itself and its edges, else every violation from
+    one pass over the edges.  ``cols`` are tc's columns of g's distances."""
+    cols = cols or list(map(tc.column, g.gens))
     vertex_colors = tc.vertex_colors
     if (not _equal_across(g, vertex_colors) and g.n * (g.degree + 1)
             == sum(map(len, map(set, _stars(g, vertex_colors, cols))))):
         return []
     violations = []
     edges = g.edges
-    edge_colors = list(map(tc.edge_colors.__getitem__, edges))
+    edge_colors = [tc.edge_color(u, v) for u, v in edges]
     for e, ce in zip(edges, edge_colors):
         u, v = e
         cu, cv = vertex_colors[u], vertex_colors[v]
@@ -137,21 +123,16 @@ def _violations(g: CirculantGraph, tc: TotalColoring, cols) -> list:
             violations.append(Violation("vertex-edge", (u, e, ce)))
         if ce == cv:
             violations.append(Violation("vertex-edge", (v, e, ce)))
-    return violations + _edge_edge_violations(edges, edge_colors)
-
-
-def _edge_edge_violations(edges, edge_colors) -> list:
-    """Edge-edge clashes at a shared endpoint, each against the first
-    edge of that color seen there."""
-    violations = []
+    # edge-edge clashes at a shared endpoint, each against the first edge
+    # of that color seen there
     at_vertex = {}
     for e, ce in zip(edges, edge_colors):
         for end in e:
-            key = (end, ce)
-            if key in at_vertex:
-                violations.append(Violation("edge-edge", (end, at_vertex[key], e, ce)))
+            if (end, ce) in at_vertex:
+                violations.append(
+                    Violation("edge-edge", (end, at_vertex[end, ce], e, ce)))
             else:
-                at_vertex[key] = e
+                at_vertex[end, ce] = e
     return violations
 
 
@@ -161,10 +142,9 @@ def verify_total_coloring(g: CirculantGraph, tc: TotalColoring) -> VerificationR
 
 def _verify(g: CirculantGraph, tc: TotalColoring) -> tuple:
     """(verify_total_coloring's report, the columns of tc)."""
-    cols = _columns(g, tc.edge_colors)
-    _check_assignments(g, tc, cols)
-    violations = _violations(g, tc, cols)
-    sizes = _class_sizes(tc)
+    cols = _check_assignments(g, tc)
+    violations = find_violations(g, tc, cols)
+    sizes = dict(Counter(chain(tc.vertex_colors, *cols)))
     report = VerificationReport(
         proper=not violations,
         violations=violations,

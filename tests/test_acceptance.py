@@ -84,8 +84,8 @@ def test_criterion_02_nsd_power_cycle_18_4():
         report = verify_nsd(power_of_cycle(18, 4), nsd.coloring)
         assert report.nsd is True
         assert report.colors_used <= 11
-        assert nsd.coloring.edge_colors[(0, 1)] == 10
-        assert nsd.coloring.edge_colors[(0, 17)] == 11
+        assert nsd.coloring.edge_color(0, 1) == 10
+        assert nsd.coloring.edge_color(0, 17) == 11
         assert reproduce_table(3) == 162
 
 
@@ -136,7 +136,7 @@ def test_criterion_07_z18_equitable_and_nsd():
         nsd_report = verify_nsd(g, nsd.coloring)
         assert nsd_report.nsd is True
         assert nsd_report.colors_used == 15
-        starts = [eq.coloring.edge_colors[(0, s)]
+        starts = [eq.coloring.edge_color(0, s)
                   for s in (1, 2, 4, 6, 12, 14, 16, 17)]
         assert starts == [6, 2, 3, 4, 7, 8, 9, 5]
         assert reproduce_table(5) == 162
@@ -229,11 +229,11 @@ def test_criterion_11_mutation_testing():
                 v = rng.choice(g.neighbors(u))
                 vc = list(tc.vertex_colors)
                 vc[u] = tc.vertex_colors[v]
-                bad = type(tc)(tuple(vc), tc.edge_colors)
+                bad = type(tc)(tuple(vc), tc.columns)
                 corrupted = ("v", u)
             else:
                 # edge corruption: copy an endpoint's vertex color
-                e = rng.choice(sorted(tc.edge_colors))
+                e = rng.choice([e for e, _ in tc.edge_items()])
                 end = e[0] if rng.random() < 0.5 else e[1]
                 bad = tc.with_edge_colors({e: tc.vertex_colors[end]})
                 corrupted = ("e", e)

@@ -121,7 +121,7 @@ class TestVerify:
 
     def test_corrupted_rejected(self, tmp_path, capsys):
         tc, _ = self._write_good(tmp_path)
-        e = next(iter(tc.edge_colors))
+        e = next(tc.edge_items())[0]
         bad = tc.with_edge_colors({e: tc.vertex_colors[e[0]]})
         path = tmp_path / "bad.csv"
         write_matrix_csv(bad, path)
@@ -140,7 +140,7 @@ class TestVerify:
         # C_6 with distinct sums but four vertices of colour 1 against one
         # cell each of 2, 3, 4 and the edge colours: NSD, not equitable
         path = tmp_path / "c6.json"
-        write_coloring_json(TotalColoring(
+        write_coloring_json(TotalColoring.from_pairs(
             (1, 2, 1, 3, 1, 4),
             dict(zip(power_of_cycle(6, 1).edges,
                      [10, 20, 40, 80, 160, 320]))), path)
@@ -178,6 +178,25 @@ class TestExport:
         assert main(["export", "--in", str(j), "--format", "csv",
                      "--out", str(c)]) == EXIT_OK
         assert a.read_bytes() == c.read_bytes()
+
+    def test_blank_diagonal_round_trip(self, tmp_path, capsys):
+        # vertex 0 has no colour: a blank diagonal cell, null in JSON
+        a = tmp_path / "a.csv"
+        a.write_bytes(b",0,1,2,3,4\r\n0,,1,,,2\r\n1,1,2,3,,\r\n2,,3,1,1,\r\n"
+                      b"3,,,1,2,3\r\n4,2,,,3,1\r\n")
+        j, c = tmp_path / "b.json", tmp_path / "c.csv"
+        assert main(["export", "--in", str(a), "--format", "json",
+                     "--out", str(j)]) == EXIT_OK
+        assert json.loads(j.read_text())["vertex_colors"][0] is None
+        assert main(["export", "--in", str(j), "--format", "csv",
+                     "--out", str(c)]) == EXIT_OK
+        assert a.read_bytes() == c.read_bytes()
+        capsys.readouterr()
+        for path in (a, j):
+            assert main(["verify", "--n", "5", "--gens", "1",
+                         "--in", str(path)]) == EXIT_VERIFICATION
+            assert ("vertex 0 has no valid color"
+                    in capsys.readouterr().err)
 
     def test_wildcards_refused(self, tmp_path, capsys):
         path = tmp_path / "w.csv"
@@ -241,7 +260,7 @@ class TestExitContract:
 
     def test_nsd_of_improper_coloring(self, tmp_path, capsys):
         tc = color_power_cycle_even(18, 4, 5).coloring
-        e = next(iter(tc.edge_colors))
+        e = next(tc.edge_items())[0]
         path = tmp_path / "bad.csv"
         write_matrix_csv(tc.with_edge_colors({e: tc.vertex_colors[e[0]]}), path)
         assert main(["verify", "--n", "18", "--gens", "1,2,3,4",
@@ -250,10 +269,11 @@ class TestExitContract:
 
     def test_missing_edge_color(self, tmp_path, capsys):
         tc = color_power_cycle_even(18, 4, 5).coloring
-        edges = dict(tc.edge_colors)
+        edges = dict(tc.edge_items())
         del edges[min(edges)]
         path = tmp_path / "partial.json"
-        write_coloring_json(TotalColoring(tc.vertex_colors, edges), path)
+        write_coloring_json(
+            TotalColoring.from_pairs(tc.vertex_colors, edges), path)
         assert main(["verify", "--n", "18", "--gens", "1,2,3,4",
                      "--in", str(path)]) == EXIT_VERIFICATION
         assert "uncolored edges" in capsys.readouterr().err
@@ -261,7 +281,7 @@ class TestExitContract:
     @pytest.mark.parametrize("suffix", [".json", ".csv"])
     def test_non_edge_color(self, suffix, tmp_path, capsys):
         # a proper total coloring of C_5 plus the chord (0, 2)
-        tc = TotalColoring((1, 2, 3, 1, 3), {
+        tc = TotalColoring.from_pairs((1, 2, 3, 1, 3), {
             (0, 1): 3, (0, 4): 2, (1, 2): 1, (2, 3): 2, (3, 4): 4})
         argv = ["verify", "--n", "5", "--gens", "1", "--in"]
         path = tmp_path / ("extra" + suffix)
@@ -537,12 +557,12 @@ def fuzz_files(tmp_path_factory):
     write_matrix_csv(equitable.coloring, work / "equitable.csv")
     write_coloring_json(nsd.coloring, work / "nsd.json")
     tc = equitable.coloring
-    e = min(tc.edge_colors)
+    e = next(tc.edge_items())[0]
     write_matrix_csv(tc.with_edge_colors({e: tc.vertex_colors[e[0]]}),
                      work / "improper.csv")
-    edges = dict(tc.edge_colors)
+    edges = dict(tc.edge_items())
     del edges[e]
-    write_coloring_json(TotalColoring(tc.vertex_colors, edges),
+    write_coloring_json(TotalColoring.from_pairs(tc.vertex_colors, edges),
                         work / "partial.json")
     (work / "loop.json").write_text(json.dumps(
         {"n": 3, "vertex_colors": [1, 2, 3],

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circulant_coloring.coloring import (
+    _EDGE_JSON,
     TotalColoring,
     _filled_cells,
     coloring_from_csv_text,
@@ -24,9 +25,9 @@ from circulant_coloring.coloring import (
     write_matrix_csv,
 )
 from circulant_coloring.constructions import color_power_cycle_odd
-from circulant_coloring.errors import PreconditionFailed
+from circulant_coloring.errors import PreconditionFailed, VerificationFailed
 from circulant_coloring.graphs import build_circulant
-from circulant_coloring.verifiers import verify_nsd
+from circulant_coloring.verifiers import verify_nsd, verify_total_coloring
 
 
 # Reference reader: it walks every cell of the n x n grid and ignores the
@@ -73,7 +74,7 @@ def from_matrix(matrix) -> TotalColoring:
         raise _asymmetric(matrix, *next(
             (u, v) for u in range(n) for v in range(u)
             if matrix[u][v] is not None and matrix[v][u] is None))
-    return TotalColoring(vertex_colors, edge_colors)
+    return TotalColoring.from_pairs(vertex_colors, edge_colors)
 
 
 def _asymmetric(matrix, u, v) -> ValueError:
@@ -111,13 +112,13 @@ def json_dict(tc) -> dict:
         "n": tc.n,
         "vertex_colors": list(tc.vertex_colors),
         "edges": [{"u": u, "v": v, "c": c}
-                  for (u, v), c in sorted(tc.edge_colors.items())],
+                  for (u, v), c in sorted(tc.edge_items())],
     }
 
 
 def sample_coloring():
     # proper total coloring of C_4
-    return TotalColoring(
+    return TotalColoring.from_pairs(
         (1, 2, 1, 2),
         {(0, 1): 3, (1, 2): 4, (2, 3): 3, (0, 3): 4},
     )
@@ -125,9 +126,10 @@ def sample_coloring():
 
 class TestTotalColoring:
     def test_palette_vs_distinct_count(self):
-        tc = TotalColoring((1, 5), {(0, 1): 3})
+        tc = TotalColoring.from_pairs((1, 5), {(0, 1): 3})
         assert tc.palette_size == 5
-        assert len(set(tc.vertex_colors) | set(tc.edge_colors.values())) == 3
+        colors = {*tc.vertex_colors, *(c for _, c in tc.edge_items())}
+        assert len(colors) == 3
 
     def test_vertex_sum(self):
         # sums 8, 9, 8, 9 around the 4-cycle; with colour 5 on (0, 3)
@@ -142,8 +144,8 @@ class TestTotalColoring:
     def test_with_edge_colors_is_functional(self):
         tc = sample_coloring()
         out = tc.with_edge_colors({(0, 1): 9})
-        assert out.edge_colors[(0, 1)] == 9
-        assert tc.edge_colors[(0, 1)] == 3
+        assert out.edge_color(0, 1) == 9
+        assert tc.edge_color(0, 1) == 3
 
 
 class TestMatrix:
@@ -232,7 +234,7 @@ class TestCsvFrame:
     def test_good_frame(self):
         tc = coloring_from_csv_text(self.GOOD)
         assert tc.vertex_colors == (1, 2, 3)
-        assert tc.edge_colors == {(0, 1): 3, (0, 2): 2, (1, 2): 1}
+        assert dict(tc.edge_items()) == {(0, 1): 3, (0, 2): 2, (1, 2): 1}
         # frame cells are stripped as colour cells are
         padded = ', 0,1 ,"2"\n 0,1,3,2\n1 ,3,2,1\n"2",2,1,3\n'
         assert coloring_from_csv_text(padded) == tc
@@ -257,7 +259,7 @@ class TestCsvFrame:
     def test_short_rows_end_in_blanks(self):
         text = ",0,1,2\n0,1,3\n1,3,2,1\n2,,1,3\n"
         tc = coloring_from_csv_text(text + "\n\n")
-        assert tc.edge_colors == {(0, 1): 3, (1, 2): 1}
+        assert dict(tc.edge_items()) == {(0, 1): 3, (1, 2): 1}
         assert tc == reference_coloring(text)
 
     def test_blank_cells_past_the_last_column(self):
@@ -341,13 +343,13 @@ class TestWriters:
     # export writes a colouring without verifying it, so any int colour
     # may reach the writer; C_6(1, 3) has the involution 3
     C6 = build_circulant(6, [1, 3])
-    ODD = TotalColoring((0, -7, 10**12, 5, 0, 1), dict(zip(
+    ODD = TotalColoring.from_pairs((0, -7, 10**12, 5, 0, 1), dict(zip(
         C6.edges, [10**12, 0, -7, 3, 10**12 + 1, -7, 0, 2, 10**12])))
 
     @pytest.mark.parametrize("report", [None, REPORT, {}])
     def test_json_text_is_json_dumps(self, report):
-        for tc in (sample_coloring(), TotalColoring((1, 2), {}),
-                   TotalColoring((), {}), self.ODD):
+        for tc in (sample_coloring(), TotalColoring.from_pairs((1, 2), {}),
+                   TotalColoring.from_pairs((), {}), self.ODD):
             doc = json_dict(tc)
             if report is not None:
                 doc["report"] = report
@@ -362,7 +364,8 @@ class TestWriters:
 
     def test_csv_file_is_matrix_csv(self, tmp_path):
         for tc in (sample_coloring(), color_power_cycle_odd(21, 6, 1).coloring,
-                   TotalColoring((1, 2, 3), {}), TotalColoring((), {})):
+                   TotalColoring.from_pairs((1, 2, 3), {}),
+                   TotalColoring.from_pairs((), {})):
             write_matrix_csv(tc, tmp_path / "t.csv")
             with open(tmp_path / "t.csv", newline="") as fh:
                 assert fh.read() == matrix_csv_reference(tc)
@@ -387,7 +390,7 @@ def test_random_colorings_round_trip(n, data):
     g = build_circulant(n, [1, 2])
     vc = tuple(data.draw(st.integers(1, 9)) for _ in range(n))
     ec = {e: data.draw(st.integers(1, 9)) for e in g.edges}
-    tc = TotalColoring(vc, ec)
+    tc = TotalColoring.from_pairs(vc, ec)
     assert from_matrix(to_matrix(tc)) == tc
     text = csv_text(tc)
     matrix, _ = parse_matrix_csv_text(text)
@@ -398,6 +401,144 @@ def test_random_colorings_round_trip(n, data):
     with_report["report"] = {"n": n}
     assert coloring_json_text(tc, {"n": n}) == json.dumps(
         with_report, indent=1, sort_keys=True)
+
+
+# The dict-based writers the column layout replaced, kept as the reference:
+# a colouring as its vertex colours and a dict (u, v) -> colour, u < v.
+# The one change: an uncoloured vertex (None) is a blank cell, as the
+# readers read it, where the old CSV writer wrote "None".
+
+
+def reference_csv_lines(vertex_colors, edge_colors):
+    n = len(vertex_colors)
+    rows = [[(u, c)] if c is not None else []
+            for u, c in enumerate(vertex_colors)]
+    for (u, v), c in edge_colors.items():
+        rows[u].append((v, c))
+        rows[v].append((u, c))
+    yield ",".join(["", *map(str, range(n))]) or '""'
+    for u, cells in enumerate(rows):
+        cells.sort()
+        last = [-1] + [v for v, _ in cells]  # the previous filled column
+        line = ["," * (v - w) + str(c) for (v, c), w in zip(cells, last)]
+        yield "".join([str(u), *line, "," * (n - 1 - last[-1])])
+
+
+def reference_json_text(vertex_colors, edge_colors, report=None):
+    rest = {"n": len(vertex_colors), "vertex_colors": list(vertex_colors)}
+    if report is not None:
+        rest["report"] = report
+    head = '{\n "edges": [],'
+    if edge_colors:
+        keys = sorted(edge_colors)
+        us, vs = zip(*keys)
+        ends, colours = {*us, *vs}, set(edge_colors.values())
+        opening, with_u, with_v, next_edge, closing = _EDGE_JSON
+        parts = [None] * (3 * len(keys))
+        parts[0::3] = map(dict(zip(colours, map("%d".__mod__, colours))).get,
+                          map(edge_colors.__getitem__, keys))
+        parts[1::3] = map(dict(zip(ends, map(with_u.__mod__, ends))).get, us)
+        parts[2::3] = map(dict(zip(ends, map(with_v.__mod__, ends))).get, vs)
+        head = opening + "".join(parts)[:-len(next_edge)] + closing
+    return head + json.dumps(rest, indent=1, sort_keys=True)[1:]
+
+
+def reference_check(g, vertex_colors, edge_colors):
+    """The message of the VerificationFailed the dict-based verifier
+    raised before looking for clashes, or None."""
+    if len(vertex_colors) != g.n:
+        return "coloring covers %d vertices, graph has %d" % (
+            len(vertex_colors), g.n)
+    missing = [e for e in g.edges if e not in edge_colors]
+    if missing:
+        return "uncolored edges: %s" % (missing[:5],)
+    for u, c in enumerate(vertex_colors):
+        if c is None or c < 1:
+            return "vertex %d has no valid color" % u
+    low = [e for e, c in sorted(edge_colors.items()) if c < 1]
+    if low:
+        return "edge (%d, %d) has no valid color" % low[0]
+    extra = sorted(set(edge_colors).difference(g.edges))
+    if extra:
+        return "non-edge (%d, %d) has a color" % extra[0]
+    return None
+
+
+@st.composite
+def sparse_colorings(draw):
+    """(vertex colors, {(u, v): color}, distances) on Z_n, n in 1..40:
+    every pair at a few drawn distances (n/2 included) less random holes,
+    plus pairs at any distance; colours from a small palette or with 0,
+    negatives and 10**12, and vertices left uncoloured now and then."""
+    n = draw(st.integers(1, 40))
+    colour = draw(st.sampled_from([
+        st.integers(1, 6), st.sampled_from([0, -3, 1, 2, 10**12])]))
+    vertex = draw(st.sampled_from([
+        colour, st.integers(1, 6), st.one_of(colour, st.none())]))
+    vertex_colors = tuple(draw(vertex) for _ in range(n))
+    pairs, distances = {}, []
+    if n > 1:
+        hole = draw(st.sampled_from([0, 0, 0.05, 0.5]))
+        distances = sorted(draw(st.sets(st.integers(1, n // 2),
+                                        min_size=1, max_size=4)))
+        for d in distances:
+            for u in range(n // 2 if 2 * d == n else n):
+                if draw(st.floats(0, 1)) >= hole:
+                    pairs[min(u, (u + d) % n), max(u, (u + d) % n)] = (
+                        draw(colour))
+        for _ in range(draw(st.integers(0, 3))):
+            u, v = sorted(draw(st.sets(st.integers(0, n - 1),
+                                       min_size=2, max_size=2)))
+            pairs[u, v] = draw(colour)
+    return vertex_colors, pairs, distances
+
+
+class TestColumnLayout:
+    """Writers, readers and the verifier's first checks on the column
+    layout, against the dict-based code it replaced."""
+
+    @given(sparse_colorings(), st.sampled_from([None, {}, {"a": [1, "x"]}]))
+    @settings(max_examples=300, deadline=None)
+    def test_writers_match_reference(self, case, report):
+        vertex_colors, pairs, _ = case
+        tc = TotalColoring.from_pairs(vertex_colors, pairs)
+        assert list(matrix_csv_lines(tc)) == list(
+            reference_csv_lines(vertex_colors, pairs))
+        assert coloring_json_text(tc, report) == reference_json_text(
+            vertex_colors, pairs, report)
+
+    @given(sparse_colorings())
+    @settings(max_examples=300, deadline=None)
+    def test_readers_give_back_the_coloring(self, case):
+        vertex_colors, pairs, _ = case
+        tc = TotalColoring.from_pairs(vertex_colors, pairs)
+        assert list(tc.edge_items()) == sorted(pairs.items())
+        n = len(vertex_colors)
+        assert all(tc.edge_color(u, v) == pairs.get((u, v))
+                   for u in range(n) for v in range(u + 1, n))
+        assert coloring_from_csv_text(csv_text(tc)) == tc
+        assert coloring_from_json_dict(
+            json.loads(coloring_json_text(tc))) == tc
+
+    @given(sparse_colorings(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_verifier_witnesses(self, case, data):
+        vertex_colors, pairs, distances = case
+        n = len(vertex_colors)
+        if n < 3:
+            return
+        # the drawn distances, fewer (their pairs are colored non-edges)
+        # or more (their edges are uncoloured)
+        gens = data.draw(st.sampled_from([
+            distances, distances[:1], distances[1:], distances + [1]]))
+        g = build_circulant(n, set(gens) or {n // 2})
+        tc = TotalColoring.from_pairs(vertex_colors, pairs)
+        try:
+            verify_total_coloring(g, tc)
+            message = None
+        except VerificationFailed as exc:
+            message = str(exc)
+        assert message == reference_check(g, vertex_colors, pairs)
 
 
 @st.composite

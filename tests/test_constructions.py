@@ -189,9 +189,9 @@ class TestEquitableNsdPowerCycle:
 
     def test_nsd_only_touches_distance_one_edges(self):
         eq, nsd = equitable_nsd_power_cycle(18, 4)
-        for e, c in nsd.coloring.edge_colors.items():
+        for e, c in nsd.coloring.edge_items():
             if (e[1] - e[0]) % 18 not in (1, 17):
-                assert c == eq.coloring.edge_colors[e]
+                assert c == eq.coloring.edge_color(*e)
 
     def test_each_coloring_verified_once(self, monkeypatch):
         # the base colouring's report from color_power_cycle_even is
@@ -348,8 +348,9 @@ def reference_constrained_search(power, full, num_colors, budget):
 
     if not solve(0):
         return None, [], nodes
-    tc = TotalColoring(tuple(assignment[("v", u)] for u in range(n)),
-                       {e: assignment[("e", e)] for e in power.edges})
+    tc = TotalColoring.from_pairs(
+        tuple(assignment[("v", u)] for u in range(n)),
+        {e: assignment[("e", e)] for e in power.edges})
     return tc, list(assignment), nodes
 
 
@@ -361,7 +362,8 @@ def kernel_constrained_search(power, full, num_colors, budget):
         budget, "power-part", dsatur=False)
     if colors is None:
         return None, [], nodes
-    tc = TotalColoring(tuple(colors[:n]), dict(zip(power.edges, colors[n:])))
+    tc = TotalColoring.from_pairs(tuple(colors[:n]),
+                                  dict(zip(power.edges, colors[n:])))
     elements = [("v", u) for u in range(n)] + [("e", e) for e in power.edges]
     return tc, [elements[x] for x in order], nodes
 

@@ -109,10 +109,10 @@ def reference_edge_coloring(edges, num_colors, budget, start=None):
     used = {}  # vertex -> set of colors
     if start is not None:
         used = {u: {c} for u, c in enumerate(start.vertex_colors)}
-        for (u, v), c in start.edge_colors.items():
+        for (u, v), c in start.edge_items():
             used[u].add(c)
             used[v].add(c)
-        edges = [e for e in edges if e not in start.edge_colors]
+        edges = [e for e in edges if start.edge_color(*e) is None]
     edges = sorted(edges)
     for u, v in edges:
         used.setdefault(u, set())
@@ -408,7 +408,7 @@ class TestHamiltonianCycle:
 class TestRainbowSplit:
     def _cycle_coloring(self, n, edge_colors):
         vc = tuple(0 for _ in range(n))
-        return TotalColoring(vc, edge_colors)
+        return TotalColoring.from_pairs(vc, edge_colors)
 
     def test_c6_rainbow(self):
         cycle = list(range(6))

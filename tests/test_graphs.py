@@ -205,7 +205,8 @@ class TestEdge:
         assert all(u < v for f in fac.factors for u, v in f)
         assert (0, 5) in set().union(*fac.factors)
         cycle = hamiltonian_cycle(power_of_cycle(6, 1), 5)
-        tc = TotalColoring((1,) * 6, {e: 1 for e in power_of_cycle(6, 1).edges})
+        tc = TotalColoring.from_pairs(
+            (1,) * 6, {e: 1 for e in power_of_cycle(6, 1).edges})
         m1, m2, _ = split_rainbow_matchings(cycle, tc)
         assert m1 | m2 == set(power_of_cycle(6, 1).edges)
 
@@ -233,13 +234,15 @@ class TestEdge:
             make()
 
     def test_pickle_and_copy(self):
-        tc = TotalColoring((1, 2, 1, 2), dict.fromkeys(
+        tc = TotalColoring.from_pairs((1, 2, 1, 2), dict.fromkeys(
             build_circulant(4, [1]).edges, 3))
         for twin in (pickle.loads(pickle.dumps(tc)), copy.copy(tc),
                      copy.deepcopy(tc)):
             assert twin == tc
-            assert list(twin.edge_colors) == [(0, 1), (0, 3), (1, 2), (2, 3)]
-            assert all(type(e) is tuple for e in twin.edge_colors)
+            edges = [e for e, _ in twin.edge_items()]
+            assert edges == [(0, 1), (0, 3), (1, 2), (2, 3)]
+            assert all(type(e) is tuple for e in edges)
+            assert twin.columns == {1: [3, 3, 3, 3]}
 
     def test_sorts_as_pairs(self):
         # the Vizing coloring orders each caller pair and colors in

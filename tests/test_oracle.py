@@ -158,13 +158,13 @@ def _to_coloring(g, elements, assignment):
             vertex_colors[el[1]] = c
         else:
             edge_colors[el[1]] = c
-    return TotalColoring(tuple(vertex_colors), edge_colors)
+    return TotalColoring.from_pairs(tuple(vertex_colors), edge_colors)
 
 
 def _vertex_sums(tc):
     """Each vertex's color plus the colors of its incident edges."""
     sums = list(tc.vertex_colors)
-    for (u, v), c in tc.edge_colors.items():
+    for (u, v), c in tc.edge_items():
         sums[u] += c
         sums[v] += c
     return sums
@@ -331,11 +331,11 @@ class TestChromaticIndex:
         g = build_circulant(8, [1, 2])
         result = exact_chromatic_index(g)
         at = {}
-        for e, c in result.witness.edge_colors.items():
+        for e, c in result.witness.edge_items():
             for end in e:
                 assert (end, c) not in at
                 at[(end, c)] = e
-        assert set(result.witness.edge_colors) == set(g.edges)
+        assert {e for e, _ in result.witness.edge_items()} == set(g.edges)
 
 
 class TestEquitableFeasible:
@@ -491,8 +491,8 @@ class TestAgainstReference:
         if quantity == "index":
             witness, _ = _search(g, k, 100_000, vertices=False)
             if witness is not None:
-                assert set(witness.edge_colors) == set(g.edges)
-                at = {(u, c) for e, c in witness.edge_colors.items() for u in e}
+                assert {e for e, _ in witness.edge_items()} == set(g.edges)
+                at = {(u, c) for e, c in witness.edge_items() for u in e}
                 assert len(at) == 2 * len(g.edges)
             return witness is not None
         mode = Mode.EQUITABLE if quantity == "equitable" else Mode.NSD

@@ -119,7 +119,7 @@ def test_budget_that_suffices_changes_nothing(capsys):
 
 def test_improper_verify_report(tmp_path, capsys):
     tc = color_power_cycle_even(18, 4, 5).coloring
-    e = min(tc.edge_colors)
+    e = next(tc.edge_items())[0]
     path = tmp_path / "improper.json"
     write_coloring_json(tc.with_edge_colors({e: tc.vertex_colors[e[0]]}), path)
     assert main(["verify", "--n", "18", "--gens", "1,2,3,4",

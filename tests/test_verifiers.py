@@ -17,7 +17,7 @@ from circulant_coloring.verifiers import (
 
 
 def k2_coloring():
-    return build_circulant(3, [1]), TotalColoring(
+    return build_circulant(3, [1]), TotalColoring.from_pairs(
         (1, 2, 3), {(0, 1): 3, (1, 2): 1, (0, 2): 2})
 
 
@@ -31,7 +31,7 @@ class TestProperness:
 
     def test_vertex_vertex_clash(self):
         g, tc = k2_coloring()
-        bad = TotalColoring((1, 1, 3), tc.edge_colors)
+        bad = TotalColoring((1, 1, 3), tc.columns)
         report = verify_total_coloring(g, bad)
         assert not report.proper
         kinds = {v.kind for v in report.violations}
@@ -53,7 +53,7 @@ class TestProperness:
 
     def test_missing_edge_assignment(self):
         g, tc = k2_coloring()
-        partial = TotalColoring(tc.vertex_colors, {(0, 1): 3})
+        partial = TotalColoring.from_pairs(tc.vertex_colors, {(0, 1): 3})
         with pytest.raises(VerificationFailed, match="uncolored edges"):
             verify_total_coloring(g, partial)
 
@@ -70,11 +70,11 @@ class TestProperness:
         g, _ = k2_coloring()
         with pytest.raises(VerificationFailed,
                            match="covers 2 vertices, graph has 3"):
-            verify_total_coloring(g, TotalColoring((1, 2), {}))
+            verify_total_coloring(g, TotalColoring.from_pairs((1, 2), {}))
 
     def test_find_violations_reports_all(self):
         g = build_circulant(4, [1])
-        tc = TotalColoring((1, 1, 1, 1), {e: 1 for e in g.edges})
+        tc = TotalColoring.from_pairs((1, 1, 1, 1), {e: 1 for e in g.edges})
         violations = find_violations(g, tc)
         assert len([v for v in violations if v.kind == "vertex-vertex"]) == 4
         assert len([v for v in violations if v.kind == "vertex-edge"]) == 8
@@ -87,7 +87,8 @@ def reference_violations(g, tc):
     violations, at_vertex = [], {}
     for e in g.edges:
         u, v = e
-        ce, cu, cv = tc.edge_colors[e], tc.vertex_colors[u], tc.vertex_colors[v]
+        ce = tc.edge_color(*e)
+        cu, cv = tc.vertex_colors[u], tc.vertex_colors[v]
         if cu == cv:
             violations.append(Violation("vertex-vertex", (u, v, cu)))
         if ce == cu:
@@ -95,7 +96,7 @@ def reference_violations(g, tc):
         if ce == cv:
             violations.append(Violation("vertex-edge", (v, e, ce)))
     for e in g.edges:
-        ce = tc.edge_colors[e]
+        ce = tc.edge_color(*e)
         for end in e:
             if (end, ce) in at_vertex:
                 violations.append(Violation(
@@ -109,7 +110,7 @@ def vertex_sums(tc):
     """Sigma_c(u) for every vertex u: its color plus the colors of its
     incident edges."""
     sums = list(tc.vertex_colors)
-    for (u, v), c in tc.edge_colors.items():
+    for (u, v), c in tc.edge_items():
         sums[u] += c
         sums[v] += c
     return sums
@@ -134,8 +135,8 @@ def colored_circulants(draw):
         st.lists(st.sampled_from([0, -1, -7, 10**12, 10**12 + 1, 3]),
                  min_size=1)))
     colors = st.sampled_from(palette)
-    tc = TotalColoring(tuple(draw(colors) for _ in range(n)),
-                       {e: draw(colors) for e in g.edges})
+    tc = TotalColoring.from_pairs(tuple(draw(colors) for _ in range(n)),
+                                  {e: draw(colors) for e in g.edges})
     return g, tc
 
 
@@ -164,8 +165,8 @@ def proper_colorings(draw):
         while c in taken:
             c += 1
         color[x] = c
-    return g, TotalColoring(tuple(color[u] for u in range(n)),
-                            {e: color[e] for e in g.edges})
+    return g, TotalColoring.from_pairs(tuple(color[u] for u in range(n)),
+                                       {e: color[e] for e in g.edges})
 
 
 class TestColumnPasses:
@@ -177,7 +178,8 @@ class TestColumnPasses:
         g, tc = case
         want = reference_violations(g, tc)
         assert find_violations(g, tc) == want
-        if want or min([*tc.vertex_colors, *tc.edge_colors.values()]) < 1:
+        colors = [*tc.vertex_colors, *(c for _, c in tc.edge_items())]
+        if want or min(colors) < 1:
             with pytest.raises(VerificationFailed):
                 verify_nsd(g, tc)
         else:
@@ -198,7 +200,7 @@ class TestColumnPasses:
         # 1,200 distinct edge colors, every one a distinct element
         g = power_of_cycle(200, 6)
         colors = {e: 10**12 + t for t, e in enumerate(g.edges)}
-        tc = TotalColoring(tuple([1] * 200), colors)
+        tc = TotalColoring.from_pairs(tuple([1] * 200), colors)
         assert find_violations(g, tc) == reference_violations(g, tc)
         clash = tc.with_edge_colors({g.edges[1]: colors[g.edges[0]]})
         assert find_violations(g, clash) == reference_violations(g, clash)
@@ -207,8 +209,8 @@ class TestColumnPasses:
     def test_missing_edge(self):
         # only the involution's column lacks an edge
         g = build_circulant(6, [1, 3])
-        tc = TotalColoring((1, 2, 1, 2, 1, 2),
-                           {e: 3 for e in g.edges if e != (1, 4)})
+        tc = TotalColoring.from_pairs((1, 2, 1, 2, 1, 2),
+                                      {e: 3 for e in g.edges if e != (1, 4)})
         with pytest.raises(VerificationFailed,
                            match=r"uncolored edges: \[\(1, 4\)\]"):
             verify_total_coloring(g, tc)
@@ -217,7 +219,7 @@ class TestColumnPasses:
         # a proper coloring of C_5 plus the non-edge (0, 2), the first in
         # sorted order of the two
         g = build_circulant(5, [1])
-        tc = TotalColoring((1, 2, 3, 1, 3), {
+        tc = TotalColoring.from_pairs((1, 2, 3, 1, 3), {
             (0, 1): 3, (0, 4): 2, (1, 2): 1, (2, 3): 2, (3, 4): 4})
         assert verify_total_coloring(g, tc).proper
         extra = tc.with_edge_colors({(1, 3): 9, (0, 2): 9})
@@ -226,12 +228,16 @@ class TestColumnPasses:
             verify_total_coloring(g, extra)
         with pytest.raises(VerificationFailed, match="non-edge"):
             verify_nsd(g, extra)
+        # a colour below 1 is named first, on a non-edge too
+        with pytest.raises(VerificationFailed,
+                           match=r"edge \(0, 2\) has no valid color"):
+            verify_total_coloring(g, tc.with_edge_colors({(0, 2): 0}))
 
     def test_equal_sums_across_the_involution(self):
         # sums 13, 18, 15, 13, 12, 18: only the distance-3 edge (0, 3)
         # joins equal sums
         g = build_circulant(6, [1, 3])
-        tc = TotalColoring((1, 5, 3, 6, 2, 4), {
+        tc = TotalColoring.from_pairs((1, 5, 3, 6, 2, 4), {
             (0, 1): 3, (0, 3): 4, (0, 5): 5, (1, 2): 4, (1, 4): 6,
             (2, 3): 2, (2, 5): 6, (3, 4): 1, (4, 5): 3})
         report = verify_nsd(g, tc)
@@ -251,17 +257,17 @@ class TestEquitable:
     def test_unbalanced_rejected(self):
         g = build_circulant(6, [1])
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]
-        balanced = TotalColoring(
+        balanced = TotalColoring.from_pairs(
             (1, 2, 1, 2, 1, 2), dict(zip(edges, [3, 4, 3, 4, 3, 4])))
         # recoloring one edge leaves color 5 with a single cell: spread 2
-        lopsided = TotalColoring(
+        lopsided = TotalColoring.from_pairs(
             (1, 2, 1, 2, 1, 2), dict(zip(edges, [3, 4, 3, 4, 3, 5])))
         assert verify_total_coloring(g, balanced).equitable
         assert not verify_total_coloring(g, lopsided).equitable
 
     def test_improper_raises(self):
         g, tc = k2_coloring()
-        bad = TotalColoring((1, 1, 3), tc.edge_colors)
+        bad = TotalColoring((1, 1, 3), tc.columns)
         with pytest.raises(ImproperColoring):
             verify_equitable(g, bad)
 
@@ -271,9 +277,9 @@ class TestEquitable:
         g = power_of_cycle(9, 2)
         base = rebuild_table_free(g)
         relabel = {c: perm[c - 1] for c in range(1, 7)}
-        tc = TotalColoring(
+        tc = TotalColoring.from_pairs(
             tuple(relabel[c] for c in base.vertex_colors),
-            {e: relabel[c] for e, c in base.edge_colors.items()})
+            {e: relabel[c] for e, c in base.edge_items()})
         a = verify_total_coloring(g, base)
         b = verify_total_coloring(g, tc)
         assert a.proper == b.proper
@@ -307,7 +313,8 @@ class TestNsd:
 
     def test_symmetric_triangle_fails(self):
         g = build_circulant(3, [1])
-        tc = TotalColoring((1, 2, 3), {(0, 1): 3, (1, 2): 1, (0, 2): 2})
+        tc = TotalColoring.from_pairs(
+            (1, 2, 3), {(0, 1): 3, (1, 2): 1, (0, 2): 2})
         report = verify_nsd(g, tc)
         # K_3 with this symmetric coloring has all sums equal
         assert report.nsd is False
@@ -327,7 +334,7 @@ class TestClassify:
 
     def test_wasteful_coloring_unbounded(self):
         g = build_circulant(6, [1])
-        tc = TotalColoring(
+        tc = TotalColoring.from_pairs(
             (1, 2, 1, 2, 1, 2),
             {(0, 1): 3, (1, 2): 4, (2, 3): 5,
              (3, 4): 6, (4, 5): 7, (0, 5): 8})
