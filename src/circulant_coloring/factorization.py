@@ -16,7 +16,8 @@ edges can take.  Only subtrees without a solution are cut, so it finds
 the same coloring as the plain backtracking search, never in more nodes.
 
 The Delta+1 edge coloring is Misra-Gries fan rotation: one maximal fan,
-one c/d path inversion and one rotation per edge, with no search.
+one c/d path inversion and one rotation per edge, with no search, on a
+color-indexed neighbor array and a used-color bitmask per vertex.
 
 An edge is the pair (u, v) with u < v, and a matching is a frozenset of
 them.
@@ -25,6 +26,7 @@ them.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -305,10 +307,15 @@ def edge_color_delta_plus_one(edges) -> EdgeColoring:
     rotation (Misra & Gries, "A constructive proof of Vizing's theorem",
     IPL 41, 1992).
 
-    Deterministic: edges are colored in sorted order, fans scan sorted
-    neighbors, c and d are the smallest free colors, and the c/d path is
-    inverted starting with d.  Each edge costs O(Delta^2) for its fan plus
-    the length of its alternating path.
+    Each vertex x keeps two structures: ``at[x][c]``, its neighbor across
+    the edge of color c (None while c is free at x), and ``used[x]``, a
+    bitmask with bit c set for each color at x.  Deterministic: edges are
+    colored in sorted order; the next fan vertex is the smallest
+    ``at[u][c]`` over the bits c of ``used[u] & ~used[last]`` not yet in
+    the fan; c and d are the lowest free colors of u and of the last fan
+    vertex; and the c/d path from u, starting with d, is inverted by
+    swapping ``at[x][c]`` and ``at[x][d]`` along it, with mask changes at
+    its two ends only.  The colors are read out of ``at`` at the end.
     """
     pairs = sorted({(u, v) if u < v else (v, u) for u, v in edges})
     loop = next((e for e in pairs if e[0] == e[1]), None)
@@ -316,74 +323,59 @@ def edge_color_delta_plus_one(edges) -> EdgeColoring:
         raise ValueError("self-loop edge (%d, %d)" % loop)
     if not pairs:
         return EdgeColoring({})
-    nbrs = {}
-    for u, v in pairs:
-        nbrs.setdefault(u, []).append(v)
-        nbrs.setdefault(v, []).append(u)
-    for ws in nbrs.values():
-        ws.sort()
-    palette = range(1, max(len(ws) for ws in nbrs.values()) + 2)
-    color = {x: {} for x in nbrs}  # vertex -> neighbor -> color
-    used = {x: {} for x in nbrs}  # vertex -> color -> neighbor
-
-    def paint(a, b, c):
-        color[a][b] = color[b][a] = c
-        used[a][c] = b
-        used[b][c] = a
-
-    def wipe(a, b):
-        c = color[a].pop(b)
-        del color[b][a], used[a][c], used[b][c]
-
-    def free_color(x):
-        at = used[x]
-        for c in palette:
-            if c not in at:
-                return c
+    degree = Counter(x for e in pairs for x in e)
+    width = max(degree.values()) + 2  # colors 1..Delta+1
+    at = {x: [None] * width for x in degree}
+    used = dict.fromkeys(degree, 0)
 
     for u, v in pairs:
-        at_u = color[u]
-        # maximal fan: each next neighbor's edge color is free at the last
-        fan, in_fan = [v], {v}
-        while True:
-            at_last = used[fan[-1]]
-            for w in nbrs[u]:
-                cw = at_u.get(w)
-                if cw is not None and cw not in at_last and w not in in_fan:
-                    fan.append(w)
-                    in_fan.add(w)
-                    break
-            else:
-                break
-        c = free_color(u)
-        d = free_color(fan[-1])
-        if c != d:
+        at_u, mask_u = at[u], used[u]
+        # maximal fan: each next neighbor's edge color is free at the last;
+        # cols[t] is the color of (u, fan[t]), 0 for the uncolored (u, v)
+        fan, cols, in_fan, last = [v], [0], 0, v
+        while bits := mask_u & ~used[last] & ~in_fan:
+            last = None
+            while bits:
+                bit = bits & -bits
+                bits ^= bit
+                w = at_u[bit.bit_length() - 1]
+                if last is None or w < last:
+                    last, last_bit = w, bit
+            fan.append(last)
+            cols.append(last_bit.bit_length() - 1)
+            in_fan |= last_bit
+        m = mask_u | 1
+        c = (~m & (m + 1)).bit_length() - 1
+        m = used[last] | 1
+        d = (~m & (m + 1)).bit_length() - 1
+        if c != d and at_u[d] is not None:
             # c is free at u, so the d/c path from u is a path, not a cycle
-            path, x, cur = [], u, d
-            while cur in used[x]:
-                y = used[x][cur]
-                path.append((x, y))
-                x, cur = y, c + d - cur
-            for a, b in path:
-                wipe(a, b)
-            for t, (a, b) in enumerate(path):
-                paint(a, b, d if t % 2 else c)
+            y, cur = u, c
+            while y is not None:
+                at_y = at[y]
+                at_y[c], at_y[d] = at_y[d], at_y[c]
+                x, y, cur = y, at_y[cur], c + d - cur
+            used[u] ^= 1 << c | 1 << d
+            used[x] ^= 1 << c | 1 << d
+            if in_fan >> d & 1:
+                cols[cols.index(d)] = c
         # d is now free at u; the longest prefix that is still a fan and
         # ends where d is free exists and rotates properly (Misra-Gries)
         j = None
         for t, w in enumerate(fan):
-            if t and at_u[w] in used[fan[t - 1]]:
+            if t and used[fan[t - 1]] >> cols[t] & 1:
                 break
-            if d not in used[w]:
+            if not used[w] >> d & 1:
                 j = t
-        shifted = [at_u[w] for w in fan[1:j + 1]]
-        for w in fan[1:j + 1]:
-            wipe(u, w)
-        for w, cw in zip(fan, shifted):
-            paint(u, w, cw)
-        paint(u, fan[j], d)
+        for w, old, new in zip(fan, cols, cols[1:j + 1] + [d]):
+            at_w = at[w]
+            at_w[old], at_w[new], at_u[new] = None, u, w
+            used[w] = used[w] & ~(1 << old) | 1 << new
+        used[u] |= 1 << d
 
-    return EdgeColoring({e: color[e[0]][e[1]] for e in pairs})
+    found = {(x, y): c for x, at_x in at.items()
+             for c, y in enumerate(at_x) if y is not None and x < y}
+    return EdgeColoring({e: found[e] for e in pairs})
 
 
 # -- Hamiltonian cycles and rainbow matchings --------------------------------

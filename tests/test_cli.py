@@ -216,6 +216,15 @@ class TestReproduce:
         for tid in range(1, 7):
             assert ("table %d: OK" % tid) in out
 
+    def test_package_runs_as_a_module(self, capsys):
+        argv = ["reproduce", "--table", "all"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "circulant_coloring"] + argv,
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert main(argv) == EXIT_OK
+        assert proc.stdout == capsys.readouterr().out
+
 
 class TestDeterminism:
     def test_repeat_color_runs_identical(self, capsys):

@@ -300,6 +300,107 @@ def check_proper_edge_coloring(edges, coloring, max_colors):
     assert set(coloring.colors) == set(edges)
 
 
+def reference_edge_color(edges):
+    """The Misra-Gries kernel on dicts that the array-and-bitmask version
+    replaced, kept as its reference: (u, v) -> color in sorted edge
+    order."""
+    pairs = sorted({(u, v) if u < v else (v, u) for u, v in edges})
+    if not pairs:
+        return {}
+    nbrs = {}
+    for u, v in pairs:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    for ws in nbrs.values():
+        ws.sort()
+    palette = range(1, max(len(ws) for ws in nbrs.values()) + 2)
+    color = {x: {} for x in nbrs}  # vertex -> neighbor -> color
+    used = {x: {} for x in nbrs}  # vertex -> color -> neighbor
+
+    def paint(a, b, c):
+        color[a][b] = color[b][a] = c
+        used[a][c] = b
+        used[b][c] = a
+
+    def wipe(a, b):
+        c = color[a].pop(b)
+        del color[b][a], used[a][c], used[b][c]
+
+    def free_color(x):
+        at = used[x]
+        for c in palette:
+            if c not in at:
+                return c
+
+    for u, v in pairs:
+        at_u = color[u]
+        # maximal fan: each next neighbor's edge color is free at the last
+        fan, in_fan = [v], {v}
+        while True:
+            at_last = used[fan[-1]]
+            for w in nbrs[u]:
+                cw = at_u.get(w)
+                if cw is not None and cw not in at_last and w not in in_fan:
+                    fan.append(w)
+                    in_fan.add(w)
+                    break
+            else:
+                break
+        c = free_color(u)
+        d = free_color(fan[-1])
+        if c != d:
+            # c is free at u, so the d/c path from u is a path, not a cycle
+            path, x, cur = [], u, d
+            while cur in used[x]:
+                y = used[x][cur]
+                path.append((x, y))
+                x, cur = y, c + d - cur
+            for a, b in path:
+                wipe(a, b)
+            for t, (a, b) in enumerate(path):
+                paint(a, b, d if t % 2 else c)
+        # d is now free at u; the longest prefix that is still a fan and
+        # ends where d is free exists and rotates properly (Misra-Gries)
+        j = None
+        for t, w in enumerate(fan):
+            if t and at_u[w] in used[fan[t - 1]]:
+                break
+            if d not in used[w]:
+                j = t
+        shifted = [at_u[w] for w in fan[1:j + 1]]
+        for w in fan[1:j + 1]:
+            wipe(u, w)
+        for w, cw in zip(fan, shifted):
+            paint(u, w, cw)
+        paint(u, fan[j], d)
+
+    return {e: color[e[0]][e[1]] for e in pairs}
+
+
+@st.composite
+def edge_lists(draw):
+    """Edge lists in any order: up to four components on disjoint label
+    ranges, negative and far apart, with duplicate and reversed pairs, and
+    at times one vertex of degree 70 or more, whose color masks take more
+    than one 64-bit word."""
+    rng = draw(st.randoms(use_true_random=False))
+    edges = []
+    bases = draw(st.lists(st.sampled_from([-5000, -200, 0, 700, 10**9]),
+                          min_size=1, max_size=4, unique=True))
+    for base in bases:
+        label = st.integers(base, base + 149)
+        edges += [e for e in draw(st.lists(st.tuples(label, label),
+                                           max_size=60)) if e[0] != e[1]]
+    if draw(st.booleans()):
+        hub = bases[0]
+        edges += [(hub, w) for w in rng.sample(range(hub + 1, hub + 150),
+                                                rng.randint(70, 90))]
+    again = [rng.choice(edges) for _ in range(rng.randint(0, 20) if edges else 0)]
+    edges += [e if rng.random() < 0.5 else e[::-1] for e in again]
+    rng.shuffle(edges)
+    return edges
+
+
 class TestVizing:
     def test_path(self):
         edges = [(0, 1), (1, 2)]
@@ -346,6 +447,16 @@ class TestVizing:
             "f8a97a6b015953a269daf3b860dd93401ce9ae205201a394722aaf379ed1a9ef",
         (21, (4, 5, 6)):
             "16a579f504636062018690214d6caee23e9c98f1534bfe1e854fa116e0b01925",
+        # the residuals of the thm21-odd instances the benchmark leaves out
+        # for length: (1001,10,1), (1155,10,1), (1001,6,1), (2431,8,3)
+        (1001, (6, 7, 8, 9, 10)):
+            "ef5f972267db8bab139b8a9af6edd05d207dec4871eb98788c9785f4bf76298b",
+        (1155, (6, 7, 8, 9, 10)):
+            "4a1ff4362c6962468c0538d1b6bc422af84e6d09f82f88bec4783d44412e6783",
+        (1001, (4, 5, 6)):
+            "9799fcaa1f403b34bf4d0b915c79801722b5d1c2df2de4b276b2d32bd5e75caf",
+        (2431, (6, 7, 8)):
+            "f988b4291b55af00588cc0806e0660733d7f7b40ea99657e661bdcfa65deb960",
     }
     # sha256 over the 50 per-graph digests of test_random_circulant_subgraphs'
     # first 50 graphs, in order
@@ -380,6 +491,18 @@ class TestVizing:
         g = build_circulant(15, [2, 4])
         assert (edge_color_delta_plus_one(g.edges).colors
                 == edge_color_delta_plus_one(g.edges).colors)
+
+    @given(edges=edge_lists())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference(self, edges):
+        got = edge_color_delta_plus_one(edges).colors
+        want = reference_edge_color(edges)
+        assert got == want
+        assert list(got.items()) == list(want.items())
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match=r"^self-loop edge \(3, 3\)$"):
+            edge_color_delta_plus_one([(1, 2), (3, 3), (2, 3)])
 
 
 class TestHamiltonianCycle:

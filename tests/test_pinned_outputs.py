@@ -80,6 +80,12 @@ COLOR_DIGESTS = {
         "247bdcd5235ff6b910a70afd0c4c4402083661c8597753264f5e0b8d21537e37",
 }
 
+# thm21-odd at n=1001, recorded before the Vizing edge coloring moved to
+# colour-indexed arrays and bitmasks; its residual C_1001(6..10) takes 5,005
+# edges, larger than any Vizing instance the benchmark runs
+THM21_ODD_1001_JSON_DIGEST = (
+    "2bd3e65bcea3b63b2c78d346eaef502f64954678d765e4684eb9ef97a815acac")
+
 # verify report of C_18^4 with its smallest edge recoloured to the colour
 # of its lower endpoint; the witnesses print the edge as Edge(u=.., v=..)
 IMPROPER_VERIFY_DIGEST = (
@@ -105,6 +111,12 @@ def test_every_method_pinned():
 def test_color_stdout(run, fmt, capsys):
     assert main(color_argv(run, fmt)) == EXIT_OK
     assert sha256(capsys.readouterr().out) == COLOR_DIGESTS[run, fmt]
+
+
+def test_thm21_odd_n1001_stdout(capsys):
+    argv = "color --method thm21-odd --n 1001 --k 10 --i 1 --format json"
+    assert main(argv.split()) == EXIT_OK
+    assert sha256(capsys.readouterr().out) == THM21_ODD_1001_JSON_DIGEST
 
 
 def test_budget_that_suffices_changes_nothing(capsys):
