@@ -48,20 +48,26 @@ def load_table(table_id: int):
 
 
 @lru_cache(maxsize=None)
+def _pair(thm34: bool):
+    """The (equitable, nsd) reports of one builder run, printed as two
+    tables: 2 and 3 (Theorem 2.2), or 5 and 6 (Theorem 3.4)."""
+    if not thm34:
+        return equitable_nsd_power_cycle(18, 4)
+    g = build_circulant(18, [1, 2, 4, 6, 7, 8])
+    s1 = GeneratorSet(18, normalize_half_set(18, [1, 2, 4, 6]))
+    return color_thm34(g, s1)
+
+
+@lru_cache(maxsize=None)
 def rebuild_table(table_id: int) -> TotalColoring:
     """Re-run the construction a published table was generated from."""
     if table_id == 1:
         return color_power_cycle_odd(21, 6, 1).coloring
-    if table_id in (2, 3):
-        equitable, nsd = equitable_nsd_power_cycle(18, 4)
-        return (equitable if table_id == 2 else nsd).coloring
+    if table_id in (2, 3, 5, 6):
+        equitable, nsd = _pair(thm34=table_id > 4)
+        return (equitable if table_id in (2, 5) else nsd).coloring
     if table_id == 4:
         return color_thm32(build_circulant(24, [1, 3, 4, 5, 10])).coloring
-    if table_id in (5, 6):
-        g = build_circulant(18, [1, 2, 4, 6, 7, 8])
-        s1 = GeneratorSet(18, normalize_half_set(18, [1, 2, 4, 6]))
-        equitable, nsd = color_thm34(g, s1)
-        return (equitable if table_id == 5 else nsd).coloring
     raise CirculantColoringError("no table %r" % (table_id,))
 
 

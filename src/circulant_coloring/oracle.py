@@ -19,9 +19,9 @@ cut the search:
 - Closed stars.  When the palette equals the closed-star size (Delta+1
   total colors, Delta edge colors), every star holds every color.  A
   color missing from a star that none of its uncolored elements can take
-  ends the branch; when a missing color has fewer candidate elements
-  than the DSATUR element has colors, the search branches on where that
-  color goes instead.
+  ends the branch; when one has fewer candidate elements (counts kept as
+  colors are placed and undone) than the DSATUR element has colors, the
+  search branches on where that color goes instead.
 - Equitable classes are closed as soon as they reach the size a
   balanced coloring allows them.
 - NSD at closed-star completion.  A vertex's sum is compared with its
@@ -80,10 +80,10 @@ def _total_search(n: int, edges, vertex_nbrs, num_colors: int, budget: int,
     vertices whose colors must differ from u's.  No color above
     max_used + 1 is tried.  The pick is the first element with the fewest
     free colors, stopping at one, or with ``dsatur`` the DSATUR element
-    and the closed-star rule of the module docstring.  ``mode`` adds the
-    equitable class limits or the NSD sum check.  Returns (colors, order,
-    nodes), colors None when the palette is exhausted; raises
-    SearchBudgetExceeded past ``budget`` nodes.
+    and the closed-star rule of the module docstring, its counts kept by
+    ``count``.  ``mode`` adds the equitable class limits or the NSD sum
+    check.  Returns (colors, order, nodes), colors None when the palette
+    is exhausted; raises SearchBudgetExceeded past ``budget`` nodes.
     """
     k = num_colors
     nv = 0 if vertex_nbrs is None else n
@@ -114,6 +114,18 @@ def _total_search(n: int, edges, vertex_nbrs, num_colors: int, budget: int,
     counts = [0] * (k + 1)
     sums = [0] * n
 
+    # Star rule: cand[u][c] counts the uncolored elements of star u free of
+    # c, plus k + 1 while c is in the star (where its count cannot change).
+    # own[x] are the stars holding x; ring[u] pairs each edge of star u with
+    # its other end; taken[x] lists the counts x's place took one from, and
+    # ``dead`` says one hit zero (each place follows a pick that found none).
+    own = [(u,) for u in range(nv)] + list(edges) if star_rule else ()
+    ring = [[(x, u ^ pa[x] ^ pb[x]) for x in s[nv > 0:]]
+            for u, s in enumerate(stars) if star_rule]
+    cand = [[len(s)] * (k + 1) for s in stars if star_rule]
+    taken = [()] * total
+    dead = False
+
     def toggle(x, bit, c, d):
         """Place (d = 1) or undo (d = -1) color c on element x."""
         color[x] = bit if d > 0 else 0
@@ -133,6 +145,32 @@ def _total_search(n: int, edges, vertex_nbrs, num_colors: int, budget: int,
             if cw[c] == (d > 0):  # the count went 0 -> 1 or 1 -> 0
                 mask[n + w] ^= bit
             live[n + w] -= d
+
+    def count(x, bit, c, d):
+        """``toggle``, keeping the star rule's counts: placing c on x takes
+        it from the other star of each uncolored element that now sees it,
+        and takes x's other free colors from x's stars."""
+        nonlocal dead
+        dead = False
+        if d < 0:
+            for cs, j in taken[x]:
+                cs[j] += 1
+        else:
+            color[x] = bit  # so that x counts as colored below
+            f = full & ~(mask[pa[x]] | mask[pb[x]] | bit)  # x's other colors
+            hit = [(cand[w], c) for s in own[x] for y, w in ring[s]
+                   if not (color[y] or mask[w] & bit)]
+            hit += [(cand[w], c) for w in (vadj[x] if x < nv else ())
+                    if not (vcount[w][c] or color[w] or mask[w] & bit)]
+            hit += [(cand[s], j) for j in range(1, f.bit_length())
+                    if f >> j & 1 for s in own[x]]
+            for cs, j in hit:
+                cs[j] -= 1
+                dead = dead or not cs[j]
+            taken[x] = hit
+        for s in own[x]:
+            cand[s][c] += d * (k + 1)
+        toggle(x, bit, c, d)
 
     def clash(x):
         """A star x completed has a complete neighbor of the same sum."""
@@ -171,32 +209,28 @@ def _total_search(n: int, edges, vertex_nbrs, num_colors: int, budget: int,
             return None
         if star_rule:
             # the colors missing from a star, up to max_used + 1 (which
-            # stands for every unused color), and where each can still go
-            fewest, hub, want = least, -1, 0
-            for u in range(n):
-                if not live[u]:
-                    continue
-                level = [0] * least  # level[j]: free at more than j elements
-                for x in stars[u]:
-                    if not color[x]:
-                        f = free[x]
-                        for j in range(least - 1, 0, -1):
-                            level[j] |= level[j - 1] & f
-                        level[0] |= f
-                missing = top & ~mask[u]
-                if missing & ~level[0]:
-                    return ()
-                for j in range(1, fewest):
-                    few = missing & ~level[j]
-                    if few:
-                        fewest, hub, want = j, u, few & -few
-                        break
+            # stands for every unused color), and where each can still go.
+            # A zero count is such a color with nowhere to go (an unused
+            # color is free throughout a live star, a full star has all);
+            # with none, a star can only beat a least above one.
+            closed = top & ~allowed  # equitable classes already full
+            if dead or closed and any(closed & ~mask[u]
+                                       for u in range(n) if live[u]):
+                return ()
+            fewest, hub, end = least, -1, min(k, max_used + 1) + 1
+            for u in range(n if least > 1 else 0):
+                if live[u]:
+                    cu = cand[u]
+                    j = min(cu[1:end])
+                    if j < fewest:
+                        fewest, hub, want = j, u, 1 << cu.index(j, 1)
             if hub >= 0:
                 return [(x, want) for x in stars[hub]
                         if not color[x] and free[x] & want]
         f = free[best] & top
         return [(best, 1 << c) for c in range(1, k + 1) if f >> c & 1]
 
+    step = count if star_rule else toggle
     stack = []
     nodes = max_used = 0
     while True:
@@ -210,7 +244,7 @@ def _total_search(n: int, edges, vertex_nbrs, num_colors: int, budget: int,
             choices, i, used = frame
             if i:
                 x, bit = choices[i - 1]
-                toggle(x, bit, bit.bit_length() - 1, -1)
+                step(x, bit, bit.bit_length() - 1, -1)
             if i == len(choices):
                 stack.pop()
                 if not stack:
@@ -223,7 +257,7 @@ def _total_search(n: int, edges, vertex_nbrs, num_colors: int, budget: int,
                 raise SearchBudgetExceeded(
                     "%s search exceeded %d nodes" % (what, budget))
             c = bit.bit_length() - 1
-            toggle(x, bit, c, 1)
+            step(x, bit, c, 1)
             if not (nsd and clash(x)):
                 max_used = max(used, c)
                 break

@@ -1,5 +1,6 @@
 import pytest
 
+from circulant_coloring.cli import EXIT_OK, main
 from circulant_coloring.coloring import to_matrix
 from circulant_coloring.errors import CirculantColoringError, MismatchFound
 from circulant_coloring.golden import (
@@ -52,6 +53,24 @@ class TestReproduce:
         with pytest.raises(CirculantColoringError,
                            match="table0.csv is not shipped"):
             reproduce_table(0)
+
+    def test_all_runs_each_builder_once(self, monkeypatch, capsys):
+        # tables 2 and 3, and 5 and 6, are the two halves of one build
+        import circulant_coloring.golden as golden_mod
+
+        calls = []
+        names = ["color_power_cycle_odd", "equitable_nsd_power_cycle",
+                 "color_thm32", "color_thm34"]
+        for name in names:
+            def counted(*args, _real=getattr(golden_mod, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(golden_mod, name, counted)
+        golden_mod.rebuild_table.cache_clear()
+        golden_mod._pair.cache_clear()
+        assert main(["reproduce", "--table", "all"]) == EXIT_OK
+        assert capsys.readouterr().out.count(": OK") == len(TABLE_IDS)
+        assert sorted(calls) == sorted(names)
 
     def test_wildcard_cells_disagree_with_rule(self):
         # the untrusted cells are exactly those the rebuilt coloring

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circulant_coloring.errors import PreconditionFailed, SearchBudgetExceeded
 from circulant_coloring.graphs import build_circulant, power_of_cycle
@@ -12,6 +14,7 @@ from circulant_coloring.oracle import (
     _counting_refutes,
     _independence_number,
     _search,
+    _total_search,
     exact_chromatic_index,
     exact_feasible,
     exact_total_chromatic,
@@ -198,6 +201,235 @@ def reference_value(g, quantity, k, budget):
         return kind(g, elements, k, budget).run()
     except SearchBudgetExceeded:
         return None
+
+
+# -- the rescanning kernel, kept as the reference for the kernel's picks --
+
+
+def reference_total_search(n, edges, vertex_nbrs, num_colors, budget, what,
+                           dsatur=True, mode=None):
+    """The kernel before its closed-star counts were kept incrementally:
+    every pick rescans each live star's uncolored elements into level
+    masks.  Same arguments and results as ``_total_search``.
+
+    Backtracking total coloring with colors 1..num_colors on an explicit
+    stack of [choices, next choice, max_used] frames; a choice is an
+    (element, color bit) pair, and each color placed is one node.
+
+    The elements are the vertices 0..n-1 (none when ``vertex_nbrs`` is
+    None: an edge coloring), then ``edges``; ``vertex_nbrs[u]`` lists the
+    vertices whose colors must differ from u's.  No color above
+    max_used + 1 is tried.  The pick is the first element with the fewest
+    free colors, stopping at one, or with ``dsatur`` the DSATUR element
+    and the closed-star rule of the oracle module docstring.  ``mode``
+    adds the equitable class limits or the NSD sum check.  Returns
+    (colors, order, nodes), colors None when the palette is exhausted;
+    raises SearchBudgetExceeded past ``budget`` nodes.
+    """
+    k = num_colors
+    nv = 0 if vertex_nbrs is None else n
+    total = nv + len(edges)
+    # Element x is free of the colors in mask[pa[x]] | mask[pb[x]]: a
+    # vertex u reads its closed star's colors (slot u, all distinct) and
+    # its neighbors' vertex colors (slot n + u, counted in vcount), an edge
+    # the stars of its ends.  live[a] + live[b] - 2 are x's uncolored
+    # conflicting elements.
+    pa = list(range(nv)) + [u for u, _ in edges]
+    pb = [n + u for u in range(nv)] + [v for _, v in edges]
+    stars = [[u] if nv else [] for u in range(n)]
+    for x, (u, v) in enumerate(edges, nv):
+        stars[u].append(x)
+        stars[v].append(x)
+    vadj = vertex_nbrs or [()] * n
+    mask = [0] * (2 * n)
+    live = [len(s) for s in stars] + [len(a) + 1 for a in vadj]
+    vcount = [[0] * (k + 1) for _ in range(nv)]
+    color = [0] * total  # element -> bit of its color, 0 if none
+    free = [0] * total
+    full = (2 << k) - 2  # bit c stands for color c
+    star_rule = dsatur and all(len(s) == k for s in stars)
+    equitable, nsd = mode is Mode.EQUITABLE, mode is Mode.NSD
+    # equitable: classes end with lo or lo + 1 elements, ``extra`` of them
+    # with lo + 1
+    lo, extra = divmod(total, k)
+    counts = [0] * (k + 1)
+    sums = [0] * n
+
+    def toggle(x, bit, c, d):
+        """Place (d = 1) or undo (d = -1) color c on element x."""
+        color[x] = bit if d > 0 else 0
+        a, b = pa[x], pb[x]
+        mask[a] ^= bit
+        live[a] -= d
+        sums[a] += d * c
+        counts[c] += d
+        if x >= nv:
+            mask[b] ^= bit
+            live[b] -= d
+            sums[b] += d * c
+            return
+        for w in vadj[a]:
+            cw = vcount[w]
+            cw[c] += d
+            if cw[c] == (d > 0):  # the count went 0 -> 1 or 1 -> 0
+                mask[n + w] ^= bit
+            live[n + w] -= d
+
+    def clash(x):
+        """A star x completed has a complete neighbor of the same sum."""
+        return any(not live[u] and any(not live[w] and sums[w] == sums[u]
+                                       for w in vadj[u])
+                   for u in ({pa[x], pb[x]} if x >= nv else (x,)))
+
+    def pick(max_used):
+        """The choices to branch on: None when every element is colored,
+        empty at a dead end."""
+        top = (2 << min(k, max_used + 1)) - 2
+        allowed = full if dsatur else top
+        if equitable:
+            # a class closes at lo + 1, or at lo once ``extra`` classes
+            # have lo + 1: then every complete coloring is balanced
+            limit = lo + (sum(s > lo for s in counts) < extra)
+            allowed &= ~sum(1 << c for c in range(1, k + 1)
+                            if counts[c] >= limit)
+        best, least, most = -1, k + 1, -1
+        for x in range(total):
+            if color[x]:
+                continue
+            a, b = pa[x], pb[x]
+            f = free[x] = allowed & ~(mask[a] | mask[b])
+            c = f.bit_count()
+            if not dsatur:
+                if c < least:
+                    best, least = x, c
+                    if c <= 1:
+                        break
+            elif c < least or c == least and live[a] + live[b] > most:
+                if not c:
+                    return ()
+                best, least, most = x, c, live[a] + live[b]
+        if best < 0:
+            return None
+        if star_rule:
+            # the colors missing from a star, up to max_used + 1 (which
+            # stands for every unused color), and where each can still go
+            fewest, hub, want = least, -1, 0
+            for u in range(n):
+                if not live[u]:
+                    continue
+                level = [0] * least  # level[j]: free at more than j elements
+                for x in stars[u]:
+                    if not color[x]:
+                        f = free[x]
+                        for j in range(least - 1, 0, -1):
+                            level[j] |= level[j - 1] & f
+                        level[0] |= f
+                missing = top & ~mask[u]
+                if missing & ~level[0]:
+                    return ()
+                for j in range(1, fewest):
+                    few = missing & ~level[j]
+                    if few:
+                        fewest, hub, want = j, u, few & -few
+                        break
+            if hub >= 0:
+                return [(x, want) for x in stars[hub]
+                        if not color[x] and free[x] & want]
+        f = free[best] & top
+        return [(best, 1 << c) for c in range(1, k + 1) if f >> c & 1]
+
+    stack = []
+    nodes = max_used = 0
+    while True:
+        choices = pick(max_used)
+        if choices is None:
+            order = [ch[i - 1][0] for ch, i, _ in stack]
+            return [bit.bit_length() - 1 for bit in color], order, nodes
+        stack.append([choices, 0, max_used])
+        while True:
+            frame = stack[-1]
+            choices, i, used = frame
+            if i:
+                x, bit = choices[i - 1]
+                toggle(x, bit, bit.bit_length() - 1, -1)
+            if i == len(choices):
+                stack.pop()
+                if not stack:
+                    return None, [], nodes
+                continue
+            x, bit = choices[i]
+            frame[1] = i + 1
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(
+                    "%s search exceeded %d nodes" % (what, budget))
+            c = bit.bit_length() - 1
+            toggle(x, bit, c, 1)
+            if not (nsd and clash(x)):
+                max_used = max(used, c)
+                break
+
+
+@st.composite
+def kernel_queries(draw):
+    """(graph, quantity, palette, budget) on a random circulant, n <= 10,
+    the palette from the closed-star size (where the star rule runs) up
+    by two."""
+    n = draw(st.integers(3, 10))
+    gens = draw(st.lists(st.integers(1, n // 2), min_size=1,
+                         max_size=n // 2, unique=True))
+    quantity = draw(st.sampled_from(["total", "index", "equitable", "nsd"]))
+    g = build_circulant(n, gens)
+    lo = g.degree if quantity == "index" else g.degree + 1
+    return (g, quantity, draw(st.integers(lo, lo + 2)),
+            draw(st.integers(1, 3000)))
+
+
+def run_kernel(search, g, quantity, k, budget):
+    """(colors, order, nodes) of one kernel call, or its budget error."""
+    nbrs = (None if quantity == "index"
+            else [g.neighbors(u) for u in range(g.n)])
+    mode = {"equitable": Mode.EQUITABLE, "nsd": Mode.NSD}.get(quantity)
+    try:
+        return search(g.n, g.edges, nbrs, k, budget, "oracle", mode=mode)
+    except SearchBudgetExceeded as exc:
+        return str(exc)
+
+
+class TestKernelAgainstReference:
+    """The kept counts pick exactly what the rescanning kernel picked:
+    same colors, same element order, same node count."""
+
+    @given(query=kernel_queries())
+    @settings(max_examples=80, deadline=None)
+    def test_same_search(self, query):
+        g, quantity, k, budget = query
+        assert (run_kernel(_total_search, g, quantity, k, budget)
+                == run_kernel(reference_total_search, g, quantity, k, budget))
+
+    @pytest.mark.parametrize("quantity", ["total", "equitable", "nsd"])
+    def test_powers_of_cycles(self, quantity):
+        # every C_n^k with n <= 12 at the closed-star palette Delta + 1
+        for n in range(3, 13):
+            for kk in range(1, (n + 1) // 2):
+                g = power_of_cycle(n, kk)
+                args = (g, quantity, g.degree + 1, 5000)
+                assert (run_kernel(_total_search, *args)
+                        == run_kernel(reference_total_search, *args)), (n, kk)
+
+    def test_full_equitable_class_missing_from_a_star(self):
+        # C_12(1, 5) with 5 colors reaches a live star missing a color
+        # whose class is already full: a dead end no count shows
+        args = (build_circulant(12, [1, 5]), "equitable", 5, 5000)
+        got = run_kernel(_total_search, *args)
+        assert got == run_kernel(reference_total_search, *args)
+        assert got[2] == 44
+
+    def test_nsd_complete_graph_refutation(self):
+        # K_7 = C_7^3 has no NSD total coloring with 7 colors; the count
+        # pins the search's every choice
+        result = exact_feasible(power_of_cycle(7, 3), 7, Mode.NSD)
+        assert result.value is False and result.nodes_explored == 38_016
 
 
 class TestTotalChromatic:
