@@ -11,7 +11,10 @@ optimum (and exactly at Delta+1 on even n).  A closing line gives the
 oracle's total nodes and its nodes per second.
 
 Usage:
-    python3 scripts/small_instance_survey.py [--max-n 12]
+    python3 scripts/small_instance_survey.py [--max-n N]
+
+N defaults to 12, the oracle's size limit; a larger N exits 2 before any
+row is printed.
 """
 
 import argparse
@@ -23,6 +26,7 @@ from circulant_coloring import (
     exact_total_chromatic,
     power_of_cycle,
 )
+from circulant_coloring.oracle import DEFAULT_SIZE_LIMIT
 
 
 def admissible(n, k):
@@ -35,8 +39,11 @@ def admissible(n, k):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--max-n", type=int, default=12)
+    ap.add_argument("--max-n", type=int, default=DEFAULT_SIZE_LIMIT)
     args = ap.parse_args()
+    if args.max_n > DEFAULT_SIZE_LIMIT:
+        ap.error("--max-n must be at most %d, the oracle's size limit"
+                 % DEFAULT_SIZE_LIMIT)
 
     row = "%4s %3s %3s %8s %4s %8s %8s %4s"
     print(row % ("n", "k", "i", "oracle", "type", "nodes", "builder", "gap"))

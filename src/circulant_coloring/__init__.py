@@ -10,14 +10,6 @@ from .graphs import (
     generates_group,
     power_of_cycle,
 )
-from .latin import (
-    LatinSquare,
-    build_commutative_idempotent,
-    is_anticirculant,
-    is_commutative,
-    is_idempotent,
-    is_latin,
-)
 from .coloring import BuildReport, TotalColoring
 from .factorization import (
     EdgeColoring,

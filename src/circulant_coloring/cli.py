@@ -103,24 +103,22 @@ def _report_dict(rep) -> dict:
     }
 
 
-def _emit(tc: TotalColoring, fmt: str, out: str | None, suffix: str = "",
-          extra: dict | None = None) -> None:
+def _emit(tc: TotalColoring, fmt: str, out: str | None, suffix: str,
+          extra: dict) -> None:
     if out:
         base = out + suffix
         write_matrix_csv(tc, base + ".csv")
         write_coloring_json(tc, base + ".json")
-        if extra is not None:
-            with _opened(base + ".report.json", "w") as fh:
-                json.dump(extra, fh, indent=1, sort_keys=True)
-                fh.write("\n")
+        with _opened(base + ".report.json", "w") as fh:
+            json.dump(extra, fh, indent=1, sort_keys=True)
+            fh.write("\n")
         return
     if fmt == "json":
         sys.stdout.write(coloring_json_text(tc, extra))
         sys.stdout.write("\n")
     else:
         sys.stdout.writelines(map("%s\n".__mod__, matrix_csv_lines(tc)))
-        if extra is not None:
-            print("# " + json.dumps(extra, sort_keys=True))
+        print("# " + json.dumps(extra, sort_keys=True))
 
 
 def cmd_build(args) -> int:

@@ -41,7 +41,7 @@ from .graphs import (
     generates_group,
     power_of_cycle,
 )
-from .latin import closed_form_entry
+from .latin import closed_form_entry, half
 from .oracle import _total_search
 from .verifiers import verify_equitable, verify_nsd, verify_total_coloring
 
@@ -225,23 +225,15 @@ def equitable_nsd_power_cycle(n: int, k: int) -> tuple[BuildReport, BuildReport]
 # -- canonical complete-graph pattern ----------------------------------------
 
 def canonical_first_row(m: int) -> list[int]:
-    """First row of the canonical K_m color matrix.
-
-    Position 0 holds the vertex color 1; an even distance s maps to
-    s/2 + 1 and an odd distance s to ceil(m/2) + ceil(s/2), reduced into
-    1..m.  For odd m this row is a permutation of 1..m satisfying
+    """First row of the canonical K_m color matrix: ``half(s, m)`` at
+    distance s, so position 0 holds the vertex color 1, an even s maps to
+    s/2 + 1 and an odd s to ceil(m/2) + ceil(s/2), reduced into 1..m.  For
+    odd m this row is a permutation of 1..m satisfying
     row[m - s] = row[s] - s (mod m).
     """
     if m < 2:
         raise PreconditionFailed("need m >= 2, got %d" % m)
-    row = [1]
-    for s in range(1, m):
-        if s % 2 == 0:
-            val = s // 2 + 1
-        else:
-            val = math.ceil(m / 2) + (s + 1) // 2
-        row.append((val - 1) % m + 1)
-    return row
+    return [half(s, m) for s in range(m)]
 
 
 @dataclass
@@ -265,18 +257,6 @@ def canonical_complete_coloring(m: int) -> CanonicalResult:
     g = build_circulant(m, range(1, m // 2 + 1))
     report = verify_total_coloring(g, tc)
     return CanonicalResult(tc, report)
-
-
-def _complete_pattern_row(h: int) -> list[int]:
-    """Complete-graph pattern of order h on at most h+1 colors: cell
-    (a, b) of the pattern is ``row[(a + b) % len(row)]``.
-
-    Odd h uses the canonical K_h matrix directly; even h borrows the
-    canonical K_{h+1} matrix restricted to its first h vertices (dropping
-    one vertex of an odd complete graph keeps the coloring proper).
-    Diagonal cells equal a + 1 either way.
-    """
-    return canonical_first_row(h if h % 2 else h + 1)
 
 
 # -- circulant graph theorems ------------------------------------------------
@@ -358,7 +338,9 @@ def color_thm32(g: CirculantGraph) -> BuildReport:
     _require(h not in g.gens, "the involution n/2 must be absent")
     _require(classify_sum_free_half(g.generators),
              "distances must be sum-free with respect to n/2")
-    row = _complete_pattern_row(h)
+    # even h borrows the K_{h+1} row: dropping one vertex of an odd
+    # complete graph keeps its coloring proper
+    row = canonical_first_row(h | 1)
     q = len(row)
     vertex_colors = tuple(row[2 * (u % h) % q] for u in range(n))
     tc = TotalColoring(vertex_colors, {

@@ -310,18 +310,14 @@ def _search(g: CirculantGraph, k: int, budget: int, vertices: bool = True,
                                     dict(zip(g.edges, colors[nv:]))), nodes
 
 
-def exact_total_chromatic(g: CirculantGraph, max_colors: int | None = None,
+def exact_total_chromatic(g: CirculantGraph,
                           size_limit: int = DEFAULT_SIZE_LIMIT,
                           budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
-    """Exact total chromatic number with a witness coloring."""
+    """Exact total chromatic number with a witness coloring, trying
+    Delta + 1 up to Delta + 3 colors."""
     _check_size(g, size_limit)
-    lo = g.degree + 1
-    if max_colors is None:
-        max_colors = g.degree + 3
-    if max_colors < lo:
-        raise ValueError("max_colors below the trivial lower bound %d" % lo)
     nodes = 0
-    for k in range(lo, max_colors + 1):
+    for k in range(g.degree + 1, g.degree + 4):
         if _counting_refutes(g, k):
             continue
         witness, used = _search(g, k, budget - nodes)
@@ -330,25 +326,23 @@ def exact_total_chromatic(g: CirculantGraph, max_colors: int | None = None,
             assert verify_total_coloring(g, witness).proper
             return OracleResult(Quantity.TOTAL_CHROMATIC, k, nodes, witness)
     raise SearchBudgetExceeded(
-        "no total coloring found up to %d colors" % max_colors)
+        "no total coloring found up to %d colors" % (g.degree + 3))
 
 
-def exact_chromatic_index(g: CirculantGraph, max_colors: int | None = None,
+def exact_chromatic_index(g: CirculantGraph,
                           size_limit: int = DEFAULT_SIZE_LIMIT,
                           budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
-    """Exact chromatic index with a witness edge coloring."""
+    """Exact chromatic index with a witness edge coloring (Delta or
+    Delta + 1 colors, by Vizing's theorem)."""
     _check_size(g, size_limit)
-    if max_colors is None:
-        max_colors = g.degree + 1
     nodes = 0
-    for k in range(g.degree, max_colors + 1):
+    for k in (g.degree, g.degree + 1):
         witness, used = _search(g, k, budget - nodes, vertices=False)
         nodes += used
         if witness is not None:
-            assert k in (g.degree, g.degree + 1)  # Vizing's bound
             return OracleResult(Quantity.CHROMATIC_INDEX, k, nodes, witness)
     raise SearchBudgetExceeded(
-        "no edge coloring found up to %d colors" % max_colors)
+        "no edge coloring found up to %d colors" % (g.degree + 1))
 
 
 def exact_feasible(g: CirculantGraph, k: int, mode: Mode,

@@ -26,13 +26,7 @@ from circulant_coloring.graphs import (
     normalize_half_set,
     power_of_cycle,
 )
-from circulant_coloring.latin import (
-    build_commutative_idempotent,
-    is_anticirculant,
-    is_commutative,
-    is_idempotent,
-    is_latin,
-)
+from circulant_coloring.latin import closed_form_entry
 from circulant_coloring.oracle import exact_total_chromatic
 from circulant_coloring.verifiers import (
     find_violations,
@@ -182,11 +176,15 @@ def test_criterion_08_oracle_cross_checks():
 def test_criterion_09_latin_square_suite():
     with _Timer(9, 5.0, "all odd q <= 99: latin+commutative+idempotent+anticirculant"):
         for q in range(1, 100, 2):
-            sq = build_commutative_idempotent(q)
-            assert is_latin(sq)
-            assert is_commutative(sq)
-            assert is_idempotent(sq)
-            assert is_anticirculant(sq)
+            rows = [[closed_form_entry(q, i, j) for j in range(1, q + 1)]
+                    for i in range(1, q + 1)]
+            cols = [list(c) for c in zip(*rows)]
+            want = list(range(1, q + 1))
+            # Latin, commutative, idempotent, anti-circulant
+            assert all(sorted(r) == want for r in rows + cols), q
+            assert cols == rows, q
+            assert all(r[i] == i + 1 for i, r in enumerate(rows)), q
+            assert all(b == a[1:] + a[:1] for a, b in zip(rows, rows[1:])), q
 
 
 def test_criterion_10_factorization_suite():

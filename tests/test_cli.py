@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -349,6 +350,18 @@ class TestExitContract:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == EXIT_PRECONDITION
         assert "Traceback" not in proc.stderr
+
+    def test_survey_beyond_the_oracle_limit(self):
+        # n = 13 is past the oracle's size limit: rejected before any row
+        script = Path(__file__).resolve().parent.parent / "scripts" / \
+            "small_instance_survey.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--max-n", "13"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "at most 12" in proc.stderr
 
     @pytest.mark.parametrize("argv,lines", [
         # like ``| head -1``: the 1050 x 1050 matrix is far larger than

@@ -37,6 +37,7 @@ from circulant_coloring.graphs import (
     normalize_half_set,
     power_of_cycle,
 )
+from circulant_coloring.latin import closed_form_entry
 from circulant_coloring.oracle import _total_search
 from circulant_coloring.verifiers import (
     TypeLabel,
@@ -248,6 +249,28 @@ class TestCanonicalPattern:
     def test_too_small(self):
         with pytest.raises(PreconditionFailed):
             canonical_first_row(1)
+
+    @staticmethod
+    def reference_first_row(m):
+        """The two-branch row the halving rule replaced: an even distance
+        s maps to s/2 + 1, an odd one to ceil(m/2) + ceil(s/2), mod m."""
+        row = [1]
+        for s in range(1, m):
+            if s % 2 == 0:
+                val = s // 2 + 1
+            else:
+                val = math.ceil(m / 2) + (s + 1) // 2
+            row.append((val - 1) % m + 1)
+        return row
+
+    def test_matches_two_branch_row(self):
+        for m in range(2, 201):
+            assert canonical_first_row(m) == self.reference_first_row(m), m
+
+    def test_odd_row_is_the_latin_square_row(self):
+        for m in range(3, 100, 2):
+            assert canonical_first_row(m) == [
+                closed_form_entry(m, 1, j) for j in range(1, m + 1)], m
 
 
 class TestThm31:

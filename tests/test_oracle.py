@@ -478,10 +478,6 @@ class TestTotalChromatic:
                            match="oracle search exceeded"):
             exact_total_chromatic(g, budget=50)
 
-    def test_max_colors_too_low(self):
-        with pytest.raises(ValueError):
-            exact_total_chromatic(build_circulant(6, [1]), max_colors=2)
-
 
 class TestCountingRule:
     """A (Delta+1)-total coloring puts every color at every vertex, so
