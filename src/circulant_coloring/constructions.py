@@ -26,7 +26,6 @@ from .errors import (
 )
 from .factorization import (
     DEFAULT_SEARCH_BUDGET,
-    Factorization,
     _exact_edge_coloring,
     edge_color_delta_plus_one,
     hamiltonian_cycle,
@@ -61,10 +60,6 @@ def _tiling(n: int, q: int, distances) -> TotalColoring:
     return TotalColoring(tuple(by_sum[0:2 * q:2] * (n // q)), {
         d: [by_sum[r + (r + d) % q] for r in range(q)] * (n // q)
         for d in distances})
-
-
-def _factor_edge_colors(fac: Factorization, first_color: int) -> dict:
-    return {e: c for c, f in enumerate(fac.factors, first_color) for e in f}
 
 
 def _choose_tiling_split(n: int, k: int, q: int):
@@ -139,8 +134,8 @@ def color_power_cycle_even(n: int, k: int, i: int,
     if residual:
         sub = build_circulant(n, residual)
         try:
-            fac = one_factorize(sub, budget)
-            tc = tc.with_edge_colors(_factor_edge_colors(fac, q + 1))
+            fac = one_factorize(sub, q + 1, budget)
+            tc = TotalColoring(tc.vertex_colors, {**tc.columns, **fac.columns})
             notes += "; residual %r one-factorized" % (residual,)
         except (FactorizationImpossible, SearchBudgetExceeded):
             done = _exact_edge_coloring(sub.edges, 2 * k + 1, budget, start=tc)
@@ -312,8 +307,9 @@ def color_thm31(g: CirculantGraph, s1: GeneratorSet,
     tc = _constrained_total_search(power_of_cycle(n, kk), g, n // 2 + 2,
                                    budget)
     notes = "power part: exact bounded search within %d colors" % (n // 2 + 2)
-    fac = one_factorize(build_circulant(n, list(complement)), budget)
-    tc = tc.with_edge_colors(_factor_edge_colors(fac, tc.palette_size + 1))
+    fac = one_factorize(build_circulant(n, list(complement)),
+                        tc.palette_size + 1, budget)
+    tc = TotalColoring(tc.vertex_colors, {**tc.columns, **fac.columns})
     notes += "; complement %r one-factorized on %d colors" % (
         complement, len(fac.factors))
     report = _verified(g, tc, g.degree + 2, notes)
@@ -369,9 +365,10 @@ def color_thm33(g: CirculantGraph, m_set: GeneratorSet,
              "the complement of M must generate the whole group")
 
     inner = color_thm32(sub)
-    fac = one_factorize(build_circulant(n, list(complement)), budget)
-    tc = inner.coloring.with_edge_colors(
-        _factor_edge_colors(fac, inner.colors_used + 1))
+    fac = one_factorize(build_circulant(n, list(complement)),
+                        inner.colors_used + 1, budget)
+    tc = TotalColoring(inner.coloring.vertex_colors,
+                       {**inner.coloring.columns, **fac.columns})
     notes = inner.notes + "; complement %r one-factorized on %d colors" % (
         complement, len(fac.factors))
     return _verified(g, tc, g.degree + 3, notes=notes)
@@ -397,7 +394,8 @@ def color_thm34(g: CirculantGraph, s1: GeneratorSet,
     _require(s1.issubset(g.generators), "subset must lie inside S")
     s1_full = s1.full
     _require(len(s1_full) == m - 1, "subset must have m - 1 symmetric distances")
-    _require(m not in s1.gens, "the involution n/2 must be outside the subset")
+    # vertices u and u + n/2 share a vertex color
+    _require(m not in g.gens, "the involution n/2 = %d must be absent" % m)
     residues = [s % m for s in s1_full]
     _require(len(set(residues)) == len(residues) and 0 not in residues,
              "subset distances must be pairwise distinct and nonzero mod n/2")
@@ -416,8 +414,8 @@ def color_thm34(g: CirculantGraph, s1: GeneratorSet,
     tc = TotalColoring(vertex_colors, {
         d: [(row[d] - 1 + r) % m + 1 for r in range(m)] * 2 for d in s1.gens})
 
-    fac = one_factorize(build_circulant(n, list(complement)), budget)
-    tc = tc.with_edge_colors(_factor_edge_colors(fac, m + 1))
+    fac = one_factorize(build_circulant(n, list(complement)), m + 1, budget)
+    tc = TotalColoring(tc.vertex_colors, {**tc.columns, **fac.columns})
     eq_report = verify_equitable(g, tc)
     if not eq_report.equitable:
         raise VerificationFailed("coloring is not equitable",

@@ -19,8 +19,13 @@ The Delta+1 edge coloring is Misra-Gries fan rotation: one maximal fan,
 one c/d path inversion and one rotation per edge, with no search, on a
 color-indexed neighbor array and a used-color bitmask per vertex.
 
-An edge is the pair (u, v) with u < v, and a matching is a frozenset of
-them.
+The factors come out as color columns in the layout of
+TotalColoring.columns, each factor one color: a peeled distance d with
+g = gcd(n, d) alternates its two colors in runs of g slots (n/g is even
+and d/g odd, so the orbit position of u has the parity of u // g); the
+involution's column is one color; a pooled component's columns are stretched to Z_n.  The
+1-factorization builds no matching as a set of pairs.  An edge is the
+pair (u, v) with u < v.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+from .coloring import TotalColoring
 from .errors import (
     FactorizationImpossible,
     PreconditionFailed,
@@ -42,31 +48,20 @@ DEFAULT_SEARCH_BUDGET = 2_000_000
 
 @dataclass(frozen=True)
 class Factorization:
-    """Ordered perfect matchings partitioning the target edge set, each a
-    frozenset of (u, v) pairs."""
+    """A 1-factorization as color columns: columns[d][u] is the color of
+    the pair {u, u + d mod n}, as in TotalColoring.columns, and each
+    color class is a perfect matching.  ``factors`` is the range of those
+    colors, one per factor; it stays so that len(factors) counts the
+    factors without a scan of the columns (the benchmark trace reads it).
+    """
 
-    factors: tuple
+    columns: dict
+    factors: range
 
 
 @dataclass(frozen=True)
 class EdgeColoring:
     colors: dict  # (u, v) -> int
-
-
-def _orbit_cycles(n: int, g: int) -> list[list[int]]:
-    """Vertex cycles of the single distance g: gcd(n, g) cycles of length
-    n // gcd(n, g)."""
-    d = math.gcd(n, g)
-    return [[(start + t * g) % n for t in range(n // d)] for start in range(d)]
-
-
-def _alternate_cycle(cyc: list[int]) -> tuple[set, set]:
-    a, b = set(), set()
-    ln = len(cyc)
-    for t in range(ln):
-        u, v = cyc[t], cyc[(t + 1) % ln]
-        (a if t % 2 == 0 else b).add((u, v) if u < v else (v, u))
-    return a, b
 
 
 def _exact_edge_coloring(edges, num_colors: int, budget: int,
@@ -204,9 +199,11 @@ def _exact_edge_coloring(edges, num_colors: int, budget: int,
                 break
 
 
-def one_factorize(g: CirculantGraph,
+def one_factorize(g: CirculantGraph, first_color: int = 1,
                   budget: int = DEFAULT_SEARCH_BUDGET) -> Factorization:
-    """Partition g's edges into deg(g) perfect matchings.
+    """Partition g's edges into deg(g) perfect matchings, colored
+    first_color, first_color + 1, ... in order: the involution, then two
+    per peeled distance, then the pooled distances.
 
     Requires even n.  Components of odd order make a perfect matching
     impossible and raise FactorizationImpossible; connected circulants of
@@ -218,7 +215,6 @@ def one_factorize(g: CirculantGraph,
         raise PreconditionFailed(
             "1-factorization needs even order, got n=%d" % n)
 
-    factors: list[frozenset] = []
     involution, peelable, pooled = None, [], []
     for d in g.gens:
         if 2 * d == n:
@@ -251,31 +247,31 @@ def one_factorize(g: CirculantGraph,
                     % (sorted(pooled), n // math.gcd(n, *pooled))
                 )
 
+    columns, c = {}, first_color
     if involution is not None:
-        factors.append(
-            frozenset((u, u + involution) for u in range(n // 2)))
+        columns[involution] = [c] * (n // 2)
+        c += 1
 
     for d in peelable:
-        fac_a, fac_b = set(), set()
-        for cyc in _orbit_cycles(n, d):
-            a, b = _alternate_cycle(cyc)
-            fac_a |= a
-            fac_b |= b
-        factors.append(frozenset(fac_a))
-        factors.append(frozenset(fac_b))
+        h = math.gcd(n, d)
+        columns[d] = ([c] * h + [c + 1] * h) * (n // (2 * h))
+        c += 2
 
     if pooled:
-        factors.extend(_factorize_pool(n, sorted(pooled), budget))
+        columns.update(_factorize_pool(n, sorted(pooled), c, budget))
 
-    return Factorization(tuple(factors))
+    return Factorization(columns, range(first_color, first_color + g.degree))
 
 
-def _factorize_pool(n: int, pool: list[int], budget: int) -> list[frozenset]:
-    """Joint factorization of the pooled distances via exact search.
+def _factorize_pool(n: int, pool: list[int], first_color: int,
+                    budget: int) -> dict:
+    """Joint factorization of the pooled distances via exact search, as
+    columns colored from first_color.
 
-    The pool's components are cosets of the subgroup generated by the
-    pooled distances; one component is solved and the solution is
-    translated to the others.
+    The pool's components are the cosets of the subgroup generated by the
+    pooled distances, each a copy of C_m(pool / d0).  One component is
+    solved, and each of its columns is stretched to Z_n: the slot of x
+    takes the slot of x // d0 in the column of d / d0.
     """
     d0 = math.gcd(n, *pool)
     m = n // d0  # component order, even by construction
@@ -287,17 +283,10 @@ def _factorize_pool(n: int, pool: list[int], budget: int) -> list[frozenset]:
             "no %d-edge-coloring of component circulant C_%d(%r)"
             % (num_colors, m, [p // d0 for p in pool])
         )
-    factors = []
-    for c in range(1, num_colors + 1):
-        fac = set()
-        for (u, v), col in solution.items():
-            if col != c:
-                continue
-            # u < v < m, so the translate stays ordered and below n
-            for coset in range(d0):
-                fac.add((coset + u * d0, coset + v * d0))
-        factors.append(frozenset(fac))
-    return factors
+    shift = first_color - 1
+    comp_columns = TotalColoring.from_pairs([None] * m, solution).columns
+    return {p * d0: [c + shift for c in col for _ in range(d0)]
+            for p, col in comp_columns.items()}
 
 
 # -- constructive Vizing -----------------------------------------------------
@@ -398,7 +387,9 @@ def split_rainbow_matchings(cycle: list[int], tc) -> tuple[frozenset, frozenset,
     that matching is rainbow (pairwise distinct edge colors) under tc."""
     if len(cycle) % 2:
         raise PreconditionFailed("cycle length %d is odd" % len(cycle))
-    first, second = map(frozenset, _alternate_cycle(cycle))
+    pairs = [(u, v) if u < v else (v, u)
+             for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+    first, second = frozenset(pairs[0::2]), frozenset(pairs[1::2])
 
     def rainbow(edges):
         cols = [tc.edge_color(u, v) for u, v in edges]

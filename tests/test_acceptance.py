@@ -202,9 +202,16 @@ def test_criterion_10_factorization_suite():
                     assert not generates_group(g.generators), (n, ds)
                     continue
                 assert len(fac.factors) == g.degree
+                classes = {}  # color -> its pairs, read from the columns
+                for d, col in fac.columns.items():
+                    for u, c in enumerate(col):
+                        v = (u + d) % n
+                        classes.setdefault(c, set()).add(
+                            (u, v) if u < v else (v, u))
+                assert sorted(classes) == list(fac.factors)
                 seen = set()
-                for f in fac.factors:
-                    assert is_perfect(f, n)
+                for f in classes.values():
+                    assert is_perfect(f, n) and len(f) == n // 2
                     assert not f & seen
                     seen |= f
                 assert seen == set(g.edges)

@@ -264,6 +264,14 @@ class TestExitContract:
         assert exit_code(argv) == EXIT_PRECONDITION
         assert "precondition failed" in capsys.readouterr().err
 
+    def test_thm34_involution(self, capsys):
+        # the subset part colors u and u + n/2 alike: never a verification
+        # failure (exit 3), always a precondition
+        argv = ("color --method thm34 --n 18 --gens 1,2,4,6,7,9 "
+                "--s1-gens 1,2,4,6").split()
+        assert exit_code(argv) == EXIT_PRECONDITION
+        assert "involution n/2 = 9 must be absent" in capsys.readouterr().err
+
     def test_missing_option_named(self, capsys):
         main(["color", "--method", "thm33", "--n", "24", "--gens", "1"])
         assert "thm33 requires --m-gens" in capsys.readouterr().err

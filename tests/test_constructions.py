@@ -525,3 +525,10 @@ class TestThm34:
         g = build_circulant(16, [1, 2, 3, 4, 5])
         with pytest.raises(PreconditionFailed):
             color_thm34(g, gs(16, [1, 2, 3]))
+
+    def test_involution_rejected(self):
+        # u and u + 9 share a vertex color, so the involution 9 of Z_18
+        # could never be colored properly
+        g = build_circulant(18, [1, 2, 4, 6, 7, 9])
+        with pytest.raises(PreconditionFailed, match="involution n/2 = 9"):
+            color_thm34(g, gs(18, [1, 2, 4, 6]))

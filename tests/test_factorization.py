@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from circulant_coloring.factorization import (
     one_factorize,
     split_rainbow_matchings,
 )
-from circulant_coloring.graphs import build_circulant
+from circulant_coloring.graphs import build_circulant, generates_group
 from circulant_coloring.coloring import TotalColoring
 
 
@@ -26,11 +27,25 @@ def is_perfect(matching, n):
     return len({x for e in matching for x in e}) == n
 
 
+def color_classes(n, fac):
+    """color -> set of the pairs (u, v), u < v, that fac.columns give it."""
+    classes = {}
+    for d, col in fac.columns.items():
+        for u, c in enumerate(col):
+            v = (u + d) % n
+            classes.setdefault(c, set()).add((u, v) if u < v else (v, u))
+    return classes
+
+
 def check_factorization(g, fac):
+    """Delta color classes, each a perfect matching, pairwise disjoint,
+    whose union is g's edge set."""
     assert len(fac.factors) == g.degree
+    classes = color_classes(g.n, fac)
+    assert sorted(classes) == list(fac.factors)
     seen = set()
-    for f in fac.factors:
-        assert is_perfect(f, g.n)
+    for f in classes.values():
+        assert is_perfect(f, g.n) and len(f) == g.n // 2
         assert not f & seen
         seen |= f
     assert seen == set(g.edges)
@@ -81,10 +96,44 @@ class TestOneFactorize:
 
     def test_deterministic(self):
         g = build_circulant(20, [3, 4, 7])
-        a = one_factorize(g).factors
-        b = one_factorize(g).factors
-        assert a == b
-        assert [list(f) for f in a] == [list(f) for f in b]
+        assert one_factorize(g) == one_factorize(g)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_vertex_sees_each_color_once(self, data):
+        # one scan of the columns, O(n Delta), at any even n <= 3000
+        n = data.draw(st.integers(2, 1500)) * 2
+        half = n // 2
+        orders = [m for m in range(4, 17, 2) if n % m == 0]
+        if orders and data.draw(st.booleans()):
+            # multiples of n/m only: components of order m <= 16, so a
+            # pool is small and its columns are stretched n/m times
+            m = data.draw(st.sampled_from(orders))
+            js = data.draw(st.sets(st.integers(1, m // 2), min_size=1))
+            ds = {n // m * j for j in js}
+        else:
+            # peeled distances (the odd part of a distance has even
+            # orbits) and the involution
+            ds = {d if (n // math.gcd(n, d)) % 2 == 0
+                  else d // (d & -d)
+                  for d in data.draw(st.sets(st.integers(1, half),
+                                             min_size=1, max_size=6))}
+        g = build_circulant(n, sorted(ds))
+        try:
+            fac = one_factorize(g, 3)
+        except FactorizationImpossible:
+            assert not generates_group(g.generators)
+            return
+        assert sorted(fac.columns) == list(g.gens)
+        seen = [[] for _ in range(n)]
+        for d, col in fac.columns.items():
+            assert len(col) == (half if 2 * d == n else n)
+            for u, c in enumerate(col):
+                seen[u].append(c)
+                seen[(u + d) % n].append(c)
+        want = list(fac.factors)
+        assert want == list(range(3, 3 + g.degree))
+        assert all(sorted(cs) == want for cs in seen)
 
     def test_all_generating_subsets_n_le_8(self):
         # the exhaustive n <= 12 sweep lives in the acceptance suite

@@ -200,10 +200,14 @@ class TestEdge:
     """An edge is the plain pair (u, v) with u < v, wherever it is made."""
 
     def test_canonical_order(self):
-        # pairs that wrap around Z_n are stored low end first
-        fac = one_factorize(build_circulant(6, [1, 3]))
-        assert all(u < v for f in fac.factors for u, v in f)
-        assert (0, 5) in set().union(*fac.factors)
+        # pairs that wrap around Z_n are stored low end first, and the
+        # 1-factorization colors each of them in its column slot
+        g = build_circulant(6, [1, 3])
+        fac = one_factorize(g)
+        colored = dict(TotalColoring((1,) * 6, fac.columns).edge_items())
+        assert all(u < v for u, v in colored) and (0, 5) in colored
+        assert list(colored) == list(g.edges)
+        assert set(colored.values()) == set(fac.factors)
         cycle = hamiltonian_cycle(power_of_cycle(6, 1), 5)
         tc = TotalColoring.from_pairs(
             (1,) * 6, {e: 1 for e in power_of_cycle(6, 1).edges})

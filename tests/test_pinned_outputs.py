@@ -24,6 +24,9 @@ COLOR_RUNS = {
     # search (120 nodes)
     "thm21-even-fallback":
         "--budget 150 color --method thm21-even --n 30 --k 11 --i 4",
+    # the residual distances 6..10 are all peeled, with gcd(176, d) of 1,
+    # 2 and 8: the two colors of a peeled distance alternate in runs of gcd
+    "thm21-even-peeled": "color --method thm21-even --n 176 --k 10 --i 1",
     "thm21-odd": "color --method thm21-odd --n 21 --k 6 --i 1",
     "thm22": "color --method thm22 --n 18 --k 4",
     "thm31": "color --method thm31 --n 20 --gens 1,2,3,4,5,7,8",
@@ -46,6 +49,10 @@ COLOR_DIGESTS = {
         "5cf6929470e9ec2f1dd1c5853c16139476b0b2e6577dd104b82cd8878d6dbf93",
     ("thm21-even-fallback", "csv"):
         "9dc87f2be662549b2da35bb39c00065107b3df51f8a3a7fe711fa6b31745bc87",
+    ("thm21-even-peeled", "json"):
+        "4a1f066c3e0f3e073a1d71a3113ca4edda7ba1ecff0ee1455b50a35db7003503",
+    ("thm21-even-peeled", "csv"):
+        "ced05bdeb21ddfab96154cd191ed22abb99a1f88e10b06fde05d2392a7edcf9e",
     ("thm21-odd", "json"):
         "57352883c070bff0ce1a7da104844728a6e89ec53813236e039e4fc2a5bd32ab",
     ("thm21-odd", "csv"):
