@@ -146,47 +146,52 @@ def _first_quarter(n: int) -> str:
     return ",".join(str(d) for d in range(1, n // 4 + 1))
 
 
-# Registries: name -> (options the entry requires, call(args, budget)).
+# Registries: name -> (options the entry requires, options it may also
+# take, call(args, budget)).  An option another entry reads is refused.
 # The calls look each builder up through this module's globals when they
 # run, so a wrapper installed on the module attribute sees every call.
 # A color call returns [(file suffix, coloring, report dict)].
 COLOR_METHODS = {
-    "thm21-even": (("k", "i"), lambda a, budget: _one(
+    "thm21-even": (("k", "i"), (), lambda a, budget: _one(
         color_power_cycle_even(a.n, a.k, a.i, budget))),
-    "thm21-odd": (("k", "i"), lambda a, budget: _one(
+    "thm21-odd": (("k", "i"), (), lambda a, budget: _one(
         color_power_cycle_odd(a.n, a.k, a.i))),
-    "thm22": (("k",), lambda a, budget: _pair(
+    "thm22": (("k",), (), lambda a, budget: _pair(
         equitable_nsd_power_cycle(a.n, a.k))),
-    "thm31": (("gens",), lambda a, budget: _one(color_thm31(
+    "thm31": (("gens",), ("s1_gens",), lambda a, budget: _one(color_thm31(
         _graph(a), _half_set(a.n, a.s1_gens or _first_quarter(a.n)),
         budget))),
-    "thm32": (("gens",), lambda a, budget: _one(color_thm32(_graph(a)))),
-    "thm33": (("gens", "m_gens"), lambda a, budget: _one(color_thm33(
+    "thm32": (("gens",), (), lambda a, budget: _one(color_thm32(_graph(a)))),
+    "thm33": (("gens", "m_gens"), (), lambda a, budget: _one(color_thm33(
         _graph(a), _half_set(a.n, a.m_gens), budget))),
-    "thm34": (("gens", "s1_gens"), lambda a, budget: _pair(color_thm34(
+    "thm34": (("gens", "s1_gens"), (), lambda a, budget: _pair(color_thm34(
         _graph(a), _half_set(a.n, a.s1_gens), budget))),
-    "canonical": ((), lambda a, budget: _canonical(
+    "canonical": ((), (), lambda a, budget: _canonical(
         canonical_complete_coloring(a.n))),
 }
 
 ORACLE_QUANTITIES = {
-    "total-chromatic": ((), lambda a, budget: exact_total_chromatic(
+    "total-chromatic": ((), (), lambda a, budget: exact_total_chromatic(
         _graph(a), budget=budget)),
-    "chromatic-index": ((), lambda a, budget: exact_chromatic_index(
+    "chromatic-index": ((), (), lambda a, budget: exact_chromatic_index(
         _graph(a), budget=budget)),
-    "equitable-feasible": (("k",), lambda a, budget: exact_feasible(
+    "equitable-feasible": (("k",), (), lambda a, budget: exact_feasible(
         _graph(a), a.k, Mode.EQUITABLE, budget=budget)),
-    "nsd-feasible": (("k",), lambda a, budget: exact_feasible(
+    "nsd-feasible": (("k",), (), lambda a, budget: exact_feasible(
         _graph(a), a.k, Mode.NSD, budget=budget)),
 }
 
 
 def _call(registry: dict, name: str, args, default_budget: int):
-    requires, call = registry[name]
-    missing = ["--" + opt.replace("_", "-") for opt in requires
-               if getattr(args, opt) is None]
-    if missing:
-        raise PreconditionFailed("%s requires %s" % (name, ", ".join(missing)))
+    requires, optional, call = registry[name]
+    others = {opt for r, o, _ in registry.values() for opt in r + o}
+    missing = [opt for opt in requires if getattr(args, opt) is None]
+    foreign = [opt for opt in sorted(others - {*requires, *optional})
+               if getattr(args, opt) is not None]
+    for problem, opts in (("requires", missing), ("does not take", foreign)):
+        if opts:
+            raise PreconditionFailed("%s %s %s" % (name, problem, ", ".join(
+                "--" + opt.replace("_", "-") for opt in opts)))
     return call(args, default_budget if args.budget is None else args.budget)
 
 

@@ -17,15 +17,16 @@ the same coloring as the plain backtracking search, never in more nodes.
 
 The Delta+1 edge coloring is Misra-Gries fan rotation: one maximal fan,
 one c/d path inversion and one rotation per edge, with no search, on a
-color-indexed neighbor array and a used-color bitmask per vertex.
+color-indexed neighbor list and a used-color bitmask per vertex rank;
+the colors are read out once, in sorted pair order, from first_color up.
 
 The factors come out as color columns in the layout of
 TotalColoring.columns, each factor one color: a peeled distance d with
 g = gcd(n, d) alternates its two colors in runs of g slots (n/g is even
 and d/g odd, so the orbit position of u has the parity of u // g); the
-involution's column is one color; a pooled component's columns are stretched to Z_n.  The
-1-factorization builds no matching as a set of pairs.  An edge is the
-pair (u, v) with u < v.
+involution's column is one color; a pooled component's columns are
+stretched to Z_n.  The 1-factorization builds no matching as a set of
+pairs.  An edge is the pair (u, v) with u < v.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .coloring import TotalColoring
 from .errors import (
@@ -61,7 +63,10 @@ class Factorization:
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    colors: dict  # (u, v) -> int
+    """colors[(u, v)], u < v, in sorted order: keyed by pair, not column,
+    as the edges need not be a circulant's (the trace reads len(colors))."""
+
+    colors: dict
 
 
 def _exact_edge_coloring(edges, num_colors: int, budget: int,
@@ -291,20 +296,20 @@ def _factorize_pool(n: int, pool: list[int], first_color: int,
 
 # -- constructive Vizing -----------------------------------------------------
 
-def edge_color_delta_plus_one(edges) -> EdgeColoring:
-    """Proper edge coloring with at most Delta+1 colors by Misra-Gries fan
-    rotation (Misra & Gries, "A constructive proof of Vizing's theorem",
-    IPL 41, 1992).
+def edge_color_delta_plus_one(edges, first_color: int = 1) -> EdgeColoring:
+    """Proper edge coloring with at most Delta+1 colors, from first_color
+    up, by Misra-Gries fan rotation (Misra & Gries, "A constructive proof
+    of Vizing's theorem", IPL 41, 1992).
 
-    Each vertex x keeps two structures: ``at[x][c]``, its neighbor across
-    the edge of color c (None while c is free at x), and ``used[x]``, a
-    bitmask with bit c set for each color at x.  Deterministic: edges are
-    colored in sorted order; the next fan vertex is the smallest
-    ``at[u][c]`` over the bits c of ``used[u] & ~used[last]`` not yet in
-    the fan; c and d are the lowest free colors of u and of the last fan
-    vertex; and the c/d path from u, starting with d, is inverted by
-    swapping ``at[x][c]`` and ``at[x][d]`` along it, with mask changes at
-    its two ends only.  The colors are read out of ``at`` at the end.
+    Vertices are ranked by label; rank x keeps ``at[x][c]``, the rank
+    across the edge of color c (None while c is free at x), and
+    ``used[x]``, a bitmask with bit c set for each color at x.
+    Deterministic: edges are colored in sorted order; the next fan vertex
+    is the smallest ``at[u][c]`` over the bits c of ``used[u] &
+    ~used[last]`` not yet in the fan; c and d are the lowest free colors of
+    u and of the last fan vertex; and the c/d path from u, starting with
+    d, is inverted by swapping ``at[x][c]`` and ``at[x][d]`` along it.
+    Ranks keep the order of labels, so each choice is the labels' choice.
     """
     pairs = sorted({(u, v) if u < v else (v, u) for u, v in edges})
     loop = next((e for e in pairs if e[0] == e[1]), None)
@@ -312,27 +317,34 @@ def edge_color_delta_plus_one(edges) -> EdgeColoring:
         raise ValueError("self-loop edge (%d, %d)" % loop)
     if not pairs:
         return EdgeColoring({})
-    degree = Counter(x for e in pairs for x in e)
+    degree = Counter(chain.from_iterable(pairs))
+    size = len(degree)
+    ranked = pairs  # labels 0..size-1 (a circulant's) are their own ranks
+    if min(degree) or max(degree) >= size:
+        rank = {x: r for r, x in enumerate(sorted(degree))}
+        ranked = [(rank[u], rank[v]) for u, v in pairs]
     width = max(degree.values()) + 2  # colors 1..Delta+1
-    at = {x: [None] * width for x in degree}
-    used = dict.fromkeys(degree, 0)
+    at = [[None] * width for _ in range(size)]
+    used = [0] * size
 
-    for u, v in pairs:
+    for u, v in ranked:
         at_u, mask_u = at[u], used[u]
         # maximal fan: each next neighbor's edge color is free at the last;
         # cols[t] is the color of (u, fan[t]), 0 for the uncolored (u, v)
         fan, cols, in_fan, last = [v], [0], 0, v
-        while bits := mask_u & ~used[last] & ~in_fan:
-            last = None
+        bits = mask_u & ~used[v]
+        while bits:
+            last = size
             while bits:
                 bit = bits & -bits
                 bits ^= bit
                 w = at_u[bit.bit_length() - 1]
-                if last is None or w < last:
+                if w < last:
                     last, last_bit = w, bit
             fan.append(last)
             cols.append(last_bit.bit_length() - 1)
             in_fan |= last_bit
+            bits = mask_u & ~used[last] & ~in_fan
         m = mask_u | 1
         c = (~m & (m + 1)).bit_length() - 1
         m = used[last] | 1
@@ -356,15 +368,16 @@ def edge_color_delta_plus_one(edges) -> EdgeColoring:
                 break
             if not used[w] >> d & 1:
                 j = t
-        for w, old, new in zip(fan, cols, cols[1:j + 1] + [d]):
+        cols[j + 1:] = (d,)
+        for t in range(j + 1):
+            w, old, new = fan[t], cols[t], cols[t + 1]
             at_w = at[w]
             at_w[old], at_w[new], at_u[new] = None, u, w
             used[w] = used[w] & ~(1 << old) | 1 << new
         used[u] |= 1 << d
 
-    found = {(x, y): c for x, at_x in at.items()
-             for c, y in enumerate(at_x) if y is not None and x < y}
-    return EdgeColoring({e: found[e] for e in pairs})
+    return EdgeColoring({e: at[ru].index(rv) + first_color - 1
+                         for e, (ru, rv) in zip(pairs, ranked)})
 
 
 # -- Hamiltonian cycles and rainbow matchings --------------------------------
@@ -374,10 +387,7 @@ def hamiltonian_cycle(g: CirculantGraph, gen: int) -> list[int]:
     n = g.n
     if math.gcd(gen % n, n) != 1:
         raise PreconditionFailed("gcd(%d, %d) != 1" % (gen, n))
-    folded = gen % n
-    if folded > n // 2:
-        folded = n - folded
-    if folded not in g.gens:
+    if min(gen % n, n - gen % n) not in g.gens:
         raise PreconditionFailed("%d is not a distance of the graph" % gen)
     return [(gen * t) % n for t in range(n)]
 

@@ -22,17 +22,15 @@ def normalize_half_set(n: int, ds) -> tuple[int, ...]:
     A distance d and its negation n-d are the same symmetric generator and
     merge silently; listing the same residue twice is a duplicate.
     """
-    seen_residues = set()
-    folded = set()
+    seen = set()
     for d in ds:
         d = d % n
         if d == 0:
             raise PreconditionFailed("generator 0 (mod %d) would be a self-loop" % n)
-        if d in seen_residues:
+        if d in seen:
             raise PreconditionFailed("generator %d listed twice" % d)
-        seen_residues.add(d)
-        folded.add(min(d, n - d))
-    return tuple(sorted(folded))
+        seen.add(d)
+    return tuple(sorted({min(d, n - d) for d in seen}))
 
 
 @dataclass(frozen=True)
@@ -105,11 +103,8 @@ def build_circulant(n: int, ds) -> CirculantGraph:
     """Circulant graph on Z_n; distances above n/2 are folded to n - d."""
     if n < 3:
         raise PreconditionFailed("need n >= 3, got %d" % n)
-    ds = list(ds)
-    if not ds:
-        raise PreconditionFailed("generator set must be non-empty")
-    gens = normalize_half_set(n, ds)
-    return CirculantGraph(n, GeneratorSet(n, gens))
+    # an empty set fails in GeneratorSet: "generator set must be non-empty"
+    return CirculantGraph(n, GeneratorSet(n, normalize_half_set(n, ds)))
 
 
 def power_of_cycle(n: int, k: int) -> CirculantGraph:
@@ -131,12 +126,6 @@ def classify_sum_free_half(sub: GeneratorSet) -> bool:
     n = sub.n
     if n % 2:
         raise PreconditionFailed("sum-free classification needs even n, got %d" % n)
-    half = n // 2
-    if half in sub.gens:
-        return False
-    full = sub.full
-    for s in full:
-        for t in full:
-            if (s + t) % n == half:
-                return False
-    return True
+    half, full = n // 2, sub.full
+    return half not in sub.gens and not any(
+        (s + t) % n == half for s in full for t in full)

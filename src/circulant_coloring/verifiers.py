@@ -145,12 +145,8 @@ def _verify(g: CirculantGraph, tc: TotalColoring) -> tuple:
     cols = _check_assignments(g, tc)
     violations = find_violations(g, tc, cols)
     sizes = dict(Counter(chain(tc.vertex_colors, *cols)))
-    report = VerificationReport(
-        proper=not violations,
-        violations=violations,
-        colors_used=len(sizes),
-        class_sizes=sizes,
-    )
+    report = VerificationReport(proper=not violations, violations=violations,
+                                colors_used=len(sizes), class_sizes=sizes)
     if report.proper:
         spread = max(sizes.values()) - min(sizes.values())
         report.equitable = spread <= 1

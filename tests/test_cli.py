@@ -276,6 +276,37 @@ class TestExitContract:
         main(["color", "--method", "thm33", "--n", "24", "--gens", "1"])
         assert "thm33 requires --m-gens" in capsys.readouterr().err
 
+    # One option per method and per quantity that it does not read.  The
+    # two feasibility quantities read every option of ``oracle``.
+    FOREIGN = [
+        ("color --method thm21-even --n 18 --k 4 --i 5 --gens 3", "--gens"),
+        ("color --method thm21-odd --n 21 --k 6 --i 1 --gens 3", "--gens"),
+        ("color --method thm22 --n 18 --k 4 --i 1", "--i"),
+        ("color --method thm31 --n 20 --gens 1,2 --m-gens 1", "--m-gens"),
+        ("color --method thm32 --n 24 --gens 1,2 --s1-gens 1", "--s1-gens"),
+        ("color --method thm33 --n 24 --gens 1 --m-gens 2 --k 3", "--k"),
+        ("color --method thm34 --n 18 --gens 1,2 --s1-gens 1 --i 1", "--i"),
+        ("color --method canonical --n 8 --k 2", "--k"),
+        ("oracle --quantity total-chromatic --n 7 --gens 1,2 --k 5", "--k"),
+        ("oracle --quantity chromatic-index --n 7 --gens 1,2 --k 5", "--k"),
+    ]
+
+    @pytest.mark.parametrize("argv,flag", FOREIGN,
+                             ids=[a.split()[2] for a, _ in FOREIGN])
+    def test_foreign_option_refused(self, argv, flag, capsys):
+        assert exit_code(argv.split()) == EXIT_PRECONDITION
+        out, err = capsys.readouterr()
+        name = argv.split()[2]
+        assert out == ""
+        assert err == "precondition failed: %s does not take %s\n" % (
+            name, flag)
+
+    def test_foreign_option_cases_cover_every_method(self):
+        names = {a.split()[2] for a, _ in self.FOREIGN}
+        assert set(COLOR_METHODS) <= names
+        assert names - set(COLOR_METHODS) == set(ORACLE_QUANTITIES) - {
+            "equitable-feasible", "nsd-feasible"}
+
     def test_nsd_of_improper_coloring(self, tmp_path, capsys):
         tc = color_power_cycle_even(18, 4, 5).coloring
         e = next(tc.edge_items())[0]
@@ -642,12 +673,16 @@ def cli_argv(draw):
     if command == "build":
         argv += ["build", "--n", n, "--gens", draw(_gens_text)]
     elif command == "color":
-        argv += ["color", "--method", draw(st.sampled_from(list(COLOR_METHODS))),
+        method = draw(st.sampled_from(list(COLOR_METHODS)))
+        requires, optional, _ = COLOR_METHODS[method]
+        argv += ["color", "--method", method,
                  "--n", n, "--format", draw(st.sampled_from(["csv", "json"]))]
-        for flag in ("--k", "--i"):
-            argv += draw(_option(flag, _small))
-        for flag in ("--gens", "--s1-gens", "--m-gens"):
-            argv += draw(_option(flag, _gens_text))
+        # an option the method does not read is refused (exit 2), so it
+        # comes in one example of ten, to leave the builders most of them
+        for opt, values in (("k", _small), ("i", _small), ("gens", _gens_text),
+                            ("s1_gens", _gens_text), ("m_gens", _gens_text)):
+            if opt in requires + optional or not draw(st.integers(0, 9)):
+                argv += draw(_option("--" + opt.replace("_", "-"), values))
     elif command == "verify":
         n, gens = draw(st.one_of(st.just(("18", "1,2,3,4")),
                                  st.tuples(st.just(n), _gens_text)))

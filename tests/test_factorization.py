@@ -13,6 +13,7 @@ from circulant_coloring.errors import (
     SearchBudgetExceeded,
 )
 from circulant_coloring.factorization import (
+    EdgeColoring,
     _exact_edge_coloring,
     edge_color_delta_plus_one,
     hamiltonian_cycle,
@@ -552,6 +553,39 @@ class TestVizing:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match=r"^self-loop edge \(3, 3\)$"):
             edge_color_delta_plus_one([(1, 2), (3, 3), (2, 3)])
+
+    @given(edges=edge_lists(), rng=st.randoms(use_true_random=False))
+    @settings(max_examples=50, deadline=None)
+    def test_rank_invariant(self, edges, rng):
+        """Any increasing relabelling (shift, scale, gaps, negative labels)
+        colors the mapped pairs as the kernel colors the originals."""
+        labels = sorted({x for e in edges for x in e})
+        to = dict(zip(labels, sorted(rng.sample(range(-10**12, 10**12),
+                                                len(labels)))))
+        got = edge_color_delta_plus_one([(to[u], to[v]) for u, v in edges])
+        want = edge_color_delta_plus_one(edges).colors
+        assert got.colors == {(to[u], to[v]): c for (u, v), c in want.items()}
+
+    @pytest.mark.parametrize("relabel", [
+        lambda x: x + 7, lambda x: 5 * x, lambda x: x * x + x,
+        lambda x: 3 * x - 10**9], ids=["shift", "scale", "gaps", "negative"])
+    def test_rank_invariant_pinned(self, relabel):
+        g = build_circulant(21, [4, 5, 6])
+        ec = edge_color_delta_plus_one([(relabel(u), relabel(v))
+                                        for u, v in g.edges])
+        back = {relabel(x): x for x in range(21)}
+        ec = EdgeColoring({(back[u], back[v]): c
+                           for (u, v), c in ec.colors.items()})
+        assert self._digest(ec) == self.PINNED[(21, (4, 5, 6))]
+
+    @pytest.mark.parametrize("first", [0, 1, 2, 12])
+    def test_first_color_shifts(self, first):
+        g = build_circulant(385, [6, 7, 8, 9, 10])
+        base = edge_color_delta_plus_one(g.edges).colors
+        shifted = edge_color_delta_plus_one(g.edges, first).colors
+        assert shifted == {e: c + first - 1 for e, c in base.items()}
+        assert list(shifted) == list(base)
+        assert min(shifted.values()) == first
 
 
 class TestHamiltonianCycle:
