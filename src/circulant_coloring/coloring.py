@@ -307,7 +307,8 @@ def coloring_from_json_dict(d: dict) -> TotalColoring:
     """Raises KeyError, TypeError or ValueError on a malformed document:
     an edge colour or endpoint that is not an int (bools included), a
     vertex colour that is neither an int nor null, an edge with u >= v,
-    an edge listed twice, or an endpoint outside 0..n-1."""
+    an edge listed twice, an endpoint outside 0..n-1, or an "n" that is
+    not the int len(vertex_colors)."""
     vertex_colors = tuple(d["vertex_colors"])
     us, vs, cs = (list(map(itemgetter(key), d["edges"])) for key in "uvc")
     kinds = ({*map(type, vertex_colors)} - {type(None)}).union(
@@ -320,6 +321,8 @@ def coloring_from_json_dict(d: dict) -> TotalColoring:
         raise ValueError("self-loop edge (%d, %d)" % (u, v) if u == v
                          else "edge endpoints must satisfy u < v")
     n = len(vertex_colors)
+    if "n" in d and (type(d["n"]) is not int or d["n"] != n):
+        raise ValueError('"n" is %r, but vertex_colors holds %d' % (d["n"], n))
     outside = us and (min(us) < 0 or max(vs) >= n)
     columns = {} if outside else _filled({}, n, us, vs, cs)
     filled = sum(len(col) - col.count(None) for col in columns.values())

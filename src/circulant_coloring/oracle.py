@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .coloring import TotalColoring
-from .errors import PreconditionFailed, SearchBudgetExceeded
+from .errors import PreconditionFailed, SearchBudgetExceeded, VerificationFailed
 from .graphs import CirculantGraph
 from .verifiers import verify_total_coloring
 
@@ -323,7 +323,8 @@ def exact_total_chromatic(g: CirculantGraph,
         witness, used = _search(g, k, budget - nodes)
         nodes += used
         if witness is not None:
-            assert verify_total_coloring(g, witness).proper
+            if not verify_total_coloring(g, witness).proper:
+                raise VerificationFailed("improper search witness", witness)
             return OracleResult(Quantity.TOTAL_CHROMATIC, k, nodes, witness)
     raise SearchBudgetExceeded(
         "no total coloring found up to %d colors" % (g.degree + 3))
@@ -357,6 +358,6 @@ def exact_feasible(g: CirculantGraph, k: int, mode: Mode,
     if _counting_refutes(g, k):
         return OracleResult(quantity, False, 0)
     witness, nodes = _search(g, k, budget, mode=mode)
-    if witness is not None:
-        assert verify_total_coloring(g, witness).proper
+    if witness is not None and not verify_total_coloring(g, witness).proper:
+        raise VerificationFailed("improper search witness", witness)
     return OracleResult(quantity, witness is not None, nodes, witness)

@@ -4,8 +4,12 @@ Everything here recomputes from raw data and never trusts builder caches;
 the builders in turn refuse to return anything these checkers reject.
 
 A coloring is read one distance d at a time, as a column of the colours
-of the edges {u, u + d mod n}, and accepted by whole-column passes alone;
-only when a pass finds a fault does a pass over the edges list witnesses.
+of the edges {u, u + d mod n}, and accepted by passes over p slots of
+each column alone, p its least period: its vertex colours and columns
+(the involution's read twice over) equal themselves rotated by p, so the
+star at u is the star at u mod p, and a class holds n/p times its count
+on p slots (n/2p on the involution's).  Only when a pass finds a fault
+do passes over the whole graph list witnesses, of equal NSD sums too.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
+from math import gcd, isqrt
 from operator import eq
 
 from .errors import VerificationFailed
@@ -63,30 +68,46 @@ class VerificationReport:
         }
 
 
+def _windows(n: int, arrays: list) -> list:
+    """The first p slots of each array, of length n or n/2, p the least
+    divisor of n at which each repeats every gcd(p, its length) slots: on
+    64 slots, then all, longest distance first (the least often periodic)."""
+    small = [p for p in range(1, isqrt(n) + 1) if n % p == 0]
+    for p in small + [n // p for p in reversed(small[1:]) if p * p < n]:
+        if all(a[s:s + 64] == a[:min(64, len(a) - s)] and a[s:] == a[:len(a) - s]
+               for a in reversed(arrays) for s in [gcd(p, len(a))]):
+            return [a[:p] for a in arrays]
+    return arrays
+
+
 def _stars(g: CirculantGraph, values, cols):
-    """Per vertex u: values[u] and the colours of u's edges, from cols."""
-    around = []
+    """Per slot u < p = len(values): values[u] and its edges' colours."""
+    p, around = len(values), []
     for d, col in zip(g.gens, cols):
         # the edge from u - d, and at the involution the one from u - n/2
-        around += [col + col] if 2 * d == g.n else [col, col[-d:] + col[:-d]]
+        around += ([col + col if len(col) < p else col] if 2 * d == g.n
+                   else [col, col[-(d % p):] + col[:-(d % p)]])
     return zip(values, *around)
 
 
 def _equal_across(g: CirculantGraph, values) -> bool:
-    """Whether values[u] == values[u + d mod n] for some u and distance d."""
-    return any(any(map(eq, values, values[d:] + values[:d])) for d in g.gens)
+    """Whether values[u] == values[(u + d) % len(values)] for any u, d."""
+    p = len(values)
+    return any(any(map(eq, values, values[d % p:] + values[:d % p]))
+               for d in g.gens)
 
 
-def _check_assignments(g: CirculantGraph, tc: TotalColoring) -> list:
-    """tc's column of each distance of g, once every edge and vertex has
-    a colour of at least 1 and no non-edge has one."""
+def _check_assignments(g: CirculantGraph, tc: TotalColoring) -> tuple:
+    """tc's vertex colours and columns of g's distances, and their windows,
+    once every element has a colour of at least 1 and no non-edge has one."""
     if tc.n != g.n:
         raise VerificationFailed("coloring covers %d vertices, graph has %d" % (tc.n, g.n))
-    cols = list(map(tc.column, g.gens))
+    arrays = [tc.vertex_colors, *map(tc.column, g.gens)]
+    vertex, *cols = windows = _windows(g.n, arrays)
     if any(None in col for col in cols):
         missing = [e for e in g.edges if tc.edge_color(*e) is None]
         raise VerificationFailed("uncolored edges: %s" % (missing[:5],))
-    for u, c in enumerate(tc.vertex_colors):
+    for u, c in enumerate(vertex):
         if c is None or c < 1:
             raise VerificationFailed("vertex %d has no valid color" % u)
     extra = [c for d, col in tc.columns.items() if d not in g.gens
@@ -98,22 +119,17 @@ def _check_assignments(g: CirculantGraph, tc: TotalColoring) -> list:
         e = next(e for e, c in tc.edge_items()
                  if min(e[1] - e[0], g.n - e[1] + e[0]) not in g.gens)
         raise VerificationFailed("non-edge (%d, %d) has a color" % e)
-    return cols
+    return arrays, windows
 
 
 def find_violations(g: CirculantGraph, tc: TotalColoring, cols=None) -> list:
-    """Every total-coloring violation, each with a concrete witness: []
-    if no two neighbours share a colour and every vertex sees degree + 1
-    distinct colours on itself and its edges, else every violation from
+    """Every total-coloring violation, each with a concrete witness, from
     one pass over the edges.  ``cols`` are tc's columns of g's distances."""
-    cols = cols or list(map(tc.column, g.gens))
-    vertex_colors = tc.vertex_colors
-    if (not _equal_across(g, vertex_colors) and g.n * (g.degree + 1)
-            == sum(map(len, map(set, _stars(g, vertex_colors, cols))))):
-        return []
+    n, edges, vertex_colors = g.n, g.edges, tc.vertex_colors
+    col = dict(zip(g.gens, cols or map(tc.column, g.gens)))
+    edge_colors = [col[min(v - u, n - v + u)][u if 2 * (v - u) <= n else v]
+                   for u, v in edges]
     violations = []
-    edges = g.edges
-    edge_colors = [tc.edge_color(u, v) for u, v in edges]
     for e, ce in zip(edges, edge_colors):
         u, v = e
         cu, cv = vertex_colors[u], vertex_colors[v]
@@ -141,10 +157,19 @@ def verify_total_coloring(g: CirculantGraph, tc: TotalColoring) -> VerificationR
 
 
 def _verify(g: CirculantGraph, tc: TotalColoring) -> tuple:
-    """(verify_total_coloring's report, the columns of tc)."""
-    cols = _check_assignments(g, tc)
-    violations = find_violations(g, tc, cols)
-    sizes = dict(Counter(chain(tc.vertex_colors, *cols)))
+    """(verify_total_coloring's report, the windows of tc's arrays)."""
+    arrays, windows = _check_assignments(g, tc)
+    vertex, *cols = windows
+    n, p = g.n, len(vertex)
+    # no edge joins two vertices of one colour, every star is rainbow
+    proper = not _equal_across(g, vertex) and p * (g.degree + 1) == sum(
+        map(len, map(set, _stars(g, vertex, cols))))
+    violations = [] if proper else find_violations(g, tc, arrays[1:])
+    # window counts scaled up; the involution's n/2 slots, if any, come last
+    half = cols.pop() if 2 * g.gens[-1] == n else []
+    sizes = {c: k * n // p for c, k in Counter(chain(vertex, *cols)).items()}
+    for c, k in Counter(half).items():
+        sizes[c] = sizes.get(c, 0) + k * n // (2 * len(half))
     report = VerificationReport(proper=not violations, violations=violations,
                                 colors_used=len(sizes), class_sizes=sizes)
     if report.proper:
@@ -154,7 +179,7 @@ def _verify(g: CirculantGraph, tc: TotalColoring) -> tuple:
             report.type_label = TypeLabel.TYPE_I
         elif report.colors_used == g.degree + 2:
             report.type_label = TypeLabel.TYPE_II_BOUND
-    return report, cols
+    return report, windows
 
 
 def verify_equitable(g: CirculantGraph, tc: TotalColoring) -> VerificationReport:
@@ -166,12 +191,13 @@ def verify_equitable(g: CirculantGraph, tc: TotalColoring) -> VerificationReport
 
 def verify_nsd(g: CirculantGraph, tc: TotalColoring) -> VerificationReport:
     """NSD verdict; sums are recomputed from scratch."""
-    report, cols = _verify(g, tc)
+    report, (vertex, *cols) = _verify(g, tc)
     if not report.proper:
         raise VerificationFailed("NSD is only defined for proper colorings")
-    sums = list(map(sum, _stars(g, tc.vertex_colors, cols)))
+    sums = list(map(sum, _stars(g, vertex, cols)))
     bad = []
     if _equal_across(g, sums):
+        sums *= g.n // len(sums)  # the sums of a colouring of period p
         bad = [Violation("nsd-equal-sums", (u, v, sums[u]))
                for u, v in g.edges if sums[u] == sums[v]]
     report.nsd = not bad

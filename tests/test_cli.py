@@ -527,6 +527,25 @@ class TestMalformedInput:
         assert "malformed coloring file" in err
         assert "edge (0, 1) listed twice" in err
 
+    @pytest.mark.parametrize("n", [7, 2, "3", 3.0, True, None])
+    @pytest.mark.parametrize("command", ["verify", "export"])
+    def test_json_wrong_n(self, command, n, tmp_path, capsys):
+        # a proper coloring of C_3 whose "n" is not 3
+        path = tmp_path / "wrong_n.json"
+        path.write_text(json.dumps(
+            {"n": n, "vertex_colors": [1, 2, 3],
+             "edges": [{"u": 0, "v": 1, "c": 3}, {"u": 0, "v": 2, "c": 2},
+                       {"u": 1, "v": 2, "c": 1}]}))
+        argv = (["verify", "--n", "3", "--gens", "1", "--in", str(path)]
+                if command == "verify" else
+                ["export", "--in", str(path), "--format", "json",
+                 "--out", str(tmp_path / "out.json")])
+        assert main(argv) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "malformed coloring file" in err
+        assert '"n" is %r, but vertex_colors holds 3' % (n,) in err
+        assert not (tmp_path / "out.json").exists()
+
     def test_csv_asymmetric(self, tmp_path, capsys):
         path = tmp_path / "asymmetric.csv"
         path.write_text(",0,1,2\n0,1,3,2\n1,9,2,1\n2,2,1,3\n")

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circulant_coloring.errors import PreconditionFailed, SearchBudgetExceeded
+from circulant_coloring import oracle
+from circulant_coloring.errors import (
+    PreconditionFailed,
+    SearchBudgetExceeded,
+    VerificationFailed,
+)
 from circulant_coloring.graphs import build_circulant, power_of_cycle
 from circulant_coloring.coloring import TotalColoring
 from circulant_coloring.oracle import (
@@ -753,3 +758,20 @@ class TestDeterminism:
         assert a.value == b.value
         assert a.nodes_explored == b.nodes_explored
         assert a.witness == b.witness
+
+
+class TestWitnessCheck:
+    """A witness the search returns is verified by a check that raises,
+    so it holds under python -O as well."""
+
+    @pytest.mark.parametrize("query", [
+        lambda g: exact_total_chromatic(g),
+        lambda g: exact_feasible(g, 4, Mode.EQUITABLE),
+        lambda g: exact_feasible(g, 6, Mode.NSD)])
+    def test_improper_witness_raises(self, query, monkeypatch):
+        g = build_circulant(5, [1])
+        improper = TotalColoring.from_pairs((1,) * 5, {e: 2 for e in g.edges})
+        monkeypatch.setattr(oracle, "_search",
+                            lambda *args, **kwargs: (improper, 1))
+        with pytest.raises(VerificationFailed, match="improper search witness"):
+            query(g)

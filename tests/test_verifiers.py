@@ -1,5 +1,11 @@
+import random
+from collections import Counter
+from itertools import chain
+from math import gcd
+from operator import eq
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circulant_coloring.coloring import TotalColoring
@@ -8,6 +14,7 @@ from circulant_coloring.golden import rebuild_table
 from circulant_coloring.graphs import build_circulant, power_of_cycle
 from circulant_coloring.verifiers import (
     TypeLabel,
+    VerificationReport,
     Violation,
     find_violations,
     verify_equitable,
@@ -244,6 +251,187 @@ class TestColumnPasses:
         assert report.proper and report.nsd is False
         assert report.nsd_violations == [
             Violation("nsd-equal-sums", (0, 3, 13))]
+
+
+def reference_verify(g, tc, nsd=False):
+    """verify_total_coloring, or verify_nsd with ``nsd``, as whole-column
+    passes over all n slots of every column, one tuple and one set per
+    vertex: the verifiers before they read one period of the coloring."""
+    n = g.n
+    if tc.n != n:
+        raise VerificationFailed(
+            "coloring covers %d vertices, graph has %d" % (tc.n, n))
+    cols = list(map(tc.column, g.gens))
+    if any(None in col for col in cols):
+        missing = [e for e in g.edges if tc.edge_color(*e) is None]
+        raise VerificationFailed("uncolored edges: %s" % (missing[:5],))
+    for u, c in enumerate(tc.vertex_colors):
+        if c is None or c < 1:
+            raise VerificationFailed("vertex %d has no valid color" % u)
+    extra = [c for d, col in tc.columns.items() if d not in g.gens
+             for c in col if c is not None]
+    if min(chain(map(min, cols), extra), default=1) < 1:
+        e = next(e for e, c in tc.edge_items() if c < 1)
+        raise VerificationFailed("edge (%d, %d) has no valid color" % e)
+    if extra:
+        e = next(e for e, c in tc.edge_items()
+                 if min(e[1] - e[0], n - e[1] + e[0]) not in g.gens)
+        raise VerificationFailed("non-edge (%d, %d) has a color" % e)
+
+    def stars(values):
+        around = []
+        for d, col in zip(g.gens, cols):
+            around += ([col + col] if 2 * d == n
+                       else [col, col[-d:] + col[:-d]])
+        return zip(values, *around)
+
+    def equal_across(values):
+        return any(any(map(eq, values, values[d:] + values[:d]))
+                   for d in g.gens)
+
+    vertex_colors = tc.vertex_colors
+    proper = not equal_across(vertex_colors) and n * (g.degree + 1) == sum(
+        map(len, map(set, stars(vertex_colors))))
+    violations = [] if proper else reference_violations(g, tc)
+    sizes = dict(Counter(chain(vertex_colors, *cols)))
+    report = VerificationReport(proper=not violations, violations=violations,
+                                colors_used=len(sizes), class_sizes=sizes)
+    if report.proper:
+        report.equitable = max(sizes.values()) - min(sizes.values()) <= 1
+        if report.colors_used == g.degree + 1:
+            report.type_label = TypeLabel.TYPE_I
+        elif report.colors_used == g.degree + 2:
+            report.type_label = TypeLabel.TYPE_II_BOUND
+    if not nsd:
+        return report
+    if not report.proper:
+        raise VerificationFailed("NSD is only defined for proper colorings")
+    sums = list(map(sum, stars(vertex_colors)))
+    bad = []
+    if equal_across(sums):
+        bad = [Violation("nsd-equal-sums", (u, v, sums[u]))
+               for u, v in g.edges if sums[u] == sums[v]]
+    report.nsd = not bad
+    report.nsd_violations = bad
+    return report
+
+
+def reference_equitable(g, tc):
+    report = reference_verify(g, tc)
+    if not report.proper:
+        raise VerificationFailed(
+            "equitability is only defined for proper colorings")
+    return report
+
+
+@st.composite
+def periodic_colorings(draw):
+    """C_n(S), 3 <= n <= 60, n/2 in S half the time when n is even, and a
+    total coloring of period p, a drawn divisor of n: each class of slots
+    that agree mod p (mod gcd(p, n/2) at the involution), in a random
+    order, takes the least colour from a random floor of 1-3 up that no
+    element touching it holds, so most are proper.  Then 0-2 faults, each
+    a vertex colour, an edge colour, an involution slot, None or 0, the
+    first of them in the last period."""
+    n = draw(st.integers(3, 60))
+    gens = set(draw(st.lists(st.integers(1, n // 2), min_size=1,
+                             max_size=4)))
+    if n % 2 == 0 and draw(st.booleans()):
+        gens.add(n // 2)
+    g = build_circulant(n, gens)
+    p = draw(st.sampled_from([p for p in range(1, n + 1) if n % p == 0]))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def length(d):  # of the array of slot (d, u), d = 0 the vertex colours
+        return d if 2 * d == n else n
+
+    def at(u):  # the slots of the edges at vertex u
+        return [s for d in g.gens for s in (
+            [(d, u % d)] if 2 * d == n else [(d, u), (d, (u - d) % n)])]
+
+    def touching(x):
+        d, u = x
+        if d == 0:
+            return [(0, w) for w in g.neighbors(u)] + at(u)
+        ends = (u, (u + d) % n)
+        return [(0, w) for w in ends] + [y for w in ends for y in at(w)
+                                         if y != x]
+
+    classes = {}
+    for d in (0, *g.gens):
+        for u in range(length(d)):
+            classes.setdefault((d, u % gcd(p, length(d))), []).append((d, u))
+    color = {}
+    for members in rnd.sample(list(classes.values()), len(classes)):
+        taken = {color.get(y) for x in members for y in touching(x)}
+        c = rnd.randint(1, 3)
+        while c in taken:
+            c += 1
+        for x in members:
+            color[x] = c
+    top = max(color.values())
+    for i in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["vertex", "edge", "involution", None, 0]))
+        d = (0 if kind == "vertex" or (kind in (None, 0) and draw(st.booleans()))
+             else max(g.gens) if kind == "involution"
+             else draw(st.sampled_from(g.gens)))
+        size = length(d)
+        last = gcd(p, size)  # the slots of the last period
+        u = draw(st.integers(size - last if i == 0 else 0, size - 1))
+        color[d, u] = (kind if kind in (None, 0) else
+                       draw(st.sampled_from([top + 1, rnd.randint(1, top)])))
+    return g, TotalColoring(
+        tuple(color[0, u] for u in range(n)),
+        {d: [color[d, u] for u in range(length(d))] for d in g.gens})
+
+
+def outcome(check, g, tc):
+    """Every field of check's report, class sizes as their items in order,
+    or the message of its VerificationFailed."""
+    try:
+        report = check(g, tc)
+    except VerificationFailed as exc:
+        return "failed: %s" % exc
+    return [*vars(report).items()], [*report.class_sizes.items()]
+
+
+CHECKS = ((verify_total_coloring, reference_verify),
+          (verify_equitable, reference_equitable),
+          (verify_nsd, lambda g, tc: reference_verify(g, tc, nsd=True)))
+
+
+class TestOnePeriod:
+    # the verifiers, which read one period, against full passes over the
+    # whole of every column
+    @given(periodic_colorings())
+    # period 4 but for the involution's column, which repeats every 4 of
+    # its 10 slots only up to its end: read twice over, it has period 20
+    @example((build_circulant(20, [1, 10]), TotalColoring(
+        (1, 2, 3, 4) * 5, {1: [5, 6, 7, 8] * 5, 10: [5, 6, 7, 8] * 2 + [5, 6]})))
+    @settings(max_examples=250, deadline=None)
+    def test_agrees_with_reference(self, case):
+        g, tc = case
+        for check, reference in CHECKS:
+            assert outcome(check, g, tc) == outcome(reference, g, tc)
+
+    @pytest.mark.parametrize("fault", ["vertex", "edge", "fresh colour"])
+    def test_late_fault_in_long_columns(self, fault):
+        # thm21-even (210, 10, 11) has period 21; each fault lies past the
+        # first 64 slots, so only a test of the whole of a column sees it
+        from circulant_coloring.constructions import color_power_cycle_even
+
+        g, tc = power_of_cycle(210, 10), color_power_cycle_even(
+            210, 10, 11).coloring
+        if fault == "vertex":
+            colors = list(tc.vertex_colors)
+            colors[205] = colors[204]
+            tc = TotalColoring(tuple(colors), tc.columns)
+        else:
+            tc = tc.with_edge_colors({(200, 203): tc.vertex_colors[200] if
+                                      fault == "edge" else tc.palette_size + 1})
+        for check, reference in CHECKS:
+            assert outcome(check, g, tc) == outcome(reference, g, tc)
+        assert verify_total_coloring(g, tc).proper is (fault == "fresh colour")
 
 
 class TestEquitable:
