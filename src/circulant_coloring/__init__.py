@@ -15,9 +15,7 @@ from .factorization import (
     EdgeColoring,
     Factorization,
     edge_color_delta_plus_one,
-    hamiltonian_cycle,
     one_factorize,
-    split_rainbow_matchings,
 )
 from .constructions import (
     canonical_complete_coloring,

@@ -5,11 +5,14 @@ prescribes, hands it to the independent verifiers, and only then returns
 a BuildReport.  A rejected candidate raises VerificationFailed with the
 offending coloring attached; it is never silently repaired.
 
-The workhorse is the Latin-square tiling: for an odd q dividing n, coloring
-element (u, v) with the closed-form square entry at (u mod q, v mod q)
-totally colors C_n^{(q-1)/2} in q colors.  Distances beyond the tiling
-reach are finished by 1-factorization (even n) or a Vizing edge coloring
-(odd n) on fresh colors.
+The workhorse is one folded tiling: element (u, v) takes the canonical
+K_q row at (u mod h + v mod h) mod q.  With h = q odd dividing n it is the
+Latin-square tiling, which totally colors C_n^{(q-1)/2} in q colors;
+thm32 folds K_{n/2} mod n/2, and h = q = m is the canonical K_m matrix.
+Distances beyond the tiling reach are finished by 1-factorization (even n)
+or a Vizing edge coloring (odd n) on fresh colors.  The NSD step recolors
+the two alternating matchings of a unit distance's Hamiltonian cycle: the
+even and the odd slots of that distance's column.
 """
 
 from __future__ import annotations
@@ -28,9 +31,7 @@ from .factorization import (
     DEFAULT_SEARCH_BUDGET,
     _exact_edge_coloring,
     edge_color_delta_plus_one,
-    hamiltonian_cycle,
     one_factorize,
-    split_rainbow_matchings,
 )
 from .graphs import (
     CirculantGraph,
@@ -40,26 +41,31 @@ from .graphs import (
     generates_group,
     power_of_cycle,
 )
-from .latin import closed_form_entry, half
+from .latin import half
 from .oracle import _total_search
 from .verifiers import verify_equitable, verify_nsd, verify_total_coloring
 
 
 # -- tiling helpers ----------------------------------------------------------
 
-def _tiling(n: int, q: int, distances) -> TotalColoring:
-    """Vertex and edge colors from the order-q closed-form square.
+def _tiling(n: int, h: int, q: int, distances) -> TotalColoring:
+    """Vertex and edge colors from the canonical K_q row folded mod h.
 
-    Requires q | n.  Proper as long as the distances hit pairwise
-    distinct nonzero residue classes +-d mod q.  Element (u, v) takes the
-    square's entry at (u mod q + 1, v mod q + 1), which depends on the
-    residue sum u mod q + v mod q only: the square is tabulated once per
-    sum, and each distance's column is one period of q colors repeated.
+    Requires h | n.  Element (u, v) takes row[(u mod h + v mod h) mod q],
+    row = canonical_first_row(q), so each column is one period of h
+    colors repeated, cut to n/2 entries at an involution.  With h = q odd
+    this is the order-q Latin square half(i + j - 2, q) tiled mod q,
+    proper as long as the distances hit pairwise distinct nonzero residue
+    classes +-d mod q; with h = q = m it is the canonical K_m matrix.
     """
-    by_sum = [closed_form_entry(q, 1, r + 1) for r in range(2 * q - 1)]
-    return TotalColoring(tuple(by_sum[0:2 * q:2] * (n // q)), {
-        d: [by_sum[r + (r + d) % q] for r in range(q)] * (n // q)
-        for d in distances})
+    row = canonical_first_row(q)
+    reps = n // h
+    columns = {}
+    for d in distances:
+        col = [row[(r + (r + d) % h) % q] for r in range(h)] * reps
+        columns[d] = col[:n // 2] if 2 * d == n else col
+    return TotalColoring(
+        tuple(row[2 * r % q] for r in range(h)) * reps, columns)
 
 
 def _choose_tiling_split(n: int, k: int, q: int):
@@ -128,7 +134,7 @@ def color_power_cycle_even(n: int, k: int, i: int,
     g = power_of_cycle(n, k)
     q = k + i
     tiled, residual = _choose_tiling_split(n, k, q)
-    tc = _tiling(n, q, tiled)
+    tc = _tiling(n, q, q, tiled)
     notes = "tiled distances %r with order-%d square" % (tiled, q)
     fallback = False
     if residual:
@@ -162,7 +168,7 @@ def color_power_cycle_odd(n: int, k: int, i: int) -> BuildReport:
     g = power_of_cycle(n, k)
     q = k + i
     m = (q - 1) // 2
-    tc = _tiling(n, q, range(1, m + 1))
+    tc = _tiling(n, q, q, range(1, m + 1))
     residual = list(range(m + 1, k + 1))
     notes = "tiled distances 1..%d with order-%d square" % (m, q)
     if residual:
@@ -174,6 +180,21 @@ def color_power_cycle_odd(n: int, k: int, i: int) -> BuildReport:
 
 
 # -- equitable and NSD for powers of cycles ----------------------------------
+
+def _recolor_unit_cycle(tc: TotalColoring, d: int, a: int):
+    """The NSD step: the Hamiltonian cycle 0, d, 2d, ... of a unit
+    distance d (n even) split into its two alternating perfect matchings,
+    recolored a and a + 1, and whether each was rainbow under tc.
+
+    The cycle position of slot x of column d has the parity of x, so the
+    matchings are the even and the odd slots of that column.
+    """
+    half_n = tc.n // 2
+    col = tc.columns[d]
+    flags = tuple(len(set(col[r::2])) == half_n for r in (0, 1))
+    return TotalColoring(tc.vertex_colors,
+                         {**tc.columns, d: [a, a + 1] * half_n}), flags
+
 
 def equitable_nsd_power_cycle(n: int, k: int) -> tuple[BuildReport, BuildReport]:
     """(2k+1)-color equitable total coloring of C_n^k plus an NSD total
@@ -195,11 +216,7 @@ def equitable_nsd_power_cycle(n: int, k: int) -> tuple[BuildReport, BuildReport]
     equitable = BuildReport(base.coloring, base.colors_used, 2 * k + 1,
                             notes="full tiling; verified equitable")
 
-    cycle = hamiltonian_cycle(g, 1)
-    m1, m2, flags = split_rainbow_matchings(cycle, base.coloring)
-    recolored = base.coloring.with_edge_colors(
-        {**{e: 2 * k + 2 for e in m1}, **{e: 2 * k + 3 for e in m2}}
-    )
+    recolored, flags = _recolor_unit_cycle(base.coloring, 1, 2 * k + 2)
     nsd_report = verify_nsd(g, recolored)
     if not nsd_report.nsd:
         if not all(flags):
@@ -243,12 +260,7 @@ def canonical_complete_coloring(m: int) -> CanonicalResult:
     A proper m-color total coloring when m is odd; for even m the matrix
     is still emitted and the attached report carries the verdict.
     """
-    row = canonical_first_row(m)
-    vertex_colors = tuple(row[(2 * u) % m] for u in range(m))
-    # pair {u, u + d mod m} takes row[(2u + d) mod m]
-    tc = TotalColoring(vertex_colors, {
-        d: [row[(2 * u + d) % m] for u in range(m // 2 if 2 * d == m else m)]
-        for d in range(1, m // 2 + 1)})
+    tc = _tiling(m, m, m, range(1, m // 2 + 1))
     g = build_circulant(m, range(1, m // 2 + 1))
     report = verify_total_coloring(g, tc)
     return CanonicalResult(tc, report)
@@ -336,11 +348,7 @@ def color_thm32(g: CirculantGraph) -> BuildReport:
              "distances must be sum-free with respect to n/2")
     # even h borrows the K_{h+1} row: dropping one vertex of an odd
     # complete graph keeps its coloring proper
-    row = canonical_first_row(h | 1)
-    q = len(row)
-    vertex_colors = tuple(row[2 * (u % h) % q] for u in range(n))
-    tc = TotalColoring(vertex_colors, {
-        d: [row[(r + (r + d) % h) % q] for r in range(h)] * 2 for d in g.gens})
+    tc = _tiling(n, h, h | 1, g.gens)
     return _verified(g, tc, h + 1,
                      notes="complete-graph pattern of order %d folded mod %d"
                      % (h, h))
@@ -430,14 +438,10 @@ def color_thm34(g: CirculantGraph, s1: GeneratorSet,
               "one-factorized" % (complement,))
 
     u0 = min(units)
-    cycle = hamiltonian_cycle(g, u0)
-    m1, m2, flags = split_rainbow_matchings(cycle, tc)
+    recolored, flags = _recolor_unit_cycle(tc, u0, g.degree + 2)
     if not all(flags):
         raise VerificationFailed(
             "matchings of the distance-%d cycle are not rainbow" % u0)
-    recolored = tc.with_edge_colors(
-        {**{e: g.degree + 2 for e in m1},
-         **{e: g.degree + 3 for e in m2}})
     nsd_report = verify_nsd(g, recolored)
     if not nsd_report.nsd:
         raise VerificationFailed("recoloring failed the NSD check",

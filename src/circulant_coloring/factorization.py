@@ -1,5 +1,5 @@
-"""1-factorization of even-order circulants, constructive Vizing edge
-coloring, Hamiltonian cycles from unit generators, rainbow matchings.
+"""1-factorization of even-order circulants and constructive Vizing edge
+coloring.
 
 The 1-factorization is structure-first: the involution distance gives one
 factor directly and every distance whose cyclic orbits are even splits
@@ -378,31 +378,3 @@ def edge_color_delta_plus_one(edges, first_color: int = 1) -> EdgeColoring:
 
     return EdgeColoring({e: at[ru].index(rv) + first_color - 1
                          for e, (ru, rv) in zip(pairs, ranked)})
-
-
-# -- Hamiltonian cycles and rainbow matchings --------------------------------
-
-def hamiltonian_cycle(g: CirculantGraph, gen: int) -> list[int]:
-    """The cycle 0, gen, 2*gen, ... for a unit distance gen."""
-    n = g.n
-    if math.gcd(gen % n, n) != 1:
-        raise PreconditionFailed("gcd(%d, %d) != 1" % (gen, n))
-    if min(gen % n, n - gen % n) not in g.gens:
-        raise PreconditionFailed("%d is not a distance of the graph" % gen)
-    return [(gen * t) % n for t in range(n)]
-
-
-def split_rainbow_matchings(cycle: list[int], tc) -> tuple[frozenset, frozenset, tuple[bool, bool]]:
-    """Alternate cycle edges into two matchings; each flag reports whether
-    that matching is rainbow (pairwise distinct edge colors) under tc."""
-    if len(cycle) % 2:
-        raise PreconditionFailed("cycle length %d is odd" % len(cycle))
-    pairs = [(u, v) if u < v else (v, u)
-             for u, v in zip(cycle, cycle[1:] + cycle[:1])]
-    first, second = frozenset(pairs[0::2]), frozenset(pairs[1::2])
-
-    def rainbow(edges):
-        cols = [tc.edge_color(u, v) for u, v in edges]
-        return len(cols) == len(set(cols))
-
-    return first, second, (rainbow(first), rainbow(second))

@@ -11,17 +11,7 @@ canonical complete-graph row of even order.
 
 from __future__ import annotations
 
-from .errors import PreconditionFailed
-
 
 def half(s: int, q: int) -> int:
     """s/2 mod q in 1..q (the floor picks the odd-s value for even q)."""
     return s * (q + 1) // 2 % q + 1
-
-
-def closed_form_entry(q: int, i: int, j: int) -> int:
-    """Cell (i, j), 1-indexed, of the order-q square; q must be odd, since
-    no idempotent commutative Latin square of even order exists."""
-    if q % 2 == 0:
-        raise PreconditionFailed("order must be odd, got %d" % q)
-    return half(i + j - 2, q)

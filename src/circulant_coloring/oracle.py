@@ -296,13 +296,18 @@ def _counting_refutes(g: CirculantGraph, k: int) -> bool:
     return largest * k < g.n
 
 
-def _search(g: CirculantGraph, k: int, budget: int, vertices: bool = True,
-            mode: Mode | None = None):
+def _search(g: CirculantGraph, k: int, budget: int, spent: int = 0,
+            vertices: bool = True, mode: Mode | None = None):
     """The kernel on g's total (or, without ``vertices``, edge) coloring
-    with k colors: (witness or None, nodes)."""
+    with k colors, on the budget left after ``spent`` nodes: (witness or
+    None, nodes).  Running out names the whole budget."""
     nbrs = [g.neighbors(u) for u in range(g.n)] if vertices else None
-    colors, _, nodes = _total_search(g.n, g.edges, nbrs, k, budget, "oracle",
-                                     mode=mode)
+    try:
+        colors, _, nodes = _total_search(g.n, g.edges, nbrs, k,
+                                         budget - spent, "oracle", mode=mode)
+    except SearchBudgetExceeded:
+        raise SearchBudgetExceeded(
+            "oracle search exceeded %d nodes" % budget) from None
     if colors is None:
         return None, nodes
     nv = g.n if vertices else 0
@@ -320,7 +325,7 @@ def exact_total_chromatic(g: CirculantGraph,
     for k in range(g.degree + 1, g.degree + 4):
         if _counting_refutes(g, k):
             continue
-        witness, used = _search(g, k, budget - nodes)
+        witness, used = _search(g, k, budget, nodes)
         nodes += used
         if witness is not None:
             if not verify_total_coloring(g, witness).proper:
@@ -338,7 +343,7 @@ def exact_chromatic_index(g: CirculantGraph,
     _check_size(g, size_limit)
     nodes = 0
     for k in (g.degree, g.degree + 1):
-        witness, used = _search(g, k, budget - nodes, vertices=False)
+        witness, used = _search(g, k, budget, nodes, vertices=False)
         nodes += used
         if witness is not None:
             return OracleResult(Quantity.CHROMATIC_INDEX, k, nodes, witness)

@@ -26,7 +26,7 @@ from circulant_coloring.graphs import (
     normalize_half_set,
     power_of_cycle,
 )
-from circulant_coloring.latin import closed_form_entry
+from circulant_coloring.latin import half
 from circulant_coloring.oracle import exact_total_chromatic
 from circulant_coloring.verifiers import (
     find_violations,
@@ -176,7 +176,7 @@ def test_criterion_08_oracle_cross_checks():
 def test_criterion_09_latin_square_suite():
     with _Timer(9, 5.0, "all odd q <= 99: latin+commutative+idempotent+anticirculant"):
         for q in range(1, 100, 2):
-            rows = [[closed_form_entry(q, i, j) for j in range(1, q + 1)]
+            rows = [[half(i + j - 2, q) for j in range(1, q + 1)]
                     for i in range(1, q + 1)]
             cols = [list(c) for c in zip(*rows)]
             want = list(range(1, q + 1))
@@ -190,9 +190,9 @@ def test_criterion_09_latin_square_suite():
 def test_criterion_10_factorization_suite():
     with _Timer(10, 60.0, "one_factorize on all generating subsets, n <= 12"):
         for n in range(4, 13, 2):
-            half = n // 2
-            for mask in range(1, 2 ** half):
-                ds = [d for d in range(1, half + 1) if mask >> (d - 1) & 1]
+            h = n // 2
+            for mask in range(1, 2 ** h):
+                ds = [d for d in range(1, h + 1) if mask >> (d - 1) & 1]
                 g = build_circulant(n, ds)
                 try:
                     fac = one_factorize(g)

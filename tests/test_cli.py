@@ -348,6 +348,16 @@ class TestExitContract:
                      "--gens", "1,2,3"]) == EXIT_BUDGET
         assert "exceeded 20 nodes" in capsys.readouterr().err
 
+    def test_budget_error_names_the_budget_set(self, capsys):
+        # Delta colors take 79 of the 200 nodes; the Delta + 1 search then
+        # runs out, and the message names 200, not the 121 left
+        assert main(["--budget", "200", "oracle", "--quantity",
+                     "chromatic-index", "--n", "9",
+                     "--gens", "1,2,3,4"]) == EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert "oracle search exceeded 200 nodes" in err
+        assert "121" not in err
+
     def test_zero_budget_is_valid(self, capsys):
         # thm21-even n=12 k=2 i=1 needs no search; C_6 does
         assert main(["--budget", "0", "color", "--method", "thm21-even",

@@ -37,7 +37,7 @@ from circulant_coloring.graphs import (
     normalize_half_set,
     power_of_cycle,
 )
-from circulant_coloring.latin import closed_form_entry
+from circulant_coloring.latin import half
 from circulant_coloring.oracle import _total_search
 from circulant_coloring.verifiers import (
     TypeLabel,
@@ -103,7 +103,7 @@ class TestFallbackCompletion:
 
     @staticmethod
     def order7_tiling_of_c28_6():
-        return _tiling(28, 7, [1, 2, 3]), build_circulant(28, [4, 5, 6])
+        return _tiling(28, 7, 7, [1, 2, 3]), build_circulant(28, [4, 5, 6])
 
     def test_completes_within_palette(self):
         tc, residual = self.order7_tiling_of_c28_6()
@@ -270,7 +270,64 @@ class TestCanonicalPattern:
     def test_odd_row_is_the_latin_square_row(self):
         for m in range(3, 100, 2):
             assert canonical_first_row(m) == [
-                closed_form_entry(m, 1, j) for j in range(1, m + 1)], m
+                half(1 + j - 2, m) for j in range(1, m + 1)], m
+
+
+class TestFoldedTiling:
+    """_tiling(n, h, q, ds) against the three formulas it replaced: the
+    order-q square tiled mod q (Theorems 2.1 and 2.2), the K_{h|1} row
+    folded mod h = n/2 (Theorem 3.2) and the canonical K_m matrix."""
+
+    @staticmethod
+    def square_tiling(n, q, ds):
+        by_sum = [half(r, q) for r in range(2 * q - 1)]
+        return TotalColoring(tuple(by_sum[0:2 * q:2] * (n // q)), {
+            d: [by_sum[r + (r + d) % q] for r in range(q)] * (n // q)
+            for d in ds})
+
+    @staticmethod
+    def folded_half(n, ds):
+        h = n // 2
+        row = canonical_first_row(h | 1)
+        q = len(row)
+        return TotalColoring(tuple(row[2 * (u % h) % q] for u in range(n)), {
+            d: [row[(r + (r + d) % h) % q] for r in range(h)] * 2
+            for d in ds})
+
+    @staticmethod
+    def canonical_matrix(m):
+        row = canonical_first_row(m)
+        return TotalColoring(tuple(row[(2 * u) % m] for u in range(m)), {
+            d: [row[(2 * u + d) % m]
+                for u in range(m // 2 if 2 * d == m else m)]
+            for d in range(1, m // 2 + 1)})
+
+    @staticmethod
+    def parts(tc):
+        """Vertex colors and the columns in their order."""
+        return tc.vertex_colors, list(tc.columns.items())
+
+    def test_square_tiled_mod_q(self):
+        # every distance below q, short of the involution
+        for q in range(3, 40, 2):
+            for n in (q, 2 * q, 6 * q):
+                ds = range(1, min(q, n // 2 + 1))
+                assert self.parts(_tiling(n, q, q, ds)) == self.parts(
+                    self.square_tiling(n, q, ds)), (n, q)
+
+    def test_folded_mod_half(self):
+        for n in range(6, 121, 2):
+            ds = [d for d in range(1, n // 2) if d % 3]
+            assert self.parts(_tiling(n, n // 2, n // 2 | 1, ds)) == (
+                self.parts(self.folded_half(n, ds))), n
+
+    def test_canonical_matrix(self):
+        for m in range(2, 60):
+            got = _tiling(m, m, m, range(1, m // 2 + 1))
+            assert self.parts(got) == self.parts(self.canonical_matrix(m)), m
+            if m % 2 == 0:
+                # the involution's column has one entry per pair
+                assert len(got.columns[m // 2]) == m // 2
 
 
 class TestThm31:

@@ -16,9 +16,7 @@ from circulant_coloring.factorization import (
     EdgeColoring,
     _exact_edge_coloring,
     edge_color_delta_plus_one,
-    hamiltonian_cycle,
     one_factorize,
-    split_rainbow_matchings,
 )
 from circulant_coloring.graphs import build_circulant, generates_group
 from circulant_coloring.coloring import TotalColoring
@@ -588,52 +586,115 @@ class TestVizing:
         assert min(shifted.values()) == first
 
 
+# -- the NSD step ------------------------------------------------------------
+# constructions._recolor_unit_cycle recolors the two alternating matchings
+# of a unit distance's Hamiltonian cycle as one column; the cycle and the
+# pair-level split it replaced are kept here as its reference.
+
+def hamiltonian_cycle(g, gen):
+    """The cycle 0, gen, 2*gen, ... for a unit distance gen."""
+    n = g.n
+    if math.gcd(gen % n, n) != 1:
+        raise PreconditionFailed("gcd(%d, %d) != 1" % (gen, n))
+    if min(gen % n, n - gen % n) not in g.gens:
+        raise PreconditionFailed("%d is not a distance of the graph" % gen)
+    return [(gen * t) % n for t in range(n)]
+
+
+def split_rainbow_matchings(cycle, tc):
+    """Alternate cycle edges into two matchings; each flag reports whether
+    that matching is rainbow (pairwise distinct edge colors) under tc."""
+    if len(cycle) % 2:
+        raise PreconditionFailed("cycle length %d is odd" % len(cycle))
+    pairs = [(u, v) if u < v else (v, u)
+             for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+    first, second = frozenset(pairs[0::2]), frozenset(pairs[1::2])
+
+    def rainbow(edges):
+        cols = [tc.edge_color(u, v) for u, v in edges]
+        return len(cols) == len(set(cols))
+
+    return first, second, (rainbow(first), rainbow(second))
+
+
+def reference_recolor(tc, d, a):
+    """The pair-level NSD step: the matchings of the distance-d cycle
+    recolored a and a + 1 through with_edge_colors."""
+    cycle = hamiltonian_cycle(build_circulant(tc.n, [d]), d)
+    m1, m2, flags = split_rainbow_matchings(cycle, tc)
+    return tc.with_edge_colors(
+        {**{e: a for e in m1}, **{e: a + 1 for e in m2}}), flags
+
+
+def cycle_colors(tc, cycle):
+    """The colors of the cycle's pairs, in cycle order."""
+    return [tc.edge_color(*sorted(e))
+            for e in zip(cycle, cycle[1:] + cycle[:1])]
+
+
 class TestHamiltonianCycle:
+    """The recolored column follows the cycle 0, d, 2d, ...: its pairs
+    alternate a, a + 1 in cycle order."""
+
     def test_unit_distance_one(self):
         g = build_circulant(18, [1, 2, 3, 4])
         assert hamiltonian_cycle(g, 1) == list(range(18))
+        tc = TotalColoring((1,) * 18, {d: list(range(18)) for d in g.gens})
+        recolored, flags = constructions._recolor_unit_cycle(tc, 1, 9)
+        assert flags == (True, True)
+        assert recolored.columns[1] == [9, 10] * 9
+        assert {d: recolored.columns[d] for d in (2, 3, 4)} == {
+            d: tc.columns[d] for d in (2, 3, 4)}
+        assert list(recolored.columns) == [1, 2, 3, 4]
 
     def test_unit_seven_on_z20(self):
         g = build_circulant(20, [7])
         cycle = hamiltonian_cycle(g, 7)
         assert cycle[:5] == [0, 7, 14, 1, 8]
         assert sorted(cycle) == list(range(20))
-
-    def test_non_unit(self):
-        g = build_circulant(6, [1, 2])
-        with pytest.raises(PreconditionFailed, match=r"gcd\(2, \d+\) != 1"):
-            hamiltonian_cycle(g, 2)
-
-    def test_not_a_distance(self):
-        g = build_circulant(20, [1, 2])
-        with pytest.raises(PreconditionFailed,
-                           match="7 is not a distance of the graph"):
-            hamiltonian_cycle(g, 7)
+        tc = TotalColoring((1,) * 20, {7: [3] * 20})
+        recolored, flags = constructions._recolor_unit_cycle(tc, 7, 5)
+        assert flags == (False, False)
+        assert cycle_colors(recolored, cycle) == [5, 6] * 10
 
 
 class TestRainbowSplit:
-    def _cycle_coloring(self, n, edge_colors):
-        vc = tuple(0 for _ in range(n))
-        return TotalColoring.from_pairs(vc, edge_colors)
-
     def test_c6_rainbow(self):
         cycle = list(range(6))
         colors = {tuple(sorted((i, (i + 1) % 6))): [1, 2, 3, 1, 2, 3][i]
                   for i in range(6)}
-        tc = self._cycle_coloring(6, colors)
-        m1, m2, flags = split_rainbow_matchings(cycle, tc)
+        tc = TotalColoring.from_pairs((0,) * 6, colors)
+        recolored, flags = constructions._recolor_unit_cycle(tc, 1, 4)
         assert flags == (True, True)
-        assert is_perfect(m1, 6) and is_perfect(m2, 6)
-        assert m1 | m2 == set(colors)
+        assert cycle_colors(recolored, cycle) == [4, 5] * 3
+        assert dict(recolored.edge_items()).keys() == colors.keys()
 
     def test_two_colored_square_not_rainbow(self):
-        cycle = [0, 1, 2, 3]
         colors = {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2}
-        tc = self._cycle_coloring(4, colors)
-        _, _, flags = split_rainbow_matchings(cycle, tc)
+        tc = TotalColoring.from_pairs((0,) * 4, colors)
+        _, flags = constructions._recolor_unit_cycle(tc, 1, 3)
         assert flags == (False, False)
 
-    def test_odd_cycle_rejected(self):
-        tc = self._cycle_coloring(5, {})
-        with pytest.raises(PreconditionFailed, match="cycle length 5 is odd"):
-            split_rainbow_matchings([0, 1, 2, 3, 4], tc)
+    @given(st.integers(2, 200), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pair_level_split(self, half_n, data):
+        n = 2 * half_n
+        d = data.draw(st.sampled_from(
+            [x for x in range(1, half_n + 1) if math.gcd(x, n) == 1]))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        col = rng.sample(range(1, n + 1), n)  # both matchings rainbow
+        kind = data.draw(st.sampled_from(["perm", "clash", "few"]))
+        if kind == "clash":
+            x = rng.randrange(n)
+            col[x] = col[(x + 2 * rng.randrange(1, half_n)) % n]
+        elif kind == "few":
+            col = [rng.randrange(1, 4) for _ in range(n)]
+        other = [x for x in range(1, half_n) if x != d][:1]
+        tc = TotalColoring(tuple(rng.randrange(1, 9) for _ in range(n)),
+                           {**{x: [7] * n for x in other}, d: col})
+        a = data.draw(st.integers(1, 2 * n))
+        got, flags = constructions._recolor_unit_cycle(tc, d, a)
+        want, want_flags = reference_recolor(tc, d, a)
+        assert flags == want_flags
+        assert (got.vertex_colors, list(got.columns.items())) == (
+            want.vertex_colors, list(want.columns.items()))

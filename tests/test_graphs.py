@@ -10,9 +10,7 @@ from circulant_coloring.coloring import TotalColoring, coloring_from_json_dict
 from circulant_coloring.errors import PreconditionFailed
 from circulant_coloring.factorization import (
     edge_color_delta_plus_one,
-    hamiltonian_cycle,
     one_factorize,
-    split_rainbow_matchings,
 )
 from circulant_coloring.graphs import (
     CirculantGraph,
@@ -208,11 +206,6 @@ class TestEdge:
         assert all(u < v for u, v in colored) and (0, 5) in colored
         assert list(colored) == list(g.edges)
         assert set(colored.values()) == set(fac.factors)
-        cycle = hamiltonian_cycle(power_of_cycle(6, 1), 5)
-        tc = TotalColoring.from_pairs(
-            (1,) * 6, {e: 1 for e in power_of_cycle(6, 1).edges})
-        m1, m2, _ = split_rainbow_matchings(cycle, tc)
-        assert m1 | m2 == set(power_of_cycle(6, 1).edges)
 
     def test_no_self_loop(self):
         with pytest.raises(ValueError, match=r"self-loop edge \(3, 3\)"):

@@ -1,16 +1,14 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circulant_coloring.errors import PreconditionFailed
-from circulant_coloring.latin import closed_form_entry
+from circulant_coloring.latin import half
 
 odd_orders = st.integers(0, 49).map(lambda t: 2 * t + 1)
 
 
 def square(q):
-    """The order-q table, rows[i - 1][j - 1] = closed_form_entry(q, i, j)."""
-    return [[closed_form_entry(q, i, j) for j in range(1, q + 1)]
+    """The order-q table, rows[i - 1][j - 1] = half(i + j - 2, q)."""
+    return [[half(i + j - 2, q) for j in range(1, q + 1)]
             for i in range(1, q + 1)]
 
 
@@ -46,12 +44,6 @@ class TestBuild:
     def test_order_nine_first_row(self):
         assert square(9)[0] == [1, 6, 2, 7, 3, 8, 4, 9, 5]
 
-    def test_even_rejected(self):
-        with pytest.raises(PreconditionFailed, match="must be odd"):
-            square(4)
-        with pytest.raises(PreconditionFailed, match="must be odd"):
-            closed_form_entry(0, 1, 1)
-
     def test_all_predicates_through_99(self):
         for q in range(1, 100, 2):
             rows = square(q)
@@ -70,7 +62,7 @@ class TestClosedForm:
         i = data.draw(st.integers(1, q))
         j = data.draw(st.integers(1, q))
         built = [x for x in range(1, q + 1) if (2 * x - i - j) % q == 0]
-        assert [closed_form_entry(q, i, j)] == built
+        assert [half(i + j - 2, q)] == built
 
     @given(odd_orders, st.data())
     @settings(max_examples=80, deadline=None)
@@ -78,12 +70,7 @@ class TestClosedForm:
         i = data.draw(st.integers(1, q))
         j = data.draw(st.integers(1, q))
         shift = data.draw(st.integers(1, 5))
-        assert closed_form_entry(q, i, j) == closed_form_entry(
-            q, i + 2 * q * shift, j)
-
-    def test_even_rejected(self):
-        with pytest.raises(PreconditionFailed, match="must be odd"):
-            closed_form_entry(4, 1, 1)
+        assert half(i + j - 2, q) == half(i + 2 * q * shift + j - 2, q)
 
 
 class TestPredicatesOnCounterexamples:

@@ -29,12 +29,18 @@ COLOR_RUNS = {
     "thm21-even-peeled": "color --method thm21-even --n 176 --k 10 --i 1",
     "thm21-odd": "color --method thm21-odd --n 21 --k 6 --i 1",
     "thm22": "color --method thm22 --n 18 --k 4",
+    # n > 2(2k+1): the distance-1 matchings are not rainbow, but the NSD
+    # check still passes
+    "thm22-not-rainbow": "color --method thm22 --n 54 --k 4",
     "thm31": "color --method thm31 --n 20 --gens 1,2,3,4,5,7,8",
     "thm32": "color --method thm32 --n 24 --gens 1,3,4,5,10",
     "thm33": "color --method thm33 --n 24 --gens 1,3,4,5,7,10,11 "
              "--m-gens 1,3,4,5,10",
     "thm34": "color --method thm34 --n 18 --gens 1,2,4,6,7,8 "
              "--s1-gens 1,2,4,6",
+    # the NSD step recolors the cycle of the unit distance 5, not 1
+    "thm34-unit5": "color --method thm34 --n 18 --gens 1,2,3,5,8 "
+                   "--s1-gens 2,3,5,8",
     "canonical": "color --method canonical --n 7",
     # even order: the matrix is emitted with an improper verdict
     "canonical-even": "color --method canonical --n 8",
@@ -61,6 +67,10 @@ COLOR_DIGESTS = {
         "f00bee687229003b514a20a0810677d63dc6fd1bb59414d883941f9464784b78",
     ("thm22", "csv"):
         "9941acd67aeaa3260762e80fb4ec25a7e2d42268d33d84031b3cb0b6da41e913",
+    ("thm22-not-rainbow", "json"):
+        "89cb487a0d6e091aeb94bb5b14c0ed0943abd81bde254e4229a6331f41a50289",
+    ("thm22-not-rainbow", "csv"):
+        "417aa29bcc02f9664755944a32136a0926fefb89ccc7e9d89e794cc17598a937",
     ("thm31", "json"):
         "36c77630810bd23f53457283760617a74da96a2dd3ddc4b0f5f0b8f1f6759453",
     ("thm31", "csv"):
@@ -77,6 +87,10 @@ COLOR_DIGESTS = {
         "44180c3b9f42a70b65013ab517c26ed5b671b7d9f8264a3011af1e55e12913cf",
     ("thm34", "csv"):
         "17ebb08f40b60cad3277da4dd0d1e610fa46526244a6f3804fcb213a0233af0f",
+    ("thm34-unit5", "json"):
+        "bd68ac9b924dea72ca8204edc3b4b10c7079db5daa9889d960c2734007b24006",
+    ("thm34-unit5", "csv"):
+        "5d7249c92af93b41d25f82f4c10f1ad80c9f42fda01c06795e7e694e062eca83",
     ("canonical", "json"):
         "f804d350b279a7e9b79a230a0d0b412b0303f37e14f27e89e373cbc4d6dbfa63",
     ("canonical", "csv"):
