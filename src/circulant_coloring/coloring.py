@@ -23,7 +23,7 @@ from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import itemgetter, lt, setitem, sub
+from operator import is_not, itemgetter, lt, setitem, sub
 
 from .errors import PreconditionFailed
 
@@ -102,7 +102,8 @@ def _blocks(tc: TotalColoring):
     """(a, b, cells) for each run a <= u < b of color-matrix rows whose
     edge cells lie at the same offsets: cells is the sorted (offset,
     column, shift) of a row u, its cell at u + offset holding color
-    column[u + shift].  A run ends where u + d or u - d wraps around."""
+    column[u + shift].  A run ends where u + d or u - d wraps around, so
+    there are 2|D| + 1 of them; only matrix_csv_lines uses it."""
     n, cols = tc.n, tc.columns
     cuts = sorted({0, n, *cols, *(n - d for d in cols)})
     for a, b in zip(cuts, cuts[1:]):
@@ -118,21 +119,33 @@ def _blocks(tc: TotalColoring):
 
 def _sorted_pairs(tc: TotalColoring, lefts, rights) -> list:
     """[color, lefts[u], rights[v]] for each of tc's colored pairs (u, v),
-    u < v, in sorted order, flattened: the cells right of the diagonal,
-    laid out by slice assignment one run of rows and one offset at a time."""
-    flat = []
-    for a, b, cells in _blocks(tc):
-        cells = [cell for cell in cells if cell[0] > 0]
-        width = 3 * len(cells)
+    u < v, in sorted order, flattened.  Row u's pairs sit at the offsets
+    v - u < n - u of one sorted list, d with shift 0 and, below n/2, n - d
+    with shift n - d, the pair holding color column[u + shift].  Three runs
+    of rows, split at the largest distance lo and at n - lo, are laid out
+    by slice assignment one offset at a time: rows [0, lo) also hold the
+    wrapped pairs, and a run's rows at or past n - offset stay None and
+    are dropped with the uncolored pairs."""
+    n, cols = tc.n, tc.columns
+    cells = sorted([*((d, col, 0) for d, col in cols.items()),
+                    *((n - d, col, n - d) for d, col in cols.items()
+                      if 2 * d < n)], key=itemgetter(0))
+    lo, flat = max(cols, default=0), []
+    for a, b in (0, lo), (lo, n - lo), (n - lo, n):
+        run = [cell for cell in cells if cell[0] < n - a]
+        width = 3 * len(run)
         block = [None] * (width * (b - a))
-        for j, (offset, col, shift) in enumerate(cells):
-            block[3 * j::width] = col[a + shift:b + shift]
-            block[3 * j + 1::width] = lefts[a:b]
-            block[3 * j + 2::width] = rights[a + offset:b + offset]
+        for j, (offset, col, shift) in enumerate(run):
+            end = min(b, n - offset)  # rows [end, b) pair past n - 1
+            stop = 3 * j + width * (end - a)
+            block[3 * j:stop:width] = col[a + shift:end + shift]
+            block[3 * j + 1:stop + 1:width] = lefts[a:end]
+            block[3 * j + 2:stop + 2:width] = rights[a + offset:end + offset]
+        if None in block[0::3]:  # drop padding and uncolored pairs
+            keep = [*map(is_not, block[0::3], repeat(None))]
+            keep = chain.from_iterable(zip(keep, keep, keep))
+            block = [*compress(block, keep)]
         flat += block
-    if None in flat[0::3]:  # drop the uncolored pairs
-        flat = [*compress(flat, [c is not None for c in flat[0::3]
-                                 for _ in range(3)])]
     return flat
 
 

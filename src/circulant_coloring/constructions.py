@@ -260,8 +260,8 @@ def canonical_complete_coloring(m: int) -> CanonicalResult:
     A proper m-color total coloring when m is odd; for even m the matrix
     is still emitted and the attached report carries the verdict.
     """
-    tc = _tiling(m, m, m, range(1, m // 2 + 1))
-    g = build_circulant(m, range(1, m // 2 + 1))
+    g = build_circulant(m, range(1, m // 2 + 1))  # first: m >= 3
+    tc = _tiling(m, m, m, g.gens)
     report = verify_total_coloring(g, tc)
     return CanonicalResult(tc, report)
 

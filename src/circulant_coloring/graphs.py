@@ -122,10 +122,9 @@ def generates_group(sub: GeneratorSet) -> bool:
 def classify_sum_free_half(sub: GeneratorSet) -> bool:
     """True iff no two elements of the full symmetric set (repetition
     allowed) sum to n/2 mod n, and n/2 itself is absent.  Only defined for
-    even n."""
+    even n.  One lookup per element s: is its partner n/2 - s in the set?"""
     n = sub.n
     if n % 2:
         raise PreconditionFailed("sum-free classification needs even n, got %d" % n)
-    half, full = n // 2, sub.full
-    return half not in sub.gens and not any(
-        (s + t) % n == half for s in full for t in full)
+    half, full = n // 2, set(sub.full)
+    return half not in full and not any((half - s) % n in full for s in full)

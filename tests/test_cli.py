@@ -272,6 +272,14 @@ class TestExitContract:
         assert exit_code(argv) == EXIT_PRECONDITION
         assert "involution n/2 = 9 must be absent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_canonical_below_three(self, n, capsys):
+        # the smallest order accepted is 3, and every smaller one says so
+        assert exit_code(["color", "--method", "canonical",
+                          "--n", str(n)]) == EXIT_PRECONDITION
+        assert capsys.readouterr().err == (
+            "precondition failed: need n >= 3, got %d\n" % n)
+
     def test_missing_option_named(self, capsys):
         main(["color", "--method", "thm33", "--n", "24", "--gens", "1"])
         assert "thm33 requires --m-gens" in capsys.readouterr().err

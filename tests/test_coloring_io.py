@@ -24,9 +24,14 @@ from circulant_coloring.coloring import (
     write_coloring_json,
     write_matrix_csv,
 )
-from circulant_coloring.constructions import color_power_cycle_odd
+from circulant_coloring.constructions import (
+    canonical_complete_coloring,
+    color_power_cycle_odd,
+    color_thm32,
+    color_thm34,
+)
 from circulant_coloring.errors import PreconditionFailed, VerificationFailed
-from circulant_coloring.graphs import build_circulant
+from circulant_coloring.graphs import GeneratorSet, build_circulant
 from circulant_coloring.verifiers import verify_nsd, verify_total_coloring
 
 
@@ -506,6 +511,50 @@ class TestColumnLayout:
             reference_csv_lines(vertex_colors, pairs))
         assert coloring_json_text(tc, report) == reference_json_text(
             vertex_colors, pairs, report)
+
+    # Dense colourings: every distance, so the rows near the wrap hold many
+    # wrapped pairs, and the rows near the end lose their longest ones.
+
+    @staticmethod
+    def assert_writers_match(tc, pairs=None):
+        """Against pairs, or the pairs edge_color reads one at a time."""
+        n = tc.n
+        if pairs is None:
+            pairs = {(u, v): tc.edge_color(u, v)
+                     for u in range(n) for v in range(u + 1, n)
+                     if tc.edge_color(u, v) is not None}
+        assert list(tc.edge_items()) == sorted(pairs.items())
+        assert coloring_json_text(tc) == reference_json_text(
+            tc.vertex_colors, pairs)
+
+    def test_dense_canonical(self):
+        for m in range(3, 42):
+            self.assert_writers_match(canonical_complete_coloring(m).coloring)
+
+    def test_dense_theorem_outputs(self):
+        self.assert_writers_match(color_thm32(
+            build_circulant(24, [1, 3, 4, 5, 10])).coloring)
+        s1 = GeneratorSet(18, (1, 2, 4, 6))
+        for report in color_thm34(build_circulant(18, [1, 2, 4, 6, 7, 8]), s1):
+            self.assert_writers_match(report.coloring)
+
+    def test_dense_random(self):
+        # every distance, with and without holes, and the largest alone
+        # (the involution at even n, so n = 2 is its only pair)
+        rng = random.Random(7)
+        for n in range(1, 41):
+            every = range(1, n // 2 + 1)
+            for distances, hole in ((every, 0), (every, 0.3),
+                                    (every[-1:], 0.3)):
+                pairs = {}
+                for d in distances:
+                    for u in range(n // 2 if 2 * d == n else n):
+                        if rng.random() >= hole:
+                            pairs[min(u, (u + d) % n), max(u, (u + d) % n)] = (
+                                rng.randint(1, 6))
+                vertex_colors = [rng.choice([None, 1, 2]) for _ in range(n)]
+                self.assert_writers_match(
+                    TotalColoring.from_pairs(vertex_colors, pairs), pairs)
 
     @given(sparse_colorings())
     @settings(max_examples=300, deadline=None)

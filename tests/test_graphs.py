@@ -162,6 +162,20 @@ class TestSumFree:
         with pytest.raises(PreconditionFailed, match="needs even n"):
             classify_sum_free_half(gs(9, [1]))
 
+    @given(st.integers(1, 32).map(lambda h: 2 * h), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_definition(self, n, data):
+        sub = gs(n, data.draw(st.sets(st.integers(1, n // 2), min_size=1)))
+        assert classify_sum_free_half(sub) == sum_free_half_pairwise(sub)
+
+
+def sum_free_half_pairwise(sub):
+    """The definition, pair by pair: no s, t of the full symmetric set
+    (s = t allowed) with s + t = n/2 mod n, and n/2 not in the set."""
+    n, full = sub.n, sub.full
+    return n // 2 not in sub.gens and not any(
+        (s + t) % n == n // 2 for s in full for t in full)
+
 
 class TestStructuralInvariants:
     def test_handshake_small(self):
