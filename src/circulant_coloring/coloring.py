@@ -98,49 +98,41 @@ class BuildReport:
     verification: object = None  # the VerificationReport that accepted it
 
 
-def _blocks(tc: TotalColoring):
-    """(a, b, cells) for each run a <= u < b of color-matrix rows whose
-    edge cells lie at the same offsets: cells is the sorted (offset,
-    column, shift) of a row u, its cell at u + offset holding color
-    column[u + shift].  A run ends where u + d or u - d wraps around, so
-    there are 2|D| + 1 of them; only matrix_csv_lines uses it."""
+def _row_runs(tc: TotalColoring, lower: bool = False):
+    """(a, b, cells) for each of the three runs a <= u < b of color-matrix
+    rows, split at the largest distance lo and at n - lo: cells is the
+    sorted (offset, column, shift, start, end) of each offset that rows
+    start <= u < end of the run hold, at column u + offset with color
+    column[u + shift].  The offsets d and, below n/2, n - d are the pairs
+    (u, v > u); ``lower`` adds the vertex at 0, -d and, below n/2, d - n."""
     n, cols = tc.n, tc.columns
-    cuts = sorted({0, n, *cols, *(n - d for d in cols)})
-    for a, b in zip(cuts, cuts[1:]):
-        cells = []
-        for d, col in cols.items():
-            up = d if a + d < n else d - n  # pair {u, u + d}
-            cells.append((up, col, up if up < 0 and 2 * d == n else 0))
-            if 2 * d < n:  # pair {u - d, u}
-                down = -d if a >= d else n - d
-                cells.append((down, col, down))
-        yield a, b, sorted(cells, key=itemgetter(0))
+    cells = [(0, tc.vertex_colors, 0)] if lower else []
+    for d, col in cols.items():
+        cells += [(d, col, 0), (-d, col, -d)][:1 + lower]
+        if 2 * d < n:
+            cells += [(n - d, col, n - d), (d - n, col, 0)][:1 + lower]
+    cells.sort(key=itemgetter(0))
+    lo = max(cols, default=0)
+    for a, b in (0, lo), (lo, n - lo), (n - lo, n):  # a run may be empty
+        yield a, b, [(offset, col, shift, max(a, -offset), min(b, n - offset))
+                     for offset, col, shift in cells
+                     if -offset < b and offset < n - a]
 
 
 def _sorted_pairs(tc: TotalColoring, lefts, rights) -> list:
     """[color, lefts[u], rights[v]] for each of tc's colored pairs (u, v),
-    u < v, in sorted order, flattened.  Row u's pairs sit at the offsets
-    v - u < n - u of one sorted list, d with shift 0 and, below n/2, n - d
-    with shift n - d, the pair holding color column[u + shift].  Three runs
-    of rows, split at the largest distance lo and at n - lo, are laid out
-    by slice assignment one offset at a time: rows [0, lo) also hold the
-    wrapped pairs, and a run's rows at or past n - offset stay None and
-    are dropped with the uncolored pairs."""
-    n, cols = tc.n, tc.columns
-    cells = sorted([*((d, col, 0) for d, col in cols.items()),
-                    *((n - d, col, n - d) for d, col in cols.items()
-                      if 2 * d < n)], key=itemgetter(0))
-    lo, flat = max(cols, default=0), []
-    for a, b in (0, lo), (lo, n - lo), (n - lo, n):
-        run = [cell for cell in cells if cell[0] < n - a]
-        width = 3 * len(run)
+    u < v, in sorted order, flattened.  Each run of _row_runs is laid out
+    by slice assignment, one offset at a time; the rows past an offset's
+    stay None and are dropped with the uncolored pairs."""
+    flat = []
+    for a, b, cells in _row_runs(tc):
+        width = 3 * len(cells)
         block = [None] * (width * (b - a))
-        for j, (offset, col, shift) in enumerate(run):
-            end = min(b, n - offset)  # rows [end, b) pair past n - 1
-            stop = 3 * j + width * (end - a)
-            block[3 * j:stop:width] = col[a + shift:end + shift]
-            block[3 * j + 1:stop + 1:width] = lefts[a:end]
-            block[3 * j + 2:stop + 2:width] = rights[a + offset:end + offset]
+        for j, (offset, col, shift, start, end) in enumerate(cells):
+            i, k = 3 * j + width * (start - a), 3 * j + width * (end - a)
+            block[i:k:width] = col[start + shift:end + shift]
+            block[i + 1:k + 1:width] = lefts[start:end]
+            block[i + 2:k + 2:width] = rights[start + offset:end + offset]
         if None in block[0::3]:  # drop padding and uncolored pairs
             keep = [*map(is_not, block[0::3], repeat(None))]
             keep = chain.from_iterable(zip(keep, keep, keep))
@@ -164,25 +156,31 @@ def to_matrix(tc: TotalColoring) -> list[list]:
 def matrix_csv_lines(tc: TotalColoring):
     """CSV layout of the published tables, one line at a time: header
     row/column of vertex indices, blank cells for non-edges and uncolored
-    vertices.  A line is its vertex's cells, each after a run of commas
-    for the gap; the rows of a run from _blocks share one gap pattern and
-    are laid out by slice assignment, one offset at a time."""
+    vertices.  The runs of _row_runs(tc, lower=True) are laid out one offset
+    at a time, each piece the offset's gap of commas and its color.  A row
+    is the window of offsets bisect finds in columns 0..n-1; its first piece
+    drops its gap, which counts from outside the row."""
     n = tc.n
     # csv quotes a lone empty field, so the header of n = 0 is ""
     yield ",".join(["", *map(str, range(n))]) or '""'
-    for a, b, cells in _blocks(tc):
-        cells = sorted([*cells, (0, tc.vertex_colors, 0)], key=itemgetter(0))
-        first, width = cells[0][0], len(cells)
+    pieces = {}  # gap -> {color: its piece}
+    for a, b, cells in _row_runs(tc, lower=True):
+        offsets, width = [cell[0] for cell in cells], len(cells)
+        gaps = [0, *map(sub, offsets[1:], offsets)]
         parts = [None] * (width * (b - a))
-        for j, (offset, col, shift) in enumerate(cells):
-            colors = col[a + shift:b + shift]
-            gap = "," * (offset - cells[j - 1][0] if j else 0)
-            text = {c: gap if c is None else gap + str(c) for c in set(colors)}
-            parts[j::width] = map(text.__getitem__, colors)
-        for i, u in enumerate(range(a, b)):
-            yield "%d%s%s%s" % (u, "," * (u + first + 1),
-                                "".join(parts[i * width:i * width + width]),
-                                "," * (n - 1 - u - cells[-1][0]))
+        for j, (offset, col, shift, start, end) in enumerate(cells):
+            colors = col[start + shift:end + shift]
+            text = pieces.setdefault(gaps[j], {None: "," * gaps[j]})
+            for c in set(colors).difference(text):
+                text[c] = text[None] + str(c)
+            parts[j + width * (start - a):j + width * (end - a):width] = map(
+                text.__getitem__, colors)
+        for row, u in zip(count(0, width), range(a, b)):
+            k, stop = bisect_left(offsets, -u), bisect_left(offsets, n - u)
+            yield "%d%s%s%s%s" % (u, "," * (u + offsets[k] + 1),
+                                  parts[row + k][gaps[k]:],
+                                  "".join(parts[row + k + 1:row + stop]),
+                                  "," * (n - 1 - u - offsets[stop - 1]))
 
 
 @contextmanager
@@ -370,7 +368,8 @@ def coloring_json_text(tc: TotalColoring, report: dict | None = None) -> str:
         colours = set(parts[0::3])
         parts[0::3] = map(dict(zip(colours, map("%d".__mod__, colours))).get,
                           parts[0::3])
-        text = [opening, "".join(parts)[:-len(next_edge)], closing]
+        parts[-1] = parts[-1][:-len(next_edge)]  # no edge after the last
+        text = [opening, "".join(parts), closing]
     text.append('\n "n": %d,' % n)
     if report is not None:
         text += ['\n "report": ', json.dumps(report, indent=1, sort_keys=True)

@@ -37,8 +37,8 @@ class VerificationFailed(CirculantColoringError):
         self.report = report
 
 
-# The former name of an improper-coloring failure; perfbench/harness.py
-# still catches it under this name.
+# The former name of an improper-coloring failure, kept only because
+# perfbench/harness.py still catches it under this name; nothing else uses it.
 ImproperColoring = VerificationFailed
 
 

@@ -526,6 +526,9 @@ class TestColumnLayout:
         assert list(tc.edge_items()) == sorted(pairs.items())
         assert coloring_json_text(tc) == reference_json_text(
             tc.vertex_colors, pairs)
+        lines = list(matrix_csv_lines(tc))
+        assert lines == list(reference_csv_lines(tc.vertex_colors, pairs))
+        assert coloring_from_csv_text("\n".join(lines)) == tc
 
     def test_dense_canonical(self):
         for m in range(3, 42):
