@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .coloring import BuildReport, TotalColoring
 from .errors import (
-    FactorizationImpossible,
     PreconditionFailed,
     SearchBudgetExceeded,
     VerificationFailed,
@@ -143,7 +142,7 @@ def color_power_cycle_even(n: int, k: int, i: int,
             fac = one_factorize(sub, q + 1, budget)
             tc = TotalColoring(tc.vertex_colors, {**tc.columns, **fac.columns})
             notes += "; residual %r one-factorized" % (residual,)
-        except (FactorizationImpossible, SearchBudgetExceeded):
+        except SearchBudgetExceeded:
             done = _exact_edge_coloring(sub.edges, 2 * k + 1, budget, start=tc)
             if done is None:
                 raise VerificationFailed(

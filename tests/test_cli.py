@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circulant_coloring import constructions, golden
 from circulant_coloring.cli import (
     COLOR_METHODS,
     EXIT_BUDGET,
@@ -31,6 +32,7 @@ from circulant_coloring.constructions import (
     color_power_cycle_even,
     equitable_nsd_power_cycle,
 )
+from circulant_coloring.errors import CirculantColoringError
 from circulant_coloring.graphs import power_of_cycle
 from circulant_coloring.verifiers import verify_total_coloring
 
@@ -271,6 +273,71 @@ class TestExitContract:
                 "--s1-gens 1,2,4,6").split()
         assert exit_code(argv) == EXIT_PRECONDITION
         assert "involution n/2 = 9 must be absent" in capsys.readouterr().err
+
+    THM22 = "color --method thm22 --n 18 --k 4"
+    THM34 = "color --method thm34 --n 18 --gens 1,2,4,6,7,8 --s1-gens 1,2,4,6"
+
+    # a builder verifies its candidate and refuses it (exit 3), with
+    # nothing on stdout, when the tiling is corrupted (flags None) or the
+    # NSD step leaves the base coloring as it is and reports these flags
+    @pytest.mark.parametrize("argv,flags,message", [
+        ("color --method thm21-even --n 18 --k 4 --i 5", None,
+         "construction rejected: 2 violations, first (0, 1, 2)"),
+        (THM22, (True, True), "recoloring failed the NSD check"),
+        (THM22, (False, True), "matchings not rainbow under the base "
+         "coloring and the recoloring is not sum-distinguishing"),
+        (THM34, (True, True), "recoloring failed the NSD check"),
+        (THM34, (True, False),
+         "matchings of the distance-1 cycle are not rainbow"),
+    ], ids=["thm21-even", "thm22-nsd", "thm22-rainbow", "thm34-nsd",
+            "thm34-rainbow"])
+    def test_builder_rejects_its_candidate(self, argv, flags, message,
+                                           monkeypatch, capsys):
+        if flags is None:
+            real = constructions._tiling
+
+            def clash(*args):  # vertex 0 takes vertex 1's colour
+                tc = real(*args)
+                return TotalColoring(
+                    tc.vertex_colors[1:2] + tc.vertex_colors[1:], tc.columns)
+
+            monkeypatch.setattr(constructions, "_tiling", clash)
+        else:
+            monkeypatch.setattr(constructions, "_recolor_unit_cycle",
+                                lambda tc, d, a: (tc, flags))
+        assert exit_code(argv.split()) == EXIT_VERIFICATION
+        assert capsys.readouterr() == (
+            "", "verification failed: %s\n" % message)
+
+    def test_reproduce_mismatch(self, monkeypatch, capsys):
+        # a forged cell fails its table, and the tables after it still run
+        real = golden.load_table
+
+        def forged(tid):
+            matrix, wildcards = real(tid)
+            if tid == 2:
+                matrix = [row[:] for row in matrix]
+                matrix[0][1] = 99
+            return matrix, wildcards
+
+        monkeypatch.setattr(golden, "load_table", forged)
+        assert exit_code(["reproduce"]) == EXIT_FAIL
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert [line.split()[2] for line in lines] == [
+            "OK", "MISMATCH:", "OK", "OK", "OK", "OK"]
+        assert lines[1].startswith(
+            "table 2: MISMATCH: table 2: 1 cells differ, first "
+            "CellMismatch(row=0, col=1, expected=99, actual=")
+        assert err == ""
+
+    def test_other_toolkit_error(self, monkeypatch, capsys):
+        def missing(tid):
+            raise CirculantColoringError("no fixture for table %d" % tid)
+
+        monkeypatch.setattr(golden, "reproduce_table", missing)
+        assert exit_code(["reproduce", "--table", "3"]) == EXIT_FAIL
+        assert capsys.readouterr() == ("", "error: no fixture for table 3\n")
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_canonical_below_three(self, n, capsys):

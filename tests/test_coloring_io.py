@@ -389,12 +389,12 @@ class TestBuilderColoringsRoundTrip:
         assert read_coloring_json(tmp_path / "t.json") == tc
 
 
-@given(st.integers(4, 10), st.data())
+@given(st.integers(4, 10), st.randoms(use_true_random=True))
 @settings(max_examples=40, deadline=None)
-def test_random_colorings_round_trip(n, data):
+def test_random_colorings_round_trip(n, rnd):
     g = build_circulant(n, [1, 2])
-    vc = tuple(data.draw(st.integers(1, 9)) for _ in range(n))
-    ec = {e: data.draw(st.integers(1, 9)) for e in g.edges}
+    vc = tuple(rnd.randint(1, 9) for _ in range(n))
+    ec = {e: rnd.randint(1, 9) for e in g.edges}
     tc = TotalColoring.from_pairs(vc, ec)
     assert from_matrix(to_matrix(tc)) == tc
     text = csv_text(tc)
@@ -476,11 +476,10 @@ def sparse_colorings(draw):
     plus pairs at any distance; colours from a small palette or with 0,
     negatives and 10**12, and vertices left uncoloured now and then."""
     n = draw(st.integers(1, 40))
-    colour = draw(st.sampled_from([
-        st.integers(1, 6), st.sampled_from([0, -3, 1, 2, 10**12])]))
-    vertex = draw(st.sampled_from([
-        colour, st.integers(1, 6), st.one_of(colour, st.none())]))
-    vertex_colors = tuple(draw(vertex) for _ in range(n))
+    colour = draw(st.sampled_from([range(1, 7), [0, -3, 1, 2, 10**12]]))
+    vertex = draw(st.sampled_from([colour, range(1, 7), [*colour, None]]))
+    rnd = draw(st.randoms(use_true_random=True))
+    vertex_colors = tuple(rnd.choices(vertex, k=n))
     pairs, distances = {}, []
     if n > 1:
         hole = draw(st.sampled_from([0, 0, 0.05, 0.5]))
@@ -488,13 +487,12 @@ def sparse_colorings(draw):
                                         min_size=1, max_size=4)))
         for d in distances:
             for u in range(n // 2 if 2 * d == n else n):
-                if draw(st.floats(0, 1)) >= hole:
+                if rnd.random() >= hole:
                     pairs[min(u, (u + d) % n), max(u, (u + d) % n)] = (
-                        draw(colour))
+                        rnd.choice(colour))
         for _ in range(draw(st.integers(0, 3))):
-            u, v = sorted(draw(st.sets(st.integers(0, n - 1),
-                                       min_size=2, max_size=2)))
-            pairs[u, v] = draw(colour)
+            u, v = sorted(rnd.sample(range(n), 2))
+            pairs[u, v] = rnd.choice(colour)
     return vertex_colors, pairs, distances
 
 
@@ -599,27 +597,27 @@ def matrix_texts(draw, quoted=True):
     (when ``quoted``) quoted cells, '*', 0 and negative colours, text
     cells, asymmetric cells, short rows and blank lines."""
     n = draw(st.integers(1, 5))
-    cell = st.one_of(st.none(), st.integers(-2, 6))
+    rnd = draw(st.randoms(use_true_random=True))
     grid = [[None] * n for _ in range(n)]
     for u in range(n):
         for v in range(u, n):
-            grid[u][v] = grid[v][u] = draw(cell)
-    changed = st.one_of(cell, st.sampled_from(["*", "x", "3 4"]))
+            grid[u][v] = grid[v][u] = rnd.choice([None, rnd.randint(-2, 6)])
     for _ in range(draw(st.integers(0, 2))):
-        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        grid[u][v] = draw(changed)
-    pad = st.sampled_from(["", "", " ", "\t"])
+        grid[rnd.randrange(n)][rnd.randrange(n)] = rnd.choice(
+            [None, rnd.randint(-2, 6), "*", "x", "3 4"])
+    pad = ["", "", " ", "\t"]
     lines = [",".join(["", *map(str, range(n))])]
     for u, row in enumerate(grid):
         cells = []
         for c in row:
-            text = draw(pad) + ("" if c is None else str(c)) + draw(pad)
-            quote = quoted and draw(st.booleans())
+            text = (rnd.choice(pad) + ("" if c is None else str(c))
+                    + rnd.choice(pad))
+            quote = quoted and rnd.random() < 0.5
             cells.append('"%s"' % text if quote else text)
-        if draw(st.booleans()):  # a short row
-            cells = cells[:draw(st.integers(0, n))]
+        if rnd.random() < 0.5:  # a short row
+            cells = cells[:rnd.randint(0, n)]
         lines.append(",".join([str(u)] + cells))
-        lines += [""] * draw(st.integers(0, 1))
+        lines += [""] * rnd.randint(0, 1)
     return "\n".join(lines)
 
 

@@ -431,7 +431,7 @@ def edge_lists(draw):
     ranges, negative and far apart, with duplicate and reversed pairs, and
     at times one vertex of degree 70 or more, whose color masks take more
     than one 64-bit word."""
-    rng = draw(st.randoms(use_true_random=False))
+    rng = draw(st.randoms(use_true_random=True))
     edges = []
     bases = draw(st.lists(st.sampled_from([-5000, -200, 0, 700, 10**9]),
                           min_size=1, max_size=4, unique=True))
@@ -552,7 +552,7 @@ class TestVizing:
         with pytest.raises(ValueError, match=r"^self-loop edge \(3, 3\)$"):
             edge_color_delta_plus_one([(1, 2), (3, 3), (2, 3)])
 
-    @given(edges=edge_lists(), rng=st.randoms(use_true_random=False))
+    @given(edges=edge_lists(), rng=st.randoms(use_true_random=True))
     @settings(max_examples=50, deadline=None)
     def test_rank_invariant(self, edges, rng):
         """Any increasing relabelling (shift, scale, gaps, negative labels)
@@ -681,7 +681,7 @@ class TestRainbowSplit:
         n = 2 * half_n
         d = data.draw(st.sampled_from(
             [x for x in range(1, half_n + 1) if math.gcd(x, n) == 1]))
-        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        rng = data.draw(st.randoms(use_true_random=True))
         col = rng.sample(range(1, n + 1), n)  # both matchings rainbow
         kind = data.draw(st.sampled_from(["perm", "clash", "few"]))
         if kind == "clash":

@@ -1,4 +1,3 @@
-import random
 from collections import Counter
 from itertools import chain
 from math import gcd
@@ -141,9 +140,9 @@ def colored_circulants(draw):
         st.lists(st.integers(1, 2 * g.degree + 2), min_size=1, max_size=8),
         st.lists(st.sampled_from([0, -1, -7, 10**12, 10**12 + 1, 3]),
                  min_size=1)))
-    colors = st.sampled_from(palette)
-    tc = TotalColoring.from_pairs(tuple(draw(colors) for _ in range(n)),
-                                  {e: draw(colors) for e in g.edges})
+    rnd = draw(st.randoms(use_true_random=True))
+    tc = TotalColoring.from_pairs(tuple(rnd.choices(palette, k=n)), dict(
+        zip(g.edges, rnd.choices(palette, k=len(g.edges)))))
     return g, tc
 
 
@@ -165,10 +164,11 @@ def proper_colorings(draw):
             return [*g.neighbors(x), *(e for e in g.edges if x in e)]
         return [*x, *(e for e in g.edges if e != x and set(e) & set(x))]
 
+    rnd = draw(st.randoms(use_true_random=True))
     color = {}
-    for x in draw(st.permutations([*range(n), *g.edges])):
+    for x in rnd.sample([*range(n), *g.edges], n + len(g.edges)):
         taken = {color.get(y) for y in touching(x)}
-        c = draw(st.integers(1, 3))
+        c = rnd.randint(1, 3)
         while c in taken:
             c += 1
         color[x] = c
@@ -340,7 +340,7 @@ def periodic_colorings(draw):
         gens.add(n // 2)
     g = build_circulant(n, gens)
     p = draw(st.sampled_from([p for p in range(1, n + 1) if n % p == 0]))
-    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rnd = draw(st.randoms(use_true_random=True))
 
     def length(d):  # of the array of slot (d, u), d = 0 the vertex colours
         return d if 2 * d == n else n
