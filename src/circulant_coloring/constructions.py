@@ -8,11 +8,14 @@ offending coloring attached; it is never silently repaired.
 The workhorse is one folded tiling: element (u, v) takes the canonical
 K_q row at (u mod h + v mod h) mod q.  With h = q odd dividing n it is the
 Latin-square tiling, which totally colors C_n^{(q-1)/2} in q colors;
-thm32 folds K_{n/2} mod n/2, and h = q = m is the canonical K_m matrix.
-Distances beyond the tiling reach are finished by 1-factorization (even n)
-or a Vizing edge coloring (odd n) on fresh colors.  The NSD step recolors
-the two alternating matchings of a unit distance's Hamiltonian cycle: the
-even and the odd slots of that distance's column.
+thm32 folds K_{n/2} mod n/2, and h = q = m is the canonical K_m matrix,
+which is also thm34's subset part on Z_2m.  Distances beyond the tiling
+reach are finished by 1-factorization (even n) or a Vizing edge coloring
+(odd n) on fresh colors.  Theorems 2.2 and 3.4 share one tail: the base
+is verified equitable, then the NSD step recolors the two alternating
+matchings of a unit distance's Hamiltonian cycle, the even and the odd
+slots of that distance's column.  Whether those matchings were rainbow
+is noted, not required: the NSD verifier decides.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .graphs import (
 )
 from .latin import half
 from .oracle import _total_search
-from .verifiers import verify_equitable, verify_nsd, verify_total_coloring
+from .verifiers import verify_nsd, verify_total_coloring
 
 
 # -- tiling helpers ----------------------------------------------------------
@@ -103,6 +106,15 @@ def _verified(g: CirculantGraph, tc: TotalColoring, bound: int,
     return BuildReport(tc, used, bound, notes=notes, verification=report)
 
 
+def _one_factorized(tc: TotalColoring, sub: CirculantGraph, first: int,
+                    budget: int):
+    """tc with sub's distances 1-factorized onto the colors first,
+    first + 1, ..., and the number of factors."""
+    fac = one_factorize(sub, first, budget)
+    return (TotalColoring(tc.vertex_colors, {**tc.columns, **fac.columns}),
+            len(fac.factors))
+
+
 # -- powers of cycles --------------------------------------------------------
 
 def _check_power_pre(n: int, k: int, i: int, parity: int):
@@ -139,8 +151,7 @@ def color_power_cycle_even(n: int, k: int, i: int,
     if residual:
         sub = build_circulant(n, residual)
         try:
-            fac = one_factorize(sub, q + 1, budget)
-            tc = TotalColoring(tc.vertex_colors, {**tc.columns, **fac.columns})
+            tc, _ = _one_factorized(tc, sub, q + 1, budget)
             notes += "; residual %r one-factorized" % (residual,)
         except SearchBudgetExceeded:
             done = _exact_edge_coloring(sub.edges, 2 * k + 1, budget, start=tc)
@@ -195,42 +206,46 @@ def _recolor_unit_cycle(tc: TotalColoring, d: int, a: int):
                          {**tc.columns, d: [a, a + 1] * half_n}), flags
 
 
+def _equitable_nsd(g: CirculantGraph, tc: TotalColoring, d: int,
+                   notes: str) -> tuple[BuildReport, BuildReport]:
+    """Theorems 2.2 and 3.4's tail: tc verified equitable on degree + 1
+    colors, then the NSD step on unit distance d with colors degree + 2
+    and degree + 3; rainbow matchings are noted, verify_nsd decides."""
+    equitable = _verified(g, tc, g.degree + 1, notes)
+    if not equitable.verification.equitable:
+        raise VerificationFailed("coloring is not equitable", coloring=tc,
+                                 report=equitable.verification)
+    a = g.degree + 2
+    recolored, flags = _recolor_unit_cycle(tc, d, a)
+    report = verify_nsd(g, recolored)
+    if not report.nsd:
+        raise VerificationFailed(
+            "recoloring failed the NSD check" if all(flags) else
+            "matchings not rainbow under the base coloring and the "
+            "recoloring is not sum-distinguishing",
+            coloring=recolored, report=report)
+    notes = "distance-%d cycle matchings recolored with %d and %d" % (
+        d, a, a + 1)
+    if not all(flags):  # thm22 at n > 2(2k+1)
+        notes += "; matchings were not rainbow (n > 2(2k+1)) but the sums distinguish"
+    return equitable, BuildReport(recolored, report.colors_used, a + 1,
+                                  notes=notes)
+
+
 def equitable_nsd_power_cycle(n: int, k: int) -> tuple[BuildReport, BuildReport]:
     """(2k+1)-color equitable total coloring of C_n^k plus an NSD total
     coloring on at most 2k+3 colors, for even n divisible by 2k+1.
 
-    The NSD coloring recolors the two alternating perfect matchings of the
-    distance-1 Hamiltonian cycle with two fresh colors.
+    The base is the full order-(2k+1) tiling; the NSD coloring recolors
+    the two alternating matchings of the distance-1 cycle.
     """
     if n % 2:
         raise PreconditionFailed("n must be even, got %d" % n)
     if n % (2 * k + 1):
         raise PreconditionFailed("2k+1 = %d must divide n = %d" % (2 * k + 1, n))
     g = power_of_cycle(n, k)
-    base = color_power_cycle_even(n, k, k + 1)
-    eq_report = base.verification  # proper, or _verified would have raised
-    if not eq_report.equitable:
-        raise VerificationFailed("base coloring is not equitable",
-                                 coloring=base.coloring, report=eq_report)
-    equitable = BuildReport(base.coloring, base.colors_used, 2 * k + 1,
-                            notes="full tiling; verified equitable")
-
-    recolored, flags = _recolor_unit_cycle(base.coloring, 1, 2 * k + 2)
-    nsd_report = verify_nsd(g, recolored)
-    if not nsd_report.nsd:
-        if not all(flags):
-            raise VerificationFailed(
-                "matchings not rainbow under the base coloring and the "
-                "recoloring is not sum-distinguishing"
-            )
-        raise VerificationFailed("recoloring failed the NSD check",
-                                 coloring=recolored, report=nsd_report)
-    notes = "distance-1 cycle matchings recolored with %d and %d" % (
-        2 * k + 2, 2 * k + 3)
-    if not all(flags):
-        notes += "; matchings were not rainbow (n > 2(2k+1)) but the sums distinguish"
-    nsd = BuildReport(recolored, nsd_report.colors_used, 2 * k + 3, notes=notes)
-    return equitable, nsd
+    return _equitable_nsd(g, _tiling(n, 2 * k + 1, 2 * k + 1, g.gens), 1,
+                          "full tiling; verified equitable")
 
 
 # -- canonical complete-graph pattern ----------------------------------------
@@ -272,6 +287,15 @@ def _require(cond: bool, msg: str):
         raise PreconditionFailed(msg)
 
 
+def _complement(g: CirculantGraph, sub: GeneratorSet, name: str) -> tuple:
+    """g's distances outside sub, once they are some and generate Z_n."""
+    complement = tuple(d for d in g.gens if d not in sub.gens)
+    _require(bool(complement), "the complement of %s is empty" % name)
+    _require(generates_group(GeneratorSet(g.n, complement)),
+             "the complement of %s must generate the whole group" % name)
+    return complement
+
+
 def _constrained_total_search(power: CirculantGraph, full: CirculantGraph,
                               num_colors: int, budget: int) -> TotalColoring:
     """Exact total coloring of the power subgraph whose vertex colors are
@@ -309,20 +333,16 @@ def color_thm31(g: CirculantGraph, s1: GeneratorSet,
     _require(tuple(s1.gens) == tuple(range(1, kk + 1)),
              "the inner subset must be the distances 1..n/4")
     _require(s1.issubset(g.generators), "inner subset must lie inside S")
-    complement = tuple(d for d in g.gens if d not in set(s1.gens))
-    _require(bool(complement), "the complement of the inner subset is empty")
-    _require(generates_group(GeneratorSet(n, complement)),
-             "the complement must generate the whole group")
+    complement = _complement(g, s1, "the inner subset")
 
     # searched: no odd tiling order q = kk + i divides n = 4kk
     tc = _constrained_total_search(power_of_cycle(n, kk), g, n // 2 + 2,
                                    budget)
     notes = "power part: exact bounded search within %d colors" % (n // 2 + 2)
-    fac = one_factorize(build_circulant(n, list(complement)),
-                        tc.palette_size + 1, budget)
-    tc = TotalColoring(tc.vertex_colors, {**tc.columns, **fac.columns})
+    tc, factors = _one_factorized(tc, build_circulant(n, complement),
+                                  tc.palette_size + 1, budget)
     notes += "; complement %r one-factorized on %d colors" % (
-        complement, len(fac.factors))
+        complement, factors)
     report = _verified(g, tc, g.degree + 2, notes)
     report.fallback_used = True
     return report
@@ -366,18 +386,14 @@ def color_thm33(g: CirculantGraph, m_set: GeneratorSet,
     _require(sub.degree == n // 2 - 2, "M must induce degree n/2 - 2")
     _require(classify_sum_free_half(m_set),
              "M must be sum-free with respect to n/2")
-    complement = tuple(d for d in g.gens if d not in set(m_set.gens))
-    _require(bool(complement), "the complement of M in S is empty")
-    _require(generates_group(GeneratorSet(n, complement)),
-             "the complement of M must generate the whole group")
+    complement = _complement(g, m_set, "M in S")
 
     inner = color_thm32(sub)
-    fac = one_factorize(build_circulant(n, list(complement)),
-                        inner.colors_used + 1, budget)
-    tc = TotalColoring(inner.coloring.vertex_colors,
-                       {**inner.coloring.columns, **fac.columns})
+    tc, factors = _one_factorized(inner.coloring,
+                                  build_circulant(n, complement),
+                                  inner.colors_used + 1, budget)
     notes = inner.notes + "; complement %r one-factorized on %d colors" % (
-        complement, len(fac.factors))
+        complement, factors)
     return _verified(g, tc, g.degree + 3, notes=notes)
 
 
@@ -387,12 +403,10 @@ def color_thm34(g: CirculantGraph, s1: GeneratorSet,
     """Equitable degree+1 coloring and NSD degree+3 coloring for n = 2m,
     m odd, from a subset whose distances are pairwise distinct mod m.
 
-    The subset part repeats the vertex colors 1..m twice around the cycle
-    and runs each distance's subdiagonal through the same cyclic pattern,
-    started at the canonical complete-graph row entry for that distance's
-    residue; the complement is 1-factorized; the NSD step recolors the two
-    matchings of a unit generator's Hamiltonian cycle.  The complement's
-    1-factorization searches at most ``budget`` nodes.
+    The subset part is the canonical K_m matrix folded twice around the
+    cycle (h = q = m), the complement is 1-factorized within ``budget``
+    nodes, and the NSD step recolors the two matchings of a unit
+    generator's cycle, rainbow since its column has odd period m.
     """
     n = g.n
     m = n // 2
@@ -408,45 +422,10 @@ def color_thm34(g: CirculantGraph, s1: GeneratorSet,
              "subset distances must be pairwise distinct and nonzero mod n/2")
     units = [s for s in s1_full if math.gcd(s, n) == 1]
     _require(bool(units), "subset must contain a group generator")
-    complement = tuple(d for d in g.gens if d not in set(s1.gens))
-    _require(bool(complement), "the complement of the subset is empty")
-    _require(generates_group(GeneratorSet(n, complement)),
-             "the complement must generate the whole group")
+    complement = _complement(g, s1, "the subset")
 
-    row = canonical_first_row(m)
-    vertex_colors = tuple(u % m + 1 for u in range(n))
-    # pair (u, v) takes (row[(v - u) mod n mod m] - 1 + u) mod m + 1, so
-    # pair {u, u + d} takes (row[d] - 1 + u) mod m + 1 (when u + d wraps,
-    # row[m - d] = row[d] - d mod m): period m
-    tc = TotalColoring(vertex_colors, {
-        d: [(row[d] - 1 + r) % m + 1 for r in range(m)] * 2 for d in s1.gens})
-
-    fac = one_factorize(build_circulant(n, list(complement)), m + 1, budget)
-    tc = TotalColoring(tc.vertex_colors, {**tc.columns, **fac.columns})
-    eq_report = verify_equitable(g, tc)
-    if not eq_report.equitable:
-        raise VerificationFailed("coloring is not equitable",
-                                 coloring=tc, report=eq_report)
-    if eq_report.colors_used != g.degree + 1:
-        raise VerificationFailed(
-            "expected exactly %d colors, used %d"
-            % (g.degree + 1, eq_report.colors_used), coloring=tc, report=eq_report)
-    equitable = BuildReport(
-        tc, eq_report.colors_used, g.degree + 1,
-        notes="subset subdiagonals from canonical row; complement %r "
-              "one-factorized" % (complement,))
-
-    u0 = min(units)
-    recolored, flags = _recolor_unit_cycle(tc, u0, g.degree + 2)
-    if not all(flags):
-        raise VerificationFailed(
-            "matchings of the distance-%d cycle are not rainbow" % u0)
-    nsd_report = verify_nsd(g, recolored)
-    if not nsd_report.nsd:
-        raise VerificationFailed("recoloring failed the NSD check",
-                                 coloring=recolored, report=nsd_report)
-    nsd = BuildReport(
-        recolored, nsd_report.colors_used, g.degree + 3,
-        notes="distance-%d cycle matchings recolored with %d and %d"
-              % (u0, g.degree + 2, g.degree + 3))
-    return equitable, nsd
+    tc, _ = _one_factorized(_tiling(n, m, m, s1.gens),
+                            build_circulant(n, complement), m + 1, budget)
+    return _equitable_nsd(
+        g, tc, min(units), "subset subdiagonals from canonical row; "
+        "complement %r one-factorized" % (complement,))

@@ -63,10 +63,10 @@ class OracleResult:
     witness: TotalColoring | None = None
 
 
-def _check_size(g: CirculantGraph, limit: int):
-    if g.n > limit:
-        raise PreconditionFailed(
-            "n = %d exceeds the oracle limit %d" % (g.n, limit))
+def _check_size(g: CirculantGraph):
+    if g.n > DEFAULT_SIZE_LIMIT:
+        raise PreconditionFailed("n = %d exceeds the oracle limit %d"
+                                 % (g.n, DEFAULT_SIZE_LIMIT))
 
 
 def _total_search(n: int, edges, vertex_nbrs, num_colors: int, budget: int,
@@ -316,11 +316,10 @@ def _search(g: CirculantGraph, k: int, budget: int, spent: int = 0,
 
 
 def exact_total_chromatic(g: CirculantGraph,
-                          size_limit: int = DEFAULT_SIZE_LIMIT,
                           budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Exact total chromatic number with a witness coloring, trying
     Delta + 1 up to Delta + 3 colors."""
-    _check_size(g, size_limit)
+    _check_size(g)
     nodes = 0
     for k in range(g.degree + 1, g.degree + 4):
         if _counting_refutes(g, k):
@@ -336,11 +335,10 @@ def exact_total_chromatic(g: CirculantGraph,
 
 
 def exact_chromatic_index(g: CirculantGraph,
-                          size_limit: int = DEFAULT_SIZE_LIMIT,
                           budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Exact chromatic index with a witness edge coloring (Delta or
     Delta + 1 colors, by Vizing's theorem)."""
-    _check_size(g, size_limit)
+    _check_size(g)
     nodes = 0
     for k in (g.degree, g.degree + 1):
         witness, used = _search(g, k, budget, nodes, vertices=False)
@@ -352,10 +350,9 @@ def exact_chromatic_index(g: CirculantGraph,
 
 
 def exact_feasible(g: CirculantGraph, k: int, mode: Mode,
-                   size_limit: int = DEFAULT_SIZE_LIMIT,
                    budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Feasibility of a proper total k-coloring with the extra constraint."""
-    _check_size(g, size_limit)
+    _check_size(g)
     if k < 1:
         raise PreconditionFailed("palette size must be positive, got %d" % k)
     quantity = (Quantity.EQUITABLE_TOTAL_FEASIBLE if mode is Mode.EQUITABLE

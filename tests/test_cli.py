@@ -287,8 +287,8 @@ class TestExitContract:
         (THM22, (False, True), "matchings not rainbow under the base "
          "coloring and the recoloring is not sum-distinguishing"),
         (THM34, (True, True), "recoloring failed the NSD check"),
-        (THM34, (True, False),
-         "matchings of the distance-1 cycle are not rainbow"),
+        (THM34, (True, False), "matchings not rainbow under the base "
+         "coloring and the recoloring is not sum-distinguishing"),
     ], ids=["thm21-even", "thm22-nsd", "thm22-rainbow", "thm34-nsd",
             "thm34-rainbow"])
     def test_builder_rejects_its_candidate(self, argv, flags, message,

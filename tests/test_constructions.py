@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from circulant_coloring.cli import EXIT_OK, main
 from circulant_coloring.coloring import TotalColoring, coloring_from_json_dict
@@ -195,11 +197,11 @@ class TestEquitableNsdPowerCycle:
                 assert c == eq.coloring.edge_color(*e)
 
     def test_each_coloring_verified_once(self, monkeypatch):
-        # the base colouring's report from color_power_cycle_even is
-        # reused for equitability; the recoloured one goes through NSD
+        # the base colouring's one report decides equitability; the
+        # recoloured one goes through NSD
         from circulant_coloring import constructions
         seen = []
-        for name in ("verify_total_coloring", "verify_equitable", "verify_nsd"):
+        for name in ("verify_total_coloring", "verify_nsd"):
             def spy(g, tc, check=getattr(constructions, name), name=name):
                 seen.append((name, tc))
                 return check(g, tc)
@@ -207,6 +209,16 @@ class TestEquitableNsdPowerCycle:
         eq, nsd = equitable_nsd_power_cycle(18, 4)
         assert seen == [("verify_total_coloring", eq.coloring),
                         ("verify_nsd", nsd.coloring)]
+
+    @given(st.integers(1, 6), st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_base_is_the_square_tiling(self, k, reps):
+        # Theorem 2.1's colouring at i = k + 1 is the same full tiling
+        n = 2 * (2 * k + 1) * reps
+        eq, _ = equitable_nsd_power_cycle(n, k)
+        want = color_power_cycle_even(n, k, k + 1).coloring
+        assert TestFoldedTiling.parts(eq.coloring) == (
+            TestFoldedTiling.parts(want))
 
     def test_preconditions(self):
         with pytest.raises(PreconditionFailed):
@@ -557,7 +569,39 @@ class TestThm33:
             color_thm33(g, gs(24, [1, 2, 3, 5, 10]))
 
 
+@st.composite
+def thm34_inputs(draw):
+    """An admissible (g, s1) of Theorem 3.4 with m odd, 5 <= m <= 61: s1
+    holds one distance of each pair {j, m - j}, a unit among them; the
+    complement holds 1-3 odd distances left out of s1 and generates Z_2m
+    (odd distances are peeled by the 1-factorization, never searched)."""
+    m = draw(st.sampled_from(range(5, 62, 2)))
+    n = 2 * m
+    s1 = [draw(st.sampled_from([j, m - j])) for j in range(1, m // 2 + 1)]
+    odd = sorted(m - d for d in s1 if d % 2 == 0)
+    assume(odd and any(math.gcd(d, n) == 1 for d in s1))
+    complement = draw(st.lists(st.sampled_from(odd), min_size=1,
+                               max_size=3, unique=True))
+    assume(math.gcd(n, *complement) == 1)
+    return build_circulant(n, s1 + complement), gs(n, s1)
+
+
 class TestThm34:
+    @given(thm34_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_subset_part_is_the_old_formula(self, case):
+        # the formula the folded tiling replaced: vertex u takes
+        # u mod m + 1 and the pair {u, u + d} (row[d] - 1 + u) mod m + 1
+        g, s1 = case
+        m = g.n // 2
+        row = canonical_first_row(m)
+        eq, _ = color_thm34(g, s1)
+        assert eq.coloring.vertex_colors == tuple(
+            u % m + 1 for u in range(g.n))
+        for d in s1.gens:
+            assert eq.coloring.columns[d] == [
+                (row[d] - 1 + u) % m + 1 for u in range(g.n)], d
+
     def test_z18_pair(self):
         g = build_circulant(18, [1, 2, 4, 6, 7, 8])
         eq, nsd = color_thm34(g, gs(18, [1, 2, 4, 6]))

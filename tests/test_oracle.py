@@ -473,10 +473,6 @@ class TestTotalChromatic:
                            match="n = 13 exceeds the oracle limit 12"):
             exact_total_chromatic(build_circulant(13, [1]))
 
-    def test_size_limit_override(self):
-        g = build_circulant(13, [1])
-        assert exact_total_chromatic(g, size_limit=13).value == 4
-
     def test_budget(self):
         g = build_circulant(10, [1, 2, 3, 4, 5])
         with pytest.raises(SearchBudgetExceeded,

@@ -326,20 +326,27 @@ def reference_equitable(g, tc):
 
 @st.composite
 def periodic_colorings(draw):
-    """C_n(S), 3 <= n <= 60, n/2 in S half the time when n is even, and a
-    total coloring of period p, a drawn divisor of n: each class of slots
-    that agree mod p (mod gcd(p, n/2) at the involution), in a random
-    order, takes the least colour from a random floor of 1-3 up that no
-    element touching it holds, so most are proper.  Then 0-2 faults, each
-    a vertex colour, an edge colour, an involution slot, None or 0, the
-    first of them in the last period."""
-    n = draw(st.integers(3, 60))
+    """C_n(S), 3 <= n <= 60 or 129 <= n <= 192 (arrays past the 64 slots
+    a period is first tested on), n/2 in S half the time when n is even,
+    and a total coloring of period p, a drawn divisor of n: each class of
+    slots that agree mod p, in a random order, takes the least colour from
+    a random floor of 1-3 up that no element touching it holds, so most
+    are proper.  The involution's n/2 slots agree mod gcd(p, n/2), which
+    keeps period p when the column is read twice over, or, half the time,
+    mod p within the n/2 slots, p then a divisor of n but not of n/2 and
+    those classes all of different colours, so that the column breaks
+    period p unless p = n.  Then 0-2 faults, each a vertex colour, an edge
+    colour, an involution slot, None or 0, the first of them in the last
+    period."""
+    n = draw(st.integers(3, 60) | st.integers(129, 192))
     gens = set(draw(st.lists(st.integers(1, n // 2), min_size=1,
                              max_size=4)))
     if n % 2 == 0 and draw(st.booleans()):
         gens.add(n // 2)
     g = build_circulant(n, gens)
-    p = draw(st.sampled_from([p for p in range(1, n + 1) if n % p == 0]))
+    linear = 2 * g.gens[-1] == n and draw(st.booleans())
+    p = draw(st.sampled_from([p for p in range(1, n + 1) if n % p == 0
+                              and not (linear and n // 2 % p == 0)]))
     rnd = draw(st.randoms(use_true_random=True))
 
     def length(d):  # of the array of slot (d, u), d = 0 the vertex colours
@@ -359,11 +366,14 @@ def periodic_colorings(draw):
 
     classes = {}
     for d in (0, *g.gens):
+        step = p if linear else gcd(p, length(d))
         for u in range(length(d)):
-            classes.setdefault((d, u % gcd(p, length(d))), []).append((d, u))
+            classes.setdefault((d, u % step), []).append((d, u))
     color = {}
     for members in rnd.sample(list(classes.values()), len(classes)):
         taken = {color.get(y) for x in members for y in touching(x)}
+        if linear and members[0][0] == n // 2:
+            taken |= {color.get((n // 2, u)) for u in range(min(p, n // 2))}
         c = rnd.randint(1, 3)
         while c in taken:
             c += 1
