@@ -14,7 +14,6 @@ from circulant_coloring import (
     build_circulant,
     color_thm31,
     color_thm33,
-    verify_equitable,
     verify_nsd,
     verify_total_coloring,
 )
@@ -51,7 +50,7 @@ def main():
         assert report.proper
         extras = ""
         if tid in (2, 5):
-            extras = " equitable=%s" % verify_equitable(g, tc).equitable
+            extras = " equitable=%s" % report.equitable
         if tid in (3, 6):
             extras = " nsd=%s" % verify_nsd(g, tc).nsd
         print("fixture %d: %d cells match, %d colors,%s %.2fs"

@@ -31,7 +31,6 @@ from .constructions import (
 from .verifiers import (
     TypeLabel,
     VerificationReport,
-    verify_equitable,
     verify_nsd,
     verify_total_coloring,
 )

@@ -14,8 +14,9 @@ Every subcommand exits with one of:
     4  search budget exceeded
 
 ``--budget N`` bounds every exact search in a run: each search a builder
-makes (the pooled 1-factorization, the fallback completion, the thm31
-power-part search) and the oracle.  Without it, builder searches get
+makes (the pooled 1-factorization, thm21-even's fallback, which is the
+pooled search over every residual distance, the thm31 power-part
+search) and the oracle.  Without it, builder searches get
 2,000,000 nodes each and the oracle 20,000,000.  All runs are
 deterministic.
 """

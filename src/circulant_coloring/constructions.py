@@ -31,7 +31,7 @@ from .errors import (
 )
 from .factorization import (
     DEFAULT_SEARCH_BUDGET,
-    _exact_edge_coloring,
+    _factorize_pool,
     edge_color_delta_plus_one,
     one_factorize,
 )
@@ -107,12 +107,11 @@ def _verified(g: CirculantGraph, tc: TotalColoring, bound: int,
 
 
 def _one_factorized(tc: TotalColoring, sub: CirculantGraph, first: int,
-                    budget: int):
-    """tc with sub's distances 1-factorized onto the colors first,
-    first + 1, ..., and the number of factors."""
+                    budget: int) -> TotalColoring:
+    """tc with sub's distances 1-factorized onto sub.degree colors from
+    first up."""
     fac = one_factorize(sub, first, budget)
-    return (TotalColoring(tc.vertex_colors, {**tc.columns, **fac.columns}),
-            len(fac.factors))
+    return TotalColoring(tc.vertex_colors, {**tc.columns, **fac.columns})
 
 
 # -- powers of cycles --------------------------------------------------------
@@ -138,8 +137,9 @@ def color_power_cycle_even(n: int, k: int, i: int,
 
     Exactly 2k+1 colors: the order-(k+i) square tiles the inner distances;
     the leftover distances are 1-factorized onto fresh colors.  When that
-    fails, an exact search completes them within the 2k+1 colors.  Each
-    search gets ``budget`` nodes.
+    runs out of budget, the fallback is the pooled search over every
+    residual distance, on the same fresh colors.  Each search gets
+    ``budget`` nodes.
     """
     _check_power_pre(n, k, i, 0)
     g = power_of_cycle(n, k)
@@ -151,15 +151,14 @@ def color_power_cycle_even(n: int, k: int, i: int,
     if residual:
         sub = build_circulant(n, residual)
         try:
-            tc, _ = _one_factorized(tc, sub, q + 1, budget)
+            tc = _one_factorized(tc, sub, q + 1, budget)
             notes += "; residual %r one-factorized" % (residual,)
         except SearchBudgetExceeded:
-            done = _exact_edge_coloring(sub.edges, 2 * k + 1, budget, start=tc)
-            if done is None:
-                raise VerificationFailed(
-                    "no completion of the residual distances within %d "
-                    "colors" % (2 * k + 1), coloring=tc)
-            tc = tc.with_edge_colors(done)
+            # the residual holds two consecutive distances, so it is
+            # connected and the pool is all of it; the notes keep the
+            # wording of the recorded outputs
+            tc = TotalColoring(tc.vertex_colors, {
+                **tc.columns, **_factorize_pool(n, residual, q + 1, budget)})
             fallback = True
             notes += "; residual %r completed by constrained search" % (residual,)
     report = _verified(g, tc, 2 * k + 1, notes)
@@ -339,10 +338,10 @@ def color_thm31(g: CirculantGraph, s1: GeneratorSet,
     tc = _constrained_total_search(power_of_cycle(n, kk), g, n // 2 + 2,
                                    budget)
     notes = "power part: exact bounded search within %d colors" % (n // 2 + 2)
-    tc, factors = _one_factorized(tc, build_circulant(n, complement),
-                                  tc.palette_size + 1, budget)
+    rest = build_circulant(n, complement)
+    tc = _one_factorized(tc, rest, tc.palette_size + 1, budget)
     notes += "; complement %r one-factorized on %d colors" % (
-        complement, factors)
+        complement, rest.degree)
     report = _verified(g, tc, g.degree + 2, notes)
     report.fallback_used = True
     return report
@@ -389,11 +388,10 @@ def color_thm33(g: CirculantGraph, m_set: GeneratorSet,
     complement = _complement(g, m_set, "M in S")
 
     inner = color_thm32(sub)
-    tc, factors = _one_factorized(inner.coloring,
-                                  build_circulant(n, complement),
-                                  inner.colors_used + 1, budget)
+    rest = build_circulant(n, complement)
+    tc = _one_factorized(inner.coloring, rest, inner.colors_used + 1, budget)
     notes = inner.notes + "; complement %r one-factorized on %d colors" % (
-        complement, factors)
+        complement, rest.degree)
     return _verified(g, tc, g.degree + 3, notes=notes)
 
 
@@ -424,8 +422,8 @@ def color_thm34(g: CirculantGraph, s1: GeneratorSet,
     _require(bool(units), "subset must contain a group generator")
     complement = _complement(g, s1, "the subset")
 
-    tc, _ = _one_factorized(_tiling(n, m, m, s1.gens),
-                            build_circulant(n, complement), m + 1, budget)
+    tc = _one_factorized(_tiling(n, m, m, s1.gens),
+                         build_circulant(n, complement), m + 1, budget)
     return _equitable_nsd(
         g, tc, min(units), "subset subdiagonals from canonical row; "
         "complement %r one-factorized" % (complement,))

@@ -7,13 +7,15 @@ into two factors by alternation.  Distances whose orbits are odd cycles
 are pooled (topping the pool up with further distances until its
 components have even order) and handled by an exact edge-coloring search;
 existence is guaranteed for connected even-order circulants, so the node
-budget only bounds time, never feasibility.  The search is iterative, on
-an explicit stack with bitmask color domains, so its depth is not bound
-by Python's recursion limit.  It cuts a placement at once when it leaves
-a tight vertex (as many free colors as uncolored edges, as at every
-vertex of the pooled search) a free color that none of its uncolored
-edges can take.  Only subtrees without a solution are cut, so it finds
-the same coloring as the plain backtracking search, never in more nodes.
+budget only bounds time, never feasibility.  thm21-even's fallback is the
+pooled search over every residual distance: _factorize_pool on all of
+them at once.  The search is iterative, on an explicit stack with bitmask
+color domains, so its depth is not bound by Python's recursion limit.  It
+cuts a placement at once when it leaves a tight vertex (as many free
+colors as uncolored edges, as at every vertex of the pooled search) a
+free color that none of its uncolored edges can take.  Only subtrees
+without a solution are cut, so it finds the same coloring as the plain
+backtracking search, never in more nodes.
 
 The Delta+1 edge coloring is Misra-Gries fan rotation: one maximal fan,
 one c/d path inversion and one rotation per edge, with no search, on a
@@ -69,8 +71,7 @@ class EdgeColoring:
     colors: dict
 
 
-def _exact_edge_coloring(edges, num_colors: int, budget: int,
-                         start=None) -> dict | None:
+def _exact_edge_coloring(edges, num_colors: int, budget: int) -> dict | None:
     """Backtracking proper edge coloring with colors 1..num_colors.
 
     Iterative, on an explicit stack of [edge index, colors not yet tried
@@ -90,26 +91,14 @@ def _exact_edge_coloring(edges, num_colors: int, budget: int,
     subtree holds no coloring, so the first coloring found and its order
     are those of the plain search, in at most its nodes.
 
-    With a partial total coloring ``start``, its edges are skipped and
-    every other edge also avoids the colors already present at its
-    endpoints.  Returns (u, v) -> color for the edges colored here, in the
-    order they were colored, or None if the search space is exhausted;
-    raises SearchBudgetExceeded when the node budget runs out.
+    Returns (u, v) -> color, in the order the edges were colored, or None
+    if the search space is exhausted; raises SearchBudgetExceeded when the
+    node budget runs out.
     """
-    edges = sorted(edges if start is None
-                   else [e for e in edges if start.edge_color(*e) is None])
+    edges = sorted(edges)
     n = max((v for _, v in edges), default=-1) + 1
-    if start is not None:
-        n = max(n, start.n)
     full = (1 << (num_colors + 1)) - 2  # bit c stands for color c
     used = [0] * n
-    if start is not None:
-        for u, c in enumerate(start.vertex_colors):
-            used[u] |= 1 << c
-        for (u, v), c in start.edge_items():
-            used[u] |= 1 << c
-            used[v] |= 1 << c
-        used = [m & full for m in used]
     incident = [[] for _ in range(n)]  # vertex -> [(edge index, other end)]
     for j, (u, v) in enumerate(edges):
         incident[u].append((j, v))
@@ -118,9 +107,8 @@ def _exact_edge_coloring(edges, num_colors: int, budget: int,
     near = [[kw for kw in incident[u] + incident[v] if kw[0] != j]
             for j, (u, v) in enumerate(edges)]
     color = [0] * len(edges)  # edge index -> bit of its color, 0 if none
-    free = [bin(full & ~(used[u] | used[v])).count("1") for u, v in edges]
-    tight = [bin(full & ~used[x]).count("1") == len(incident[x])
-             for x in range(n)]
+    free = [num_colors] * len(edges)  # free colors per uncolored edge
+    tight = [len(at) == num_colors for at in incident]
 
     def dead(j, bit) -> bool:
         """After bit went on edge j: a tight vertex has a free color that

@@ -182,13 +182,6 @@ def _verify(g: CirculantGraph, tc: TotalColoring) -> tuple:
     return report, windows
 
 
-def verify_equitable(g: CirculantGraph, tc: TotalColoring) -> VerificationReport:
-    report = verify_total_coloring(g, tc)
-    if not report.proper:
-        raise VerificationFailed("equitability is only defined for proper colorings")
-    return report
-
-
 def verify_nsd(g: CirculantGraph, tc: TotalColoring) -> VerificationReport:
     """NSD verdict; sums are recomputed from scratch."""
     report, (vertex, *cols) = _verify(g, tc)

@@ -31,7 +31,7 @@ from circulant_coloring.errors import (
 )
 from circulant_coloring.factorization import (
     DEFAULT_SEARCH_BUDGET,
-    _exact_edge_coloring,
+    _factorize_pool,
 )
 from circulant_coloring.graphs import (
     GeneratorSet,
@@ -100,31 +100,27 @@ class TestPowerCycleEven:
 
 
 class TestFallbackCompletion:
-    """The exact search that colors the residual distances inside the
-    2k+1 colors when their 1-factorization fails or runs out of budget."""
-
-    @staticmethod
-    def order7_tiling_of_c28_6():
-        return _tiling(28, 7, 7, [1, 2, 3]), build_circulant(28, [4, 5, 6])
+    """thm21-even's fallback when the 1-factorization of the residual
+    distances runs out of budget: the pooled search over every residual
+    distance, on the colors q+1..2k+1 left free by the order-q tiling."""
 
     def test_completes_within_palette(self):
-        tc, residual = self.order7_tiling_of_c28_6()
-        done = _exact_edge_coloring(residual.edges, 13, DEFAULT_SEARCH_BUDGET,
-                                    start=tc)
-        assert set(done) == set(residual.edges)
-        report = verify_total_coloring(power_of_cycle(28, 6),
-                                       tc.with_edge_colors(done))
+        # C_28^6: the order-7 tiling of distances 1..3, residual 4..6
+        tc = _tiling(28, 7, 7, [1, 2, 3])
+        columns = _factorize_pool(28, [4, 5, 6], 8, DEFAULT_SEARCH_BUDGET)
+        assert sorted(columns) == [4, 5, 6]
+        report = verify_total_coloring(power_of_cycle(28, 6), TotalColoring(
+            tc.vertex_colors, {**tc.columns, **columns}))
         assert report.proper
         assert report.colors_used <= 13
 
     def test_budget_exhausted(self):
-        tc, residual = self.order7_tiling_of_c28_6()
         with pytest.raises(SearchBudgetExceeded, match="exceeded 10 nodes"):
-            _exact_edge_coloring(residual.edges, 13, 10, start=tc)
+            _factorize_pool(28, [4, 5, 6], 8, 10)
 
     def test_builder_falls_back(self):
         # the pooled 1-factorization of the residual distances needs 428
-        # nodes, the completion 120
+        # nodes, the pooled search over every residual distance 120
         report = color_power_cycle_even(30, 11, 4, budget=150)
         assert report.fallback_used
         check_built(power_of_cycle(30, 11), report)

@@ -15,6 +15,7 @@ from circulant_coloring.errors import (
 from circulant_coloring.factorization import (
     EdgeColoring,
     _exact_edge_coloring,
+    _factorize_pool,
     edge_color_delta_plus_one,
     one_factorize,
 )
@@ -153,7 +154,11 @@ class TestOneFactorize:
 
 def reference_edge_coloring(edges, num_colors, budget, start=None):
     """The recursive search the iterative kernel replaced, kept as its
-    reference: ((u, v) -> color in the order colored, or None; nodes)."""
+    reference: ((u, v) -> color in the order colored, or None; nodes).
+
+    With a partial total coloring ``start``, its edges are skipped and
+    every other edge also avoids the colors at its endpoints: the
+    completion of a tiling that thm21-even's fallback once searched."""
     used = {}  # vertex -> set of colors
     if start is not None:
         used = {u: {c} for u, c in enumerate(start.vertex_colors)}
@@ -210,37 +215,36 @@ def reference_edge_coloring(edges, num_colors, budget, start=None):
 
 
 def searches_of(build):
-    """The (edges, num_colors, budget, start) of every exact edge-coloring
-    search that ``build()`` runs, pooled 1-factorization and fallback
-    completion alike."""
+    """The (edges, num_colors, budget) of every exact edge-coloring search
+    that ``build()`` runs, the pooled 1-factorization and the fallback's
+    pooled search over every residual distance alike."""
     calls = []
 
-    def record(edges, num_colors, budget, start=None):
-        calls.append((list(edges), num_colors, budget, start))
-        return _exact_edge_coloring(edges, num_colors, budget, start=start)
+    def record(edges, num_colors, budget):
+        calls.append((list(edges), num_colors, budget))
+        return _exact_edge_coloring(edges, num_colors, budget)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(factorization, "_exact_edge_coloring", record)
-        mp.setattr(constructions, "_exact_edge_coloring", record)
         build()
     return calls
 
 
-def kernel_nodes(edges, num_colors, most, start=None):
+def kernel_nodes(edges, num_colors, most):
     """The fewest nodes with which the kernel finishes, found by bisecting
     its budget over 0..most (most if it needs more)."""
     lo, hi = 0, most
     while lo < hi:
         mid = (lo + hi) // 2
         try:
-            _exact_edge_coloring(edges, num_colors, mid, start=start)
+            _exact_edge_coloring(edges, num_colors, mid)
             hi = mid
         except SearchBudgetExceeded:
             lo = mid + 1
     return lo
 
 
-def assert_same_search(edges, num_colors, budget, start=None):
+def assert_same_search(edges, num_colors, budget):
     """The kernel colors like the reference, in the same order, with at
     most the reference's nodes; it finishes at exactly its own node count
     and raises one node below it.  Where the reference runs out of
@@ -248,24 +252,22 @@ def assert_same_search(edges, num_colors, budget, start=None):
     Returns the kernel's node count, or None when it ran out of
     ``budget``."""
     try:
-        want, most = reference_edge_coloring(edges, num_colors, budget,
-                                             start)
+        want, most = reference_edge_coloring(edges, num_colors, budget)
     except SearchBudgetExceeded:
-        want, most = reference_edge_coloring(edges, num_colors, 10**6,
-                                             start)
-    nodes = kernel_nodes(edges, num_colors, most, start)
-    got = _exact_edge_coloring(edges, num_colors, nodes, start=start)
+        want, most = reference_edge_coloring(edges, num_colors, 10**6)
+    nodes = kernel_nodes(edges, num_colors, most)
+    got = _exact_edge_coloring(edges, num_colors, nodes)
     assert got == want
     if got is not None:
         assert list(got.items()) == list(want.items())
     if nodes:
         with pytest.raises(SearchBudgetExceeded,
                            match="exceeded %d nodes" % (nodes - 1)):
-            _exact_edge_coloring(edges, num_colors, nodes - 1, start=start)
+            _exact_edge_coloring(edges, num_colors, nodes - 1)
     if nodes > budget:
         with pytest.raises(SearchBudgetExceeded,
                            match="exceeded %d nodes" % budget):
-            _exact_edge_coloring(edges, num_colors, budget, start=start)
+            _exact_edge_coloring(edges, num_colors, budget)
         return None
     return nodes
 
@@ -281,16 +283,50 @@ class TestExactEdgeColoring:
         (76, 17, 2, None, [1539]), (28, 5, 2, None, [162]),
         (28, 6, 1, None, [162]),
         # the pooled search finishes within 150 nodes (the reference's
-        # ran out), so no completion runs
+        # ran out), so no fallback runs
         (22, 10, 1, 150, [91]),
-        # the pooled search runs out at 150 nodes (it needs 428, the
-        # reference 1096), the completion from the tiling finishes in 120
+        # the pooled 1-factorization runs out at 150 nodes (it needs 428,
+        # the reference 1096); the fallback, the pooled search over every
+        # residual distance, finishes in 120
         (30, 11, 4, 150, [None, 120])])
     def test_builder_searches(self, n, k, i, budget, nodes):
         kw = {} if budget is None else {"budget": budget}
         calls = searches_of(
             lambda: constructions.color_power_cycle_even(n, k, i, **kw))
         assert [assert_same_search(*call) for call in calls] == nodes
+
+    def test_fallback_is_the_completion_of_the_tiling(self):
+        # the pooled search over every residual distance, on the colors
+        # q+1..2k+1, colors as the completion of the q-color tiling within
+        # 2k+1 colors, or both run out
+        for n in range(4, 61, 2):
+            for k in range(1, n // 2):
+                for i in range(1, k + 2):
+                    q = k + i
+                    if q % 2 == 0 or n % q:
+                        continue
+                    tiled, residual = constructions._choose_tiling_split(
+                        n, k, q)
+                    if len(residual) < 2:
+                        continue
+                    tc = constructions._tiling(n, q, q, tiled)
+                    edges = build_circulant(n, residual).edges
+                    for budget in (50, 500):
+                        try:
+                            cols = _factorize_pool(n, residual, q + 1, budget)
+                        except SearchBudgetExceeded:
+                            with pytest.raises(SearchBudgetExceeded):
+                                reference_edge_coloring(
+                                    edges, 2 * k + 1, budget, start=tc)
+                            continue
+                        # the kernel prunes, so where the reference runs
+                        # out its answer under a larger budget is the one
+                        # to match (it needs at most 2,946 nodes here)
+                        want, _ = reference_edge_coloring(
+                            edges, 2 * k + 1, 10**4, start=tc)
+                        got = TotalColoring(tc.vertex_colors, cols)
+                        assert sorted(want) == list(edges)
+                        assert {e: got.edge_color(*e) for e in want} == want
 
     def test_random_graphs(self):
         rng = random.Random(5)

@@ -20,8 +20,8 @@ from circulant_coloring.constructions import color_power_cycle_even
 COLOR_RUNS = {
     "thm21-even": "color --method thm21-even --n 18 --k 4 --i 5",
     # a budget of 150 nodes makes the pooled 1-factorization give up (it
-    # needs 428), so the residual distances are completed by the fallback
-    # search (120 nodes)
+    # needs 428), so the residual distances are colored by the fallback,
+    # the pooled search over every residual distance (120 nodes)
     "thm21-even-fallback":
         "--budget 150 color --method thm21-even --n 30 --k 11 --i 4",
     # the residual distances 6..10 are all peeled, with gcd(176, d) of 1,

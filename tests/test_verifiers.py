@@ -16,7 +16,6 @@ from circulant_coloring.verifiers import (
     VerificationReport,
     Violation,
     find_violations,
-    verify_equitable,
     verify_nsd,
     verify_total_coloring,
 )
@@ -316,14 +315,6 @@ def reference_verify(g, tc, nsd=False):
     return report
 
 
-def reference_equitable(g, tc):
-    report = reference_verify(g, tc)
-    if not report.proper:
-        raise VerificationFailed(
-            "equitability is only defined for proper colorings")
-    return report
-
-
 @st.composite
 def periodic_colorings(draw):
     """C_n(S), 3 <= n <= 60 or 129 <= n <= 192 (arrays past the 64 slots
@@ -406,7 +397,6 @@ def outcome(check, g, tc):
 
 
 CHECKS = ((verify_total_coloring, reference_verify),
-          (verify_equitable, reference_equitable),
           (verify_nsd, lambda g, tc: reference_verify(g, tc, nsd=True)))
 
 
@@ -447,7 +437,7 @@ class TestOnePeriod:
 class TestEquitable:
     def test_published_equitable_example(self):
         g = power_of_cycle(18, 4)
-        report = verify_equitable(g, rebuild_table(2))
+        report = verify_total_coloring(g, rebuild_table(2))
         assert report.proper and report.equitable
         sizes = report.class_sizes.values()
         assert max(sizes) - min(sizes) <= 1
@@ -463,11 +453,10 @@ class TestEquitable:
         assert verify_total_coloring(g, balanced).equitable
         assert not verify_total_coloring(g, lopsided).equitable
 
-    def test_improper_raises(self):
+    def test_improper_is_not_equitable(self):
         g, tc = k2_coloring()
-        bad = TotalColoring((1, 1, 3), tc.columns)
-        with pytest.raises(VerificationFailed):
-            verify_equitable(g, bad)
+        report = verify_total_coloring(g, TotalColoring((1, 1, 3), tc.columns))
+        assert not report.proper and not report.equitable
 
     @given(st.permutations(list(range(1, 7))))
     @settings(max_examples=30, deadline=None)
