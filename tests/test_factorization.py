@@ -159,31 +159,31 @@ def reference_edge_coloring(edges, num_colors, budget, start=None):
     With a partial total coloring ``start``, its edges are skipped and
     every other edge also avoids the colors at its endpoints: the
     completion of a tiling that thm21-even's fallback once searched."""
-    used = {}  # vertex -> set of colors
+    used = {}  # vertex -> bitmask of its colors, bit c for color c
     if start is not None:
-        used = {u: {c} for u, c in enumerate(start.vertex_colors)}
+        used = {u: 1 << c for u, c in enumerate(start.vertex_colors)}
         for (u, v), c in start.edge_items():
-            used[u].add(c)
-            used[v].add(c)
+            used[u] |= 1 << c
+            used[v] |= 1 << c
         edges = [e for e in edges if start.edge_color(*e) is None]
     edges = sorted(edges)
     for u, v in edges:
-        used.setdefault(u, set())
-        used.setdefault(v, set())
+        used.setdefault(u, 0)
+        used.setdefault(v, 0)
     assignment = {}
-    palette = set(range(1, num_colors + 1))
+    palette = (1 << (num_colors + 1)) - 2
     nodes = 0
 
     def available(e):
         u, v = e
-        return palette - used[u] - used[v]
+        return palette & ~(used[u] | used[v])
 
     def pick():
         best, best_n = None, num_colors + 1
         for e in edges:
             if e in assignment:
                 continue
-            a = len(available(e))
+            a = available(e).bit_count()
             if a < best_n:
                 best, best_n = e, a
                 if a == 0:
@@ -195,20 +195,23 @@ def reference_edge_coloring(edges, num_colors, budget, start=None):
         e = pick()
         if e is None:
             return True
-        at_u, at_v = used[e[0]], used[e[1]]
-        for c in sorted(available(e)):
+        u, v = e
+        free = available(e)
+        while free:  # colors in ascending order
+            bit = free & -free
+            free ^= bit
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(
                     "edge-coloring search exceeded %d nodes" % budget)
-            assignment[e] = c
-            at_u.add(c)
-            at_v.add(c)
+            assignment[e] = bit.bit_length() - 1
+            used[u] |= bit
+            used[v] |= bit
             if solve():
                 return True
             del assignment[e]
-            at_u.discard(c)
-            at_v.discard(c)
+            used[u] ^= bit
+            used[v] ^= bit
         return False
 
     return (assignment if solve() else None), nodes
