@@ -10,12 +10,12 @@ existence is guaranteed for connected even-order circulants, so the node
 budget only bounds time, never feasibility.  thm21-even's fallback is the
 pooled search over every residual distance: _factorize_pool on all of
 them at once.  The search is iterative, on an explicit stack with bitmask
-color domains, so its depth is not bound by Python's recursion limit.  It
-cuts a placement at once when it leaves a tight vertex (as many free
-colors as uncolored edges, as at every vertex of the pooled search) a
-free color that none of its uncolored edges can take.  Only subtrees
-without a solution are cut, so it finds the same coloring as the plain
-backtracking search, never in more nodes.
+color domains, so its depth is not bound by Python's recursion limit.
+Each placement is one pass over the edges that share an endpoint with
+it: the pass lowers their free-color counts and, on the same edges,
+tests for a dead end; _exact_edge_coloring states its two cut rules.
+Only subtrees without a solution are cut, so it finds the same coloring
+as the plain backtracking search, never in more nodes.
 
 The Delta+1 edge coloring is Misra-Gries fan rotation: one maximal fan,
 one c/d path inversion and one rotation per edge, with no search, on a
@@ -74,22 +74,31 @@ class EdgeColoring:
 def _exact_edge_coloring(edges, num_colors: int, budget: int) -> dict | None:
     """Backtracking proper edge coloring with colors 1..num_colors.
 
-    Iterative, on an explicit stack of [edge index, colors not yet tried
-    as a bitmask], with one used-color bitmask per vertex and a count of
-    free colors per uncolored edge.  The next edge is the first in sorted
-    order with the fewest free colors (MRV); its colors are tried in
-    ascending order, one search node each.  Placing or undoing a color
-    updates the counts of the edges at its two endpoints only.
+    Iterative, on a stack held as two parallel lists (edge indices, and
+    the colors each has not yet tried as a bitmask), with one used-color
+    bitmask per vertex and a count of free colors per uncolored edge.
+    The next edge is the first in sorted order with the fewest free
+    colors (MRV); its colors are tried in ascending order, one search
+    node each.
 
     A vertex is tight when it has as many free colors as uncolored
     edges, so each free color must go on one of those edges; placing a
-    color keeps a vertex tight or not.  A placement of color b on (u, v)
-    is a dead end, counted as a node and undone at once, when u or v is
+    color keeps a vertex tight or not.  The one caller, _factorize_pool,
+    colors a Delta-regular component with Delta colors, where every
+    vertex is tight; ``tight`` stays because the tests also search
+    graphs that are not regular.
+
+    Placing color b on (u, v) is one loop over the edges that share u or
+    v.  It lowers the free count of each uncolored one whose far end w
+    lacks b, and on that edge applies the far-end rule: the placement is
+    a dead end if w is tight and has no uncolored edge left that can
+    take b.  Every count is lowered even after the rule fires.  The
+    endpoint rule then runs at u, then at v: a dead end if the vertex is
     tight and has a free color that none of its uncolored edges can
-    take, or when the far end of an uncolored edge at u or v is tight,
-    lacks b and has no uncolored edge left that can take b.  Such a
-    subtree holds no coloring, so the first coloring found and its order
-    are those of the plain search, in at most its nodes.
+    take.  A dead end is counted as a node and undone at once; undoing
+    raises the same counts again.  Such a subtree holds no coloring, so
+    the first coloring found and its order are those of the plain
+    search, in at most its nodes.
 
     Returns (u, v) -> color, in the order the edges were colored, or None
     if the search space is exhausted; raises SearchBudgetExceeded when the
@@ -110,28 +119,6 @@ def _exact_edge_coloring(edges, num_colors: int, budget: int) -> dict | None:
     free = [num_colors] * len(edges)  # free colors per uncolored edge
     tight = [len(at) == num_colors for at in incident]
 
-    def dead(j, bit) -> bool:
-        """After bit went on edge j: a tight vertex has a free color that
-        none of its uncolored edges can take."""
-        for x in edges[j]:
-            if tight[x]:
-                need = full & ~used[x]
-                for k, w in incident[x]:
-                    if not color[k]:
-                        need &= used[w]
-                        if not need:
-                            break
-                if need:
-                    return True
-        for k, w in near[j]:
-            if not color[k] and tight[w] and not used[w] & bit:
-                for i, y in incident[w]:
-                    if not color[i] and not used[y] & bit:
-                        break
-                else:
-                    return True
-        return False
-
     # Colored edges hold a count above every real one, so the first
     # uncolored edge with the fewest free colors is the first index of the
     # least count: memchr over a bytearray when counts fit a byte.
@@ -149,17 +136,18 @@ def _exact_edge_coloring(edges, num_colors: int, budget: int) -> dict | None:
         least = min(cnt, default=done)
         return cnt.index(least) if least < done else -1
 
-    stack = []
+    stack, untried_at = [], []  # edge indices, and their untried colors
     nodes = 0
     while True:
         j = pick()
         if j < 0:
-            return {edges[i]: color[i].bit_length() - 1 for i, _ in stack}
+            return {edges[i]: color[i].bit_length() - 1 for i in stack}
         u, v = edges[j]
-        stack.append([j, full & ~(used[u] | used[v])])
+        stack.append(j)
+        untried_at.append(full & ~(used[u] | used[v]))
         while True:
-            frame = stack[-1]
-            j, untried = frame
+            j = stack[-1]
+            untried = untried_at[-1]
             u, v = edges[j]
             bit = color[j]
             if bit:  # undo the color tried last
@@ -171,12 +159,13 @@ def _exact_edge_coloring(edges, num_colors: int, budget: int) -> dict | None:
                         cnt[k] += 1
             if not untried:
                 stack.pop()
-                cnt[j] = bin(full & ~(used[u] | used[v])).count("1")
+                untried_at.pop()
+                cnt[j] = (full & ~(used[u] | used[v])).bit_count()
                 if not stack:
                     return None
                 continue
             bit = untried & -untried
-            frame[1] = untried ^ bit
+            untried_at[-1] = untried ^ bit
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(
@@ -185,10 +174,29 @@ def _exact_edge_coloring(edges, num_colors: int, budget: int) -> dict | None:
             cnt[j] = done
             used[u] |= bit
             used[v] |= bit
+            dead = False
             for k, w in near[j]:
                 if not color[k] and not used[w] & bit:
                     cnt[k] -= 1
-            if not dead(j, bit):
+                    if tight[w] and not dead:  # the far-end rule
+                        for i, y in incident[w]:
+                            if not color[i] and not used[y] & bit:
+                                break
+                        else:
+                            dead = True
+            if dead:
+                continue
+            for x in u, v:  # the endpoint rule
+                if tight[x]:
+                    need = full & ~used[x]
+                    for k, w in incident[x]:
+                        if not color[k]:
+                            need &= used[w]
+                            if not need:
+                                break
+                    if need:
+                        break
+            else:  # no dead end: pick the next edge
                 break
 
 

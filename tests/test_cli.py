@@ -450,14 +450,21 @@ class TestExitContract:
                      "--k", "10", "--i", "1"]) == EXIT_OK
 
     def test_pooled_search_within_budget(self, capsys):
-        # the pooled 1-factorization needs 13,566 nodes; without the
-        # dead-end rule at tight vertices it needed 136,332 and the run
-        # exited 4
-        assert main(["--budget", "20000", "color", "--method", "thm21-even",
-                     "--n", "42", "--k", "20", "--i", "1",
-                     "--format", "json"]) == EXIT_OK
-        report = json.loads(capsys.readouterr().out)["report"]
-        assert report["colors_used"] == 41
+        # the pooled 1-factorization (252 edges, 12 colours) needs 13,566
+        # nodes, the most of any pooled search a test runs; the digest
+        # pins its colouring
+        argv = ["color", "--method", "thm21-even", "--n", "42", "--k", "20",
+                "--i", "1", "--format", "json"]
+        assert main(["--budget", "20000"] + argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "687daed7895c4cb050de3e22dda3955a"
+            "4ef37a6d68932de4cf3219a1983a2e9b")
+        assert json.loads(out)["report"]["colors_used"] == 41
+        assert main(["--budget", "13566"] + argv) == EXIT_OK
+        capsys.readouterr()
+        assert main(["--budget", "13565"] + argv) == EXIT_BUDGET
+        assert "exceeded 13565 nodes" in capsys.readouterr().err
 
     def test_report_path_is_a_directory(self, tmp_path, capsys):
         (tmp_path / "d.report.json").mkdir()

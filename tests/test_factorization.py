@@ -358,6 +358,20 @@ class TestExactEdgeColoring:
                 (sum(x in e for e in edges) for x in range(n)), default=0)
             assert_same_search(edges, num_colors, 20_000)
 
+    @pytest.mark.parametrize("m,ds,degree,nodes", [
+        # the pooled components of thm21-even (330, 10, 1) and
+        # (1100, 10, 1): 1,320 and 1,100 edges, more than the recursive
+        # reference can search, so the kernel's own node counts are pinned
+        (330, [6, 7, 8, 10], 8, 5902), (550, [3, 4], 4, 1121)])
+    def test_pools_beyond_the_reference(self, m, ds, degree, nodes):
+        g = build_circulant(m, ds)
+        assert g.degree == degree
+        got = _exact_edge_coloring(g.edges, degree, nodes)
+        check_proper_edge_coloring(g.edges, EdgeColoring(got), degree)
+        with pytest.raises(SearchBudgetExceeded,
+                           match="exceeded %d nodes" % (nodes - 1)):
+            _exact_edge_coloring(g.edges, degree, nodes - 1)
+
     def test_palette_wider_than_a_byte(self):
         # free-color counts above 255 take the list path of the pick
         g = build_circulant(12, [1, 2, 3])
