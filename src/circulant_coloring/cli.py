@@ -6,7 +6,8 @@ Every subcommand exits with one of:
 
     0  success
     1  any other toolkit error (a missing fixture), a fixture mismatch,
-       or stdout closed before the output was written (a broken pipe)
+       stdout closed before the output was written (a broken pipe), or
+       the process ran out of memory (the output may be partial)
     2  precondition failed: a bad or missing argument (a --budget below
        0 included), a malformed or unreadable file, an instance too
        large for the oracle
@@ -33,7 +34,7 @@ from .coloring import (
     TotalColoring,
     _opened,
     coloring_from_csv_text,
-    coloring_json_text,
+    coloring_json_chunks,
     matrix_csv_lines,
     read_coloring_json,
     read_matrix_csv,
@@ -115,7 +116,7 @@ def _emit(tc: TotalColoring, fmt: str, out: str | None, suffix: str,
             fh.write("\n")
         return
     if fmt == "json":
-        sys.stdout.write(coloring_json_text(tc, extra))
+        sys.stdout.writelines(coloring_json_chunks(tc, extra))
         sys.stdout.write("\n")
     else:
         sys.stdout.writelines(map("%s\n".__mod__, matrix_csv_lines(tc)))
@@ -339,6 +340,11 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except CirculantColoringError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_FAIL
+    except MemoryError:
+        # the writers stream, so what was written before stays written
+        print("out of memory: the run needs more memory than this process "
+              "may allocate", file=sys.stderr)
         return EXIT_FAIL
 
 

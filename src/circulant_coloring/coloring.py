@@ -8,9 +8,11 @@ has a slot, so colored non-edges read from a file reach the verifier.
 
 The color matrix view is the n x n symmetric array with vertex colors on
 the diagonal and edge colors off it, mirroring the published tables; blank
-cells are non-edges.  Reading or writing a coloring never holds that grid.
-Files are read as UTF-8, a leading byte-order mark allowed; a CSV text is
-split on comma runs unless a '"' or a NUL sends it to csv.reader.
+cells are non-edges.  Reading or writing a coloring never holds that grid,
+and the writers emit it in blocks of rows, so the memory they take is the
+columns plus one block, whatever the size of the output.  Files are read
+as UTF-8, a leading byte-order mark allowed; a CSV text is split on comma
+runs unless a '"' or a NUL sends it to csv.reader.
 """
 
 from __future__ import annotations
@@ -77,8 +79,9 @@ class TotalColoring:
 
     def edge_items(self):
         """((u, v), color) of every colored pair u < v, in sorted order."""
-        flat = _sorted_pairs(self, range(self.n), range(self.n))
-        return zip(zip(flat[1::3], flat[2::3]), flat[0::3])
+        return chain.from_iterable(
+            zip(zip(flat[1::3], flat[2::3]), flat[0::3])
+            for flat in _pair_blocks(self))
 
     def with_edge_colors(self, updates: dict) -> "TotalColoring":
         us, vs = zip(*updates) if updates else ((), ())
@@ -98,13 +101,18 @@ class BuildReport:
     verification: object = None  # the VerificationReport that accepted it
 
 
+_BLOCK_ROWS = 1024  # the most color-matrix rows a writer lays out at a time
+
+
 def _row_runs(tc: TotalColoring, lower: bool = False):
-    """(a, b, cells) for each of the three runs a <= u < b of color-matrix
-    rows, split at the largest distance lo and at n - lo: cells is the
-    sorted (offset, column, shift, start, end) of each offset that rows
-    start <= u < end of the run hold, at column u + offset with color
-    column[u + shift].  The offsets d and, below n/2, n - d are the pairs
-    (u, v > u); ``lower`` adds the vertex at 0, -d and, below n/2, d - n."""
+    """(a, b, cells) for each block a <= u < b of at most _BLOCK_ROWS
+    color-matrix rows, in order.  The blocks cut three runs of rows, split
+    at the largest distance lo and at n - lo, so every offset of a block
+    of the middle run spans all its rows.  cells is the sorted (offset,
+    column, shift, start, end) of each offset that rows start <= u < end
+    of the block hold, at column u + offset with color column[u + shift].
+    The offsets d and, below n/2, n - d are the pairs (u, v > u);
+    ``lower`` adds the vertex at 0, -d and, below n/2, d - n."""
     n, cols = tc.n, tc.columns
     cells = [(0, tc.vertex_colors, 0)] if lower else []
     for d, col in cols.items():
@@ -113,32 +121,43 @@ def _row_runs(tc: TotalColoring, lower: bool = False):
             cells += [(n - d, col, n - d), (d - n, col, 0)][:1 + lower]
     cells.sort(key=itemgetter(0))
     lo = max(cols, default=0)
-    for a, b in (0, lo), (lo, n - lo), (n - lo, n):  # a run may be empty
-        yield a, b, [(offset, col, shift, max(a, -offset), min(b, n - offset))
-                     for offset, col, shift in cells
-                     if -offset < b and offset < n - a]
+    for first, last in (0, lo), (lo, n - lo), (n - lo, n):
+        for a in range(first, last, _BLOCK_ROWS):
+            b = min(a + _BLOCK_ROWS, last)
+            yield a, b, [(offset, col, shift, max(a, -offset),
+                          min(b, n - offset))
+                         for offset, col, shift in cells
+                         if -offset < b and offset < n - a]
 
 
-def _sorted_pairs(tc: TotalColoring, lefts, rights) -> list:
-    """[color, lefts[u], rights[v]] for each of tc's colored pairs (u, v),
-    u < v, in sorted order, flattened.  Each run of _row_runs is laid out
-    by slice assignment, one offset at a time; the rows past an offset's
-    stay None and are dropped with the uncolored pairs."""
-    flat = []
+def _pair_blocks(tc: TotalColoring, left=lambda r: r, right=lambda r: r):
+    """For each block of _row_runs, [color, left u, right v] of each of its
+    colored pairs (u, v), u < v, in sorted order, flattened.  left and
+    right label a range of vertices as a sequence, the range itself by
+    default; they are given the block's rows [a, b), the window [a,
+    min(n, b + lo)) of its unwrapped right ends and, once, the wrapped
+    right ends [n - lo, n).  A block is laid out by slice assignment, one
+    offset at a time; the rows past an offset's stay None and are dropped
+    with the uncolored pairs."""
+    n = tc.n
+    lo = max(tc.columns, default=0)
+    wrapped = right(range(n - lo, n))  # v of the offsets n - d > lo
     for a, b, cells in _row_runs(tc):
+        lefts, rights = left(range(a, b)), right(range(a, min(n, b + lo)))
         width = 3 * len(cells)
         block = [None] * (width * (b - a))
         for j, (offset, col, shift, start, end) in enumerate(cells):
             i, k = 3 * j + width * (start - a), 3 * j + width * (end - a)
             block[i:k:width] = col[start + shift:end + shift]
-            block[i + 1:k + 1:width] = lefts[start:end]
-            block[i + 2:k + 2:width] = rights[start + offset:end + offset]
+            block[i + 1:k + 1:width] = lefts[start - a:end - a]
+            block[i + 2:k + 2:width] = (
+                rights[start + offset - a:end + offset - a] if offset <= lo
+                else wrapped[start + offset - n + lo:end + offset - n + lo])
         if None in block[0::3]:  # drop padding and uncolored pairs
             keep = [*map(is_not, block[0::3], repeat(None))]
             keep = chain.from_iterable(zip(keep, keep, keep))
             block = [*compress(block, keep)]
-        flat += block
-    return flat
+        yield block
 
 
 def to_matrix(tc: TotalColoring) -> list[list]:
@@ -156,10 +175,10 @@ def to_matrix(tc: TotalColoring) -> list[list]:
 def matrix_csv_lines(tc: TotalColoring):
     """CSV layout of the published tables, one line at a time: header
     row/column of vertex indices, blank cells for non-edges and uncolored
-    vertices.  The runs of _row_runs(tc, lower=True) are laid out one offset
-    at a time, each piece the offset's gap of commas and its color.  A row
-    is the window of offsets bisect finds in columns 0..n-1; its first piece
-    drops its gap, which counts from outside the row."""
+    vertices.  The blocks of _row_runs(tc, lower=True) are laid out one
+    offset at a time, each piece the offset's gap of commas and its color.
+    A row is the window of offsets bisect finds in columns 0..n-1; its
+    first piece drops its gap, which counts from outside the row."""
     n = tc.n
     # csv quotes a lone empty field, so the header of n = 0 is ""
     yield ",".join(["", *map(str, range(n))]) or '""'
@@ -353,37 +372,44 @@ _EDGE_JSON = ('{\n "edges": [\n  {\n   "c": ', ',\n   "u": %d,\n   "v": ',
               '%d\n  },\n  {\n   "c": ', ',\n  {\n   "c": ', '\n ],')
 
 
-def coloring_json_text(tc: TotalColoring, report: dict | None = None) -> str:
+def coloring_json_chunks(tc: TotalColoring, report: dict | None = None):
     """The JSON document of tc as json.dumps(indent=1, sort_keys=True) lays
-    it out, byte for byte for int and None colours: "edges" as sorted
-    {"u", "v", "c"} objects, "n", ``report`` when given, "vertex_colors".
-    Each edge is three pieces of text, each formatted once per distinct
-    colour or endpoint; only ``report`` goes through json.dumps."""
+    it out, byte for byte for int and None colours, one block of rows at a
+    time: "edges" as sorted {"u", "v", "c"} objects, "n", ``report`` when
+    given, "vertex_colors".  Each edge is three pieces of text, each
+    formatted once per distinct colour and once per block for an
+    endpoint; only ``report`` goes through json.dumps.  A block's last
+    piece is held back, as only the very last edge drops next_edge."""
     n = tc.n
     opening, with_u, with_v, next_edge, closing = _EDGE_JSON
-    parts = _sorted_pairs(tc, [*map(with_u.__mod__, range(n))],
-                          [*map(with_v.__mod__, range(n))])
-    text = ['{\n "edges": [],']
-    if parts:  # parts[3i:3i + 3] is edge i
-        colours = set(parts[0::3])
-        parts[0::3] = map(dict(zip(colours, map("%d".__mod__, colours))).get,
-                          parts[0::3])
-        parts[-1] = parts[-1][:-len(next_edge)]  # no edge after the last
-        text = [opening, "".join(parts), closing]
-    text.append('\n "n": %d,' % n)
+    colours = {}  # colour -> its text
+    held = None  # the last piece so far, opening before the first edge
+    for block in _pair_blocks(tc, lambda r: [*map(with_u.__mod__, r)],
+                              lambda r: [*map(with_v.__mod__, r)]):
+        if block:  # block[3i:3i + 3] is an edge
+            for c in set(block[0::3]).difference(colours):
+                colours[c] = "%d" % c
+            block[0::3] = map(colours.__getitem__, block[0::3])
+            block[0] = (opening if held is None else held) + block[0]
+            held = block.pop()
+            yield "".join(block)
+    yield ('{\n "edges": [],' if held is None
+           else held[:-len(next_edge)] + closing)
+    yield '\n "n": %d,' % n
     if report is not None:
-        text += ['\n "report": ', json.dumps(report, indent=1, sort_keys=True)
-                 .replace("\n", "\n "), ","]
+        yield '\n "report": %s,' % json.dumps(
+            report, indent=1, sort_keys=True).replace("\n", "\n ")
+    yield '\n "vertex_colors": ' + ("[\n  " if n else "[]")
     values = {c: "null" if c is None else "%d" % c for c in tc.vertex_colors}
-    listed = ",\n  ".join(map(values.__getitem__, tc.vertex_colors))
-    text.append('\n "vertex_colors": %s\n}'
-                % ("[\n  %s\n ]" % listed if n else "[]"))
-    return "".join(text)
+    for a in range(0, n, _BLOCK_ROWS):
+        yield (",\n  " if a else "") + ",\n  ".join(
+            map(values.__getitem__, tc.vertex_colors[a:a + _BLOCK_ROWS]))
+    yield "\n ]\n}" if n else "\n}"
 
 
 def write_coloring_json(tc: TotalColoring, path) -> None:
     with _opened(path, "w") as fh:
-        fh.write(coloring_json_text(tc))
+        fh.writelines(coloring_json_chunks(tc))
         fh.write("\n")
 
 

@@ -544,6 +544,49 @@ class TestExitContract:
         assert json.loads(proc.stdout)["report"]["colors_used"] == 21
 
 
+class TestMemory:
+    """``color`` in a child that lowers its own address-space limit (MiB,
+    its first argument) once the package is imported."""
+
+    SCRIPT = ("import resource, sys\n"
+              "from circulant_coloring.cli import main\n"
+              "limit = int(sys.argv.pop(1)) << 20\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+              "sys.exit(main(sys.argv[1:]))")
+
+    @staticmethod
+    def run(limit_mib, n):
+        """(exit code, sha256 of stdout, stderr) of thm21-even (n, 10, 11)
+        as JSON; stdout is hashed as it arrives, never held."""
+        pytest.importorskip("resource")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", TestMemory.SCRIPT, str(limit_mib),
+             "color", "--method", "thm21-even", "--n", str(n), "--k", "10",
+             "--i", "11", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        digest = hashlib.sha256()
+        for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+            digest.update(chunk)
+        err = proc.stderr.read().decode()
+        proc.stdout.close()
+        proc.stderr.close()
+        return proc.wait(timeout=60), digest.hexdigest(), err
+
+    def test_out_of_memory_is_an_exit_code(self):
+        # the columns of n = 21,000,000 alone take 1.7 GB
+        code, _, err = self.run(128, 21_000_000)
+        assert code == EXIT_FAIL
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("out of memory")
+
+    def test_json_writer_streams(self):
+        # 107 MB of JSON from 17 MB of columns, well inside 192 MiB
+        code, digest, err = self.run(192, 210_000)
+        assert (code, err) == (EXIT_OK, "")
+        assert digest == ("5eb46ec0186f49a3d7d4e452a930eea3"
+                          "b8c1c63bc9dfab85f0af651ca4bd0aa1")
+
+
 class TestMalformedInput:
     def verify(self, path):
         return main(["verify", "--n", "3", "--gens", "1", "--in", str(path)])

@@ -4,18 +4,20 @@ import json
 import random
 from importlib import resources
 from itertools import compress
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circulant_coloring import coloring
 from circulant_coloring.coloring import (
     _EDGE_JSON,
     TotalColoring,
     _filled_cells,
     coloring_from_csv_text,
     coloring_from_json_dict,
-    coloring_json_text,
+    coloring_json_chunks,
     matrix_csv_lines,
     parse_matrix_csv_text,
     read_coloring_json,
@@ -99,6 +101,10 @@ def reference_coloring(text: str) -> TotalColoring:
 
 def csv_text(tc) -> str:
     return "\n".join(matrix_csv_lines(tc))
+
+
+def json_text(tc, report=None) -> str:
+    return "".join(coloring_json_chunks(tc, report))
 
 
 def matrix_text(matrix) -> str:
@@ -317,14 +323,14 @@ class TestFiles:
 
 class TestJsonDict:
     def test_shape(self):
-        d = json.loads(coloring_json_text(sample_coloring()))
+        d = json.loads(json_text(sample_coloring()))
         assert d["n"] == 4
         assert {"u": 0, "v": 1, "c": 3} in d["edges"]
 
     def test_round_trip(self):
         tc = sample_coloring()
         assert coloring_from_json_dict(
-            json.loads(coloring_json_text(tc))) == tc
+            json.loads(json_text(tc))) == tc
 
 
 def matrix_csv_reference(tc) -> str:
@@ -358,7 +364,7 @@ class TestWriters:
             doc = json_dict(tc)
             if report is not None:
                 doc["report"] = report
-            assert coloring_json_text(tc, report) == json.dumps(
+            assert json_text(tc, report) == json.dumps(
                 doc, indent=1, sort_keys=True)
 
     def test_json_file_is_json_dump(self, tmp_path):
@@ -401,10 +407,10 @@ def test_random_colorings_round_trip(n, rnd):
     matrix, _ = parse_matrix_csv_text(text)
     assert from_matrix(matrix) == tc
     assert coloring_from_csv_text(text) == tc
-    assert coloring_from_json_dict(json.loads(coloring_json_text(tc))) == tc
+    assert coloring_from_json_dict(json.loads(json_text(tc))) == tc
     with_report = json_dict(tc)
     with_report["report"] = {"n": n}
-    assert coloring_json_text(tc, {"n": n}) == json.dumps(
+    assert json_text(tc, {"n": n}) == json.dumps(
         with_report, indent=1, sort_keys=True)
 
 
@@ -507,7 +513,7 @@ class TestColumnLayout:
         tc = TotalColoring.from_pairs(vertex_colors, pairs)
         assert list(matrix_csv_lines(tc)) == list(
             reference_csv_lines(vertex_colors, pairs))
-        assert coloring_json_text(tc, report) == reference_json_text(
+        assert json_text(tc, report) == reference_json_text(
             vertex_colors, pairs, report)
 
     # Dense colourings: every distance, so the rows near the wrap hold many
@@ -522,7 +528,7 @@ class TestColumnLayout:
                      for u in range(n) for v in range(u + 1, n)
                      if tc.edge_color(u, v) is not None}
         assert list(tc.edge_items()) == sorted(pairs.items())
-        assert coloring_json_text(tc) == reference_json_text(
+        assert json_text(tc) == reference_json_text(
             tc.vertex_colors, pairs)
         lines = list(matrix_csv_lines(tc))
         assert lines == list(reference_csv_lines(tc.vertex_colors, pairs))
@@ -568,7 +574,7 @@ class TestColumnLayout:
                    for u in range(n) for v in range(u + 1, n))
         assert coloring_from_csv_text(csv_text(tc)) == tc
         assert coloring_from_json_dict(
-            json.loads(coloring_json_text(tc))) == tc
+            json.loads(json_text(tc))) == tc
 
     @given(sparse_colorings(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -589,6 +595,50 @@ class TestColumnLayout:
         except VerificationFailed as exc:
             message = str(exc)
         assert message == reference_check(g, vertex_colors, pairs)
+
+
+def dense_pairs(n):
+    """Every pair of Z_n, coloured by its endpoints."""
+    return {(u, v): u * v % 4 + 1 for u in range(n) for v in range(u + 1, n)}
+
+
+class TestBlocks:
+    """The writers and edge_items with blocks of 1, 2, 3 and n + 1 rows:
+    the JSON against the reference, the CSV and the pairs against their
+    output at the default block size."""
+
+    @staticmethod
+    def assert_blocks_agree(vertex_colors, pairs, report=None):
+        tc = TotalColoring.from_pairs(vertex_colors, pairs)
+        lines, items = list(matrix_csv_lines(tc)), list(tc.edge_items())
+        for size in (1, 2, 3, tc.n + 1):
+            with mock.patch.object(coloring, "_BLOCK_ROWS", size):
+                assert json_text(tc, report) == reference_json_text(
+                    vertex_colors, pairs, report)
+                assert list(matrix_csv_lines(tc)) == lines
+                assert list(tc.edge_items()) == items
+
+    @given(sparse_colorings(), st.sampled_from([None, {}, {"a": [1, "x"]}]))
+    @settings(max_examples=200, deadline=None)
+    def test_sparse(self, case, report):
+        vertex_colors, pairs, _ = case
+        self.assert_blocks_agree(vertex_colors, pairs, report)
+
+    @pytest.mark.parametrize("vertex_colors,pairs", [
+        # blocks with no coloured pair between the first edge and the last
+        ((1,) * 30, {(0, 29): 1, (2, 3): 2, (20, 21): 1}),
+        ((1,) * 12, {(10, 11): 3}),
+        # involution columns, with the largest distance below it and alone
+        ((2,) * 10, {**{(u, u + 5): u + 1 for u in range(5)}, (3, 4): 1}),
+        ((1, 2) * 4, {(u, u + 4): 7 for u in (0, 2, 3)}),
+        # dense, n < 3 lo: the middle run is shorter than lo
+        *((((None, 1, 2) * 3)[:n], dense_pairs(n)) for n in (5, 7, 8)),
+        ((), {}), ((1,), {}), ((1, 2), {(0, 1): 3}),
+        ((1, None, 2, 3), {}),  # no edges
+    ])
+    def test_edge_cases(self, vertex_colors, pairs):
+        self.assert_blocks_agree(vertex_colors, pairs)
+        self.assert_blocks_agree(vertex_colors, pairs, {"n": 0})
 
 
 @st.composite
