@@ -182,7 +182,7 @@ def color_power_cycle_odd(n: int, k: int, i: int) -> BuildReport:
     notes = "tiled distances 1..%d with order-%d square" % (m, q)
     if residual:
         sub = build_circulant(n, residual)
-        ec = edge_color_delta_plus_one(sub.edges, q + 1)
+        ec = edge_color_delta_plus_one(sub, q + 1)
         tc = tc.with_edge_colors(ec.colors)
         notes += "; residual %r edge-colored (Vizing)" % (residual,)
     return _verified(g, tc, 2 * k + 2, notes=notes)

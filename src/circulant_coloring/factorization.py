@@ -4,10 +4,10 @@ coloring.
 The 1-factorization is structure-first: the involution distance gives one
 factor directly and every distance whose cyclic orbits are even splits
 into two factors by alternation.  Distances whose orbits are odd cycles
-are pooled (topping the pool up with further distances until its
-components have even order) and handled by an exact edge-coloring search;
-existence is guaranteed for connected even-order circulants, so the node
-budget only bounds time, never feasibility.  thm21-even's fallback is the
+are pooled with one donor distance, which gives the pool's components
+even order, and handled by an exact edge-coloring search; existence is
+guaranteed for connected even-order circulants, so the node budget only
+bounds time, never feasibility.  thm21-even's fallback is the
 pooled search over every residual distance: _factorize_pool on all of
 them at once.  The search is iterative, on an explicit stack with bitmask
 color domains, so its depth is not bound by Python's recursion limit.
@@ -17,10 +17,12 @@ tests for a dead end; _exact_edge_coloring states its two cut rules.
 Only subtrees without a solution are cut, so it finds the same coloring
 as the plain backtracking search, never in more nodes.
 
-The Delta+1 edge coloring is Misra-Gries fan rotation: one maximal fan,
-one c/d path inversion and one rotation per edge, with no search, on a
-color-indexed neighbor list and a used-color bitmask per vertex rank;
-the colors are read out once, in sorted pair order, from first_color up.
+Both kernels color the edges of a circulant: the pool's component, or
+thm21-odd's residual distances.  The Delta+1 edge coloring is Misra-Gries
+fan rotation: one maximal fan, one c/d path inversion and one rotation
+per edge, with no search, on a color-indexed neighbor list and a
+used-color bitmask per vertex; the colors are read out once, in sorted
+pair order, from first_color up.
 
 The factors come out as color columns in the layout of
 TotalColoring.columns, each factor one color: a peeled distance d with
@@ -34,9 +36,7 @@ pairs.  An edge is the pair (u, v) with u < v.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 from .coloring import TotalColoring
 from .errors import (
@@ -48,6 +48,9 @@ from .graphs import CirculantGraph, build_circulant
 
 # Node budget of each exact search in a build, unless the caller passes one.
 DEFAULT_SEARCH_BUDGET = 2_000_000
+
+# The exact search keeps free-color counts below this in a bytearray.
+_BYTE_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -66,49 +69,43 @@ class Factorization:
 @dataclass(frozen=True)
 class EdgeColoring:
     """colors[(u, v)], u < v, in sorted order: keyed by pair, not column,
-    as the edges need not be a circulant's (the trace reads len(colors))."""
+    as the benchmark trace counts the edges colored by len(colors)."""
 
     colors: dict
 
 
-def _exact_edge_coloring(edges, num_colors: int, budget: int) -> dict | None:
-    """Backtracking proper edge coloring with colors 1..num_colors.
+def _exact_edge_coloring(g: CirculantGraph, budget: int) -> dict | None:
+    """Backtracking proper edge coloring of g.edges with colors
+    1..g.degree.
 
     Iterative, on a stack held as two parallel lists (edge indices, and
     the colors each has not yet tried as a bitmask), with one used-color
     bitmask per vertex and a count of free colors per uncolored edge.
-    The next edge is the first in sorted order with the fewest free
-    colors (MRV); its colors are tried in ascending order, one search
-    node each.
+    The next edge is the first in g.edges with the fewest free colors
+    (MRV); its colors are tried in ascending order, one search node each.
 
-    A vertex is tight when it has as many free colors as uncolored
-    edges, so each free color must go on one of those edges; placing a
-    color keeps a vertex tight or not.  The one caller, _factorize_pool,
-    colors a Delta-regular component with Delta colors, where every
-    vertex is tight; ``tight`` stays because the tests also search
-    graphs that are not regular.
-
-    Placing color b on (u, v) is one loop over the edges that share u or
-    v.  It lowers the free count of each uncolored one whose far end w
-    lacks b, and on that edge applies the far-end rule: the placement is
-    a dead end if w is tight and has no uncolored edge left that can
-    take b.  Every count is lowered even after the rule fires.  The
-    endpoint rule then runs at u, then at v: a dead end if the vertex is
-    tight and has a free color that none of its uncolored edges can
-    take.  A dead end is counted as a node and undone at once; undoing
-    raises the same counts again.  Such a subtree holds no coloring, so
-    the first coloring found and its order are those of the plain
-    search, in at most its nodes.
+    g is Delta-regular and colored with Delta colors, so at every vertex
+    each free color must go on one of its uncolored edges: the two cut
+    rules rest on that.  Placing color b on (u, v) is one loop over the
+    edges that share u or v.  It lowers the free count of each uncolored
+    one whose far end w lacks b, and on that edge applies the far-end
+    rule: the placement is a dead end if w has no uncolored edge left
+    that can take b.  Every count is lowered even after the rule fires.
+    The endpoint rule then runs at u, then at v: a dead end if the vertex
+    has a free color that none of its uncolored edges can take.  A dead
+    end is counted as a node and undone at once; undoing raises the same
+    counts again.  Such a subtree holds no coloring, so the first
+    coloring found and its order are those of the plain search, in at
+    most its nodes.
 
     Returns (u, v) -> color, in the order the edges were colored, or None
     if the search space is exhausted; raises SearchBudgetExceeded when the
     node budget runs out.
     """
-    edges = sorted(edges)
-    n = max((v for _, v in edges), default=-1) + 1
-    full = (1 << (num_colors + 1)) - 2  # bit c stands for color c
-    used = [0] * n
-    incident = [[] for _ in range(n)]  # vertex -> [(edge index, other end)]
+    edges, delta = g.edges, g.degree
+    full = (1 << (delta + 1)) - 2  # bit c stands for color c
+    used = [0] * g.n
+    incident = [[] for _ in range(g.n)]  # vertex -> [(edge index, other end)]
     for j, (u, v) in enumerate(edges):
         incident[u].append((j, v))
         incident[v].append((j, u))
@@ -116,14 +113,13 @@ def _exact_edge_coloring(edges, num_colors: int, budget: int) -> dict | None:
     near = [[kw for kw in incident[u] + incident[v] if kw[0] != j]
             for j, (u, v) in enumerate(edges)]
     color = [0] * len(edges)  # edge index -> bit of its color, 0 if none
-    free = [num_colors] * len(edges)  # free colors per uncolored edge
-    tight = [len(at) == num_colors for at in incident]
+    free = [delta] * len(edges)  # free colors per uncolored edge
 
     # Colored edges hold a count above every real one, so the first
     # uncolored edge with the fewest free colors is the first index of the
     # least count: memchr over a bytearray when counts fit a byte.
-    done = num_colors + 1
-    narrow = done < 256
+    done = delta + 1
+    narrow = done < _BYTE_LIMIT
     cnt = bytearray(free) if narrow else free
 
     def pick() -> int:
@@ -178,7 +174,7 @@ def _exact_edge_coloring(edges, num_colors: int, budget: int) -> dict | None:
             for k, w in near[j]:
                 if not color[k] and not used[w] & bit:
                     cnt[k] -= 1
-                    if tight[w] and not dead:  # the far-end rule
+                    if not dead:  # the far-end rule
                         for i, y in incident[w]:
                             if not color[i] and not used[y] & bit:
                                 break
@@ -187,15 +183,14 @@ def _exact_edge_coloring(edges, num_colors: int, budget: int) -> dict | None:
             if dead:
                 continue
             for x in u, v:  # the endpoint rule
-                if tight[x]:
-                    need = full & ~used[x]
-                    for k, w in incident[x]:
-                        if not color[k]:
-                            need &= used[w]
-                            if not need:
-                                break
-                    if need:
-                        break
+                need = full & ~used[x]
+                for k, w in incident[x]:
+                    if not color[k]:
+                        need &= used[w]
+                        if not need:
+                            break
+                if need:
+                    break
             else:  # no dead end: pick the next edge
                 break
 
@@ -226,27 +221,20 @@ def one_factorize(g: CirculantGraph, first_color: int = 1,
             pooled.append(d)
 
     if pooled:
-        # grow the pool until its components have even order; the
-        # involution is a last-resort donor (it would otherwise be a
-        # one-step factor on its own)
-        peelable.sort()
-        while (n // math.gcd(n, *pooled)) % 2:
-            movable = [
-                d for d in peelable
-                if (n // math.gcd(n, d, *pooled)) % 2 == 0
-            ]
-            if movable:
-                pooled.append(movable[0])
-                peelable.remove(movable[0])
-            elif involution is not None and (
-                    n // math.gcd(n, involution, *pooled)) % 2 == 0:
-                pooled.append(involution)
-                involution = None
-            else:
-                raise FactorizationImpossible(
-                    "distances %r span components of odd order %d"
-                    % (sorted(pooled), n // math.gcd(n, *pooled))
-                )
+        # d is pooled iff 2 divides it at least as often as n, and any
+        # other distance as donor gives the pool components of even order:
+        # the smallest peelable one, else the involution (which would
+        # otherwise be a one-step factor on its own)
+        if peelable:
+            pooled.append(peelable.pop(0))
+        elif involution is not None:
+            pooled.append(involution)
+            involution = None
+        else:
+            raise FactorizationImpossible(
+                "distances %r span components of odd order %d"
+                % (pooled, n // math.gcd(n, *pooled))
+            )
 
     columns, c = {}, first_color
     if involution is not None:
@@ -277,12 +265,11 @@ def _factorize_pool(n: int, pool: list[int], first_color: int,
     d0 = math.gcd(n, *pool)
     m = n // d0  # component order, even by construction
     comp = build_circulant(m, [p // d0 for p in pool])
-    num_colors = comp.degree
-    solution = _exact_edge_coloring(comp.edges, num_colors, budget)
+    solution = _exact_edge_coloring(comp, budget)
     if solution is None:
         raise FactorizationImpossible(
             "no %d-edge-coloring of component circulant C_%d(%r)"
-            % (num_colors, m, [p // d0 for p in pool])
+            % (comp.degree, m, [p // d0 for p in pool])
         )
     shift = first_color - 1
     comp_columns = TotalColoring.from_pairs([None] * m, solution).columns
@@ -292,45 +279,33 @@ def _factorize_pool(n: int, pool: list[int], first_color: int,
 
 # -- constructive Vizing -----------------------------------------------------
 
-def edge_color_delta_plus_one(edges, first_color: int = 1) -> EdgeColoring:
-    """Proper edge coloring with at most Delta+1 colors, from first_color
-    up, by Misra-Gries fan rotation (Misra & Gries, "A constructive proof
-    of Vizing's theorem", IPL 41, 1992).
+def edge_color_delta_plus_one(g: CirculantGraph,
+                              first_color: int = 1) -> EdgeColoring:
+    """Proper edge coloring of g.edges with at most Delta+1 colors, from
+    first_color up, by Misra-Gries fan rotation (Misra & Gries, "A
+    constructive proof of Vizing's theorem", IPL 41, 1992).
 
-    Vertices are ranked by label; rank x keeps ``at[x][c]``, the rank
-    across the edge of color c (None while c is free at x), and
-    ``used[x]``, a bitmask with bit c set for each color at x.
-    Deterministic: edges are colored in sorted order; the next fan vertex
-    is the smallest ``at[u][c]`` over the bits c of ``used[u] &
-    ~used[last]`` not yet in the fan; c and d are the lowest free colors of
-    u and of the last fan vertex; and the c/d path from u, starting with
-    d, is inverted by swapping ``at[x][c]`` and ``at[x][d]`` along it.
-    Ranks keep the order of labels, so each choice is the labels' choice.
+    Vertex x keeps ``at[x][c]``, the vertex across the edge of color c
+    (None while c is free at x), and ``used[x]``, a bitmask with bit c set
+    for each color at x.  Deterministic: edges are colored in the sorted
+    order of g.edges; the next fan vertex is the smallest ``at[u][c]``
+    over the bits c of ``used[u] & ~used[last]`` not yet in the fan; c
+    and d are the lowest free colors of u and of the last fan vertex; and
+    the c/d path from u, starting with d, is inverted by swapping
+    ``at[x][c]`` and ``at[x][d]`` along it.
     """
-    pairs = sorted({(u, v) if u < v else (v, u) for u, v in edges})
-    loop = next((e for e in pairs if e[0] == e[1]), None)
-    if loop is not None:
-        raise ValueError("self-loop edge (%d, %d)" % loop)
-    if not pairs:
-        return EdgeColoring({})
-    degree = Counter(chain.from_iterable(pairs))
-    size = len(degree)
-    ranked = pairs  # labels 0..size-1 (a circulant's) are their own ranks
-    if min(degree) or max(degree) >= size:
-        rank = {x: r for r, x in enumerate(sorted(degree))}
-        ranked = [(rank[u], rank[v]) for u, v in pairs]
-    width = max(degree.values()) + 2  # colors 1..Delta+1
-    at = [[None] * width for _ in range(size)]
-    used = [0] * size
+    n = g.n
+    at = [[None] * (g.degree + 2) for _ in range(n)]  # colors 1..Delta+1
+    used = [0] * n
 
-    for u, v in ranked:
+    for u, v in g.edges:
         at_u, mask_u = at[u], used[u]
         # maximal fan: each next neighbor's edge color is free at the last;
         # cols[t] is the color of (u, fan[t]), 0 for the uncolored (u, v)
         fan, cols, in_fan, last = [v], [0], 0, v
         bits = mask_u & ~used[v]
         while bits:
-            last = size
+            last = n
             while bits:
                 bit = bits & -bits
                 bits ^= bit
@@ -372,5 +347,5 @@ def edge_color_delta_plus_one(edges, first_color: int = 1) -> EdgeColoring:
             used[w] = used[w] & ~(1 << old) | 1 << new
         used[u] |= 1 << d
 
-    return EdgeColoring({e: at[ru].index(rv) + first_color - 1
-                         for e, (ru, rv) in zip(pairs, ranked)})
+    shift = first_color - 1
+    return EdgeColoring({(u, v): at[u].index(v) + shift for u, v in g.edges})

@@ -151,6 +151,64 @@ class TestOneFactorize:
                     continue
                 check_factorization(g, fac)
 
+    def test_one_donor_matches_growth_loop(self, monkeypatch):
+        # every generator subset of each even n <= 30: the pool handed to
+        # the search, or the error, is the growth loop's
+        pools = []
+        monkeypatch.setattr(factorization, "_factorize_pool",
+                            lambda n, pool, c, budget: pools.append(pool) or {})
+        for n in range(4, 31, 2):
+            half = n // 2
+            for mask in range(1, 2 ** half):
+                g = build_circulant(
+                    n, [d for d in range(1, half + 1) if mask >> (d - 1) & 1])
+                pools.clear()
+                try:
+                    want = reference_pool(n, g.gens)
+                except FactorizationImpossible as e:
+                    with pytest.raises(FactorizationImpossible) as got:
+                        one_factorize(g)
+                    assert str(got.value) == str(e)
+                    continue
+                one_factorize(g)
+                assert pools == ([want] if want else [])
+
+
+def reference_pool(n, gens):
+    """The pool growth loop that one_factorize's one-donor rule replaced,
+    kept as its reference: the sorted pool ([] if nothing is pooled), or
+    FactorizationImpossible."""
+    involution, peelable, pooled = None, [], []
+    for d in gens:
+        if 2 * d == n:
+            involution = d
+        elif (n // math.gcd(n, d)) % 2 == 0:
+            peelable.append(d)
+        else:
+            pooled.append(d)
+    if pooled:
+        # grow the pool until its components have even order; the
+        # involution is a last-resort donor
+        peelable.sort()
+        while (n // math.gcd(n, *pooled)) % 2:
+            movable = [
+                d for d in peelable
+                if (n // math.gcd(n, d, *pooled)) % 2 == 0
+            ]
+            if movable:
+                pooled.append(movable[0])
+                peelable.remove(movable[0])
+            elif involution is not None and (
+                    n // math.gcd(n, involution, *pooled)) % 2 == 0:
+                pooled.append(involution)
+                involution = None
+            else:
+                raise FactorizationImpossible(
+                    "distances %r span components of odd order %d"
+                    % (sorted(pooled), n // math.gcd(n, *pooled))
+                )
+    return sorted(pooled)
+
 
 def reference_edge_coloring(edges, num_colors, budget, start=None):
     """The recursive search the iterative kernel replaced, kept as its
@@ -218,14 +276,14 @@ def reference_edge_coloring(edges, num_colors, budget, start=None):
 
 
 def searches_of(build):
-    """The (edges, num_colors, budget) of every exact edge-coloring search
-    that ``build()`` runs, the pooled 1-factorization and the fallback's
-    pooled search over every residual distance alike."""
+    """The (graph, budget) of every exact edge-coloring search that
+    ``build()`` runs, the pooled 1-factorization and the fallback's pooled
+    search over every residual distance alike."""
     calls = []
 
-    def record(edges, num_colors, budget):
-        calls.append((list(edges), num_colors, budget))
-        return _exact_edge_coloring(edges, num_colors, budget)
+    def record(g, budget):
+        calls.append((g, budget))
+        return _exact_edge_coloring(g, budget)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(factorization, "_exact_edge_coloring", record)
@@ -233,44 +291,44 @@ def searches_of(build):
     return calls
 
 
-def kernel_nodes(edges, num_colors, most):
+def kernel_nodes(g, most):
     """The fewest nodes with which the kernel finishes, found by bisecting
     its budget over 0..most (most if it needs more)."""
     lo, hi = 0, most
     while lo < hi:
         mid = (lo + hi) // 2
         try:
-            _exact_edge_coloring(edges, num_colors, mid)
+            _exact_edge_coloring(g, mid)
             hi = mid
         except SearchBudgetExceeded:
             lo = mid + 1
     return lo
 
 
-def assert_same_search(edges, num_colors, budget):
-    """The kernel colors like the reference, in the same order, with at
-    most the reference's nodes; it finishes at exactly its own node count
-    and raises one node below it.  Where the reference runs out of
-    ``budget``, its answer under a large budget is the one to match.
-    Returns the kernel's node count, or None when it ran out of
-    ``budget``."""
+def assert_same_search(g, budget):
+    """The kernel colors g like the reference with g.degree colors, in
+    the same order, with at most the reference's nodes; it finishes at
+    exactly its own node count and raises one node below it.  Where the
+    reference runs out of ``budget``, its answer under a large budget is
+    the one to match.  Returns the kernel's node count, or None when it
+    ran out of ``budget``."""
     try:
-        want, most = reference_edge_coloring(edges, num_colors, budget)
+        want, most = reference_edge_coloring(g.edges, g.degree, budget)
     except SearchBudgetExceeded:
-        want, most = reference_edge_coloring(edges, num_colors, 10**6)
-    nodes = kernel_nodes(edges, num_colors, most)
-    got = _exact_edge_coloring(edges, num_colors, nodes)
+        want, most = reference_edge_coloring(g.edges, g.degree, 10**6)
+    nodes = kernel_nodes(g, most)
+    got = _exact_edge_coloring(g, nodes)
     assert got == want
     if got is not None:
         assert list(got.items()) == list(want.items())
     if nodes:
         with pytest.raises(SearchBudgetExceeded,
                            match="exceeded %d nodes" % (nodes - 1)):
-            _exact_edge_coloring(edges, num_colors, nodes - 1)
+            _exact_edge_coloring(g, nodes - 1)
     if nodes > budget:
         with pytest.raises(SearchBudgetExceeded,
                            match="exceeded %d nodes" % budget):
-            _exact_edge_coloring(edges, num_colors, budget)
+            _exact_edge_coloring(g, budget)
         return None
     return nodes
 
@@ -331,32 +389,17 @@ class TestExactEdgeColoring:
                         assert sorted(want) == list(edges)
                         assert {e: got.edge_color(*e) for e in want} == want
 
-    def test_random_graphs(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            n = rng.randint(2, 9)
-            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            edges = rng.sample(pairs, rng.randint(0, len(pairs)))
-            num_colors = rng.randint(1, 6)
-            assert_same_search(edges, num_colors, 2000)
-
     def test_random_circulant_subgraphs(self):
-        # Delta colors: every vertex of full degree is tight, and the
-        # dead-end rule prunes at it.  Even orders up to 12 keep the
-        # reference's search short (odd ones such as K_7 less three edges
-        # take it over 300,000 nodes); components of odd order still make
-        # some of them infeasible.
+        # Delta colors, so the dead-end rules prune at every vertex.  Even
+        # orders up to 12 keep the reference's search short (odd ones such
+        # as K_7 take it over 300,000 nodes); components of odd order
+        # still make some of them infeasible.
         rng = random.Random(6)
         for _ in range(150):
             n = rng.randrange(4, 13, 2)
             half = n // 2
             ds = rng.sample(range(1, half + 1), rng.randint(1, half))
-            edges = build_circulant(n, ds).edges
-            edges = rng.sample(
-                edges, len(edges) - rng.randint(0, min(3, len(edges))))
-            num_colors = max(
-                (sum(x in e for e in edges) for x in range(n)), default=0)
-            assert_same_search(edges, num_colors, 20_000)
+            assert_same_search(build_circulant(n, ds), 20_000)
 
     @pytest.mark.parametrize("m,ds,degree,nodes", [
         # the pooled components of thm21-even (330, 10, 1) and
@@ -366,22 +409,26 @@ class TestExactEdgeColoring:
     def test_pools_beyond_the_reference(self, m, ds, degree, nodes):
         g = build_circulant(m, ds)
         assert g.degree == degree
-        got = _exact_edge_coloring(g.edges, degree, nodes)
+        got = _exact_edge_coloring(g, nodes)
         check_proper_edge_coloring(g.edges, EdgeColoring(got), degree)
         with pytest.raises(SearchBudgetExceeded,
                            match="exceeded %d nodes" % (nodes - 1)):
-            _exact_edge_coloring(g.edges, degree, nodes - 1)
+            _exact_edge_coloring(g, nodes - 1)
 
-    def test_palette_wider_than_a_byte(self):
-        # free-color counts above 255 take the list path of the pick
+    def test_palette_wider_than_a_byte(self, monkeypatch):
+        # counts from the byte limit up take the list path of the pick;
+        # C_12(1, 2, 3) keeps counts up to Delta + 1 = 7, so a limit of 7
+        # sends it there, and both paths search alike
         g = build_circulant(12, [1, 2, 3])
-        assert_same_search(g.edges, 300, 10_000)
-        assert _exact_edge_coloring(g.edges, 300, 10_000) is not None
+        nodes = assert_same_search(g, 10_000)
+        assert nodes is not None
+        monkeypatch.setattr(factorization, "_BYTE_LIMIT", 7)
+        assert assert_same_search(g, 10_000) == nodes
 
     def test_infeasible_exhausts(self):
         g = build_circulant(5, [1])  # an odd cycle needs 3 colors
-        assert_same_search(g.edges, 2, 1000)
-        assert _exact_edge_coloring(g.edges, 2, 1000) is None
+        assert_same_search(g, 1000)
+        assert _exact_edge_coloring(g, 1000) is None
 
 
 class TestMatching:
@@ -479,45 +526,29 @@ def reference_edge_color(edges):
 
 
 @st.composite
-def edge_lists(draw):
-    """Edge lists in any order: up to four components on disjoint label
-    ranges, negative and far apart, with duplicate and reversed pairs, and
-    at times one vertex of degree 70 or more, whose color masks take more
-    than one 64-bit word."""
+def circulants(draw):
+    """Circulants C_n(ds), and about one in sixteen with Delta above 64,
+    whose color masks take more than one 64-bit word; those have over
+    2,000 edges, so they keep to the least such orders."""
     rng = draw(st.randoms(use_true_random=True))
-    edges = []
-    bases = draw(st.lists(st.sampled_from([-5000, -200, 0, 700, 10**9]),
-                          min_size=1, max_size=4, unique=True))
-    for base in bases:
-        label = st.integers(base, base + 149)
-        edges += [e for e in draw(st.lists(st.tuples(label, label),
-                                           max_size=60)) if e[0] != e[1]]
-    if draw(st.booleans()):
-        hub = bases[0]
-        edges += [(hub, w) for w in rng.sample(range(hub + 1, hub + 150),
-                                                rng.randint(70, 90))]
-    again = [rng.choice(edges) for _ in range(rng.randint(0, 20) if edges else 0)]
-    edges += [e if rng.random() < 0.5 else e[::-1] for e in again]
-    rng.shuffle(edges)
-    return edges
+    if rng.random() < 1 / 16:
+        n = rng.randint(66, 70)
+        return build_circulant(n, rng.sample(range(1, n // 2 + 1), 33))
+    n = draw(st.integers(3, 60))
+    ds = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=8))
+    return build_circulant(n, sorted(ds))
 
 
 class TestVizing:
-    def test_path(self):
-        edges = [(0, 1), (1, 2)]
-        ec = edge_color_delta_plus_one(edges)
-        check_proper_edge_coloring(edges, ec, 3)
-        assert max(ec.colors.values()) == 2
-
     def test_triangle(self):
-        edges = [(0, 1), (1, 2), (0, 2)]
-        ec = edge_color_delta_plus_one(edges)
-        check_proper_edge_coloring(edges, ec, 3)
+        g = build_circulant(3, [1])
+        ec = edge_color_delta_plus_one(g)
+        check_proper_edge_coloring(g.edges, ec, 3)
         assert max(ec.colors.values()) == 3
 
     def test_residual_of_z21(self):
         g = build_circulant(21, [4, 5, 6])
-        ec = edge_color_delta_plus_one(g.edges)
+        ec = edge_color_delta_plus_one(g)
         check_proper_edge_coloring(g.edges, ec, 7)
 
     def test_random_circulant_subgraphs(self):
@@ -528,11 +559,8 @@ class TestVizing:
             size = rng.randrange(1, half + 1)
             ds = rng.sample(range(1, half + 1), size)
             g = build_circulant(n, ds)
-            ec = edge_color_delta_plus_one(g.edges)
+            ec = edge_color_delta_plus_one(g)
             check_proper_edge_coloring(g.edges, ec, g.degree + 1)
-
-    def test_empty(self):
-        assert edge_color_delta_plus_one([]).colors == {}
 
     # sha256 of repr(sorted((u, v, color))): any change of fan, prefix or
     # free-color rule that moves one color fails here.  The first four are
@@ -558,6 +586,10 @@ class TestVizing:
             "9799fcaa1f403b34bf4d0b915c79801722b5d1c2df2de4b276b2d32bd5e75caf",
         (2431, (6, 7, 8)):
             "f988b4291b55af00588cc0806e0660733d7f7b40ea99657e661bdcfa65deb960",
+        # the residual of thm21-odd (195, 64, 1): Delta = 64, so the color
+        # masks take more than one 64-bit word
+        (195, tuple(range(33, 65))):
+            "13fdd4b4e882971c3e377a51022f2550a6632d26cff2f85b0955fd40319438d1",
     }
     # sha256 over the 50 per-graph digests of test_random_circulant_subgraphs'
     # first 50 graphs, in order
@@ -573,7 +605,7 @@ class TestVizing:
         pytest.param(n, ds, id="C_%d(%s)" % (n, ",".join(map(str, ds))))
         for n, ds in sorted(PINNED)])
     def test_pinned_colors(self, n, ds):
-        ec = edge_color_delta_plus_one(build_circulant(n, ds).edges)
+        ec = edge_color_delta_plus_one(build_circulant(n, ds))
         assert self._digest(ec) == self.PINNED[(n, ds)]
 
     def test_pinned_colors_random(self):
@@ -584,56 +616,28 @@ class TestVizing:
             half = n // 2
             size = rng.randrange(1, half + 1)
             ds = rng.sample(range(1, half + 1), size)
-            ec = edge_color_delta_plus_one(build_circulant(n, ds).edges)
+            ec = edge_color_delta_plus_one(build_circulant(n, ds))
             h.update(self._digest(ec).encode())
         assert h.hexdigest() == self.PINNED_RANDOM_50
 
     def test_deterministic(self):
         g = build_circulant(15, [2, 4])
-        assert (edge_color_delta_plus_one(g.edges).colors
-                == edge_color_delta_plus_one(g.edges).colors)
+        assert (edge_color_delta_plus_one(g).colors
+                == edge_color_delta_plus_one(g).colors)
 
-    @given(edges=edge_lists())
+    @given(g=circulants())
     @settings(max_examples=100, deadline=None)
-    def test_matches_reference(self, edges):
-        got = edge_color_delta_plus_one(edges).colors
-        want = reference_edge_color(edges)
+    def test_matches_reference(self, g):
+        got = edge_color_delta_plus_one(g).colors
+        want = reference_edge_color(g.edges)
         assert got == want
         assert list(got.items()) == list(want.items())
-
-    def test_self_loop_rejected(self):
-        with pytest.raises(ValueError, match=r"^self-loop edge \(3, 3\)$"):
-            edge_color_delta_plus_one([(1, 2), (3, 3), (2, 3)])
-
-    @given(edges=edge_lists(), rng=st.randoms(use_true_random=True))
-    @settings(max_examples=50, deadline=None)
-    def test_rank_invariant(self, edges, rng):
-        """Any increasing relabelling (shift, scale, gaps, negative labels)
-        colors the mapped pairs as the kernel colors the originals."""
-        labels = sorted({x for e in edges for x in e})
-        to = dict(zip(labels, sorted(rng.sample(range(-10**12, 10**12),
-                                                len(labels)))))
-        got = edge_color_delta_plus_one([(to[u], to[v]) for u, v in edges])
-        want = edge_color_delta_plus_one(edges).colors
-        assert got.colors == {(to[u], to[v]): c for (u, v), c in want.items()}
-
-    @pytest.mark.parametrize("relabel", [
-        lambda x: x + 7, lambda x: 5 * x, lambda x: x * x + x,
-        lambda x: 3 * x - 10**9], ids=["shift", "scale", "gaps", "negative"])
-    def test_rank_invariant_pinned(self, relabel):
-        g = build_circulant(21, [4, 5, 6])
-        ec = edge_color_delta_plus_one([(relabel(u), relabel(v))
-                                        for u, v in g.edges])
-        back = {relabel(x): x for x in range(21)}
-        ec = EdgeColoring({(back[u], back[v]): c
-                           for (u, v), c in ec.colors.items()})
-        assert self._digest(ec) == self.PINNED[(21, (4, 5, 6))]
 
     @pytest.mark.parametrize("first", [0, 1, 2, 12])
     def test_first_color_shifts(self, first):
         g = build_circulant(385, [6, 7, 8, 9, 10])
-        base = edge_color_delta_plus_one(g.edges).colors
-        shifted = edge_color_delta_plus_one(g.edges, first).colors
+        base = edge_color_delta_plus_one(g).colors
+        shifted = edge_color_delta_plus_one(g, first).colors
         assert shifted == {e: c + first - 1 for e, c in base.items()}
         assert list(shifted) == list(base)
         assert min(shifted.values()) == first

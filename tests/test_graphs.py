@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 
 from circulant_coloring.coloring import TotalColoring, coloring_from_json_dict
 from circulant_coloring.errors import PreconditionFailed
-from circulant_coloring.factorization import (
-    edge_color_delta_plus_one,
-    one_factorize,
-)
+from circulant_coloring.factorization import one_factorize
 from circulant_coloring.graphs import (
     CirculantGraph,
     GeneratorSet,
@@ -221,10 +218,6 @@ class TestEdge:
         assert list(colored) == list(g.edges)
         assert set(colored.values()) == set(fac.factors)
 
-    def test_no_self_loop(self):
-        with pytest.raises(ValueError, match=r"self-loop edge \(3, 3\)"):
-            edge_color_delta_plus_one([(0, 1), (3, 3)])
-
     def test_equals_its_pair(self):
         g = power_of_cycle(5, 1)
         assert g.edges == ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
@@ -238,8 +231,7 @@ class TestEdge:
 
     @pytest.mark.parametrize("make", [
         lambda: coloring_from_json_dict(_one_edge_document(3, 3)),
-        lambda: coloring_from_json_dict(_one_edge_document(5, 2)),
-        lambda: edge_color_delta_plus_one([(4, 4)])])
+        lambda: coloring_from_json_dict(_one_edge_document(5, 2))])
     def test_invalid(self, make):
         with pytest.raises(ValueError):
             make()
@@ -254,13 +246,6 @@ class TestEdge:
             assert edges == [(0, 1), (0, 3), (1, 2), (2, 3)]
             assert all(type(e) is tuple for e in edges)
             assert twin.columns == {1: [3, 3, 3, 3]}
-
-    def test_sorts_as_pairs(self):
-        # the Vizing coloring orders each caller pair and colors in
-        # sorted order
-        ec = edge_color_delta_plus_one([(3, 4), (9, 0), (7, 2), (1, 0),
-                                        (2, 3)])
-        assert list(ec.colors) == [(0, 1), (0, 9), (2, 3), (2, 7), (3, 4)]
 
     def test_graph_edges_ordered_and_complete(self):
         g = build_circulant(12, [1, 5, 6])
