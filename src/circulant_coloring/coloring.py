@@ -10,9 +10,10 @@ The color matrix view is the n x n symmetric array with vertex colors on
 the diagonal and edge colors off it, mirroring the published tables; blank
 cells are non-edges.  Reading or writing a coloring never holds that grid,
 and the writers emit it in blocks of rows, so the memory they take is the
-columns plus one block, whatever the size of the output.  Files are read
-as UTF-8, a leading byte-order mark allowed; a CSV text is split on comma
-runs unless a '"' or a NUL sends it to csv.reader.
+columns plus one block, whatever the size of the output.  Reading a JSON
+file in the writer's layout holds its text, the columns and one block of
+edges.  Files are read as UTF-8, a leading byte-order mark allowed; a CSV
+text is split on comma runs unless a '"' or a NUL sends it to csv.reader.
 """
 
 from __future__ import annotations
@@ -339,8 +340,16 @@ def coloring_from_json_dict(d: dict) -> TotalColoring:
     vertex colour that is neither an int nor null, an edge with u >= v,
     an edge listed twice, an endpoint outside 0..n-1, or an "n" that is
     not the int len(vertex_colors)."""
+    # the edges are read after "vertex_colors", as _from_json_columns asks
+    return _from_json_columns(d, (list(map(itemgetter(key), d["edges"]))
+                                  for key in "uvc"))
+
+
+def _from_json_columns(d: dict, edges) -> TotalColoring:
+    """The checks of coloring_from_json_dict on document d, its edges given
+    as the columns (us, vs, cs) of their "u", "v" and "c"."""
     vertex_colors = tuple(d["vertex_colors"])
-    us, vs, cs = (list(map(itemgetter(key), d["edges"])) for key in "uvc")
+    us, vs, cs = edges
     kinds = ({*map(type, vertex_colors)} - {type(None)}).union(
         map(type, chain(cs, us, vs)))
     if not kinds <= {int}:
@@ -413,7 +422,48 @@ def write_coloring_json(tc: TotalColoring, path) -> None:
         fh.write("\n")
 
 
+_BLOCK_CHARS = 1 << 16  # the least "edges" text the JSON reader parses at once
+
+
+def _edge_blocks(text: str):
+    """(document less "edges", edge columns) of a text laid out as the
+    writer lays "edges" out, else None.  The array is parsed in blocks cut
+    at the first edge boundary past _BLOCK_CHARS: a raw newline cannot sit
+    in a JSON string, so every cut is structural, and blocks that parse
+    join to the very array json.loads reads."""
+    opening = '{\n "edges": ['
+    start = len(opening)
+    end = start if text.startswith("],", start) else text.find("\n ],") + 2
+    if not text.startswith(opening) or end < start:
+        return None
+    # the members after "edges"; "{}" here means a trailing comma
+    doc = json.loads("{" + text[end + 2:])
+    if not doc or "edges" in doc:
+        return None
+    us, vs, cs = [], [], []
+    while start < end:
+        stop = text.find("},\n  {", start + _BLOCK_CHARS, end) + 1 or end
+        edges = json.loads("[" + text[start:stop] + "]")
+        us += map(itemgetter("u"), edges)
+        vs += map(itemgetter("v"), edges)
+        cs += map(itemgetter("c"), edges)
+        start = stop + 1
+    return doc, (us, vs, cs)
+
+
 def read_coloring_json(path) -> TotalColoring:
+    """The coloring of a JSON file, with coloring_from_json_dict's errors.
+    A file in the writer's layout is read one block of edges at a time;
+    any other text, or one whose blocks fail, is read whole by json.loads,
+    which raises what it raises."""
     with _opened(path, malformed=(KeyError, TypeError, ValueError),
                  encoding="utf-8-sig") as fh:
-        return coloring_from_json_dict(json.load(fh))
+        text = fh.read()
+        try:
+            blocks = _edge_blocks(text)
+        except (KeyError, TypeError, ValueError, RecursionError):
+            blocks = None  # not edges in the layout: read whole below
+        if blocks is None:
+            return coloring_from_json_dict(json.loads(text))
+        del text  # the columns take its place
+        return _from_json_columns(*blocks)

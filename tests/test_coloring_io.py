@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import tracemalloc
 from importlib import resources
 from itertools import compress
 from unittest import mock
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circulant_coloring import coloring
+from circulant_coloring import cli, coloring
 from circulant_coloring.coloring import (
     _EDGE_JSON,
     TotalColoring,
@@ -28,6 +29,7 @@ from circulant_coloring.coloring import (
 )
 from circulant_coloring.constructions import (
     canonical_complete_coloring,
+    color_power_cycle_even,
     color_power_cycle_odd,
     color_thm32,
     color_thm34,
@@ -639,6 +641,155 @@ class TestBlocks:
     def test_edge_cases(self, vertex_colors, pairs):
         self.assert_blocks_agree(vertex_colors, pairs)
         self.assert_blocks_agree(vertex_colors, pairs, {"n": 0})
+
+
+# The JSON reader parses a file in the writer's layout one block of edges at
+# a time.  Reference: the reader as it was, the whole document through
+# json.load.  On any file the block reader must return what it returns, or
+# raise what it raises.
+
+
+def reference_read(path):
+    with coloring._opened(path, malformed=(KeyError, TypeError, ValueError),
+                          encoding="utf-8-sig") as fh:
+        return coloring_from_json_dict(json.load(fh))
+
+
+def read_outcome(read, path):
+    try:
+        return read(path)
+    except PreconditionFailed as exc:
+        return str(exc)
+
+
+def written(directory, text: str):
+    path = directory / "c.json"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def layout(doc) -> str:
+    """doc as the writer lays a document out."""
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+def edited(edit):
+    """layout of a document after edit(its edges, it)."""
+    return lambda doc: (edit(doc["edges"], doc), layout(doc))[1]
+
+
+@st.composite
+def circulant_documents(draw):
+    """Writer output of random colourings of C_n(distances), n in 3..30,
+    with and without a report."""
+    n = draw(st.integers(3, 30))
+    g = build_circulant(n, draw(st.sets(st.integers(1, n // 2), min_size=1,
+                                        max_size=4)))
+    colour = draw(st.sampled_from([range(1, 8), [0, -7, 10**12]]))
+    rnd = draw(st.randoms(use_true_random=True))
+    tc = TotalColoring.from_pairs(
+        rnd.choices([*colour, None], k=n),
+        {e: rnd.choice(colour) for e in g.edges})
+    report = draw(st.sampled_from([None, {}, TestWriters.REPORT,
+                                   {"edges": [{"u": 0}], "x": "\n ],"}]))
+    return json_text(tc, report) + "\n"
+
+
+class TestBlockReader:
+    @staticmethod
+    def assert_read_in_blocks(directory, text):
+        """Every edge a block of its own, and no whole-document parse."""
+        path = written(directory, text)
+        doc = json.loads(text)
+        expected = coloring_from_json_dict(doc)
+        with mock.patch.object(coloring, "_BLOCK_CHARS", 1), \
+                mock.patch.object(coloring, "coloring_from_json_dict",
+                                  side_effect=AssertionError("read whole")), \
+                mock.patch.object(json, "loads", wraps=json.loads) as loads:
+            assert read_coloring_json(path) == expected
+        assert loads.call_count == len(doc["edges"]) + 1  # and the rest
+
+    @given(circulant_documents())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_whole_document(self, tmp_path_factory, text):
+        self.assert_read_in_blocks(tmp_path_factory.mktemp("json"), text)
+
+    @pytest.mark.parametrize("tc", [
+        TestWriters.ODD, TotalColoring.from_pairs((), {}),
+        TotalColoring.from_pairs((1,), {}), TotalColoring.from_pairs((None,), {}),
+    ], ids=["odd-colours", "n0", "n1", "n1-uncoloured"])
+    @pytest.mark.parametrize("report", [None, TestWriters.REPORT])
+    def test_edge_cases(self, tmp_path, tc, report):
+        self.assert_read_in_blocks(tmp_path, json_text(tc, report) + "\n")
+
+    # Documents in the writer's layout, from C_12(1, 2, 3) with one fault
+    # each: the expected error of the reader as it was, or None if it reads.
+    TC = TotalColoring.from_pairs([1] * 12, dict.fromkeys(
+        build_circulant(12, [1, 2, 3]).edges, 2))
+
+    @pytest.mark.parametrize("make,error", [
+        (lambda doc: layout(doc)[:700], "JSONDecodeError: Expecting"),
+        (edited(lambda e, doc: (e[1].pop("v"), e[-2].pop("u"))),
+         "KeyError: 'u'"),
+        (edited(lambda e, doc: (e[0].update(c=2.0), e[-1].update(u=True))),
+         "TypeError: colours and endpoints must be integers, not bool, float"),
+        (edited(lambda e, doc: e.insert(5, e[4])),
+         "ValueError: edge (0, 10) listed twice"),
+        (edited(lambda e, doc: doc.update(n=13)),
+         'ValueError: "n" is 13, but vertex_colors holds 12'),
+        (edited(lambda e, doc: (doc.pop("vertex_colors"), e[3].pop("u"))),
+         "KeyError: 'vertex_colors'"),
+        (lambda doc: layout(doc).replace(
+            '\n "n"', '\n "edges": [{"u": 0}],\n "n"'), "KeyError: 'v'"),
+        (lambda doc: layout(doc).replace(
+            '\n "n"', '\n "\\u0065dges": [],\n "n"'), None),
+        (lambda doc: layout(doc).split("\n ],")[0] + "\n ],\n}",
+         "JSONDecodeError: Expecting"),
+        (lambda doc: layout(doc) + "x", "JSONDecodeError: Extra data"),
+        (lambda doc: "\ufeff" + layout(doc), None),
+        (lambda doc: "\ufeff\ufeff" + layout(doc),
+         "JSONDecodeError: Unexpected UTF-8 BOM"),
+    ], ids=["truncated", "no-v-then-no-u", "float-and-bool", "repeat-at-cut",
+            "n-mismatch", "no-vertex-colors", "edges-again",
+            "escaped-edges-again", "trailing-comma", "extra-data", "bom",
+            "two-boms"])
+    def test_faults_as_whole_document(self, tmp_path, capsys, make, error):
+        text = make(json_dict(self.TC))
+        assert text.lstrip("\ufeff").startswith('{\n "edges": [\n  {')
+        path = written(tmp_path, text)
+        with mock.patch.object(coloring, "_BLOCK_CHARS", 1):
+            got = read_outcome(read_coloring_json, path)
+        expected = read_outcome(reference_read, path)
+        assert got == expected
+        if error is None:
+            assert isinstance(got, TotalColoring)
+        else:
+            assert ("malformed coloring file %s: %s" % (path, error)
+                    in expected)
+        argv = ["verify", "--n", "12", "--gens", "1,2,3", "--in", str(path)]
+        with mock.patch.object(coloring, "_BLOCK_CHARS", 1):
+            status = cli.main(argv)
+        err = capsys.readouterr().err
+        with mock.patch.object(cli, "read_coloring_json", reference_read):
+            assert (status, err) == (cli.main(argv), capsys.readouterr().err)
+        assert (status == cli.EXIT_PRECONDITION) is (error is not None)
+
+    def test_peak_below_half_of_whole_document(self, tmp_path):
+        path = tmp_path / "big.json"
+        write_coloring_json(color_power_cycle_even(4200, 10, 11).coloring, path)
+
+        def peak(read):
+            tracemalloc.start()
+            try:
+                read(path)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        whole = peak(reference_read)
+        with mock.patch.object(coloring, "coloring_from_json_dict",
+                               side_effect=AssertionError("read whole")):
+            assert peak(read_coloring_json) < whole / 2
 
 
 @st.composite
