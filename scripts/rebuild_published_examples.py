@@ -19,11 +19,6 @@ from circulant_coloring import (
 )
 from circulant_coloring.coloring import write_matrix_csv
 from circulant_coloring.golden import TABLE_IDS, rebuild_table, reproduce_table
-from circulant_coloring.graphs import GeneratorSet, normalize_half_set
-
-
-def gs(n, ds):
-    return GeneratorSet(n, normalize_half_set(n, ds))
 
 
 def main():
@@ -60,11 +55,11 @@ def main():
 
     # the two examples without printed tables
     g20 = build_circulant(20, [1, 2, 3, 4, 5, 7, 8])
-    r31 = color_thm31(g20, gs(20, range(1, 6)))
+    r31 = color_thm31(g20, build_circulant(20, range(1, 6)))
     print("Z_20 dense example: %d colors (bound %d, fallback=%s)"
           % (r31.colors_used, r31.bound_claimed, r31.fallback_used))
     g24 = build_circulant(24, [1, 2, 3, 4, 5, 7, 10])
-    r33 = color_thm33(g24, gs(24, [1, 3, 4, 5, 10]))
+    r33 = color_thm33(g24, build_circulant(24, [1, 3, 4, 5, 10]))
     print("Z_24 near-complete-plus-rest example: %d colors (bound %d)"
           % (r33.colors_used, r33.bound_claimed))
 

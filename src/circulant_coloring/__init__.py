@@ -4,7 +4,6 @@ and small-instance brute-force oracles."""
 
 from .graphs import (
     CirculantGraph,
-    GeneratorSet,
     build_circulant,
     classify_sum_free_half,
     generates_group,

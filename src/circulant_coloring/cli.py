@@ -59,12 +59,7 @@ from .errors import (
     VerificationFailed,
 )
 from .factorization import DEFAULT_SEARCH_BUDGET
-from .graphs import (
-    CirculantGraph,
-    GeneratorSet,
-    build_circulant,
-    normalize_half_set,
-)
+from .graphs import CirculantGraph, build_circulant
 from .oracle import (
     DEFAULT_NODE_BUDGET,
     Mode,
@@ -88,12 +83,11 @@ def _parse_gens(text: str) -> list[int]:
         raise PreconditionFailed("generator list %r is not comma-separated integers" % text)
 
 
-def _half_set(n: int, text: str) -> GeneratorSet:
-    return GeneratorSet(n, normalize_half_set(n, _parse_gens(text)))
-
-
-def _graph(args) -> CirculantGraph:
-    return build_circulant(args.n, _parse_gens(args.gens))
+def _graph(args, text: str | None = None) -> CirculantGraph:
+    """The circulant on Z_n with the distances of text, of --gens when
+    text is None: an empty option is an empty set, not --gens."""
+    return build_circulant(
+        args.n, _parse_gens(args.gens if text is None else text))
 
 
 def _report_dict(rep) -> dict:
@@ -161,13 +155,13 @@ COLOR_METHODS = {
     "thm22": (("k",), (), lambda a, budget: _pair(
         equitable_nsd_power_cycle(a.n, a.k))),
     "thm31": (("gens",), ("s1_gens",), lambda a, budget: _one(color_thm31(
-        _graph(a), _half_set(a.n, a.s1_gens or _first_quarter(a.n)),
-        budget))),
+        _graph(a), _graph(a, _first_quarter(a.n) if a.s1_gens is None
+                          else a.s1_gens), budget))),
     "thm32": (("gens",), (), lambda a, budget: _one(color_thm32(_graph(a)))),
     "thm33": (("gens", "m_gens"), (), lambda a, budget: _one(color_thm33(
-        _graph(a), _half_set(a.n, a.m_gens), budget))),
+        _graph(a), _graph(a, a.m_gens), budget))),
     "thm34": (("gens", "s1_gens"), (), lambda a, budget: _pair(color_thm34(
-        _graph(a), _half_set(a.n, a.s1_gens), budget))),
+        _graph(a), _graph(a, a.s1_gens), budget))),
     "canonical": ((), (), lambda a, budget: _canonical(
         canonical_complete_coloring(a.n))),
 }

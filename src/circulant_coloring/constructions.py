@@ -37,7 +37,6 @@ from .factorization import (
 )
 from .graphs import (
     CirculantGraph,
-    GeneratorSet,
     build_circulant,
     classify_sum_free_half,
     generates_group,
@@ -286,13 +285,16 @@ def _require(cond: bool, msg: str):
         raise PreconditionFailed(msg)
 
 
-def _complement(g: CirculantGraph, sub: GeneratorSet, name: str) -> tuple:
-    """g's distances outside sub, once they are some and generate Z_n."""
+def _complement(g: CirculantGraph, sub: CirculantGraph,
+                name: str) -> CirculantGraph:
+    """The circulant on g's distances outside sub, once they are some and
+    generate Z_n."""
     complement = tuple(d for d in g.gens if d not in sub.gens)
     _require(bool(complement), "the complement of %s is empty" % name)
-    _require(generates_group(GeneratorSet(g.n, complement)),
+    rest = CirculantGraph(g.n, complement)
+    _require(generates_group(rest),
              "the complement of %s must generate the whole group" % name)
-    return complement
+    return rest
 
 
 def _constrained_total_search(power: CirculantGraph, full: CirculantGraph,
@@ -318,30 +320,29 @@ def _constrained_total_search(power: CirculantGraph, full: CirculantGraph,
                                     dict(zip(power.edges, colors[n:])))
 
 
-def color_thm31(g: CirculantGraph, s1: GeneratorSet,
+def color_thm31(g: CirculantGraph, s1: CirculantGraph,
                 budget: int = DEFAULT_SEARCH_BUDGET) -> BuildReport:
-    """TCC witness for dense even circulants: the power-of-cycle part on
-    at most n/2 + 2 colors, the generating complement 1-factorized.  Each
-    search gets ``budget`` nodes."""
+    """TCC witness for dense even circulants: s1, the spanning
+    subcirculant on the distances 1..n/4, is the power-of-cycle part,
+    colored on at most n/2 + 2 colors; the generating complement is
+    1-factorized.  Each search gets ``budget`` nodes."""
     n = g.n
     _require(n % 2 == 0, "n must be even")
     _require(n % 4 == 0, "the inner power of cycle needs 4 | n")
     _require(g.degree >= n // 2, "need degree >= n/2")
     _require(n // 2 not in g.gens, "the involution n/2 must be absent")
     kk = n // 4
-    _require(tuple(s1.gens) == tuple(range(1, kk + 1)),
+    _require(s1.gens == tuple(range(1, kk + 1)),
              "the inner subset must be the distances 1..n/4")
-    _require(s1.issubset(g.generators), "inner subset must lie inside S")
-    complement = _complement(g, s1, "the inner subset")
+    _require(s1.issubset(g), "inner subset must lie inside S")
+    rest = _complement(g, s1, "the inner subset")
 
     # searched: no odd tiling order q = kk + i divides n = 4kk
-    tc = _constrained_total_search(power_of_cycle(n, kk), g, n // 2 + 2,
-                                   budget)
+    tc = _constrained_total_search(s1, g, n // 2 + 2, budget)
     notes = "power part: exact bounded search within %d colors" % (n // 2 + 2)
-    rest = build_circulant(n, complement)
     tc = _one_factorized(tc, rest, tc.palette_size + 1, budget)
     notes += "; complement %r one-factorized on %d colors" % (
-        complement, rest.degree)
+        rest.gens, rest.degree)
     report = _verified(g, tc, g.degree + 2, notes)
     report.fallback_used = True
     return report
@@ -362,7 +363,7 @@ def color_thm32(g: CirculantGraph) -> BuildReport:
     h = n // 2
     _require(g.degree == h - 2, "degree must equal n/2 - 2")
     _require(h not in g.gens, "the involution n/2 must be absent")
-    _require(classify_sum_free_half(g.generators),
+    _require(classify_sum_free_half(g),
              "distances must be sum-free with respect to n/2")
     # even h borrows the K_{h+1} row: dropping one vertex of an odd
     # complete graph keeps its coloring proper
@@ -372,34 +373,34 @@ def color_thm32(g: CirculantGraph) -> BuildReport:
                      % (h, h))
 
 
-def color_thm33(g: CirculantGraph, m_set: GeneratorSet,
+def color_thm33(g: CirculantGraph, m_set: CirculantGraph,
                 budget: int = DEFAULT_SEARCH_BUDGET) -> BuildReport:
-    """Degree + 3 total coloring: the sum-free near-complete part via the
-    folded complete-graph pattern, the generating complement 1-factorized
-    with a ``budget``-node search."""
+    """Degree + 3 total coloring: m_set, a sum-free spanning subcirculant
+    of degree n/2 - 2, is colored by thm32's folded complete-graph
+    pattern, the generating complement 1-factorized with a
+    ``budget``-node search."""
     n = g.n
     _require(n % 2 == 0, "n must be even")
     _require(n // 2 not in g.gens, "the involution n/2 must be absent")
-    _require(m_set.issubset(g.generators), "M must lie inside S")
-    sub = CirculantGraph(n, m_set)
-    _require(sub.degree == n // 2 - 2, "M must induce degree n/2 - 2")
+    _require(m_set.issubset(g), "M must lie inside S")
+    _require(m_set.degree == n // 2 - 2, "M must induce degree n/2 - 2")
     _require(classify_sum_free_half(m_set),
              "M must be sum-free with respect to n/2")
-    complement = _complement(g, m_set, "M in S")
+    rest = _complement(g, m_set, "M in S")
 
-    inner = color_thm32(sub)
-    rest = build_circulant(n, complement)
+    inner = color_thm32(m_set)
     tc = _one_factorized(inner.coloring, rest, inner.colors_used + 1, budget)
     notes = inner.notes + "; complement %r one-factorized on %d colors" % (
-        complement, rest.degree)
+        rest.gens, rest.degree)
     return _verified(g, tc, g.degree + 3, notes=notes)
 
 
-def color_thm34(g: CirculantGraph, s1: GeneratorSet,
+def color_thm34(g: CirculantGraph, s1: CirculantGraph,
                 budget: int = DEFAULT_SEARCH_BUDGET,
                 ) -> tuple[BuildReport, BuildReport]:
     """Equitable degree+1 coloring and NSD degree+3 coloring for n = 2m,
-    m odd, from a subset whose distances are pairwise distinct mod m.
+    m odd, from a spanning subcirculant s1 whose distances are pairwise
+    distinct mod m.
 
     The subset part is the canonical K_m matrix folded twice around the
     cycle (h = q = m), the complement is 1-factorized within ``budget``
@@ -410,7 +411,7 @@ def color_thm34(g: CirculantGraph, s1: GeneratorSet,
     m = n // 2
     _require(n % 2 == 0 and m % 2 == 1, "need n = 2m with m odd")
     _require(g.degree > m, "need degree > n/2")
-    _require(s1.issubset(g.generators), "subset must lie inside S")
+    _require(s1.issubset(g), "subset must lie inside S")
     s1_full = s1.full
     _require(len(s1_full) == m - 1, "subset must have m - 1 symmetric distances")
     # vertices u and u + n/2 share a vertex color
@@ -420,10 +421,9 @@ def color_thm34(g: CirculantGraph, s1: GeneratorSet,
              "subset distances must be pairwise distinct and nonzero mod n/2")
     units = [s for s in s1_full if math.gcd(s, n) == 1]
     _require(bool(units), "subset must contain a group generator")
-    complement = _complement(g, s1, "the subset")
+    rest = _complement(g, s1, "the subset")
 
-    tc = _one_factorized(_tiling(n, m, m, s1.gens),
-                         build_circulant(n, complement), m + 1, budget)
+    tc = _one_factorized(_tiling(n, m, m, s1.gens), rest, m + 1, budget)
     return _equitable_nsd(
         g, tc, min(units), "subset subdiagonals from canonical row; "
-        "complement %r one-factorized" % (complement,))
+        "complement %r one-factorized" % (rest.gens,))

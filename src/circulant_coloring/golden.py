@@ -24,7 +24,7 @@ from .constructions import (
     equitable_nsd_power_cycle,
 )
 from .errors import CirculantColoringError, MismatchFound
-from .graphs import GeneratorSet, build_circulant, normalize_half_set
+from .graphs import build_circulant
 
 TABLE_IDS = (1, 2, 3, 4, 5, 6)
 
@@ -53,9 +53,8 @@ def _pair(thm34: bool):
     tables: 2 and 3 (Theorem 2.2), or 5 and 6 (Theorem 3.4)."""
     if not thm34:
         return equitable_nsd_power_cycle(18, 4)
-    g = build_circulant(18, [1, 2, 4, 6, 7, 8])
-    s1 = GeneratorSet(18, normalize_half_set(18, [1, 2, 4, 6]))
-    return color_thm34(g, s1)
+    return color_thm34(build_circulant(18, [1, 2, 4, 6, 7, 8]),
+                       build_circulant(18, [1, 2, 4, 6]))
 
 
 @lru_cache(maxsize=None)

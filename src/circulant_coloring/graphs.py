@@ -1,8 +1,11 @@
 """Circulant graph model: Cayley graphs on Z_n and powers of cycles.
 
-Generators are stored as a canonical half-set: a sorted tuple of distances
-d with 1 <= d <= n//2.  A distance d > n/2 given by the caller is folded to
-n - d on construction, so d and its negation are stored once.  Adjacency is
+One type, ``CirculantGraph(n, gens)``, stores the generators as a
+canonical half-set: a sorted tuple of distances d with 1 <= d <= n//2, so
+d and its negation are stored once.  The spanning subgraph of Cay(Z_n, S)
+on a subset S1 of its distances is itself the circulant (n, S1), so the
+theorem builders take their subsets as circulants.  ``build_circulant``
+folds a distance d > n/2 given by the caller to n - d.  Adjacency is
 listed by ``neighbors``; the edge list is materialized lazily for
 iteration.  An edge is the plain int pair ``(u, v)`` with u < v.
 """
@@ -16,26 +19,10 @@ from functools import cached_property
 from .errors import PreconditionFailed
 
 
-def normalize_half_set(n: int, ds) -> tuple[int, ...]:
-    """Fold distances into [1, n//2] and sort.
-
-    A distance d and its negation n-d are the same symmetric generator and
-    merge silently; listing the same residue twice is a duplicate.
-    """
-    seen = set()
-    for d in ds:
-        d = d % n
-        if d == 0:
-            raise PreconditionFailed("generator 0 (mod %d) would be a self-loop" % n)
-        if d in seen:
-            raise PreconditionFailed("generator %d listed twice" % d)
-        seen.add(d)
-    return tuple(sorted({min(d, n - d) for d in seen}))
-
-
 @dataclass(frozen=True)
-class GeneratorSet:
-    """Symmetric generating set of Z_n in canonical half-set form."""
+class CirculantGraph:
+    """Cay(Z_n, S): vertices 0..n-1, x ~ y iff (x - y) mod n in S, with S
+    given by its half-set ``gens``."""
 
     n: int
     gens: tuple[int, ...]
@@ -57,54 +44,48 @@ class GeneratorSet:
         """Full symmetric set {d, n-d} as residues in (0, n)."""
         return tuple(sorted({*self.gens, *(self.n - d for d in self.gens)}))
 
-    def degree_contribution(self) -> int:
+    @property
+    def degree(self) -> int:
         # the involution n/2 contributes a single edge per vertex
         return sum(1 if 2 * d == self.n else 2 for d in self.gens)
 
-    def issubset(self, other: "GeneratorSet") -> bool:
+    def issubset(self, other: CirculantGraph) -> bool:
+        """True iff self is a spanning subcirculant of other."""
         return self.n == other.n and set(self.gens) <= set(other.gens)
-
-
-@dataclass(frozen=True)
-class CirculantGraph:
-    """Cay(Z_n, S): vertices 0..n-1, x ~ y iff (x - y) mod n in S."""
-
-    n: int
-    generators: GeneratorSet
-
-    def __post_init__(self):
-        if self.n != self.generators.n:
-            raise ValueError("generator set order mismatch")
-
-    @property
-    def gens(self) -> tuple[int, ...]:
-        return self.generators.gens
-
-    @property
-    def degree(self) -> int:
-        return self.generators.degree_contribution()
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Every edge once, sorted: from each u, the offsets s of the full
         symmetric set in increasing order while u + s < n."""
-        n, full = self.n, self.generators.full
+        n, full = self.n, self.full
         return tuple([(u, u + s)
                       for u in range(n) for s in full if u + s < n])
 
     def neighbors(self, u: int) -> list[int]:
-        return sorted({(u + d) % self.n for d in self.generators.full})
+        return sorted({(u + d) % self.n for d in self.full})
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "generators": list(self.gens)}
 
 
 def build_circulant(n: int, ds) -> CirculantGraph:
-    """Circulant graph on Z_n; distances above n/2 are folded to n - d."""
+    """Circulant graph on Z_n from any distances.
+
+    A distance d and its negation n-d are the same symmetric generator and
+    merge silently; listing the same residue twice is a duplicate.
+    """
     if n < 3:
         raise PreconditionFailed("need n >= 3, got %d" % n)
-    # an empty set fails in GeneratorSet: "generator set must be non-empty"
-    return CirculantGraph(n, GeneratorSet(n, normalize_half_set(n, ds)))
+    seen = set()
+    for d in ds:
+        d = d % n
+        if d == 0:
+            raise PreconditionFailed("generator 0 (mod %d) would be a self-loop" % n)
+        if d in seen:
+            raise PreconditionFailed("generator %d listed twice" % d)
+        seen.add(d)
+    # an empty set fails in CirculantGraph: "generator set must be non-empty"
+    return CirculantGraph(n, tuple({min(d, n - d) for d in seen}))
 
 
 def power_of_cycle(n: int, k: int) -> CirculantGraph:
@@ -114,17 +95,17 @@ def power_of_cycle(n: int, k: int) -> CirculantGraph:
     return build_circulant(n, range(1, k + 1))
 
 
-def generates_group(sub: GeneratorSet) -> bool:
+def generates_group(g: CirculantGraph) -> bool:
     """True iff the symmetric set generates all of Z_n (gcd test)."""
-    return math.gcd(sub.n, *sub.gens) == 1
+    return math.gcd(g.n, *g.gens) == 1
 
 
-def classify_sum_free_half(sub: GeneratorSet) -> bool:
+def classify_sum_free_half(g: CirculantGraph) -> bool:
     """True iff no two elements of the full symmetric set (repetition
     allowed) sum to n/2 mod n, and n/2 itself is absent.  Only defined for
     even n.  One lookup per element s: is its partner n/2 - s in the set?"""
-    n = sub.n
+    n = g.n
     if n % 2:
         raise PreconditionFailed("sum-free classification needs even n, got %d" % n)
-    half, full = n // 2, set(sub.full)
+    half, full = n // 2, set(g.full)
     return half not in full and not any((half - s) % n in full for s in full)

@@ -20,10 +20,8 @@ from circulant_coloring.errors import FactorizationImpossible
 from circulant_coloring.factorization import one_factorize
 from circulant_coloring.golden import reproduce_table
 from circulant_coloring.graphs import (
-    GeneratorSet,
     build_circulant,
     generates_group,
-    normalize_half_set,
     power_of_cycle,
 )
 from circulant_coloring.latin import half
@@ -33,10 +31,6 @@ from circulant_coloring.verifiers import (
     verify_nsd,
     verify_total_coloring,
 )
-
-
-def gs(n, ds):
-    return GeneratorSet(n, normalize_half_set(n, ds))
 
 
 def is_perfect(matching, n):
@@ -105,7 +99,7 @@ def test_criterion_04_near_complete_z24():
 def test_criterion_05_dense_z20():
     with _Timer(5, 30.0, "Z_20 {1..5,7,8}: <= 16 = degree+2 colors"):
         g = build_circulant(20, [1, 2, 3, 4, 5, 7, 8])
-        rep = color_thm31(g, gs(20, range(1, 6)))
+        rep = color_thm31(g, build_circulant(20, range(1, 6)))
         report = verify_total_coloring(g, rep.coloring)
         assert report.proper
         assert report.colors_used <= g.degree + 2 == 16
@@ -114,7 +108,7 @@ def test_criterion_05_dense_z20():
 def test_criterion_06_z24_with_complement():
     with _Timer(6, 30.0, "Z_24 {1,3,4,5,7,10,11}: <= 17 = degree+3 colors"):
         g = build_circulant(24, [1, 3, 4, 5, 7, 10, 11])
-        rep = color_thm33(g, gs(24, [1, 3, 4, 5, 10]))
+        rep = color_thm33(g, build_circulant(24, [1, 3, 4, 5, 10]))
         report = verify_total_coloring(g, rep.coloring)
         assert report.proper
         assert report.colors_used <= g.degree + 3 == 17
@@ -123,7 +117,7 @@ def test_criterion_06_z24_with_complement():
 def test_criterion_07_z18_equitable_and_nsd():
     with _Timer(7, 5.0, "Z_18 {1,2,4,6,7,8}: equitable 13, NSD 15, fixtures"):
         g = build_circulant(18, [1, 2, 4, 6, 7, 8])
-        eq, nsd = color_thm34(g, gs(18, [1, 2, 4, 6]))
+        eq, nsd = color_thm34(g, build_circulant(18, [1, 2, 4, 6]))
         eq_report = verify_total_coloring(g, eq.coloring)
         assert eq_report.proper and eq_report.equitable
         assert eq_report.colors_used == 13 == g.degree + 1
@@ -199,7 +193,7 @@ def test_criterion_10_factorization_suite():
                 except FactorizationImpossible:
                     # only non-generating sets (odd disconnected components)
                     # may fail
-                    assert not generates_group(g.generators), (n, ds)
+                    assert not generates_group(g), (n, ds)
                     continue
                 assert len(fac.factors) == g.degree
                 classes = {}  # color -> its pairs, read from the columns

@@ -274,6 +274,75 @@ class TestExitContract:
         assert exit_code(argv) == EXIT_PRECONDITION
         assert "involution n/2 = 9 must be absent" in capsys.readouterr().err
 
+    # every precondition of thm31, thm33 and thm34, the complement's
+    # included, with its exact line on stderr; thm34's "the complement of
+    # the subset is empty" cannot be reached, because its degree > n/2
+    # and its subset's n/2 - 1 symmetric distances leave a distance out
+    @pytest.mark.parametrize("argv,message", [
+        ("thm31 --n 15 --gens 1,2,3,4,5,6", "n must be even"),
+        ("thm31 --n 18 --gens 1,2,3,4,5,6,7,8",
+         "the inner power of cycle needs 4 | n"),
+        ("thm31 --n 20 --gens 1,2", "need degree >= n/2"),
+        ("thm31 --n 20 --gens 1,2,3,4,5,6,7,8,9,10",
+         "the involution n/2 must be absent"),
+        ("thm31 --n 20 --gens 1,2,3,4,5,7,8 --s1-gens 1,2,3,4",
+         "the inner subset must be the distances 1..n/4"),
+        ("thm31 --n 20 --gens 1,2,3,4,6,7,8,9",
+         "inner subset must lie inside S"),
+        ("thm31 --n 20 --gens 1,2,3,4,5",
+         "the complement of the inner subset is empty"),
+        ("thm31 --n 20 --gens 1,2,3,4,5,8",
+         "the complement of the inner subset must generate the whole group"),
+        ("thm33 --n 23 --gens 1,2 --m-gens 1", "n must be even"),
+        ("thm33 --n 24 --gens 1,12 --m-gens 1",
+         "the involution n/2 must be absent"),
+        ("thm33 --n 24 --gens 1,3,4,5,10 --m-gens 1,2,3,4,5",
+         "M must lie inside S"),
+        ("thm33 --n 24 --gens 1,3,4,5,10,11 --m-gens 1,3",
+         "M must induce degree n/2 - 2"),
+        ("thm33 --n 24 --gens 1,2,3,4,6,7,10 --m-gens 1,2,3,4,6",
+         "M must be sum-free with respect to n/2"),
+        ("thm33 --n 24 --gens 1,3,4,5,10 --m-gens 1,3,4,5,10",
+         "the complement of M in S is empty"),
+        ("thm33 --n 24 --gens 1,2,3,4,5,10 --m-gens 1,3,4,5,10",
+         "the complement of M in S must generate the whole group"),
+        ("thm34 --n 16 --gens 1,2,3,4,5 --s1-gens 1,2,3",
+         "need n = 2m with m odd"),
+        ("thm34 --n 18 --gens 1,2,4,6 --s1-gens 1,2,4,6",
+         "need degree > n/2"),
+        ("thm34 --n 18 --gens 1,2,4,6,7,8 --s1-gens 1,2,3,4",
+         "subset must lie inside S"),
+        ("thm34 --n 18 --gens 1,2,4,6,7,8 --s1-gens 1,2,4",
+         "subset must have m - 1 symmetric distances"),
+        ("thm34 --n 18 --gens 1,2,4,6,7,8,9 --s1-gens 1,2,4,6",
+         "the involution n/2 = 9 must be absent"),
+        ("thm34 --n 18 --gens 1,2,4,8,7 --s1-gens 1,2,4,8",
+         "subset distances must be pairwise distinct and nonzero mod n/2"),
+        ("thm34 --n 18 --gens 2,4,6,8,1 --s1-gens 2,4,6,8",
+         "subset must contain a group generator"),
+        ("thm34 --n 18 --gens 1,2,3,4,6 --s1-gens 1,2,4,6",
+         "the complement of the subset must generate the whole group"),
+    ])
+    def test_theorem_precondition(self, argv, message, capsys):
+        assert exit_code(["color", "--method"] + argv.split()) == (
+            EXIT_PRECONDITION)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "precondition failed: %s\n" % message
+
+    # an empty subset option is an empty set, never the default subset
+    # (thm31) or --gens
+    @pytest.mark.parametrize("argv", [
+        "thm31 --n 20 --gens 1,2,3,4,5,7,8 --s1-gens",
+        "thm33 --n 24 --gens 1,2,3,4,5,7,10 --m-gens",
+        "thm34 --n 18 --gens 1,2,4,6,7,8 --s1-gens",
+    ])
+    def test_empty_subset_option(self, argv, capsys):
+        assert exit_code(["color", "--method"] + argv.split() + [""]) == (
+            EXIT_PRECONDITION)
+        assert capsys.readouterr().err == (
+            "precondition failed: generator set must be non-empty\n")
+
     THM22 = "color --method thm22 --n 18 --k 4"
     THM34 = "color --method thm34 --n 18 --gens 1,2,4,6,7,8 --s1-gens 1,2,4,6"
 

@@ -35,7 +35,7 @@ from circulant_coloring.constructions import (
     color_thm34,
 )
 from circulant_coloring.errors import PreconditionFailed, VerificationFailed
-from circulant_coloring.graphs import GeneratorSet, build_circulant
+from circulant_coloring.graphs import build_circulant
 from circulant_coloring.verifiers import verify_nsd, verify_total_coloring
 
 
@@ -543,7 +543,7 @@ class TestColumnLayout:
     def test_dense_theorem_outputs(self):
         self.assert_writers_match(color_thm32(
             build_circulant(24, [1, 3, 4, 5, 10])).coloring)
-        s1 = GeneratorSet(18, (1, 2, 4, 6))
+        s1 = build_circulant(18, [1, 2, 4, 6])
         for report in color_thm34(build_circulant(18, [1, 2, 4, 6, 7, 8]), s1):
             self.assert_writers_match(report.coloring)
 

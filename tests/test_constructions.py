@@ -34,9 +34,7 @@ from circulant_coloring.factorization import (
     _factorize_pool,
 )
 from circulant_coloring.graphs import (
-    GeneratorSet,
     build_circulant,
-    normalize_half_set,
     power_of_cycle,
 )
 from circulant_coloring.latin import half
@@ -46,10 +44,6 @@ from circulant_coloring.verifiers import (
     verify_nsd,
     verify_total_coloring,
 )
-
-
-def gs(n, ds):
-    return GeneratorSet(n, normalize_half_set(n, ds))
 
 
 def check_built(g, report):
@@ -341,40 +335,40 @@ class TestFoldedTiling:
 class TestThm31:
     def test_z12(self):
         g = build_circulant(12, [1, 2, 3, 5])
-        report = color_thm31(g, gs(12, [1, 2, 3]))
+        report = color_thm31(g, build_circulant(12, [1, 2, 3]))
         check_built(g, report)
         assert report.colors_used <= g.degree + 2
 
     def test_z20(self):
         g = build_circulant(20, [1, 2, 3, 4, 5, 7, 8])
-        report = color_thm31(g, gs(20, range(1, 6)))
+        report = color_thm31(g, build_circulant(20, range(1, 6)))
         check_built(g, report)
         assert report.colors_used == 16 == g.degree + 2
 
     def test_wrong_inner_subset(self):
         g = build_circulant(12, [1, 2, 3, 5])
         with pytest.raises(PreconditionFailed):
-            color_thm31(g, gs(12, [1, 2]))
+            color_thm31(g, build_circulant(12, [1, 2]))
 
     def test_odd_n(self):
         g = build_circulant(15, [1, 2, 3, 4, 5])
         with pytest.raises(PreconditionFailed):
-            color_thm31(g, gs(15, [1, 2, 3]))
+            color_thm31(g, build_circulant(15, [1, 2, 3]))
 
     def test_sparse_rejected(self):
         g = build_circulant(12, [1, 2])
         with pytest.raises(PreconditionFailed):
-            color_thm31(g, gs(12, [1, 2, 3]))
+            color_thm31(g, build_circulant(12, [1, 2, 3]))
 
     def test_involution_rejected(self):
         g = build_circulant(12, [1, 2, 3, 5, 6])
         with pytest.raises(PreconditionFailed):
-            color_thm31(g, gs(12, [1, 2, 3]))
+            color_thm31(g, build_circulant(12, [1, 2, 3]))
 
     def test_non_generating_complement(self):
         g = build_circulant(12, [1, 2, 3, 4])
         with pytest.raises(PreconditionFailed):
-            color_thm31(g, gs(12, [1, 2, 3]))
+            color_thm31(g, build_circulant(12, [1, 2, 3]))
 
 
 def reference_constrained_search(power, full, num_colors, budget):
@@ -545,24 +539,24 @@ class TestThm32:
 class TestThm33:
     def test_z24(self):
         g = build_circulant(24, [1, 3, 4, 5, 7, 10, 11])
-        report = color_thm33(g, gs(24, [1, 3, 4, 5, 10]))
+        report = color_thm33(g, build_circulant(24, [1, 3, 4, 5, 10]))
         check_built(g, report)
         assert report.colors_used == 17 == g.degree + 3
 
     def test_m_not_subset(self):
         g = build_circulant(24, [1, 3, 4, 5, 10])
         with pytest.raises(PreconditionFailed):
-            color_thm33(g, gs(24, [1, 2, 3, 4, 5]))
+            color_thm33(g, build_circulant(24, [1, 2, 3, 4, 5]))
 
     def test_empty_complement(self):
         g = build_circulant(24, [1, 3, 4, 5, 10])
         with pytest.raises(PreconditionFailed):
-            color_thm33(g, gs(24, [1, 3, 4, 5, 10]))
+            color_thm33(g, build_circulant(24, [1, 3, 4, 5, 10]))
 
     def test_m_not_sum_free(self):
         g = build_circulant(24, [1, 2, 3, 5, 10, 11])
         with pytest.raises(PreconditionFailed):
-            color_thm33(g, gs(24, [1, 2, 3, 5, 10]))
+            color_thm33(g, build_circulant(24, [1, 2, 3, 5, 10]))
 
 
 @st.composite
@@ -579,7 +573,7 @@ def thm34_inputs(draw):
     complement = draw(st.lists(st.sampled_from(odd), min_size=1,
                                max_size=3, unique=True))
     assume(math.gcd(n, *complement) == 1)
-    return build_circulant(n, s1 + complement), gs(n, s1)
+    return build_circulant(n, s1 + complement), build_circulant(n, s1)
 
 
 class TestThm34:
@@ -600,7 +594,7 @@ class TestThm34:
 
     def test_z18_pair(self):
         g = build_circulant(18, [1, 2, 4, 6, 7, 8])
-        eq, nsd = color_thm34(g, gs(18, [1, 2, 4, 6]))
+        eq, nsd = color_thm34(g, build_circulant(18, [1, 2, 4, 6]))
         assert check_built(g, eq).equitable
         assert eq.colors_used == 13 == g.degree + 1
         report = verify_nsd(g, nsd.coloring)
@@ -611,21 +605,21 @@ class TestThm34:
         # distances 1 and 8 collide: 1 and 10 = 18 - 8 agree mod 9
         g = build_circulant(18, [1, 2, 4, 6, 7, 8])
         with pytest.raises(PreconditionFailed):
-            color_thm34(g, gs(18, [1, 2, 6, 8]))
+            color_thm34(g, build_circulant(18, [1, 2, 6, 8]))
 
     def test_subset_size(self):
         g = build_circulant(18, [1, 2, 4, 6, 7, 8])
         with pytest.raises(PreconditionFailed):
-            color_thm34(g, gs(18, [1, 2, 4]))
+            color_thm34(g, build_circulant(18, [1, 2, 4]))
 
     def test_half_must_be_odd(self):
         g = build_circulant(16, [1, 2, 3, 4, 5])
         with pytest.raises(PreconditionFailed):
-            color_thm34(g, gs(16, [1, 2, 3]))
+            color_thm34(g, build_circulant(16, [1, 2, 3]))
 
     def test_involution_rejected(self):
         # u and u + 9 share a vertex color, so the involution 9 of Z_18
         # could never be colored properly
         g = build_circulant(18, [1, 2, 4, 6, 7, 9])
         with pytest.raises(PreconditionFailed, match="involution n/2 = 9"):
-            color_thm34(g, gs(18, [1, 2, 4, 6]))
+            color_thm34(g, build_circulant(18, [1, 2, 4, 6]))

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -11,18 +12,12 @@ from circulant_coloring.errors import PreconditionFailed
 from circulant_coloring.factorization import one_factorize
 from circulant_coloring.graphs import (
     CirculantGraph,
-    GeneratorSet,
     build_circulant,
     classify_sum_free_half,
     generates_group,
-    normalize_half_set,
     power_of_cycle,
 )
 from circulant_coloring.verifiers import Violation
-
-
-def gs(n, ds):
-    return GeneratorSet(n, normalize_half_set(n, ds))
 
 
 # deterministic pool of small test graphs
@@ -76,6 +71,29 @@ class TestBuildCirculant:
                 assert (v in g.neighbors(u)) == ((u, v) in set(g.edges))
 
 
+class TestCirculantGraph:
+    # the type holds a canonical half-set; folding is build_circulant's
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(CirculantGraph)] == [
+            "n", "gens"]
+
+    def test_sorts_and_lists_the_full_set(self):
+        g = CirculantGraph(10, (5, 1))
+        assert g.gens == (1, 5)
+        assert g.full == (1, 5, 9)
+        assert g.degree == 3
+
+    @pytest.mark.parametrize("gens, message", [
+        ((), "generator set must be non-empty"),
+        ((0,), r"generator 0 outside \[1, 5\]"),
+        ((1, 6), r"generator 6 outside \[1, 5\]"),
+        ((2, 2), r"duplicate generators: \(2, 2\)"),
+    ])
+    def test_invalid(self, gens, message):
+        with pytest.raises(PreconditionFailed, match=message):
+            CirculantGraph(10, gens)
+
+
 class TestPowerOfCycle:
     def test_degree(self):
         assert power_of_cycle(18, 4).degree == 8
@@ -95,74 +113,75 @@ class TestPowerOfCycle:
 
 
 class TestInduced:
-    # the spanning subgraph of g on a subset of its distances is
-    # CirculantGraph(g.n, subset)
+    # the spanning subgraph of g on a subset of its distances is the
+    # circulant on that subset
     def test_sub_power(self):
         g = build_circulant(21, range(1, 7))
-        sub = gs(21, [1, 2, 3])
-        assert sub.issubset(g.generators)
-        assert CirculantGraph(21, sub) == power_of_cycle(21, 3)
+        sub = build_circulant(21, [1, 2, 3])
+        assert sub.issubset(g)
+        assert sub == power_of_cycle(21, 3)
 
     def test_identity(self):
         g = build_circulant(10, [1, 4])
-        assert g.generators.issubset(g.generators)
-        assert CirculantGraph(10, g.generators) == g
+        assert g.issubset(g)
 
     def test_complement_of_dense_z20(self):
         g = build_circulant(20, [1, 2, 3, 4, 5, 7, 8])
-        sub = gs(20, [7, 8, 12, 13])
-        assert sub.issubset(g.generators)
-        assert CirculantGraph(20, sub).degree == 4
+        sub = build_circulant(20, [7, 8, 12, 13])
+        assert sub.issubset(g)
+        assert sub.degree == 4
 
     def test_not_a_subset(self):
         g = build_circulant(10, [1, 2])
-        assert not gs(10, [3]).issubset(g.generators)
-        assert not gs(12, [1]).issubset(g.generators)
+        assert not build_circulant(10, [3]).issubset(g)
+        assert not build_circulant(12, [1]).issubset(g)
 
     def test_disjoint_union_covers(self):
         g = build_circulant(20, [1, 2, 3, 4, 5, 7, 8])
-        a = CirculantGraph(20, gs(20, [1, 2, 3, 4, 5]))
-        b = CirculantGraph(20, gs(20, [7, 8]))
+        a = build_circulant(20, [1, 2, 3, 4, 5])
+        b = build_circulant(20, [7, 8])
         assert set(a.edges) | set(b.edges) == set(g.edges)
         assert not set(a.edges) & set(b.edges)
 
 
 class TestGeneratesGroup:
     def test_unit_generates(self):
-        assert generates_group(gs(20, [7, 8]))
+        assert generates_group(build_circulant(20, [7, 8]))
 
     def test_even_subgroup(self):
-        assert not generates_group(gs(6, [2]))
+        assert not generates_group(build_circulant(6, [2]))
 
     def test_z18_complement(self):
-        assert generates_group(gs(18, [7, 8]))
+        assert generates_group(build_circulant(18, [7, 8]))
 
 
 class TestSumFree:
     def test_z24_table_instance(self):
-        assert classify_sum_free_half(gs(24, [1, 3, 4, 5, 10]))
+        assert classify_sum_free_half(build_circulant(24, [1, 3, 4, 5, 10]))
 
     def test_pair_summing_to_half(self):
-        assert not classify_sum_free_half(gs(8, [1, 3]))
+        assert not classify_sum_free_half(build_circulant(8, [1, 3]))
 
     def test_z24_counterexample(self):
-        assert not classify_sum_free_half(gs(24, [1, 11]))
+        assert not classify_sum_free_half(build_circulant(24, [1, 11]))
 
     def test_self_pair_counts(self):
         # 5 + 5 = 10 = n/2 with repetition allowed
-        assert not classify_sum_free_half(gs(20, [5]))
+        assert not classify_sum_free_half(build_circulant(20, [5]))
 
     def test_involution_disqualifies(self):
-        assert not classify_sum_free_half(gs(8, [1, 4]))
+        assert not classify_sum_free_half(build_circulant(8, [1, 4]))
 
     def test_odd_order_rejected(self):
         with pytest.raises(PreconditionFailed, match="needs even n"):
-            classify_sum_free_half(gs(9, [1]))
+            classify_sum_free_half(build_circulant(9, [1]))
 
     @given(st.integers(1, 32).map(lambda h: 2 * h), st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_pairwise_definition(self, n, data):
-        sub = gs(n, data.draw(st.sets(st.integers(1, n // 2), min_size=1)))
+        # n = 2 included: the type takes it, build_circulant does not
+        sub = CirculantGraph(n, tuple(data.draw(
+            st.sets(st.integers(1, n // 2), min_size=1))))
         assert classify_sum_free_half(sub) == sum_free_half_pairwise(sub)
 
 
