@@ -55,7 +55,7 @@ def main():
 
     # the two examples without printed tables
     g20 = build_circulant(20, [1, 2, 3, 4, 5, 7, 8])
-    r31 = color_thm31(g20, build_circulant(20, range(1, 6)))
+    r31 = color_thm31(g20)
     print("Z_20 dense example: %d colors (bound %d, fallback=%s)"
           % (r31.colors_used, r31.bound_claimed, r31.fallback_used))
     g24 = build_circulant(24, [1, 2, 3, 4, 5, 7, 10])

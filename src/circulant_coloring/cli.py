@@ -17,9 +17,8 @@ Every subcommand exits with one of:
 ``--budget N`` bounds every exact search in a run: each search a builder
 makes (the pooled 1-factorization, thm21-even's fallback, which is the
 pooled search over every residual distance, the thm31 power-part
-search) and the oracle.  Without it, builder searches get
-2,000,000 nodes each and the oracle 20,000,000.  All runs are
-deterministic.
+search) and the oracle.  Without it, the CLI passes no budget and each
+library function's own default applies.  All runs are deterministic.
 """
 
 from __future__ import annotations
@@ -58,10 +57,8 @@ from .errors import (
     SearchBudgetExceeded,
     VerificationFailed,
 )
-from .factorization import DEFAULT_SEARCH_BUDGET
 from .graphs import CirculantGraph, build_circulant
 from .oracle import (
-    DEFAULT_NODE_BUDGET,
     Mode,
     exact_chromatic_index,
     exact_feasible,
@@ -134,66 +131,63 @@ def _pair(reps) -> list:
             ("-nsd", nsd.coloring, _report_dict(nsd))]
 
 
-def _canonical(result) -> list:
-    return [("", result.coloring, result.report.to_json_dict())]
+def _canonical(rep) -> list:
+    return [("", rep.coloring, rep.verification.to_json_dict())]
 
 
-def _first_quarter(n: int) -> str:
-    return ",".join(str(d) for d in range(1, n // 4 + 1))
-
-
-# Registries: name -> (options the entry requires, options it may also
-# take, call(args, budget)).  An option another entry reads is refused.
-# The calls look each builder up through this module's globals when they
+# Registries: name -> (options the entry requires, call(args, **budget)).
+# An option another entry reads is refused.  ``budget`` holds --budget
+# when it was given, so without it each library default applies.  The
+# calls look each builder up through this module's globals when they
 # run, so a wrapper installed on the module attribute sees every call.
 # A color call returns [(file suffix, coloring, report dict)].
 COLOR_METHODS = {
-    "thm21-even": (("k", "i"), (), lambda a, budget: _one(
-        color_power_cycle_even(a.n, a.k, a.i, budget))),
-    "thm21-odd": (("k", "i"), (), lambda a, budget: _one(
+    "thm21-even": (("k", "i"), lambda a, **budget: _one(
+        color_power_cycle_even(a.n, a.k, a.i, **budget))),
+    "thm21-odd": (("k", "i"), lambda a, **budget: _one(
         color_power_cycle_odd(a.n, a.k, a.i))),
-    "thm22": (("k",), (), lambda a, budget: _pair(
+    "thm22": (("k",), lambda a, **budget: _pair(
         equitable_nsd_power_cycle(a.n, a.k))),
-    "thm31": (("gens",), ("s1_gens",), lambda a, budget: _one(color_thm31(
-        _graph(a), _graph(a, _first_quarter(a.n) if a.s1_gens is None
-                          else a.s1_gens), budget))),
-    "thm32": (("gens",), (), lambda a, budget: _one(color_thm32(_graph(a)))),
-    "thm33": (("gens", "m_gens"), (), lambda a, budget: _one(color_thm33(
-        _graph(a), _graph(a, a.m_gens), budget))),
-    "thm34": (("gens", "s1_gens"), (), lambda a, budget: _pair(color_thm34(
-        _graph(a), _graph(a, a.s1_gens), budget))),
-    "canonical": ((), (), lambda a, budget: _canonical(
+    "thm31": (("gens",), lambda a, **budget: _one(
+        color_thm31(_graph(a), **budget))),
+    "thm32": (("gens",), lambda a, **budget: _one(color_thm32(_graph(a)))),
+    "thm33": (("gens", "m_gens"), lambda a, **budget: _one(color_thm33(
+        _graph(a), _graph(a, a.m_gens), **budget))),
+    "thm34": (("gens", "s1_gens"), lambda a, **budget: _pair(color_thm34(
+        _graph(a), _graph(a, a.s1_gens), **budget))),
+    "canonical": ((), lambda a, **budget: _canonical(
         canonical_complete_coloring(a.n))),
 }
 
 ORACLE_QUANTITIES = {
-    "total-chromatic": ((), (), lambda a, budget: exact_total_chromatic(
-        _graph(a), budget=budget)),
-    "chromatic-index": ((), (), lambda a, budget: exact_chromatic_index(
-        _graph(a), budget=budget)),
-    "equitable-feasible": (("k",), (), lambda a, budget: exact_feasible(
-        _graph(a), a.k, Mode.EQUITABLE, budget=budget)),
-    "nsd-feasible": (("k",), (), lambda a, budget: exact_feasible(
-        _graph(a), a.k, Mode.NSD, budget=budget)),
+    "total-chromatic": ((), lambda a, **budget: exact_total_chromatic(
+        _graph(a), **budget)),
+    "chromatic-index": ((), lambda a, **budget: exact_chromatic_index(
+        _graph(a), **budget)),
+    "equitable-feasible": (("k",), lambda a, **budget: exact_feasible(
+        _graph(a), a.k, Mode.EQUITABLE, **budget)),
+    "nsd-feasible": (("k",), lambda a, **budget: exact_feasible(
+        _graph(a), a.k, Mode.NSD, **budget)),
 }
 
 
-def _call(registry: dict, name: str, args, default_budget: int):
-    requires, optional, call = registry[name]
-    others = {opt for r, o, _ in registry.values() for opt in r + o}
+def _call(registry: dict, name: str, args):
+    requires, call = registry[name]
+    others = {opt for r, _ in registry.values() for opt in r}
     missing = [opt for opt in requires if getattr(args, opt) is None]
-    foreign = [opt for opt in sorted(others - {*requires, *optional})
+    foreign = [opt for opt in sorted(others - set(requires))
                if getattr(args, opt) is not None]
     for problem, opts in (("requires", missing), ("does not take", foreign)):
         if opts:
             raise PreconditionFailed("%s %s %s" % (name, problem, ", ".join(
                 "--" + opt.replace("_", "-") for opt in opts)))
-    return call(args, default_budget if args.budget is None else args.budget)
+    if args.budget is None:
+        return call(args)
+    return call(args, budget=args.budget)
 
 
 def cmd_color(args) -> int:
-    for suffix, tc, report in _call(COLOR_METHODS, args.method, args,
-                                    DEFAULT_SEARCH_BUDGET):
+    for suffix, tc, report in _call(COLOR_METHODS, args.method, args):
         _emit(tc, args.format, args.out, suffix, report)
     return EXIT_OK
 
@@ -217,7 +211,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    res = _call(ORACLE_QUANTITIES, args.quantity, args, DEFAULT_NODE_BUDGET)
+    res = _call(ORACLE_QUANTITIES, args.quantity, args)
     print(json.dumps({
         "quantity": res.quantity.value,
         "value": res.value,

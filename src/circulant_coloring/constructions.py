@@ -21,7 +21,6 @@ is noted, not required: the NSD verifier decides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .coloring import BuildReport, TotalColoring
 from .errors import (
@@ -260,22 +259,17 @@ def canonical_first_row(m: int) -> list[int]:
     return [half(s, m) for s in range(m)]
 
 
-@dataclass
-class CanonicalResult:
-    coloring: TotalColoring
-    report: object  # VerificationReport; improper for even m by design
-
-
-def canonical_complete_coloring(m: int) -> CanonicalResult:
+def canonical_complete_coloring(m: int) -> BuildReport:
     """The canonical K_m color matrix: cell (u, v) = first_row[(u+v) mod m].
 
     A proper m-color total coloring when m is odd; for even m the matrix
-    is still emitted and the attached report carries the verdict.
+    is still returned, improper, and its ``verification`` carries the
+    verdict.  The bound claimed is m.
     """
     g = build_circulant(m, range(1, m // 2 + 1))  # first: m >= 3
     tc = _tiling(m, m, m, g.gens)
     report = verify_total_coloring(g, tc)
-    return CanonicalResult(tc, report)
+    return BuildReport(tc, report.colors_used, m, verification=report)
 
 
 # -- circulant graph theorems ------------------------------------------------
@@ -320,9 +314,9 @@ def _constrained_total_search(power: CirculantGraph, full: CirculantGraph,
                                     dict(zip(power.edges, colors[n:])))
 
 
-def color_thm31(g: CirculantGraph, s1: CirculantGraph,
+def color_thm31(g: CirculantGraph,
                 budget: int = DEFAULT_SEARCH_BUDGET) -> BuildReport:
-    """TCC witness for dense even circulants: s1, the spanning
+    """TCC witness for dense even circulants: S1, the spanning
     subcirculant on the distances 1..n/4, is the power-of-cycle part,
     colored on at most n/2 + 2 colors; the generating complement is
     1-factorized.  Each search gets ``budget`` nodes."""
@@ -331,13 +325,11 @@ def color_thm31(g: CirculantGraph, s1: CirculantGraph,
     _require(n % 4 == 0, "the inner power of cycle needs 4 | n")
     _require(g.degree >= n // 2, "need degree >= n/2")
     _require(n // 2 not in g.gens, "the involution n/2 must be absent")
-    kk = n // 4
-    _require(s1.gens == tuple(range(1, kk + 1)),
-             "the inner subset must be the distances 1..n/4")
+    s1 = power_of_cycle(n, n // 4)
     _require(s1.issubset(g), "inner subset must lie inside S")
     rest = _complement(g, s1, "the inner subset")
 
-    # searched: no odd tiling order q = kk + i divides n = 4kk
+    # searched: no odd tiling order q = n/4 + i divides n
     tc = _constrained_total_search(s1, g, n // 2 + 2, budget)
     notes = "power part: exact bounded search within %d colors" % (n // 2 + 2)
     tc = _one_factorized(tc, rest, tc.palette_size + 1, budget)

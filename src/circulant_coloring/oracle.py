@@ -300,7 +300,9 @@ def _search(g: CirculantGraph, k: int, budget: int, spent: int = 0,
             vertices: bool = True, mode: Mode | None = None):
     """The kernel on g's total (or, without ``vertices``, edge) coloring
     with k colors, on the budget left after ``spent`` nodes: (witness or
-    None, nodes).  Running out names the whole budget."""
+    None, nodes).  Running out names the whole budget.  A total coloring
+    witness is verified by a check that raises, so it holds under
+    python -O as well."""
     nbrs = [g.neighbors(u) for u in range(g.n)] if vertices else None
     try:
         colors, _, nodes = _total_search(g.n, g.edges, nbrs, k,
@@ -311,8 +313,11 @@ def _search(g: CirculantGraph, k: int, budget: int, spent: int = 0,
     if colors is None:
         return None, nodes
     nv = g.n if vertices else 0
-    return TotalColoring.from_pairs(colors[:nv] or (0,) * g.n,
-                                    dict(zip(g.edges, colors[nv:]))), nodes
+    witness = TotalColoring.from_pairs(colors[:nv] or (0,) * g.n,
+                                       dict(zip(g.edges, colors[nv:])))
+    if vertices and not verify_total_coloring(g, witness).proper:
+        raise VerificationFailed("improper search witness", witness)
+    return witness, nodes
 
 
 def exact_total_chromatic(g: CirculantGraph,
@@ -327,8 +332,6 @@ def exact_total_chromatic(g: CirculantGraph,
         witness, used = _search(g, k, budget, nodes)
         nodes += used
         if witness is not None:
-            if not verify_total_coloring(g, witness).proper:
-                raise VerificationFailed("improper search witness", witness)
             return OracleResult(Quantity.TOTAL_CHROMATIC, k, nodes, witness)
     raise SearchBudgetExceeded(
         "no total coloring found up to %d colors" % (g.degree + 3))
@@ -360,6 +363,4 @@ def exact_feasible(g: CirculantGraph, k: int, mode: Mode,
     if _counting_refutes(g, k):
         return OracleResult(quantity, False, 0)
     witness, nodes = _search(g, k, budget, mode=mode)
-    if witness is not None and not verify_total_coloring(g, witness).proper:
-        raise VerificationFailed("improper search witness", witness)
     return OracleResult(quantity, witness is not None, nodes, witness)

@@ -97,13 +97,13 @@ def _equal_across(g: CirculantGraph, values) -> bool:
                for d in g.gens)
 
 
-def _check_assignments(g: CirculantGraph, tc: TotalColoring) -> tuple:
-    """tc's vertex colours and columns of g's distances, and their windows,
+def _check_assignments(g: CirculantGraph, tc: TotalColoring) -> list:
+    """The windows of tc's vertex colours and columns of g's distances,
     once every element has a colour of at least 1 and no non-edge has one."""
     if tc.n != g.n:
         raise VerificationFailed("coloring covers %d vertices, graph has %d" % (tc.n, g.n))
-    arrays = [tc.vertex_colors, *map(tc.column, g.gens)]
-    vertex, *cols = windows = _windows(g.n, arrays)
+    vertex, *cols = windows = _windows(
+        g.n, [tc.vertex_colors, *map(tc.column, g.gens)])
     if any(None in col for col in cols):
         missing = [e for e in g.edges if tc.edge_color(*e) is None]
         raise VerificationFailed("uncolored edges: %s" % (missing[:5],))
@@ -119,16 +119,14 @@ def _check_assignments(g: CirculantGraph, tc: TotalColoring) -> tuple:
         e = next(e for e, c in tc.edge_items()
                  if min(e[1] - e[0], g.n - e[1] + e[0]) not in g.gens)
         raise VerificationFailed("non-edge (%d, %d) has a color" % e)
-    return arrays, windows
+    return windows
 
 
-def find_violations(g: CirculantGraph, tc: TotalColoring, cols=None) -> list:
+def find_violations(g: CirculantGraph, tc: TotalColoring) -> list:
     """Every total-coloring violation, each with a concrete witness, from
-    one pass over the edges.  ``cols`` are tc's columns of g's distances."""
-    n, edges, vertex_colors = g.n, g.edges, tc.vertex_colors
-    col = dict(zip(g.gens, cols or map(tc.column, g.gens)))
-    edge_colors = [col[min(v - u, n - v + u)][u if 2 * (v - u) <= n else v]
-                   for u, v in edges]
+    one pass over the edges."""
+    edges, vertex_colors = g.edges, tc.vertex_colors
+    edge_colors = [tc.edge_color(u, v) for u, v in edges]
     violations = []
     for e, ce in zip(edges, edge_colors):
         u, v = e
@@ -158,13 +156,12 @@ def verify_total_coloring(g: CirculantGraph, tc: TotalColoring) -> VerificationR
 
 def _verify(g: CirculantGraph, tc: TotalColoring) -> tuple:
     """(verify_total_coloring's report, the windows of tc's arrays)."""
-    arrays, windows = _check_assignments(g, tc)
-    vertex, *cols = windows
+    vertex, *cols = windows = _check_assignments(g, tc)
     n, p = g.n, len(vertex)
     # no edge joins two vertices of one colour, every star is rainbow
     proper = not _equal_across(g, vertex) and p * (g.degree + 1) == sum(
         map(len, map(set, _stars(g, vertex, cols))))
-    violations = [] if proper else find_violations(g, tc, arrays[1:])
+    violations = [] if proper else find_violations(g, tc)
     # window counts scaled up; the involution's n/2 slots, if any, come last
     half = cols.pop() if 2 * g.gens[-1] == n else []
     sizes = {c: k * n // p for c, k in Counter(chain(vertex, *cols)).items()}

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circulant_coloring import constructions, golden
+from circulant_coloring import cli, constructions, golden
 from circulant_coloring.cli import (
     COLOR_METHODS,
     EXIT_BUDGET,
@@ -280,13 +280,12 @@ class TestExitContract:
     # and its subset's n/2 - 1 symmetric distances leave a distance out
     @pytest.mark.parametrize("argv,message", [
         ("thm31 --n 15 --gens 1,2,3,4,5,6", "n must be even"),
+        ("thm31 --n 3 --gens 1", "n must be even"),
         ("thm31 --n 18 --gens 1,2,3,4,5,6,7,8",
          "the inner power of cycle needs 4 | n"),
         ("thm31 --n 20 --gens 1,2", "need degree >= n/2"),
         ("thm31 --n 20 --gens 1,2,3,4,5,6,7,8,9,10",
          "the involution n/2 must be absent"),
-        ("thm31 --n 20 --gens 1,2,3,4,5,7,8 --s1-gens 1,2,3,4",
-         "the inner subset must be the distances 1..n/4"),
         ("thm31 --n 20 --gens 1,2,3,4,6,7,8,9",
          "inner subset must lie inside S"),
         ("thm31 --n 20 --gens 1,2,3,4,5",
@@ -330,10 +329,8 @@ class TestExitContract:
         assert captured.out == ""
         assert captured.err == "precondition failed: %s\n" % message
 
-    # an empty subset option is an empty set, never the default subset
-    # (thm31) or --gens
+    # an empty subset option is an empty set, never --gens
     @pytest.mark.parametrize("argv", [
-        "thm31 --n 20 --gens 1,2,3,4,5,7,8 --s1-gens",
         "thm33 --n 24 --gens 1,2,3,4,5,7,10 --m-gens",
         "thm34 --n 18 --gens 1,2,4,6,7,8 --s1-gens",
     ])
@@ -433,10 +430,15 @@ class TestExitContract:
         ("color --method canonical --n 8 --k 2", "--k"),
         ("oracle --quantity total-chromatic --n 7 --gens 1,2 --k 5", "--k"),
         ("oracle --quantity chromatic-index --n 7 --gens 1,2 --k 5", "--k"),
+        # thm31 builds its own inner subset, even one equal to the default
+        ("color --method thm31 --n 20 --gens 1,2,3,4,5,7,8 "
+         "--s1-gens 1,2,3,4,5", "--s1-gens"),
     ]
 
-    @pytest.mark.parametrize("argv,flag", FOREIGN,
-                             ids=[a.split()[2] for a, _ in FOREIGN])
+    # a case is named by its method or quantity, the second of thm31 by
+    # its flag too
+    @pytest.mark.parametrize("argv,flag", FOREIGN, ids=[
+        a.split()[2] for a, _ in FOREIGN[:-1]] + ["thm31-s1-gens"])
     def test_foreign_option_refused(self, argv, flag, capsys):
         assert exit_code(argv.split()) == EXIT_PRECONDITION
         out, err = capsys.readouterr()
@@ -517,6 +519,25 @@ class TestExitContract:
                      "--n", "22", "--k", "10", "--i", "1"]) == EXIT_BUDGET
         assert main(["color", "--method", "thm21-even", "--n", "22",
                      "--k", "10", "--i", "1"]) == EXIT_OK
+
+    @pytest.mark.parametrize("flags,forwarded", [
+        ([], {}), (["--budget", "0"], {"budget": 0})])
+    def test_budget_forwarded_only_when_given(self, flags, forwarded,
+                                              monkeypatch, capsys):
+        # without --budget the CLI passes no budget, so each library
+        # function's own default applies
+        seen = []
+        for name in ("color_thm33", "exact_total_chromatic"):
+            def record(*args, real=getattr(cli, name), **kwargs):
+                seen.append(kwargs)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, record)
+        main(flags + ["color", "--method", "thm33", "--n", "24", "--gens",
+                      "1,3,4,5,7,10,11", "--m-gens", "1,3,4,5,10"])
+        main(flags + ["oracle", "--quantity", "total-chromatic", "--n", "6",
+                      "--gens", "1"])
+        assert seen == [forwarded, forwarded]
 
     def test_pooled_search_within_budget(self, capsys):
         # the pooled 1-factorization (252 edges, 12 colours) needs 13,566
@@ -897,14 +918,14 @@ def cli_argv(draw):
         argv += ["build", "--n", n, "--gens", draw(_gens_text)]
     elif command == "color":
         method = draw(st.sampled_from(list(COLOR_METHODS)))
-        requires, optional, _ = COLOR_METHODS[method]
+        requires, _ = COLOR_METHODS[method]
         argv += ["color", "--method", method,
                  "--n", n, "--format", draw(st.sampled_from(["csv", "json"]))]
         # an option the method does not read is refused (exit 2), so it
         # comes in one example of ten, to leave the builders most of them
         for opt, values in (("k", _small), ("i", _small), ("gens", _gens_text),
                             ("s1_gens", _gens_text), ("m_gens", _gens_text)):
-            if opt in requires + optional or not draw(st.integers(0, 9)):
+            if opt in requires or not draw(st.integers(0, 9)):
                 argv += draw(_option("--" + opt.replace("_", "-"), values))
     elif command == "verify":
         n, gens = draw(st.one_of(st.just(("18", "1,2,3,4")),

@@ -240,13 +240,13 @@ class TestCanonicalPattern:
     def test_odd_complete_graph_proper(self):
         for m in (3, 5, 7, 9, 11):
             result = canonical_complete_coloring(m)
-            assert result.report.proper
-            assert result.report.colors_used == m
+            assert result.verification.proper
+            assert result.colors_used == result.bound_claimed == m
 
     def test_even_complete_graph_reported_improper(self):
         result = canonical_complete_coloring(4)
-        assert not result.report.proper
-        assert result.report.violations
+        assert not result.verification.proper
+        assert result.verification.violations
 
     def test_too_small(self):
         with pytest.raises(PreconditionFailed):
@@ -335,40 +335,41 @@ class TestFoldedTiling:
 class TestThm31:
     def test_z12(self):
         g = build_circulant(12, [1, 2, 3, 5])
-        report = color_thm31(g, build_circulant(12, [1, 2, 3]))
+        report = color_thm31(g)
         check_built(g, report)
         assert report.colors_used <= g.degree + 2
 
     def test_z20(self):
         g = build_circulant(20, [1, 2, 3, 4, 5, 7, 8])
-        report = color_thm31(g, build_circulant(20, range(1, 6)))
+        report = color_thm31(g)
         check_built(g, report)
         assert report.colors_used == 16 == g.degree + 2
 
     def test_wrong_inner_subset(self):
-        g = build_circulant(12, [1, 2, 3, 5])
-        with pytest.raises(PreconditionFailed):
-            color_thm31(g, build_circulant(12, [1, 2]))
+        # the distance 3 of the inner subset 1..n/4 is missing from S
+        g = build_circulant(12, [1, 2, 4, 5])
+        with pytest.raises(PreconditionFailed, match="inner subset must lie"):
+            color_thm31(g)
 
     def test_odd_n(self):
         g = build_circulant(15, [1, 2, 3, 4, 5])
         with pytest.raises(PreconditionFailed):
-            color_thm31(g, build_circulant(15, [1, 2, 3]))
+            color_thm31(g)
 
     def test_sparse_rejected(self):
         g = build_circulant(12, [1, 2])
         with pytest.raises(PreconditionFailed):
-            color_thm31(g, build_circulant(12, [1, 2, 3]))
+            color_thm31(g)
 
     def test_involution_rejected(self):
         g = build_circulant(12, [1, 2, 3, 5, 6])
         with pytest.raises(PreconditionFailed):
-            color_thm31(g, build_circulant(12, [1, 2, 3]))
+            color_thm31(g)
 
     def test_non_generating_complement(self):
         g = build_circulant(12, [1, 2, 3, 4])
         with pytest.raises(PreconditionFailed):
-            color_thm31(g, build_circulant(12, [1, 2, 3]))
+            color_thm31(g)
 
 
 def reference_constrained_search(power, full, num_colors, budget):

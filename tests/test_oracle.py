@@ -765,9 +765,9 @@ class TestWitnessCheck:
         lambda g: exact_feasible(g, 4, Mode.EQUITABLE),
         lambda g: exact_feasible(g, 6, Mode.NSD)])
     def test_improper_witness_raises(self, query, monkeypatch):
+        # the kernel returns every vertex coloured 1, every edge 2
         g = build_circulant(5, [1])
-        improper = TotalColoring.from_pairs((1,) * 5, {e: 2 for e in g.edges})
-        monkeypatch.setattr(oracle, "_search",
-                            lambda *args, **kwargs: (improper, 1))
+        monkeypatch.setattr(oracle, "_total_search",
+                            lambda *args, **kwargs: ([1] * 5 + [2] * 5, [], 1))
         with pytest.raises(VerificationFailed, match="improper search witness"):
             query(g)
