@@ -28,7 +28,7 @@ import json
 import os
 import sys
 
-from . import golden
+from . import factorization, golden, oracle
 from .coloring import (
     TotalColoring,
     _opened,
@@ -67,10 +67,10 @@ from .oracle import (
 from .verifiers import verify_nsd, verify_total_coloring
 
 EXIT_OK = 0
-EXIT_FAIL = 1
-EXIT_PRECONDITION = 2
-EXIT_VERIFICATION = 3
-EXIT_BUDGET = 4
+EXIT_FAIL = CirculantColoringError.exit_code
+EXIT_PRECONDITION = PreconditionFailed.exit_code
+EXIT_VERIFICATION = VerificationFailed.exit_code
+EXIT_BUDGET = SearchBudgetExceeded.exit_code
 
 
 def _parse_gens(text: str) -> list[int]:
@@ -249,8 +249,10 @@ def make_parser() -> argparse.ArgumentParser:
                     "circulant graphs, with verification and oracles.")
     p.add_argument("--budget", type=int, default=None,
                    help="node budget of each exact search, the oracle's "
-                        "included (default: 2,000,000 per builder search, "
-                        "20,000,000 for the oracle)")
+                        "included (default: {:,} per builder search, "
+                        "{:,} for the oracle)".format(
+                            factorization.DEFAULT_SEARCH_BUDGET,
+                            oracle.DEFAULT_NODE_BUDGET))
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="print a circulant graph as JSON")
@@ -317,18 +319,9 @@ def main(argv=None) -> int:
         # device, so nothing raises again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAIL
-    except PreconditionFailed as exc:
-        print("precondition failed: %s" % exc, file=sys.stderr)
-        return EXIT_PRECONDITION
-    except VerificationFailed as exc:
-        print("verification failed: %s" % exc, file=sys.stderr)
-        return EXIT_VERIFICATION
-    except SearchBudgetExceeded as exc:
-        print("search budget exceeded: %s" % exc, file=sys.stderr)
-        return EXIT_BUDGET
     except CirculantColoringError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_FAIL
+        print("%s: %s" % (exc.label, exc), file=sys.stderr)
+        return exc.exit_code
     except MemoryError:
         # the writers stream, so what was written before stays written
         print("out of memory: the run needs more memory than this process "

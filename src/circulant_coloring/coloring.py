@@ -226,17 +226,19 @@ _split_commas = re.compile(r"(,+)").split
 
 
 def _csv_lines(text: str):
-    """The non-blank lines of a CSV text: the first as its fields, each
-    later one as (first field, columns, fields) of its other non-empty
-    fields, columns counted from 0 (see _filled_cells)."""
-    if '"' in text or "\0" in text:
-        lines = filter(None, csv.reader(text.splitlines()))
+    """The non-blank lines of a CSV text, less the comment lines that
+    start with '#' (color's stdout ends in one): the first as its fields,
+    each later one as (first field, columns, fields) of its other
+    non-empty fields, columns counted from 0 (see _filled_cells)."""
+    lines = [line for line in text.splitlines() if line[:1] != "#"]
+    if any('"' in line or "\0" in line for line in lines):
+        lines = filter(None, csv.reader(lines))
         yield from islice(lines, 1)
         for label, *line in lines:
             yield label, [*compress(count(), line)], [*filter(None, line)]
         return
     limit = csv.field_size_limit()
-    for i, line in enumerate(filter(None, text.splitlines())):
+    for i, line in enumerate(filter(None, lines)):
         if len(line) > limit and max(map(len, line.split(","))) > limit:
             raise csv.Error("field larger than field limit (%d)" % limit)
         parts = _split_commas(line)  # field, comma run, field, ...
@@ -250,13 +252,14 @@ def _csv_lines(text: str):
 def _filled_cells(text: str):
     """(n, rows, wildcards) of a colour-matrix CSV: rows[u] is the columns
     of row u's integer cells and their colours, wildcards the '*' cells.
-    A text with no '"' and no NUL is split on comma runs, one regex call a
-    line, so a blank cell costs nothing; csv.reader tokenizes any other,
-    as a quoted field may hold commas or span lines and csv rejects NUL
-    before Python 3.11.  Raises csv.Error, line by line as csv.reader
-    does, on a field longer than csv.field_size_limit(), and ValueError
-    on a non-integer cell or a frame other than header ,0,1,...,n-1, row
-    labels 0..n-1 and no filled cell past column n-1."""
+    A text with no '"' and no NUL outside its comment lines is split on
+    comma runs, one regex call a line, so a blank cell costs nothing;
+    csv.reader tokenizes any other, as a quoted field may hold commas or
+    span lines and csv rejects NUL before Python 3.11.  Raises csv.Error,
+    line by line as csv.reader does, on a field longer than
+    csv.field_size_limit(), and ValueError on a non-integer cell or a
+    frame other than header ,0,1,...,n-1, row labels 0..n-1 and no filled
+    cell past column n-1."""
     lines = _csv_lines(text)
     header = [cell.strip() for cell in next(lines, ["?"])]
     n = len(header) - 1

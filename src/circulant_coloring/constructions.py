@@ -2,8 +2,8 @@
 
 Every builder assembles a candidate coloring exactly as its proof
 prescribes, hands it to the independent verifiers, and only then returns
-a BuildReport.  A rejected candidate raises VerificationFailed with the
-offending coloring attached; it is never silently repaired.
+a BuildReport.  A rejected candidate raises VerificationFailed; it is
+never silently repaired.
 
 The workhorse is one folded tiling: element (u, v) takes the canonical
 K_q row at (u mod h + v mod h) mod q.  With h = q odd dividing n it is the
@@ -92,15 +92,11 @@ def _verified(g: CirculantGraph, tc: TotalColoring, bound: int,
     if not report.proper:
         raise VerificationFailed(
             "construction rejected: %d violations, first %s"
-            % (len(report.violations), report.violations[0].witness),
-            coloring=tc, report=report,
-        )
+            % (len(report.violations), report.violations[0].witness))
     used = report.colors_used
     if used > bound:
         raise VerificationFailed(
-            "used %d colors, claimed bound %d" % (used, bound),
-            coloring=tc, report=report,
-        )
+            "used %d colors, claimed bound %d" % (used, bound))
     return BuildReport(tc, used, bound, notes=notes, verification=report)
 
 
@@ -210,8 +206,7 @@ def _equitable_nsd(g: CirculantGraph, tc: TotalColoring, d: int,
     and degree + 3; rainbow matchings are noted, verify_nsd decides."""
     equitable = _verified(g, tc, g.degree + 1, notes)
     if not equitable.verification.equitable:
-        raise VerificationFailed("coloring is not equitable", coloring=tc,
-                                 report=equitable.verification)
+        raise VerificationFailed("coloring is not equitable")
     a = g.degree + 2
     recolored, flags = _recolor_unit_cycle(tc, d, a)
     report = verify_nsd(g, recolored)
@@ -219,8 +214,7 @@ def _equitable_nsd(g: CirculantGraph, tc: TotalColoring, d: int,
         raise VerificationFailed(
             "recoloring failed the NSD check" if all(flags) else
             "matchings not rainbow under the base coloring and the "
-            "recoloring is not sum-distinguishing",
-            coloring=recolored, report=report)
+            "recoloring is not sum-distinguishing")
     notes = "distance-%d cycle matchings recolored with %d and %d" % (
         d, a, a + 1)
     if not all(flags):  # thm22 at n > 2(2k+1)

@@ -1,9 +1,8 @@
 """Exception hierarchy shared across the toolkit: one class per CLI exit
-code, so the CLI needs one handler per code.
-
-Builder errors carry enough context to be reported by the CLI without
-re-deriving anything; search budget exhaustion is deliberately distinct
-from nonexistence.
+code.  Each class carries its ``exit_code`` and ``label``, the prefix of
+the one stderr line the CLI prints, so the CLI has one handler for all
+of them.  Every error holds only its message; search budget exhaustion
+is deliberately distinct from nonexistence.
 """
 
 
@@ -11,30 +10,26 @@ class CirculantColoringError(Exception):
     """Base class for all toolkit errors (exit 1), e.g. a missing
     fixture."""
 
+    exit_code = 1
+    label = "error"
+
 
 class PreconditionFailed(CirculantColoringError):
     """An input violates a documented requirement (exit 2): a malformed
-    generator set, an out-of-range parameter, an instance too large for
-    the oracle, an unreadable or malformed file."""
+    generator set, an out-of-range parameter, an edge set with no
+    1-factorization, an instance too large for the oracle, an unreadable
+    or malformed file."""
 
-
-class FactorizationImpossible(PreconditionFailed):
-    """The requested edge set provably has no 1-factorization
-    (e.g. a component of odd order)."""
+    exit_code = 2
+    label = "precondition failed"
 
 
 class VerificationFailed(CirculantColoringError):
     """A coloring was rejected by the independent checker, or cannot be
-    checked because it is improper or incomplete (exit 3).
+    checked because it is improper or incomplete (exit 3)."""
 
-    The offending coloring and its report are attached for diagnostics
-    when the caller has them.
-    """
-
-    def __init__(self, message, coloring=None, report=None):
-        super().__init__(message)
-        self.coloring = coloring
-        self.report = report
+    exit_code = 3
+    label = "verification failed"
 
 
 # The former name of an improper-coloring failure, kept only because
@@ -49,8 +44,9 @@ class SearchBudgetExceeded(CirculantColoringError):
     This is an operational failure, never a claim of nonexistence.
     """
 
+    exit_code = 4
+    label = "search budget exceeded"
+
 
 class MismatchFound(CirculantColoringError):
-    def __init__(self, message, mismatches=None):
-        super().__init__(message)
-        self.mismatches = mismatches or []
+    """A rebuilt fixture differs from the shipped one (exit 1)."""

@@ -39,11 +39,7 @@ import math
 from dataclasses import dataclass
 
 from .coloring import TotalColoring
-from .errors import (
-    FactorizationImpossible,
-    PreconditionFailed,
-    SearchBudgetExceeded,
-)
+from .errors import PreconditionFailed, SearchBudgetExceeded
 from .graphs import CirculantGraph, build_circulant
 
 # Node budget of each exact search in a build, unless the caller passes one.
@@ -202,7 +198,7 @@ def one_factorize(g: CirculantGraph, first_color: int = 1,
     per peeled distance, then the pooled distances.
 
     Requires even n.  Components of odd order make a perfect matching
-    impossible and raise FactorizationImpossible; connected circulants of
+    impossible and raise PreconditionFailed; connected circulants of
     even order always succeed.  ``budget`` bounds the nodes of the exact
     search on pooled distances.
     """
@@ -231,7 +227,7 @@ def one_factorize(g: CirculantGraph, first_color: int = 1,
             pooled.append(involution)
             involution = None
         else:
-            raise FactorizationImpossible(
+            raise PreconditionFailed(
                 "distances %r span components of odd order %d"
                 % (pooled, n // math.gcd(n, *pooled))
             )
@@ -267,7 +263,7 @@ def _factorize_pool(n: int, pool: list[int], first_color: int,
     comp = build_circulant(m, [p // d0 for p in pool])
     solution = _exact_edge_coloring(comp, budget)
     if solution is None:
-        raise FactorizationImpossible(
+        raise PreconditionFailed(
             "no %d-edge-coloring of component circulant C_%d(%r)"
             % (comp.degree, m, [p // d0 for p in pool])
         )

@@ -88,7 +88,5 @@ def reproduce_table(table_id: int) -> int:
     if mismatches:
         raise MismatchFound(
             "table %d: %d cells differ, first %s"
-            % (table_id, len(mismatches), mismatches[0]),
-            mismatches=mismatches,
-        )
+            % (table_id, len(mismatches), mismatches[0]))
     return checked

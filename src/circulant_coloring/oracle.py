@@ -316,7 +316,7 @@ def _search(g: CirculantGraph, k: int, budget: int, spent: int = 0,
     witness = TotalColoring.from_pairs(colors[:nv] or (0,) * g.n,
                                        dict(zip(g.edges, colors[nv:])))
     if vertices and not verify_total_coloring(g, witness).proper:
-        raise VerificationFailed("improper search witness", witness)
+        raise VerificationFailed("improper search witness")
     return witness, nodes
 
 

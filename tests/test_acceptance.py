@@ -16,7 +16,7 @@ from circulant_coloring.constructions import (
     color_thm34,
     equitable_nsd_power_cycle,
 )
-from circulant_coloring.errors import FactorizationImpossible
+from circulant_coloring.errors import PreconditionFailed
 from circulant_coloring.factorization import one_factorize
 from circulant_coloring.golden import reproduce_table
 from circulant_coloring.graphs import (
@@ -190,9 +190,10 @@ def test_criterion_10_factorization_suite():
                 g = build_circulant(n, ds)
                 try:
                     fac = one_factorize(g)
-                except FactorizationImpossible:
+                except PreconditionFailed as e:
                     # only non-generating sets (odd disconnected components)
                     # may fail
+                    assert "components of odd order" in str(e), (n, ds)
                     assert not generates_group(g), (n, ds)
                     continue
                 assert len(fac.factors) == g.degree

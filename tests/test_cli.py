@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circulant_coloring import cli, constructions, golden
+from circulant_coloring import (
+    cli,
+    constructions,
+    factorization,
+    golden,
+    oracle,
+)
 from circulant_coloring.cli import (
     COLOR_METHODS,
     EXIT_BUDGET,
@@ -32,7 +38,13 @@ from circulant_coloring.constructions import (
     color_power_cycle_even,
     equitable_nsd_power_cycle,
 )
-from circulant_coloring.errors import CirculantColoringError
+from circulant_coloring.errors import (
+    CirculantColoringError,
+    MismatchFound,
+    PreconditionFailed,
+    SearchBudgetExceeded,
+    VerificationFailed,
+)
 from circulant_coloring.graphs import power_of_cycle
 from circulant_coloring.verifiers import verify_total_coloring
 
@@ -200,6 +212,22 @@ class TestExport:
                          "--in", str(path)]) == EXIT_VERIFICATION
             assert ("vertex 0 has no valid color"
                     in capsys.readouterr().err)
+
+    def test_color_stdout_reads_back(self, tmp_path, capsys):
+        # the stdout CSV ends in a '# {report}' comment line, which verify
+        # and export skip; export gives back the bytes of --out's CSV
+        argv = ["color", "--method", "thm21-even", "--n", "18", "--k", "4",
+                "--i", "5"]
+        assert main(argv) == EXIT_OK
+        stdout = tmp_path / "stdout.csv"
+        stdout.write_text(capsys.readouterr().out)
+        assert main(argv + ["--out", str(tmp_path / "run")]) == EXIT_OK
+        assert main(["verify", "--n", "18", "--gens", "1,2,3,4",
+                     "--in", str(stdout)]) == EXIT_OK
+        again = tmp_path / "again.csv"
+        assert main(["export", "--in", str(stdout), "--format", "csv",
+                     "--out", str(again)]) == EXIT_OK
+        assert again.read_bytes() == (tmp_path / "run.csv").read_bytes()
 
     def test_wildcards_refused(self, tmp_path, capsys):
         path = tmp_path / "w.csv"
@@ -397,6 +425,24 @@ class TestExitContract:
             "CellMismatch(row=0, col=1, expected=99, actual=")
         assert err == ""
 
+    @pytest.mark.parametrize("cls,code,label", [
+        (CirculantColoringError, 1, "error"),
+        (PreconditionFailed, 2, "precondition failed"),
+        (VerificationFailed, 3, "verification failed"),
+        (SearchBudgetExceeded, 4, "search budget exceeded"),
+        (MismatchFound, 1, "error"),
+    ])
+    def test_class_carries_code_and_label(self, cls, code, label,
+                                          monkeypatch, capsys):
+        # main's one handler prints the class's label and returns its code
+        def fail(args):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "cmd_build", fail)
+        assert main(["build", "--n", "5", "--gens", "1"]) == cls.exit_code
+        assert (cls.exit_code, cls.label) == (code, label)
+        assert capsys.readouterr() == ("", "%s: boom\n" % label)
+
     def test_other_toolkit_error(self, monkeypatch, capsys):
         def missing(tid):
             raise CirculantColoringError("no fixture for table %d" % tid)
@@ -503,6 +549,14 @@ class TestExitContract:
         err = capsys.readouterr().err
         assert "oracle search exceeded 200 nodes" in err
         assert "121" not in err
+
+    def test_budget_help_reads_the_defaults(self, monkeypatch):
+        # --help spells out the two library defaults, read where they live
+        monkeypatch.setattr(factorization, "DEFAULT_SEARCH_BUDGET", 1234567)
+        monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 7654321)
+        text = " ".join(cli.make_parser().format_help().split())
+        assert ("(default: 1,234,567 per builder search, 7,654,321 for the "
+                "oracle)") in text
 
     def test_zero_budget_is_valid(self, capsys):
         # thm21-even n=12 k=2 i=1 needs no search; C_6 does

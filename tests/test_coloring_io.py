@@ -237,6 +237,21 @@ class TestCsvParsing:
         matrix, _ = parse_matrix_csv_text(text)
         assert matrix[0][0] == 1
 
+    @pytest.mark.parametrize("cell", ["1", '"1"'])
+    def test_comment_lines_skipped(self, cell):
+        # lines that start with '#' are skipped wherever they stand, in
+        # both tokenizers
+        plain = ",0,1\n0,1,3\n1,3,2\n"
+        text = ",0,1\n# note\n0,%s,3\n1,3,2\n# {\"colors_used\": 3}\n" % cell
+        assert parse_matrix_csv_text(text) == parse_matrix_csv_text(plain)
+
+    def test_quoted_comment_keeps_the_comma_split(self):
+        # quotes in a comment line, as in color's report line, do not send
+        # the text to csv.reader
+        text = ",0,1\n0,1,3\n1,3,2\n# {\"colors_used\": 3}\n"
+        with mock.patch.object(csv, "reader", side_effect=AssertionError):
+            assert parse_matrix_csv_text(text)[0] == [[1, 3], [3, 2]]
+
 
 class TestCsvFrame:
     """The header row must be ,0,1,...,n-1, row u must be labelled u, and

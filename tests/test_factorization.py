@@ -7,11 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circulant_coloring import constructions, factorization
-from circulant_coloring.errors import (
-    FactorizationImpossible,
-    PreconditionFailed,
-    SearchBudgetExceeded,
-)
+from circulant_coloring.errors import PreconditionFailed, SearchBudgetExceeded
 from circulant_coloring.factorization import (
     EdgeColoring,
     _exact_edge_coloring,
@@ -91,7 +87,8 @@ class TestOneFactorize:
 
     def test_disconnected_odd_components(self):
         # Z_10 with distance 2: two disjoint 5-cycles, no perfect matching
-        with pytest.raises(FactorizationImpossible):
+        with pytest.raises(PreconditionFailed,
+                           match="components of odd order"):
             one_factorize(build_circulant(10, [2]))
 
     def test_deterministic(self):
@@ -121,7 +118,8 @@ class TestOneFactorize:
         g = build_circulant(n, sorted(ds))
         try:
             fac = one_factorize(g, 3)
-        except FactorizationImpossible:
+        except PreconditionFailed as e:
+            assert "components of odd order" in str(e)
             assert not generates_group(g)
             return
         assert sorted(fac.columns) == list(g.gens)
@@ -144,8 +142,9 @@ class TestOneFactorize:
                 g = build_circulant(n, ds)
                 try:
                     fac = one_factorize(g)
-                except FactorizationImpossible:
+                except PreconditionFailed as e:
                     # only disconnected graphs with odd components may fail
+                    assert "components of odd order" in str(e)
                     assert not generates_group(g)
                     continue
                 check_factorization(g, fac)
@@ -164,8 +163,9 @@ class TestOneFactorize:
                 pools.clear()
                 try:
                     want = reference_pool(n, g.gens)
-                except FactorizationImpossible as e:
-                    with pytest.raises(FactorizationImpossible) as got:
+                except PreconditionFailed as e:
+                    with pytest.raises(PreconditionFailed,
+                                       match="components of odd order") as got:
                         one_factorize(g)
                     assert str(got.value) == str(e)
                     continue
@@ -176,7 +176,7 @@ class TestOneFactorize:
 def reference_pool(n, gens):
     """The pool growth loop that one_factorize's one-donor rule replaced,
     kept as its reference: the sorted pool ([] if nothing is pooled), or
-    FactorizationImpossible."""
+    PreconditionFailed on components of odd order."""
     involution, peelable, pooled = None, [], []
     for d in gens:
         if 2 * d == n:
@@ -202,7 +202,7 @@ def reference_pool(n, gens):
                 pooled.append(involution)
                 involution = None
             else:
-                raise FactorizationImpossible(
+                raise PreconditionFailed(
                     "distances %r span components of odd order %d"
                     % (sorted(pooled), n // math.gcd(n, *pooled))
                 )
