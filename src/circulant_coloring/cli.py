@@ -6,7 +6,8 @@ Every subcommand exits with one of:
 
     0  success
     1  any other toolkit error (a missing fixture), a fixture mismatch,
-       stdout closed before the output was written (a broken pipe), or
+       stdout closed before the output was written (a broken pipe) or
+       failing a write (a full disk: one ``error:`` line on stderr), or
        the process ran out of memory (the output may be partial)
     2  precondition failed: a bad or missing argument (a --budget below
        0 included), a malformed or unreadable file, an instance too
@@ -313,11 +314,14 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # the reader closed stdout early (``| head``): what is left of the
-        # output, the interpreter's final flush included, goes to the null
-        # device, so nothing raises again
+    except OSError as exc:
+        # stdout failed: the reader closed it early (``| head``, which
+        # stays silent) or a write failed (a full disk).  What is left of
+        # the output, the interpreter's final flush included, goes to the
+        # null device, so nothing raises again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print("error: %s" % exc, file=sys.stderr)
         return EXIT_FAIL
     except CirculantColoringError as exc:
         print("%s: %s" % (exc.label, exc), file=sys.stderr)

@@ -459,7 +459,8 @@ def read_coloring_json(path) -> TotalColoring:
     A file in the writer's layout is read one block of edges at a time;
     any other text, or one whose blocks fail, is read whole by json.loads,
     which raises what it raises."""
-    with _opened(path, malformed=(KeyError, TypeError, ValueError),
+    with _opened(path, malformed=(KeyError, TypeError, ValueError,
+                                  RecursionError),
                  encoding="utf-8-sig") as fh:
         text = fh.read()
         try:

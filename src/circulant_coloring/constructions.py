@@ -110,19 +110,20 @@ def _one_factorized(tc: TotalColoring, sub: CirculantGraph, first: int,
 
 # -- powers of cycles --------------------------------------------------------
 
-def _check_power_pre(n: int, k: int, i: int, parity: int):
-    """Hypotheses of Theorem 2.1 for C_n^k with n % 2 == parity."""
+def _check_power_pre(n: int, k: int, i: int, parity: int) -> CirculantGraph:
+    """C_n^k, once the hypotheses of Theorem 2.1 with n % 2 == parity
+    hold."""
     if n % 2 != parity:
         raise PreconditionFailed("n must be %s, got %d"
                                  % ("odd" if parity else "even", n))
-    if not 1 <= k < n / 2:
-        raise PreconditionFailed("need 1 <= k < n/2, got k=%d n=%d" % (k, n))
+    g = power_of_cycle(n, k)
     if not 1 <= i <= k + 1:
         raise PreconditionFailed("need 1 <= i <= k+1, got i=%d" % i)
     if (k + i) % 2 == 0:
         raise PreconditionFailed("k+i = %d must be odd" % (k + i))
     if n % (k + i):
         raise PreconditionFailed("k+i = %d must divide n = %d" % (k + i, n))
+    return g
 
 
 def color_power_cycle_even(n: int, k: int, i: int,
@@ -135,8 +136,7 @@ def color_power_cycle_even(n: int, k: int, i: int,
     residual distance, on the same fresh colors.  Each search gets
     ``budget`` nodes.
     """
-    _check_power_pre(n, k, i, 0)
-    g = power_of_cycle(n, k)
+    g = _check_power_pre(n, k, i, 0)
     q = k + i
     tiled, residual = _choose_tiling_split(n, k, q)
     tc = _tiling(n, q, q, tiled)
@@ -167,8 +167,7 @@ def color_power_cycle_odd(n: int, k: int, i: int) -> BuildReport:
     sub-power; the remaining distances take a Vizing edge coloring on at
     most k-i+2 fresh colors.
     """
-    _check_power_pre(n, k, i, 1)
-    g = power_of_cycle(n, k)
+    g = _check_power_pre(n, k, i, 1)
     q = k + i
     m = (q - 1) // 2
     tc = _tiling(n, q, q, range(1, m + 1))

@@ -63,14 +63,9 @@ class OracleResult:
     witness: TotalColoring | None = None
 
 
-def _check_size(g: CirculantGraph):
-    if g.n > DEFAULT_SIZE_LIMIT:
-        raise PreconditionFailed("n = %d exceeds the oracle limit %d"
-                                 % (g.n, DEFAULT_SIZE_LIMIT))
-
-
 def _total_search(n: int, edges, vertex_nbrs, num_colors: int, budget: int,
-                  what: str, dsatur: bool = True, mode: Mode | None = None):
+                  what: str, dsatur: bool = True, mode: Mode | None = None,
+                  nodes: int = 0):
     """Backtracking total coloring with colors 1..num_colors on an explicit
     stack of [choices, next choice, max_used] frames; a choice is an
     (element, color bit) pair, and each color placed is one node.
@@ -82,8 +77,9 @@ def _total_search(n: int, edges, vertex_nbrs, num_colors: int, budget: int,
     free colors, stopping at one, or with ``dsatur`` the DSATUR element
     and the closed-star rule of the module docstring, its counts kept by
     ``count``.  ``mode`` adds the equitable class limits or the NSD sum
-    check.  Returns (colors, order, nodes), colors None when the palette
-    is exhausted; raises SearchBudgetExceeded past ``budget`` nodes.
+    check.  The node count starts at ``nodes``, those spent before.
+    Returns (colors, order, nodes), colors None when the palette is
+    exhausted; raises SearchBudgetExceeded past ``budget`` nodes.
     """
     k = num_colors
     nv = 0 if vertex_nbrs is None else n
@@ -232,7 +228,7 @@ def _total_search(n: int, edges, vertex_nbrs, num_colors: int, budget: int,
 
     step = count if star_rule else toggle
     stack = []
-    nodes = max_used = 0
+    max_used = 0
     while True:
         choices = pick(max_used)
         if choices is None:
@@ -296,71 +292,66 @@ def _counting_refutes(g: CirculantGraph, k: int) -> bool:
     return largest * k < g.n
 
 
-def _search(g: CirculantGraph, k: int, budget: int, spent: int = 0,
-            vertices: bool = True, mode: Mode | None = None):
-    """The kernel on g's total (or, without ``vertices``, edge) coloring
-    with k colors, on the budget left after ``spent`` nodes: (witness or
-    None, nodes).  Running out names the whole budget.  A total coloring
-    witness is verified by a check that raises, so it holds under
-    python -O as well."""
+def _decide(g: CirculantGraph, quantity: Quantity, palettes,
+            budget: int, mode: Mode | None = None) -> OracleResult:
+    """Try ``palettes`` in turn: the first with a total coloring of g (an
+    edge coloring for CHROMATIC_INDEX) under ``mode`` gives the value k,
+    or True for a feasibility query (``mode`` given), which is False when
+    none has one.  The node count runs on across palettes, so running out
+    names the whole budget.  Every witness is verified by a check that
+    raises, so it holds under python -O as well; an edge coloring is
+    checked with vertex colors above the palette."""
+    if g.n > DEFAULT_SIZE_LIMIT:
+        raise PreconditionFailed("n = %d exceeds the oracle limit %d"
+                                 % (g.n, DEFAULT_SIZE_LIMIT))
+    if palettes[0] < 1:
+        raise PreconditionFailed(
+            "palette size must be positive, got %d" % palettes[0])
+    vertices = quantity is not Quantity.CHROMATIC_INDEX
     nbrs = [g.neighbors(u) for u in range(g.n)] if vertices else None
-    try:
-        colors, _, nodes = _total_search(g.n, g.edges, nbrs, k,
-                                         budget - spent, "oracle", mode=mode)
-    except SearchBudgetExceeded:
-        raise SearchBudgetExceeded(
-            "oracle search exceeded %d nodes" % budget) from None
-    if colors is None:
-        return None, nodes
     nv = g.n if vertices else 0
-    witness = TotalColoring.from_pairs(colors[:nv] or (0,) * g.n,
-                                       dict(zip(g.edges, colors[nv:])))
-    if vertices and not verify_total_coloring(g, witness).proper:
-        raise VerificationFailed("improper search witness")
-    return witness, nodes
+    nodes = 0
+    for k in palettes:
+        if vertices and _counting_refutes(g, k):
+            continue
+        colors, _, nodes = _total_search(g.n, g.edges, nbrs, k, budget,
+                                         "oracle", mode=mode, nodes=nodes)
+        if colors is None:
+            continue
+        witness = TotalColoring.from_pairs(colors[:nv] or (0,) * g.n,
+                                           dict(zip(g.edges, colors[nv:])))
+        check = witness if vertices else TotalColoring(
+            tuple(range(k + 1, k + 1 + g.n)), witness.columns)
+        if not verify_total_coloring(g, check).proper:
+            raise VerificationFailed("improper search witness")
+        return OracleResult(quantity, k if mode is None else True, nodes,
+                            witness)
+    if mode is not None:
+        return OracleResult(quantity, False, nodes)
+    raise SearchBudgetExceeded("no %s coloring found up to %d colors"
+                               % ("total" if vertices else "edge",
+                                  palettes[-1]))
 
 
 def exact_total_chromatic(g: CirculantGraph,
                           budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Exact total chromatic number with a witness coloring, trying
     Delta + 1 up to Delta + 3 colors."""
-    _check_size(g)
-    nodes = 0
-    for k in range(g.degree + 1, g.degree + 4):
-        if _counting_refutes(g, k):
-            continue
-        witness, used = _search(g, k, budget, nodes)
-        nodes += used
-        if witness is not None:
-            return OracleResult(Quantity.TOTAL_CHROMATIC, k, nodes, witness)
-    raise SearchBudgetExceeded(
-        "no total coloring found up to %d colors" % (g.degree + 3))
+    return _decide(g, Quantity.TOTAL_CHROMATIC,
+                   range(g.degree + 1, g.degree + 4), budget)
 
 
 def exact_chromatic_index(g: CirculantGraph,
                           budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Exact chromatic index with a witness edge coloring (Delta or
     Delta + 1 colors, by Vizing's theorem)."""
-    _check_size(g)
-    nodes = 0
-    for k in (g.degree, g.degree + 1):
-        witness, used = _search(g, k, budget, nodes, vertices=False)
-        nodes += used
-        if witness is not None:
-            return OracleResult(Quantity.CHROMATIC_INDEX, k, nodes, witness)
-    raise SearchBudgetExceeded(
-        "no edge coloring found up to %d colors" % (g.degree + 1))
+    return _decide(g, Quantity.CHROMATIC_INDEX, (g.degree, g.degree + 1),
+                   budget)
 
 
 def exact_feasible(g: CirculantGraph, k: int, mode: Mode,
                    budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Feasibility of a proper total k-coloring with the extra constraint."""
-    _check_size(g)
-    if k < 1:
-        raise PreconditionFailed("palette size must be positive, got %d" % k)
     quantity = (Quantity.EQUITABLE_TOTAL_FEASIBLE if mode is Mode.EQUITABLE
                 else Quantity.NSD_TOTAL_FEASIBLE)
-    if _counting_refutes(g, k):
-        return OracleResult(quantity, False, 0)
-    witness, nodes = _search(g, k, budget, mode=mode)
-    return OracleResult(quantity, witness is not None, nodes, witness)
+    return _decide(g, quantity, (k,), budget, mode)

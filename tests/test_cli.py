@@ -180,6 +180,28 @@ class TestOracle:
                      "--n", "6", "--gens", "1", "--k", "4"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["value"] is True
 
+    @pytest.mark.parametrize("argv,code,out,err", [
+        # 16 nodes refute 5 colors, 393 more find 6
+        (["oracle", "--quantity", "total-chromatic", "--n", "8",
+          "--gens", "1,3"], EXIT_OK,
+         '{"nodes_explored": 409, "quantity": "TotalChromatic", '
+         '"value": 6}\n', ""),
+        # runs out in the second palette, and names the whole budget
+        (["--budget", "100", "oracle", "--quantity", "total-chromatic",
+          "--n", "8", "--gens", "1,3"], EXIT_BUDGET, "",
+         "search budget exceeded: oracle search exceeded 100 nodes\n"),
+        (["oracle", "--quantity", "chromatic-index", "--n", "9",
+          "--gens", "1,2"], EXIT_OK,
+         '{"nodes_explored": 29, "quantity": "ChromaticIndex", '
+         '"value": 5}\n', ""),
+        (["oracle", "--quantity", "equitable-feasible", "--n", "10",
+          "--gens", "1,2", "--k", "5"], EXIT_OK,
+         '{"nodes_explored": 47, "quantity": "EquitableTotalFeasible", '
+         '"value": true}\n', "")])
+    def test_pinned_output(self, argv, code, out, err, capsys):
+        assert main(argv) == code
+        assert capsys.readouterr() == (out, err)
+
 
 class TestExport:
     def test_round_trip_byte_identical(self, tmp_path, capsys):
@@ -658,6 +680,20 @@ class TestExitContract:
         assert proc.wait(timeout=60) == EXIT_FAIL
         assert err == ""
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["build", "--n", "5", "--gens", "1"],
+        # far larger than the stdout buffer: the writer fails mid-run
+        ["color", "--method", "canonical", "--n", "301"]])
+    def test_stdout_write_fails(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "circulant_coloring.cli"] + argv,
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+        assert proc.returncode == EXIT_FAIL
+        assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
     # sha256 of the JSON stdout printed by the recursive edge-coloring
     # search this kernel replaced, run under a raised recursion limit
     @pytest.mark.parametrize("n,digest", [
@@ -734,6 +770,20 @@ class TestMemory:
 class TestMalformedInput:
     def verify(self, path):
         return main(["verify", "--n", "3", "--gens", "1", "--in", str(path)])
+
+    @pytest.mark.parametrize("command", ["verify", "export"])
+    def test_json_nested_past_the_recursion_limit(self, command, tmp_path,
+                                                   capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        argv = (["verify", "--n", "5", "--gens", "1", "--in", str(path)]
+                if command == "verify" else
+                ["export", "--in", str(path), "--format", "csv",
+                 "--out", str(tmp_path / "out.csv")])
+        assert main(argv) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failed: malformed coloring file")
+        assert "RecursionError" in err
 
     def test_json_self_loop_edge(self, tmp_path, capsys):
         path = tmp_path / "loop.json"

@@ -18,7 +18,6 @@ from circulant_coloring.oracle import (
     Quantity,
     _counting_refutes,
     _independence_number,
-    _search,
     _total_search,
     exact_chromatic_index,
     exact_feasible,
@@ -718,12 +717,14 @@ class TestAgainstReference:
     def kernel_value(g, quantity, k):
         """Feasibility of palette k by the kernel, its witness checked."""
         if quantity == "index":
-            witness, _ = _search(g, k, 100_000, vertices=False)
-            if witness is not None:
-                assert {e for e, _ in witness.edge_items()} == set(g.edges)
-                at = {(u, c) for e, c in witness.edge_items() for u in e}
-                assert len(at) == 2 * len(g.edges)
-            return witness is not None
+            # k colors suffice iff the chromatic index is at most k
+            result = exact_chromatic_index(g, budget=100_000)
+            witness = result.witness
+            assert {e for e, _ in witness.edge_items()} == set(g.edges)
+            at = {(u, c) for e, c in witness.edge_items() for u in e}
+            assert len(at) == 2 * len(g.edges)
+            assert max(c for _, c in witness.edge_items()) <= result.value
+            return result.value <= k
         mode = Mode.EQUITABLE if quantity == "equitable" else Mode.NSD
         result = exact_feasible(g, k, mode, budget=100_000)
         if result.value:
@@ -763,9 +764,11 @@ class TestWitnessCheck:
     @pytest.mark.parametrize("query", [
         lambda g: exact_total_chromatic(g),
         lambda g: exact_feasible(g, 4, Mode.EQUITABLE),
-        lambda g: exact_feasible(g, 6, Mode.NSD)])
+        lambda g: exact_feasible(g, 6, Mode.NSD),
+        lambda g: exact_chromatic_index(g)])
     def test_improper_witness_raises(self, query, monkeypatch):
-        # the kernel returns every vertex coloured 1, every edge 2
+        # the kernel returns every vertex coloured 1, every edge 2; an
+        # edge coloring reads the first five, every edge coloured 1
         g = build_circulant(5, [1])
         monkeypatch.setattr(oracle, "_total_search",
                             lambda *args, **kwargs: ([1] * 5 + [2] * 5, [], 1))
