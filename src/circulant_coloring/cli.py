@@ -6,9 +6,9 @@ Every subcommand exits with one of:
 
     0  success
     1  any other toolkit error (a missing fixture), a fixture mismatch,
-       stdout closed before the output was written (a broken pipe) or
-       failing a write (a full disk: one ``error:`` line on stderr), or
-       the process ran out of memory (the output may be partial)
+       stdout closed early (a broken pipe), a failed write or other system
+       error (a full disk: one ``error:`` line on stderr), or the process
+       ran out of memory (the output may be partial)
     2  precondition failed: a bad or missing argument (a --budget below
        0 included), a malformed or unreadable file, an instance too
        large for the oracle
@@ -315,13 +315,15 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except OSError as exc:
-        # stdout failed: the reader closed it early (``| head``, which
-        # stays silent) or a write failed (a full disk).  What is left of
-        # the output, the interpreter's final flush included, goes to the
-        # null device, so nothing raises again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # a failed write (a full disk) or a closed stdout (``| head``, which
+        # stays silent).  If stdout still fails, the rest of its output, the
+        # final flush included, goes to the null device and cannot raise
         if not isinstance(exc, BrokenPipeError):
             print("error: %s" % exc, file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAIL
     except CirculantColoringError as exc:
         print("%s: %s" % (exc.label, exc), file=sys.stderr)

@@ -293,20 +293,22 @@ def _counting_refutes(g: CirculantGraph, k: int) -> bool:
 
 
 def _decide(g: CirculantGraph, quantity: Quantity, palettes,
-            budget: int, mode: Mode | None = None) -> OracleResult:
+            budget: int) -> OracleResult:
     """Try ``palettes`` in turn: the first with a total coloring of g (an
-    edge coloring for CHROMATIC_INDEX) under ``mode`` gives the value k,
-    or True for a feasibility query (``mode`` given), which is False when
-    none has one.  The node count runs on across palettes, so running out
-    names the whole budget.  Every witness is verified by a check that
-    raises, so it holds under python -O as well; an edge coloring is
-    checked with vertex colors above the palette."""
+    edge coloring for CHROMATIC_INDEX; equitable or NSD for a feasibility
+    quantity) gives the value k, or True for a feasibility quantity,
+    which is False when none has one.  The node count runs on across
+    palettes, so running out names the whole budget.  Every witness is
+    verified by a check that raises, so it holds under python -O as well;
+    an edge coloring is checked with vertex colors above the palette."""
     if g.n > DEFAULT_SIZE_LIMIT:
         raise PreconditionFailed("n = %d exceeds the oracle limit %d"
                                  % (g.n, DEFAULT_SIZE_LIMIT))
     if palettes[0] < 1:
         raise PreconditionFailed(
             "palette size must be positive, got %d" % palettes[0])
+    mode = {Quantity.EQUITABLE_TOTAL_FEASIBLE: Mode.EQUITABLE,
+            Quantity.NSD_TOTAL_FEASIBLE: Mode.NSD}.get(quantity)
     vertices = quantity is not Quantity.CHROMATIC_INDEX
     nbrs = [g.neighbors(u) for u in range(g.n)] if vertices else None
     nv = g.n if vertices else 0
@@ -354,4 +356,4 @@ def exact_feasible(g: CirculantGraph, k: int, mode: Mode,
     """Feasibility of a proper total k-coloring with the extra constraint."""
     quantity = (Quantity.EQUITABLE_TOTAL_FEASIBLE if mode is Mode.EQUITABLE
                 else Quantity.NSD_TOTAL_FEASIBLE)
-    return _decide(g, quantity, (k,), budget, mode)
+    return _decide(g, quantity, (k,), budget)

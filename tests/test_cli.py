@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -693,6 +694,27 @@ class TestExitContract:
                 stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
         assert proc.returncode == EXIT_FAIL
         assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+    def test_unreadable_fixture_keeps_earlier_output(self):
+        # an OSError off stdout: the lines already buffered still print
+        script = (
+            "import sys; from circulant_coloring import cli, golden\n"
+            "load = golden.load_table\n"
+            "def failing(tid):\n"
+            "    if tid == 2: raise PermissionError(13, 'Permission denied')\n"
+            "    return load(tid)\n"
+            "golden.load_table = failing\n"
+            "sys.exit(cli.main(sys.argv[1:]))")
+        # stdout block-buffered, as it is by default on a pipe
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "reproduce", "--table", "all"],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == EXIT_FAIL
+        assert proc.stdout.startswith("table 1: OK (")
+        assert proc.stdout.count("\n") == 1
+        assert proc.stderr == "error: [Errno 13] Permission denied\n"
 
     # sha256 of the JSON stdout printed by the recursive edge-coloring
     # search this kernel replaced, run under a raised recursion limit

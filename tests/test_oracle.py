@@ -211,7 +211,7 @@ def reference_value(g, quantity, k, budget):
 
 
 def reference_total_search(n, edges, vertex_nbrs, num_colors, budget, what,
-                           dsatur=True, mode=None):
+                           dsatur=True, mode=None, nodes=0):
     """The kernel before its closed-star counts were kept incrementally:
     every pick rescans each live star's uncolored elements into level
     masks.  Same arguments and results as ``_total_search``.
@@ -226,9 +226,10 @@ def reference_total_search(n, edges, vertex_nbrs, num_colors, budget, what,
     max_used + 1 is tried.  The pick is the first element with the fewest
     free colors, stopping at one, or with ``dsatur`` the DSATUR element
     and the closed-star rule of the oracle module docstring.  ``mode``
-    adds the equitable class limits or the NSD sum check.  Returns
-    (colors, order, nodes), colors None when the palette is exhausted;
-    raises SearchBudgetExceeded past ``budget`` nodes.
+    adds the equitable class limits or the NSD sum check.  The node
+    count starts at ``nodes``, those spent before.  Returns (colors,
+    order, nodes), colors None when the palette is exhausted; raises
+    SearchBudgetExceeded past ``budget`` nodes.
     """
     k = num_colors
     nv = 0 if vertex_nbrs is None else n
@@ -343,7 +344,7 @@ def reference_total_search(n, edges, vertex_nbrs, num_colors, budget, what,
         return [(best, 1 << c) for c in range(1, k + 1) if f >> c & 1]
 
     stack = []
-    nodes = max_used = 0
+    max_used = 0
     while True:
         choices = pick(max_used)
         if choices is None:
@@ -389,13 +390,15 @@ def kernel_queries(draw):
             draw(st.integers(1, 3000)))
 
 
-def run_kernel(search, g, quantity, k, budget):
-    """(colors, order, nodes) of one kernel call, or its budget error."""
+def run_kernel(search, g, quantity, k, budget, nodes=0):
+    """(colors, order, nodes) of one kernel call, counting on from
+    ``nodes``, or its budget error."""
     nbrs = (None if quantity == "index"
             else [g.neighbors(u) for u in range(g.n)])
     mode = {"equitable": Mode.EQUITABLE, "nsd": Mode.NSD}.get(quantity)
     try:
-        return search(g.n, g.edges, nbrs, k, budget, "oracle", mode=mode)
+        return search(g.n, g.edges, nbrs, k, budget, "oracle", mode=mode,
+                      nodes=nodes)
     except SearchBudgetExceeded as exc:
         return str(exc)
 
@@ -410,6 +413,15 @@ class TestKernelAgainstReference:
         g, quantity, k, budget = query
         assert (run_kernel(_total_search, g, quantity, k, budget)
                 == run_kernel(reference_total_search, g, quantity, k, budget))
+
+    @given(query=kernel_queries(), spent=st.integers(0, 3000))
+    @settings(max_examples=40, deadline=None)
+    def test_same_search_from_spent_nodes(self, query, spent):
+        # a later palette counts on from the nodes of the earlier ones
+        g, quantity, k, budget = query
+        args = (g, quantity, k, budget + spent, spent)
+        assert (run_kernel(_total_search, *args)
+                == run_kernel(reference_total_search, *args))
 
     @pytest.mark.parametrize("quantity", ["total", "equitable", "nsd"])
     def test_powers_of_cycles(self, quantity):
@@ -717,14 +729,16 @@ class TestAgainstReference:
     def kernel_value(g, quantity, k):
         """Feasibility of palette k by the kernel, its witness checked."""
         if quantity == "index":
-            # k colors suffice iff the chromatic index is at most k
-            result = exact_chromatic_index(g, budget=100_000)
-            witness = result.witness
-            assert {e for e, _ in witness.edge_items()} == set(g.edges)
-            at = {(u, c) for e, c in witness.edge_items() for u in e}
-            assert len(at) == 2 * len(g.edges)
-            assert max(c for _, c in witness.edge_items()) <= result.value
-            return result.value <= k
+            colors, _, _ = _total_search(g.n, g.edges, None, k, 100_000,
+                                         "oracle")
+            if colors is not None:
+                witness = TotalColoring.from_pairs(
+                    (0,) * g.n, dict(zip(g.edges, colors)))
+                assert {e for e, _ in witness.edge_items()} == set(g.edges)
+                at = {(u, c) for e, c in witness.edge_items() for u in e}
+                assert len(at) == 2 * len(g.edges)
+                assert max(c for _, c in witness.edge_items()) <= k
+            return colors is not None
         mode = Mode.EQUITABLE if quantity == "equitable" else Mode.NSD
         result = exact_feasible(g, k, mode, budget=100_000)
         if result.value:
