@@ -10,10 +10,13 @@ The color matrix view is the n x n symmetric array with vertex colors on
 the diagonal and edge colors off it, mirroring the published tables; blank
 cells are non-edges.  Reading or writing a coloring never holds that grid,
 and the writers emit it in blocks of rows, so the memory they take is the
-columns plus one block, whatever the size of the output.  Reading a JSON
-file in the writer's layout holds its text, the columns and one block of
-edges.  Files are read as UTF-8, a leading byte-order mark allowed; a CSV
-text is split on comma runs unless a '"' or a NUL sends it to csv.reader.
+columns plus one block, whatever the size of the output.  The readers
+take the open file, not its text: a CSV file one line at a time, and a
+JSON file in the writer's layout one block of edges at a time, so reading
+holds the columns plus one line or block; any other JSON is read whole.
+Files are read as UTF-8, a leading byte-order mark allowed; CSV lines are
+split on comma runs until one holding a '"' or a NUL sends the rest to
+csv.reader.
 """
 
 from __future__ import annotations
@@ -225,42 +228,52 @@ def write_matrix_csv(tc: TotalColoring, path) -> None:
 _split_commas = re.compile(r"(,+)").split
 
 
-def _csv_lines(text: str):
-    """The non-blank lines of a CSV text, less the comment lines that
-    start with '#' (color's stdout ends in one): the first as its fields,
-    each later one as (first field, columns, fields) of its other
-    non-empty fields, columns counted from 0 (see _filled_cells)."""
-    lines = [line for line in text.splitlines() if line[:1] != "#"]
-    if any('"' in line or "\0" in line for line in lines):
-        lines = filter(None, csv.reader(lines))
-        yield from islice(lines, 1)
-        for label, *line in lines:
-            yield label, [*compress(count(), line)], [*filter(None, line)]
-        return
-    limit = csv.field_size_limit()
-    for i, line in enumerate(filter(None, lines)):
+def _csv_lines(lines):
+    """The non-blank lines of a CSV, as str.splitlines() gives them, less
+    the comment lines that start with '#' (color's stdout ends in one):
+    the first as its fields, each later one as (first field, columns,
+    fields) of its other non-empty fields, columns counted from 0 (see
+    _filled_cells).  Lines are split on comma runs up to the first that
+    holds a '"' or a NUL; csv.reader tokenizes that line and the rest."""
+    lines = (line for line in lines if line[:1] != "#")
+    limit, header = csv.field_size_limit(), 1
+    for line in lines:
+        if '"' in line or "\0" in line:
+            records = filter(None, csv.reader(chain([line], lines)))
+            yield from islice(records, header)
+            for label, *fields in records:
+                yield (label, [*compress(count(), fields)],
+                       [*filter(None, fields)])
+            return
+        if not line:
+            continue
         if len(line) > limit and max(map(len, line.split(","))) > limit:
             raise csv.Error("field larger than field limit (%d)" % limit)
+        if header:  # blank header fields count toward n
+            header = 0
+            yield line.split(",")
+            continue
         parts = _split_commas(line)  # field, comma run, field, ...
         if not parts[-1]:  # the line ends in a comma
             del parts[-2:]
         cols = [*accumulate(map(len, parts[1::2]), initial=-1)][1:]
-        # blank header fields count toward n
-        yield (parts[0], cols, parts[2::2]) if i else line.split(",")
+        yield parts[0], cols, parts[2::2]
 
 
-def _filled_cells(text: str):
-    """(n, rows, wildcards) of a colour-matrix CSV: rows[u] is the columns
-    of row u's integer cells and their colours, wildcards the '*' cells.
-    A text with no '"' and no NUL outside its comment lines is split on
-    comma runs, one regex call a line, so a blank cell costs nothing;
-    csv.reader tokenizes any other, as a quoted field may hold commas or
-    span lines and csv rejects NUL before Python 3.11.  Raises csv.Error,
-    line by line as csv.reader does, on a field longer than
-    csv.field_size_limit(), and ValueError on a non-integer cell or a
-    frame other than header ,0,1,...,n-1, row labels 0..n-1 and no filled
-    cell past column n-1."""
-    lines = _csv_lines(text)
+def _filled_cells(text):
+    """(n, rows, wildcards) of a colour-matrix CSV, given as its text or
+    as its lines as str.splitlines() gives them: rows[u] is the columns of
+    row u's integer cells and their colours, wildcards the '*' cells.
+    Lines with no '"' and no NUL, up to the first that has one, are split
+    on comma runs, one regex call a line, so a blank cell costs nothing;
+    csv.reader tokenizes the rest, as a quoted field may hold commas or
+    span lines and csv rejects NUL before Python 3.11.  The two agree on
+    the lines before, so the cells and errors are those of csv.reader on
+    the whole text.  Raises csv.Error, line by line as csv.reader does,
+    on a field longer than csv.field_size_limit(), and ValueError on a
+    non-integer cell or a frame other than header ,0,1,...,n-1, row
+    labels 0..n-1 and no filled cell past column n-1."""
+    lines = _csv_lines(text.splitlines() if isinstance(text, str) else text)
     header = [cell.strip() for cell in next(lines, ["?"])]
     n = len(header) - 1
     if header != ["", *map(str, range(n))]:
@@ -283,9 +296,10 @@ def _filled_cells(text: str):
     return n, rows, wildcards
 
 
-def parse_matrix_csv_text(text: str):
-    """Returns (matrix, wildcards): matrix entries are int/None; cells
-    marked '*' are wildcards (legible-in-principle but not trusted)."""
+def parse_matrix_csv_text(text):
+    """Returns (matrix, wildcards) of a CSV text or its lines (see
+    _filled_cells): matrix entries are int/None; cells marked '*' are
+    wildcards (legible-in-principle but not trusted)."""
     n, rows, wildcards = _filled_cells(text)
     matrix = [[None] * n for _ in range(n)]
     for row, (cols, colours) in zip(matrix, rows):
@@ -294,8 +308,9 @@ def parse_matrix_csv_text(text: str):
     return matrix, wildcards
 
 
-def coloring_from_csv_text(text: str) -> TotalColoring:
-    """Raises PreconditionFailed on wildcard cells, and ValueError unless
+def coloring_from_csv_text(text) -> TotalColoring:
+    """The coloring of a CSV text or its lines (see _filled_cells).
+    Raises PreconditionFailed on wildcard cells, and ValueError unless
     every filled cell equals its mirror across the diagonal."""
     n, rows, wildcards = _filled_cells(text)
     if wildcards:
@@ -331,10 +346,19 @@ def coloring_from_csv_text(text: str) -> TotalColoring:
 
 
 def read_matrix_csv(path, parse=parse_matrix_csv_text):
-    """parse(text) of the file: the dense (matrix, wildcards) by default."""
+    """parse of the file's lines, read one at a time: the dense (matrix,
+    wildcards) by default.  A malformed file that can seek is read again
+    whole, so that a byte in it that is not UTF-8, wherever it lies,
+    raises the UnicodeDecodeError a whole read raises."""
     with _opened(path, malformed=(ValueError, csv.Error),
                  encoding="utf-8-sig") as fh:
-        return parse(fh.read())
+        try:
+            return parse(chain.from_iterable(map(str.splitlines, fh)))
+        except (ValueError, csv.Error):
+            if fh.seekable():
+                fh.seek(0)
+                fh.read()
+            raise
 
 
 def coloring_from_json_dict(d: dict) -> TotalColoring:
@@ -425,49 +449,70 @@ def write_coloring_json(tc: TotalColoring, path) -> None:
         fh.write("\n")
 
 
-_BLOCK_CHARS = 1 << 16  # the least "edges" text the JSON reader parses at once
+# the characters the JSON reader reads at a time, and the least "edges"
+# text it parses at once
+_BLOCK_CHARS = 1 << 16
 
 
-def _edge_blocks(text: str):
-    """(document less "edges", edge columns) of a text laid out as the
-    writer lays "edges" out, else None.  The array is parsed in blocks cut
-    at the first edge boundary past _BLOCK_CHARS: a raw newline cannot sit
-    in a JSON string, so every cut is structural, and blocks that parse
-    join to the very array json.loads reads."""
-    opening = '{\n "edges": ['
-    start = len(opening)
-    end = start if text.startswith("],", start) else text.find("\n ],") + 2
-    if not text.startswith(opening) or end < start:
-        return None
-    # the members after "edges"; "{}" here means a trailing comma
-    doc = json.loads("{" + text[end + 2:])
-    if not doc or "edges" in doc:
+def _edge_blocks(fh):
+    """(document less "edges", edge columns) of an open file laid out as
+    the writer lays "edges" out, else None.  The file is read _BLOCK_CHARS
+    characters at a time, and the array, which ends at the first "\n ],",
+    parsed in blocks cut at the first edge boundary past _BLOCK_CHARS: a
+    raw newline cannot sit in a JSON string, so every cut is structural,
+    and blocks that parse join to the very array json.loads reads.  Only
+    the text past the last cut is held."""
+    opening, boundary = '{\n "edges": [', "},\n  {"
+    if fh.read(len(opening)) != opening:
         return None
     us, vs, cs = [], [], []
+
+    def parse(block):
+        edges = json.loads("[" + block + "]")
+        us.extend(map(itemgetter("u"), edges))
+        vs.extend(map(itemgetter("v"), edges))
+        cs.extend(map(itemgetter("c"), edges))
+
+    tail = ""  # the text read past the last cut
+    while True:
+        piece = fh.read(_BLOCK_CHARS)
+        if not piece:
+            return None
+        at = max(len(tail) - 5, 0)  # where a match may straddle the reads
+        tail += piece
+        end = 0 if tail.startswith("],") else tail.find("\n ],", at) + 2
+        if end != 1:  # found: tail[end] is the "]" that closes the array
+            break
+        # the close is not in tail, so every boundary in it lies before
+        while cut := tail.find(boundary, max(at, _BLOCK_CHARS)) + 1:
+            parse(tail[:cut])
+            tail, at = tail[cut + 1:], 0
+    start = 0
     while start < end:
-        stop = text.find("},\n  {", start + _BLOCK_CHARS, end) + 1 or end
-        edges = json.loads("[" + text[start:stop] + "]")
-        us += map(itemgetter("u"), edges)
-        vs += map(itemgetter("v"), edges)
-        cs += map(itemgetter("c"), edges)
+        stop = tail.find(boundary, start + _BLOCK_CHARS, end) + 1 or end
+        parse(tail[start:stop])
         start = stop + 1
+    # the members after "edges"; "{}" here means a trailing comma
+    doc = json.loads("{" + tail[end + 2:] + fh.read())
+    if not doc or "edges" in doc:
+        return None
     return doc, (us, vs, cs)
 
 
 def read_coloring_json(path) -> TotalColoring:
     """The coloring of a JSON file, with coloring_from_json_dict's errors.
-    A file in the writer's layout is read one block of edges at a time;
-    any other text, or one whose blocks fail, is read whole by json.loads,
-    which raises what it raises."""
+    A seekable file in the writer's layout is read one block of edges at
+    a time; any other, or one whose blocks fail, is read again from its
+    first character, whole, by json.loads, which raises what it raises."""
     with _opened(path, malformed=(KeyError, TypeError, ValueError,
                                   RecursionError),
                  encoding="utf-8-sig") as fh:
-        text = fh.read()
-        try:
-            blocks = _edge_blocks(text)
-        except (KeyError, TypeError, ValueError, RecursionError):
-            blocks = None  # not edges in the layout: read whole below
-        if blocks is None:
-            return coloring_from_json_dict(json.loads(text))
-        del text  # the columns take its place
-        return _from_json_columns(*blocks)
+        if fh.seekable():  # a pipe cannot start over, so it is read whole
+            try:
+                blocks = _edge_blocks(fh)
+            except (KeyError, TypeError, ValueError, RecursionError):
+                blocks = None  # not edges in the layout
+            if blocks is not None:
+                return _from_json_columns(*blocks)
+            fh.seek(0)
+        return coloring_from_json_dict(json.loads(fh.read()))

@@ -252,6 +252,19 @@ class TestExport:
                      "--out", str(again)]) == EXIT_OK
         assert again.read_bytes() == (tmp_path / "run.csv").read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_onto_its_own_input(self, tmp_path, fmt):
+        # the file is read to its end and closed before the writer
+        # truncates it; at n = 1050 it spans many reads of either reader
+        assert main(["color", "--method", "thm21-even", "--n", "1050",
+                     "--k", "10", "--i", "11",
+                     "--out", str(tmp_path / "a")]) == EXIT_OK
+        path = tmp_path / ("a." + fmt)
+        written = path.read_bytes()
+        assert main(["export", "--in", str(path), "--format", fmt,
+                     "--out", str(path)]) == EXIT_OK
+        assert path.read_bytes() == written
+
     def test_wildcards_refused(self, tmp_path, capsys):
         path = tmp_path / "w.csv"
         path.write_text(",0,1\n0,1,*\n1,*,2\n")

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import os
 import random
+import threading
 import tracemalloc
 from importlib import resources
 from itertools import compress
@@ -920,7 +922,7 @@ LIMIT = csv.field_size_limit()
 ROWS = "0,1,3\n1,3,2\n"
 
 
-@pytest.mark.parametrize("text", [
+COMMA_RUN_CASES = [
     # a blank header field still counts toward n
     pytest.param(",0,1,\n" + ROWS, id="header-trailing-comma"),
     pytest.param(",0,1,,\n" + ROWS, id="header-trailing-commas"),
@@ -958,7 +960,10 @@ ROWS = "0,1,3\n1,3,2\n"
     pytest.param(",", id="header-only"),
     pytest.param("0", id="label-only"),
     pytest.param(",0\n0", id="row-without-cells"),
-])
+]
+
+
+@pytest.mark.parametrize("text", COMMA_RUN_CASES)
 def test_comma_run_edge_cases(text):
     assert (outcome(_filled_cells, text)
             == outcome(reference_filled_cells, text))
@@ -968,6 +973,8 @@ def test_comma_run_edge_cases(text):
     pytest.param(",0,1\n" + ROWS, False, id="plain"),
     pytest.param(',0,1\n0,1,"3"\n1,3,2\n', True, id="quote"),
     pytest.param(",0,1\n0,1,3\x00\n1,3,2\n", True, id="nul"),
+    pytest.param(',0,1\n# "a"\n' + ROWS, False, id="quote-in-comment"),
+    pytest.param(',0,1\n0,1,3\n1,3,"2"\n', True, id="quote-after-plain"),
 ])
 def test_csv_reader_only_for_quotes_and_nul(text, uses_csv, monkeypatch):
     # csv rejects NUL before Python 3.11 and accepts it from 3.11 on, so
@@ -978,3 +985,141 @@ def test_csv_reader_only_for_quotes_and_nul(text, uses_csv, monkeypatch):
                         lambda lines: calls.append(1) or reader(lines))
     outcome(_filled_cells, text)
     assert bool(calls) is uses_csv
+
+
+# The CSV reader takes a file one line at a time.  Reference: the reader as
+# it was, the whole text of the file through the whole-text references.  On
+# any file it must return what they return, or raise what they raise.
+
+
+def reference_csv_read(path, parse):
+    with coloring._opened(path, malformed=(ValueError, csv.Error),
+                          encoding="utf-8-sig") as fh:
+        return parse(fh.read())
+
+
+def assert_reads_as_its_text(directory, text, framed=False):
+    """The cells of a file holding text, and when its frame is in place
+    (``framed``) its matrix and colouring, as the references give them."""
+    path = directory / "c.csv"
+    path.write_bytes(text.encode("utf-8"))
+    pairs = [(_filled_cells, reference_filled_cells)]
+    if framed:
+        pairs += [(coloring_from_csv_text, reference_coloring),
+                  (parse_matrix_csv_text, reference_matrix)]
+    for parse, reference in pairs:
+        assert (read_outcome(lambda p: read_matrix_csv(p, parse), path)
+                == read_outcome(lambda p: reference_csv_read(p, reference),
+                                path))
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@given(matrix_texts())
+@settings(max_examples=300, deadline=None)
+def test_matrix_files_read_as_their_text(csv_dir, text):
+    assert_reads_as_its_text(csv_dir, text, framed=True)
+
+
+@given(plain_texts())
+@settings(max_examples=300, deadline=None)
+def test_plain_files_read_as_their_text(csv_dir, text):
+    assert_reads_as_its_text(csv_dir, text)
+
+
+SEPARATORS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+PLAIN = ",0,1,2\n0,1,3,2\n1,3,2,1\n"  # plain lines before row 2
+
+
+def across_a_read(end):
+    """Line end ``end`` from the 8,191st byte on, where a file read in
+    pieces of 8 KiB is cut."""
+    return ",0,1\r\n0,1," + " " * 8180 + "3" + end + "1,3,2" + end
+
+
+@pytest.mark.parametrize("text", COMMA_RUN_CASES + [
+    *(pytest.param(sep.join([",0,1", "0,1,3", "1,3,2", ""]),
+                   id="separator-%x" % ord(sep)) for sep in SEPARATORS),
+    *(pytest.param(',0,1\n0,1,"3%s"\n1,3,2\n' % sep,
+                   id="quoted-separator-%x" % ord(sep)) for sep in SEPARATORS),
+    pytest.param(",0,1\r0,1,3\r1,3,2\r", id="lone-cr"),
+    pytest.param(",0,1\r\n0,1,3\r1,3,2\n", id="mixed-line-ends"),
+    pytest.param(across_a_read("\r\n"), id="crlf-across-a-read"),
+    pytest.param(across_a_read("\r"), id="cr-across-a-read"),
+    pytest.param("\ufeff,0,1\n" + ROWS, id="bom"),
+    pytest.param("\ufeff\ufeff,0,1\n" + ROWS, id="two-boms"),
+    pytest.param(PLAIN + '2,2,"1",3\n', id="quote-after-plain-lines"),
+    pytest.param(PLAIN + '2,2,"1\n",3\n', id="quoted-line-after-plain-lines"),
+    pytest.param(PLAIN + "2,2,1\x00,3\n", id="nul-after-plain-lines"),
+    pytest.param(PLAIN.replace("3", "x", 1) + '2,2,"1",3\n',
+                 id="text-cell-then-quote"),
+    pytest.param(PLAIN.replace("3", " " * LIMIT + "3", 1) + '2,2,"1",3\n',
+                 id="field-over-limit-then-quote"),
+    pytest.param(PLAIN + '2,2,"1",3\n0,1,"3",2\n', id="quote-then-bad-label"),
+])
+def test_file_reads_as_its_text(tmp_path, text):
+    assert_reads_as_its_text(tmp_path, text)
+
+
+def test_csv_peak_below_half_of_file(tmp_path):
+    # C_2100^2: a whole read holds the 4.4 MB text and its lines, three
+    # times the file; the streamed one holds a line and the filled cells
+    path = tmp_path / "big.csv"
+    write_matrix_csv(color_power_cycle_even(2100, 2, 1).coloring, path)
+    tracemalloc.start()
+    try:
+        tc = read_matrix_csv(path, coloring_from_csv_text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tc.n == 2100
+    assert peak < path.stat().st_size / 2
+
+
+@pytest.mark.parametrize("name,text", [
+    ("c.csv", ",0,1\n0,1,3\n1,3,2\n"),
+    ("c.csv", ",0,1\n0,1,x\n1,3,2\n"),  # a malformed line before the byte
+    ("c.json", layout(json_dict(TestBlockReader.TC))),
+], ids=["csv", "csv-malformed-first", "json"])
+def test_not_utf8_past_the_first_read(tmp_path, name, text):
+    # the error a whole read raises, its position counted from the start
+    path = tmp_path / name
+    path.write_bytes(text.encode() + b"\n" * 70000 + b"\xff")
+    if name.endswith(".csv"):
+        got = read_outcome(lambda p: read_matrix_csv(p, _filled_cells), path)
+        expected = read_outcome(
+            lambda p: reference_csv_read(p, reference_filled_cells), path)
+    else:
+        got = read_outcome(read_coloring_json, path)
+        expected = read_outcome(reference_read, path)
+    assert got == expected
+    assert ("UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in "
+            "position %d" % (len(text) + 70000)) in got
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("name,text", [
+    ("c.json", json.dumps(json_dict(TestBlockReader.TC))),
+    ("c.json", layout(json_dict(TestBlockReader.TC)) + "\n"),
+    ("c.csv", ",0,1\n0,1,x\n1,3,2\n"),
+], ids=["json", "json-in-layout", "csv-malformed"])
+def test_pipe_is_read_without_seeking(tmp_path, name, text):
+    # a pipe cannot start over: JSON is read whole at once, and a
+    # malformed CSV raises the error of its line
+    path = tmp_path / name
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(text,),
+                              daemon=True)
+    writer.start()
+    if name.endswith(".json"):
+        got = read_outcome(read_coloring_json, path)
+        assert got == coloring_from_json_dict(json.loads(text))
+    else:
+        got = read_outcome(read_matrix_csv, path)
+        assert got == ("malformed coloring file %s: ValueError: invalid "
+                       "literal for int() with base 10: 'x'" % path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
