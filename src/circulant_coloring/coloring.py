@@ -12,8 +12,10 @@ cells are non-edges.  Reading or writing a coloring never holds that grid,
 and the writers emit it in blocks of rows, so the memory they take is the
 columns plus one block, whatever the size of the output.  The readers
 take the open file, not its text: a CSV file one line at a time, and a
-JSON file in the writer's layout one block of edges at a time, so reading
-holds the columns plus one line or block; any other JSON is read whole.
+JSON file in the writer's layout one read at a time, each read's edges
+parsed up to the last boundary between two edges, so reading holds the
+columns plus one line, or one read and one edge; any other JSON is read
+whole.
 Files are read as UTF-8, a leading byte-order mark allowed; CSV lines are
 split on comma runs until one holding a '"' or a NUL sends the rest to
 csv.reader.
@@ -98,11 +100,14 @@ class BuildReport:
     """What a theorem builder produced and how."""
 
     coloring: TotalColoring
-    colors_used: int
     bound_claimed: int
+    verification: object  # the VerificationReport that accepted it
     fallback_used: bool = False
     notes: str = ""
-    verification: object = None  # the VerificationReport that accepted it
+
+    @property
+    def colors_used(self) -> int:
+        return self.verification.colors_used
 
 
 _BLOCK_ROWS = 1024  # the most color-matrix rows a writer lays out at a time
@@ -449,70 +454,57 @@ def write_coloring_json(tc: TotalColoring, path) -> None:
         fh.write("\n")
 
 
-# the characters the JSON reader reads at a time, and the least "edges"
-# text it parses at once
+# the characters the JSON reader reads at a time
 _BLOCK_CHARS = 1 << 16
 
 
 def _edge_blocks(fh):
     """(document less "edges", edge columns) of an open file laid out as
-    the writer lays "edges" out, else None.  The file is read _BLOCK_CHARS
-    characters at a time, and the array, which ends at the first "\n ],",
-    parsed in blocks cut at the first edge boundary past _BLOCK_CHARS: a
+    the writer lays "edges" out, else None, the file back at its first
+    character.  The file is read _BLOCK_CHARS characters at a time into
+    the held text.  Once that holds the array's close, the first "\n ],"
+    or a "]," right after the opening, the edges up to it are parsed and
+    the rest of the file read whole; until then the edges up to the last
+    boundary "},\n  {" are parsed, and only the text after it is kept.  A
     raw newline cannot sit in a JSON string, so every cut is structural,
-    and blocks that parse join to the very array json.loads reads.  Only
-    the text past the last cut is held."""
+    and blocks that parse join to the very array json.loads reads."""
     opening, boundary = '{\n "edges": [', "},\n  {"
-    if fh.read(len(opening)) != opening:
-        return None
     us, vs, cs = [], [], []
-
-    def parse(block):
-        edges = json.loads("[" + block + "]")
-        us.extend(map(itemgetter("u"), edges))
-        vs.extend(map(itemgetter("v"), edges))
-        cs.extend(map(itemgetter("c"), edges))
-
-    tail = ""  # the text read past the last cut
-    while True:
-        piece = fh.read(_BLOCK_CHARS)
-        if not piece:
-            return None
-        at = max(len(tail) - 5, 0)  # where a match may straddle the reads
-        tail += piece
-        end = 0 if tail.startswith("],") else tail.find("\n ],", at) + 2
-        if end != 1:  # found: tail[end] is the "]" that closes the array
-            break
-        # the close is not in tail, so every boundary in it lies before
-        while cut := tail.find(boundary, max(at, _BLOCK_CHARS)) + 1:
-            parse(tail[:cut])
-            tail, at = tail[cut + 1:], 0
-    start = 0
-    while start < end:
-        stop = tail.find(boundary, start + _BLOCK_CHARS, end) + 1 or end
-        parse(tail[start:stop])
-        start = stop + 1
-    # the members after "edges"; "{}" here means a trailing comma
-    doc = json.loads("{" + tail[end + 2:] + fh.read())
-    if not doc or "edges" in doc:
-        return None
-    return doc, (us, vs, cs)
+    held = ""  # the text read past the last edge parsed
+    try:
+        if fh.read(len(opening)) == opening:
+            while piece := fh.read(_BLOCK_CHARS):
+                held += piece
+                # held[close] is the "]" closing the array; 1 until it is read
+                close = 0 if held.startswith("],") else held.find("\n ],") + 2
+                cut = close if close != 1 else held.rfind(boundary) + 1
+                if cut:  # held[:cut] is whole edges
+                    edges = json.loads("[" + held[:cut] + "]")
+                    for column, key in zip((us, vs, cs), "uvc"):
+                        column += map(itemgetter(key), edges)
+                if close != 1:
+                    # the members after "edges"; "{}" means a trailing comma
+                    doc = json.loads("{" + held[close + 2:] + fh.read())
+                    if doc and "edges" not in doc:
+                        return doc, (us, vs, cs)
+                    break
+                held = held[cut + 1:] if cut else held
+    except (KeyError, TypeError, ValueError, RecursionError):
+        pass  # not in the writer's layout
+    fh.seek(0)
+    return None
 
 
 def read_coloring_json(path) -> TotalColoring:
     """The coloring of a JSON file, with coloring_from_json_dict's errors.
     A seekable file in the writer's layout is read one block of edges at
-    a time; any other, or one whose blocks fail, is read again from its
-    first character, whole, by json.loads, which raises what it raises."""
+    a time (see _edge_blocks); any other is read from its first
+    character, whole, by json.loads, which raises what it raises."""
     with _opened(path, malformed=(KeyError, TypeError, ValueError,
                                   RecursionError),
                  encoding="utf-8-sig") as fh:
-        if fh.seekable():  # a pipe cannot start over, so it is read whole
-            try:
-                blocks = _edge_blocks(fh)
-            except (KeyError, TypeError, ValueError, RecursionError):
-                blocks = None  # not edges in the layout
-            if blocks is not None:
-                return _from_json_columns(*blocks)
-            fh.seek(0)
+        # a pipe cannot start over, so it is read whole
+        blocks = _edge_blocks(fh) if fh.seekable() else None
+        if blocks is not None:
+            return _from_json_columns(*blocks)
         return coloring_from_json_dict(json.loads(fh.read()))

@@ -87,17 +87,16 @@ def _choose_tiling_split(n: int, k: int, q: int):
 
 
 def _verified(g: CirculantGraph, tc: TotalColoring, bound: int,
-              notes: str = "") -> BuildReport:
+              notes: str = "", fallback: bool = False) -> BuildReport:
     report = verify_total_coloring(g, tc)
     if not report.proper:
         raise VerificationFailed(
             "construction rejected: %d violations, first %s"
             % (len(report.violations), report.violations[0].witness))
-    used = report.colors_used
-    if used > bound:
+    if report.colors_used > bound:
         raise VerificationFailed(
-            "used %d colors, claimed bound %d" % (used, bound))
-    return BuildReport(tc, used, bound, notes=notes, verification=report)
+            "used %d colors, claimed bound %d" % (report.colors_used, bound))
+    return BuildReport(tc, bound, report, fallback, notes)
 
 
 def _one_factorized(tc: TotalColoring, sub: CirculantGraph, first: int,
@@ -155,9 +154,7 @@ def color_power_cycle_even(n: int, k: int, i: int,
                 **tc.columns, **_factorize_pool(n, residual, q + 1, budget)})
             fallback = True
             notes += "; residual %r completed by constrained search" % (residual,)
-    report = _verified(g, tc, 2 * k + 1, notes)
-    report.fallback_used = fallback
-    return report
+    return _verified(g, tc, 2 * k + 1, notes, fallback)
 
 
 def color_power_cycle_odd(n: int, k: int, i: int) -> BuildReport:
@@ -218,8 +215,7 @@ def _equitable_nsd(g: CirculantGraph, tc: TotalColoring, d: int,
         d, a, a + 1)
     if not all(flags):  # thm22 at n > 2(2k+1)
         notes += "; matchings were not rainbow (n > 2(2k+1)) but the sums distinguish"
-    return equitable, BuildReport(recolored, report.colors_used, a + 1,
-                                  notes=notes)
+    return equitable, BuildReport(recolored, a + 1, report, notes=notes)
 
 
 def equitable_nsd_power_cycle(n: int, k: int) -> tuple[BuildReport, BuildReport]:
@@ -262,7 +258,7 @@ def canonical_complete_coloring(m: int) -> BuildReport:
     g = build_circulant(m, range(1, m // 2 + 1))  # first: m >= 3
     tc = _tiling(m, m, m, g.gens)
     report = verify_total_coloring(g, tc)
-    return BuildReport(tc, report.colors_used, m, verification=report)
+    return BuildReport(tc, m, report)
 
 
 # -- circulant graph theorems ------------------------------------------------
@@ -328,9 +324,7 @@ def color_thm31(g: CirculantGraph,
     tc = _one_factorized(tc, rest, tc.palette_size + 1, budget)
     notes += "; complement %r one-factorized on %d colors" % (
         rest.gens, rest.degree)
-    report = _verified(g, tc, g.degree + 2, notes)
-    report.fallback_used = True
-    return report
+    return _verified(g, tc, g.degree + 2, notes, fallback=True)
 
 
 def color_thm32(g: CirculantGraph) -> BuildReport:

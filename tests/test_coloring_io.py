@@ -712,6 +712,16 @@ def circulant_documents(draw):
     return json_text(tc, report) + "\n"
 
 
+def assert_refused_or_read(path):
+    """The block reader's (document, edge columns) of a file, or None with
+    the file back at its first character, however small the reads."""
+    with open(path, encoding="utf-8-sig") as fh, \
+            mock.patch.object(coloring, "_BLOCK_CHARS", 1):
+        blocks = coloring._edge_blocks(fh)
+        assert blocks is not None or fh.tell() == 0
+    return blocks
+
+
 class TestBlockReader:
     @staticmethod
     def assert_read_in_blocks(directory, text):
@@ -778,6 +788,7 @@ class TestBlockReader:
             got = read_outcome(read_coloring_json, path)
         expected = read_outcome(reference_read, path)
         assert got == expected
+        assert_refused_or_read(path)
         if error is None:
             assert isinstance(got, TotalColoring)
         else:
@@ -790,6 +801,15 @@ class TestBlockReader:
         with mock.patch.object(cli, "read_coloring_json", reference_read):
             assert (status, err) == (cli.main(argv), capsys.readouterr().err)
         assert (status == cli.EXIT_PRECONDITION) is (error is not None)
+
+    @pytest.mark.parametrize("dump", [
+        json.dumps, lambda doc: layout(doc) + "\n\udc80",
+    ], ids=["compact", "not-utf8"])
+    def test_not_in_layout_is_rewound(self, tmp_path, dump):
+        path = tmp_path / "c.json"
+        path.write_bytes(dump(json_dict(self.TC)).encode(
+            "utf-8", "surrogateescape"))
+        assert assert_refused_or_read(path) is None
 
     def test_peak_below_half_of_whole_document(self, tmp_path):
         path = tmp_path / "big.json"

@@ -624,3 +624,44 @@ class TestThm34:
         g = build_circulant(18, [1, 2, 4, 6, 7, 9])
         with pytest.raises(PreconditionFailed, match="involution n/2 = 9"):
             color_thm34(g, build_circulant(18, [1, 2, 4, 6]))
+
+
+class TestReportOwner:
+    """A build's palette is its verification report's, and every report
+    a builder returns carries the report that accepted it."""
+
+    @pytest.mark.parametrize("g,build", [
+        (power_of_cycle(18, 4), lambda g: color_power_cycle_even(18, 4, 5)),
+        (power_of_cycle(30, 11),
+         lambda g: color_power_cycle_even(30, 11, 4, budget=150)),
+        (power_of_cycle(15, 4), lambda g: color_power_cycle_odd(15, 4, 1)),
+        (power_of_cycle(18, 4), lambda g: equitable_nsd_power_cycle(18, 4)),
+        (build_circulant(12, [1, 2, 3, 5]), color_thm31),
+        (build_circulant(24, [1, 3, 4, 5, 10]), color_thm32),
+        (build_circulant(24, [1, 3, 4, 5, 7, 10, 11]), lambda g: color_thm33(
+            g, build_circulant(24, [1, 3, 4, 5, 10]))),
+        (build_circulant(18, [1, 2, 4, 6, 7, 8]), lambda g: color_thm34(
+            g, build_circulant(18, [1, 2, 4, 6]))),
+        (build_circulant(7, [1, 2, 3]),
+         lambda g: canonical_complete_coloring(7)),
+        (build_circulant(8, [1, 2, 3, 4]),
+         lambda g: canonical_complete_coloring(8)),
+    ], ids=["thm21-even", "thm21-even-fallback", "thm21-odd", "thm22",
+            "thm31", "thm32", "thm33", "thm34", "canonical-odd",
+            "canonical-even"])
+    def test_palette_is_the_verifiers(self, g, build):
+        built = build(g)
+        for report in built if isinstance(built, tuple) else (built,):
+            assert report.colors_used == report.verification.colors_used
+            assert report.colors_used == verify_total_coloring(
+                g, report.coloring).colors_used
+
+    @pytest.mark.parametrize("build", [
+        lambda: equitable_nsd_power_cycle(18, 4),
+        lambda: color_thm34(build_circulant(18, [1, 2, 4, 6, 7, 8]),
+                            build_circulant(18, [1, 2, 4, 6])),
+    ], ids=["thm22", "thm34-table6"])
+    def test_nsd_report_carries_its_verdict(self, build):
+        _, nsd = build()
+        assert nsd.verification.nsd is True
+        assert nsd.verification.nsd_violations == []
