@@ -370,17 +370,27 @@ def coloring_from_json_dict(d: dict) -> TotalColoring:
     """Raises KeyError, TypeError or ValueError on a malformed document:
     an edge colour or endpoint that is not an int (bools included), a
     vertex colour that is neither an int nor null, an edge with u >= v,
-    an edge listed twice, an endpoint outside 0..n-1, or an "n" that is
-    not the int len(vertex_colors)."""
+    an edge listed twice, an endpoint outside 0..n-1, an "n" that is not
+    the int len(vertex_colors), or an "edges" or "vertex_colors" that is
+    not an array."""
     # the edges are read after "vertex_colors", as _from_json_columns asks
-    return _from_json_columns(d, (list(map(itemgetter(key), d["edges"]))
+    return _from_json_columns(d, (list(map(itemgetter(key),
+                                           _array(d, "edges")))
                                   for key in "uvc"))
+
+
+def _array(d: dict, key: str) -> list:
+    """d[key], which must be a JSON array."""
+    if type(d[key]) is not list:
+        raise TypeError('"%s" must be an array, not %s'
+                        % (key, type(d[key]).__name__))
+    return d[key]
 
 
 def _from_json_columns(d: dict, edges) -> TotalColoring:
     """The checks of coloring_from_json_dict on document d, its edges given
     as the columns (us, vs, cs) of their "u", "v" and "c"."""
-    vertex_colors = tuple(d["vertex_colors"])
+    vertex_colors = tuple(_array(d, "vertex_colors"))
     us, vs, cs = edges
     kinds = ({*map(type, vertex_colors)} - {type(None)}).union(
         map(type, chain(cs, us, vs)))

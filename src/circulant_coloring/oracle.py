@@ -192,15 +192,12 @@ def _total_search(n: int, edges, vertex_nbrs, num_colors: int, budget: int,
             a, b = pa[x], pb[x]
             f = free[x] = allowed & ~(mask[a] | mask[b])
             c = f.bit_count()
-            if not dsatur:
-                if c < least:
-                    best, least = x, c
-                    if c <= 1:
-                        break
-            elif c < least or c == least and live[a] + live[b] > most:
+            if c < least or dsatur and c == least and live[a] + live[b] > most:
                 if not c:
                     return ()
                 best, least, most = x, c, live[a] + live[b]
+                if c == 1 and not dsatur:
+                    break
         if best < 0:
             return None
         if star_rule:

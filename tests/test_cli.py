@@ -54,8 +54,8 @@ class TestBuild:
     def test_normalizes_and_prints(self, capsys):
         assert main(["build", "--n", "24",
                      "--gens", "1,3,4,5,10,14"]) == EXIT_OK
-        out = json.loads(capsys.readouterr().out)
-        assert out == {"generators": [1, 3, 4, 5, 10], "n": 24}
+        assert capsys.readouterr().out == (
+            '{"generators": [1, 3, 4, 5, 10], "n": 24}\n')
 
     def test_bad_gens(self, capsys):
         assert main(["build", "--n", "10", "--gens", "1,x"]) == EXIT_PRECONDITION
@@ -96,11 +96,28 @@ class TestColor:
         for suffix in ("-equitable", "-nsd"):
             for ext in (".csv", ".json", ".report.json"):
                 assert (tmp_path / ("pair%s%s" % (suffix, ext))).is_file()
+        # each file passes its checks, and the NSD CSV goes to JSON and
+        # back unchanged
+        verify = ["verify", "--n", "18", "--gens", "1,2,3,4", "--in"]
+        assert main(verify + [prefix + "-equitable.csv",
+                              "--equitable"]) == EXIT_OK
+        assert main(verify + [prefix + "-nsd.csv", "--nsd",
+                              "--equitable"]) == EXIT_OK
+        for src, fmt, dst in [("pair-nsd.csv", "json", "y.json"),
+                              ("y.json", "csv", "y.csv")]:
+            assert main(["export", "--in", str(tmp_path / src), "--format",
+                         fmt, "--out", str(tmp_path / dst)]) == EXIT_OK
+        assert ((tmp_path / "y.csv").read_bytes()
+                == (tmp_path / "pair-nsd.csv").read_bytes())
 
     def test_precondition_exit(self, capsys):
         assert main(["color", "--method", "thm21-even",
                      "--n", "9", "--k", "1", "--i", "2"]) == EXIT_PRECONDITION
         assert "precondition" in capsys.readouterr().err
+        assert main(["color", "--method", "thm21-even",
+                     "--n", "20", "--k", "4", "--i", "2"]) == EXIT_PRECONDITION
+        assert capsys.readouterr() == (
+            "", "precondition failed: k+i = 6 must be odd\n")
 
     def test_missing_gens(self, capsys):
         assert main(["color", "--method", "thm32",
@@ -109,11 +126,6 @@ class TestColor:
     def test_budget_exit(self, capsys):
         assert main(["--budget", "10", "color", "--method", "thm31",
                      "--n", "20", "--gens", "1,2,3,4,5,7,8"]) == EXIT_BUDGET
-
-    def test_thm34(self, capsys):
-        assert main(["color", "--method", "thm34", "--format", "json",
-                     "--n", "18", "--gens", "1,2,4,6,7,8",
-                     "--s1-gens", "1,2,4,6"]) == EXIT_OK
 
 
 class TestVerify:
@@ -168,6 +180,33 @@ class TestVerify:
         assert main(argv + ["--nsd", "--equitable"]) == EXIT_VERIFICATION
         assert main(argv + ["--equitable", "--nsd"]) == EXIT_VERIFICATION
 
+    # n = 21,000 has 210,000 edges, and a copy whose edge (20990, 20991)
+    # takes vertex 20990's colour fails: a verifier that reads one period
+    # of the tiling sees no fault; n = 22,000's residual distances 6..10
+    # take the peeled 1-factorization's columns; thm21-odd n = 2431 colours
+    # its distances 6, 7 and 8 by Vizing
+    @pytest.mark.parametrize("argv,flags,late", [
+        ("thm21-even --n 21000 --k 10 --i 11", ["--equitable"], 20990),
+        ("thm21-even --n 22000 --k 10 --i 1", [], None),
+        ("thm21-odd --n 2431 --k 8 --i 3", [], None)],
+        ids=["21000-equitable", "22000", "2431-odd"])
+    def test_at_scale(self, argv, flags, late, tmp_path, capsys):
+        assert main(["color", "--method"] + argv.split()
+                    + ["--format", "json"]) == EXIT_OK
+        path = tmp_path / "big.json"
+        path.write_text(capsys.readouterr().out)
+        n, k = argv.split()[2:5:2]
+        verify = ["verify", "--n", n, "--gens", ",".join(
+            map(str, range(1, int(k) + 1))), "--in", str(path)] + flags
+        assert main(verify) == EXIT_OK
+        if late is not None:
+            d = json.loads(path.read_text())
+            e = next(e for e in d["edges"]
+                     if e["u"] == late and e["v"] == late + 1)
+            e["c"] = d["vertex_colors"][late]
+            path.write_text(json.dumps(d))
+            assert main(verify) == EXIT_VERIFICATION
+
 
 class TestOracle:
     def test_total_chromatic(self, capsys):
@@ -198,7 +237,18 @@ class TestOracle:
         (["oracle", "--quantity", "equitable-feasible", "--n", "10",
           "--gens", "1,2", "--k", "5"], EXIT_OK,
          '{"nodes_explored": 47, "quantity": "EquitableTotalFeasible", '
-         '"value": true}\n', "")])
+         '"value": true}\n', ""),
+        (["oracle", "--quantity", "total-chromatic", "--n", "12",
+          "--gens", "1,2,3,4"], EXIT_OK,
+         '{"nodes_explored": 71, "quantity": "TotalChromatic", '
+         '"value": 9}\n', ""),
+        (["--budget", "5", "oracle", "--quantity", "total-chromatic",
+          "--n", "12", "--gens", "1,2,3,4"], EXIT_BUDGET, "",
+         "search budget exceeded: oracle search exceeded 5 nodes\n"),
+        (["oracle", "--quantity", "nsd-feasible", "--n", "7",
+          "--gens", "1,2,3", "--k", "7"], EXIT_OK,
+         '{"nodes_explored": 38016, "quantity": "NsdTotalFeasible", '
+         '"value": false}\n', "")])
     def test_pinned_output(self, argv, code, out, err, capsys):
         assert main(argv) == code
         assert capsys.readouterr() == (out, err)
@@ -254,13 +304,18 @@ class TestExport:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_onto_its_own_input(self, tmp_path, fmt):
-        # the file is read to its end and closed before the writer
-        # truncates it; at n = 1050 it spans many reads of either reader
+        # the other format's file exports to this one's bytes; this one
+        # is read to its end and closed before the writer truncates it.
+        # At n = 1050 each spans many reads of either reader
         assert main(["color", "--method", "thm21-even", "--n", "1050",
                      "--k", "10", "--i", "11",
                      "--out", str(tmp_path / "a")]) == EXIT_OK
         path = tmp_path / ("a." + fmt)
         written = path.read_bytes()
+        other = tmp_path / ("a." + ("json" if fmt == "csv" else "csv"))
+        assert main(["export", "--in", str(other), "--format", fmt,
+                     "--out", str(tmp_path / "b")]) == EXIT_OK
+        assert (tmp_path / "b").read_bytes() == written
         assert main(["export", "--in", str(path), "--format", fmt,
                      "--out", str(path)]) == EXIT_OK
         assert path.read_bytes() == written
@@ -565,7 +620,11 @@ class TestExitContract:
         (write_coloring_json if suffix == ".json" else write_matrix_csv)(
             tc.with_edge_colors({(0, 2): 9}), path)
         assert main(argv + [str(path)]) == EXIT_VERIFICATION
-        assert "non-edge (0, 2) has a color" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "verification failed: non-edge (0, 2) has a color\n")
+        if suffix == ".json":  # with "n": 6 it is malformed first (exit 2)
+            path.write_text(path.read_text().replace('"n": 5', '"n": 6'))
+            assert main(argv + [str(path)]) == EXIT_PRECONDITION
         write_coloring_json(tc, tmp_path / "ok.json")
         assert main(argv + [str(tmp_path / "ok.json")]) == EXIT_OK
 
@@ -631,16 +690,10 @@ class TestExitContract:
 
     def test_pooled_search_within_budget(self, capsys):
         # the pooled 1-factorization (252 edges, 12 colours) needs 13,566
-        # nodes, the most of any pooled search a test runs; the digest
-        # pins its colouring
+        # nodes, the most of any pooled search a test runs; its colouring
+        # is test_pinned_outputs' thm21-even-pooled
         argv = ["color", "--method", "thm21-even", "--n", "42", "--k", "20",
                 "--i", "1", "--format", "json"]
-        assert main(["--budget", "20000"] + argv) == EXIT_OK
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "687daed7895c4cb050de3e22dda3955a"
-            "4ef37a6d68932de4cf3219a1983a2e9b")
-        assert json.loads(out)["report"]["colors_used"] == 41
         assert main(["--budget", "13566"] + argv) == EXIT_OK
         capsys.readouterr()
         assert main(["--budget", "13565"] + argv) == EXIT_BUDGET
@@ -673,6 +726,30 @@ class TestExitContract:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert "at most 12" in proc.stderr
+
+    @pytest.mark.parametrize("script", ["rebuild_published_examples.py",
+                                        "small_instance_survey.py"])
+    def test_script_default_run(self, script):
+        # every fixture rebuilt and verified; every C_n^k with n <= 12
+        # decided
+        path = Path(__file__).resolve().parent.parent / "scripts" / script
+        proc = subprocess.run([sys.executable, str(path)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+
+    def test_no_runtime_dependency_imported(self):
+        # in a fresh interpreter, so that pytest's own imports do not count
+        script = (
+            "import importlib, pkgutil, sys\n"
+            "import circulant_coloring\n"
+            "for mod in pkgutil.iter_modules(circulant_coloring.__path__):\n"
+            "    importlib.import_module('circulant_coloring.' + mod.name)\n"
+            "print(sorted({'numpy', 'networkx', 'pytest', 'hypothesis'}\n"
+            "             & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (EXIT_OK, "[]\n"), \
+            proc.stderr
 
     @pytest.mark.parametrize("argv,lines", [
         # like ``| head -1``: the 1050 x 1050 matrix is far larger than
@@ -803,42 +880,62 @@ class TestMemory:
 
 
 class TestMalformedInput:
-    def verify(self, path):
-        return main(["verify", "--n", "3", "--gens", "1", "--in", str(path)])
+    @staticmethod
+    def read(command, path, *flags, n="3", fmt="csv"):
+        """main's code for verify of path as C_n with flags, or for export
+        of it to out.<fmt> beside it."""
+        if command == "export":
+            return main(["export", "--in", str(path), "--format", fmt,
+                         "--out", str(path.with_name("out." + fmt))])
+        return main(["verify", "--n", n, "--gens", "1", "--in", str(path),
+                     *flags])
 
     @pytest.mark.parametrize("command", ["verify", "export"])
     def test_json_nested_past_the_recursion_limit(self, command, tmp_path,
                                                    capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
-        argv = (["verify", "--n", "5", "--gens", "1", "--in", str(path)]
-                if command == "verify" else
-                ["export", "--in", str(path), "--format", "csv",
-                 "--out", str(tmp_path / "out.csv")])
-        assert main(argv) == EXIT_PRECONDITION
-        err = capsys.readouterr().err
-        assert err.startswith("precondition failed: malformed coloring file")
-        assert "RecursionError" in err
+        assert self.read(command, path, n="5") == EXIT_PRECONDITION
+        assert capsys.readouterr().err.startswith(
+            "precondition failed: malformed coloring file %s: RecursionError: "
+            % path)
 
     def test_json_self_loop_edge(self, tmp_path, capsys):
         path = tmp_path / "loop.json"
         path.write_text(json.dumps({"n": 3, "vertex_colors": [1, 2, 3],
                                     "edges": [{"u": 1, "v": 1, "c": 2}]}))
-        assert self.verify(path) == EXIT_PRECONDITION
+        assert self.read("verify", path) == EXIT_PRECONDITION
         assert "self-loop" in capsys.readouterr().err
 
     def test_json_reversed_edge(self, tmp_path, capsys):
         path = tmp_path / "reversed.json"
         path.write_text(json.dumps({"n": 3, "vertex_colors": [1, 2, 3],
                                     "edges": [{"u": 2, "v": 1, "c": 3}]}))
-        assert main(["export", "--in", str(path), "--format", "csv",
-                     "--out", str(tmp_path / "out.csv")]) == EXIT_PRECONDITION
+        assert self.read("export", path) == EXIT_PRECONDITION
         assert "u < v" in capsys.readouterr().err
+
+    # an object or a string iterates as an array of no edges or colours
+    @pytest.mark.parametrize("key,value", [
+        ("edges", {}), ("edges", ""), ("vertex_colors", {}),
+        ("vertex_colors", "")])
+    @pytest.mark.parametrize("command", ["verify", "export"])
+    def test_json_member_not_an_array(self, command, key, value, tmp_path,
+                                      capsys):
+        doc = {"n": 3, "vertex_colors": [1, 2, 3], "edges": []}
+        doc[key] = value
+        path = tmp_path / "members.json"
+        path.write_text(json.dumps(doc))
+        assert self.read(command, path) == EXIT_PRECONDITION
+        assert capsys.readouterr() == ("", (
+            "precondition failed: malformed coloring file %s: TypeError: "
+            '"%s" must be an array, not %s\n'
+            % (path, key, type(value).__name__)))
+        assert not (tmp_path / "out.csv").exists()
 
     def test_json_without_vertex_colors(self, tmp_path, capsys):
         path = tmp_path / "no_vertices.json"
         path.write_text(json.dumps({"n": 3, "edges": []}))
-        assert self.verify(path) == EXIT_PRECONDITION
+        assert self.read("verify", path) == EXIT_PRECONDITION
         assert "KeyError: 'vertex_colors'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where,value", [
@@ -864,13 +961,7 @@ class TestMalformedInput:
         path = tmp_path / "far.json"
         path.write_text(json.dumps({"n": 3, "vertex_colors": [1, 2, 3],
                                     "edges": [{"u": 1, "v": 7, "c": 3}]}))
-        if command == "verify":
-            argv = ["verify", "--n", "3", "--gens", "1", "--in", str(path),
-                    "--nsd"]
-        else:
-            argv = ["export", "--in", str(path), "--format", "csv",
-                    "--out", str(tmp_path / "out.csv")]
-        assert main(argv) == EXIT_PRECONDITION
+        assert self.read(command, path, "--nsd") == EXIT_PRECONDITION
         err = capsys.readouterr().err
         assert "malformed coloring file" in err
         assert "endpoint 7 outside 0..2" in err
@@ -882,11 +973,7 @@ class TestMalformedInput:
             {"n": 3, "vertex_colors": [1, 2, 3],
              "edges": [{"u": 0, "v": 1, "c": 3}, {"u": 0, "v": 1, "c": 9},
                        {"u": 0, "v": 2, "c": 2}, {"u": 1, "v": 2, "c": 1}]}))
-        argv = (["verify", "--n", "3", "--gens", "1", "--in", str(path)]
-                if command == "verify" else
-                ["export", "--in", str(path), "--format", "csv",
-                 "--out", str(tmp_path / "out.csv")])
-        assert main(argv) == EXIT_PRECONDITION
+        assert self.read(command, path) == EXIT_PRECONDITION
         err = capsys.readouterr().err
         assert "malformed coloring file" in err
         assert "edge (0, 1) listed twice" in err
@@ -900,11 +987,7 @@ class TestMalformedInput:
             {"n": n, "vertex_colors": [1, 2, 3],
              "edges": [{"u": 0, "v": 1, "c": 3}, {"u": 0, "v": 2, "c": 2},
                        {"u": 1, "v": 2, "c": 1}]}))
-        argv = (["verify", "--n", "3", "--gens", "1", "--in", str(path)]
-                if command == "verify" else
-                ["export", "--in", str(path), "--format", "json",
-                 "--out", str(tmp_path / "out.json")])
-        assert main(argv) == EXIT_PRECONDITION
+        assert self.read(command, path, fmt="json") == EXIT_PRECONDITION
         err = capsys.readouterr().err
         assert "malformed coloring file" in err
         assert '"n" is %r, but vertex_colors holds 3' % (n,) in err
@@ -913,7 +996,7 @@ class TestMalformedInput:
     def test_csv_asymmetric(self, tmp_path, capsys):
         path = tmp_path / "asymmetric.csv"
         path.write_text(",0,1,2\n0,1,3,2\n1,9,2,1\n2,2,1,3\n")
-        assert self.verify(path) == EXIT_PRECONDITION
+        assert self.read("verify", path) == EXIT_PRECONDITION
         err = capsys.readouterr().err
         assert "malformed coloring file" in err
         assert "cell (0, 1) = 3 differs from cell (1, 0) = 9" in err
@@ -924,7 +1007,7 @@ class TestMalformedInput:
             {"n": 3, "vertex_colors": [1, 2, 3],
              "edges": [{"u": 0, "v": 1, "c": 0}, {"u": 0, "v": 2, "c": -1},
                        {"u": 1, "v": 2, "c": -2}]}))
-        assert self.verify(path) == EXIT_VERIFICATION
+        assert self.read("verify", path) == EXIT_VERIFICATION
         assert "edge (0, 1) has no valid color" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text,message", [
@@ -937,7 +1020,7 @@ class TestMalformedInput:
     def test_csv_frame(self, text, message, tmp_path, capsys):
         path = tmp_path / "frame.csv"
         path.write_text(text)
-        assert self.verify(path) == EXIT_PRECONDITION
+        assert self.read("verify", path) == EXIT_PRECONDITION
         err = capsys.readouterr().err
         assert "malformed coloring file" in err
         assert message in err
@@ -945,7 +1028,7 @@ class TestMalformedInput:
     def test_csv_text_cell(self, tmp_path, capsys):
         path = tmp_path / "text.csv"
         path.write_text(",0,1,2\n0,1,x,3\n1,x,2,1\n2,3,1,3\n")
-        assert self.verify(path) == EXIT_PRECONDITION
+        assert self.read("verify", path) == EXIT_PRECONDITION
         assert "invalid literal for int()" in capsys.readouterr().err
 
     def test_reproduce_table_not_a_number(self, capsys):
