@@ -127,6 +127,11 @@ class TestColor:
         assert main(["--budget", "10", "color", "--method", "thm31",
                      "--n", "20", "--gens", "1,2,3,4,5,7,8"]) == EXIT_BUDGET
 
+    def test_thm34(self, capsys):
+        assert main(["color", "--method", "thm34", "--format", "json",
+                     "--n", "18", "--gens", "1,2,4,6,7,8",
+                     "--s1-gens", "1,2,4,6"]) == EXIT_OK
+
 
 class TestVerify:
     def _write_good(self, tmp_path):
