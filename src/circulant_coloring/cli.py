@@ -12,8 +12,8 @@ Every subcommand exits with one of:
     2  precondition failed: a bad or missing argument (a --budget below
        0 included), a malformed or unreadable file, an instance too
        large for the oracle
-    3  verification failed
-    4  search budget exceeded
+    3  verification failed (``color``, ``verify``)
+    4  search budget exceeded (``color``, ``oracle``)
 
 ``--budget N`` bounds every exact search in a run: each search a builder
 makes (the pooled 1-factorization, thm21-even's fallback, which is the

@@ -11,11 +11,12 @@ the diagonal and edge colors off it, mirroring the published tables; blank
 cells are non-edges.  Reading or writing a coloring never holds that grid,
 and the writers emit it in blocks of rows, so the memory they take is the
 columns plus one block, whatever the size of the output.  The readers
-take the open file, not its text: a CSV file one line at a time, and a
-JSON file in the writer's layout one read at a time, each read's edges
-parsed up to the last boundary between two edges, so reading holds the
-columns plus one line, or one read and one edge; any other JSON is read
-whole.
+take the open file, not its text.  A CSV file or pipe is read once, one
+line at a time, so its first fault in file order is the one raised; the
+read holds every row's filled cells until the columns are built.  A JSON
+file in the writer's layout is read one read at a time, each read's
+edges parsed up to the last boundary between two edges, so it holds the
+columns plus one read and one edge; any other JSON is read whole.
 Files are read as UTF-8, a leading byte-order mark allowed; CSV lines are
 split on comma runs until one holding a '"' or a NUL sends the rest to
 csv.reader.
@@ -352,18 +353,11 @@ def coloring_from_csv_text(text) -> TotalColoring:
 
 def read_matrix_csv(path, parse=parse_matrix_csv_text):
     """parse of the file's lines, read one at a time: the dense (matrix,
-    wildcards) by default.  A malformed file that can seek is read again
-    whole, so that a byte in it that is not UTF-8, wherever it lies,
-    raises the UnicodeDecodeError a whole read raises."""
+    wildcards) by default.  A file and a pipe are read alike, once, so the
+    first fault in file order is the one raised."""
     with _opened(path, malformed=(ValueError, csv.Error),
                  encoding="utf-8-sig") as fh:
-        try:
-            return parse(chain.from_iterable(map(str.splitlines, fh)))
-        except (ValueError, csv.Error):
-            if fh.seekable():
-                fh.seek(0)
-                fh.read()
-            raise
+        return parse(chain.from_iterable(map(str.splitlines, fh)))
 
 
 def coloring_from_json_dict(d: dict) -> TotalColoring:

@@ -842,7 +842,7 @@ class TestExitContract:
 
 
 class TestMemory:
-    """``color`` in a child that lowers its own address-space limit (MiB,
+    """The CLI in a child that lowers its own address-space limit (MiB,
     its first argument) once the package is imported."""
 
     SCRIPT = ("import resource, sys\n"
@@ -852,14 +852,12 @@ class TestMemory:
               "sys.exit(main(sys.argv[1:]))")
 
     @staticmethod
-    def run(limit_mib, n):
-        """(exit code, sha256 of stdout, stderr) of thm21-even (n, 10, 11)
-        as JSON; stdout is hashed as it arrives, never held."""
+    def run(limit_mib, *argv):
+        """(exit code, sha256 of stdout, stderr) of the CLI on argv; stdout
+        is hashed as it arrives, never held."""
         pytest.importorskip("resource")
         proc = subprocess.Popen(
-            [sys.executable, "-c", TestMemory.SCRIPT, str(limit_mib),
-             "color", "--method", "thm21-even", "--n", str(n), "--k", "10",
-             "--i", "11", "--format", "json"],
+            [sys.executable, "-c", TestMemory.SCRIPT, str(limit_mib), *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         digest = hashlib.sha256()
         for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
@@ -869,19 +867,46 @@ class TestMemory:
         proc.stderr.close()
         return proc.wait(timeout=60), digest.hexdigest(), err
 
+    @staticmethod
+    def color(n):
+        """The argv of thm21-even (n, 10, 11): JSON to stdout."""
+        return ("color", "--method", "thm21-even", "--n", str(n), "--k",
+                "10", "--i", "11", "--format", "json")
+
     def test_out_of_memory_is_an_exit_code(self):
         # the columns of n = 21,000,000 alone take 1.7 GB
-        code, _, err = self.run(128, 21_000_000)
+        code, _, err = self.run(128, *self.color(21_000_000))
         assert code == EXIT_FAIL
         assert "Traceback" not in err
         assert err.count("\n") == 1 and err.startswith("out of memory")
 
     def test_json_writer_streams(self):
         # 107 MB of JSON from 17 MB of columns, well inside 192 MiB
-        code, digest, err = self.run(192, 210_000)
+        code, digest, err = self.run(192, *self.color(210_000))
         assert (code, err) == (EXIT_OK, "")
         assert digest == ("5eb46ec0186f49a3d7d4e452a930eea3"
                           "b8c1c63bc9dfab85f0af651ca4bd0aa1")
+
+    def test_malformed_csv_is_read_once(self, tmp_path):
+        # the 111 MB default CSV of n = 10,500 with a cell of row 1 made 'x':
+        # its first fault ends the one read, before the file's text could
+        # outgrow 192 MiB
+        assert main(["color", "--method", "thm21-even", "--n", "10500",
+                     "--k", "10", "--i", "11",
+                     "--out", str(tmp_path / "c")]) == EXIT_OK
+        path = tmp_path / "c.csv"
+        with open(path, "r+b") as fh:
+            fh.readline(), fh.readline()  # the header and row 0
+            fh.seek(fh.tell() + len(b"1,"))  # row 1's first cell
+            fh.write(b"x")
+        code, _, err = self.run(192, "verify", "--n", "10500", "--gens",
+                                ",".join(map(str, range(1, 11))),
+                                "--in", str(path), "--equitable")
+        path.unlink()
+        assert code == EXIT_PRECONDITION
+        assert err.count("\n") == 1 and err.startswith(
+            "precondition failed: malformed coloring file %s: ValueError: "
+            "invalid literal for int() with base 10: 'x" % path)
 
 
 class TestMalformedInput:
