@@ -11,11 +11,13 @@ bounds time, never feasibility.  thm21-even's fallback is the
 pooled search over every residual distance: _factorize_pool on all of
 them at once.  The search is iterative, on an explicit stack with bitmask
 color domains, so its depth is not bound by Python's recursion limit.
-Each placement is one pass over the edges that share an endpoint with
-it: the pass lowers their free-color counts and, on the same edges,
-tests for a dead end; _exact_edge_coloring states its two cut rules.
-Only subtrees without a solution are cut, so it finds the same coloring
-as the plain backtracking search, never in more nodes.
+It has one cut rule: with Delta colors on a Delta-regular graph, each
+color must end as a perfect matching, so the search keeps one matching
+per color on the uncolored edges it may still take, repairs it after
+each placement by an augmenting path (Edmonds' blossom search, as
+circulants have odd cycles), and calls the placement a dead end when a
+repair fails.  Only subtrees without a solution are cut, so it finds the
+same coloring as the plain backtracking search, never in more nodes.
 
 Both kernels color the edges of a circulant: the pool's component, or
 thm21-odd's residual distances.  The Delta+1 edge coloring is Misra-Gries
@@ -80,36 +82,141 @@ def _exact_edge_coloring(g: CirculantGraph, budget: int) -> dict | None:
     The next edge is the first in g.edges with the fewest free colors
     (MRV); its colors are tried in ascending order, one search node each.
 
-    g is Delta-regular and colored with Delta colors, so at every vertex
-    each free color must go on one of its uncolored edges: the two cut
-    rules rest on that.  Placing color b on (u, v) is one loop over the
-    edges that share u or v.  It lowers the free count of each uncolored
-    one whose far end w lacks b, and on that edge applies the far-end
-    rule: the placement is a dead end if w has no uncolored edge left
-    that can take b.  Every count is lowered even after the rule fires.
-    The endpoint rule then runs at u, then at v: a dead end if the vertex
-    has a free color that none of its uncolored edges can take.  A dead
-    end is counted as a node and undone at once; undoing raises the same
-    counts again.  Such a subtree holds no coloring, so the first
-    coloring found and its order are those of the plain search, in at
-    most its nodes.
+    g is Delta-regular and colored with Delta colors, so in any
+    completion each color c, restricted to the uncolored edges, is a
+    perfect matching of the vertices that still miss c: c's graph.  The
+    cut rule rests on that.  ``mate[c]`` keeps a perfect matching of c's
+    graph; at the start it is the alternate edges of each cycle of one
+    distance with even orbits, and with no such distance every component
+    has odd order, so there is no coloring, found at 0 nodes.  Placing c
+    on (u, v) takes u and v out of c's graph, so their old partners are
+    re-matched; every other color free at both ends that matched u to v
+    loses that edge, so u and v are re-matched.  A repair tries the
+    direct edge, then a 3-edge alternating path, then Edmonds' blossom
+    search from one exposed vertex (circulants have odd cycles, so a
+    search without blossoms could miss a path).  The placement is a dead
+    end, counted as a node and undone at once, when a repair fails.  A
+    failed repair leaves its matching as it was, and a placed edge stays
+    matched in its color's array, so undoing a color changes no matching.
+    Only subtrees without a coloring are cut, so the first coloring found
+    and its order are those of the plain search, in at most its nodes.
 
     Returns (u, v) -> color, in the order the edges were colored, or None
     if the search space is exhausted; raises SearchBudgetExceeded when the
     node budget runs out.
     """
-    edges, delta = g.edges, g.degree
+    edges, delta, n = g.edges, g.degree, g.n
+    for d in g.gens:
+        h = math.gcd(n, d)
+        if n // h % 2 == 0:  # the orbit position of x has the parity of x // h
+            start = [(x + d) % n if x // h % 2 == 0 else (x - d) % n
+                     for x in range(n)]
+            break
+    else:
+        return None
+    mate = [None] + [start[:] for _ in range(delta)]  # color -> partners
     full = (1 << (delta + 1)) - 2  # bit c stands for color c
-    used = [0] * g.n
-    incident = [[] for _ in range(g.n)]  # vertex -> [(edge index, other end)]
+    used = [0] * n
+    incident = [[] for _ in range(n)]  # vertex -> [(edge index, other end)]
     for j, (u, v) in enumerate(edges):
         incident[u].append((j, v))
         incident[v].append((j, u))
+    index = [dict((w, j) for j, w in inc) for inc in incident]
     # edge -> [(edge sharing an endpoint, that edge's far end)]
     near = [[kw for kw in incident[u] + incident[v] if kw[0] != j]
             for j, (u, v) in enumerate(edges)]
     color = [0] * len(edges)  # edge index -> bit of its color, 0 if none
     free = [delta] * len(edges)  # free colors per uncolored edge
+    # Edmonds' labels, reset after each search: tree parent, blossom base,
+    # and whether the vertex is outer (at even distance from the root)
+    parent, base, outer = [-1] * n, list(range(n)), [False] * n
+
+    def augment(m: list, bit: int, root: int) -> bool:
+        """Augment m, a matching of bit's graph, along an alternating path
+        from the exposed vertex root by Edmonds' blossom search; False if
+        there is none."""
+        queue, tree = [root], [root]
+        members = {}  # blossom base -> its vertices, while it has others
+        outer[root] = True
+        end = -1
+        for v in queue:
+            partner = m[v]
+            for k, w in incident[v]:
+                if color[k] or used[w] & bit or w == partner \
+                        or base[v] == base[w]:
+                    continue
+                if outer[w]:  # an odd cycle: shrink it into its top base
+                    # climb from both ends in turn; the first base met
+                    # twice is the top
+                    seen, x, y = set(), base[v], base[w]
+                    while x < 0 or x not in seen:
+                        if x >= 0:
+                            seen.add(x)
+                            x = base[parent[m[x]]] if m[x] >= 0 else -1
+                        x, y = y, x
+                    top = x
+                    inside = set()
+                    for x, child in (v, w), (w, v):
+                        while base[x] != top:
+                            inside.add(base[x])
+                            inside.add(base[m[x]])
+                            parent[x] = child
+                            child = m[x]
+                            x = parent[child]
+                    inside.discard(top)
+                    into = members.setdefault(top, [top])
+                    for b in inside:
+                        for x in members.pop(b, (b,)):
+                            base[x] = top
+                            into.append(x)
+                            if not outer[x]:
+                                outer[x] = True
+                                queue.append(x)
+                elif parent[w] < 0:
+                    parent[w] = v
+                    tree.append(w)
+                    x = m[w]
+                    if x < 0:
+                        end = w
+                        break
+                    outer[x] = True
+                    queue.append(x)
+                    tree.append(x)
+            if end >= 0:
+                break
+        for x in tree:
+            outer[x] = False
+            base[x] = x
+        found = end >= 0
+        while end >= 0:
+            x = parent[end]
+            m[end], m[x], end = x, end, m[x]
+        for x in tree:
+            parent[x] = -1
+        return found
+
+    def repair(m: list, bit: int, a: int, b: int) -> bool:
+        """Make m perfect on bit's graph again, where it leaves exactly a
+        and b exposed (their entries still hold their old partners); False,
+        with m unchanged, if bit's graph has no perfect matching."""
+        k = index[a].get(b)
+        if k is not None and not color[k]:
+            m[a], m[b] = b, a
+            return True
+        at_b = index[b]
+        for k, x in incident[a]:
+            if not color[k] and not used[x] & bit:
+                y = m[x]
+                k = at_b.get(y)
+                if k is not None and not color[k]:
+                    m[a], m[x], m[y], m[b] = x, a, b, y
+                    return True
+        old_a, old_b = m[a], m[b]
+        m[a] = m[b] = -1
+        if augment(m, bit, a):
+            return True
+        m[a], m[b] = old_a, old_b
+        return False
 
     # Colored edges hold a count above every real one, so the first
     # uncolored edge with the fewest free colors is the first index of the
@@ -166,26 +273,21 @@ def _exact_edge_coloring(g: CirculantGraph, budget: int) -> dict | None:
             cnt[j] = done
             used[u] |= bit
             used[v] |= bit
-            dead = False
             for k, w in near[j]:
                 if not color[k] and not used[w] & bit:
                     cnt[k] -= 1
-                    if not dead:  # the far-end rule
-                        for i, y in incident[w]:
-                            if not color[i] and not used[y] & bit:
-                                break
-                        else:
-                            dead = True
-            if dead:
-                continue
-            for x in u, v:  # the endpoint rule
-                need = full & ~used[x]
-                for k, w in incident[x]:
-                    if not color[k]:
-                        need &= used[w]
-                        if not need:
-                            break
-                if need:
+            m = mate[bit.bit_length() - 1]
+            a, b = m[u], m[v]
+            if a != v:  # u and v leave bit's graph
+                if not repair(m, bit, a, b):
+                    continue
+                m[u], m[v] = v, u
+            others = full & ~(used[u] | used[v])
+            while others:  # the colors that lose the edge (u, v)
+                c = others & -others
+                others ^= c
+                m = mate[c.bit_length() - 1]
+                if m[u] == v and not repair(m, c, u, v):
                     break
             else:  # no dead end: pick the next edge
                 break
@@ -290,8 +392,8 @@ def edge_color_delta_plus_one(g: CirculantGraph,
     the c/d path from u, starting with d, is inverted by swapping
     ``at[x][c]`` and ``at[x][d]`` along it.
     """
-    n = g.n
-    at = [[None] * (g.degree + 2) for _ in range(n)]  # colors 1..Delta+1
+    n, width = g.n, g.degree + 2  # colors 1..Delta+1
+    at = [[None] * width for _ in range(n)]
     used = [0] * n
 
     for u, v in g.edges:

@@ -694,15 +694,14 @@ class TestExitContract:
         assert seen == [forwarded, forwarded]
 
     def test_pooled_search_within_budget(self, capsys):
-        # the pooled 1-factorization (252 edges, 12 colours) needs 13,566
-        # nodes, the most of any pooled search a test runs; its colouring
-        # is test_pinned_outputs' thm21-even-pooled
+        # the pooled 1-factorization (252 edges, 12 colours) needs 273
+        # nodes; its colouring is test_pinned_outputs' thm21-even-pooled
         argv = ["color", "--method", "thm21-even", "--n", "42", "--k", "20",
                 "--i", "1", "--format", "json"]
-        assert main(["--budget", "13566"] + argv) == EXIT_OK
+        assert main(["--budget", "273"] + argv) == EXIT_OK
         capsys.readouterr()
-        assert main(["--budget", "13565"] + argv) == EXIT_BUDGET
-        assert "exceeded 13565 nodes" in capsys.readouterr().err
+        assert main(["--budget", "272"] + argv) == EXIT_BUDGET
+        assert "exceeded 272 nodes" in capsys.readouterr().err
 
     def test_report_path_is_a_directory(self, tmp_path, capsys):
         (tmp_path / "d.report.json").mkdir()
@@ -828,6 +827,19 @@ class TestExitContract:
         tc = coloring_from_json_dict(json.loads(out))
         report = verify_total_coloring(power_of_cycle(n, 10), tc)
         assert report.proper and report.colors_used <= 21
+
+    @pytest.mark.parametrize("n,k,i", [
+        (52, 8, 5), (60, 9, 6), (90, 14, 1), (104, 12, 1), (84, 16, 5)])
+    def test_pooled_search_at_the_default_budget(self, n, k, i, capsys):
+        # without the matching cut each pooled search, and then the
+        # fallback's, runs out of its 2,000,000 nodes; with it they take
+        # 238, 157, 17,891, 192,818 and 385,358 nodes
+        assert main(["color", "--method", "thm21-even", "--n", str(n),
+                     "--k", str(k), "--i", str(i),
+                     "--format", "json"]) == EXIT_OK
+        tc = coloring_from_json_dict(json.loads(capsys.readouterr().out))
+        report = verify_total_coloring(power_of_cycle(n, k), tc)
+        assert report.proper and report.colors_used == 2 * k + 1
 
     def test_pooled_search_under_low_recursion_limit(self):
         script = ("import sys; sys.setrecursionlimit(200); "

@@ -113,12 +113,12 @@ class TestFallbackCompletion:
             _factorize_pool(28, [4, 5, 6], 8, 10)
 
     def test_builder_falls_back(self):
-        # the pooled 1-factorization of the residual distances needs 428
-        # nodes, the pooled search over every residual distance 120
-        report = color_power_cycle_even(30, 11, 4, budget=150)
+        # the pooled 1-factorization of the residual distances needs 1,094
+        # nodes, the pooled search over every residual distance 355
+        report = color_power_cycle_even(38, 18, 1, budget=400)
         assert report.fallback_used
-        check_built(power_of_cycle(30, 11), report)
-        assert report.colors_used == report.bound_claimed == 23
+        check_built(power_of_cycle(38, 18), report)
+        assert report.colors_used == report.bound_claimed == 37
 
     def test_claimed_bound_always_checked(self):
         tc = color_power_cycle_even(18, 4, 5).coloring
@@ -632,8 +632,8 @@ class TestReportOwner:
 
     @pytest.mark.parametrize("g,build", [
         (power_of_cycle(18, 4), lambda g: color_power_cycle_even(18, 4, 5)),
-        (power_of_cycle(30, 11),
-         lambda g: color_power_cycle_even(30, 11, 4, budget=150)),
+        (power_of_cycle(38, 18),
+         lambda g: color_power_cycle_even(38, 18, 1, budget=400)),
         (power_of_cycle(15, 4), lambda g: color_power_cycle_odd(15, 4, 1)),
         (power_of_cycle(18, 4), lambda g: equitable_nsd_power_cycle(18, 4)),
         (build_circulant(12, [1, 2, 3, 5]), color_thm31),

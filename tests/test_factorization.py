@@ -15,8 +15,13 @@ from circulant_coloring.factorization import (
     edge_color_delta_plus_one,
     one_factorize,
 )
-from circulant_coloring.graphs import build_circulant, generates_group
+from circulant_coloring.graphs import (
+    build_circulant,
+    generates_group,
+    power_of_cycle,
+)
 from circulant_coloring.coloring import TotalColoring
+from circulant_coloring.verifiers import verify_total_coloring
 
 
 def is_perfect(matching, n):
@@ -338,17 +343,19 @@ class TestExactEdgeColoring:
     exactly one node short of the kernel's own count."""
 
     @pytest.mark.parametrize("n,k,i,budget,nodes", [
-        # reference: 2412, 13097, 4513, 236 and 236 nodes
-        (66, 10, 1, None, [1023]), (42, 13, 8, None, [8369]),
-        (76, 17, 2, None, [1539]), (28, 5, 2, None, [162]),
-        (28, 6, 1, None, [162]),
+        # reference: 2412, 13097, 4513, 236 and 236 nodes; a node is cut
+        # exactly when some color class can no longer become a perfect
+        # matching, so these counts hold for any correct matching repair
+        (66, 10, 1, None, [485]), (42, 13, 8, None, [92]),
+        (76, 17, 2, None, [357]), (28, 5, 2, None, [126]),
+        (28, 6, 1, None, [126]),
         # the pooled search finishes within 150 nodes (the reference's
         # ran out), so no fallback runs
         (22, 10, 1, 150, [91]),
-        # the pooled 1-factorization runs out at 150 nodes (it needs 428,
-        # the reference 1096); the fallback, the pooled search over every
-        # residual distance, finishes in 120
-        (30, 11, 4, 150, [None, 120])])
+        # the pooled 1-factorization runs out at 190 nodes (it needs 195,
+        # the reference 452); the fallback, the pooled search over every
+        # residual distance, finishes in 181 (the reference in 216)
+        (30, 13, 2, 190, [None, 181])])
     def test_builder_searches(self, n, k, i, budget, nodes):
         kw = {} if budget is None else {"budget": budget}
         calls = searches_of(
@@ -358,7 +365,9 @@ class TestExactEdgeColoring:
     def test_fallback_is_the_completion_of_the_tiling(self):
         # the pooled search over every residual distance, on the colors
         # q+1..2k+1, colors as the completion of the q-color tiling within
-        # 2k+1 colors, or both run out
+        # 2k+1 colors, as the reference does where it finishes, or both
+        # run out
+        beyond = []  # (n, k, i, budget) where the reference runs out
         for n in range(4, 61, 2):
             for k in range(1, n // 2):
                 for i in range(1, k + 2):
@@ -381,18 +390,31 @@ class TestExactEdgeColoring:
                             continue
                         # the kernel prunes, so where the reference runs
                         # out its answer under a larger budget is the one
-                        # to match (it needs at most 2,946 nodes here)
-                        want, _ = reference_edge_coloring(
-                            edges, 2 * k + 1, 10**4, start=tc)
+                        # to match; where that runs out too, the kernel's
+                        # colors must still complete the tiling
+                        try:
+                            want, _ = reference_edge_coloring(
+                                edges, 2 * k + 1, 10**4, start=tc)
+                        except SearchBudgetExceeded:
+                            report = verify_total_coloring(
+                                power_of_cycle(n, k), TotalColoring(
+                                    tc.vertex_colors, {**tc.columns, **cols}))
+                            assert report.proper, (n, k, i)
+                            assert report.colors_used <= 2 * k + 1
+                            beyond.append((n, k, i, budget))
+                            continue
                         got = TotalColoring(tc.vertex_colors, cols)
                         assert sorted(want) == list(edges)
                         assert {e: got.edge_color(*e) for e in want} == want
+        # all at budget 500, with n from 26 to 60; CHANGES.md names them
+        assert len(beyond) == 48
 
     def test_random_circulant_subgraphs(self):
-        # Delta colors, so the dead-end rules prune at every vertex.  Even
-        # orders up to 12 keep the reference's search short (odd ones such
-        # as K_7 take it over 300,000 nodes); components of odd order
-        # still make some of them infeasible.
+        # Delta colors, so every color class must be a perfect matching,
+        # which the cut rule checks at every node.  Even orders up to 12
+        # keep the reference's search short (odd ones such as K_7 take it
+        # over 300,000 nodes); components of odd order still make some of
+        # them infeasible.
         rng = random.Random(6)
         for _ in range(150):
             n = rng.randrange(4, 13, 2)
@@ -404,7 +426,7 @@ class TestExactEdgeColoring:
         # the pooled components of thm21-even (330, 10, 1) and
         # (1100, 10, 1): 1,320 and 1,100 edges, more than the recursive
         # reference can search, so the kernel's own node counts are pinned
-        (330, [6, 7, 8, 10], 8, 5902), (550, [3, 4], 4, 1121)])
+        (330, [6, 7, 8, 10], 8, 1543), (550, [3, 4], 4, 1112)])
     def test_pools_beyond_the_reference(self, m, ds, degree, nodes):
         g = build_circulant(m, ds)
         assert g.degree == degree
@@ -428,6 +450,12 @@ class TestExactEdgeColoring:
         g = build_circulant(5, [1])  # an odd cycle needs 3 colors
         assert_same_search(g, 1000)
         assert _exact_edge_coloring(g, 1000) is None
+
+    def test_odd_components_need_no_search(self):
+        # gcd(30, 6, 10) = 2, so C_30(6, 10) is two copies of C_15(3, 5):
+        # no distance has even orbits, no color class can be a perfect
+        # matching, and the kernel says so before its first node
+        assert _exact_edge_coloring(build_circulant(30, [6, 10]), 0) is None
 
 
 class TestMatching:

@@ -30,11 +30,11 @@ def up_to(m: int) -> str:
 # admissible n, then larger builds.
 COLOR_RUNS = {
     "thm21-even": "color --method thm21-even --n 18 --k 4 --i 5",
-    # a budget of 150 nodes makes the pooled 1-factorization give up (it
-    # needs 428), so the residual distances are colored by the fallback,
-    # the pooled search over every residual distance (120 nodes)
+    # a budget of 400 nodes makes the pooled 1-factorization give up (it
+    # needs 1,094), so the residual distances are colored by the fallback,
+    # the pooled search over every residual distance (355 nodes)
     "thm21-even-fallback":
-        "--budget 150 color --method thm21-even --n 30 --k 11 --i 4",
+        "--budget 400 color --method thm21-even --n 38 --k 18 --i 1",
     # the residual distances 6..10 are all peeled, with gcd(176, d) of 1,
     # 2 and 8: the two colors of a peeled distance alternate in runs of gcd
     "thm21-even-peeled": "color --method thm21-even --n 176 --k 10 --i 1",
@@ -55,8 +55,8 @@ COLOR_RUNS = {
     "canonical": "color --method canonical --n 7",
     # even order: the matrix is emitted with an improper verdict
     "canonical-even": "color --method canonical --n 8",
-    # the pooled 1-factorization (252 edges, 12 colours) needs 13,566 of
-    # the 20,000 nodes, the most of any pooled search a pin runs
+    # the pooled 1-factorization (252 edges, 12 colours) needs 273 of the
+    # 20,000 nodes
     "thm21-even-pooled":
         "--budget 20000 color --method thm21-even --n 42 --k 20 --i 1",
     # recorded before the Vizing edge coloring moved to colour-indexed
@@ -84,9 +84,9 @@ COLOR_DIGESTS = {
     ("thm21-even", "csv"):
         "16933b45b26299210420b3685517bb24d6da545de4b40f9282ac60dc3ee5949d",
     ("thm21-even-fallback", "json"):
-        "5cf6929470e9ec2f1dd1c5853c16139476b0b2e6577dd104b82cd8878d6dbf93",
+        "a55717f36a5e019865e72a639c0fcf6388747561de17fe5c3c170dfac39d9253",
     ("thm21-even-fallback", "csv"):
-        "9dc87f2be662549b2da35bb39c00065107b3df51f8a3a7fe711fa6b31745bc87",
+        "759aacc8314ed92408976aad562ee164661fa286e36cd8dc368927031f8a7f41",
     ("thm21-even-peeled", "json"):
         "4a1f066c3e0f3e073a1d71a3113ca4edda7ba1ecff0ee1455b50a35db7003503",
     ("thm21-even-peeled", "csv"):
