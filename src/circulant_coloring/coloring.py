@@ -284,9 +284,10 @@ def _filled_cells(text):
     n = len(header) - 1
     if header != ["", *map(str, range(n))]:
         raise ValueError("header row is not ,0,1,...,n-1")
-    rows, labels, wildcards = [], [], set()
+    rows, wildcards = [], set()
     for u, (label, cols, cells) in enumerate(lines):
-        labels.append(label.strip())
+        if u >= n or label.strip() != header[u + 1]:
+            raise ValueError("row labels are not 0,1,...,n-1")
         cells = list(map(str.strip, cells))
         k = bisect_left(cols, n)  # cols[k:] lie past column n-1
         if any(cells[k:]):
@@ -297,7 +298,7 @@ def _filled_cells(text):
             keep = [c not in ("", "*") for c in cells]
             cols, cells = [*compress(cols, keep)], [*compress(cells, keep)]
         rows.append((cols, list(map(int, cells))))
-    if labels != header[1:]:
+    if len(rows) != n:
         raise ValueError("row labels are not 0,1,...,n-1")
     return n, rows, wildcards
 

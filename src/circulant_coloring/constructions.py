@@ -3,19 +3,21 @@
 Every builder assembles a candidate coloring exactly as its proof
 prescribes, hands it to the independent verifiers, and only then returns
 a BuildReport.  A rejected candidate raises VerificationFailed; it is
-never silently repaired.
+never silently repaired.  No builder calls another, so each coloring a
+builder returns is verified once.
 
 The workhorse is one folded tiling: element (u, v) takes the canonical
 K_q row at (u mod h + v mod h) mod q.  With h = q odd dividing n it is the
 Latin-square tiling, which totally colors C_n^{(q-1)/2} in q colors;
-thm32 folds K_{n/2} mod n/2, and h = q = m is the canonical K_m matrix,
-which is also thm34's subset part on Z_2m.  Distances beyond the tiling
-reach are finished by 1-factorization (even n) or a Vizing edge coloring
-(odd n) on fresh colors.  Theorems 2.2 and 3.4 share one tail: the base
-is verified equitable, then the NSD step recolors the two alternating
-matchings of a unit distance's Hamiltonian cycle, the even and the odd
-slots of that distance's column.  Whether those matchings were rainbow
-is noted, not required: the NSD verifier decides.
+thm32 folds K_{n/2} mod n/2, as thm33 does on its sum-free part; h = q = m
+is the canonical K_m matrix, which is also thm34's subset part on Z_2m.
+Distances beyond the tiling reach are finished by 1-factorization (even n)
+or a Vizing edge coloring (odd n) on fresh colors.  Theorems 2.2 and 3.4
+share one tail: the base is verified equitable, then the NSD step
+recolors the two alternating matchings of a unit distance's Hamiltonian
+cycle, the even and the odd slots of that distance's column.  Whether
+those matchings were rainbow is noted, not required: the NSD verifier
+decides.
 """
 
 from __future__ import annotations
@@ -355,22 +357,24 @@ def color_thm32(g: CirculantGraph) -> BuildReport:
 def color_thm33(g: CirculantGraph, m_set: CirculantGraph,
                 budget: int = DEFAULT_SEARCH_BUDGET) -> BuildReport:
     """Degree + 3 total coloring: m_set, a sum-free spanning subcirculant
-    of degree n/2 - 2, is colored by thm32's folded complete-graph
-    pattern, the generating complement 1-factorized with a
-    ``budget``-node search."""
+    of degree n/2 - 2, takes thm32's complete-graph pattern folded mod
+    n/2, and the generating complement is 1-factorized on the colors
+    above it with a ``budget``-node search.  The fold is composed here,
+    not built by color_thm32, so only the whole coloring is verified."""
     n = g.n
+    h = n // 2
     _require(n % 2 == 0, "n must be even")
-    _require(n // 2 not in g.gens, "the involution n/2 must be absent")
+    _require(h not in g.gens, "the involution n/2 must be absent")
     _require(m_set.issubset(g), "M must lie inside S")
-    _require(m_set.degree == n // 2 - 2, "M must induce degree n/2 - 2")
+    _require(m_set.degree == h - 2, "M must induce degree n/2 - 2")
     _require(classify_sum_free_half(m_set),
              "M must be sum-free with respect to n/2")
     rest = _complement(g, m_set, "M in S")
 
-    inner = color_thm32(m_set)
-    tc = _one_factorized(inner.coloring, rest, inner.colors_used + 1, budget)
-    notes = inner.notes + "; complement %r one-factorized on %d colors" % (
-        rest.gens, rest.degree)
+    tc = _tiling(n, h, h | 1, m_set.gens)
+    tc = _one_factorized(tc, rest, tc.palette_size + 1, budget)
+    notes = ("complete-graph pattern of order %d folded mod %d; complement "
+             "%r one-factorized on %d colors" % (h, h, rest.gens, rest.degree))
     return _verified(g, tc, g.degree + 3, notes=notes)
 
 

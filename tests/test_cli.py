@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -740,6 +741,39 @@ class TestExitContract:
         proc = subprocess.run([sys.executable, str(path)],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == EXIT_OK, proc.stderr
+
+    def test_examples_script_output(self, tmp_path, capsys):
+        # the verdicts printed are those of the builders' own reports, and
+        # each written table is its rebuilt coloring, which passes verify
+        path = Path(__file__).resolve().parent.parent / "scripts" / \
+            "rebuild_published_examples.py"
+        proc = subprocess.run(
+            [sys.executable, str(path), "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert re.sub(r"\d+\.\d\ds$", "T", proc.stdout, flags=re.M) == (
+            "fixture 1: 147 cells match, 14 colors, T\n"
+            "fixture 2: 162 cells match, 9 colors, equitable=True T\n"
+            "fixture 3: 162 cells match, 11 colors, nsd=True T\n"
+            "fixture 4: 250 cells match, 13 colors, T\n"
+            "fixture 5: 162 cells match, 13 colors, equitable=True T\n"
+            "fixture 6: 150 cells match, 15 colors, nsd=True T\n"
+            "Z_20 dense example: 16 colors (bound 16, fallback=True)\n"
+            "Z_24 near-complete-plus-rest example: 17 colors (bound 17)\n")
+        graphs = {1: ("21", "1,2,3,4,5,6", []),
+                  2: ("18", "1,2,3,4", ["--equitable"]),
+                  3: ("18", "1,2,3,4", ["--nsd"]),
+                  4: ("24", "1,3,4,5,10", []),
+                  5: ("18", "1,2,4,6,7,8", ["--equitable"]),
+                  6: ("18", "1,2,4,6,7,8", ["--nsd"])}
+        for tid, (n, gens, flags) in graphs.items():
+            written = tmp_path / ("table%d.csv" % tid)
+            write_matrix_csv(golden.rebuild_table(tid).coloring,
+                             tmp_path / "want.csv")
+            assert written.read_text() == (tmp_path / "want.csv").read_text()
+            assert main(["verify", "--n", n, "--gens", gens, "--in",
+                         str(written)] + flags) == EXIT_OK
+        capsys.readouterr()
 
     def test_no_runtime_dependency_imported(self):
         # in a fresh interpreter, so that pytest's own imports do not count

@@ -286,6 +286,19 @@ class TestCsvFrame:
         with pytest.raises(ValueError, match=message):
             parse_matrix_csv_text(text)
 
+    @pytest.mark.parametrize("lines", [
+        [",0,1,2", "x,1,2,3", "1,2,2,y", "2,3,1,3"],  # a later text cell
+        [",0,1", "0,1,3", "1,3,2", "2,,"],  # a row too many
+    ])
+    def test_row_label_checked_as_its_row_is_read(self, lines):
+        # the first fault in file order: no line past the labelled row is
+        # read
+        def read():
+            yield from lines
+            raise AssertionError("read past the bad row")
+        with pytest.raises(ValueError, match="row labels"):
+            _filled_cells(read())
+
     def test_short_rows_end_in_blanks(self):
         text = ",0,1,2\n0,1,3\n1,3,2,1\n2,,1,3\n"
         tc = coloring_from_csv_text(text + "\n\n")
@@ -886,9 +899,10 @@ def reference_filled_cells(text: str):
     n = len(header) - 1
     if header != ["", *map(str, range(n))]:
         raise ValueError("header row is not ,0,1,...,n-1")
-    rows, labels, wildcards = [], [], set()
+    rows, wildcards = [], set()
     for u, line in enumerate(lines):
-        labels.append(line[0].strip())
+        if u >= n or line[0].strip() != header[u + 1]:
+            raise ValueError("row labels are not 0,1,...,n-1")
         if any(map(str.strip, line[n + 1:])):
             raise ValueError("row %d has a cell past column %d" % (u, n - 1))
         line = line[1:n + 1]
@@ -899,7 +913,7 @@ def reference_filled_cells(text: str):
             keep = [c not in ("", "*") for c in cells]
             cols, cells = [*compress(cols, keep)], [*compress(cells, keep)]
         rows.append((cols, list(map(int, cells))))
-    if labels != header[1:]:
+    if len(rows) != n:
         raise ValueError("row labels are not 0,1,...,n-1")
     return n, rows, wildcards
 

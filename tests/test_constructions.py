@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from circulant_coloring.cli import EXIT_OK, main
 from circulant_coloring.coloring import TotalColoring, coloring_from_json_dict
 from circulant_coloring.constructions import (
+    _complement,
     _constrained_total_search,
+    _one_factorized,
+    _require,
     _tiling,
     _verified,
     canonical_complete_coloring,
@@ -25,6 +28,7 @@ from circulant_coloring.constructions import (
     equitable_nsd_power_cycle,
 )
 from circulant_coloring.errors import (
+    CirculantColoringError,
     PreconditionFailed,
     SearchBudgetExceeded,
     VerificationFailed,
@@ -35,6 +39,7 @@ from circulant_coloring.factorization import (
 )
 from circulant_coloring.graphs import (
     build_circulant,
+    classify_sum_free_half,
     power_of_cycle,
 )
 from circulant_coloring.latin import half
@@ -187,18 +192,41 @@ class TestEquitableNsdPowerCycle:
                 assert c == eq.coloring.edge_color(*e)
 
     def test_each_coloring_verified_once(self, monkeypatch):
-        # the base colouring's one report decides equitability; the
-        # recoloured one goes through NSD
-        from circulant_coloring import constructions
+        # every colouring a builder returns passes through the verifiers
+        # once, and no other colouring does: thm22's base colouring's one
+        # report decides equitability, the recoloured one goes through
+        # NSD, and thm33 verifies no colouring of its sum-free part alone.
+        # seen keeps each colouring alive, so no two share an id
+        from circulant_coloring import cli, constructions
         seen = []
         for name in ("verify_total_coloring", "verify_nsd"):
             def spy(g, tc, check=getattr(constructions, name), name=name):
                 seen.append((name, tc))
                 return check(g, tc)
             monkeypatch.setattr(constructions, name, spy)
-        eq, nsd = equitable_nsd_power_cycle(18, 4)
-        assert seen == [("verify_total_coloring", eq.coloring),
-                        ("verify_nsd", nsd.coloring)]
+        methods = set()
+        for argv in [
+            "color --method thm21-even --n 18 --k 4 --i 5",
+            "--budget 400 color --method thm21-even --n 38 --k 18 --i 1",
+            "color --method thm21-odd --n 21 --k 6 --i 1",
+            "color --method thm22 --n 18 --k 4",
+            "color --method thm31 --n 20 --gens 1,2,3,4,5,7,8",
+            "color --method thm32 --n 24 --gens 1,3,4,5,10",
+            "color --method thm33 --n 24 --gens 1,3,4,5,7,10,11 "
+            "--m-gens 1,3,4,5,10",
+            "color --method thm34 --n 18 --gens 1,2,4,6,7,8 "
+            "--s1-gens 1,2,4,6",
+            "color --method canonical --n 7",
+            "color --method canonical --n 8",
+        ]:
+            args = cli.make_parser().parse_args(argv.split())
+            methods.add(args.method)
+            seen.clear()
+            built = cli._call(cli.COLOR_METHODS, args.method, args)
+            assert [(name, id(tc)) for name, tc in seen] == [
+                ("verify_nsd" if suffix == "-nsd" else "verify_total_coloring",
+                 id(tc)) for suffix, tc, _ in built], argv
+        assert methods == set(cli.COLOR_METHODS)
 
     @given(st.integers(1, 6), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
@@ -537,7 +565,56 @@ class TestThm32:
             color_thm32(build_circulant(9, [1, 2]))
 
 
+@st.composite
+def thm33_inputs(draw):
+    """(g, m_set) of Theorem 3.3's shape with 4 | n, 8 <= n <= 80: m_set
+    holds one distance of each pair {s, n/2 - s}, g adds 1-3 distances
+    below n/2, and the complement may fail to generate Z_n."""
+    n = 4 * draw(st.integers(2, 20))
+    h = n // 2
+    m = [draw(st.sampled_from([s, h - s])) for s in range(1, n // 4)]
+    extra = draw(st.lists(st.sampled_from(
+        [d for d in range(1, h) if d not in m]), min_size=1, max_size=3,
+        unique=True))
+    return build_circulant(n, m + extra), build_circulant(n, m)
+
+
+def reference_thm33(g, m_set):
+    """Theorem 3.3 as the composition its proof states: thm32 colors
+    m_set, and the complement is 1-factorized on the colors above it."""
+    n = g.n
+    _require(n % 2 == 0, "n must be even")
+    _require(n // 2 not in g.gens, "the involution n/2 must be absent")
+    _require(m_set.issubset(g), "M must lie inside S")
+    _require(m_set.degree == n // 2 - 2, "M must induce degree n/2 - 2")
+    _require(classify_sum_free_half(m_set),
+             "M must be sum-free with respect to n/2")
+    rest = _complement(g, m_set, "M in S")
+    inner = color_thm32(m_set)
+    tc = _one_factorized(inner.coloring, rest, inner.colors_used + 1,
+                         DEFAULT_SEARCH_BUDGET)
+    notes = inner.notes + "; complement %r one-factorized on %d colors" % (
+        rest.gens, rest.degree)
+    return _verified(g, tc, g.degree + 3, notes=notes)
+
+
+def outcome(build, *args):
+    try:
+        report = build(*args)
+    except CirculantColoringError as exc:
+        return type(exc), str(exc)
+    return report.coloring, report.notes, report.colors_used
+
+
 class TestThm33:
+    @given(thm33_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_nested_composition(self, inputs):
+        # same colouring, notes, colour count or error as thm32 nested
+        # inside the 1-factorization of the complement
+        assert outcome(color_thm33, *inputs) == outcome(reference_thm33,
+                                                        *inputs)
+
     def test_z24(self):
         g = build_circulant(24, [1, 3, 4, 5, 7, 10, 11])
         report = color_thm33(g, build_circulant(24, [1, 3, 4, 5, 10]))

@@ -77,7 +77,7 @@ class TestReproduce:
         # contradicts; trusting them would make the coloring improper
         matrix, wildcards = load_table(6)
         assert wildcards
-        ours = to_matrix(rebuild_table(6))
+        ours = to_matrix(rebuild_table(6).coloring)
         for (u, v) in wildcards:
             assert ours[u][v] is not None
 

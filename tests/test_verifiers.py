@@ -437,7 +437,7 @@ class TestOnePeriod:
 class TestEquitable:
     def test_published_equitable_example(self):
         g = power_of_cycle(18, 4)
-        report = verify_total_coloring(g, rebuild_table(2))
+        report = verify_total_coloring(g, rebuild_table(2).coloring)
         assert report.proper and report.equitable
         sizes = report.class_sizes.values()
         assert max(sizes) - min(sizes) <= 1
@@ -483,16 +483,16 @@ def rebuild_table_free(g):
 class TestNsd:
     def test_published_nsd_example(self):
         g = power_of_cycle(18, 4)
-        report = verify_nsd(g, rebuild_table(3))
+        report = verify_nsd(g, rebuild_table(3).coloring)
         assert report.nsd is True
         assert not report.nsd_violations
 
     def test_base_coloring_not_nsd(self):
         g = power_of_cycle(18, 4)
-        report = verify_nsd(g, rebuild_table(2))
+        report = verify_nsd(g, rebuild_table(2).coloring)
         assert report.nsd is False
         assert report.nsd_violations
-        sums = vertex_sums(rebuild_table(2))
+        sums = vertex_sums(rebuild_table(2).coloring)
         for v in report.nsd_violations:
             u, w, s = v.witness
             assert sums[u] == sums[w] == s
