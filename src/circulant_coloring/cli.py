@@ -255,6 +255,8 @@ def make_parser() -> argparse.ArgumentParser:
                             factorization.DEFAULT_SEARCH_BUDGET,
                             oracle.DEFAULT_NODE_BUDGET))
     sub = p.add_subparsers(dest="command", required=True)
+    in_help = ("coloring file, JSON if its name ends in .json, else CSV "
+               "(so /dev/stdin is CSV: pipe JSON through a FIFO *.json)")
 
     b = sub.add_parser("build", help="print a circulant graph as JSON")
     b.add_argument("--n", type=int, required=True)
@@ -277,7 +279,7 @@ def make_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="verify a coloring file")
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--gens", required=True)
-    v.add_argument("--in", dest="infile", required=True)
+    v.add_argument("--in", dest="infile", required=True, help=in_help)
     v.add_argument("--equitable", action="store_true")
     v.add_argument("--nsd", action="store_true")
     v.set_defaults(func=cmd_verify)
@@ -292,7 +294,7 @@ def make_parser() -> argparse.ArgumentParser:
     o.set_defaults(func=cmd_oracle)
 
     e = sub.add_parser("export", help="convert a coloring between csv and json")
-    e.add_argument("--in", dest="infile", required=True)
+    e.add_argument("--in", dest="infile", required=True, help=in_help)
     e.add_argument("--format", choices=["csv", "json"], required=True)
     e.add_argument("--out", required=True)
     e.set_defaults(func=cmd_export)

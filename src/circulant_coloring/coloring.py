@@ -11,12 +11,12 @@ the diagonal and edge colors off it, mirroring the published tables; blank
 cells are non-edges.  Reading or writing a coloring never holds that grid,
 and the writers emit it in blocks of rows, so the memory they take is the
 columns plus one block, whatever the size of the output.  The readers
-take the open file, not its text.  A CSV file or pipe is read once, one
-line at a time, so its first fault in file order is the one raised; the
-read holds every row's filled cells until the columns are built.  A JSON
-file in the writer's layout is read one read at a time, each read's
-edges parsed up to the last boundary between two edges, so it holds the
-columns plus one read and one edge; any other JSON is read whole.
+take the open file, not its text, and read a file or a pipe alike, once,
+from start to end.  A CSV is read one line at a time, so its first fault in
+file order is the one raised; the read holds every row's filled cells
+until the columns are built.  JSON in the writer's layout is parsed one
+read's edges at a time, so it holds the columns plus one read; what the
+blocks cannot take, and any other JSON, is parsed whole.
 Files are read as UTF-8, a leading byte-order mark allowed; CSV lines are
 split on comma runs until one holding a '"' or a NUL sends the rest to
 csv.reader.
@@ -368,10 +368,7 @@ def coloring_from_json_dict(d: dict) -> TotalColoring:
     an edge listed twice, an endpoint outside 0..n-1, an "n" that is not
     the int len(vertex_colors), or an "edges" or "vertex_colors" that is
     not an array."""
-    # the edges are read after "vertex_colors", as _from_json_columns asks
-    return _from_json_columns(d, (list(map(itemgetter(key),
-                                           _array(d, "edges")))
-                                  for key in "uvc"))
+    return _from_json_columns(d, ([], [], []))
 
 
 def _array(d: dict, key: str) -> list:
@@ -382,11 +379,13 @@ def _array(d: dict, key: str) -> list:
     return d[key]
 
 
-def _from_json_columns(d: dict, edges) -> TotalColoring:
-    """The checks of coloring_from_json_dict on document d, its edges given
-    as the columns (us, vs, cs) of their "u", "v" and "c"."""
+def _from_json_columns(d: dict, taken) -> TotalColoring:
+    """The checks of coloring_from_json_dict on document d, the "u", "v"
+    and "c" of its edges appended to the columns (us, vs, cs) taken."""
     vertex_colors = tuple(_array(d, "vertex_colors"))
-    us, vs, cs = edges
+    for column, key in zip(taken, "uvc"):  # every "u" before any "v"
+        column += map(itemgetter(key), _array(d, "edges"))
+    us, vs, cs = taken
     kinds = ({*map(type, vertex_colors)} - {type(None)}).union(
         map(type, chain(cs, us, vs)))
     if not kinds <= {int}:
@@ -459,57 +458,60 @@ def write_coloring_json(tc: TotalColoring, path) -> None:
         fh.write("\n")
 
 
-# the characters the JSON reader reads at a time
+# the characters the JSON reader reads at a time, and what it reads as faults
 _BLOCK_CHARS = 1 << 16
-
-
-def _edge_blocks(fh):
-    """(document less "edges", edge columns) of an open file laid out as
-    the writer lays "edges" out, else None, the file back at its first
-    character.  The file is read _BLOCK_CHARS characters at a time into
-    the held text.  Once that holds the array's close, the first "\n ],"
-    or a "]," right after the opening, the edges up to it are parsed and
-    the rest of the file read whole; until then the edges up to the last
-    boundary "},\n  {" are parsed, and only the text after it is kept.  A
-    raw newline cannot sit in a JSON string, so every cut is structural,
-    and blocks that parse join to the very array json.loads reads."""
-    opening, boundary = '{\n "edges": [', "},\n  {"
-    us, vs, cs = [], [], []
-    held = ""  # the text read past the last edge parsed
-    try:
-        if fh.read(len(opening)) == opening:
-            while piece := fh.read(_BLOCK_CHARS):
-                held += piece
-                # held[close] is the "]" closing the array; 1 until it is read
-                close = 0 if held.startswith("],") else held.find("\n ],") + 2
-                cut = close if close != 1 else held.rfind(boundary) + 1
-                if cut:  # held[:cut] is whole edges
-                    edges = json.loads("[" + held[:cut] + "]")
-                    for column, key in zip((us, vs, cs), "uvc"):
-                        column += map(itemgetter(key), edges)
-                if close != 1:
-                    # the members after "edges"; "{}" means a trailing comma
-                    doc = json.loads("{" + held[close + 2:] + fh.read())
-                    if doc and "edges" not in doc:
-                        return doc, (us, vs, cs)
-                    break
-                held = held[cut + 1:] if cut else held
-    except (KeyError, TypeError, ValueError, RecursionError):
-        pass  # not in the writer's layout
-    fh.seek(0)
-    return None
+_JSON_FAULTS = KeyError, TypeError, ValueError, RecursionError
 
 
 def read_coloring_json(path) -> TotalColoring:
-    """The coloring of a JSON file, with coloring_from_json_dict's errors.
-    A seekable file in the writer's layout is read one block of edges at
-    a time (see _edge_blocks); any other is read from its first
-    character, whole, by json.loads, which raises what it raises."""
-    with _opened(path, malformed=(KeyError, TypeError, ValueError,
-                                  RecursionError),
-                 encoding="utf-8-sig") as fh:
-        # a pipe cannot start over, so it is read whole
-        blocks = _edge_blocks(fh) if fh.seekable() else None
-        if blocks is not None:
-            return _from_json_columns(*blocks)
-        return coloring_from_json_dict(json.loads(fh.read()))
+    """The coloring of a JSON file or pipe, read once, _BLOCK_CHARS
+    characters at a time and never sought, with the errors json.loads and
+    coloring_from_json_dict raise on its text.  In the writer's layout,
+    the held edges are parsed after each read up to the last boundary
+    "},\n  {", or the array's close after it, and only the lines after
+    them kept: a raw newline cannot sit in a JSON string, so every cut is
+    structural.  The rest (a block that fails, the members after the
+    array) is parsed whole with the rest of the file, as the document of
+    the edges not taken, its syntax error placed in the file and an
+    "edges" named again replacing the edges taken.  Any other document
+    is parsed whole."""
+    opening, boundary = '{\n "edges": [\n', "},\n  {"
+    taken = [], [], []  # the columns of the edges parsed in blocks
+    chars = lines = 0  # the characters and newlines they were read from
+    with _opened(path, malformed=_JSON_FAULTS, encoding="utf-8-sig") as fh:
+        held = fh.read(len(opening))
+        if held != opening:
+            return coloring_from_json_dict(json.loads(held + fh.read()))
+        held = ""
+        while piece := fh.read(_BLOCK_CHARS):
+            held += piece
+            last = held.rfind(boundary) + 1
+            close = held.find("\n ],", last)  # the array's close, once read
+            cut = close if close > 0 else last
+            if not cut:
+                continue
+            try:  # held[:cut] is whole edges
+                edges = json.loads("[" + held[:cut] + "]")
+                block = [[*map(itemgetter(key), edges)] for key in "uvc"]
+            except _JSON_FAULTS:
+                break
+            for column, part in zip(taken, block):
+                column += part
+            start = cut + 1 + (cut != close)  # the line after the cut
+            chars, lines = chars + start, lines + held.count("\n", 0, start)
+            held = held[start:]
+            if cut == close:
+                break
+        held = opening + held + fh.read()
+        top = deque(maxlen=1)  # the members of the last object: the document
+        try:
+            doc = json.loads(held, object_pairs_hook=lambda pairs: (
+                top.append(pairs) or dict(pairs)))
+        except json.JSONDecodeError as exc:  # placed in the file
+            exc.pos, exc.lineno = exc.pos + chars, exc.lineno + lines
+            exc.args = ("%s: line %d column %d (char %d)"
+                        % (exc.msg, exc.lineno, exc.colno, exc.pos),)
+            raise
+        if sum(key == "edges" for key, _ in top[0]) > 1:  # named again
+            taken = [], [], []
+        return _from_json_columns(doc, taken)

@@ -4,8 +4,10 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -953,6 +955,42 @@ class TestMemory:
         assert err.count("\n") == 1 and err.startswith(
             "precondition failed: malformed coloring file %s: ValueError: "
             "invalid literal for int() with base 10: 'x" % path)
+
+    def test_json_read_once(self, tmp_path):
+        # the 107 MB JSON of n = 210,000 verifies under 288 MiB through a
+        # named pipe as from a file (about 247 MB; 652 MB when a pipe was
+        # read whole), and with one colour about 60% in made 'x' it exits 2
+        # there (about 208 MB; 446 MB when the file was read again whole)
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no named pipes")
+        path, pipe = tmp_path / "c.json", tmp_path / "pipe.json"
+        with open(path, "wb") as fh:
+            subprocess.run([sys.executable, "-m", "circulant_coloring",
+                            *self.color(210_000)], stdout=fh, check=True)
+        verify = ("verify", "--n", "210000", "--gens",
+                  ",".join(map(str, range(1, 11))), "--equitable", "--in")
+
+        def feed():
+            with contextlib.suppress(BrokenPipeError), \
+                    open(path, "rb") as src, open(pipe, "wb") as dst:
+                shutil.copyfileobj(src, dst)
+
+        os.mkfifo(pipe)
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        code, _, err = self.run(288, *verify, str(pipe))
+        feeder.join(timeout=60)
+        assert (code, err) == (EXIT_OK, "")
+        with open(path, "r+b") as fh:
+            fh.seek(path.stat().st_size * 3 // 5)
+            fh.seek(fh.tell() + fh.read(64).index(b'"c": ') + 5)
+            fh.write(b"x")
+        code, _, err = self.run(288, *verify, str(path))
+        path.unlink()
+        assert (code, err) == (EXIT_PRECONDITION, (
+            "precondition failed: malformed coloring file %s: "
+            "JSONDecodeError: Expecting value: line 6454259 column 9 "
+            "(char 64348859)\n" % path))
 
 
 class TestMalformedInput:

@@ -725,14 +725,28 @@ def circulant_documents(draw):
     return json_text(tc, report) + "\n"
 
 
-def assert_refused_or_read(path):
-    """The block reader's (document, edge columns) of a file, or None with
-    the file back at its first character, however small the reads."""
-    with open(path, encoding="utf-8-sig") as fh, \
-            mock.patch.object(coloring, "_BLOCK_CHARS", 1):
-        blocks = coloring._edge_blocks(fh)
-        assert blocks is not None or fh.tell() == 0
-    return blocks
+def through_a_pipe(read, path):
+    """read_outcome of read on a named pipe fed the bytes of path, with the
+    pipe's name in a message made path's: a pipe cannot be sought."""
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no named pipes")
+    pipe = path.with_name("piped-" + path.name)
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes,
+                              args=(path.read_bytes(),), daemon=True)
+    writer.start()
+    got = read_outcome(read, pipe)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    pipe.unlink()
+    return got.replace(str(pipe), str(path)) if isinstance(got, str) else got
+
+
+# edge (1, 2) of TestBlockReader.TC, its seventh, made to hold objects and
+# an array's close laid out at the indent of the edges, so that a boundary
+# or a close the reader looks for can fall inside the edge
+NESTED = ('"u": 1,\n   "v": 2\n',
+          '"u": 1,\n   "v": 2,\n   "x": [\n  {},\n  {}\n ],\n   "y": 0\n')
 
 
 class TestBlockReader:
@@ -760,7 +774,11 @@ class TestBlockReader:
     ], ids=["odd-colours", "n0", "n1", "n1-uncoloured"])
     @pytest.mark.parametrize("report", [None, TestWriters.REPORT])
     def test_edge_cases(self, tmp_path, tc, report):
-        self.assert_read_in_blocks(tmp_path, json_text(tc, report) + "\n")
+        text = json_text(tc, report) + "\n"
+        if tc.columns:
+            self.assert_read_in_blocks(tmp_path, text)
+        else:  # "edges": [] holds nothing to read in blocks: read whole
+            assert read_coloring_json(written(tmp_path, text)) == tc
 
     # Documents in the writer's layout, from C_12(1, 2, 3) with one fault
     # each: the expected error of the reader as it was, or None if it reads.
@@ -789,10 +807,13 @@ class TestBlockReader:
         (lambda doc: "\ufeff" + layout(doc), None),
         (lambda doc: "\ufeff\ufeff" + layout(doc),
          "JSONDecodeError: Unexpected UTF-8 BOM"),
+        (lambda doc: layout(doc).replace(*NESTED), None),
+        (lambda doc: layout(doc).replace(*NESTED).replace(
+            '\n "n"', '\n "edges": [],\n "n"'), None),
     ], ids=["truncated", "no-v-then-no-u", "float-and-bool", "repeat-at-cut",
             "n-mismatch", "no-vertex-colors", "edges-again",
             "escaped-edges-again", "trailing-comma", "extra-data", "bom",
-            "two-boms"])
+            "two-boms", "nested-at-edge-indent", "nested-then-edges-again"])
     def test_faults_as_whole_document(self, tmp_path, capsys, make, error):
         text = make(json_dict(self.TC))
         assert text.lstrip("\ufeff").startswith('{\n "edges": [\n  {')
@@ -801,7 +822,7 @@ class TestBlockReader:
             got = read_outcome(read_coloring_json, path)
         expected = read_outcome(reference_read, path)
         assert got == expected
-        assert_refused_or_read(path)
+        assert through_a_pipe(read_coloring_json, path) == got
         if error is None:
             assert isinstance(got, TotalColoring)
         else:
@@ -818,11 +839,13 @@ class TestBlockReader:
     @pytest.mark.parametrize("dump", [
         json.dumps, lambda doc: layout(doc) + "\n\udc80",
     ], ids=["compact", "not-utf8"])
-    def test_not_in_layout_is_rewound(self, tmp_path, dump):
+    def test_not_in_layout_read_once(self, tmp_path, dump):
         path = tmp_path / "c.json"
         path.write_bytes(dump(json_dict(self.TC)).encode(
             "utf-8", "surrogateescape"))
-        assert assert_refused_or_read(path) is None
+        got = read_outcome(read_coloring_json, path)
+        assert got == read_outcome(reference_read, path)
+        assert through_a_pipe(read_coloring_json, path) == got
 
     def test_peak_below_half_of_whole_document(self, tmp_path):
         path = tmp_path / "big.json"
@@ -1121,25 +1144,28 @@ def test_csv_peak_below_half_of_file(tmp_path):
     ("c.json", layout(json_dict(TestBlockReader.TC))),
 ], ids=["csv", "csv-malformed-first", "json"])
 def test_not_utf8_past_the_first_read(tmp_path, name, text):
-    # JSON is read again whole: the error a whole read raises, its position
-    # counted from the start of the file.  CSV is read once: its first
-    # fault in file order, a decode error's position counted from the
-    # start of the 8 KiB read that holds the byte
+    # both readers read once: the first fault in file order, a decode
+    # error's position counted from the start of the read that holds the
+    # byte, not of the file.  TextIOWrapper decodes whole 8 KiB chunks, for
+    # the CSV's lines and for JSON reads of 8 KiB: the CSV's read is the
+    # chunk that holds the byte; the JSON's is the rest of the file, read
+    # at once after the array's close from the third chunk (the opening's
+    # read decodes the first, the first block's read the second)
     path = tmp_path / name
+    end = len(text) + 70000
     path.write_bytes(text.encode() + b"\n" * 70000 + b"\xff")
-    decode = ("UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in "
-              "position %d")
-    if name.endswith(".json"):
-        got = read_outcome(read_coloring_json, path)
-        assert got == read_outcome(reference_read, path)
-        assert decode % (len(text) + 70000) in got
-        return
-    got = read_outcome(lambda p: read_matrix_csv(p, _filled_cells), path)
-    if "x" in text:
+    read = (read_coloring_json if name.endswith(".json")
+            else lambda p: read_matrix_csv(p, _filled_cells))
+    with mock.patch.object(coloring, "_BLOCK_CHARS", 8192):
+        got = read_outcome(read, path)
+    if ",x" in text:
         assert got == ("malformed coloring file %s: ValueError: invalid "
                        "literal for int() with base 10: 'x'" % path)
-    else:
-        assert decode % ((len(text) + 70000) % 8192) in got
+        return
+    decode = ("malformed coloring file %s: UnicodeDecodeError: 'utf-8' codec "
+              "can't decode byte 0xff in position %d: invalid start byte")
+    start = end - end % 8192 if name.endswith(".csv") else 8192 * 2
+    assert got == decode % (path, end - start)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
@@ -1152,16 +1178,20 @@ def test_not_utf8_past_the_first_read(tmp_path, name, text):
 ], ids=["json", "json-in-layout", "csv-malformed",
         "csv-malformed-then-not-utf8", "csv-not-utf8"])
 def test_pipe_is_read_without_seeking(tmp_path, name, data):
-    # a pipe cannot start over: JSON is read whole at once, and a CSV is
-    # read once, as a file is, so the same bytes give the same message
+    # a pipe cannot start over: either reader reads it once, as a file, so
+    # the same bytes give the same outcome, and JSON in the writer's layout
+    # is parsed in blocks, never whole
     path = tmp_path / name
     os.mkfifo(path)
     writer = threading.Thread(target=path.write_bytes, args=(data,),
                               daemon=True)
     writer.start()
     if name.endswith(".json"):
-        got = read_outcome(read_coloring_json, path)
-        assert got == coloring_from_json_dict(json.loads(data))
+        expected = coloring_from_json_dict(json.loads(data))
+        with mock.patch.object(coloring, "coloring_from_json_dict",
+                               wraps=coloring_from_json_dict) as whole:
+            assert read_outcome(read_coloring_json, path) == expected
+        assert whole.called is not data.startswith(b'{\n "edges"')
     else:
         got = read_outcome(read_matrix_csv, path)
         copy = tmp_path / "copy.csv"
