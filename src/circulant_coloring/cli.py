@@ -97,12 +97,14 @@ def _report_dict(rep) -> dict:
     }
 
 
-def _emit(tc: TotalColoring, fmt: str, out: str | None, suffix: str,
+def _emit(tc: TotalColoring, fmt: str | None, out: str | None, suffix: str,
           extra: dict) -> None:
     if out:
         base = out + suffix
-        write_matrix_csv(tc, base + ".csv")
-        write_coloring_json(tc, base + ".json")
+        if fmt != "json":
+            write_matrix_csv(tc, base + ".csv")
+        if fmt != "csv":
+            write_coloring_json(tc, base + ".json")
         with _opened(base + ".report.json", "w") as fh:
             json.dump(extra, fh, indent=1, sort_keys=True)
             fh.write("\n")
@@ -271,9 +273,12 @@ def make_parser() -> argparse.ArgumentParser:
     c.add_argument("--gens", default=None)
     c.add_argument("--s1-gens", dest="s1_gens", default=None)
     c.add_argument("--m-gens", dest="m_gens", default=None)
-    c.add_argument("--format", choices=["csv", "json"], default="csv")
+    c.add_argument("--format", choices=["csv", "json"], default=None,
+                   help="output format (default: csv to stdout, or with "
+                        "--out both files)")
     c.add_argument("--out", default=None,
-                   help="output path prefix (writes .csv/.json/.report.json)")
+                   help="output path prefix: writes .report.json and the "
+                        "--format file, or .csv and .json without --format")
     c.set_defaults(func=cmd_color)
 
     v = sub.add_parser("verify", help="verify a coloring file")

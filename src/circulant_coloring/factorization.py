@@ -23,8 +23,10 @@ Both kernels color the edges of a circulant: the pool's component, or
 thm21-odd's residual distances.  The Delta+1 edge coloring is Misra-Gries
 fan rotation: one maximal fan, one c/d path inversion and one rotation
 per edge, with no search, on a color-indexed neighbor list and a
-used-color bitmask per vertex; the colors are read out once, in sorted
-pair order, from first_color up.
+used-color bitmask per vertex.  With no inversion the whole fan rotates,
+unscanned; the uncolored first fan edge takes its color outright and
+each later one moves by one bit toggle.  The colors are read out once,
+in sorted pair order, from first_color up.
 
 The factors come out as color columns in the layout of
 TotalColoring.columns, each factor one color: a peeled distance d with
@@ -390,7 +392,11 @@ def edge_color_delta_plus_one(g: CirculantGraph,
     over the bits c of ``used[u] & ~used[last]`` not yet in the fan; c
     and d are the lowest free colors of u and of the last fan vertex; and
     the c/d path from u, starting with d, is inverted by swapping
-    ``at[x][c]`` and ``at[x][d]`` along it.
+    ``at[x][c]`` and ``at[x][d]`` along it when d is used at u.  Only then
+    is the fan scanned for the longest prefix that still rotates; with no
+    inversion the whole fan rotates.  The rotation colors the uncolored
+    edge (u, fan[0]) outright and moves each later fan edge by one bit
+    toggle.
     """
     n, width = g.n, g.degree + 2  # colors 1..Delta+1
     at = [[None] * width for _ in range(n)]
@@ -403,7 +409,9 @@ def edge_color_delta_plus_one(g: CirculantGraph,
         fan, cols, in_fan, last = [v], [0], 0, v
         bits = mask_u & ~used[v]
         while bits:
-            last = n
+            last_bit = bits & -bits
+            bits ^= last_bit
+            last = at_u[last_bit.bit_length() - 1]
             while bits:
                 bit = bits & -bits
                 bits ^= bit
@@ -414,12 +422,13 @@ def edge_color_delta_plus_one(g: CirculantGraph,
             cols.append(last_bit.bit_length() - 1)
             in_fan |= last_bit
             bits = mask_u & ~used[last] & ~in_fan
-        m = mask_u | 1
-        c = (~m & (m + 1)).bit_length() - 1
         m = used[last] | 1
         d = (~m & (m + 1)).bit_length() - 1
-        if c != d and at_u[d] is not None:
-            # c is free at u, so the d/c path from u is a path, not a cycle
+        if at_u[d] is not None:
+            m = mask_u | 1
+            c = (~m & (m + 1)).bit_length() - 1
+            # d is used at u and c is free there, so c != d and the d/c
+            # path from u is a path, not a cycle
             y, cur = u, c
             while y is not None:
                 at_y = at[y]
@@ -429,20 +438,28 @@ def edge_color_delta_plus_one(g: CirculantGraph,
             used[x] ^= 1 << c | 1 << d
             if in_fan >> d & 1:
                 cols[cols.index(d)] = c
-        # d is now free at u; the longest prefix that is still a fan and
-        # ends where d is free exists and rotates properly (Misra-Gries)
-        j = None
-        for t, w in enumerate(fan):
-            if t and used[fan[t - 1]] >> cols[t] & 1:
-                break
-            if not used[w] >> d & 1:
-                j = t
-        cols[j + 1:] = (d,)
-        for t in range(j + 1):
+            # d is now free at u; the longest prefix that is still a fan
+            # and ends where d is free exists and rotates (Misra-Gries)
+            j = None
+            for t, w in enumerate(fan):
+                if t and used[fan[t - 1]] >> cols[t] & 1:
+                    break
+                if not used[w] >> d & 1:
+                    j = t
+            del cols[j + 1:]
+        # with no inversion nothing changed since the fan was built and d
+        # is free at its last vertex, so the whole fan rotates
+        cols.append(d)
+        new = cols[1]
+        at[v][new], at_u[new] = u, v
+        used[v] |= 1 << new
+        # each later fan edge moves from its color, used at w, to the next
+        # one, free at w (the fan property; d for the last, by choice of j)
+        for t in range(1, len(cols) - 1):
             w, old, new = fan[t], cols[t], cols[t + 1]
             at_w = at[w]
             at_w[old], at_w[new], at_u[new] = None, u, w
-            used[w] = used[w] & ~(1 << old) | 1 << new
+            used[w] ^= 1 << old | 1 << new
         used[u] |= 1 << d
 
     shift = first_color - 1

@@ -1,4 +1,5 @@
-"""Byte-level pins of the command line's stdout.
+"""Byte-level pins of the command line's stdout, and of the files
+``color --out`` writes.
 
 Every stdout sha256 the project pins is here, the larger builds once
 pinned only in CI included, so a change that re-pins a colouring edits
@@ -163,6 +164,35 @@ IMPROPER_VERIFY_DIGEST = (
     "4d400d1d0c4c2a7f62f3de35ca6319d267bdbd5b19d2d3835d6eddcdee19ee15")
 
 
+# run -> {file name after the --out prefix: sha256 of its bytes}, as
+# color --out writes them with no --format: the .csv, .json and
+# .report.json of each colouring (thm22 writes two, one per suffix)
+OUT_DIGESTS = {
+    "thm21-odd": {
+        ".csv":
+        "2fa77f43d624d8a1ae9aad1f787da406a4eabc9e194bd3d5d9d13a5a8c957723",
+        ".json":
+        "d8eafedb58d0cfc74320ae0ef24801333993fb8832b5118f9d42772df89e14eb",
+        ".report.json":
+        "bbc8a0c8bd8edca300a56a6a3399435bb48891c3f9f635cfa8c6f9c543905621",
+    },
+    "thm22": {
+        "-equitable.csv":
+        "742e5a9dd7b08d63d175ec27beff2da68c6e33c5b97465984c13dc3567d8241f",
+        "-equitable.json":
+        "a337bb4e8ce7584773fc1484805efe8cf45a076815bf2e2beedf470a544024f2",
+        "-equitable.report.json":
+        "c09fd97efbbc019d8da03e727d87c250ffba3a6143a655ee336ae3c919bd2fff",
+        "-nsd.csv":
+        "f52e3f0158a7a0ee583979291b0e9994e7b65ef02a255768ba28057ea8328454",
+        "-nsd.json":
+        "31ae45fee0dec6864b79faff0afd46ab7484f5904069c6511976b3b4973591d2",
+        "-nsd.report.json":
+        "c928920e78f1b976b7e1ae893c4d3b090992fd3a48a5d15cb422388c1b8d077d",
+    },
+}
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -182,6 +212,20 @@ def test_every_method_pinned():
 def test_color_stdout(run, fmt, capsys):
     assert main(color_argv(run, fmt)) == EXIT_OK
     assert sha256(capsys.readouterr().out) == COLOR_DIGESTS[run, fmt]
+
+
+@pytest.mark.parametrize("fmt", [None, "csv", "json"])
+@pytest.mark.parametrize("run", sorted(OUT_DIGESTS))
+def test_out_file_set(run, fmt, tmp_path, capsys):
+    # --format F writes only the F file and the report of each colouring
+    # (the dense CSV is quadratic in n); with no --format, both formats
+    argv = COLOR_RUNS[run].split() + ["--out", str(tmp_path / "p")]
+    assert main(argv + (["--format", fmt] if fmt else [])) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    want = {"p" + name: digest for name, digest in OUT_DIGESTS[run].items()
+            if fmt is None or name.endswith(("." + fmt, ".report.json"))}
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()} == want
 
 
 def test_budget_that_suffices_changes_nothing(capsys):
