@@ -9,8 +9,9 @@ builder returns is verified once.
 The workhorse is one folded tiling: element (u, v) takes the canonical
 K_q row at (u mod h + v mod h) mod q.  With h = q odd dividing n it is the
 Latin-square tiling, which totally colors C_n^{(q-1)/2} in q colors;
-thm32 folds K_{n/2} mod n/2, as thm33 does on its sum-free part; h = q = m
-is the canonical K_m matrix, which is also thm34's subset part on Z_2m.
+thm32 folds K_{n/2|1} mod n/2, as thm33 does on its sum-free part, and
+the complete-graph builder folds K_{m|1} mod m; h = q = m odd is the
+canonical K_m matrix, which is also thm34's subset part on Z_2m.
 Distances beyond the tiling reach are finished by 1-factorization (even n)
 or a Vizing edge coloring (odd n) on fresh colors.  Theorems 2.2 and 3.4
 share one tail: the base is verified equitable, then the NSD step
@@ -58,7 +59,7 @@ def _tiling(n: int, h: int, q: int, distances) -> TotalColoring:
     colors repeated, cut to n/2 entries at an involution.  With h = q odd
     this is the order-q Latin square half(i + j - 2, q) tiled mod q,
     proper as long as the distances hit pairwise distinct nonzero residue
-    classes +-d mod q; with h = q = m it is the canonical K_m matrix.
+    classes +-d mod q; with h = q = m odd it is the canonical K_m matrix.
     """
     row = canonical_first_row(q)
     reps = n // h
@@ -101,11 +102,11 @@ def _verified(g: CirculantGraph, tc: TotalColoring, bound: int,
     return BuildReport(tc, bound, report, fallback, notes)
 
 
-def _one_factorized(tc: TotalColoring, sub: CirculantGraph, first: int,
+def _one_factorized(tc: TotalColoring, sub: CirculantGraph,
                     budget: int) -> TotalColoring:
-    """tc with sub's distances 1-factorized onto sub.degree colors from
-    first up."""
-    fac = one_factorize(sub, first, budget)
+    """tc with sub's distances 1-factorized onto the sub.degree colors
+    above tc's palette."""
+    fac = one_factorize(sub, tc.palette_size + 1, budget)
     return TotalColoring(tc.vertex_colors, {**tc.columns, **fac.columns})
 
 
@@ -146,7 +147,7 @@ def color_power_cycle_even(n: int, k: int, i: int,
     if residual:
         sub = build_circulant(n, residual)
         try:
-            tc = _one_factorized(tc, sub, q + 1, budget)
+            tc = _one_factorized(tc, sub, budget)
             notes += "; residual %r one-factorized" % (residual,)
         except SearchBudgetExceeded:
             # the residual holds two consecutive distances, so it is
@@ -251,16 +252,13 @@ def canonical_first_row(m: int) -> list[int]:
 
 
 def canonical_complete_coloring(m: int) -> BuildReport:
-    """The canonical K_m color matrix: cell (u, v) = first_row[(u+v) mod m].
-
-    A proper m-color total coloring when m is odd; for even m the matrix
-    is still returned, improper, and its ``verification`` carries the
-    verdict.  The bound claimed is m.
-    """
+    """K_m on m | 1 colors: the canonical K_{m|1} row folded mod m, as
+    thm32 folds it.  For odd m this is the canonical K_m matrix (Type I);
+    for even m it is the K_{m+1} matrix without vertex m, whose closed
+    star held each color once, so it is equitable on m + 1 colors, the
+    optimum chi''(K_m) for even m."""
     g = build_circulant(m, range(1, m // 2 + 1))  # first: m >= 3
-    tc = _tiling(m, m, m, g.gens)
-    report = verify_total_coloring(g, tc)
-    return BuildReport(tc, m, report)
+    return _verified(g, _tiling(m, m, m | 1, g.gens), m | 1)
 
 
 # -- circulant graph theorems ------------------------------------------------
@@ -282,35 +280,13 @@ def _complement(g: CirculantGraph, sub: CirculantGraph,
     return rest
 
 
-def _constrained_total_search(power: CirculantGraph, full: CirculantGraph,
-                              num_colors: int, budget: int) -> TotalColoring:
-    """Exact total coloring of the power subgraph whose vertex colors are
-    additionally proper for the full graph.
-
-    The oracle's kernel with its first-fewest pick: the first element,
-    vertices then edges, with the fewest free colors; new colors only
-    enter in increasing order.  Raises SearchBudgetExceeded on an
-    exhausted node budget and VerificationFailed when no coloring exists
-    within the palette.
-    """
-    n = power.n
-    colors, _, _ = _total_search(
-        n, power.edges, [full.neighbors(u) for u in range(n)], num_colors,
-        budget, "power-part", dsatur=False)
-    if colors is None:
-        raise VerificationFailed(
-            "no total coloring of the power part within %d colors"
-            % num_colors)
-    return TotalColoring.from_pairs(colors[:n],
-                                    dict(zip(power.edges, colors[n:])))
-
-
 def color_thm31(g: CirculantGraph,
                 budget: int = DEFAULT_SEARCH_BUDGET) -> BuildReport:
     """TCC witness for dense even circulants: S1, the spanning
     subcirculant on the distances 1..n/4, is the power-of-cycle part,
-    colored on at most n/2 + 2 colors; the generating complement is
-    1-factorized.  Each search gets ``budget`` nodes."""
+    colored on at most n/2 + 2 colors by the oracle's kernel with its
+    first-fewest pick, vertex colors proper for g too; the generating
+    complement is 1-factorized.  Each search gets ``budget`` nodes."""
     n = g.n
     _require(n % 2 == 0, "n must be even")
     _require(n % 4 == 0, "the inner power of cycle needs 4 | n")
@@ -321,9 +297,16 @@ def color_thm31(g: CirculantGraph,
     rest = _complement(g, s1, "the inner subset")
 
     # searched: no odd tiling order q = n/4 + i divides n
-    tc = _constrained_total_search(s1, g, n // 2 + 2, budget)
-    notes = "power part: exact bounded search within %d colors" % (n // 2 + 2)
-    tc = _one_factorized(tc, rest, tc.palette_size + 1, budget)
+    palette = n // 2 + 2
+    colors, _, _ = _total_search(
+        n, s1.edges, [g.neighbors(u) for u in range(n)], palette, budget,
+        "power-part", dsatur=False)
+    if colors is None:
+        raise VerificationFailed(
+            "no total coloring of the power part within %d colors" % palette)
+    tc = TotalColoring.from_pairs(colors[:n], dict(zip(s1.edges, colors[n:])))
+    notes = "power part: exact bounded search within %d colors" % palette
+    tc = _one_factorized(tc, rest, budget)
     notes += "; complement %r one-factorized on %d colors" % (
         rest.gens, rest.degree)
     return _verified(g, tc, g.degree + 2, notes, fallback=True)
@@ -372,7 +355,7 @@ def color_thm33(g: CirculantGraph, m_set: CirculantGraph,
     rest = _complement(g, m_set, "M in S")
 
     tc = _tiling(n, h, h | 1, m_set.gens)
-    tc = _one_factorized(tc, rest, tc.palette_size + 1, budget)
+    tc = _one_factorized(tc, rest, budget)
     notes = ("complete-graph pattern of order %d folded mod %d; complement "
              "%r one-factorized on %d colors" % (h, h, rest.gens, rest.degree))
     return _verified(g, tc, g.degree + 3, notes=notes)
@@ -406,7 +389,7 @@ def color_thm34(g: CirculantGraph, s1: CirculantGraph,
     _require(bool(units), "subset must contain a group generator")
     rest = _complement(g, s1, "the subset")
 
-    tc = _one_factorized(_tiling(n, m, m, s1.gens), rest, m + 1, budget)
+    tc = _one_factorized(_tiling(n, m, m, s1.gens), rest, budget)
     return _equitable_nsd(
         g, tc, min(units), "subset subdiagonals from canonical row; "
         "complement %r one-factorized" % (rest.gens,))

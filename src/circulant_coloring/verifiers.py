@@ -180,10 +180,11 @@ def _verify(g: CirculantGraph, tc: TotalColoring) -> tuple:
 
 
 def verify_nsd(g: CirculantGraph, tc: TotalColoring) -> VerificationReport:
-    """NSD verdict; sums are recomputed from scratch."""
+    """NSD verdict; sums are recomputed from scratch.  An improper
+    coloring has none: its report keeps ``nsd`` None."""
     report, (vertex, *cols) = _verify(g, tc)
     if not report.proper:
-        raise VerificationFailed("NSD is only defined for proper colorings")
+        return report
     sums = list(map(sum, _stars(g, vertex, cols)))
     bad = []
     if _equal_across(g, sums):

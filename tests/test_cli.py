@@ -603,9 +603,15 @@ class TestExitContract:
         e = next(tc.edge_items())[0]
         path = tmp_path / "bad.csv"
         write_matrix_csv(tc.with_edge_colors({e: tc.vertex_colors[e[0]]}), path)
-        assert main(["verify", "--n", "18", "--gens", "1,2,3,4",
-                     "--in", str(path), "--nsd"]) == EXIT_VERIFICATION
-        assert "only defined for proper" in capsys.readouterr().err
+        argv = ["verify", "--n", "18", "--gens", "1,2,3,4", "--in", str(path)]
+        assert main(argv + ["--nsd"]) == EXIT_VERIFICATION
+        out, err = capsys.readouterr()
+        assert err == ""
+        report = json.loads(out)
+        assert report["proper"] is False and report["nsd"] is None
+        # the report verify prints without the flag
+        assert main(argv) == EXIT_VERIFICATION
+        assert capsys.readouterr().out == out
 
     def test_missing_edge_color(self, tmp_path, capsys):
         tc = color_power_cycle_even(18, 4, 5).coloring

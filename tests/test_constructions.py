@@ -8,11 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from circulant_coloring import constructions
 from circulant_coloring.cli import EXIT_OK, main
 from circulant_coloring.coloring import TotalColoring, coloring_from_json_dict
 from circulant_coloring.constructions import (
     _complement,
-    _constrained_total_search,
     _one_factorized,
     _require,
     _tiling,
@@ -43,7 +43,7 @@ from circulant_coloring.graphs import (
     power_of_cycle,
 )
 from circulant_coloring.latin import half
-from circulant_coloring.oracle import _total_search
+from circulant_coloring.oracle import _counting_refutes, _total_search
 from circulant_coloring.verifiers import (
     TypeLabel,
     verify_nsd,
@@ -197,7 +197,7 @@ class TestEquitableNsdPowerCycle:
         # report decides equitability, the recoloured one goes through
         # NSD, and thm33 verifies no colouring of its sum-free part alone.
         # seen keeps each colouring alive, so no two share an id
-        from circulant_coloring import cli, constructions
+        from circulant_coloring import cli
         seen = []
         for name in ("verify_total_coloring", "verify_nsd"):
             def spy(g, tc, check=getattr(constructions, name), name=name):
@@ -271,10 +271,17 @@ class TestCanonicalPattern:
             assert result.verification.proper
             assert result.colors_used == result.bound_claimed == m
 
-    def test_even_complete_graph_reported_improper(self):
-        result = canonical_complete_coloring(4)
-        assert not result.verification.proper
-        assert result.verification.violations
+    def test_complete_graph_proper_and_equitable(self):
+        # m | 1 colours: Type I for odd m; for even m the counting rule
+        # refutes m colours, so m + 1 is the optimum
+        for m in range(3, 61):
+            g = build_circulant(m, range(1, m // 2 + 1))
+            result = canonical_complete_coloring(m)
+            report = verify_total_coloring(g, result.coloring)
+            assert report.proper and report.equitable, m
+            assert result.colors_used == result.bound_claimed == m | 1, m
+            if m % 2 == 0:
+                assert _counting_refutes(g, m), m
 
     def test_too_small(self):
         with pytest.raises(PreconditionFailed):
@@ -306,7 +313,8 @@ class TestCanonicalPattern:
 class TestFoldedTiling:
     """_tiling(n, h, q, ds) against the three formulas it replaced: the
     order-q square tiled mod q (Theorems 2.1 and 2.2), the K_{h|1} row
-    folded mod h = n/2 (Theorem 3.2) and the canonical K_m matrix."""
+    folded mod h = n/2 (Theorem 3.2) and the canonical K_m matrix, which
+    for even m is the K_{m+1} matrix without its last vertex."""
 
     @staticmethod
     def square_tiling(n, q, ds):
@@ -333,6 +341,16 @@ class TestFoldedTiling:
             for d in range(1, m // 2 + 1)})
 
     @staticmethod
+    def without_last_vertex(tc):
+        """tc, a coloring of a complete graph, on its vertices but the
+        last."""
+        m = tc.n - 1
+        return TotalColoring(tc.vertex_colors[:m], {
+            d: [tc.edge_color(*sorted((u, (u + d) % m)))
+                for u in range(m // 2 if 2 * d == m else m)]
+            for d in range(1, m // 2 + 1)})
+
+    @staticmethod
     def parts(tc):
         """Vertex colors and the columns in their order."""
         return tc.vertex_colors, list(tc.columns.items())
@@ -353,8 +371,10 @@ class TestFoldedTiling:
 
     def test_canonical_matrix(self):
         for m in range(2, 60):
-            got = _tiling(m, m, m, range(1, m // 2 + 1))
-            assert self.parts(got) == self.parts(self.canonical_matrix(m)), m
+            got = _tiling(m, m, m | 1, range(1, m // 2 + 1))
+            want = (self.canonical_matrix(m) if m % 2 else
+                    self.without_last_vertex(self.canonical_matrix(m + 1)))
+            assert self.parts(got) == self.parts(want), m
             if m % 2 == 0:
                 # the involution's column has one entry per pair
                 assert len(got.columns[m // 2]) == m // 2
@@ -481,7 +501,8 @@ def kernel_constrained_search(power, full, num_colors, budget):
 
 class TestConstrainedSearch:
     """thm31's power-part search on the kernel against the recursive
-    reference: same colorings, colouring order and node counts."""
+    reference: same colorings, colouring order and node counts; and
+    color_thm31 runs that search."""
 
     @pytest.mark.parametrize("n,nodes", [(20, 120), (24, 168)])
     def test_thm31_power_parts(self, n, nodes):
@@ -493,12 +514,14 @@ class TestConstrainedSearch:
         assert want[2] == nodes
         assert kernel_constrained_search(power, full, n // 2 + 2,
                                          nodes) == want
-        assert _constrained_total_search(power, full, n // 2 + 2,
-                                         nodes) == want[0]
+        # the complement's 1-factorization fits in the same budget
+        tc = color_thm31(full, budget=nodes).coloring
+        assert TotalColoring(tc.vertex_colors, {
+            d: tc.columns[d] for d in power.gens}) == want[0]
         with pytest.raises(SearchBudgetExceeded,
                            match="power-part search exceeded %d nodes"
                            % (nodes - 1)):
-            _constrained_total_search(power, full, n // 2 + 2, nodes - 1)
+            color_thm31(full, budget=nodes - 1)
 
     def test_random_instances(self):
         # small palettes too, where both exhaust the search or run out
@@ -519,9 +542,18 @@ class TestConstrainedSearch:
                 continue
             assert kernel_constrained_search(power, full, palette,
                                              3000) == want
-            if want[0] is None:
-                with pytest.raises(VerificationFailed):
-                    _constrained_total_search(power, full, palette, 3000)
+
+    def test_thm31_exhausted_palette(self, monkeypatch):
+        # no thm31 input with n <= 16 exhausts its n/2 + 2 colours, so the
+        # kernel gets two fewer here: n/2, below a closed star's n/2 + 1
+        def short(n, edges, nbrs, num_colors, *args, **kwargs):
+            return _total_search(n, edges, nbrs, num_colors - 2, *args,
+                                 **kwargs)
+        monkeypatch.setattr(constructions, "_total_search", short)
+        with pytest.raises(VerificationFailed,
+                           match="no total coloring of the power part "
+                           "within 6 colors"):
+            color_thm31(build_circulant(8, [1, 2, 3]))
 
     GENS_64 = ",".join(map(str, range(1, 31)))
 
@@ -591,8 +623,7 @@ def reference_thm33(g, m_set):
              "M must be sum-free with respect to n/2")
     rest = _complement(g, m_set, "M in S")
     inner = color_thm32(m_set)
-    tc = _one_factorized(inner.coloring, rest, inner.colors_used + 1,
-                         DEFAULT_SEARCH_BUDGET)
+    tc = _one_factorized(inner.coloring, rest, DEFAULT_SEARCH_BUDGET)
     notes = inner.notes + "; complement %r one-factorized on %d colors" % (
         rest.gens, rest.degree)
     return _verified(g, tc, g.degree + 3, notes=notes)

@@ -54,8 +54,10 @@ COLOR_RUNS = {
     "thm34-unit5": "color --method thm34 --n 18 --gens 1,2,3,5,8 "
                    "--s1-gens 2,3,5,8",
     "canonical": "color --method canonical --n 7",
-    # even order: the matrix is emitted with an improper verdict
+    # even order: K_9's matrix without its vertex 8, 9 colours, equitable
     "canonical-even": "color --method canonical --n 8",
+    # K_10, which the oracle leaves undecided at its default 20M nodes
+    "canonical-10": "color --method canonical --n 10",
     # the pooled 1-factorization (252 edges, 12 colours) needs 273 of the
     # 20,000 nodes
     "thm21-even-pooled":
@@ -129,9 +131,11 @@ COLOR_DIGESTS = {
     ("canonical", "csv"):
         "dcc8dd19446967883e7e430400dfc8dc67bad2d7fdfdca4b31a32df0aaa7db21",
     ("canonical-even", "json"):
-        "94996a92e0383df31641d94057176850c76fddb2976739b87f9d115094fda9d8",
+        "f032cb3139dae24f78af969b52f481fc474be31ae03fbc09ac3f95a61cc54c32",
     ("canonical-even", "csv"):
-        "247bdcd5235ff6b910a70afd0c4c4402083661c8597753264f5e0b8d21537e37",
+        "986a1a0b889c444c66648e55281591ad9d3dba3ee189f0128ef50770452cc3dc",
+    ("canonical-10", "json"):
+        "ff9fb747b03683c39752db861247b7d9da2e4701a9c33a1d50af344defdf6537",
     ("thm21-even-pooled", "json"):
         "687daed7895c4cb050de3e22dda3955a4ef37a6d68932de4cf3219a1983a2e9b",
     ("thm21-odd-1001", "json"):

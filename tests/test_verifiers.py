@@ -185,12 +185,16 @@ class TestColumnPasses:
         want = reference_violations(g, tc)
         assert find_violations(g, tc) == want
         colors = [*tc.vertex_colors, *(c for _, c in tc.edge_items())]
-        if want or min(colors) < 1:
+        if min(colors) < 1:
             with pytest.raises(VerificationFailed):
                 verify_nsd(g, tc)
+            return
+        report = verify_nsd(g, tc)
+        if want:
+            # an improper colouring has no NSD verdict
+            assert not report.proper and report.nsd is None
         else:
-            assert verify_nsd(g, tc).nsd_violations == (
-                reference_nsd_violations(g, tc))
+            assert report.nsd_violations == reference_nsd_violations(g, tc)
 
     @given(proper_colorings())
     @settings(max_examples=300, deadline=None)
@@ -301,10 +305,8 @@ def reference_verify(g, tc, nsd=False):
             report.type_label = TypeLabel.TYPE_I
         elif report.colors_used == g.degree + 2:
             report.type_label = TypeLabel.TYPE_II_BOUND
-    if not nsd:
+    if not nsd or not report.proper:
         return report
-    if not report.proper:
-        raise VerificationFailed("NSD is only defined for proper colorings")
     sums = list(map(sum, stars(vertex_colors)))
     bad = []
     if equal_across(sums):
@@ -506,11 +508,18 @@ class TestNsd:
         # K_3 with this symmetric coloring has all sums equal
         assert report.nsd is False
 
-    def test_improper_raises(self):
+    def test_improper_leaves_nsd_undecided(self):
+        # NSD is only defined for proper colorings: the report says
+        # improper and leaves the NSD verdict None
         g, tc = k2_coloring()
         bad = tc.with_edge_colors({(0, 1): 1})
-        with pytest.raises(VerificationFailed):
-            verify_nsd(g, bad)
+        report = verify_nsd(g, bad)
+        assert report.proper is False
+        assert report.violations
+        assert report.nsd is None
+        assert report.nsd_violations == []
+        assert report.to_json_dict() == verify_total_coloring(
+            g, bad).to_json_dict()
 
 
 class TestClassify:
