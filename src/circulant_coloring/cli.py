@@ -134,10 +134,6 @@ def _pair(reps) -> list:
             ("-nsd", nsd.coloring, _report_dict(nsd))]
 
 
-def _canonical(rep) -> list:
-    return [("", rep.coloring, rep.verification.to_json_dict())]
-
-
 # Registries: name -> (options the entry requires, call(args, **budget)).
 # An option another entry reads is refused.  ``budget`` holds --budget
 # when it was given, so without it each library default applies.  The
@@ -158,7 +154,7 @@ COLOR_METHODS = {
         _graph(a), _graph(a, a.m_gens), **budget))),
     "thm34": (("gens", "s1_gens"), lambda a, **budget: _pair(color_thm34(
         _graph(a), _graph(a, a.s1_gens), **budget))),
-    "canonical": ((), lambda a, **budget: _canonical(
+    "canonical": ((), lambda a, **budget: _one(
         canonical_complete_coloring(a.n))),
 }
 

@@ -74,9 +74,9 @@ class EdgeColoring:
     colors: dict
 
 
-def _exact_edge_coloring(g: CirculantGraph, budget: int) -> dict | None:
+def _exact_edge_coloring(g: CirculantGraph, budget: int):
     """Backtracking proper edge coloring of g.edges with colors
-    1..g.degree.
+    1..g.degree, for a pool and for the oracle's chromatic index.
 
     Iterative, on a stack held as two parallel lists (edge indices, and
     the colors each has not yet tried as a bitmask), with one used-color
@@ -103,9 +103,9 @@ def _exact_edge_coloring(g: CirculantGraph, budget: int) -> dict | None:
     Only subtrees without a coloring are cut, so the first coloring found
     and its order are those of the plain search, in at most its nodes.
 
-    Returns (u, v) -> color, in the order the edges were colored, or None
-    if the search space is exhausted; raises SearchBudgetExceeded when the
-    node budget runs out.
+    Returns ((u, v) -> color in the order the edges were colored, or None
+    if the search space is exhausted; the nodes spent), or raises
+    SearchBudgetExceeded when the node budget runs out.
     """
     edges, delta, n = g.edges, g.degree, g.n
     for d in g.gens:
@@ -115,7 +115,7 @@ def _exact_edge_coloring(g: CirculantGraph, budget: int) -> dict | None:
                      for x in range(n)]
             break
     else:
-        return None
+        return None, 0
     mate = [None] + [start[:] for _ in range(delta)]  # color -> partners
     full = (1 << (delta + 1)) - 2  # bit c stands for color c
     used = [0] * n
@@ -242,7 +242,7 @@ def _exact_edge_coloring(g: CirculantGraph, budget: int) -> dict | None:
     while True:
         j = pick()
         if j < 0:
-            return {edges[i]: color[i].bit_length() - 1 for i in stack}
+            return {edges[i]: color[i].bit_length() - 1 for i in stack}, nodes
         u, v = edges[j]
         stack.append(j)
         untried_at.append(full & ~(used[u] | used[v]))
@@ -263,7 +263,7 @@ def _exact_edge_coloring(g: CirculantGraph, budget: int) -> dict | None:
                 untried_at.pop()
                 cnt[j] = (full & ~(used[u] | used[v])).bit_count()
                 if not stack:
-                    return None
+                    return None, nodes
                 continue
             bit = untried & -untried
             untried_at[-1] = untried ^ bit
@@ -365,7 +365,7 @@ def _factorize_pool(n: int, pool: list[int], first_color: int,
     d0 = math.gcd(n, *pool)
     m = n // d0  # component order, even by construction
     comp = build_circulant(m, [p // d0 for p in pool])
-    solution = _exact_edge_coloring(comp, budget)
+    solution, _ = _exact_edge_coloring(comp, budget)
     if solution is None:
         raise PreconditionFailed(
             "no %d-edge-coloring of component circulant C_%d(%r)"

@@ -5,23 +5,25 @@ against: exact total chromatic number, exact chromatic index, and
 feasibility of equitable / neighborhood-sum-distinguishing total
 colorings at a given palette size.
 
-All of them run one iterative backtracking kernel (thm31's power-part
-search too, with its own pick).  The next element is the one with the
-fewest free colors, then the most uncolored conflicting elements (DSATUR,
-Brelaz 1979); new colors enter only in increasing order.  Sound rules
-cut the search:
+The chromatic index is Delta when the 1-factorization's exact search
+finds Delta edge colors, which it does unless every component has odd
+order (Stong, JCTB 39, 1985), and Delta+1 by Misra-Gries otherwise.
+The total quantities run one backtracking kernel (thm31's power part
+too, with its own pick): the next element has the fewest free colors,
+then the most uncolored conflicting elements (DSATUR, Brelaz 1979); new
+colors enter only in increasing order.  Sound rules cut the search:
 
 - Counting.  A total coloring of a Delta-regular graph with Delta+1
   colors puts every color at every vertex, so the vertices outside a
   color's vertex class are perfectly matched by its edges: each class
   has |V_c| = n (mod 2) and |V_c| <= alpha(g).  When the largest such
   size times Delta+1 is below n, that palette is refuted with no search.
-- Closed stars.  When the palette equals the closed-star size (Delta+1
-  total colors, Delta edge colors), every star holds every color.  A
-  color missing from a star that none of its uncolored elements can take
-  ends the branch; when one has fewer candidate elements (counts kept as
-  colors are placed and undone) than the DSATUR element has colors, the
-  search branches on where that color goes instead.
+- Closed stars.  When the palette equals the closed-star size, Delta+1,
+  every star holds every color.  A color missing from a star that none
+  of its uncolored elements can take ends the branch; when one has fewer
+  candidate elements (counts kept as colors are placed and undone) than
+  the DSATUR element has colors, the search branches on where that color
+  goes instead.
 - Equitable classes are closed as soon as they reach the size a
   balanced coloring allows them.
 - NSD at closed-star completion.  A vertex's sum is compared with its
@@ -36,6 +38,7 @@ from enum import Enum
 
 from .coloring import TotalColoring
 from .errors import PreconditionFailed, SearchBudgetExceeded, VerificationFailed
+from .factorization import _exact_edge_coloring, edge_color_delta_plus_one
 from .graphs import CirculantGraph
 from .verifiers import verify_total_coloring
 
@@ -70,35 +73,33 @@ def _total_search(n: int, edges, vertex_nbrs, num_colors: int, budget: int,
     stack of [choices, next choice, max_used] frames; a choice is an
     (element, color bit) pair, and each color placed is one node.
 
-    The elements are the vertices 0..n-1 (none when ``vertex_nbrs`` is
-    None: an edge coloring), then ``edges``; ``vertex_nbrs[u]`` lists the
-    vertices whose colors must differ from u's.  No color above
-    max_used + 1 is tried.  The pick is the first element with the fewest
-    free colors, stopping at one, or with ``dsatur`` the DSATUR element
-    and the closed-star rule of the module docstring, its counts kept by
-    ``count``.  ``mode`` adds the equitable class limits or the NSD sum
-    check.  The node count starts at ``nodes``, those spent before.
-    Returns (colors, order, nodes), colors None when the palette is
-    exhausted; raises SearchBudgetExceeded past ``budget`` nodes.
+    The elements are the vertices 0..n-1, then ``edges``; vertex_nbrs[u]
+    lists the vertices whose colors must differ from u's (so the kernel
+    colors total colorings only).  No color above max_used + 1 is tried.
+    The pick is the first element with the fewest free colors, stopping
+    at one, or with ``dsatur`` the DSATUR element and the closed-star
+    rule of the module docstring, its counts kept by ``count``.  ``mode``
+    adds the equitable class limits or the NSD sum check.  The node count
+    starts at ``nodes``, those spent before.  Returns (colors, order,
+    nodes), colors None when the palette is exhausted; raises
+    SearchBudgetExceeded past ``budget`` nodes.
     """
     k = num_colors
-    nv = 0 if vertex_nbrs is None else n
-    total = nv + len(edges)
+    total = n + len(edges)
     # Element x is free of the colors in mask[pa[x]] | mask[pb[x]]: a
     # vertex u reads its closed star's colors (slot u, all distinct) and
     # its neighbors' vertex colors (slot n + u, counted in vcount), an edge
     # the stars of its ends.  live[a] + live[b] - 2 are x's uncolored
     # conflicting elements.
-    pa = list(range(nv)) + [u for u, _ in edges]
-    pb = [n + u for u in range(nv)] + [v for _, v in edges]
-    stars = [[u] if nv else [] for u in range(n)]
-    for x, (u, v) in enumerate(edges, nv):
+    pa = list(range(n)) + [u for u, _ in edges]
+    pb = [n + u for u in range(n)] + [v for _, v in edges]
+    stars = [[u] for u in range(n)]
+    for x, (u, v) in enumerate(edges, n):
         stars[u].append(x)
         stars[v].append(x)
-    vadj = vertex_nbrs or [()] * n
     mask = [0] * (2 * n)
-    live = [len(s) for s in stars] + [len(a) + 1 for a in vadj]
-    vcount = [[0] * (k + 1) for _ in range(nv)]
+    live = [len(s) for s in stars] + [len(a) + 1 for a in vertex_nbrs]
+    vcount = [[0] * (k + 1) for _ in range(n)]
     color = [0] * total  # element -> bit of its color, 0 if none
     free = [0] * total
     full = (2 << k) - 2  # bit c stands for color c
@@ -115,8 +116,8 @@ def _total_search(n: int, edges, vertex_nbrs, num_colors: int, budget: int,
     # own[x] are the stars holding x; ring[u] pairs each edge of star u with
     # its other end; taken[x] lists the counts x's place took one from, and
     # ``dead`` says one hit zero (each place follows a pick that found none).
-    own = [(u,) for u in range(nv)] + list(edges) if star_rule else ()
-    ring = [[(x, u ^ pa[x] ^ pb[x]) for x in s[nv > 0:]]
+    own = [(u,) for u in range(n)] + list(edges) if star_rule else ()
+    ring = [[(x, u ^ pa[x] ^ pb[x]) for x in s[1:]]
             for u, s in enumerate(stars) if star_rule]
     cand = [[len(s)] * (k + 1) for s in stars if star_rule]
     taken = [()] * total
@@ -130,12 +131,12 @@ def _total_search(n: int, edges, vertex_nbrs, num_colors: int, budget: int,
         live[a] -= d
         sums[a] += d * c
         counts[c] += d
-        if x >= nv:
+        if x >= n:
             mask[b] ^= bit
             live[b] -= d
             sums[b] += d * c
             return
-        for w in vadj[a]:
+        for w in vertex_nbrs[a]:
             cw = vcount[w]
             cw[c] += d
             if cw[c] == (d > 0):  # the count went 0 -> 1 or 1 -> 0
@@ -156,7 +157,7 @@ def _total_search(n: int, edges, vertex_nbrs, num_colors: int, budget: int,
             f = full & ~(mask[pa[x]] | mask[pb[x]] | bit)  # x's other colors
             hit = [(cand[w], c) for s in own[x] for y, w in ring[s]
                    if not (color[y] or mask[w] & bit)]
-            hit += [(cand[w], c) for w in (vadj[x] if x < nv else ())
+            hit += [(cand[w], c) for w in (vertex_nbrs[x] if x < n else ())
                     if not (vcount[w][c] or color[w] or mask[w] & bit)]
             hit += [(cand[s], j) for j in range(1, f.bit_length())
                     if f >> j & 1 for s in own[x]]
@@ -171,8 +172,8 @@ def _total_search(n: int, edges, vertex_nbrs, num_colors: int, budget: int,
     def clash(x):
         """A star x completed has a complete neighbor of the same sum."""
         return any(not live[u] and any(not live[w] and sums[w] == sums[u]
-                                       for w in vadj[u])
-                   for u in ({pa[x], pb[x]} if x >= nv else (x,)))
+                                       for w in vertex_nbrs[u])
+                   for u in ({pa[x], pb[x]} if x >= n else (x,)))
 
     def pick(max_used):
         """The choices to branch on: None when every element is colored,
@@ -289,68 +290,70 @@ def _counting_refutes(g: CirculantGraph, k: int) -> bool:
     return largest * k < g.n
 
 
-def _decide(g: CirculantGraph, quantity: Quantity, palettes,
-            budget: int) -> OracleResult:
-    """Try ``palettes`` in turn: the first with a total coloring of g (an
-    edge coloring for CHROMATIC_INDEX; equitable or NSD for a feasibility
-    quantity) gives the value k, or True for a feasibility quantity,
-    which is False when none has one.  The node count runs on across
-    palettes, so running out names the whole budget.  Every witness is
-    verified by a check that raises, so it holds under python -O as well;
-    an edge coloring is checked with vertex colors above the palette."""
+def _in_range(g: CirculantGraph) -> None:
     if g.n > DEFAULT_SIZE_LIMIT:
         raise PreconditionFailed("n = %d exceeds the oracle limit %d"
                                  % (g.n, DEFAULT_SIZE_LIMIT))
+
+
+def _decide(g: CirculantGraph, mode: Mode | None, palettes,
+            budget: int) -> OracleResult:
+    """The first k of ``palettes`` with a total coloring of g; with
+    ``mode``, True if it has an equitable or NSD one (False if none has).
+    The node count runs on across palettes, so running out names the
+    whole budget.  Each witness is verified, under python -O as well."""
+    _in_range(g)
     if palettes[0] < 1:
         raise PreconditionFailed(
             "palette size must be positive, got %d" % palettes[0])
-    mode = {Quantity.EQUITABLE_TOTAL_FEASIBLE: Mode.EQUITABLE,
-            Quantity.NSD_TOTAL_FEASIBLE: Mode.NSD}.get(quantity)
-    vertices = quantity is not Quantity.CHROMATIC_INDEX
-    nbrs = [g.neighbors(u) for u in range(g.n)] if vertices else None
-    nv = g.n if vertices else 0
+    quantity = {None: Quantity.TOTAL_CHROMATIC,
+                Mode.EQUITABLE: Quantity.EQUITABLE_TOTAL_FEASIBLE,
+                Mode.NSD: Quantity.NSD_TOTAL_FEASIBLE}[mode]
+    nbrs = [g.neighbors(u) for u in range(g.n)]
     nodes = 0
     for k in palettes:
-        if vertices and _counting_refutes(g, k):
+        if _counting_refutes(g, k):
             continue
         colors, _, nodes = _total_search(g.n, g.edges, nbrs, k, budget,
                                          "oracle", mode=mode, nodes=nodes)
         if colors is None:
             continue
-        witness = TotalColoring.from_pairs(colors[:nv] or (0,) * g.n,
-                                           dict(zip(g.edges, colors[nv:])))
-        check = witness if vertices else TotalColoring(
-            tuple(range(k + 1, k + 1 + g.n)), witness.columns)
-        if not verify_total_coloring(g, check).proper:
+        witness = TotalColoring.from_pairs(colors[:g.n],
+                                           dict(zip(g.edges, colors[g.n:])))
+        if not verify_total_coloring(g, witness).proper:
             raise VerificationFailed("improper search witness")
         return OracleResult(quantity, k if mode is None else True, nodes,
                             witness)
     if mode is not None:
         return OracleResult(quantity, False, nodes)
-    raise SearchBudgetExceeded("no %s coloring found up to %d colors"
-                               % ("total" if vertices else "edge",
-                                  palettes[-1]))
+    raise SearchBudgetExceeded("no total coloring found up to %d colors"
+                               % palettes[-1])
 
 
 def exact_total_chromatic(g: CirculantGraph,
                           budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Exact total chromatic number with a witness coloring, trying
     Delta + 1 up to Delta + 3 colors."""
-    return _decide(g, Quantity.TOTAL_CHROMATIC,
-                   range(g.degree + 1, g.degree + 4), budget)
+    return _decide(g, None, range(g.degree + 1, g.degree + 4), budget)
 
 
 def exact_chromatic_index(g: CirculantGraph,
                           budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
-    """Exact chromatic index with a witness edge coloring (Delta or
-    Delta + 1 colors, by Vizing's theorem)."""
-    return _decide(g, Quantity.CHROMATIC_INDEX, (g.degree, g.degree + 1),
-                   budget)
+    """Exact chromatic index with a witness edge coloring, verified with
+    vertex colors above its palette: Delta colors by the exact search that
+    ``budget`` bounds and ``nodes_explored`` counts, else Delta + 1."""
+    _in_range(g)
+    colors, nodes = _exact_edge_coloring(g, budget)
+    k = g.degree + (colors is None)
+    witness = TotalColoring.from_pairs(
+        (0,) * g.n, colors or edge_color_delta_plus_one(g).colors)
+    check = TotalColoring(tuple(range(k + 1, k + 1 + g.n)), witness.columns)
+    if not verify_total_coloring(g, check).proper:
+        raise VerificationFailed("improper search witness")
+    return OracleResult(Quantity.CHROMATIC_INDEX, k, nodes, witness)
 
 
 def exact_feasible(g: CirculantGraph, k: int, mode: Mode,
                    budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Feasibility of a proper total k-coloring with the extra constraint."""
-    quantity = (Quantity.EQUITABLE_TOTAL_FEASIBLE if mode is Mode.EQUITABLE
-                else Quantity.NSD_TOTAL_FEASIBLE)
-    return _decide(g, quantity, (k,), budget)
+    return _decide(g, mode, (k,), budget)

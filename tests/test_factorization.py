@@ -295,33 +295,20 @@ def searches_of(build):
     return calls
 
 
-def kernel_nodes(g, most):
-    """The fewest nodes with which the kernel finishes, found by bisecting
-    its budget over 0..most (most if it needs more)."""
-    lo, hi = 0, most
-    while lo < hi:
-        mid = (lo + hi) // 2
-        try:
-            _exact_edge_coloring(g, mid)
-            hi = mid
-        except SearchBudgetExceeded:
-            lo = mid + 1
-    return lo
-
-
 def assert_same_search(g, budget):
     """The kernel colors g like the reference with g.degree colors, in
     the same order, with at most the reference's nodes; it finishes at
-    exactly its own node count and raises one node below it.  Where the
-    reference runs out of ``budget``, its answer under a large budget is
-    the one to match.  Returns the kernel's node count, or None when it
-    ran out of ``budget``."""
+    exactly the node count it returns and raises one node below it.
+    Where the reference runs out of ``budget``, its answer under a large
+    budget is the one to match.  Returns the kernel's node count, or None
+    when it ran out of ``budget``."""
     try:
         want, most = reference_edge_coloring(g.edges, g.degree, budget)
     except SearchBudgetExceeded:
         want, most = reference_edge_coloring(g.edges, g.degree, 10**6)
-    nodes = kernel_nodes(g, most)
-    got = _exact_edge_coloring(g, nodes)
+    got, nodes = _exact_edge_coloring(g, most)
+    assert nodes <= most
+    assert _exact_edge_coloring(g, nodes) == (got, nodes)
     assert got == want
     if got is not None:
         assert list(got.items()) == list(want.items())
@@ -430,7 +417,8 @@ class TestExactEdgeColoring:
     def test_pools_beyond_the_reference(self, m, ds, degree, nodes):
         g = build_circulant(m, ds)
         assert g.degree == degree
-        got = _exact_edge_coloring(g, nodes)
+        got, spent = _exact_edge_coloring(g, nodes)
+        assert spent == nodes
         check_proper_edge_coloring(g.edges, EdgeColoring(got), degree)
         with pytest.raises(SearchBudgetExceeded,
                            match="exceeded %d nodes" % (nodes - 1)):
@@ -449,13 +437,14 @@ class TestExactEdgeColoring:
     def test_infeasible_exhausts(self):
         g = build_circulant(5, [1])  # an odd cycle needs 3 colors
         assert_same_search(g, 1000)
-        assert _exact_edge_coloring(g, 1000) is None
+        assert _exact_edge_coloring(g, 1000)[0] is None
 
     def test_odd_components_need_no_search(self):
         # gcd(30, 6, 10) = 2, so C_30(6, 10) is two copies of C_15(3, 5):
         # no distance has even orbits, no color class can be a perfect
         # matching, and the kernel says so before its first node
-        assert _exact_edge_coloring(build_circulant(30, [6, 10]), 0) is None
+        g = build_circulant(30, [6, 10])
+        assert _exact_edge_coloring(g, 0) == (None, 0)
 
 
 class TestMatching:

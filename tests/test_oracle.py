@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -383,9 +384,9 @@ def kernel_queries(draw):
     n = draw(st.integers(3, 10))
     gens = draw(st.lists(st.integers(1, n // 2), min_size=1,
                          max_size=n // 2, unique=True))
-    quantity = draw(st.sampled_from(["total", "index", "equitable", "nsd"]))
+    quantity = draw(st.sampled_from(["total", "equitable", "nsd"]))
     g = build_circulant(n, gens)
-    lo = g.degree if quantity == "index" else g.degree + 1
+    lo = g.degree + 1
     return (g, quantity, draw(st.integers(lo, lo + 2)),
             draw(st.integers(1, 3000)))
 
@@ -393,8 +394,7 @@ def kernel_queries(draw):
 def run_kernel(search, g, quantity, k, budget, nodes=0):
     """(colors, order, nodes) of one kernel call, counting on from
     ``nodes``, or its budget error."""
-    nbrs = (None if quantity == "index"
-            else [g.neighbors(u) for u in range(g.n)])
+    nbrs = [g.neighbors(u) for u in range(g.n)]
     mode = {"equitable": Mode.EQUITABLE, "nsd": Mode.NSD}.get(quantity)
     try:
         return search(g.n, g.edges, nbrs, k, budget, "oracle", mode=mode,
@@ -555,7 +555,8 @@ class TestCountingRule:
 class TestChromaticIndex:
     @pytest.mark.parametrize(
         "n,ds,value",
-        [(6, [1], 2), (5, [1], 3), (4, [1, 2], 3), (5, [1, 2], 5), (9, [1], 3)],
+        [(6, [1], 2), (5, [1], 3), (4, [1, 2], 3), (5, [1, 2], 5), (9, [1], 3),
+         (9, [1, 2, 3, 4], 9), (11, [1, 2, 3, 4, 5], 11)],
     )
     def test_known_values(self, n, ds, value):
         result = exact_chromatic_index(build_circulant(n, ds))
@@ -576,6 +577,30 @@ class TestChromaticIndex:
                 assert (end, c) not in at
                 at[(end, c)] = e
         assert {e for e, _ in result.witness.edge_items()} == set(g.edges)
+
+    def test_every_circulant_in_range(self):
+        # every generator set of every 3 <= n <= 12: chi' is Delta exactly
+        # when every component has even order (Stong 1985), else Delta + 1.
+        # The rescanning kernel's edge-only mode decides each Delta palette
+        # within 1,000 nodes (finding Delta + 1 colors for K_11 takes it
+        # past 20M), so it checks the search's verdict too
+        graphs = [build_circulant(n, ds) for n in range(3, 13)
+                  for r in range(1, n // 2 + 1)
+                  for ds in itertools.combinations(range(1, n // 2 + 1), r)]
+        assert len(graphs) == 176
+        for g in graphs:
+            result = exact_chromatic_index(g)
+            even = (g.n // math.gcd(g.n, *g.gens)) % 2 == 0
+            value = g.degree if even else g.degree + 1
+            assert result.value == value, (g.n, g.gens)
+            colors = dict(result.witness.edge_items())
+            assert sorted(colors) == sorted(g.edges)
+            at = {(u, c) for e, c in colors.items() for u in e}
+            assert len(at) == 2 * len(colors)
+            assert set(colors.values()) == set(range(1, value + 1))
+            found, _, _ = reference_total_search(
+                g.n, g.edges, None, g.degree, 1000, "reference")
+            assert (found is not None) is even, (g.n, g.gens)
 
 
 class TestEquitableFeasible:
@@ -727,18 +752,15 @@ class TestAgainstReference:
 
     @staticmethod
     def kernel_value(g, quantity, k):
-        """Feasibility of palette k by the kernel, its witness checked."""
+        """Feasibility of palette k by the oracle, its witness checked."""
         if quantity == "index":
-            colors, _, _ = _total_search(g.n, g.edges, None, k, 100_000,
-                                         "oracle")
-            if colors is not None:
-                witness = TotalColoring.from_pairs(
-                    (0,) * g.n, dict(zip(g.edges, colors)))
-                assert {e for e, _ in witness.edge_items()} == set(g.edges)
-                at = {(u, c) for e, c in witness.edge_items() for u in e}
-                assert len(at) == 2 * len(g.edges)
-                assert max(c for _, c in witness.edge_items()) <= k
-            return colors is not None
+            result = exact_chromatic_index(g)
+            witness = result.witness
+            assert {e for e, _ in witness.edge_items()} == set(g.edges)
+            at = {(u, c) for e, c in witness.edge_items() for u in e}
+            assert len(at) == 2 * len(g.edges)
+            assert max(c for _, c in witness.edge_items()) == result.value
+            return result.value <= k
         mode = Mode.EQUITABLE if quantity == "equitable" else Mode.NSD
         result = exact_feasible(g, k, mode, budget=100_000)
         if result.value:
@@ -781,10 +803,12 @@ class TestWitnessCheck:
         lambda g: exact_feasible(g, 6, Mode.NSD),
         lambda g: exact_chromatic_index(g)])
     def test_improper_witness_raises(self, query, monkeypatch):
-        # the kernel returns every vertex coloured 1, every edge 2; an
-        # edge coloring reads the first five, every edge coloured 1
+        # the total-coloring kernel returns every vertex coloured 1, every
+        # edge 2; the edge-coloring search every edge coloured 1
         g = build_circulant(5, [1])
         monkeypatch.setattr(oracle, "_total_search",
                             lambda *args, **kwargs: ([1] * 5 + [2] * 5, [], 1))
+        monkeypatch.setattr(oracle, "_exact_edge_coloring",
+                            lambda g, budget: (dict.fromkeys(g.edges, 1), 1))
         with pytest.raises(VerificationFailed, match="improper search witness"):
             query(g)

@@ -127,15 +127,15 @@ COLOR_DIGESTS = {
     ("thm34-unit5", "csv"):
         "5d7249c92af93b41d25f82f4c10f1ad80c9f42fda01c06795e7e694e062eca83",
     ("canonical", "json"):
-        "f804d350b279a7e9b79a230a0d0b412b0303f37e14f27e89e373cbc4d6dbfa63",
+        "5b5767d92ee2c4ac2001ab3e85fb9556642cc85e7bee526eb186cefc51f8cb40",
     ("canonical", "csv"):
-        "dcc8dd19446967883e7e430400dfc8dc67bad2d7fdfdca4b31a32df0aaa7db21",
+        "66430b82732c6a87ec505a062a0f46cf2f114426c3267752b5d0e4ba7641534d",
     ("canonical-even", "json"):
-        "f032cb3139dae24f78af969b52f481fc474be31ae03fbc09ac3f95a61cc54c32",
+        "6ff01741d1e73d9baa3d46c2d60a0f3d1db4d4b183e8a26a29343d63c998c891",
     ("canonical-even", "csv"):
-        "986a1a0b889c444c66648e55281591ad9d3dba3ee189f0128ef50770452cc3dc",
+        "b1820fdc514663e1857608867b53bee774d781c35291d761b4e1e6b374b0c12e",
     ("canonical-10", "json"):
-        "ff9fb747b03683c39752db861247b7d9da2e4701a9c33a1d50af344defdf6537",
+        "382d98756b529c1fa021d925cd2701903c272938a1eebac9b5540989fa8cf75f",
     ("thm21-even-pooled", "json"):
         "687daed7895c4cb050de3e22dda3955a4ef37a6d68932de4cf3219a1983a2e9b",
     ("thm21-odd-1001", "json"):
@@ -151,11 +151,11 @@ COLOR_DIGESTS = {
     ("thm32-dense", "csv"):
         "a88f6c28e45dca80ba2c22ca19fb5f11d010fdbadba0aaf55cad48ded5c09579",
     ("canonical-101", "json"):
-        "dccbb49705e67420235c22658b028b7426e106b0ec5373b813bccb0c65bd0f48",
+        "8f9a99579720cc5b52d477877eba8ab543bda2dda00b31d201ead77563a31f00",
     ("canonical-101", "csv"):
-        "cbf6ac4189262b546b9edc9656f8acd8ad846f03c697f1b8400023d89a6eaecf",
+        "e781b6b3b3181c6a1ffb2913726c8dd4d44cee9a5ac2f13d69ef4350e562f2da",
     ("canonical-1001", "csv"):
-        "821fe6e32d02a08c3a9b801ed4861b73d9b1025bd4f952fd51360a5dd66892b9",
+        "30ecfc443df93f1a5c4753e7e3ee943cbea95f7e31aab4079db8c68300d909a1",
     ("thm34-dense", "json"):
         "c2ecb18e93135c803ba69044a0575e4df3946fdb42ef3f2424c0c306c5d8a13f",
     ("thm33-dense", "json"):
