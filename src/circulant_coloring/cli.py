@@ -20,6 +20,10 @@ makes (the pooled 1-factorization, thm21-even's fallback, which is the
 pooled search over every residual distance, the thm31 power-part
 search) and the oracle.  Without it, the CLI passes no budget and each
 library function's own default applies.  All runs are deterministic.
+
+A call builds only the parser of the command ``argv[0]`` names, so it
+pays for none of the other five; ``--budget`` before the command, or
+``-h``, builds the parsers of all six.
 """
 
 from __future__ import annotations
@@ -241,7 +245,11 @@ def cmd_reproduce(args) -> int:
     return status
 
 
-def make_parser() -> argparse.ArgumentParser:
+COMMANDS = ("build", "color", "verify", "oracle", "export", "reproduce")
+
+
+def make_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or only of ``command`` when given."""
     p = argparse.ArgumentParser(
         prog="circulant-coloring",
         description="Total, equitable, and NSD total colorings of "
@@ -252,64 +260,74 @@ def make_parser() -> argparse.ArgumentParser:
                         "{:,} for the oracle)".format(
                             factorization.DEFAULT_SEARCH_BUDGET,
                             oracle.DEFAULT_NODE_BUDGET))
-    sub = p.add_subparsers(dest="command", required=True)
+    # one command's parser still prints every name in the top-level usage
+    sub = p.add_subparsers(dest="command", required=True, metavar=(
+        command and "{%s}" % ",".join(COMMANDS)))
     in_help = ("coloring file, JSON if its name ends in .json, else CSV "
                "(so /dev/stdin is CSV: pipe JSON through a FIFO *.json)")
 
-    b = sub.add_parser("build", help="print a circulant graph as JSON")
-    b.add_argument("--n", type=int, required=True)
-    b.add_argument("--gens", required=True, help="comma-separated distances")
-    b.set_defaults(func=cmd_build)
+    if command in (None, "build"):
+        b = sub.add_parser("build", help="print a circulant graph as JSON")
+        b.add_argument("--n", type=int, required=True)
+        b.add_argument("--gens", required=True, help="comma-separated distances")
+        b.set_defaults(func=cmd_build)
 
-    c = sub.add_parser("color", help="run a theorem builder")
-    c.add_argument("--method", required=True, choices=list(COLOR_METHODS))
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--k", type=int, default=None)
-    c.add_argument("--i", type=int, default=None)
-    c.add_argument("--gens", default=None)
-    c.add_argument("--s1-gens", dest="s1_gens", default=None)
-    c.add_argument("--m-gens", dest="m_gens", default=None)
-    c.add_argument("--format", choices=["csv", "json"], default=None,
-                   help="output format (default: csv to stdout, or with "
-                        "--out both files)")
-    c.add_argument("--out", default=None,
-                   help="output path prefix: writes .report.json and the "
-                        "--format file, or .csv and .json without --format")
-    c.set_defaults(func=cmd_color)
+    if command in (None, "color"):
+        c = sub.add_parser("color", help="run a theorem builder")
+        c.add_argument("--method", required=True, choices=list(COLOR_METHODS))
+        c.add_argument("--n", type=int, required=True)
+        c.add_argument("--k", type=int, default=None)
+        c.add_argument("--i", type=int, default=None)
+        c.add_argument("--gens", default=None)
+        c.add_argument("--s1-gens", dest="s1_gens", default=None)
+        c.add_argument("--m-gens", dest="m_gens", default=None)
+        c.add_argument("--format", choices=["csv", "json"], default=None,
+                       help="output format (default: csv to stdout, or with "
+                            "--out both files)")
+        c.add_argument("--out", default=None,
+                       help="output path prefix: writes .report.json and the "
+                            "--format file, or .csv and .json without --format")
+        c.set_defaults(func=cmd_color)
 
-    v = sub.add_parser("verify", help="verify a coloring file")
-    v.add_argument("--n", type=int, required=True)
-    v.add_argument("--gens", required=True)
-    v.add_argument("--in", dest="infile", required=True, help=in_help)
-    v.add_argument("--equitable", action="store_true")
-    v.add_argument("--nsd", action="store_true")
-    v.set_defaults(func=cmd_verify)
+    if command in (None, "verify"):
+        v = sub.add_parser("verify", help="verify a coloring file")
+        v.add_argument("--n", type=int, required=True)
+        v.add_argument("--gens", required=True)
+        v.add_argument("--in", dest="infile", required=True, help=in_help)
+        v.add_argument("--equitable", action="store_true")
+        v.add_argument("--nsd", action="store_true")
+        v.set_defaults(func=cmd_verify)
 
-    o = sub.add_parser("oracle", help="exact brute force on a tiny instance")
-    o.add_argument("--quantity", required=True,
-                   choices=list(ORACLE_QUANTITIES))
-    o.add_argument("--n", type=int, required=True)
-    o.add_argument("--gens", required=True)
-    o.add_argument("--k", type=int, default=None,
-                   help="palette size for the feasibility quantities")
-    o.set_defaults(func=cmd_oracle)
+    if command in (None, "oracle"):
+        o = sub.add_parser("oracle", help="exact brute force on a tiny instance")
+        o.add_argument("--quantity", required=True,
+                       choices=list(ORACLE_QUANTITIES))
+        o.add_argument("--n", type=int, required=True)
+        o.add_argument("--gens", required=True)
+        o.add_argument("--k", type=int, default=None,
+                       help="palette size for the feasibility quantities")
+        o.set_defaults(func=cmd_oracle)
 
-    e = sub.add_parser("export", help="convert a coloring between csv and json")
-    e.add_argument("--in", dest="infile", required=True, help=in_help)
-    e.add_argument("--format", choices=["csv", "json"], required=True)
-    e.add_argument("--out", required=True)
-    e.set_defaults(func=cmd_export)
+    if command in (None, "export"):
+        e = sub.add_parser("export", help="convert a coloring between csv and json")
+        e.add_argument("--in", dest="infile", required=True, help=in_help)
+        e.add_argument("--format", choices=["csv", "json"], required=True)
+        e.add_argument("--out", required=True)
+        e.set_defaults(func=cmd_export)
 
-    r = sub.add_parser("reproduce", help="rebuild and diff a shipped fixture")
-    r.add_argument("--table", default="all",
-                   choices=["all"] + [str(t) for t in golden.TABLE_IDS],
-                   help="fixture number, or 'all'")
-    r.set_defaults(func=cmd_reproduce)
+    if command in (None, "reproduce"):
+        r = sub.add_parser("reproduce", help="rebuild and diff a shipped fixture")
+        r.add_argument("--table", default="all",
+                       choices=["all"] + [str(t) for t in golden.TABLE_IDS],
+                       help="fixture number, or 'all'")
+        r.set_defaults(func=cmd_reproduce)
     return p
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = make_parser(argv[0] if argv and argv[0] in COMMANDS
+                       else None).parse_args(argv)
     try:
         if args.budget is not None and args.budget < 0:
             raise PreconditionFailed("--budget must be at least 0, got %d"

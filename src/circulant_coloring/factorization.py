@@ -19,8 +19,10 @@ circulants have odd cycles), and calls the placement a dead end when a
 repair fails.  Only subtrees without a solution are cut, so it finds the
 same coloring as the plain backtracking search, never in more nodes.
 
-Both kernels color the edges of a circulant: the pool's component, or
-thm21-odd's residual distances.  The Delta+1 edge coloring is Misra-Gries
+Both kernels color the edges of a circulant: the pool's component,
+thm21-odd's residual distances, or the whole graph for
+oracle.exact_chromatic_index (the search at Delta colors, Misra-Gries
+at Delta+1 when it finds none).  The Delta+1 edge coloring is Misra-Gries
 fan rotation: one maximal fan, one c/d path inversion and one rotation
 per edge, with no search, on a color-indexed neighbor list and a
 used-color bitmask per vertex.  With no inversion the whole fan rotates,

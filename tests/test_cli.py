@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -388,6 +389,81 @@ def exit_code(argv) -> int:
         return main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+class TestParser:
+    """main builds only the parser of the command argv[0] names; what it
+    prints and returns must match a parse with every command's parser."""
+
+    @staticmethod
+    def run(argv, capsys) -> tuple:
+        code = exit_code(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @staticmethod
+    def record_commands(monkeypatch, full=False) -> list:
+        seen, real = [], cli.make_parser
+
+        def record(command=None):
+            seen.append(command)
+            return real(None if full else command)
+
+        monkeypatch.setattr(cli, "make_parser", record)
+        return seen
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["-h", "build"], [], ["bogus"],
+        *([name, "-h"] for name in cli.COMMANDS),
+        # unrecognized arguments: argparse prints the top-level usage
+        ["build", "--n", "5", "--gens", "1", "extra"],
+        ["color", "--method", "thm99", "--n", "18", "--k", "4"],
+        ["oracle", "--quantity", "girth", "--n", "6", "--gens", "1"],
+        ["reproduce", "--table", "9"],
+        ["verify", "--n", "18", "--gens", "1,2"],
+        ["color", "--meth", "thm22", "--n", "18", "--k", "4"],
+        ["--budget", "3", "build", "--n", "5", "--gens", "1"],
+        ["--budget=3", "build", "--n", "5", "--gens", "1"],
+    ])
+    def test_same_as_every_parser(self, argv, monkeypatch, capsys):
+        seen = self.record_commands(monkeypatch)
+        got = self.run(argv, capsys)
+        assert seen == [argv[0] if argv and argv[0] in cli.COMMANDS
+                        else None]
+        self.record_commands(monkeypatch, full=True)
+        assert got == self.run(argv, capsys)
+
+    def test_unknown_command_error(self, capsys):
+        # the full parser lists the commands in its usage line, but names
+        # the positional ``command`` in the error
+        code, out, err = self.run(["bogus"], capsys)
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert "{build,color,verify,oracle,export,reproduce}" in err
+        assert "error: argument command: invalid choice: 'bogus'" in err
+
+    @pytest.mark.parametrize("name", cli.COMMANDS)
+    def test_one_command_registered(self, name):
+        def commands(parser):
+            sub, = [a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+            return list(sub.choices)
+
+        assert commands(cli.make_parser(name)) == [name]
+        assert commands(cli.make_parser()) == list(cli.COMMANDS)
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--n", "5", "--gens", "1"],
+        ["--budget", "0", "oracle", "--quantity", "total-chromatic",
+         "--n", "6", "--gens", "1"],
+    ])
+    def test_reads_sys_argv(self, argv, monkeypatch, capsys):
+        # the console script and ``python -m`` call main() with no argv
+        monkeypatch.setattr(sys, "argv", ["circulant-coloring"] + argv)
+        seen = self.record_commands(monkeypatch)
+        got = self.run(None, capsys)
+        assert got == self.run(sys.argv[1:], capsys)
+        assert seen[0] == seen[1] == (argv[0] if argv[0] in cli.COMMANDS
+                                      else None)
 
 
 class TestExitContract:
