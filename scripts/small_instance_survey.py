@@ -3,12 +3,16 @@
 instance C_n^k with n <= 12.
 
 For each instance the table lists the exact total chromatic number, its
-Type (I: Delta+1 colors, II: Delta+2) and the oracle's search nodes.
+Type (I: Delta+1 colors, II: Delta+2) and the oracle's search nodes,
+which read 0 where a verified closed-form coloring (the Latin tiling or
+a bipartite 1-factorization) decided the first palette the oracle
+tried.
 Where Theorem 2.1 admits a builder (some odd k+i dividing n), it also
 lists i, the builder's color count and the gap; elsewhere those columns
 read ``-``.  The builder should always land within one color of the
 optimum (and exactly at Delta+1 on even n).  A closing line gives the
-oracle's total nodes and its nodes per second.
+oracle's total nodes and its nodes per second, its time spent on
+constructions included.
 
 Usage:
     python3 scripts/small_instance_survey.py [--max-n N]

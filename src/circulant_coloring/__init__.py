@@ -1,6 +1,6 @@
 """Total, equitable, and neighborhood-sum-distinguishing total colorings
 of circulant graphs and powers of cycles, with independent verification
-and small-instance brute-force oracles."""
+and small-instance exact oracles."""
 
 from .graphs import (
     CirculantGraph,

@@ -1,5 +1,5 @@
 """Command-line surface: build graphs, run the theorem builders, verify
-colorings, query the brute-force oracles, convert matrix files, and
+colorings, query the exact oracles, convert matrix files, and
 reproduce the shipped fixtures.
 
 Every subcommand exits with one of:
@@ -299,7 +299,9 @@ def make_parser(command: str | None = None) -> argparse.ArgumentParser:
         v.set_defaults(func=cmd_verify)
 
     if command in (None, "oracle"):
-        o = sub.add_parser("oracle", help="exact brute force on a tiny instance")
+        o = sub.add_parser(
+            "oracle", help="exact value on a tiny instance: a verified "
+            "closed-form coloring or bounded search")
         o.add_argument("--quantity", required=True,
                        choices=list(ORACLE_QUANTITIES))
         o.add_argument("--n", type=int, required=True)

@@ -11,8 +11,19 @@ order (Stong, JCTB 39, 1985), and Delta+1 by Misra-Gries otherwise.
 The total quantities run one backtracking kernel (thm31's power part
 too, with its own pick): the next element has the fewest free colors,
 then the most uncolored conflicting elements (DSATUR, Brelaz 1979); new
-colors enter only in increasing order.  Sound rules cut the search:
+colors enter only in increasing order.  Sound rules decide a palette
+before the search or cut it:
 
+- Constructions.  One closed-form coloring may settle palette k with no
+  search: the Latin tiling mod k (k odd dividing n, the residues +-d mod
+  k of the distances distinct and nonzero; Type I at k = Delta+1), the
+  canonical K_{n+1} row folded mod n for an even complete graph at
+  k = n + 1, or for a bipartite circulant at k >= Delta+2 a
+  1-factorization on Delta colors with the two sides on Delta+1 and
+  Delta+2 (Yap, Total Colourings of Graphs, LNM 1623, 1996).  It counts
+  only if the verifier accepts it on at most k colors, equitable or NSD
+  when asked, so no value changes: a palette is tried only once every
+  smaller one is refuted.
 - Counting.  A total coloring of a Delta-regular graph with Delta+1
   colors puts every color at every vertex, so the vertices outside a
   color's vertex class are perfectly matched by its edges: each class
@@ -38,9 +49,13 @@ from enum import Enum
 
 from .coloring import TotalColoring
 from .errors import PreconditionFailed, SearchBudgetExceeded, VerificationFailed
-from .factorization import _exact_edge_coloring, edge_color_delta_plus_one
+from .factorization import (
+    _exact_edge_coloring,
+    edge_color_delta_plus_one,
+    one_factorize,
+)
 from .graphs import CirculantGraph
-from .verifiers import verify_total_coloring
+from .verifiers import verify_nsd, verify_total_coloring
 
 DEFAULT_SIZE_LIMIT = 12
 DEFAULT_NODE_BUDGET = 20_000_000
@@ -296,12 +311,52 @@ def _in_range(g: CirculantGraph) -> None:
                                  % (g.n, DEFAULT_SIZE_LIMIT))
 
 
+def _construction(g: CirculantGraph, k: int) -> TotalColoring | None:
+    """At most one closed-form total coloring of g on colors 1..k, not yet
+    verified: the Latin tiling mod k when k is odd, divides n, and the
+    residues +-d mod k of the distances are distinct and nonzero; for an
+    even complete graph and k = n + 1, the canonical K_{n+1} row folded
+    mod n; for a bipartite circulant (n even, every distance odd) and
+    k >= Delta + 2, a 1-factorization on colors 1..Delta (every distance
+    peels, so there is no search) with vertex u colored Delta + 1 +
+    (u mod 2).  None when no rule applies."""
+    # a call-time import: constructions imports the kernel from here
+    from .constructions import _tiling
+    n, gens, delta = g.n, g.gens, g.degree
+    if k % 2 and n % k == 0:
+        residues = [r % k for d in gens for r in (d, -d)]
+        if 0 not in residues and len(set(residues)) == len(residues):
+            return _tiling(n, k, k, gens)
+    if n % 2 == 0 and delta == n - 1 and k == n + 1:
+        return _tiling(n, n, n + 1, gens)
+    if n % 2 == 0 and all(d % 2 for d in gens) and k >= delta + 2:
+        return TotalColoring(tuple(delta + 1 + u % 2 for u in range(n)),
+                             one_factorize(g).columns)
+    return None
+
+
+def _accepts(g: CirculantGraph, tc: TotalColoring, k: int,
+             mode: Mode | None) -> bool:
+    """Whether the verifier finds tc a total coloring of g on colors
+    1..k, equitable over all k classes or NSD when ``mode`` asks."""
+    report = (verify_nsd if mode is Mode.NSD else verify_total_coloring)(g, tc)
+    sizes = report.class_sizes
+    return (report.proper and max(sizes) <= k
+            and (mode is not Mode.EQUITABLE
+                 or report.equitable and len(sizes) == k)
+            and (mode is not Mode.NSD or report.nsd))
+
+
 def _decide(g: CirculantGraph, mode: Mode | None, palettes,
             budget: int) -> OracleResult:
     """The first k of ``palettes`` with a total coloring of g; with
     ``mode``, True if it has an equitable or NSD one (False if none has).
-    The node count runs on across palettes, so running out names the
-    whole budget.  Each witness is verified, under python -O as well."""
+    Each palette first tries the one construction ``_construction``
+    offers, which counts only if ``_accepts`` it; then the counting rule,
+    then the search.  The node count runs on across palettes, so running
+    out names the whole budget, and a construction's palette reports the
+    nodes of the palettes before it.  Each search witness is verified,
+    under python -O as well."""
     _in_range(g)
     if palettes[0] < 1:
         raise PreconditionFailed(
@@ -312,16 +367,18 @@ def _decide(g: CirculantGraph, mode: Mode | None, palettes,
     nbrs = [g.neighbors(u) for u in range(g.n)]
     nodes = 0
     for k in palettes:
-        if _counting_refutes(g, k):
-            continue
-        colors, _, nodes = _total_search(g.n, g.edges, nbrs, k, budget,
-                                         "oracle", mode=mode, nodes=nodes)
-        if colors is None:
-            continue
-        witness = TotalColoring.from_pairs(colors[:g.n],
-                                           dict(zip(g.edges, colors[g.n:])))
-        if not verify_total_coloring(g, witness).proper:
-            raise VerificationFailed("improper search witness")
+        witness = _construction(g, k)
+        if witness is None or not _accepts(g, witness, k, mode):
+            if _counting_refutes(g, k):
+                continue
+            colors, _, nodes = _total_search(g.n, g.edges, nbrs, k, budget,
+                                             "oracle", mode=mode, nodes=nodes)
+            if colors is None:
+                continue
+            witness = TotalColoring.from_pairs(
+                colors[:g.n], dict(zip(g.edges, colors[g.n:])))
+            if not verify_total_coloring(g, witness).proper:
+                raise VerificationFailed("improper search witness")
         return OracleResult(quantity, k if mode is None else True, nodes,
                             witness)
     if mode is not None:
@@ -332,8 +389,11 @@ def _decide(g: CirculantGraph, mode: Mode | None, palettes,
 
 def exact_total_chromatic(g: CirculantGraph,
                           budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
-    """Exact total chromatic number with a witness coloring, trying
-    Delta + 1 up to Delta + 3 colors."""
+    """Exact total chromatic number with a verified witness coloring,
+    trying Delta + 1 up to Delta + 3 colors, each by its construction if
+    one applies and is accepted, else by counting and search;
+    ``nodes_explored`` counts the search nodes only, 0 when the first
+    palette's construction decides."""
     return _decide(g, None, range(g.degree + 1, g.degree + 4), budget)
 
 
@@ -355,5 +415,7 @@ def exact_chromatic_index(g: CirculantGraph,
 
 def exact_feasible(g: CirculantGraph, k: int, mode: Mode,
                    budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
-    """Feasibility of a proper total k-coloring with the extra constraint."""
+    """Feasibility of a proper total k-coloring with the extra constraint:
+    True with 0 nodes when the construction for k meets it, else by
+    counting and search."""
     return _decide(g, mode, (k,), budget)

@@ -230,24 +230,27 @@ class TestOracle:
         assert json.loads(capsys.readouterr().out)["value"] is True
 
     @pytest.mark.parametrize("argv,code,out,err", [
-        # 16 nodes refute 5 colors, 393 more find 6
+        # 16 nodes refute 5 colors, and K_{4,4}'s bipartite construction
+        # gives 6
         (["oracle", "--quantity", "total-chromatic", "--n", "8",
           "--gens", "1,3"], EXIT_OK,
-         '{"nodes_explored": 409, "quantity": "TotalChromatic", '
+         '{"nodes_explored": 16, "quantity": "TotalChromatic", '
          '"value": 6}\n', ""),
-        # runs out in the second palette, and names the whole budget
-        (["--budget", "100", "oracle", "--quantity", "total-chromatic",
-          "--n", "8", "--gens", "1,3"], EXIT_BUDGET, "",
-         "search budget exceeded: oracle search exceeded 100 nodes\n"),
+        # 170 nodes refute 4 colors and 200 decide 5, so this runs out in
+        # the second palette, and names the whole budget
+        (["--budget", "180", "oracle", "--quantity", "total-chromatic",
+          "--n", "12", "--gens", "1,6"], EXIT_BUDGET, "",
+         "search budget exceeded: oracle search exceeded 180 nodes\n"),
         # 9 is odd, so the edge-coloring search refutes Delta = 4 colors
         # before its first node, and Misra-Gries gives 5
         (["oracle", "--quantity", "chromatic-index", "--n", "9",
           "--gens", "1,2"], EXIT_OK,
          '{"nodes_explored": 0, "quantity": "ChromaticIndex", '
          '"value": 5}\n', ""),
+        # the Latin tiling mod 5 is equitable
         (["oracle", "--quantity", "equitable-feasible", "--n", "10",
           "--gens", "1,2", "--k", "5"], EXIT_OK,
-         '{"nodes_explored": 47, "quantity": "EquitableTotalFeasible", '
+         '{"nodes_explored": 0, "quantity": "EquitableTotalFeasible", '
          '"value": true}\n', ""),
         (["oracle", "--quantity", "total-chromatic", "--n", "12",
           "--gens", "1,2,3,4"], EXIT_OK,
@@ -750,12 +753,15 @@ class TestExitContract:
                 "oracle)") in text
 
     def test_zero_budget_is_valid(self, capsys):
-        # thm21-even n=12 k=2 i=1 needs no search; C_6 does
+        # thm21-even n=12 k=2 i=1 needs no search, nor does C_6, which
+        # the Latin tiling decides; C_10(1, 2, 3) does
         assert main(["--budget", "0", "color", "--method", "thm21-even",
                      "--n", "12", "--k", "2", "--i", "1"]) == EXIT_OK
         assert main(["--budget", "0", "oracle", "--quantity",
-                     "total-chromatic", "--n", "6",
-                     "--gens", "1"]) == EXIT_BUDGET
+                     "total-chromatic", "--n", "6", "--gens", "1"]) == EXIT_OK
+        assert main(["--budget", "0", "oracle", "--quantity",
+                     "total-chromatic", "--n", "10",
+                     "--gens", "1,2,3"]) == EXIT_BUDGET
         assert "exceeded 0 nodes" in capsys.readouterr().err
 
     def test_budget_does_not_leak(self, capsys):

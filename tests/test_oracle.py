@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -485,10 +486,64 @@ class TestTotalChromatic:
             exact_total_chromatic(build_circulant(13, [1]))
 
     def test_budget(self):
-        g = build_circulant(10, [1, 2, 3, 4, 5])
+        # no construction applies to C_10(1, 2, 3), which takes 42 nodes
+        g = build_circulant(10, [1, 2, 3])
         with pytest.raises(SearchBudgetExceeded,
                            match="oracle search exceeded"):
-            exact_total_chromatic(g, budget=50)
+            exact_total_chromatic(g, budget=20)
+
+
+class TestConstructions:
+    """A palette one verified closed-form coloring settles costs no
+    search: the Latin tiling, the even complete graph's folded row, and
+    the bipartite circulant's 1-factorization."""
+
+    @pytest.mark.parametrize("n,ds,value,nodes", [
+        (8, [1, 2, 3, 4], 9, 0), (10, [1, 2, 3, 4, 5], 11, 0),
+        (12, [1, 2, 3, 4, 5, 6], 13, 0),
+        # K_{6,6}: 326 nodes refute Delta + 1 = 7 colors
+        (12, [1, 3, 5], 8, 326)],
+        ids=["K8", "K10", "K12", "K6,6"])
+    def test_type2_decided(self, n, ds, value, nodes):
+        g = build_circulant(n, ds)
+        start = time.perf_counter()
+        result = exact_total_chromatic(g)
+        assert time.perf_counter() - start < 1.0
+        assert (result.value, result.nodes_explored) == (value, nodes)
+        report = verify_total_coloring(g, result.witness)
+        assert report.proper and report.colors_used == value
+
+    @pytest.mark.parametrize("n,ds,mode,value", [
+        (6, [1], None, 3), (8, [1, 3], None, 6),
+        (10, [1, 2], Mode.EQUITABLE, True)],
+        ids=["tiling", "bipartite", "equitable-tiling"])
+    def test_rejected_construction_is_never_returned(self, n, ds, mode,
+                                                     value, monkeypatch):
+        # each construction with vertex 0 recolored like its neighbor 1:
+        # the verifier rejects it, and the search decides the same value
+        g = build_circulant(n, ds)
+
+        def query():
+            return (exact_total_chromatic(g) if mode is None
+                    else exact_feasible(g, 5, mode))
+
+        real, offered = oracle._construction, []
+
+        def broken(g, k):
+            tc = real(g, k)
+            if tc is not None:
+                offered.append(k)
+                tc = TotalColoring(
+                    tc.vertex_colors[1:2] + tc.vertex_colors[1:], tc.columns)
+            return tc
+
+        built = query()
+        monkeypatch.setattr(oracle, "_construction", broken)
+        searched = query()
+        assert offered[-1] == (5 if mode else value)
+        assert searched.value == built.value == value
+        assert searched.nodes_explored > built.nodes_explored
+        assert verify_total_coloring(g, searched.witness).proper
 
 
 class TestCountingRule:
@@ -749,6 +804,11 @@ class TestAgainstReference:
     GRAPHS = [(n, ds) for n in range(3, 9)
               for r in (1, 2) for ds in itertools.combinations(
                   range(1, n // 2 + 1), r)]
+    # (n, distances, palette) that a construction decides: the tiling's
+    # K_9 at 9, C_6(1) at 3 and C_10(1, 2) at 5, and the bipartite
+    # 1-factorization's C_8(1, 3) at 6
+    CONSTRUCTED = [(9, (1, 2, 3, 4), 9), (6, (1,), 3), (10, (1, 2), 5),
+                   (8, (1, 3), 6)]
 
     @staticmethod
     def kernel_value(g, quantity, k):
@@ -771,15 +831,21 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("quantity", ["index", "equitable", "nsd"])
     def test_values(self, quantity):
-        decided = 0
+        queries = []
         for n, ds in self.GRAPHS:
             g = build_circulant(n, list(ds))
             lo = g.degree if quantity == "index" else g.degree + 1
-            for k in range(lo, lo + 3):
-                want = reference_value(g, quantity, k, 5000)
-                if want is not None:
-                    decided += 1
-                    assert self.kernel_value(g, quantity, k) is want, (n, ds, k)
+            queries += [(g, k, 5000) for k in range(lo, lo + 3)]
+        # C_10(1, 2)'s reference needs 20,000 nodes at 5 equitable colors
+        queries += [(build_circulant(n, ds), k, 50_000)
+                    for n, ds, k in self.CONSTRUCTED]
+        decided = 0
+        for g, k, budget in queries:
+            want = reference_value(g, quantity, k, budget)
+            if want is not None:
+                decided += 1
+                assert self.kernel_value(g, quantity, k) is want, (
+                    g.n, g.gens, k)
         assert decided >= 80
 
 

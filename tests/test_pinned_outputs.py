@@ -56,7 +56,7 @@ COLOR_RUNS = {
     "canonical": "color --method canonical --n 7",
     # even order: K_9's matrix without its vertex 8, 9 colours, equitable
     "canonical-even": "color --method canonical --n 8",
-    # K_10, which the oracle leaves undecided at its default 20M nodes
+    # K_10: the folded row by which the oracle decides chi''(K_10) = 11
     "canonical-10": "color --method canonical --n 10",
     # the pooled 1-factorization (252 edges, 12 colours) needs 273 of the
     # 20,000 nodes
