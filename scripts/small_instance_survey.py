@@ -4,9 +4,10 @@ instance C_n^k with n <= 12.
 
 For each instance the table lists the exact total chromatic number, its
 Type (I: Delta+1 colors, II: Delta+2) and the oracle's search nodes,
-which read 0 where a verified closed-form coloring (the Latin tiling or
-a bipartite 1-factorization) decided the first palette the oracle
-tried.
+which read 0 where a verified closed-form coloring (the Latin tiling,
+the K_{n+1} fold of an even complete graph, or a bipartite
+1-factorization) decided the first palette the partition rule left, as
+that rule refutes a palette with no search.
 Where Theorem 2.1 admits a builder (some odd k+i dividing n), it also
 lists i, the builder's color count and the gap; elsewhere those columns
 read ``-``.  The builder should always land within one color of the

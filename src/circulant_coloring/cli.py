@@ -301,7 +301,7 @@ def make_parser(command: str | None = None) -> argparse.ArgumentParser:
     if command in (None, "oracle"):
         o = sub.add_parser(
             "oracle", help="exact value on a tiny instance: a verified "
-            "closed-form coloring or bounded search")
+            "closed-form coloring, the partition rule or bounded search")
         o.add_argument("--quantity", required=True,
                        choices=list(ORACLE_QUANTITIES))
         o.add_argument("--n", type=int, required=True)

@@ -24,11 +24,13 @@ before the search or cut it:
   only if the verifier accepts it on at most k colors, equitable or NSD
   when asked, so no value changes: a palette is tried only once every
   smaller one is refuted.
-- Counting.  A total coloring of a Delta-regular graph with Delta+1
-  colors puts every color at every vertex, so the vertices outside a
-  color's vertex class are perfectly matched by its edges: each class
-  has |V_c| = n (mod 2) and |V_c| <= alpha(g).  When the largest such
-  size times Delta+1 is below n, that palette is refuted with no search.
+- Partition.  A closed star needs Delta+1 colors.  With Delta+1, each
+  star of the Delta-regular g holds every color, so all vertex sums are
+  equal (no NSD), and each color's vertex class V_c is independent, its
+  edges a perfect matching of g - V_c: |V_c| = n (mod 2), and the
+  equitable classes' sizes (n + |V_c|)/2 differ by at most 1.  Unless an
+  exact cover of V by Delta+1 such classes (empty ones too) exists, the
+  palette is refuted with no search.
 - Closed stars.  When the palette equals the closed-star size, Delta+1,
   every star holds every color.  A color missing from a star that none
   of its uncolored elements can take ends the branch; when one has fewer
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from .coloring import TotalColoring
 from .errors import PreconditionFailed, SearchBudgetExceeded, VerificationFailed
@@ -272,37 +275,48 @@ def _total_search(n: int, edges, vertex_nbrs, num_colors: int, budget: int,
                 break
 
 
-def _independence_number(g: CirculantGraph) -> int:
-    """alpha(g) by branch and bound over vertex bitmasks: branch on the
-    lowest candidate vertex (take it, or drop it), prune when the set so
-    far plus every candidate left cannot beat the best."""
-    nbrs = [sum(1 << w for w in g.neighbors(u)) for u in range(g.n)]
-    best = 0
-    stack = [((1 << g.n) - 1, 0)]  # (candidate vertices, size so far)
-    while stack:
-        cand, size = stack.pop()
-        if not cand:
-            best = max(best, size)
-            continue
-        if size + bin(cand).count("1") <= best:
-            continue
-        low = cand & -cand
-        u = low.bit_length() - 1
-        stack.append((cand ^ low, size))
-        stack.append((cand & ~nbrs[u] & ~low, size + 1))
-    return best
+def _refutes(g: CirculantGraph, k: int, mode: Mode | None) -> bool:
+    """True when the module docstring's partition rule refutes palette k
+    of g in ``mode``; False proves nothing."""
+    n, delta = g.n, g.degree
+    if k != delta + 1 or mode is Mode.NSD:
+        return k <= delta + 1
+    nbrs = [sum(1 << w for w in g.neighbors(u)) for u in range(n)]
+    full = (1 << n) - 1
+    # the sizes a vertex class may have: = n (mod 2), and for an equitable
+    # coloring (n + |V_c|)/2 in [lo, lo + 1]
+    lo = n * (delta + 2) // 2 // k
+    sizes = (range(n % 2, n + 1, 2) if mode is None
+             else range(2 * lo - n, 2 * lo - n + 3, 2))
 
+    @cache
+    def matchable(rest):
+        """Whether g has a perfect matching of the vertex bitmask rest."""
+        u = (rest & -rest).bit_length() - 1
+        return not rest or any(matchable(rest & ~(1 << u | 1 << w))
+                               for w in g.neighbors(u) if rest >> w & 1)
 
-def _counting_refutes(g: CirculantGraph, k: int) -> bool:
-    """True when the counting rule proves there is no total coloring of
-    the regular graph g with k = Delta+1 colors: no vertex class can
-    exceed the largest size s <= alpha(g) with s = n (mod 2), and k such
-    classes must cover all n vertices."""
-    if k != g.degree + 1:
-        return False
-    alpha = _independence_number(g)
-    largest = alpha - (alpha - g.n) % 2
-    return largest * k < g.n
+    def classes(s, cand):
+        """The vertex classes holding s and lying within s | cand."""
+        size = s.bit_count()
+        if size in sizes and matchable(full & ~s):
+            yield s
+        while cand and size < sizes[-1]:
+            low = cand & -cand
+            cand ^= low
+            yield from classes(s | low, cand & ~nbrs[low.bit_length() - 1])
+
+    def cover(rest, left):
+        """Whether ``left`` classes, empty ones too, split the vertex
+        bitmask rest; the class of its lowest vertex is placed first."""
+        if not rest:
+            return not left or 0 in sizes and matchable(full)
+        low = rest & -rest
+        cand = rest & ~low & ~nbrs[low.bit_length() - 1]
+        return left > 0 and any(cover(rest & ~s, left - 1)
+                                for s in classes(low, cand))
+
+    return not cover(full, k)
 
 
 def _in_range(g: CirculantGraph) -> None:
@@ -338,12 +352,13 @@ def _construction(g: CirculantGraph, k: int) -> TotalColoring | None:
 def _accepts(g: CirculantGraph, tc: TotalColoring, k: int,
              mode: Mode | None) -> bool:
     """Whether the verifier finds tc a total coloring of g on colors
-    1..k, equitable over all k classes or NSD when ``mode`` asks."""
+    1..k, equitable over all k classes (an unused color's is empty) or
+    NSD when ``mode`` asks."""
     report = (verify_nsd if mode is Mode.NSD else verify_total_coloring)(g, tc)
     sizes = report.class_sizes
+    counts = [*sizes.values()] + [0] * (k - len(sizes))
     return (report.proper and max(sizes) <= k
-            and (mode is not Mode.EQUITABLE
-                 or report.equitable and len(sizes) == k)
+            and (mode is not Mode.EQUITABLE or max(counts) - min(counts) <= 1)
             and (mode is not Mode.NSD or report.nsd))
 
 
@@ -352,11 +367,11 @@ def _decide(g: CirculantGraph, mode: Mode | None, palettes,
     """The first k of ``palettes`` with a total coloring of g; with
     ``mode``, True if it has an equitable or NSD one (False if none has).
     Each palette first tries the one construction ``_construction``
-    offers, which counts only if ``_accepts`` it; then the counting rule,
-    then the search.  The node count runs on across palettes, so running
-    out names the whole budget, and a construction's palette reports the
-    nodes of the palettes before it.  Each search witness is verified,
-    under python -O as well."""
+    offers, which counts only if ``_accepts`` it; then the partition
+    rule, then the search, whose witness must pass ``_accepts`` too (a
+    check that raises, so it holds under python -O).  The node count runs
+    on across palettes, so running out names the whole budget, and a
+    construction's palette reports the nodes of the palettes before it."""
     _in_range(g)
     if palettes[0] < 1:
         raise PreconditionFailed(
@@ -369,7 +384,7 @@ def _decide(g: CirculantGraph, mode: Mode | None, palettes,
     for k in palettes:
         witness = _construction(g, k)
         if witness is None or not _accepts(g, witness, k, mode):
-            if _counting_refutes(g, k):
+            if _refutes(g, k, mode):
                 continue
             colors, _, nodes = _total_search(g.n, g.edges, nbrs, k, budget,
                                              "oracle", mode=mode, nodes=nodes)
@@ -377,8 +392,8 @@ def _decide(g: CirculantGraph, mode: Mode | None, palettes,
                 continue
             witness = TotalColoring.from_pairs(
                 colors[:g.n], dict(zip(g.edges, colors[g.n:])))
-            if not verify_total_coloring(g, witness).proper:
-                raise VerificationFailed("improper search witness")
+            if not _accepts(g, witness, k, mode):
+                raise VerificationFailed("search witness rejected")
         return OracleResult(quantity, k if mode is None else True, nodes,
                             witness)
     if mode is not None:
@@ -391,7 +406,7 @@ def exact_total_chromatic(g: CirculantGraph,
                           budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Exact total chromatic number with a verified witness coloring,
     trying Delta + 1 up to Delta + 3 colors, each by its construction if
-    one applies and is accepted, else by counting and search;
+    one applies and is accepted, else by the partition rule and search;
     ``nodes_explored`` counts the search nodes only, 0 when the first
     palette's construction decides."""
     return _decide(g, None, range(g.degree + 1, g.degree + 4), budget)
@@ -408,14 +423,14 @@ def exact_chromatic_index(g: CirculantGraph,
     witness = TotalColoring.from_pairs(
         (0,) * g.n, colors or edge_color_delta_plus_one(g).colors)
     check = TotalColoring(tuple(range(k + 1, k + 1 + g.n)), witness.columns)
-    if not verify_total_coloring(g, check).proper:
-        raise VerificationFailed("improper search witness")
+    if not _accepts(g, check, k + g.n, None):
+        raise VerificationFailed("search witness rejected")
     return OracleResult(Quantity.CHROMATIC_INDEX, k, nodes, witness)
 
 
 def exact_feasible(g: CirculantGraph, k: int, mode: Mode,
                    budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Feasibility of a proper total k-coloring with the extra constraint:
-    True with 0 nodes when the construction for k meets it, else by
-    counting and search."""
+    True with 0 nodes when the construction for k meets it, False with 0
+    nodes when the partition rule refutes k, else by search."""
     return _decide(g, mode, (k,), budget)

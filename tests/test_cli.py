@@ -230,17 +230,18 @@ class TestOracle:
         assert json.loads(capsys.readouterr().out)["value"] is True
 
     @pytest.mark.parametrize("argv,code,out,err", [
-        # 16 nodes refute 5 colors, and K_{4,4}'s bipartite construction
-        # gives 6
+        # the partition rule refutes 5 colors, and K_{4,4}'s bipartite
+        # construction gives 6
         (["oracle", "--quantity", "total-chromatic", "--n", "8",
           "--gens", "1,3"], EXIT_OK,
-         '{"nodes_explored": 16, "quantity": "TotalChromatic", '
+         '{"nodes_explored": 0, "quantity": "TotalChromatic", '
          '"value": 6}\n', ""),
-        # 170 nodes refute 4 colors and 200 decide 5, so this runs out in
-        # the second palette, and names the whole budget
-        (["--budget", "180", "oracle", "--quantity", "total-chromatic",
-          "--n", "12", "--gens", "1,6"], EXIT_BUDGET, "",
-         "search budget exceeded: oracle search exceeded 180 nodes\n"),
+        # the rule leaves 4 colors of C_8(1, 4) to the search: 36 nodes
+        # refute them and 56 decide 5, so this runs out in the second
+        # palette, and names the whole budget
+        (["--budget", "40", "oracle", "--quantity", "total-chromatic",
+          "--n", "8", "--gens", "1,4"], EXIT_BUDGET, "",
+         "search budget exceeded: oracle search exceeded 40 nodes\n"),
         # 9 is odd, so the edge-coloring search refutes Delta = 4 colors
         # before its first node, and Misra-Gries gives 5
         (["oracle", "--quantity", "chromatic-index", "--n", "9",
@@ -259,9 +260,11 @@ class TestOracle:
         (["--budget", "5", "oracle", "--quantity", "total-chromatic",
           "--n", "12", "--gens", "1,2,3,4"], EXIT_BUDGET, "",
          "search budget exceeded: oracle search exceeded 5 nodes\n"),
+        # K_7's 7 = Delta+1 colors make every vertex sum the same, which
+        # the partition rule says with no search
         (["oracle", "--quantity", "nsd-feasible", "--n", "7",
           "--gens", "1,2,3", "--k", "7"], EXIT_OK,
-         '{"nodes_explored": 38016, "quantity": "NsdTotalFeasible", '
+         '{"nodes_explored": 0, "quantity": "NsdTotalFeasible", '
          '"value": false}\n', ""),
         # K_11, which the total-coloring kernel left undecided after 20M
         # nodes when it also served the chromatic index
@@ -276,7 +279,17 @@ class TestOracle:
         (["--budget", "66", "oracle", "--quantity", "chromatic-index",
           "--n", "12", "--gens", "1,2,3,4,5,6"], EXIT_OK,
          '{"nodes_explored": 66, "quantity": "ChromaticIndex", '
-         '"value": 11}\n', "")])
+         '"value": 11}\n', ""),
+        # more colors than C_5's 10 elements: the unused ones are empty
+        # classes, so each class has 0 or 1 elements
+        (["oracle", "--quantity", "equitable-feasible", "--n", "5",
+          "--gens", "1", "--k", "11"], EXIT_OK,
+         '{"nodes_explored": 10, "quantity": "EquitableTotalFeasible", '
+         '"value": true}\n', ""),
+        (["oracle", "--quantity", "equitable-feasible", "--n", "5",
+          "--gens", "1", "--k", "100"], EXIT_OK,
+         '{"nodes_explored": 10, "quantity": "EquitableTotalFeasible", '
+         '"value": true}\n', "")])
     def test_pinned_output(self, argv, code, out, err, capsys):
         assert main(argv) == code
         assert capsys.readouterr() == (out, err)

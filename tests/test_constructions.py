@@ -43,7 +43,7 @@ from circulant_coloring.graphs import (
     power_of_cycle,
 )
 from circulant_coloring.latin import half
-from circulant_coloring.oracle import _counting_refutes, _total_search
+from circulant_coloring.oracle import _refutes, _total_search
 from circulant_coloring.verifiers import (
     TypeLabel,
     verify_nsd,
@@ -272,7 +272,7 @@ class TestCanonicalPattern:
             assert result.colors_used == result.bound_claimed == m
 
     def test_complete_graph_proper_and_equitable(self):
-        # m | 1 colours: Type I for odd m; for even m the counting rule
+        # m | 1 colours: Type I for odd m; for even m the partition rule
         # refutes m colours, so m + 1 is the optimum
         for m in range(3, 61):
             g = build_circulant(m, range(1, m // 2 + 1))
@@ -281,7 +281,7 @@ class TestCanonicalPattern:
             assert report.proper and report.equitable, m
             assert result.colors_used == result.bound_claimed == m | 1, m
             if m % 2 == 0:
-                assert _counting_refutes(g, m), m
+                assert _refutes(g, m, None), m
 
     def test_too_small(self):
         with pytest.raises(PreconditionFailed):

@@ -18,8 +18,7 @@ from circulant_coloring.coloring import TotalColoring
 from circulant_coloring.oracle import (
     Mode,
     Quantity,
-    _counting_refutes,
-    _independence_number,
+    _refutes,
     _total_search,
     exact_chromatic_index,
     exact_feasible,
@@ -177,6 +176,39 @@ def _vertex_sums(tc):
         sums[u] += c
         sums[v] += c
     return sums
+
+
+def _independence_number(g):
+    """alpha(g) by branch and bound over vertex bitmasks: branch on the
+    lowest candidate vertex (take it, or drop it), prune when the set so
+    far plus every candidate left cannot beat the best."""
+    nbrs = [sum(1 << w for w in g.neighbors(u)) for u in range(g.n)]
+    best = 0
+    stack = [((1 << g.n) - 1, 0)]  # (candidate vertices, size so far)
+    while stack:
+        cand, size = stack.pop()
+        if not cand:
+            best = max(best, size)
+            continue
+        if size + bin(cand).count("1") <= best:
+            continue
+        low = cand & -cand
+        u = low.bit_length() - 1
+        stack.append((cand ^ low, size))
+        stack.append((cand & ~nbrs[u] & ~low, size + 1))
+    return best
+
+
+def _counting_refutes(g, k):
+    """The counting rule the partition rule replaced: True when no total
+    coloring of the regular graph g has k = Delta+1 colors, because no
+    vertex class can exceed the largest size s <= alpha(g) with
+    s = n (mod 2), and k such classes must cover all n vertices."""
+    if k != g.degree + 1:
+        return False
+    alpha = _independence_number(g)
+    largest = alpha - (alpha - g.n) % 2
+    return largest * k < g.n
 
 
 def reference_total_chromatic(g, budget):
@@ -443,10 +475,12 @@ class TestKernelAgainstReference:
         assert got[2] == 44
 
     def test_nsd_complete_graph_refutation(self):
-        # K_7 = C_7^3 has no NSD total coloring with 7 colors; the count
-        # pins the search's every choice
+        # K_7 = C_7^3 has no NSD total coloring with 7 = Delta+1 colors:
+        # every closed star holds all 7, so all vertex sums are equal.  The
+        # partition rule says so before the search (which took 38,016
+        # nodes)
         result = exact_feasible(power_of_cycle(7, 3), 7, Mode.NSD)
-        assert result.value is False and result.nodes_explored == 38_016
+        assert result.value is False and result.nodes_explored == 0
 
 
 class TestTotalChromatic:
@@ -501,8 +535,9 @@ class TestConstructions:
     @pytest.mark.parametrize("n,ds,value,nodes", [
         (8, [1, 2, 3, 4], 9, 0), (10, [1, 2, 3, 4, 5], 11, 0),
         (12, [1, 2, 3, 4, 5, 6], 13, 0),
-        # K_{6,6}: 326 nodes refute Delta + 1 = 7 colors
-        (12, [1, 3, 5], 8, 326)],
+        # K_{6,6}: the partition rule refutes Delta + 1 = 7 colors (the
+        # search took 326 nodes)
+        (12, [1, 3, 5], 8, 0)],
         ids=["K8", "K10", "K12", "K6,6"])
     def test_type2_decided(self, n, ds, value, nodes):
         g = build_circulant(n, ds)
@@ -547,13 +582,16 @@ class TestConstructions:
 
 
 class TestCountingRule:
-    """A (Delta+1)-total coloring puts every color at every vertex, so
-    each vertex class has a size s <= alpha with s = n (mod 2)."""
+    """The partition rule, which replaced the counting rule: no total
+    coloring has fewer than Delta+1 colors, and one with Delta+1 puts
+    every color at every vertex, so it is not NSD and its vertex classes
+    split V into Delta+1 independent sets V_c, each with
+    |V_c| = n (mod 2) and a perfect matching of g - V_c."""
 
     @pytest.mark.parametrize("n,k,value", [(9, 3, 8), (11, 3, 8), (11, 4, 10)])
     def test_type2_powers_decided(self, n, k, value):
         g = power_of_cycle(n, k)
-        assert _counting_refutes(g, g.degree + 1)
+        assert _refutes(g, g.degree + 1, None)
         result = exact_total_chromatic(g, budget=10_000)
         assert result.value == value
         report = verify_total_coloring(g, result.witness)
@@ -567,9 +605,43 @@ class TestCountingRule:
             assert result.witness is None
 
     def test_only_the_delta_plus_one_palette(self):
+        # Delta+1 is the one palette the rule searches: it proves nothing
+        # above it, and refutes everything below it
         g = power_of_cycle(9, 3)
-        assert not _counting_refutes(g, g.degree + 2)
-        assert not _counting_refutes(g, g.degree)
+        for mode in (None, *Mode):
+            assert not _refutes(g, g.degree + 2, mode)
+            assert _refutes(g, g.degree, mode)
+
+    def test_palettes_below_delta_plus_one(self):
+        # a closed star has Delta+1 elements; C_12^4 at 8 colors ran out
+        # of 2,000,000 nodes in the search before the rule
+        for n in range(3, 13):
+            for kk in range(1, (n + 1) // 2):
+                g = power_of_cycle(n, kk)
+                for k, mode in itertools.product(range(1, g.degree + 1),
+                                                 Mode):
+                    result = exact_feasible(g, k, mode)
+                    assert (result.value, result.nodes_explored,
+                            result.witness) == (False, 0, None), (n, kk, k)
+
+    def test_no_nsd_coloring_on_delta_plus_one(self):
+        # every closed star holds all Delta+1 colors, so every vertex sum
+        # is the same
+        for n, ds in ALL_GRAPHS:
+            g = build_circulant(n, ds)
+            result = exact_feasible(g, g.degree + 1, Mode.NSD)
+            assert (result.value, result.nodes_explored) == (False, 0), (n, ds)
+
+    def test_refutes_what_counting_refutes(self):
+        refuted = 0
+        for n, ds in ALL_GRAPHS:
+            g = build_circulant(n, ds)
+            for k in range(g.degree, g.degree + 3):
+                if _counting_refutes(g, k):
+                    refuted += 1
+                    assert _refutes(g, k, None), (n, ds)
+                    assert _refutes(g, k, Mode.EQUITABLE), (n, ds)
+        assert refuted == 26  # of the partition rule's 64
 
     def test_independence_number(self):
         rng = random.Random(3)
@@ -587,7 +659,8 @@ class TestCountingRule:
     def test_never_refutes_a_colorable_palette(self):
         # the plain search, with no rule, on every C_n^k and random
         # circulants with n <= 9: whatever it colors with Delta+1 colors
-        # the rule must leave alone
+        # the rule must leave alone (TestRange checks n <= 12 against
+        # the values the oracle found before the rule)
         rng = random.Random(11)
         graphs = [power_of_cycle(n, k) for n in range(3, 10)
                   for k in range(1, (n + 1) // 2)]
@@ -603,7 +676,7 @@ class TestCountingRule:
                 continue
             if found:
                 colored += 1
-                assert not _counting_refutes(g, k), (g.n, g.gens)
+                assert not _refutes(g, k, None), (g.n, g.gens)
         assert colored >= 20
 
 
@@ -639,9 +712,7 @@ class TestChromaticIndex:
         # The rescanning kernel's edge-only mode decides each Delta palette
         # within 1,000 nodes (finding Delta + 1 colors for K_11 takes it
         # past 20M), so it checks the search's verdict too
-        graphs = [build_circulant(n, ds) for n in range(3, 13)
-                  for r in range(1, n // 2 + 1)
-                  for ds in itertools.combinations(range(1, n // 2 + 1), r)]
+        graphs = [build_circulant(n, ds) for n, ds in ALL_GRAPHS]
         assert len(graphs) == 176
         for g in graphs:
             result = exact_chromatic_index(g)
@@ -754,10 +825,22 @@ class TestNsdFeasible:
         assert got == sorted(got)  # once feasible, stays feasible
 
 
+# Every generator set with 3 <= n <= 12: 176 circulants.
+ALL_GRAPHS = [(n, ds) for n in range(3, 13) for r in range(1, n // 2 + 1)
+              for ds in itertools.combinations(range(1, n // 2 + 1), r)]
+# chi'' - Delta of each, one digit per set in the order of ALL_GRAPHS
+# (1: Type I, 2: Type II), as the oracle decided them by the counting
+# rule and search, before the partition rule.
+EXCESS = "".join([
+    "1", "222", "221", "1121212", "2222221", "222212212211112",
+    "111111111121221", "2222211121121221111211111121212",
+    "2222211111111112112121221222221",
+    "112112121121112122112111112111111112111111111111111111111121112"])
+
 # chi'' and Type of every C_n^k with 3 <= n <= 12 (k < n/2; larger k
 # give K_n).  The Delta+1 palettes of C_9^3, C_11^3 and C_11^4 fall to the
-# counting rule; C_10^3, C_12^3 and C_12^4 were out of the static search's
-# reach.
+# partition rule; C_10^3, C_12^3 and C_12^4 were out of the static
+# search's reach.
 RANGE = [
     (3, 1, 3, "I"), (4, 1, 4, "II"), (5, 1, 4, "II"), (5, 2, 5, "I"),
     (6, 1, 3, "I"), (6, 2, 5, "I"), (7, 1, 4, "II"), (7, 2, 6, "II"),
@@ -788,6 +871,21 @@ class TestRange:
         assert report.type_label is TYPES[kind]
         ref = reference_total_chromatic(g, 20_000)
         assert ref in (None, value)
+
+    def test_every_generator_set(self):
+        # the partition rule refutes Delta+1 on 64 of the 66 Type II
+        # graphs and on no Type I one; the search decides the rest within
+        # 5,000 nodes (C_12(1, 2, 3, 5, 6) took 907,265 before the rule)
+        refuted = 0
+        for (n, ds), excess in zip(ALL_GRAPHS, EXCESS, strict=True):
+            g = build_circulant(n, ds)
+            result = exact_total_chromatic(g, budget=5000)
+            report = verify_total_coloring(g, result.witness)
+            assert report.proper, (n, ds)
+            assert (result.value == report.colors_used
+                    == g.degree + int(excess)), (n, ds)
+            refuted += _refutes(g, g.degree + 1, None)
+        assert EXCESS.count("2") == 66 and refuted == 64
 
     @pytest.mark.parametrize("n,k,nodes", [(10, 3, 42), (12, 3, 515),
                                            (12, 4, 71)])
@@ -860,8 +958,9 @@ class TestDeterminism:
 
 
 class TestWitnessCheck:
-    """A witness the search returns is verified by a check that raises,
-    so it holds under python -O as well."""
+    """A witness the search returns passes the check a construction's
+    passes, for its palette and its mode, and one that fails raises, so
+    the check holds under python -O as well."""
 
     @pytest.mark.parametrize("query", [
         lambda g: exact_total_chromatic(g),
@@ -876,5 +975,27 @@ class TestWitnessCheck:
                             lambda *args, **kwargs: ([1] * 5 + [2] * 5, [], 1))
         monkeypatch.setattr(oracle, "_exact_edge_coloring",
                             lambda g, budget: (dict.fromkeys(g.edges, 1), 1))
-        with pytest.raises(VerificationFailed, match="improper search witness"):
+        with pytest.raises(VerificationFailed, match="search witness rejected"):
+            query(g)
+
+    @pytest.mark.parametrize("colors,query", [
+        # proper on colors 1..4, but its classes have 3, 3, 3 and 1
+        # elements
+        ((1, 2, 1, 2, 3, 3, 2, 4, 3, 1),
+         lambda g: exact_feasible(g, 4, Mode.EQUITABLE)),
+        # the same coloring: vertices 3, 4 and 0 all have sum 6
+        ((1, 2, 1, 2, 3, 3, 2, 4, 3, 1),
+         lambda g: exact_feasible(g, 6, Mode.NSD)),
+        # proper on four colors, but one of them is 5: the rule refutes
+        # 3 colors, so the kernel is asked for 4
+        ((1, 2, 1, 2, 3, 3, 2, 5, 3, 5), exact_total_chromatic)],
+        ids=["not-equitable", "not-nsd", "color-above-k"])
+    def test_proper_witness_missing_its_property_raises(self, colors, query,
+                                                        monkeypatch):
+        g = build_circulant(5, [1])
+        assert verify_total_coloring(g, TotalColoring.from_pairs(
+            colors[:5], dict(zip(g.edges, colors[5:])))).proper
+        monkeypatch.setattr(oracle, "_total_search",
+                            lambda *args, **kwargs: (list(colors), [], 1))
+        with pytest.raises(VerificationFailed, match="search witness rejected"):
             query(g)
